@@ -20,7 +20,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spammass_bench::Fixture;
 use spammass_graph::io::{graph_from_bytes, graph_to_bytes, graph_to_bytes_v3, map_graph_file};
 use spammass_graph::{Graph, NodeOrdering, Permutation};
-use spammass_pagerank::{parallel, JumpVector, PageRankConfig};
+use spammass_pagerank::{parallel, solve_batch, JumpVector, PageRankConfig};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -45,8 +45,9 @@ fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
 }
 
 fn solve(g: &Graph, cfg: &PageRankConfig) -> Vec<f64> {
-    parallel::solve_parallel_jacobi(g, &JumpVector::Uniform, cfg)
+    solve_batch(g, &[JumpVector::Uniform], cfg)
         .expect("layout bench solve converges")
+        .remove(0)
         .scores
 }
 

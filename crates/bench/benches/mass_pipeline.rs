@@ -6,7 +6,7 @@ use spammass_bench::Fixture;
 use spammass_core::estimate::{EstimatorConfig, MassEstimator};
 use spammass_core::mass::ExactMass;
 use spammass_core::Partition;
-use spammass_pagerank::{parallel, solve_batch, JumpVector, PageRankConfig};
+use spammass_pagerank::{solve_batch, JumpVector, PageRankConfig};
 use std::hint::black_box;
 
 fn estimator() -> MassEstimator {
@@ -29,12 +29,10 @@ fn bench_estimation(c: &mut Criterion) {
     group.finish();
 }
 
-/// One batched multi-RHS run (uniform + core jump through a single
-/// traversal per iteration) against two sequential parallel solves — the
-/// batching half of the tentpole. Measured twice: through `MassEstimator`
-/// (batched vs chain-per-run config), and at the solver layer directly
-/// (`solve_batch` vs back-to-back `solve_parallel_jacobi`), which holds
-/// everything but the batching constant.
+/// One batched two-column run (uniform + core jump through a single
+/// traversal per iteration) against two sequential one-column runs of
+/// the same engine, which holds everything but the batching constant —
+/// plus the estimator on top of the batched solve.
 fn bench_batched_vs_sequential(c: &mut Criterion) {
     let hosts = 120_000usize;
     let fixture = Fixture::new(hosts);
@@ -53,16 +51,6 @@ fn bench_batched_vs_sequential(c: &mut Criterion) {
             },
         );
         group.bench_with_input(
-            BenchmarkId::new(format!("estimator_chained_{threads}t"), hosts),
-            &hosts,
-            |b, _| {
-                let est = MassEstimator::new(
-                    EstimatorConfig::scaled(0.85).with_pagerank(pr).with_batching(false),
-                );
-                b.iter(|| black_box(est.estimate(fixture.graph(), &core)))
-            },
-        );
-        group.bench_with_input(
             BenchmarkId::new(format!("solve_batch_{threads}t"), hosts),
             &hosts,
             |b, _| b.iter(|| black_box(solve_batch(fixture.graph(), &jumps, &pr))),
@@ -73,7 +61,8 @@ fn bench_batched_vs_sequential(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     for jump in &jumps {
-                        black_box(parallel::solve_parallel_jacobi(fixture.graph(), jump, &pr)).ok();
+                        black_box(solve_batch(fixture.graph(), std::slice::from_ref(jump), &pr))
+                            .ok();
                     }
                 })
             },

@@ -1,16 +1,13 @@
 //! Solver comparison: Jacobi (Algorithm 1), Gauss–Seidel, power iteration
-//! (eigen formulation), and the pooled parallel Jacobi.
+//! (eigen formulation), and the production engine with one column.
 //!
 //! Backs the paper's Section 2.2 remark that linear solvers "are regularly
 //! faster than the algorithms available for solving eigensystems", and
-//! measures the fused pooled engine against the legacy two-pass kernel on
-//! a ≥1M-edge synthetic web at several thread counts.
+//! times the engine on a ≥1M-edge synthetic web at one and four threads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spammass_bench::Fixture;
-use spammass_pagerank::{
-    gauss_seidel, jacobi, parallel, power, JumpVector, KernelKind, PageRankConfig,
-};
+use spammass_pagerank::{gauss_seidel, jacobi, power, solve_batch, JumpVector, PageRankConfig};
 use std::hint::black_box;
 
 fn config() -> PageRankConfig {
@@ -35,73 +32,34 @@ fn bench_solvers(c: &mut Criterion) {
             b.iter(|| black_box(power::solve_power(g, &jump, &cfg)))
         });
         group.bench_with_input(BenchmarkId::new("parallel_jacobi", hosts), &hosts, |b, _| {
-            b.iter(|| black_box(parallel::solve_parallel_jacobi(g, &jump, &cfg)))
+            b.iter(|| black_box(solve_batch(g, std::slice::from_ref(&jump), &cfg)))
         });
     }
     group.finish();
 }
 
-/// Fused pooled kernel vs the legacy two-pass kernel at matched thread
-/// counts on a million-edge graph — the tentpole comparison. Both paths
-/// use the same partitioner and convergence machinery, so the delta is
-/// the kernel itself (one traversal + coefficient table vs shares pass
-/// plus gather pass).
-fn bench_engine(c: &mut Criterion) {
+/// The scaling workload: the engine with one uniform column on the
+/// 120k-host / ≥1M-edge graph at one and four requested threads. Medians
+/// land in `BENCH_pagerank.json` via `scripts/bench.sh`; thread counts
+/// are encoded in the benchmark names (`_1t` / `_4t`) and annotated into
+/// the JSON's `"threads"` field.
+fn bench_scaling(c: &mut Criterion) {
     let hosts = 120_000usize;
     let fixture = Fixture::new(hosts);
     let g = fixture.graph();
     assert!(
         g.edge_count() >= 1_000_000,
-        "engine benchmark needs a >=1M-edge graph, got {}",
+        "scaling benchmark needs a >=1M-edge graph, got {}",
         g.edge_count()
     );
-    println!("pagerank_engine: {} nodes, {} edges", g.node_count(), g.edge_count());
-    let jump = JumpVector::Uniform;
-    let mut group = c.benchmark_group("pagerank_engine");
-    group.sample_size(10);
-    for threads in [1usize, 4] {
-        // `fused_*` pins the scalar kernel: it is the historical fused
-        // gather, kept comparable across PRs; the unrolled kernel is
-        // measured separately in the `pagerank_scaling` group.
-        let cfg = config().threads(threads).kernel(KernelKind::Scalar);
-        group.bench_with_input(
-            BenchmarkId::new(format!("two_pass_{threads}t"), hosts),
-            &hosts,
-            |b, _| b.iter(|| black_box(parallel::solve_parallel_jacobi_two_pass(g, &jump, &cfg))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new(format!("fused_{threads}t"), hosts),
-            &hosts,
-            |b, _| b.iter(|| black_box(parallel::solve_parallel_jacobi(g, &jump, &cfg))),
-        );
-    }
-    group.finish();
-}
-
-/// The scaling acceptance workload: scalar fused baselines vs the
-/// unrolled (SIMD-shaped) kernel at one thread and the full edge-parallel
-/// path at four, all on the 120k-host / ≥1M-edge graph. Medians land in
-/// `BENCH_pagerank.json` via `scripts/bench.sh`; thread counts are
-/// encoded in the benchmark names (`_1t` / `_4t`) and annotated into the
-/// JSON's `"threads"` field.
-fn bench_scaling(c: &mut Criterion) {
-    let hosts = 120_000usize;
-    let fixture = Fixture::new(hosts);
-    let g = fixture.graph();
     println!("pagerank_scaling: {} nodes, {} edges", g.node_count(), g.edge_count());
     let jump = JumpVector::Uniform;
     let mut group = c.benchmark_group("pagerank_scaling");
     group.sample_size(10);
-    let cases = [
-        ("fused_1t", 1usize, KernelKind::Scalar),
-        ("fused_4t", 4, KernelKind::Scalar),
-        ("simd_1t", 1, KernelKind::Unrolled4),
-        ("edge_parallel_4t", 4, KernelKind::Unrolled4),
-    ];
-    for (name, threads, kernel) in cases {
-        let cfg = config().threads(threads).kernel(kernel);
+    for (name, threads) in [("fused_1t", 1usize), ("fused_4t", 4)] {
+        let cfg = config().threads(threads);
         group.bench_with_input(BenchmarkId::new(name, hosts), &hosts, |b, _| {
-            b.iter(|| black_box(parallel::solve_parallel_jacobi(g, &jump, &cfg)))
+            b.iter(|| black_box(solve_batch(g, std::slice::from_ref(&jump), &cfg)))
         });
     }
     group.finish();
@@ -118,5 +76,5 @@ fn bench_core_jump(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_solvers, bench_engine, bench_scaling, bench_core_jump);
+criterion_group!(benches, bench_solvers, bench_scaling, bench_core_jump);
 criterion_main!(benches);

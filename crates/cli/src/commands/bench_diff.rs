@@ -112,8 +112,7 @@ mod tests {
     use std::fs;
 
     fn write_bench(name: &str, entries: &[(&str, u64)]) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("spammass-cli-bench-diff");
-        fs::create_dir_all(&dir).unwrap();
+        let dir = crate::test_dir(&format!("bench-diff-{name}"));
         let mut doc = String::from("{\n  \"schema\": \"spammass.bench/v1\",\n  \"benches\": [\n");
         for (i, (bench, ns)) in entries.iter().enumerate() {
             let comma = if i + 1 == entries.len() { "" } else { "," };
@@ -196,9 +195,7 @@ mod tests {
 
     #[test]
     fn missing_benches_array_is_a_format_error() {
-        let dir = std::env::temp_dir().join("spammass-cli-bench-diff");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.json");
+        let path = crate::test_dir("bench-diff-missing-array").join("bad.json");
         fs::write(&path, "{\"schema\": \"x\"}").unwrap();
         let args = parse(&[
             "bench-diff",

@@ -296,12 +296,6 @@ mod tests {
     use spammass_graph::{CompressedImage, GraphBuilder};
     use std::sync::Arc;
 
-    fn tmp_dir() -> std::path::PathBuf {
-        let d = std::env::temp_dir().join("spammass-cli-convert");
-        fs::create_dir_all(&d).unwrap();
-        d
-    }
-
     fn run_argv(argv: &[&str]) -> Result<String, CliError> {
         let v: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
         run(&ParsedArgs::parse(&v).unwrap())
@@ -310,7 +304,7 @@ mod tests {
     #[test]
     fn upgrades_v2_image_to_zero_copy_v3() {
         let g = GraphBuilder::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-        let d = tmp_dir();
+        let d = crate::test_dir("convert-v2-to-v3");
         let v2 = d.join("old.bin");
         let v3 = d.join("new.bin");
         fs::write(&v2, io::graph_to_bytes(&g)).unwrap();
@@ -326,7 +320,7 @@ mod tests {
 
     #[test]
     fn converts_text_to_any_version_and_back_compat() {
-        let d = tmp_dir();
+        let d = crate::test_dir("convert-text-any-version");
         let txt = d.join("edges.txt");
         fs::write(&txt, "# nodes: 3\n0 1\n1 2\n").unwrap();
         for format in ["v1", "v2", "v3", "v4"] {
@@ -349,7 +343,7 @@ mod tests {
 
     #[test]
     fn bakes_a_node_ordering_into_the_image() {
-        let d = tmp_dir();
+        let d = crate::test_dir("convert-ordering");
         let txt = d.join("hub.txt");
         // Node 3 has the highest out-degree, so degree order renumbers it 0.
         fs::write(&txt, "3 0\n3 1\n3 2\n0 1\n").unwrap();
@@ -371,7 +365,7 @@ mod tests {
 
     #[test]
     fn rejects_unknown_format_and_order() {
-        let d = tmp_dir();
+        let d = crate::test_dir("convert-v4-blocks");
         let txt = d.join("e.txt");
         fs::write(&txt, "0 1\n").unwrap();
         let bin = d.join("e.bin");
@@ -410,14 +404,14 @@ mod tests {
     #[test]
     fn shard_directory_converts_to_the_same_graph_as_in_memory_decode() {
         use spammass_synth::stream::{generate_stream, StreamConfig};
-        let d = tmp_dir().join("stream-src");
-        let _ = fs::remove_dir_all(&d);
+        let scratch = crate::test_dir("convert-shard-directory");
+        let d = scratch.join("stream-src");
         let config = StreamConfig {
             edges_per_shard: 10_000, // force several shards
             ..StreamConfig::sized(5_000)
         };
         generate_stream(&d, &config, 11).unwrap();
-        let v4 = tmp_dir().join("streamed.v4");
+        let v4 = scratch.join("streamed.v4");
         let out = run_argv(&[
             "convert",
             "--in",
@@ -460,9 +454,8 @@ mod tests {
 
     #[test]
     fn directory_input_requires_v4_and_natural_order() {
-        let d = tmp_dir().join("dir-req");
-        fs::create_dir_all(&d).unwrap();
-        let out = tmp_dir().join("x.bin");
+        let d = crate::test_dir("convert-directory-input");
+        let out = d.join("x.bin");
         let as_v3 =
             run_argv(&["convert", "--in", d.to_str().unwrap(), "--out", out.to_str().unwrap()]);
         assert!(matches!(as_v3, Err(CliError::Usage(_))), "{as_v3:?}");

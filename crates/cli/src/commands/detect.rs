@@ -4,7 +4,7 @@ use crate::args::ParsedArgs;
 use crate::commands::estimate::health_lines;
 use crate::loading::{
     display_node, ingest_warning, load_core, load_graph_with, load_labels, node_ordering,
-    read_options,
+    read_options, require_hosts,
 };
 use crate::CliError;
 use spammass_core::detector::{detect, DetectorConfig};
@@ -23,7 +23,6 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         "rho",
         "tau",
         "top",
-        "kernel",
         "order",
         "lenient",
         "trace",
@@ -31,6 +30,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     ])?;
     let opts = read_options(args)?;
     let (graph, load_report) = load_graph_with(Path::new(args.required("graph")?), &opts)?;
+    require_hosts(graph.node_count(), "--graph")?;
     let labels = match args.optional("labels") {
         Some(p) => Some(load_labels(Path::new(p))?),
         None => None,
@@ -44,10 +44,6 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     if !(0.0..=1.0).contains(&gamma) {
         return Err(CliError::Usage(format!("--gamma {gamma} outside [0, 1]")));
     }
-    let kernel: spammass_pagerank::KernelKind = match args.optional("kernel") {
-        Some(v) => v.parse().map_err(CliError::Usage)?,
-        None => spammass_pagerank::KernelKind::Auto,
-    };
 
     let mut out = String::new();
     if let Some(w) = ingest_warning(load_report.as_ref()) {
@@ -57,12 +53,9 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         let _ = writeln!(out, "{w}");
     }
 
-    let estimate = MassEstimator::new(
-        EstimatorConfig::scaled(gamma)
-            .with_pagerank(spammass_pagerank::PageRankConfig::default().kernel(kernel))
-            .with_ordering(node_ordering(args)?),
-    )
-    .estimate(&graph, &core_load.nodes)?;
+    let estimate =
+        MassEstimator::new(EstimatorConfig::scaled(gamma).with_ordering(node_ordering(args)?))
+            .estimate(&graph, &core_load.nodes)?;
     out.push_str(&health_lines(&estimate, labels.as_ref()));
     let detection = detect(&estimate, &DetectorConfig { rho, tau });
 
@@ -109,8 +102,7 @@ mod tests {
         edges.push((31, 32));
         edges.push((32, 31));
         let g = GraphBuilder::from_edges(33, &edges);
-        let d = std::env::temp_dir().join("spammass-cli-detect");
-        fs::create_dir_all(&d).unwrap();
+        let d = crate::test_dir("detect-boosted-target");
         let gp = d.join("g.bin");
         fs::write(&gp, io::graph_to_bytes(&g)).unwrap();
         let cp = d.join("core.txt");
@@ -150,8 +142,7 @@ mod tests {
         edges.push((27, 28));
         edges.push((28, 27));
         let g = GraphBuilder::from_edges(29, &edges);
-        let d = std::env::temp_dir().join("spammass-cli-detect-top");
-        fs::create_dir_all(&d).unwrap();
+        let d = crate::test_dir("detect-top-k");
         let gp = d.join("g.bin");
         fs::write(&gp, io::graph_to_bytes(&g)).unwrap();
         let cp = d.join("core.txt");
@@ -185,5 +176,26 @@ mod tests {
         // The harder-boosted target 0 wins the single slot.
         assert!(top1.lines().any(|l| l.trim_end().ends_with("  0")), "{top1}");
         assert!(!top1.lines().any(|l| l.trim_end().ends_with("  1")), "{top1}");
+    }
+
+    #[test]
+    fn empty_graph_and_removed_flags_are_refused() {
+        let d = crate::test_dir("detect-refusals");
+        let (empty, gp, cp) = (d.join("empty.txt"), d.join("g.txt"), d.join("core.txt"));
+        fs::write(&empty, "").unwrap();
+        fs::write(&gp, "0 1\n1 0\n").unwrap();
+        fs::write(&cp, "0\n").unwrap();
+        let run_on = |graph: &std::path::Path, extra: &[&str]| {
+            let mut v = vec!["detect", "--graph", graph.to_str().unwrap()];
+            v.extend_from_slice(&["--core", cp.to_str().unwrap()]);
+            v.extend_from_slice(extra);
+            run(&ParsedArgs::parse(&v.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap())
+        };
+        match run_on(&empty, &[]) {
+            Err(CliError::Usage(m)) => assert!(m.contains("no hosts"), "{m}"),
+            other => panic!("expected a usage error, got {other:?}"),
+        }
+        assert!(run_on(&gp, &[]).is_ok());
+        assert!(matches!(run_on(&gp, &["--kernel", "scalar"]), Err(CliError::Usage(_))));
     }
 }

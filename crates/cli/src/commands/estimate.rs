@@ -4,7 +4,7 @@
 use crate::args::ParsedArgs;
 use crate::loading::{
     display_node, ingest_warning, load_core, load_graph_with, load_labels, node_ordering,
-    read_options,
+    read_options, require_hosts,
 };
 use crate::CliError;
 use spammass_core::estimate::{EstimateReport, EstimatorConfig, MassEstimator};
@@ -65,8 +65,6 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         "top",
         "threads",
         "edges-per-thread",
-        "kernel",
-        "batch",
         "order",
         "lenient",
         "max-resident-mb",
@@ -87,16 +85,10 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     let top: usize = args.parsed_or("top", 20)?;
     let threads: usize = args.parsed_or("threads", 0)?;
     let edges_per_thread: usize = args.parsed_or("edges-per-thread", 0)?;
-    let kernel: spammass_pagerank::KernelKind = match args.optional("kernel") {
-        Some(v) => v.parse().map_err(CliError::Usage)?,
-        None => spammass_pagerank::KernelKind::Auto,
-    };
-    let batched: bool = args.parsed_or("batch", true)?;
 
     let pagerank_config = spammass_pagerank::PageRankConfig::default()
         .threads(threads)
-        .edges_per_thread(edges_per_thread)
-        .kernel(kernel);
+        .edges_per_thread(edges_per_thread);
 
     let mut warnings = String::new();
     let estimate;
@@ -109,7 +101,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         if budget_mb == 0 {
             return Err(CliError::Usage("--max-resident-mb must be a positive integer".into()));
         }
-        for flag in ["state", "order", "batch"] {
+        for flag in ["state", "order"] {
             if args.optional(flag).is_some() {
                 return Err(CliError::Usage(format!(
                     "--{flag} does not apply to the streamed (--max-resident-mb) path; \
@@ -123,6 +115,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         #[cfg(not(unix))]
         let image =
             spammass_graph::CompressedImage::from_store(std::sync::Arc::new(std::fs::read(path)?))?;
+        require_hosts(image.node_count(), "--graph")?;
         let core_load =
             load_core(Path::new(args.required("core")?), labels.as_ref(), image.node_count())?;
         if let Some(w) = core_load.warning() {
@@ -146,6 +139,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     } else {
         let opts = read_options(args)?;
         let (graph, load_report) = load_graph_with(Path::new(args.required("graph")?), &opts)?;
+        require_hosts(graph.node_count(), "--graph")?;
         let core_load =
             load_core(Path::new(args.required("core")?), labels.as_ref(), graph.node_count())?;
         if let Some(w) = ingest_warning(load_report.as_ref()) {
@@ -156,7 +150,6 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         }
         let config = EstimatorConfig::scaled(gamma)
             .with_pagerank(pagerank_config)
-            .with_batching(batched)
             .with_ordering(node_ordering(args)?);
         estimate = MassEstimator::new(config).estimate(&graph, &core_load.nodes)?;
         if let Some(state_path) = args.optional("state") {
@@ -237,14 +230,13 @@ mod tests {
     use spammass_graph::{io, GraphBuilder};
     use std::fs;
 
-    fn setup() -> (std::path::PathBuf, std::path::PathBuf) {
+    fn setup(test: &str) -> (std::path::PathBuf, std::path::PathBuf) {
         // Star farm: 1..=5 -> 0; good host 6 -> 7 with 7 in core.
         let mut edges: Vec<(u32, u32)> = (1..=5).map(|i| (i, 0)).collect();
         edges.push((6, 7));
         edges.push((7, 6));
         let g = GraphBuilder::from_edges(8, &edges);
-        let d = std::env::temp_dir().join("spammass-cli-estimate");
-        fs::create_dir_all(&d).unwrap();
+        let d = crate::test_dir(test);
         let gp = d.join("g.bin");
         fs::write(&gp, io::graph_to_bytes(&g)).unwrap();
         let cp = d.join("core.txt");
@@ -254,8 +246,8 @@ mod tests {
 
     #[test]
     fn estimates_and_writes_tsv() {
-        let (gp, cp) = setup();
-        let out_path = std::env::temp_dir().join("spammass-cli-estimate/mass.tsv");
+        let (gp, cp) = setup("estimate-writes-tsv");
+        let out_path = gp.with_file_name("mass.tsv");
         let args = ParsedArgs::parse(
             &[
                 "estimate",
@@ -286,35 +278,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_false_falls_back_to_the_solver_chain() {
-        let (gp, cp) = setup();
-        let args = ParsedArgs::parse(
-            &[
-                "estimate",
-                "--graph",
-                gp.to_str().unwrap(),
-                "--core",
-                cp.to_str().unwrap(),
-                "--batch",
-                "false",
-                "--threads",
-                "1",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>(),
-        )
-        .unwrap();
-        let report = run(&args).unwrap();
-        assert!(report.contains("pagerank solve: jacobi"), "{report}");
-        assert!(report.contains("core solve: jacobi"), "{report}");
-    }
-
-    #[test]
     fn duplicate_core_entries_are_reported() {
-        let (gp, _) = setup();
-        let d = std::env::temp_dir().join("spammass-cli-estimate");
-        let cp = d.join("core_dup.txt");
+        let (gp, _) = setup("estimate-duplicate-core");
+        let cp = gp.with_file_name("core_dup.txt");
         fs::write(&cp, "7\n7\n6\n").unwrap();
         let args = ParsedArgs::parse(
             &["estimate", "--graph", gp.to_str().unwrap(), "--core", cp.to_str().unwrap()]
@@ -335,8 +301,7 @@ mod tests {
         let mut edges: Vec<(u32, u32)> = (0..200u32).map(|i| (i, (i + 1) % 200)).collect();
         edges.extend((201..220u32).map(|i| (i, 200)));
         let g = GraphBuilder::from_edges(220, &edges);
-        let d = std::env::temp_dir().join("spammass-cli-estimate-streamed");
-        fs::create_dir_all(&d).unwrap();
+        let d = crate::test_dir("estimate-streamed-tsv");
         let v4 = d.join("g.v4");
         fs::write(&v4, spammass_graph::graph_to_bytes_v4(&g)).unwrap();
         let v2 = d.join("g.v2");
@@ -376,8 +341,8 @@ mod tests {
 
     #[test]
     fn streamed_estimate_rejects_incompatible_flags() {
-        let (gp, cp) = setup();
-        for extra in [["--state", "/tmp/st"], ["--order", "degree"], ["--batch", "false"]] {
+        let (gp, cp) = setup("estimate-streamed-flags");
+        for extra in [["--state", "/tmp/st"], ["--order", "degree"]] {
             let mut argv = vec![
                 "estimate",
                 "--graph",
@@ -396,7 +361,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_gamma() {
-        let (gp, cp) = setup();
+        let (gp, cp) = setup("estimate-bad-gamma");
         let args = ParsedArgs::parse(
             &[
                 "estimate",
@@ -413,5 +378,25 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(run(&args), Err(CliError::Usage(_))));
+    }
+
+    #[test]
+    fn empty_graph_and_removed_flags_are_refused() {
+        let (gp, cp) = setup("estimate-refusals");
+        let empty = gp.with_file_name("empty.txt");
+        fs::write(&empty, "").unwrap();
+        let run_on = |graph: &std::path::Path, extra: &[&str]| {
+            let mut v = vec!["estimate", "--graph", graph.to_str().unwrap()];
+            v.extend_from_slice(&["--core", cp.to_str().unwrap()]);
+            v.extend_from_slice(extra);
+            run(&ParsedArgs::parse(&v.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap())
+        };
+        match run_on(&empty, &[]) {
+            Err(CliError::Usage(m)) => assert!(m.contains("no hosts"), "{m}"),
+            other => panic!("expected a usage error, got {other:?}"),
+        }
+        for removed in [["--kernel", "scalar"], ["--batch", "false"]] {
+            assert!(matches!(run_on(&gp, &removed), Err(CliError::Usage(_))), "{removed:?}");
+        }
     }
 }

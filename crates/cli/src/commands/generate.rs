@@ -125,15 +125,9 @@ mod tests {
     use super::*;
     use crate::loading::{load_core, load_graph, load_labels};
 
-    fn tmpdir() -> std::path::PathBuf {
-        let d = std::env::temp_dir().join("spammass-cli-generate");
-        fs::create_dir_all(&d).unwrap();
-        d
-    }
-
     #[test]
     fn generates_all_artifacts_round_trippable() {
-        let d = tmpdir();
+        let d = crate::test_dir("generate-artifacts");
         let graph = d.join("web.graph");
         let labels = d.join("hosts.txt");
         let truth = d.join("truth.tsv");
@@ -177,7 +171,7 @@ mod tests {
 
     #[test]
     fn evolve_writes_a_readable_journal() {
-        let d = tmpdir();
+        let d = crate::test_dir("generate-evolve");
         let graph = d.join("evolve.graph");
         let journal = d.join("evolve.journal");
         let args = ParsedArgs::parse(
@@ -220,8 +214,7 @@ mod tests {
 
     #[test]
     fn stream_mode_writes_a_shard_directory() {
-        let d = tmpdir().join("streamed");
-        let _ = fs::remove_dir_all(&d);
+        let d = crate::test_dir("generate-stream").join("streamed");
         let args = ParsedArgs::parse(
             &["generate", "--stream", d.to_str().unwrap(), "--hosts", "4000", "--seed", "3"]
                 .iter()

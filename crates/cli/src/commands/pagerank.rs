@@ -3,10 +3,11 @@
 use crate::args::ParsedArgs;
 use crate::loading::{
     display_node, ingest_warning, load_graph_with, load_labels, node_ordering, read_options,
+    require_hosts,
 };
 use crate::CliError;
 use spammass_graph::{NodeOrdering, Permutation};
-use spammass_pagerank::{JumpVector, KernelKind, PageRankConfig, SolverChain, SolverKind};
+use spammass_pagerank::{JumpVector, PageRankConfig, SolverChain, SolverKind};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -32,7 +33,6 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         "top",
         "threads",
         "edges-per-thread",
-        "kernel",
         "labels",
         "order",
         "lenient",
@@ -45,6 +45,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     ])?;
     let opts = read_options(args)?;
     let (graph, load_report) = load_graph_with(Path::new(args.required("graph")?), &opts)?;
+    require_hosts(graph.node_count(), "--graph")?;
     // Solve in the requested cache-friendly layout; scores are mapped
     // back below so ranks and labels stay in original node ids.
     let ordering = node_ordering(args)?;
@@ -66,10 +67,6 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     let fallback: bool = args.parsed_or("fallback", false)?;
     let threads: usize = args.parsed_or("threads", 0)?;
     let edges_per_thread: usize = args.parsed_or("edges-per-thread", 0)?;
-    let kernel: KernelKind = match args.optional("kernel") {
-        Some(v) => v.parse().map_err(CliError::Usage)?,
-        None => KernelKind::Auto,
-    };
     let solver = args.optional("solver").unwrap_or("jacobi");
     let kind = solver_kind(solver)?;
 
@@ -77,8 +74,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         .tolerance(tolerance)
         .max_iterations(500)
         .threads(threads)
-        .edges_per_thread(edges_per_thread)
-        .kernel(kernel);
+        .edges_per_thread(edges_per_thread);
     cfg.validate().map_err(|e| CliError::Usage(e.to_string()))?;
     let jump = JumpVector::Uniform;
 
@@ -141,27 +137,20 @@ mod tests {
     use super::*;
     use spammass_graph::{io, GraphBuilder};
 
-    fn graph_file() -> std::path::PathBuf {
+    /// A hub graph (everything points at node 3) in `test`'s own
+    /// scratch directory.
+    fn graph_file(test: &str) -> std::path::PathBuf {
         let g = GraphBuilder::from_edges(4, &[(0, 3), (1, 3), (2, 3)]);
-        let d = std::env::temp_dir().join("spammass-cli-pagerank");
-        std::fs::create_dir_all(&d).unwrap();
-        let p = d.join("g.bin");
+        let p = crate::test_dir(test).join("g.bin");
         std::fs::write(&p, io::graph_to_bytes(&g)).unwrap();
         p
     }
 
-    fn run_with(extra: &[&str]) -> Result<String, CliError> {
-        let p = graph_file();
-        let mut v =
-            vec!["pagerank".to_string(), "--graph".to_string(), p.to_str().unwrap().to_string()];
-        v.extend(extra.iter().map(|s| s.to_string()));
-        run(&ParsedArgs::parse(&v).unwrap())
-    }
-
     #[test]
     fn all_solvers_rank_the_hub_first() {
+        let g = graph_file("pagerank-all-solvers");
         for solver in ["jacobi", "gauss-seidel", "power", "parallel"] {
-            let out = run_with(&["--solver", solver, "--top", "1"]).unwrap();
+            let out = run_on(&g, &["--solver", solver, "--top", "1"]).unwrap();
             let hub_line = out
                 .lines()
                 .find(|l| l.trim_start().starts_with("1 "))
@@ -171,12 +160,26 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_solver_and_damping() {
-        assert!(matches!(run_with(&["--solver", "magic"]), Err(CliError::Usage(_))));
-        assert!(matches!(run_with(&["--damping", "1.5"]), Err(CliError::Usage(_))));
+    fn rejects_bad_solver_damping_and_removed_flags() {
+        let g = graph_file("pagerank-rejects");
+        assert!(matches!(run_on(&g, &["--solver", "magic"]), Err(CliError::Usage(_))));
+        assert!(matches!(run_on(&g, &["--damping", "1.5"]), Err(CliError::Usage(_))));
+        assert!(matches!(run_on(&g, &["--kernel", "scalar"]), Err(CliError::Usage(_))));
     }
 
-    fn cycle_file() -> std::path::PathBuf {
+    #[test]
+    fn empty_graph_is_refused() {
+        // A zero-length file is a valid empty edge list; solving it would
+        // "converge" on nothing.
+        let p = crate::test_dir("pagerank-empty").join("empty.txt");
+        std::fs::write(&p, "").unwrap();
+        match run_on(&p, &[]) {
+            Err(CliError::Usage(m)) => assert!(m.contains("no hosts"), "{m}"),
+            other => panic!("expected a usage error, got {other:?}"),
+        }
+    }
+
+    fn cycle_file(test: &str) -> std::path::PathBuf {
         // Bipartite star with unequal sides ({0} vs {1, 2}): the
         // transition matrix has eigenvalue -1 and the uniform jump vector
         // is unbalanced across the bipartition, so the Jacobi residual
@@ -184,9 +187,7 @@ mod tests {
         // therefore cannot converge within the command's 500-iteration
         // cap, while the fallback chain's relaxed-damping attempt can.
         let g = GraphBuilder::from_edges(3, &[(0, 1), (0, 2), (1, 0), (2, 0)]);
-        let d = std::env::temp_dir().join("spammass-cli-pagerank");
-        std::fs::create_dir_all(&d).unwrap();
-        let p = d.join("cycle.bin");
+        let p = crate::test_dir(test).join("cycle.bin");
         std::fs::write(&p, io::graph_to_bytes(&g)).unwrap();
         p
     }
@@ -200,7 +201,8 @@ mod tests {
 
     #[test]
     fn non_convergence_is_a_typed_failure_with_hint() {
-        let err = run_on(&cycle_file(), &["--damping", "0.999999999"]).unwrap_err();
+        let err = run_on(&cycle_file("pagerank-non-convergence"), &["--damping", "0.999999999"])
+            .unwrap_err();
         match err {
             CliError::Compute(m) => {
                 assert!(m.contains("did not converge"), "{m}");
@@ -214,23 +216,22 @@ mod tests {
     fn fallback_chain_recovers_and_reports_attempts() {
         // The primary and Gauss–Seidel attempts drown at c ≈ 1; the
         // relaxed-damping attempt converges and every attempt is reported.
-        let out =
-            run_on(&cycle_file(), &["--damping", "0.999999999", "--fallback", "true"]).unwrap();
+        let cycle = cycle_file("pagerank-fallback-cycle");
+        let out = run_on(&cycle, &["--damping", "0.999999999", "--fallback", "true"]).unwrap();
         assert!(out.contains("attempt:"), "{out}");
         assert!(out.contains("did not converge"), "{out}");
         assert!(out.contains("converged in"), "{out}");
         assert!(out.contains("converged: true"), "{out}");
         // Healthy run with fallback enabled: no attempt chatter.
-        let quiet = run_with(&["--fallback", "true"]).unwrap();
+        let quiet =
+            run_on(&graph_file("pagerank-fallback-quiet"), &["--fallback", "true"]).unwrap();
         assert!(!quiet.contains("attempt:"), "{quiet}");
         assert!(quiet.contains("converged: true"), "{quiet}");
     }
 
     #[test]
     fn lenient_flag_surfaces_skipped_lines() {
-        let d = std::env::temp_dir().join("spammass-cli-pagerank");
-        std::fs::create_dir_all(&d).unwrap();
-        let p = d.join("messy.txt");
+        let p = crate::test_dir("pagerank-lenient").join("messy.txt");
         std::fs::write(&p, "0 1\nnot an edge\n1 0\n").unwrap();
         let argv: Vec<String> = ["pagerank", "--graph", p.to_str().unwrap(), "--lenient", "3"]
             .iter()

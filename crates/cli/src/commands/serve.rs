@@ -127,8 +127,7 @@ mod tests {
 
     #[test]
     fn serves_until_the_deadline_and_answers_queries() {
-        let dir = std::env::temp_dir().join(format!("spammass-cli-serve-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = crate::test_dir("serve-deadline");
         let g = GraphBuilder::from_edges(3, &[(1, 0), (2, 0)]);
         let state = StateDir::new(&dir);
         state.save(&g, &[NodeId(2)], &[0.5, 0.2, 0.3], &[0.1, 0.2, 0.3]).unwrap();

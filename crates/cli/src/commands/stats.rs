@@ -58,9 +58,7 @@ mod tests {
     #[test]
     fn reports_basic_statistics() {
         let g = GraphBuilder::from_edges(4, &[(0, 1), (0, 2), (1, 2)]);
-        let d = std::env::temp_dir().join("spammass-cli-stats");
-        std::fs::create_dir_all(&d).unwrap();
-        let p = d.join("g.bin");
+        let p = crate::test_dir("stats-basic").join("g.bin");
         std::fs::write(&p, io::graph_to_bytes(&g)).unwrap();
         let args = ParsedArgs::parse(&[
             "stats".to_string(),
@@ -76,9 +74,7 @@ mod tests {
 
     #[test]
     fn lenient_flag_skips_bad_lines_with_warning() {
-        let d = std::env::temp_dir().join("spammass-cli-stats");
-        std::fs::create_dir_all(&d).unwrap();
-        let p = d.join("messy.txt");
+        let p = crate::test_dir("stats-lenient").join("messy.txt");
         std::fs::write(&p, "0 1\ngarbage\n1 0\n").unwrap();
         let argv: Vec<String> = ["stats", "--graph", p.to_str().unwrap(), "--lenient", "2"]
             .iter()

@@ -8,7 +8,7 @@
 
 use crate::args::ParsedArgs;
 use crate::commands::estimate::health_lines;
-use crate::loading::{display_node, load_labels, read_options};
+use crate::loading::{display_node, load_labels, read_options, require_hosts};
 use crate::CliError;
 use spammass_core::detector::DetectorConfig;
 use spammass_core::estimate::{EstimatorConfig, MassEstimator};
@@ -30,8 +30,6 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         "top",
         "threads",
         "edges-per-thread",
-        "kernel",
-        "batch",
         "lenient",
         "trace",
         "metrics-out",
@@ -55,11 +53,6 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     let top: usize = args.parsed_or("top", 10)?;
     let threads: usize = args.parsed_or("threads", 0)?;
     let edges_per_thread: usize = args.parsed_or("edges-per-thread", 0)?;
-    let kernel: spammass_pagerank::KernelKind = match args.optional("kernel") {
-        Some(v) => v.parse().map_err(CliError::Usage)?,
-        None => spammass_pagerank::KernelKind::Auto,
-    };
-    let batched: bool = args.parsed_or("batch", true)?;
 
     let data = std::fs::read(journal_path)?;
     let (batches, journal_report) = read_journal_with(&data, &opts)?;
@@ -68,6 +61,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     // newest generation that still verifies, so one crash (or one flaky
     // disk) does not take the incremental pipeline down.
     let (saved, recovery) = state.load_with_recovery()?;
+    require_hosts(saved.graph.node_count(), "--state")?;
 
     let mut out = String::new();
     if recovery.recovered {
@@ -89,14 +83,11 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         journal_path.display()
     );
 
-    let config = EstimatorConfig::scaled(gamma)
-        .with_pagerank(
-            spammass_pagerank::PageRankConfig::default()
-                .threads(threads)
-                .edges_per_thread(edges_per_thread)
-                .kernel(kernel),
-        )
-        .with_batching(batched);
+    let config = EstimatorConfig::scaled(gamma).with_pagerank(
+        spammass_pagerank::PageRankConfig::default()
+            .threads(threads)
+            .edges_per_thread(edges_per_thread),
+    );
     let detector = DetectorConfig { rho, tau };
     let report = MassEstimator::new(config).update(saved, &records, &detector)?;
     let generation = state.save(
@@ -202,9 +193,7 @@ mod tests {
     /// Builds a star-farm graph, runs `estimate --state`, and returns the
     /// temp dir holding graph/core/state.
     fn seeded_state(tag: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("spammass-cli-update-{tag}"));
-        let _ = fs::remove_dir_all(&d);
-        fs::create_dir_all(&d).unwrap();
+        let d = crate::test_dir(&format!("update-{tag}"));
         // Farm: 1..=5 -> 0 (with back-links); good pair 6 <-> 7; 7 in core.
         let mut edges: Vec<(u32, u32)> = (1..=5).flat_map(|i| [(i, 0), (0, i)]).collect();
         edges.push((6, 7));
@@ -320,5 +309,30 @@ mod tests {
         let out = run(&args).unwrap();
         assert!(out.contains("warning:"), "{out}");
         assert!(out.contains("journal: 0 records"), "{out}");
+    }
+
+    #[test]
+    fn empty_state_and_removed_flags_are_refused() {
+        let d = seeded_state("refusals");
+        let journal = d.join("empty.journal");
+        fs::write(&journal, JournalWriter::new().into_bytes()).unwrap();
+        let run_on = |state: &std::path::Path, extra: &[&str]| {
+            let mut v = vec!["update", "--journal", journal.to_str().unwrap()];
+            v.extend_from_slice(&["--state", state.to_str().unwrap()]);
+            v.extend_from_slice(extra);
+            run(&parse(&v))
+        };
+        let hostless = d.join("hostless-state");
+        StateDir::new(&hostless).save(&GraphBuilder::from_edges(0, &[]), &[], &[], &[]).unwrap();
+        match run_on(&hostless, &[]) {
+            Err(CliError::Usage(m)) => assert!(m.contains("no hosts"), "{m}"),
+            other => panic!("expected a usage error, got {other:?}"),
+        }
+        for removed in [["--kernel", "scalar"], ["--batch", "false"]] {
+            assert!(
+                matches!(run_on(&d.join("state"), &removed), Err(CliError::Usage(_))),
+                "{removed:?}"
+            );
+        }
     }
 }

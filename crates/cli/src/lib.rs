@@ -27,6 +27,17 @@ pub mod telemetry;
 
 use std::fmt;
 
+/// A fresh scratch directory for one test. `test` must be unique among
+/// the crate's tests (use the test's name): tests run on parallel
+/// threads, so two sharing a directory race on its files.
+#[cfg(test)]
+pub(crate) fn test_dir(test: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("spammass-cli-{}-{test}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create test scratch directory");
+    dir
+}
+
 /// CLI-level errors (argument problems, I/O, file-format trouble).
 #[derive(Debug)]
 pub enum CliError {
@@ -95,6 +106,10 @@ impl From<spammass_core::estimate::EstimateError> for CliError {
             EstimateError::InvalidGamma(_) | EstimateError::Config(_) => {
                 CliError::Usage(e.to_string())
             }
+            // A block that fails to decode mid-solve is a damaged image.
+            EstimateError::Stream(spammass_pagerank::PageRankError::EdgeSource(_)) => {
+                CliError::Format(e.to_string())
+            }
             _ => CliError::Compute(e.to_string()),
         }
     }
@@ -108,8 +123,8 @@ USAGE:
   spammass generate --hosts N [--seed S] --out FILE [--labels FILE] [--truth FILE] [--core FILE] [--evolve K --journal FILE]
   spammass convert  --in FILE --out FILE [--format v1|v2|v3] [--order degree|bfs|none] [--lenient N] [--threads T]
   spammass stats    --graph FILE [--lenient N]
-  spammass pagerank --graph FILE [--solver jacobi|gauss-seidel|power|parallel] [--damping C] [--top K] [--threads T] [--kernel auto|scalar|unrolled4] [--order degree|bfs|none] [--labels FILE] [--fallback true] [--lenient N]
-  spammass estimate --graph FILE --core FILE [--labels FILE] [--gamma G] [--out FILE] [--state DIR] [--threads T] [--batch false] [--order degree|bfs|none] [--lenient N]
+  spammass pagerank --graph FILE [--solver jacobi|gauss-seidel|power|parallel] [--damping C] [--top K] [--threads T] [--order degree|bfs|none] [--labels FILE] [--fallback true] [--lenient N]
+  spammass estimate --graph FILE --core FILE [--labels FILE] [--gamma G] [--out FILE] [--state DIR] [--threads T] [--order degree|bfs|none] [--lenient N]
   spammass detect   --graph FILE --core FILE [--labels FILE] [--gamma G] [--rho R] [--tau T] [--top K] [--order degree|bfs|none] [--lenient N]
   spammass update   --journal FILE --state DIR [--labels FILE] [--gamma G] [--rho R] [--tau T] [--top K] [--threads T] [--lenient N]
   spammass serve    --state DIR [--addr A] [--journal FILE] [--poll-ms MS] [--gamma G] [--rho R] [--tau T] [--damping C] [--threads T] [--max-seconds S]
@@ -130,23 +145,18 @@ USAGE:
                     reported) instead of failing on the first bad line
   --fallback true   on solver failure, retry with the hardened fallback chain
                     (each attempt is reported)
-  --threads T       worker threads for the parallel and batched solvers and
-                    for sharded text ingest (0 = all cores; small graphs and
-                    files run single-threaded anyway)
+  --threads T       worker threads for the solve engine (`--solver parallel`,
+                    estimate, update) and for sharded text ingest (0 = all
+                    cores; small graphs and files run single-threaded anyway)
   --edges-per-thread N
                     per-worker edge quota for the pool auto-sizer (0 = the
                     built-in default); lower it to force multi-worker solves
                     on small graphs — the `pagerank.pool.sizing` event names
                     whichever cap won
-  --kernel K        gather kernel for the pooled solver: auto (default),
-                    scalar, or unrolled4 (4-wide unrolled accumulators);
-                    auto resolves to unrolled4
   --order O         solve in a cache-friendly node layout: `degree`
                     (descending out-degree) or `bfs` (hub-first BFS);
                     results always report original node ids. `convert`
                     instead bakes the renumbering into the output image
-  --batch false     solve the two estimation jump vectors separately through
-                    the fallback chain instead of one batched multi-RHS run
 
   --threshold PCT   bench-diff: fail when a bench's median regressed by more
                     than PCT percent (default 10); --report-only true prints

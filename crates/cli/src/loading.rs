@@ -63,8 +63,22 @@ pub fn load_graph_with(
     }
 }
 
+/// Refuses a graph with no hosts: an empty (or emptied, e.g. caught
+/// mid-write) input parses as a valid empty edge list, and every solve on
+/// it trivially "converges" on nothing. `source` names the flag the graph
+/// came from.
+pub fn require_hosts(node_count: usize, source: &str) -> Result<(), CliError> {
+    if node_count == 0 {
+        return Err(CliError::Usage(format!(
+            "{source} holds no hosts (empty or truncated input?); nothing to solve"
+        )));
+    }
+    Ok(())
+}
+
 /// Whether the file starts with the `SPAMGRPH` image magic, reading only
-/// the first 8 bytes so huge text edge lists are not slurped twice.
+/// the first 8 bytes so huge text edge lists are not slurped twice. A
+/// file that ends inside the magic is a truncated image, not text.
 fn sniff_magic(path: &Path) -> Result<bool, CliError> {
     use std::io::Read as _;
     let mut file = fs::File::open(path)?;
@@ -77,7 +91,16 @@ fn sniff_magic(path: &Path) -> Result<bool, CliError> {
         }
         filled += k;
     }
-    Ok(&magic[..filled] == b"SPAMGRPH")
+    let seen = &magic[..filled];
+    if (1..magic.len()).contains(&filled) && b"SPAMGRPH".starts_with(seen) {
+        return Err(spammass_graph::GraphError::Corrupted {
+            field: "magic",
+            expected: magic.len() as u64,
+            got: filled as u64,
+        }
+        .into());
+    }
+    Ok(seen == b"SPAMGRPH")
 }
 
 /// Strict [`load_graph_with`], discarding the (necessarily clean) report.
@@ -191,10 +214,10 @@ mod tests {
     use spammass_graph::GraphBuilder;
     use std::io::Write;
 
+    /// Writes `contents` to `name` in a directory of its own; every call
+    /// site uses a distinct `name`.
     fn tmp(name: &str, contents: &[u8]) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("spammass-cli-tests");
-        fs::create_dir_all(&dir).unwrap();
-        let p = dir.join(name);
+        let p = crate::test_dir(&format!("loading-{name}")).join(name);
         let mut f = fs::File::create(&p).unwrap();
         f.write_all(contents).unwrap();
         p
@@ -211,6 +234,21 @@ mod tests {
         let loaded = load_graph(&txt).unwrap();
         assert_eq!(loaded.node_count(), 3);
         assert_eq!(loaded.edge_count(), 2);
+    }
+
+    #[test]
+    fn truncated_magic_is_corruption_not_text() {
+        for cut in 1..8 {
+            let p = tmp(&format!("torn{cut}.bin"), &b"SPAMGRPH"[..cut]);
+            match load_graph(&p) {
+                Err(CliError::Format(m)) => assert!(m.contains("magic"), "{cut} bytes: {m}"),
+                other => panic!("{cut}-byte magic prefix: expected Format, got {other:?}"),
+            }
+        }
+        // The whole magic with nothing behind it is the image reader's
+        // to reject; a short file that is not a magic prefix is text.
+        assert!(matches!(load_graph(&tmp("bare.bin", b"SPAMGRPH")), Err(CliError::Format(_))));
+        assert_eq!(load_graph(&tmp("short.txt", b"0 1\n")).unwrap().edge_count(), 1);
     }
 
     #[test]

@@ -173,9 +173,7 @@ mod tests {
 
     #[test]
     fn metrics_out_writes_a_valid_report() {
-        let dir = std::env::temp_dir().join("spammass-cli-telemetry");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("report.json");
+        let path = crate::test_dir("telemetry-metrics-out").join("report.json");
         let path_s = path.to_str().unwrap();
         let args = parse(&["stats", "--graph", "g.bin", "--metrics-out", path_s]);
         let tel = RunTelemetry::from_args(&args).unwrap().unwrap();

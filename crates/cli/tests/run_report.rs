@@ -14,12 +14,16 @@ use std::path::PathBuf;
 /// Fixture: a star spam farm (1..=12 -> 0, backlinked) plus a good pair
 /// with node 14 in the core — small enough to solve instantly, rich
 /// enough to exercise ingest, both PageRank runs, and mass estimation.
-fn fixture() -> (PathBuf, PathBuf) {
+/// Written to a directory owned by `test` alone: the tests here run on
+/// parallel threads, and a shared `g.bin` is re-written under readers.
+fn fixture(test: &str) -> (PathBuf, PathBuf) {
     let mut edges: Vec<(u32, u32)> = (1..=12).flat_map(|i| [(i, 0), (0, i)]).collect();
     edges.push((13, 14));
     edges.push((14, 13));
     let g = GraphBuilder::from_edges(15, &edges);
-    let dir = std::env::temp_dir().join("spammass-cli-run-report");
+    let dir =
+        std::env::temp_dir().join(format!("spammass-cli-run-report-{}-{test}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
     let graph = dir.join("g.bin");
     fs::write(&graph, io::graph_to_bytes(&g)).unwrap();
@@ -41,8 +45,8 @@ fn walk(nodes: &[SpanNode], f: &mut impl FnMut(&SpanNode)) {
 
 #[test]
 fn estimate_run_report_round_trips_with_required_sections() {
-    let (graph, core) = fixture();
-    let out = std::env::temp_dir().join("spammass-cli-run-report/report.json");
+    let (graph, core) = fixture("round-trip");
+    let out = graph.with_file_name("report.json");
     let argv: Vec<String> = [
         "estimate",
         "--graph",
@@ -114,7 +118,7 @@ fn collect_paths(stage: &Json, out: &mut Vec<String>) {
 
 #[test]
 fn recorder_agrees_and_span_totals_cover_their_children() {
-    let (graph, core) = fixture();
+    let (graph, core) = fixture("recorder-agrees");
     let argv: Vec<String> =
         ["estimate", "--graph", graph.to_str().unwrap(), "--core", core.to_str().unwrap()]
             .iter()
@@ -161,7 +165,7 @@ fn recorder_agrees_and_span_totals_cover_their_children() {
 
 #[test]
 fn default_output_is_byte_identical_without_telemetry_flags() {
-    let (graph, core) = fixture();
+    let (graph, core) = fixture("byte-identical");
     let argv: Vec<String> =
         ["estimate", "--graph", graph.to_str().unwrap(), "--core", core.to_str().unwrap()]
             .iter()

@@ -18,12 +18,11 @@
 //!
 //! ## Execution
 //!
-//! By default the two runs advance **together** through one batched
-//! multi-RHS solve (`solve_batch`), so each sweep traverses the edge
-//! structure once for both columns — on large graphs the edge arrays are
-//! the dominant memory traffic, making the pair of solves substantially
-//! cheaper than two sequential runs. If the batched solve fails, the
-//! estimator transparently falls back to the chained per-run path.
+//! The two runs advance **together** through one batched multi-RHS solve
+//! (`solve_batch`), so each sweep traverses the edge structure once for
+//! both columns — on large graphs the edge arrays are the dominant
+//! memory traffic. If the batched solve fails, the estimator falls back
+//! to the chained per-run path, which layers fallback solvers per run.
 //!
 //! ## Hardening
 //!
@@ -66,13 +65,6 @@ pub struct EstimatorConfig {
     pub pagerank: PageRankConfig,
     /// Core jump scaling.
     pub scaling: CoreScaling,
-    /// Whether [`MassEstimator::estimate`] advances both PageRank runs
-    /// through one batched multi-RHS solve (`solve_batch`), walking the
-    /// edge structure once per sweep instead of twice. On a batched-solve
-    /// failure the estimator transparently falls back to the chained
-    /// per-run path (which adds solver fallbacks), so disabling this is
-    /// only useful to force the legacy path, e.g. for comparisons.
-    pub batched: bool,
     /// Node layout the solves run under. Anything other than
     /// [`NodeOrdering::Natural`] makes the estimator permute the graph
     /// (and core) into the requested cache-friendly order, solve there,
@@ -88,7 +80,6 @@ impl EstimatorConfig {
         EstimatorConfig {
             pagerank: PageRankConfig::default(),
             scaling: CoreScaling::Unscaled,
-            batched: true,
             ordering: NodeOrdering::Natural,
         }
     }
@@ -103,7 +94,6 @@ impl EstimatorConfig {
         EstimatorConfig {
             pagerank: PageRankConfig::default(),
             scaling: CoreScaling::Gamma(gamma),
-            batched: true,
             ordering: NodeOrdering::Natural,
         }
     }
@@ -111,12 +101,6 @@ impl EstimatorConfig {
     /// Replaces the PageRank solver configuration, builder-style.
     pub fn with_pagerank(mut self, pr: PageRankConfig) -> Self {
         self.pagerank = pr;
-        self
-    }
-
-    /// Enables or disables the batched multi-RHS fast path, builder-style.
-    pub fn with_batching(mut self, batched: bool) -> Self {
-        self.batched = batched;
         self
     }
 
@@ -288,10 +272,10 @@ impl MassEstimator {
 
     /// Runs the two PageRank computations and derives mass estimates.
     ///
-    /// By default both runs advance together through one batched
-    /// multi-RHS solve (one traversal of the in-CSR per sweep for both
-    /// columns); if the batched solve fails, the estimator falls back to
-    /// the chained per-run path with its solver fallbacks.
+    /// Both runs advance together through one batched multi-RHS solve
+    /// (one traversal of the in-CSR per sweep for both columns); if the
+    /// batched solve fails, the estimator falls back to the chained
+    /// per-run path with its solver fallbacks.
     ///
     /// # Errors
     /// [`EstimateError`] on an empty/out-of-range core, invalid
@@ -314,13 +298,11 @@ impl MassEstimator {
             Self::restore_report(&perm, &mut report);
             return Ok(report);
         }
-        if self.config.batched {
-            if let Some(report) = self.estimate_batched(graph, good_core) {
-                return Ok(report);
-            }
-            // The batched solve failed; retry through the chained per-run
-            // path below, which layers fallback solvers per run.
+        if let Some(report) = self.estimate_batched(graph, good_core) {
+            return Ok(report);
         }
+        // The batched solve failed; retry through the chained per-run
+        // path below, which layers fallback solvers per run.
         let uniform_span = obs::span("pagerank");
         let solve = self
             .chain()
@@ -357,7 +339,7 @@ impl MassEstimator {
         report.dead_core = perm.restore_nodes(&report.dead_core);
     }
 
-    /// The batched fast path: `[p, p′]` from one `solve_batch` call.
+    /// The batched solve: `[p, p′]` from one `solve_batch` call.
     /// `None` means the batch failed and the caller should fall back.
     fn estimate_batched(&self, graph: &Graph, good_core: &[NodeId]) -> Option<EstimateReport> {
         let jumps = [JumpVector::Uniform, self.core_jump(good_core, graph.node_count())];
@@ -848,31 +830,54 @@ mod tests {
         assert!(est.is_healthy());
     }
 
+    /// `p` from an independent Algorithm 1 run, for the comparisons
+    /// against the chained per-run path.
+    fn reference_pagerank(graph: &Graph) -> Vec<f64> {
+        spammass_pagerank::solve(graph, &JumpVector::Uniform, &pr_cfg()).unwrap().scores
+    }
+
     #[test]
-    fn chained_diagnostics_when_batching_disabled() {
+    fn chained_core_solve_reports_its_solver() {
         let f = figure2();
-        let est = MassEstimator::new(
-            EstimatorConfig::unscaled().with_pagerank(pr_cfg()).with_batching(false),
-        )
-        .estimate(&f.graph, &f.good_core())
-        .unwrap();
-        let pr = est.pagerank_diag.as_ref().unwrap();
-        assert_eq!(pr.solver, "jacobi");
-        assert!(!pr.used_fallback());
+        let est = MassEstimator::new(EstimatorConfig::unscaled().with_pagerank(pr_cfg()))
+            .estimate_with_pagerank(&f.graph, &f.good_core(), reference_pagerank(&f.graph))
+            .unwrap();
+        assert!(est.pagerank_diag.is_none(), "the uniform run happened elsewhere");
+        assert!(!est.core_diag.used_fallback());
         assert!(est.core_diag.to_string().contains("jacobi"));
+    }
+
+    #[test]
+    fn failed_batch_falls_back_to_the_solver_chain() {
+        // One sweep short of what Jacobi needs for `p`: the batched solve
+        // and the chain's first attempt hit the cap, Gauss–Seidel (at
+        // twice the cap) converges, and the report says so.
+        let f = figure2();
+        let batched = MassEstimator::new(EstimatorConfig::scaled(0.85).with_pagerank(pr_cfg()))
+            .estimate(&f.graph, &f.good_core())
+            .unwrap();
+        let needed = batched.pagerank_diag.as_ref().unwrap().iterations;
+        let tight = pr_cfg().max_iterations(needed - 1);
+        let est = MassEstimator::new(EstimatorConfig::scaled(0.85).with_pagerank(tight))
+            .estimate(&f.graph, &f.good_core())
+            .unwrap();
+        let pr = est.pagerank_diag.as_ref().unwrap();
+        assert_eq!(pr.solver, "gauss-seidel");
+        assert!(pr.used_fallback());
+        assert!(!est.is_healthy());
+        for i in 0..batched.len() {
+            assert!((batched.absolute[i] - est.absolute[i]).abs() < 1e-12, "node {i}");
+        }
     }
 
     #[test]
     fn batched_and_chained_paths_agree() {
         let f = figure2();
-        let batched = MassEstimator::new(EstimatorConfig::scaled(0.85).with_pagerank(pr_cfg()))
-            .estimate(&f.graph, &f.good_core())
+        let estimator = MassEstimator::new(EstimatorConfig::scaled(0.85).with_pagerank(pr_cfg()));
+        let batched = estimator.estimate(&f.graph, &f.good_core()).unwrap();
+        let chained = estimator
+            .estimate_with_pagerank(&f.graph, &f.good_core(), reference_pagerank(&f.graph))
             .unwrap();
-        let chained = MassEstimator::new(
-            EstimatorConfig::scaled(0.85).with_pagerank(pr_cfg()).with_batching(false),
-        )
-        .estimate(&f.graph, &f.good_core())
-        .unwrap();
         for i in 0..batched.len() {
             assert!(
                 (batched.absolute[i] - chained.absolute[i]).abs() < 1e-12,
@@ -963,14 +968,15 @@ mod tests {
 
     #[test]
     fn estimate_with_reused_pagerank_matches_fresh() {
-        // The chained path and estimate_with_pagerank use the same core
-        // solver, so reuse is exact there; the batched fresh path solves
-        // with the fused kernel and agrees to solver tolerance.
+        // Reuse is exact on the chained path: the supplied vector passes
+        // through untouched and the core solve is the same chain; the
+        // batched fresh path solves with the engine and agrees to solver
+        // tolerance.
         let f = figure2();
-        let chained = MassEstimator::new(
-            EstimatorConfig::scaled(0.85).with_pagerank(pr_cfg()).with_batching(false),
-        );
-        let fresh = chained.estimate(&f.graph, &f.good_core()).unwrap();
+        let chained = MassEstimator::new(EstimatorConfig::scaled(0.85).with_pagerank(pr_cfg()));
+        let fresh = chained
+            .estimate_with_pagerank(&f.graph, &f.good_core(), reference_pagerank(&f.graph))
+            .unwrap();
         let reused = chained
             .estimate_with_pagerank(&f.graph, &f.good_core(), fresh.pagerank.clone())
             .unwrap();

@@ -5,9 +5,10 @@
 //! changes *nothing* about the answer: on a 120k-host web encoded into
 //! tiny v4 blocks (forcing hundreds of decode cycles per sweep), the
 //! streamed estimator must flag the identical host set as the in-memory
-//! estimator, agree to ≤ 1e-12 per score against the default
-//! (multi-worker) configuration, and be **bit-exact** against the
-//! single-worker pooled solve whose summation order it replicates.
+//! estimator and agree to ≤ 1e-12 per score against the default
+//! (multi-worker) configuration. (Bit-exactness against the one-worker
+//! resident solve is pinned at the solver layer, in
+//! `crates/pagerank/tests/properties.rs`.)
 
 use spammass_core::detector::{detect, DetectorConfig};
 use spammass_core::estimate::{EstimatorConfig, MassEstimator};
@@ -53,22 +54,6 @@ fn tiny_block_image(graph: &Graph) -> CompressedImage {
     let config = V4Config { rows_per_block: 4_096, edges_per_block: 16_384 };
     let bytes = graph_to_bytes_v4_with(graph, config).expect("v4 encode");
     CompressedImage::from_store(Arc::new(bytes)).expect("v4 image")
-}
-
-#[test]
-fn streamed_solve_is_bit_exact_against_single_worker_pooled() {
-    let graph = big_web();
-    let image = tiny_block_image(&graph);
-    let config = EstimatorConfig::default()
-        .with_pagerank(PageRankConfig::default().tolerance(1e-10).threads(1).edges_per_thread(1));
-    let in_memory = MassEstimator::new(config).estimate(&graph, &good_core()).unwrap();
-    // ~8 MiB: enough for the 120k-node vectors + one block scratch, far
-    // below the ~10 MiB raw CSR (both orientations) it replaces.
-    let streamed = MassEstimator::new(config)
-        .estimate_streamed(&image, &good_core(), 8 * 1024 * 1024)
-        .unwrap();
-    assert_eq!(in_memory.pagerank, streamed.pagerank, "uniform PageRank must be bit-exact");
-    assert_eq!(in_memory.core_pagerank, streamed.core_pagerank, "core PageRank must be bit-exact");
 }
 
 #[test]

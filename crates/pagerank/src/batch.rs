@@ -1,4 +1,5 @@
-//! Multi-RHS batched Jacobi: k jump vectors through one CSR traversal.
+//! The production solve: k jump vectors through one CSR traversal per
+//! sweep.
 //!
 //! Mass estimation (Section 3.5 of the paper) needs **two** PageRank
 //! solves over the same graph — `p = PR(v)` with the uniform jump and
@@ -7,35 +8,33 @@
 //! memory twice per pair of sweeps. [`solve_batch`] instead advances all
 //! k columns together: each sweep walks the in-CSR **once**, and every
 //! gathered neighbour contributes to all k accumulators while its cache
-//! lines are hot.
+//! lines are hot. A single-vector solve is the same call with one
+//! column.
 //!
-//! The actual sweep machinery lives in [`crate::engine`]: this module
-//! validates, interleaves the jump vectors, picks the execution path via
-//! the shared auto-sizer ([`crate::parallel::solve_path`]) and
-//! monomorphizes the engine over the column count (`K` a const generic,
-//! 1–4), so the per-row accumulator is a stack array the optimizer keeps
-//! in registers. Batches wider than four columns run as chunks of up to
-//! four, each chunk sharing one traversal.
+//! The sweep machinery lives in [`crate::engine`]: this module
+//! validates, picks the execution path via the auto-sizer
+//! ([`crate::parallel::solve_path`]) and monomorphizes the engine over
+//! the column count (`K` a const generic, 1–4), so the per-row
+//! accumulator is a stack array the optimizer keeps in registers.
+//! Batches wider than four columns run as chunks of up to four, each
+//! chunk sharing one traversal.
 //!
-//! Because the engine's per-column arithmetic, gather kernel edge→bank
+//! Because the engine's per-column arithmetic, gather-kernel edge→bank
 //! assignment, and residual reduction order are all independent of `K`,
-//! a batched column is **bit-for-bit identical** to the corresponding
-//! independent [`solve_parallel_jacobi`] run — the property-test suite
-//! pins this. Sub-threshold graphs route each column through the serial
-//! scatter solver, exactly as the single-RHS solver does, preserving the
-//! same identity on the serial path.
+//! a column is **bit-for-bit identical** whichever batch it is solved in
+//! — `tests/properties.rs` pins this. Sub-threshold graphs route each
+//! column through the serial scatter solver (Algorithm 1), which is
+//! per-column by construction.
 //!
-//! Error semantics match the strict single-RHS solvers: any column
+//! Error semantics match the strict reference solvers: any column
 //! tripping its guard (divergence, NaN poisoning) or the shared
 //! iteration cap fails the whole batch, since the estimate consuming the
 //! results needs every column.
-//!
-//! [`solve_parallel_jacobi`]: crate::parallel::solve_parallel_jacobi
 
 use crate::config::PageRankConfig;
 use crate::error::PageRankError;
 use crate::history::ResidualHistory;
-use crate::jacobi::check_jump_length;
+use crate::jacobi::{check_initial_length, solve_jacobi_dense_warm};
 use crate::jump::JumpVector;
 use crate::PageRankResult;
 use spammass_graph::Graph;
@@ -44,12 +43,11 @@ use spammass_graph::Graph;
 /// through a single shared traversal per sweep.
 ///
 /// Returns one [`PageRankResult`] per jump vector, in order. Each
-/// column's scores are bit-for-bit identical to an independent
-/// [`solve_parallel_jacobi`](crate::parallel::solve_parallel_jacobi)
-/// run with the same config on a machine of the same thread count.
+/// column's scores are bit-for-bit reproducible for a fixed graph,
+/// config and resolved worker count, whatever the other columns are.
 ///
 /// # Errors
-/// Per-column input validation mirrors the single-RHS solvers; a guard
+/// Per-column input validation mirrors the reference solvers; a guard
 /// trip or the iteration cap on any unconverged column fails the whole
 /// batch.
 pub fn solve_batch(
@@ -80,63 +78,24 @@ pub fn solve_batch_warm(
 ) -> Result<Vec<PageRankResult>, PageRankError> {
     config.validate()?;
     let n = graph.node_count();
-    let mut vs = Vec::with_capacity(jumps.len());
+    let k = jumps.len();
+    let mut vs = Vec::with_capacity(k);
     for jump in jumps {
         vs.push(jump.materialize(n)?);
     }
-    solve_batch_dense_warm(graph, &vs, initial, config)
-}
-
-/// [`solve_batch`] with already-materialized jump vectors.
-///
-/// # Errors
-/// Same contract as [`solve_batch`].
-pub fn solve_batch_dense(
-    graph: &Graph,
-    vs: &[Vec<f64>],
-    config: &PageRankConfig,
-) -> Result<Vec<PageRankResult>, PageRankError> {
-    solve_batch_dense_warm(graph, vs, None, config)
-}
-
-/// [`solve_batch_warm`] with already-materialized jump vectors.
-///
-/// # Errors
-/// Same contract as [`solve_batch_warm`].
-pub fn solve_batch_dense_warm(
-    graph: &Graph,
-    vs: &[Vec<f64>],
-    initial: Option<&[Vec<f64>]>,
-    config: &PageRankConfig,
-) -> Result<Vec<PageRankResult>, PageRankError> {
-    config.validate()?;
-    let n = graph.node_count();
-    let k = vs.len();
     if k == 0 {
         return Ok(Vec::new());
-    }
-    for v in vs {
-        check_jump_length(v, n)?;
     }
     if let Some(inits) = initial {
         if inits.len() != k {
             return Err(PageRankError::InitialScoresLength { got: inits.len(), expected: k });
         }
         for p0 in inits {
-            crate::jacobi::check_initial_length(p0, n)?;
+            check_initial_length(p0, n)?;
         }
     }
     if n == 0 {
-        return Ok(vs
-            .iter()
-            .map(|_| PageRankResult {
-                scores: Vec::new(),
-                iterations: 0,
-                residual: 0.0,
-                converged: true,
-                residual_history: ResidualHistory::new(),
-            })
-            .collect());
+        return Ok(empty_results(k));
     }
 
     // Monomorphized dispatch: a compile-time column count turns the
@@ -157,54 +116,47 @@ pub fn solve_batch_dense_warm(
     Ok(results)
 }
 
-/// Widest batch a single fused traversal carries; see [`solve_batch_dense`].
-const MAX_FUSED_COLUMNS: usize = 4;
+/// Widest batch a single fused traversal carries; see [`solve_batch`].
+pub(crate) const MAX_FUSED_COLUMNS: usize = 4;
+
+/// `k` trivially converged results for an empty graph.
+pub(crate) fn empty_results(k: usize) -> Vec<PageRankResult> {
+    (0..k)
+        .map(|_| PageRankResult {
+            scores: Vec::new(),
+            iterations: 0,
+            residual: 0.0,
+            converged: true,
+            residual_history: ResidualHistory::new(),
+        })
+        .collect()
+}
 
 /// Routes a validated `K`-column chunk (`1 ≤ K ≤ 4`, `n > 0`) through
-/// the shared engine — or, below the sizing thresholds, through the
-/// serial scatter solver column by column (matching the single-RHS
-/// solver's serial path bit-for-bit).
+/// the engine — or, below the sizing thresholds, through the serial
+/// scatter solver column by column.
 fn solve_batch_fixed<const K: usize>(
     graph: &Graph,
     vs: &[Vec<f64>],
     initial: Option<&[Vec<f64>]>,
     config: &PageRankConfig,
 ) -> Result<Vec<PageRankResult>, PageRankError> {
-    debug_assert_eq!(vs.len(), K);
     let path = crate::parallel::solve_path(config, graph);
     if path.serial {
         let mut results = Vec::with_capacity(K);
         for (j, v) in vs.iter().enumerate() {
             let init = initial.map(|inits| &inits[j][..]);
-            results.push(crate::jacobi::solve_jacobi_dense_warm(graph, v, init, config)?);
+            results.push(solve_jacobi_dense_warm(graph, v, init, config)?);
         }
         return Ok(results);
     }
-    let mut varr: [&[f64]; K] = [&[]; K];
-    for (slot, v) in varr.iter_mut().zip(vs) {
-        *slot = v;
-    }
-    let iarr = initial.map(|inits| {
-        let mut arr: [&[f64]; K] = [&[]; K];
-        for (slot, p0) in arr.iter_mut().zip(inits) {
-            *slot = p0;
-        }
-        arr
-    });
-    crate::engine::solve_pooled::<K>(
-        graph,
-        varr,
-        iarr,
-        config,
-        path.threads,
-        "pagerank.solve.batch",
-    )
+    crate::engine::solve_pooled::<K>(graph, vs, initial, config, path.threads)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::solve_parallel_jacobi;
+    use crate::jacobi::solve_jacobi;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use spammass_graph::GraphBuilder;
@@ -233,32 +185,16 @@ mod tests {
     }
 
     #[test]
-    fn batched_columns_are_bit_identical_to_independent_solves() {
-        let g = random_graph(40_000, 160_000, 31);
-        let n = g.node_count();
-        let jumps = [JumpVector::Uniform, core_jump(n)];
-        let config = cfg().threads(2);
-        let batch = solve_batch(&g, &jumps, &config).unwrap();
-        assert_eq!(batch.len(), 2);
-        for (jump, col) in jumps.iter().zip(&batch) {
-            let solo = solve_parallel_jacobi(&g, jump, &config).unwrap();
-            assert_eq!(solo.scores, col.scores, "scores must be bit-identical");
-            assert_eq!(solo.iterations, col.iterations);
-            assert_eq!(solo.residual, col.residual);
-        }
-    }
-
-    #[test]
-    fn serial_routed_batch_matches_serial_solo_solves() {
+    fn serial_routed_batch_is_algorithm_1_per_column() {
         // With the default quota this graph routes to the serial scatter
         // path; the batch must split into per-column scatter solves that
-        // are bit-identical to the single-RHS solver's serial path.
+        // are bit-identical to the reference solver.
         let g = random_graph(40_000, 160_000, 29);
         let jumps = [JumpVector::Uniform, core_jump(g.node_count())];
         let config = PageRankConfig::default().threads(2);
         let batch = solve_batch(&g, &jumps, &config).unwrap();
         for (jump, col) in jumps.iter().zip(&batch) {
-            let solo = solve_parallel_jacobi(&g, jump, &config).unwrap();
+            let solo = solve_jacobi(&g, jump, &config).unwrap();
             assert_eq!(solo.scores, col.scores, "scores must be bit-identical");
             assert_eq!(solo.iterations, col.iterations);
         }
@@ -294,10 +230,10 @@ mod tests {
     fn works_on_tiny_graphs_single_threaded() {
         let g = GraphBuilder::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
         let batch = solve_batch(&g, &[JumpVector::Uniform], &cfg()).unwrap();
-        let solo = solve_parallel_jacobi(&g, &JumpVector::Uniform, &cfg()).unwrap();
-        // Both route through the serial scatter solver on a graph this
-        // small, so the comparison is exact in practice; assert the
-        // numeric bound the API promises.
+        let solo = solve_jacobi(&g, &JumpVector::Uniform, &cfg()).unwrap();
+        // A graph this small routes through the serial scatter solver,
+        // so the comparison is exact in practice; assert the numeric
+        // bound the API promises.
         for (a, b) in batch[0].scores.iter().zip(&solo.scores) {
             assert!((a - b).abs() < 1e-12);
         }

@@ -17,7 +17,7 @@
 use crate::config::PageRankConfig;
 use crate::error::PageRankError;
 use crate::jump::JumpVector;
-use crate::{gauss_seidel, jacobi, parallel, power, PageRankResult};
+use crate::{batch, gauss_seidel, jacobi, power, PageRankResult};
 use spammass_graph::Graph;
 use spammass_obs as obs;
 use std::fmt;
@@ -29,7 +29,8 @@ pub enum SolverKind {
     Jacobi,
     /// Gauss–Seidel in-place sweeps.
     GaussSeidel,
-    /// Thread-parallel Jacobi.
+    /// The production engine ([`solve_batch`](crate::solve_batch) with
+    /// one column): thread-parallel Jacobi.
     ParallelJacobi,
     /// Power iteration on the augmented matrix (requires `‖v‖₁ = 1`).
     Power,
@@ -59,7 +60,10 @@ impl SolverKind {
         match self {
             SolverKind::Jacobi => jacobi::solve_jacobi(graph, jump, config),
             SolverKind::GaussSeidel => gauss_seidel::solve_gauss_seidel(graph, jump, config),
-            SolverKind::ParallelJacobi => parallel::solve_parallel_jacobi(graph, jump, config),
+            SolverKind::ParallelJacobi => {
+                let mut columns = batch::solve_batch(graph, std::slice::from_ref(jump), config)?;
+                Ok(columns.pop().expect("one jump vector yields one column"))
+            }
             SolverKind::Power => power::solve_power(graph, jump, config),
         }
     }

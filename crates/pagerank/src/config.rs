@@ -1,7 +1,5 @@
 //! Solver configuration.
 
-use crate::kernel::KernelKind;
-
 /// Parameters of a linear PageRank solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PageRankConfig {
@@ -12,7 +10,7 @@ pub struct PageRankConfig {
     pub tolerance: f64,
     /// Iteration cap; the solve reports `converged = false` if reached.
     pub max_iterations: usize,
-    /// Number of worker threads for the parallel solver (`0` = all cores).
+    /// Number of worker threads for the engine (`0` = all cores).
     ///
     /// This is an upper bound: the pool auto-sizer
     /// ([`crate::parallel::pool_threads`]) also caps the count by problem
@@ -23,12 +21,6 @@ pub struct PageRankConfig {
     /// [`crate::parallel::DEFAULT_EDGES_PER_THREAD`]). Lower it to force
     /// multi-worker execution on small graphs (tests do).
     pub edges_per_thread: usize,
-    /// Which gather kernel the pooled solvers run ([`KernelKind::Auto`]
-    /// picks the unrolled one). `--kernel scalar` reproduces historical
-    /// results; the kernels agree within re-association error (≤1e-12 on
-    /// the solvers' comparisons) and bit-exactly on rows with fewer than
-    /// four in-edges.
-    pub kernel: KernelKind,
 }
 
 impl Default for PageRankConfig {
@@ -39,7 +31,6 @@ impl Default for PageRankConfig {
             max_iterations: 1_000,
             threads: 0,
             edges_per_thread: 0,
-            kernel: KernelKind::Auto,
         }
     }
 }
@@ -72,12 +63,6 @@ impl PageRankConfig {
     /// builder-style (`0` = default).
     pub fn edges_per_thread(mut self, edges: usize) -> Self {
         self.edges_per_thread = edges;
-        self
-    }
-
-    /// Sets the gather kernel, builder-style.
-    pub fn kernel(mut self, kernel: KernelKind) -> Self {
-        self.kernel = kernel;
         self
     }
 
@@ -115,16 +100,11 @@ mod tests {
 
     #[test]
     fn builder_methods() {
-        let c = PageRankConfig::with_damping(0.5)
-            .tolerance(1e-6)
-            .max_iterations(10)
-            .threads(2)
-            .kernel(KernelKind::Scalar);
+        let c = PageRankConfig::with_damping(0.5).tolerance(1e-6).max_iterations(10).threads(2);
         assert_eq!(c.damping, 0.5);
         assert_eq!(c.tolerance, 1e-6);
         assert_eq!(c.max_iterations, 10);
         assert_eq!(c.threads, 2);
-        assert_eq!(c.kernel, KernelKind::Scalar);
     }
 
     #[test]

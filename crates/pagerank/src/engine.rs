@@ -1,35 +1,36 @@
-//! The edge-parallel pooled solve engine shared by the single-RHS and
-//! batched solvers.
+//! The one Jacobi sweep: a per-row relaxation body and a `K`-column
+//! controller, driven by two row sources.
 //!
-//! One monomorphized function, [`solve_pooled`], carries every pooled
-//! Jacobi solve in the crate: `K = 1` is the parallel single-RHS solver,
-//! `K ∈ 2..=4` the batched multi-jump solver. The sweep structure:
+//! * [`RowBody::relax`] is the sweep's arithmetic for one destination
+//!   row: `(1−c)·v[y]`, plus the gathered in-edge sum, committed to the
+//!   write buffer with each column's residual contribution — or, for a
+//!   column that already converged, copied through bit-exact.
+//! * [`Columns`] owns everything that outlives a sweep: the interleaved
+//!   jump/front/back matrices, the per-column guards and residual
+//!   histories, the freeze / convergence / iteration-cap decision, and
+//!   the final de-interleave into [`PageRankResult`]s.
 //!
-//! 1. **Gather** — each worker runs the dispatched gather kernel
-//!    ([`crate::kernel`]) over its [`EdgePartition`] share: interior rows
-//!    (fully inside its edge range) are accumulated and written straight
-//!    into the round's write buffer; the up-to-two partial row pieces at
-//!    its range boundaries are accumulated into private per-worker
-//!    scratch slots. No two workers ever write the same cache line: a
-//!    worker's interior rows, delta slot and partial slots are all its
-//!    own. The shared *read* buffer is immutable for the whole round.
-//! 2. **Handoff** — the single sense-reversing barrier in
-//!    [`crate::pool`]; one synchronization point per sweep.
-//! 3. **Merge + converge** — the control thread combines the boundary
-//!    rows' partial sums in fixed worker order (`(1−c)·v[b]` + pieces,
-//!    at most `parts − 1` rows, timed into `pagerank.merge_ns`), then
-//!    folds each column's residual from the workers' partial sums — in
-//!    worker index order, plus the merge rows' contribution — so the
-//!    convergence decision never re-walks the score vectors and is
-//!    independent of thread scheduling.
+//! The **resident** source is [`solve_pooled`] below: the in-CSR cut into
+//! equal edge ranges ([`EdgePartition`]), one worker per range on the
+//! persistent pool ([`crate::pool`]), one handoff per sweep. Each worker
+//! relaxes its interior rows straight into the write buffer and gathers
+//! the up-to-two partial row pieces at its range boundaries into private
+//! scratch; after the handoff the control thread relaxes the boundary
+//! rows from those pieces in fixed worker order and folds each column's
+//! residual from the workers' partial sums — worker index order, then
+//! the boundary rows — so the convergence decision is independent of
+//! thread scheduling. The **streamed** source is
+//! [`crate::stream::solve_batch_streamed`]: the same body and controller
+//! over rows decoded block-at-a-time from a compressed image.
 //!
-//! Determinism: for a fixed `(graph, threads, kernel)` the partition,
-//! the per-row accumulation order, the merge order and the residual
-//! reduction order are all fixed, so results are bit-for-bit
-//! reproducible across runs — and a batched column is bit-identical to
-//! the equivalent `K = 1` solve because the kernel's edge→bank
-//! assignment is independent of `K` (see [`crate::kernel`]) and the
-//! reduction orders coincide.
+//! Determinism: for a fixed `(graph, threads)` the partition, the per-row
+//! accumulation order, the boundary-row order and the residual reduction
+//! order are all fixed, so results are bit-for-bit reproducible across
+//! runs; a column is bit-identical whatever `K` it is solved under
+//! because the gather kernel's edge→bank assignment ignores `K`; and the
+//! streamed solve is bit-identical to the one-worker resident solve
+//! because one worker has no boundary rows and visits rows in the same
+//! ascending order.
 //!
 //! Everything is allocated before the first sweep; the iteration loop is
 //! allocation-free (pinned by `tests/alloc.rs`).
@@ -49,29 +50,237 @@ use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-/// Runs the pooled edge-parallel Jacobi solve for exactly `K` columns on
-/// `threads` workers. Inputs are already validated by the callers
-/// (`n > 0`, every slice `n` long, config valid, `threads ≥ 1`).
+/// The per-row relaxation body of one sweep over `K` interleaved columns.
+pub(crate) struct RowBody<'a, const K: usize> {
+    one_minus_c: f64,
+    /// The jump vectors, interleaved row-major `n×K`.
+    vmat: &'a [f64],
+    /// Columns still iterating this sweep; the rest are frozen.
+    active: [bool; K],
+}
+
+impl<const K: usize> RowBody<'_, K> {
+    /// Relaxes destination row `y`: `(1−c)·v[y]` plus whatever `gather`
+    /// adds (the row's in-edge sum, from edges or from partial sums),
+    /// written to `row` — the row's `K` slots of the sweep's write
+    /// buffer — with `|new − old|` added to `deltas` per active column.
+    /// `read` is the sweep's read buffer.
+    #[inline(always)]
+    pub(crate) fn relax(
+        &self,
+        y: usize,
+        read: &[f64],
+        gather: impl FnOnce(&mut [f64; K]),
+        row: &mut [f64],
+        deltas: &mut [f64; K],
+    ) {
+        let mut acc: [f64; K] =
+            self.vmat[y * K..(y + 1) * K].try_into().expect("vmat row is K wide");
+        for a in &mut acc {
+            *a *= self.one_minus_c;
+        }
+        gather(&mut acc);
+        let old: &[f64; K] = read[y * K..(y + 1) * K].try_into().expect("score row is K wide");
+        for (j, (&a, &o)) in acc.iter().zip(old).enumerate() {
+            if self.active[j] {
+                deltas[j] += (a - o).abs();
+                row[j] = a;
+            } else {
+                // Frozen column: copy through bit-exact.
+                row[j] = o;
+            }
+        }
+    }
+}
+
+/// Per-column convergence state between sweeps.
+struct Verdicts<const K: usize> {
+    active: [bool; K],
+    guards: [ConvergenceGuard; K],
+    histories: [ResidualHistory; K],
+    iterations: [usize; K],
+    residual: [f64; K],
+    /// Sweeps finished so far.
+    completed: usize,
+}
+
+impl<const K: usize> Verdicts<K> {
+    /// Judges one finished sweep from its per-column residuals: feeds
+    /// guards and histories, freezes columns below tolerance, and breaks
+    /// once every column is frozen (`Ok`), a guard trips, or the shared
+    /// iteration cap is hit with a column still active (`Err`).
+    fn observe(
+        &mut self,
+        residuals: [f64; K],
+        config: &PageRankConfig,
+    ) -> ControlFlow<Result<(), PageRankError>> {
+        self.completed += 1;
+        let iterations = self.completed;
+        let mut all_frozen = true;
+        for (j, &residual) in residuals.iter().enumerate() {
+            if !self.active[j] {
+                continue;
+            }
+            self.residual[j] = residual;
+            self.histories[j].push(residual);
+            if let Err(e) = self.guards[j].observe(iterations, residual) {
+                return ControlFlow::Break(Err(e));
+            }
+            if residual < config.tolerance {
+                self.active[j] = false;
+                self.iterations[j] = iterations;
+            } else {
+                all_frozen = false;
+            }
+        }
+        if all_frozen {
+            return ControlFlow::Break(Ok(()));
+        }
+        if iterations >= config.max_iterations {
+            let worst =
+                (0..K).filter(|&j| self.active[j]).map(|j| self.residual[j]).fold(0.0f64, f64::max);
+            return ControlFlow::Break(Err(PageRankError::DidNotConverge {
+                iterations,
+                residual: worst,
+            }));
+        }
+        ControlFlow::Continue(())
+    }
+}
+
+/// The `K`-column controller: interleaved matrices plus per-column
+/// verdicts. Sweep `r` (0-based) reads `bufs[r % 2]` and writes
+/// `bufs[(r + 1) % 2]`; frozen columns are copied through every later
+/// sweep, so after `completed` sweeps `bufs[completed % 2]` holds every
+/// column's final iterate.
+pub(crate) struct Columns<const K: usize> {
+    one_minus_c: f64,
+    vmat: Vec<f64>,
+    bufs: [Vec<f64>; 2],
+    verdicts: Verdicts<K>,
+}
+
+impl<const K: usize> Columns<K> {
+    /// Interleaves the `K` validated jump vectors `vs` (each `n` long)
+    /// and seeds the first read buffer from `initial`, or from the jump
+    /// vectors themselves for a cold start.
+    pub(crate) fn new(
+        vs: &[Vec<f64>],
+        initial: Option<&[Vec<f64>]>,
+        config: &PageRankConfig,
+    ) -> Self {
+        debug_assert_eq!(vs.len(), K);
+        let interleave = |cols: &[Vec<f64>]| {
+            let mut mat = vec![0.0f64; cols[0].len() * K];
+            for (j, col) in cols.iter().enumerate() {
+                for (y, &value) in col.iter().enumerate() {
+                    mat[y * K + j] = value;
+                }
+            }
+            mat
+        };
+        let vmat = interleave(vs);
+        let front = initial.map_or_else(|| vmat.clone(), interleave);
+        let back = vec![0.0f64; vmat.len()];
+        Columns {
+            one_minus_c: 1.0 - config.damping,
+            vmat,
+            bufs: [front, back],
+            verdicts: Verdicts {
+                active: [true; K],
+                guards: std::array::from_fn(|_| ConvergenceGuard::new()),
+                histories: std::array::from_fn(|_| ResidualHistory::new()),
+                iterations: [0; K],
+                residual: [f64::INFINITY; K],
+                completed: 0,
+            },
+        }
+    }
+
+    /// The next sweep for a caller with exclusive access: its row body,
+    /// its read buffer and its write buffer.
+    pub(crate) fn sweep(&mut self) -> (RowBody<'_, K>, &[f64], &mut [f64]) {
+        let body = RowBody {
+            one_minus_c: self.one_minus_c,
+            vmat: &self.vmat,
+            active: self.verdicts.active,
+        };
+        let [even, odd] = &mut self.bufs;
+        if self.verdicts.completed.is_multiple_of(2) {
+            (body, even, odd)
+        } else {
+            (body, odd, even)
+        }
+    }
+
+    /// Ends the sweep begun by [`sweep`](Self::sweep) with its summed
+    /// per-column residuals; `Break` carries the solve's outcome.
+    pub(crate) fn finish_sweep(
+        &mut self,
+        residuals: [f64; K],
+        config: &PageRankConfig,
+    ) -> ControlFlow<Result<(), PageRankError>> {
+        self.verdicts.observe(residuals, config)
+    }
+
+    /// Frees the jump matrix and the stale score buffer once the last
+    /// sweep is done; only [`into_results`](Self::into_results) may
+    /// follow. The streamed solve calls this so its de-interleave phase
+    /// peaks below the sweeps' own (budgeted) footprint.
+    pub(crate) fn release_sweep_buffers(&mut self) {
+        self.vmat = Vec::new();
+        self.bufs[(self.verdicts.completed + 1) % 2] = Vec::new();
+    }
+
+    /// De-interleaves the final iterate into one result per column.
+    pub(crate) fn into_results(self) -> Vec<PageRankResult> {
+        let Columns { bufs: [even, odd], verdicts, .. } = self;
+        let final_buf = if verdicts.completed.is_multiple_of(2) { even } else { odd };
+        let n = final_buf.len() / K;
+        let columns: Vec<Vec<f64>> = if K == 1 {
+            // Single column: the interleaved matrix *is* the score
+            // vector; move it instead of copying.
+            vec![final_buf]
+        } else {
+            (0..K).map(|j| (0..n).map(|y| final_buf[y * K + j]).collect()).collect()
+        };
+        columns
+            .into_iter()
+            .zip(verdicts.histories)
+            .enumerate()
+            .map(|(j, (scores, residual_history))| {
+                obs::observe("pagerank.iterations", verdicts.iterations[j] as f64);
+                PageRankResult {
+                    scores,
+                    iterations: verdicts.iterations[j],
+                    residual: verdicts.residual[j],
+                    converged: true,
+                    residual_history,
+                }
+            })
+            .collect()
+    }
+}
+
+/// Runs the resident edge-parallel solve for exactly `K` columns on
+/// `threads` workers. Inputs are already validated by the caller
+/// (`n > 0`, every vector `n` long, config valid, `threads ≥ 1`).
 ///
 /// Returns one result per column, in order; any column tripping its
 /// convergence guard — or the shared iteration cap with any column still
 /// active — fails the whole solve.
 pub(crate) fn solve_pooled<const K: usize>(
     graph: &Graph,
-    vs: [&[f64]; K],
-    initial: Option<[&[f64]; K]>,
+    vs: &[Vec<f64>],
+    initial: Option<&[Vec<f64>]>,
     config: &PageRankConfig,
     threads: usize,
-    span_name: &'static str,
 ) -> Result<Vec<PageRankResult>, PageRankError> {
-    let n = graph.node_count();
-    let kind = config.kernel.resolve();
-    let mut span = obs::span(span_name);
+    let mut span = obs::span("pagerank.solve.batch");
     span.record("threads", threads as f64);
     span.record("columns", K as f64);
 
     let c = config.damping;
-    let one_minus_c = 1.0 - c;
     // All solve-lifetime state is allocated up front; the iteration loop
     // itself is allocation-free (see tests/alloc.rs).
     let partition = EdgePartition::balanced(graph, threads);
@@ -87,52 +296,27 @@ pub(crate) fn solve_pooled<const K: usize>(
             }
         })
         .collect();
-
-    // Interleaved row-major n×K matrices; vmat holds the jump vectors in
-    // the same layout so the kernel streams them with the same stride.
-    let mut vmat = vec![0.0f64; n * K];
-    for (j, v) in vs.iter().enumerate() {
-        for (y, &vy) in v.iter().enumerate() {
-            vmat[y * K + j] = vy;
-        }
-    }
-    let mut front = match initial {
-        None => vmat.clone(),
-        Some(inits) => {
-            let mut seed = vec![0.0f64; n * K];
-            for (j, p0) in inits.iter().enumerate() {
-                for (y, &py) in p0.iter().enumerate() {
-                    seed[y * K + j] = py;
-                }
-            }
-            seed
-        }
-    };
-    let mut back = vec![0.0f64; n * K];
+    let mut cols = Columns::<K>::new(vs, initial, config);
     // Per-worker boundary-piece partial sums: slot (w·2 + s)·K holds
     // worker w's piece s (0 = head, 1 = tail), K columns wide.
     let mut partials = vec![0.0f64; threads * 2 * K];
     // Per-(worker, column) interior residual contributions, flat
     // threads×K.
     let mut chunk_deltas = vec![0.0f64; threads * K];
-    // Columns still iterating. Written only by control between rounds;
-    // Relaxed suffices because the pool handoff orders rounds.
-    let active: Vec<AtomicBool> = (0..K).map(|_| AtomicBool::new(true)).collect();
-
-    let mut histories: Vec<ResidualHistory> = (0..K).map(|_| ResidualHistory::new()).collect();
-    let mut guards: Vec<ConvergenceGuard> = (0..K).map(|_| ConvergenceGuard::new()).collect();
-    let mut col_iterations = vec![0usize; K];
-    let mut col_residual = vec![f64::INFINITY; K];
-    let mut completed = 0usize;
+    // The workers' view of the verdicts' active flags. Written only by
+    // control between rounds; Relaxed suffices because the pool handoff
+    // orders rounds.
+    let active: [AtomicBool; K] = std::array::from_fn(|_| AtomicBool::new(true));
 
     let outcome: Result<(), PageRankError> = {
-        let bufs = [SharedSlice::new(&mut front), SharedSlice::new(&mut back)];
+        let Columns { one_minus_c, vmat, bufs: [even, odd], verdicts } = &mut cols;
+        let bufs = [SharedSlice::new(even), SharedSlice::new(odd)];
         let deltas = SharedSlice::new(&mut chunk_deltas);
         let partials = SharedSlice::new(&mut partials);
         let partition = &partition;
         let coef = &coef[..];
-        let vmat = &vmat[..];
-        let active = &active[..];
+        let (one_minus_c, vmat) = (*one_minus_c, &vmat[..]);
+        let active = &active;
         let srcs_all = graph.in_sources();
         let offsets = graph.in_offsets();
 
@@ -141,7 +325,7 @@ pub(crate) fn solve_pooled<const K: usize>(
             // worker reads bufs[round % 2] and writes only its own
             // interior rows of bufs[(round+1) % 2] (interiors are
             // pairwise disjoint and disjoint from the boundary rows the
-            // control thread merges); the pool handoff orders rounds, so
+            // control thread relaxes); the pool handoff orders rounds, so
             // no location is read while written.
             let read = unsafe { bufs[round % 2].as_slice() };
             let interior = partition.interior(worker);
@@ -153,38 +337,28 @@ pub(crate) fn solve_pooled<const K: usize>(
             let my_partials = unsafe { partials.range_mut(worker * 2 * K, (worker + 1) * 2 * K) };
             // Active flags only change between rounds; snapshot them once
             // per round so the row loop branches on plain bools.
-            let mut act = [false; K];
-            for (a, flag) in act.iter_mut().zip(active) {
-                *a = flag.load(Ordering::Relaxed);
-            }
+            let body = RowBody {
+                one_minus_c,
+                vmat,
+                active: std::array::from_fn(|j| active[j].load(Ordering::Relaxed)),
+            };
             let mut local_deltas = [0.0f64; K];
-            for y in interior.clone() {
-                let mut acc: [f64; K] =
-                    vmat[y * K..(y + 1) * K].try_into().expect("vmat row is K wide");
-                for a in &mut acc {
-                    *a *= one_minus_c;
-                }
+            for (y, row) in interior.clone().zip(write.chunks_exact_mut(K)) {
                 let row_srcs = &srcs_all[offsets[y] as usize..offsets[y + 1] as usize];
-                kernel::gather_row(kind, read, coef, row_srcs, &mut acc);
-                let old: &[f64; K] =
-                    read[y * K..(y + 1) * K].try_into().expect("score row is K wide");
-                let row = &mut write[(y - interior.start) * K..(y - interior.start + 1) * K];
-                for (j, (&a, &o)) in acc.iter().zip(old).enumerate() {
-                    if act[j] {
-                        local_deltas[j] += (a - o).abs();
-                        row[j] = a;
-                    } else {
-                        // Frozen column: copy through bit-exact.
-                        row[j] = o;
-                    }
-                }
+                body.relax(
+                    y,
+                    read,
+                    |acc| kernel::gather_row(read, coef, row_srcs, acc),
+                    row,
+                    &mut local_deltas,
+                );
             }
             // Boundary pieces: accumulate into private scratch; the
-            // control thread merges after the handoff.
+            // control thread relaxes their rows after the handoff.
             for (slot, piece) in partition.pieces(worker).iter().enumerate() {
                 if let Some(p) = piece {
                     let mut acc = [0.0f64; K];
-                    kernel::gather_row(kind, read, coef, &srcs_all[p.edges.clone()], &mut acc);
+                    kernel::gather_row(read, coef, &srcs_all[p.edges.clone()], &mut acc);
                     my_partials[slot * K..(slot + 1) * K].copy_from_slice(&acc);
                 }
             }
@@ -192,8 +366,6 @@ pub(crate) fn solve_pooled<const K: usize>(
         };
 
         let control = |round: usize| -> ControlFlow<Result<(), PageRankError>> {
-            let iterations = round + 1;
-            completed = iterations;
             // SAFETY: control runs between rounds; no worker is active,
             // so it may read every scratch slot and write the boundary
             // rows of the round's write buffer.
@@ -201,118 +373,51 @@ pub(crate) fn solve_pooled<const K: usize>(
             let all_partials = unsafe { partials.as_slice() };
             let deltas = unsafe { deltas.as_slice() };
 
-            // Merge phase: reassemble the rows split across edge ranges.
-            // Fixed worker order per row keeps the f64 sum deterministic;
-            // per-column independence keeps batched columns bit-identical
-            // to single-RHS solves.
+            // Boundary rows: relaxed from the pieces the workers left, in
+            // fixed worker order per row so the f64 sum is deterministic.
             let merge_t0 = profiler.as_ref().map(|_| Instant::now());
+            let body = RowBody { one_minus_c, vmat, active: verdicts.active };
             let mut merge_deltas = [0.0f64; K];
             for entry in partition.merge_entries() {
                 let b = entry.node;
-                let mut acc: [f64; K] =
-                    vmat[b * K..(b + 1) * K].try_into().expect("vmat row is K wide");
-                for a in &mut acc {
-                    *a *= one_minus_c;
-                }
-                for &(w, slot) in &entry.parts {
-                    let part = &all_partials[(w * 2 + slot) * K..(w * 2 + slot + 1) * K];
-                    for (a, &p) in acc.iter_mut().zip(part) {
-                        *a += p;
-                    }
-                }
-                let old: &[f64; K] =
-                    read[b * K..(b + 1) * K].try_into().expect("score row is K wide");
                 let row = unsafe { bufs[(round + 1) % 2].range_mut(b * K, (b + 1) * K) };
-                for (j, (&a, &o)) in acc.iter().zip(old).enumerate() {
-                    if active[j].load(Ordering::Relaxed) {
-                        merge_deltas[j] += (a - o).abs();
-                        row[j] = a;
-                    } else {
-                        row[j] = o;
-                    }
-                }
+                body.relax(
+                    b,
+                    read,
+                    |acc| {
+                        for &(w, slot) in &entry.parts {
+                            let part = &all_partials[(w * 2 + slot) * K..(w * 2 + slot + 1) * K];
+                            for (a, &p) in acc.iter_mut().zip(part) {
+                                *a += p;
+                            }
+                        }
+                    },
+                    row,
+                    &mut merge_deltas,
+                );
             }
             if let (Some(p), Some(t0)) = (profiler.as_ref(), merge_t0) {
                 p.record_merge(t0.elapsed().as_nanos() as u64);
             }
 
-            let mut all_frozen = true;
-            for j in 0..K {
-                if !active[j].load(Ordering::Relaxed) {
-                    continue;
-                }
-                // Residual reduction in fixed order — worker index order,
-                // then the merge rows — so the f64 sum (and therefore
-                // convergence) is independent of thread scheduling and
-                // identical between batched and single-RHS solves.
-                let residual: f64 =
-                    (0..threads).map(|w| deltas[w * K + j]).sum::<f64>() + merge_deltas[j];
-                col_residual[j] = residual;
-                histories[j].push(residual);
-                if let Err(e) = guards[j].observe(iterations, residual) {
-                    return ControlFlow::Break(Err(e));
-                }
-                if residual < config.tolerance {
-                    active[j].store(false, Ordering::Relaxed);
-                    col_iterations[j] = iterations;
-                } else {
-                    all_frozen = false;
-                }
+            // Residual reduction in fixed order — worker index order,
+            // then the boundary rows — so the f64 sum (and therefore
+            // convergence) is independent of thread scheduling and of K.
+            let residuals: [f64; K] = std::array::from_fn(|j| {
+                (0..threads).map(|w| deltas[w * K + j]).sum::<f64>() + merge_deltas[j]
+            });
+            let flow = verdicts.observe(residuals, config);
+            for (flag, &on) in active.iter().zip(&verdicts.active) {
+                flag.store(on, Ordering::Relaxed);
             }
-            if all_frozen {
-                return ControlFlow::Break(Ok(()));
-            }
-            if iterations >= config.max_iterations {
-                let worst = (0..K)
-                    .filter(|&j| active[j].load(Ordering::Relaxed))
-                    .map(|j| col_residual[j])
-                    .fold(0.0f64, f64::max);
-                return ControlFlow::Break(Err(PageRankError::DidNotConverge {
-                    iterations,
-                    residual: worst,
-                }));
-            }
-            ControlFlow::Continue(())
+            flow
         };
 
-        pool::run_rounds_profiled(threads, profiler.as_ref(), kernel, control)
+        pool::run_rounds(threads, profiler.as_ref(), kernel, control)
     };
 
     // Telemetry on every exit path, including guard errors.
-    span.record("iterations", completed as f64);
+    span.record("iterations", cols.verdicts.completed as f64);
     outcome?;
-
-    // Round r writes bufs[(r+1) % 2]; frozen columns were copied through
-    // every later round, so bufs[completed % 2] holds every column's
-    // final iterate.
-    let final_buf = if completed.is_multiple_of(2) { front } else { back };
-    let mut results = Vec::with_capacity(K);
-    if K == 1 {
-        // Single column: the interleaved matrix *is* the score vector;
-        // move it instead of copying.
-        obs::observe("pagerank.iterations", col_iterations[0] as f64);
-        results.push(PageRankResult {
-            scores: final_buf,
-            iterations: col_iterations[0],
-            residual: col_residual[0],
-            converged: true,
-            residual_history: histories.remove(0),
-        });
-        return Ok(results);
-    }
-    for (j, (history, &iterations)) in histories.iter().zip(&col_iterations).enumerate() {
-        obs::observe("pagerank.iterations", iterations as f64);
-        let mut scores = vec![0.0f64; n];
-        for (y, s) in scores.iter_mut().enumerate() {
-            *s = final_buf[y * K + j];
-        }
-        results.push(PageRankResult {
-            scores,
-            iterations,
-            residual: col_residual[j],
-            converged: true,
-            residual_history: history.clone(),
-        });
-    }
-    Ok(results)
+    Ok(cols.into_results())
 }

@@ -61,6 +61,11 @@ pub enum PageRankError {
         /// The configured budget in bytes.
         budget: u64,
     },
+    /// The edge source of a streamed solve failed mid-solve: a compressed
+    /// block did not decode (block checksums are verified lazily at first
+    /// decode, so payload damage surfaces here, not at open). Carries the
+    /// graph layer's error text.
+    EdgeSource(String),
 }
 
 impl fmt::Display for PageRankError {
@@ -101,6 +106,7 @@ impl fmt::Display for PageRankError {
                     "streamed solve needs {required} resident bytes but the budget is {budget}"
                 )
             }
+            PageRankError::EdgeSource(msg) => write!(f, "edge source failed: {msg}"),
         }
     }
 }
@@ -124,5 +130,7 @@ mod tests {
         assert!(e.to_string().contains("diverging"), "{e}");
         let e = PageRankError::NumericalInstability { iterations: 3, residual: f64::NAN };
         assert!(e.to_string().contains("instability"), "{e}");
+        let e = PageRankError::EdgeSource("block 3 checksum mismatch".into());
+        assert!(e.to_string().contains("edge source failed: block 3"), "{e}");
     }
 }

@@ -1,129 +1,36 @@
-//! Gather-kernel dispatch: scalar vs 4-wide unrolled inner loops.
+//! The gather kernel: `acc[j] += p[x]·coef[x]` over a row's in-edge
+//! sources — the hot loop of every engine sweep, resident or streamed.
 //!
-//! The hot loop of every pooled solver is the fused gather
-//! `acc[j] += p[x]·coef[x]` over a row's in-edge sources. A strictly
-//! sequential accumulation chains every add through one register, so the
-//! ~4-cycle FP-add latency — not memory bandwidth — bounds throughput on
-//! rows with many in-edges (which degree ordering concentrates at the
-//! front of the node range). [`KernelKind::Unrolled4`] breaks the chain:
-//! edges are consumed four at a time into **four independent register
-//! accumulator banks** that are only combined once per row, giving the
-//! out-of-order core four parallel dependency chains (the same trick a
-//! hand-vectorized horizontal-sum kernel uses, expressed in portable
-//! scalar code the autovectorizer can also lift to SIMD).
+//! A strictly sequential accumulation chains every add through one
+//! register, so the ~4-cycle FP-add latency — not memory bandwidth —
+//! bounds throughput on rows with many in-edges (which degree ordering
+//! concentrates at the front of the node range). The kernel breaks the
+//! chain: edges are consumed four at a time into **four independent
+//! register accumulator banks** that are only combined once per row,
+//! giving the out-of-order core four parallel dependency chains.
 //!
 //! Reproducibility rules:
 //!
-//! * the unrolled edge→bank assignment depends only on an edge's position
-//!   within the row slice — never on the column count `K` — so a batched
-//!   column stays bit-for-bit identical to the equivalent single-RHS
-//!   solve, exactly as the scalar kernel guarantees;
-//! * rows with fewer than [`UNROLL_CUTOFF`] (16) in-edges fall through
-//!   to the scalar loop — their chains are already shorter than the
-//!   FP-add pipeline — so on graphs whose maximum in-degree is below the
-//!   cutoff the two kernels agree **bit-exactly** (the property-test
-//!   suite pins this);
-//! * for wider rows the two kernels differ only by re-association of the
-//!   same f64 terms, bounded well below the solvers' 1e-12 comparison
-//!   tolerance.
-//!
-//! Dispatch is runtime (one enum match per row piece, trivially
-//! predicted), so a single binary can run either kernel — `--kernel
-//! scalar` reproduces historical results while `Auto` takes the fast
-//! path.
+//! * the edge→bank assignment depends only on an edge's position within
+//!   the row slice — never on the column count `K` — so a batched column
+//!   stays bit-for-bit identical to the equivalent one-column solve;
+//! * rows with fewer than [`UNROLL_CUTOFF`] (16) in-edges run the plain
+//!   sequential loop — their chains are already shorter than the FP-add
+//!   pipeline.
 
 use spammass_graph::NodeId;
 
-/// Which gather kernel the pooled solvers run. Selected via
-/// [`PageRankConfig::kernel`](crate::PageRankConfig::kernel) and the CLI
-/// `--kernel` flag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelKind {
-    /// Let the engine choose; currently always the unrolled kernel.
-    #[default]
-    Auto,
-    /// Strictly sequential per-row accumulation — the historical kernel,
-    /// kept as the reproducibility baseline.
-    Scalar,
-    /// 4-wide manual unrolling with independent register accumulators.
-    Unrolled4,
-}
+/// Rows below this in-degree take the sequential loop: their
+/// accumulation chain is already shorter than the FP-add pipeline, so
+/// bank setup and the final combine would cost more than the broken
+/// chain saves. On power-law host graphs this routes the long tail of
+/// body rows through the cheap path while hub rows — where the serial
+/// chain actually binds — get the banks.
+const UNROLL_CUTOFF: usize = 16;
 
-impl KernelKind {
-    /// Canonical lowercase name (CLI value, telemetry field).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            KernelKind::Auto => "auto",
-            KernelKind::Scalar => "scalar",
-            KernelKind::Unrolled4 => "unrolled4",
-        }
-    }
-
-    /// Resolves `Auto` to the concrete kernel the engine will run.
-    pub(crate) fn resolve(self) -> ResolvedKernel {
-        match self {
-            KernelKind::Scalar => ResolvedKernel::Scalar,
-            KernelKind::Auto | KernelKind::Unrolled4 => ResolvedKernel::Unrolled4,
-        }
-    }
-}
-
-impl std::str::FromStr for KernelKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<KernelKind, String> {
-        match s {
-            "auto" => Ok(KernelKind::Auto),
-            "scalar" => Ok(KernelKind::Scalar),
-            "unrolled4" => Ok(KernelKind::Unrolled4),
-            other => Err(format!("unknown kernel {other:?} (expected auto, scalar or unrolled4)")),
-        }
-    }
-}
-
-impl std::fmt::Display for KernelKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// A concrete kernel choice after `Auto` resolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ResolvedKernel {
-    Scalar,
-    Unrolled4,
-}
-
-impl ResolvedKernel {
-    /// Name recorded in the `pagerank.pool.sizing` event.
-    pub(crate) fn as_str(self) -> &'static str {
-        match self {
-            ResolvedKernel::Scalar => "scalar",
-            ResolvedKernel::Unrolled4 => "unrolled4",
-        }
-    }
-}
-
-/// Adds `Σ read[x·K+j]·coef[x]` over `srcs` into `acc`, dispatching on
-/// `kind`. `read` is the interleaved `n×K` score matrix, `coef` the
-/// per-source coefficient table `c/out(x)`.
+/// Sequential accumulation in edge order, for short rows.
 #[inline(always)]
-pub(crate) fn gather_row<const K: usize>(
-    kind: ResolvedKernel,
-    read: &[f64],
-    coef: &[f64],
-    srcs: &[NodeId],
-    acc: &mut [f64; K],
-) {
-    match kind {
-        ResolvedKernel::Scalar => gather_row_scalar(read, coef, srcs, acc),
-        ResolvedKernel::Unrolled4 => gather_row_unrolled4(read, coef, srcs, acc),
-    }
-}
-
-/// Sequential accumulation in edge order — the bit-exact baseline.
-#[inline(always)]
-pub(crate) fn gather_row_scalar<const K: usize>(
+fn gather_sequential<const K: usize>(
     read: &[f64],
     coef: &[f64],
     srcs: &[NodeId],
@@ -143,26 +50,18 @@ pub(crate) fn gather_row_scalar<const K: usize>(
     }
 }
 
-/// Rows below this in-degree take the scalar loop: their accumulation
-/// chain is already shorter than the FP-add pipeline, so bank setup and
-/// the final combine would cost more than the broken chain saves. On
-/// power-law hosts graphs this routes the long tail of body rows
-/// through the cheap path while hub rows — where the serial chain
-/// actually binds — get the banks.
-const UNROLL_CUTOFF: usize = 16;
-
-/// Four independent accumulator banks over chunks of four edges; the
-/// trailing `len % 4` edges land in banks 0.. by position, and the banks
-/// combine pairwise `(b0+b1)+(b2+b3)` into `acc`. Rows shorter than
-/// [`UNROLL_CUTOFF`] edges run the scalar loop unchanged, so short-row
-/// results are bit-exact with [`gather_row_scalar`]. The edge→bank
-/// assignment and combine order are independent of `K`, which keeps
-/// batched columns bit-identical to single-RHS solves.
+/// Adds `Σ read[x·K+j]·coef[x]` over `srcs` into `acc`. `read` is the
+/// interleaved `n×K` score matrix, `coef` the per-source coefficient
+/// table `c/out(x)`.
+///
+/// Chunks of four edges go to banks 0–3; the trailing `len % 4` edges
+/// land in banks 0.. by position, and the banks combine pairwise
+/// `(b0+b1)+(b2+b3)` into `acc`.
 #[inline(always)]
 // `j` strides four banks and four read rows at once; an iterator over
 // any single one of them would obscure the lockstep access pattern.
 #[allow(clippy::needless_range_loop)]
-pub(crate) fn gather_row_unrolled4<const K: usize>(
+pub(crate) fn gather_row<const K: usize>(
     read: &[f64],
     coef: &[f64],
     srcs: &[NodeId],
@@ -170,7 +69,7 @@ pub(crate) fn gather_row_unrolled4<const K: usize>(
 ) {
     let len = srcs.len();
     if len < UNROLL_CUTOFF {
-        gather_row_scalar(read, coef, srcs, acc);
+        gather_sequential(read, coef, srcs, acc);
         return;
     }
     let mut banks = [[0.0f64; K]; 4];
@@ -220,43 +119,30 @@ mod tests {
     }
 
     #[test]
-    fn kind_round_trips_through_strings() {
-        for kind in [KernelKind::Auto, KernelKind::Scalar, KernelKind::Unrolled4] {
-            assert_eq!(kind.as_str().parse::<KernelKind>().unwrap(), kind);
-        }
-        assert!("avx512".parse::<KernelKind>().is_err());
-    }
-
-    #[test]
-    fn auto_resolves_to_unrolled() {
-        assert_eq!(KernelKind::Auto.resolve(), ResolvedKernel::Unrolled4);
-        assert_eq!(KernelKind::Scalar.resolve(), ResolvedKernel::Scalar);
-    }
-
-    #[test]
-    fn short_rows_are_bit_exact_across_kernels() {
+    fn short_rows_accumulate_in_edge_order() {
         let read = [0.125f64, 0.5, 0.0625, 0.25, 0.75];
         let coef = [0.1f64, 0.2, 0.3, 0.4, 0.5];
         for ids in [&[][..], &[2][..], &[0, 4][..], &[3, 1, 0][..]] {
-            let s = srcs(ids);
-            let mut a = [1.0f64];
-            let mut b = [1.0f64];
-            gather_row_scalar(&read, &coef, &s, &mut a);
-            gather_row_unrolled4(&read, &coef, &s, &mut b);
-            assert_eq!(a, b, "row {ids:?} must be bit-exact");
+            let mut got = [1.0f64];
+            gather_row(&read, &coef, &srcs(ids), &mut got);
+            let mut want = 1.0f64;
+            for &x in ids {
+                want += read[x as usize] * coef[x as usize];
+            }
+            assert_eq!(got[0], want, "row {ids:?} must be bit-exact");
         }
     }
 
     #[test]
-    fn long_rows_agree_within_reassociation_error() {
+    fn long_rows_agree_with_the_sequential_sum_within_reassociation_error() {
         let n = 37usize;
         let read: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 1.0)).collect();
         let coef: Vec<f64> = (0..n).map(|i| 0.85 / (i as f64 + 2.0)).collect();
         let s = srcs(&(0..n as u32).collect::<Vec<_>>());
         let mut a = [0.5f64];
         let mut b = [0.5f64];
-        gather_row_scalar(&read, &coef, &s, &mut a);
-        gather_row_unrolled4(&read, &coef, &s, &mut b);
+        gather_sequential(&read, &coef, &s, &mut a);
+        gather_row(&read, &coef, &s, &mut b);
         assert!((a[0] - b[0]).abs() < 1e-14, "{} vs {}", a[0], b[0]);
     }
 
@@ -272,8 +158,8 @@ mod tests {
         let s = srcs(&(0..n as u32).rev().collect::<Vec<_>>());
         let mut one = [0.0f64];
         let mut two = [0.0f64; 2];
-        gather_row_unrolled4(&read1, &coef, &s, &mut one);
-        gather_row_unrolled4(&read2, &coef, &s, &mut two);
+        gather_row(&read1, &coef, &s, &mut one);
+        gather_row(&read2, &coef, &s, &mut two);
         assert_eq!(one[0], two[0]);
     }
 }

@@ -24,20 +24,24 @@
 //!
 //! ## Solvers
 //!
-//! | Solver | Module | Notes |
-//! |---|---|---|
-//! | Jacobi | [`jacobi`] | Algorithm 1 of the paper, verbatim |
-//! | Gauss–Seidel | [`gauss_seidel`] | in-place sweeps, usually ~2× fewer iterations |
-//! | Parallel Jacobi | [`parallel`] | fused gather on a persistent pool, edge-balanced chunks |
-//! | Batched Jacobi | [`batch`] | k jump vectors through one CSR traversal per sweep |
-//! | Power iteration | [`power`] | eigenvector formulation on `T″`, for cross-validation |
+//! One production solve, three references:
 //!
-//! The parallel execution layer is the edge-parallel engine (private
-//! module `engine`) built from [`pool`] (persistent workers, one
-//! sense-reversing handoff per sweep), [`partition`] (equal edge ranges
-//! with a boundary-row merge plan) and the dispatched gather kernels of
-//! [`KernelKind`]; the parallel and batched solvers share it and stay
-//! bit-for-bit deterministic for a fixed partition and kernel.
+//! | Solver | Module | Role |
+//! |---|---|---|
+//! | Engine, resident | [`batch`] | [`solve_batch`]/[`solve_batch_warm`]: k jump vectors (k = 1 included) through one in-CSR traversal per sweep on a worker pool — what the estimator, the updater and the daemon run |
+//! | Engine, streamed | [`stream`] | [`solve_batch_streamed`]: the same sweep over blocks decoded from a compressed image under a byte budget |
+//! | Jacobi | [`jacobi`] | Algorithm 1 of the paper, verbatim — the small-graph path and the test oracle |
+//! | Gauss–Seidel | [`gauss_seidel`] | in-place sweeps, ~2× fewer iterations; Section 2.2 experiment, chain fallback |
+//! | Power iteration | [`power`] | eigenvector formulation on `T″`; Section 2.2 experiment, cross-validation |
+//!
+//! The engine (private module `engine`) is one per-row relaxation body
+//! and one `K`-column controller, fed by two row sources: the resident
+//! in-CSR cut into equal edge ranges ([`partition`]) on persistent
+//! workers with one handoff per sweep (`pool`), and decoded blocks in
+//! ascending row order. Results are bit-for-bit deterministic for a
+//! fixed worker count, identical across batch widths, and the streamed
+//! solve is bit-identical to the one-worker resident solve. [`parallel`]
+//! sizes the pool and routes sub-threshold graphs to Algorithm 1.
 //!
 //! All solvers are **fallible**: they return `Err` with a typed
 //! [`PageRankError`] on invalid input, on a hit iteration cap
@@ -84,7 +88,7 @@ mod jump;
 mod kernel;
 pub mod parallel;
 pub mod partition;
-pub mod pool;
+mod pool;
 pub mod power;
 mod profiler;
 mod scores;
@@ -96,8 +100,7 @@ pub use config::PageRankConfig;
 pub use error::PageRankError;
 pub use history::ResidualHistory;
 pub use jump::JumpVector;
-pub use kernel::KernelKind;
-pub use partition::{EdgePartition, NodePartition};
+pub use partition::EdgePartition;
 pub use scores::PageRankScores;
 pub use stream::solve_batch_streamed;
 

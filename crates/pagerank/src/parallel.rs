@@ -1,13 +1,10 @@
-//! Parallel Jacobi solver: path selection and sizing for the pooled
-//! edge-parallel engine.
+//! Path selection and pool sizing for the engine.
 //!
 //! The Yahoo! experiments ran PageRank twice over a 979M-edge host
 //! graph; at that scale the matrix–vector product dominates, so every
 //! sweep-level inefficiency multiplies by hundreds of iterations. The
-//! hot path lives in [`crate::engine`] (edge-range partitioning,
-//! per-worker accumulators, a single handoff per sweep, dispatched
-//! gather kernels); this module decides **how** to run a solve and owns
-//! the auto-sizer:
+//! hot path lives in [`crate::engine`]; this module decides **how** a
+//! solve runs:
 //!
 //! * [`pool_threads`] — the pure sizing rule: configured threads capped
 //!   by a node floor and a **sweep-scaled edge quota**. A worker is
@@ -18,224 +15,23 @@
 //!   more sweeps than a shallow one.
 //! * the **serial cutoff**: a solve sized to one worker on a small graph
 //!   routes to the serial scatter solver outright
-//!   ([`SERIAL_CUTOFF_EDGES`]); the pooled gather engine only wins once
-//!   the working set outgrows cache.
+//!   ([`SERIAL_CUTOFF_EDGES`]); the gather engine only wins once the
+//!   working set outgrows cache.
 //! * every decision is recorded as a `pagerank.pool.sizing` event
-//!   (nodes, edges, quota, sweep hint, kernel, chosen path) so a solve
-//!   that silently serialized is one grep away.
-//!
-//! The previous two-pass implementation is retained as
-//! [`solve_parallel_jacobi_two_pass`] purely as a benchmark baseline.
+//!   (nodes, edges, quota, sweep hint, chosen path) so a solve that
+//!   silently serialized is one grep away.
 
 use crate::config::PageRankConfig;
-use crate::error::PageRankError;
-use crate::guard::ConvergenceGuard;
-use crate::history::ResidualHistory;
-use crate::jacobi::check_jump_length;
-use crate::jump::JumpVector;
-use crate::PageRankResult;
-use spammass_graph::{Graph, NodeId};
+use spammass_graph::Graph;
 use spammass_obs as obs;
 
 /// Minimum nodes per worker; the node-count floor of the auto-sizer.
 const MIN_CHUNK: usize = 16 * 1024;
 
-/// Solves `(I − c·Tᵀ)p = (1 − c)v` with thread-parallel Jacobi sweeps.
-///
-/// Falls back to the serial Jacobi solver for graphs below the sizing
-/// thresholds, so it is safe to call unconditionally.
-///
-/// # Errors
-/// Same contract as [`solve_jacobi`](crate::jacobi::solve_jacobi).
-pub fn solve_parallel_jacobi(
-    graph: &Graph,
-    jump: &JumpVector,
-    config: &PageRankConfig,
-) -> Result<PageRankResult, PageRankError> {
-    config.validate()?;
-    let v = jump.materialize(graph.node_count())?;
-    solve_parallel_jacobi_dense(graph, &v, config)
-}
-
-/// Parallel Jacobi with an already-materialized jump vector.
-///
-/// # Errors
-/// Same contract as [`solve_parallel_jacobi`].
-pub fn solve_parallel_jacobi_dense(
-    graph: &Graph,
-    v: &[f64],
-    config: &PageRankConfig,
-) -> Result<PageRankResult, PageRankError> {
-    solve_parallel_jacobi_dense_warm(graph, v, None, config)
-}
-
-/// Parallel Jacobi seeded with `initial` scores instead of `v` — the
-/// warm-start entry point (see
-/// [`solve_jacobi_dense_warm`](crate::jacobi::solve_jacobi_dense_warm)
-/// for why warm starts are safe). The serial fallback for small graphs
-/// passes the warm start through unchanged.
-///
-/// # Errors
-/// Same contract as [`solve_parallel_jacobi`], plus
-/// [`PageRankError::InitialScoresLength`] when `initial` does not match
-/// the graph.
-pub fn solve_parallel_jacobi_dense_warm(
-    graph: &Graph,
-    v: &[f64],
-    initial: Option<&[f64]>,
-    config: &PageRankConfig,
-) -> Result<PageRankResult, PageRankError> {
-    config.validate()?;
-    let n = graph.node_count();
-    check_jump_length(v, n)?;
-    if let Some(p0) = initial {
-        crate::jacobi::check_initial_length(p0, n)?;
-    }
-
-    let path = solve_path(config, graph);
-    if path.serial {
-        // Sub-threshold problem: the serial scatter solver wins outright.
-        return crate::jacobi::solve_jacobi_dense_warm(graph, v, initial, config);
-    }
-    // Note: threads == 1 with a large graph still runs the pooled gather
-    // engine — `pool::run_rounds(1, …)` executes inline with no worker
-    // spawns, and the gather accumulation order stays bit-identical to
-    // the multi-worker and batched solvers.
-    let mut results = crate::engine::solve_pooled::<1>(
-        graph,
-        [v],
-        initial.map(|p0| [p0]),
-        config,
-        path.threads,
-        "pagerank.solve.parallel",
-    )?;
-    Ok(results.remove(0))
-}
-
-/// The pre-pool two-pass kernel (spawns scoped threads twice per sweep
-/// and materializes the full `shares` vector), kept **only** as the
-/// benchmark baseline for the pooled engine. New callers should use
-/// [`solve_parallel_jacobi`].
-///
-/// # Errors
-/// Same contract as [`solve_parallel_jacobi`].
-pub fn solve_parallel_jacobi_two_pass(
-    graph: &Graph,
-    jump: &JumpVector,
-    config: &PageRankConfig,
-) -> Result<PageRankResult, PageRankError> {
-    config.validate()?;
-    let n = graph.node_count();
-    let v = jump.materialize(n)?;
-
-    let threads = solve_path(config, graph).threads;
-    if threads <= 1 {
-        return crate::jacobi::solve_jacobi_dense(graph, &v, config);
-    }
-
-    let mut span = obs::span("pagerank.solve.parallel_two_pass");
-    let c = config.damping;
-    let one_minus_c = 1.0 - c;
-    let chunk = n.div_ceil(threads);
-
-    let inv_out: Vec<f64> = graph
-        .nodes()
-        .map(|x| {
-            let d = graph.out_degree(x);
-            if d == 0 {
-                0.0
-            } else {
-                1.0 / d as f64
-            }
-        })
-        .collect();
-
-    let mut p: Vec<f64> = v.to_vec();
-    let mut p_next = vec![0.0f64; n];
-    let mut shares = vec![0.0f64; n];
-    let mut chunk_deltas = vec![0.0f64; n.div_ceil(chunk)];
-    let mut iterations = 0usize;
-    let mut residual = f64::INFINITY;
-    let mut residual_history = ResidualHistory::new();
-    let mut guard = ConvergenceGuard::new();
-
-    while iterations < config.max_iterations {
-        iterations += 1;
-
-        // Pass 1: shares s[x] = c·p[x]/out(x).
-        std::thread::scope(|scope| {
-            for ((ss, xs), ios) in
-                shares.chunks_mut(chunk).zip(p.chunks(chunk)).zip(inv_out.chunks(chunk))
-            {
-                scope.spawn(move || {
-                    for (s, (&px, &io)) in ss.iter_mut().zip(xs.iter().zip(ios)) {
-                        *s = c * px * io;
-                    }
-                });
-            }
-        });
-
-        // Pass 2: gather into disjoint chunks of destinations.
-        {
-            let shares_ref = &shares;
-            let p_ref = &p;
-            let v_ref = &v;
-            std::thread::scope(|scope| {
-                let mut start = 0usize;
-                for (out_chunk, delta_slot) in p_next.chunks_mut(chunk).zip(chunk_deltas.iter_mut())
-                {
-                    let lo = start;
-                    start += out_chunk.len();
-                    scope.spawn(move || {
-                        let mut local_delta = 0.0f64;
-                        for (offset, slot) in out_chunk.iter_mut().enumerate() {
-                            let y = lo + offset;
-                            let mut acc = one_minus_c * v_ref[y];
-                            for x in graph.in_neighbors(NodeId(y as u32)) {
-                                acc += shares_ref[x.index()];
-                            }
-                            local_delta += (acc - p_ref[y]).abs();
-                            *slot = acc;
-                        }
-                        *delta_slot = local_delta;
-                    });
-                }
-            });
-        }
-
-        residual = chunk_deltas.iter().sum();
-        residual_history.push(residual);
-        std::mem::swap(&mut p, &mut p_next);
-        if let Err(e) = guard.observe(iterations, residual) {
-            span.record("iterations", iterations as f64);
-            obs::observe("pagerank.iterations", iterations as f64);
-            return Err(e);
-        }
-        if residual < config.tolerance {
-            span.record("iterations", iterations as f64);
-            obs::observe("pagerank.iterations", iterations as f64);
-            return Ok(PageRankResult {
-                scores: p,
-                iterations,
-                residual,
-                converged: true,
-                residual_history,
-            });
-        }
-    }
-
-    span.record("iterations", iterations as f64);
-    obs::observe("pagerank.iterations", iterations as f64);
-    Err(PageRankError::DidNotConverge { iterations, residual })
-}
-
 /// Per-worker edge quota for a solve of [`REF_SWEEPS`] sweeps: below
 /// ~0.5M edges per worker, the handoff cost of an extra worker outweighs
 /// its share of such a solve. The effective quota scales with the
-/// expected sweep count (see [`pool_threads`]); the previous fixed 2M
-/// quota ignored sweeps and collapsed the 1.1M-edge / 120k-host bench
-/// graph to one worker (`pool_threads_4t: 1` in BENCH_layout.json) —
-/// exactly the scale parallelism was meant for.
+/// expected sweep count (see [`pool_threads`]).
 pub const DEFAULT_EDGES_PER_THREAD: usize = 1 << 19;
 
 /// Floor of the sweep-scaled quota: even for very deep solves a worker
@@ -247,10 +43,10 @@ pub const MIN_EDGES_PER_THREAD: usize = 1 << 15;
 const REF_SWEEPS: usize = 96;
 
 /// Below this many edges, a one-worker solve routes to the serial
-/// scatter solver instead of the pooled gather engine: at small sizes
-/// the scatter kernel's sequential writes beat the gather's random
-/// reads (`jacobi/40000` at 77ms vs `parallel_jacobi/40000` at 132ms in
-/// the PR 7 bench files).
+/// scatter solver instead of the gather engine: at small sizes the
+/// scatter kernel's sequential writes beat the gather's random reads
+/// (`pagerank_solvers/jacobi/40000` vs `…/parallel_jacobi/40000` in
+/// BENCH_pagerank.json).
 pub const SERIAL_CUTOFF_EDGES: usize = 1 << 18;
 
 /// Expected Jacobi sweep count for a given tolerance and damping: the
@@ -279,7 +75,7 @@ fn sweep_scaled_quota(sweeps: usize) -> usize {
         .clamp(MIN_EDGES_PER_THREAD, DEFAULT_EDGES_PER_THREAD)
 }
 
-/// Pure pool-sizing rule shared by the parallel and batched solvers:
+/// Pure pool-sizing rule:
 /// the configured thread count (`0` = `hardware` cores), capped so each
 /// worker owns at least [`MIN_CHUNK`] nodes **and** at least the edge
 /// quota — `edges_per_thread` when nonzero, otherwise the sweep-scaled
@@ -333,7 +129,6 @@ pub(crate) fn solve_path(config: &PageRankConfig, graph: &Graph) -> SolvePath {
             ("hardware".to_string(), obs::Json::uint(hw as u64)),
             ("edges_per_thread".to_string(), obs::Json::uint(quota as u64)),
             ("sweeps_hint".to_string(), obs::Json::uint(sweeps as u64)),
-            ("kernel".to_string(), obs::Json::str(config.kernel.resolve().as_str())),
             ("path".to_string(), obs::Json::str(if serial { "serial" } else { "pooled" })),
             ("chosen".to_string(), obs::Json::uint(threads as u64)),
         ],
@@ -345,7 +140,10 @@ pub(crate) fn solve_path(config: &PageRankConfig, graph: &Graph) -> SolvePath {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::solve_batch;
     use crate::jacobi::solve_jacobi;
+    use crate::jump::JumpVector;
+    use crate::{PageRankError, PageRankResult};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use spammass_graph::GraphBuilder;
@@ -369,84 +167,28 @@ mod tests {
         b.build()
     }
 
+    /// The production solve with one uniform column.
+    fn solve_uniform(g: &Graph, config: &PageRankConfig) -> Result<PageRankResult, PageRankError> {
+        Ok(solve_batch(g, &[JumpVector::Uniform], config)?.remove(0))
+    }
+
     #[test]
     fn small_graph_falls_back_to_serial() {
         let g = GraphBuilder::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
         let a = solve_jacobi(&g, &JumpVector::Uniform, &cfg()).unwrap();
-        let b = solve_parallel_jacobi(&g, &JumpVector::Uniform, &cfg()).unwrap();
+        let b = solve_uniform(&g, &cfg()).unwrap();
         assert_eq!(a.scores, b.scores);
         assert_eq!(a.iterations, b.iterations);
     }
 
     #[test]
-    fn matches_serial_on_large_random_graph() {
-        // Big enough to engage at least 2 workers.
-        let g = random_graph(40_000, 200_000, 7);
-        let a = solve_jacobi(&g, &JumpVector::Uniform, &cfg()).unwrap();
-        let b = solve_parallel_jacobi(&g, &JumpVector::Uniform, &cfg().threads(4)).unwrap();
-        for i in 0..g.node_count() {
-            assert!(
-                (a.scores[i] - b.scores[i]).abs() < 1e-12,
-                "node {i}: {} vs {}",
-                a.scores[i],
-                b.scores[i]
-            );
-        }
+    fn iteration_count_tracks_the_serial_reference() {
         // Same tolerance, same iteration structure: counts may differ by
         // at most one sweep from rounding of the residual reduction.
+        let g = random_graph(40_000, 200_000, 7);
+        let a = solve_jacobi(&g, &JumpVector::Uniform, &cfg()).unwrap();
+        let b = solve_uniform(&g, &cfg().threads(4)).unwrap();
         assert!(a.iterations.abs_diff(b.iterations) <= 1, "{} vs {}", a.iterations, b.iterations);
-    }
-
-    #[test]
-    fn scalar_kernel_matches_unrolled_kernel() {
-        use crate::kernel::KernelKind;
-        let g = random_graph(40_000, 200_000, 19);
-        let a = solve_parallel_jacobi(
-            &g,
-            &JumpVector::Uniform,
-            &cfg().threads(3).kernel(KernelKind::Scalar),
-        )
-        .unwrap();
-        let b = solve_parallel_jacobi(
-            &g,
-            &JumpVector::Uniform,
-            &cfg().threads(3).kernel(KernelKind::Unrolled4),
-        )
-        .unwrap();
-        for i in 0..g.node_count() {
-            assert!((a.scores[i] - b.scores[i]).abs() < 1e-12, "node {i}");
-        }
-    }
-
-    #[test]
-    fn matches_two_pass_baseline() {
-        let g = random_graph(40_000, 200_000, 17);
-        let a =
-            solve_parallel_jacobi_two_pass(&g, &JumpVector::Uniform, &cfg().threads(4)).unwrap();
-        let b = solve_parallel_jacobi(&g, &JumpVector::Uniform, &cfg().threads(4)).unwrap();
-        for i in 0..g.node_count() {
-            assert!((a.scores[i] - b.scores[i]).abs() < 1e-12, "node {i}");
-        }
-    }
-
-    #[test]
-    fn deterministic_across_runs() {
-        let g = random_graph(40_000, 120_000, 11);
-        let r1 = solve_parallel_jacobi(&g, &JumpVector::Uniform, &cfg().threads(3)).unwrap();
-        let r2 = solve_parallel_jacobi(&g, &JumpVector::Uniform, &cfg().threads(3)).unwrap();
-        assert_eq!(r1.scores, r2.scores);
-        assert_eq!(r1.iterations, r2.iterations);
-        assert_eq!(r1.residual, r2.residual);
-    }
-
-    #[test]
-    fn iteration_cap_is_a_typed_error() {
-        let g = random_graph(40_000, 120_000, 13);
-        let tight = cfg().threads(2).max_iterations(2).tolerance(1e-300);
-        assert!(matches!(
-            solve_parallel_jacobi(&g, &JumpVector::Uniform, &tight),
-            Err(PageRankError::DidNotConverge { iterations: 2, .. })
-        ));
     }
 
     #[test]
@@ -458,9 +200,7 @@ mod tests {
         let g = random_graph(40_000, 120_000, 23);
         let mut parities = [false, false];
         for tol in [1e-3, 1e-4, 1e-5, 1e-6, 1e-7] {
-            let r =
-                solve_parallel_jacobi(&g, &JumpVector::Uniform, &cfg().threads(2).tolerance(tol))
-                    .unwrap();
+            let r = solve_uniform(&g, &cfg().threads(2).tolerance(tol)).unwrap();
             let s = solve_jacobi(&g, &JumpVector::Uniform, &cfg().tolerance(tol)).unwrap();
             parities[r.iterations % 2] = true;
             for i in 0..g.node_count() {
@@ -494,10 +234,8 @@ mod tests {
         const D: usize = DEFAULT_EDGES_PER_THREAD;
         // Tiny graph: node floor wins regardless of configured threads.
         assert_eq!(pool_threads(4, 0, 8, 100, 1_000, 171), 1);
-        // The regression this PR fixes: the old fixed 2M quota collapsed
-        // the 120k-host / 1.1M-edge bench graph to one worker; the
-        // sweep-scaled quota (≈294k edges at 171 sweeps) restores the
-        // requested width.
+        // The 120k-host / 1.1M-edge bench graph keeps its requested
+        // width: the sweep-scaled quota is ≈294k edges at 171 sweeps.
         assert_eq!(pool_threads(4, 0, 8, 120_000, 1_100_000, 171), 4);
         // Same graph with `--threads 0` on a 4-core host.
         assert_eq!(pool_threads(0, 0, 4, 120_000, 1_100_000, 142), 4);
@@ -528,8 +266,8 @@ mod tests {
         let g = random_graph(40_000, 200_000, 31);
         let auto = PageRankConfig::default().threads(4);
         let forced = cfg().threads(4);
-        let a = solve_parallel_jacobi(&g, &JumpVector::Uniform, &auto).unwrap();
-        let b = solve_parallel_jacobi(&g, &JumpVector::Uniform, &forced).unwrap();
+        let a = solve_uniform(&g, &auto).unwrap();
+        let b = solve_uniform(&g, &forced).unwrap();
         for i in 0..g.node_count() {
             assert!((a.scores[i] - b.scores[i]).abs() < 1e-12, "node {i}");
         }
@@ -544,7 +282,7 @@ mod tests {
         let collector = obs::Collector::builder().sink(recorder.clone()).build();
         {
             let _guard = collector.install();
-            solve_parallel_jacobi(g, &JumpVector::Uniform, config).unwrap();
+            solve_uniform(g, config).unwrap();
         }
         let msgs = recorder.messages();
         let (_, fields) =
@@ -571,7 +309,6 @@ mod tests {
         assert_eq!(get("edges_per_thread").as_f64(), Some(1.0));
         assert_eq!(get("chosen").as_f64(), Some(3.0));
         assert_eq!(get("sweeps_hint").as_f64(), Some(171.0));
-        assert_eq!(get("kernel").as_str(), Some("unrolled4"));
         assert_eq!(get("path").as_str(), Some("pooled"));
         assert!(get("hardware").as_f64().unwrap() >= 1.0);
     }
@@ -595,7 +332,7 @@ mod tests {
         let g = random_graph(40_000, 120_000, 37);
         {
             let _guard = collector.install();
-            solve_parallel_jacobi(&g, &JumpVector::Uniform, &cfg().threads(3)).unwrap();
+            solve_uniform(&g, &cfg().threads(3)).unwrap();
         }
         let metrics = collector.metrics_snapshot();
         let gauge = metrics.iter().find(|(k, _)| k == "pagerank.pool.threads").unwrap();

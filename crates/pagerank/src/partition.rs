@@ -1,116 +1,20 @@
-//! Work partitioning for the pooled gather kernels.
+//! Work partitioning for the engine's resident sweep.
 //!
-//! Two strategies live here:
+//! [`EdgePartition`] cuts the in-CSR edge array into `parts` **exactly
+//! equal edge ranges**; a worker owns every row fully contained in its
+//! range (its *interior*, written directly) plus up to two *partial
+//! rows* whose edges straddle a cut. Partial sums land in per-worker
+//! scratch slots and the control thread combines them in worker order —
+//! at most `parts − 1` boundary rows per sweep. Unlike node cuts
+//! weighted by in-degree, an edge cut cannot be skewed by hubs: a row
+//! wider than a whole worker quota is simply shared by several workers.
 //!
-//! * [`EdgePartition`] — the engine's partitioner. The in-CSR edge array
-//!   is cut into `parts` **exactly equal edge ranges**; a worker owns
-//!   every row fully contained in its range (its *interior*, written
-//!   directly) plus up to two *partial rows* whose edges straddle a cut.
-//!   Partial sums land in per-worker scratch slots and the control
-//!   thread's merge phase combines them in worker order — at most
-//!   `parts − 1` boundary rows per sweep. Unlike node cuts weighted by
-//!   in-degree, an edge cut cannot be skewed by hubs: a row wider than a
-//!   whole worker quota is simply shared by several workers.
-//! * [`NodePartition`] — the previous node-range partitioner, kept for
-//!   the legacy two-pass baseline and for kernels whose per-node work is
-//!   uniform. Cuts `0..n` by the monotone cumulative weight
-//!   `in_offsets[y] + y` (node weight `in_degree + 1`).
-//!
-//! Both are pure functions of `(graph, parts)`, so the fixed-partition
-//! determinism guarantee of the solvers reduces to reusing one partition
-//! per solve.
+//! The partition is a pure function of `(graph, parts)`, so the
+//! fixed-partition determinism guarantee of the engine reduces to
+//! reusing one partition per solve.
 
 use spammass_graph::Graph;
 use std::ops::Range;
-
-/// A partition of the destination range `0..n` into contiguous,
-/// disjoint, exhaustive chunks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodePartition {
-    /// Chunk boundaries: chunk `k` is `starts[k]..starts[k + 1]`.
-    /// Always `starts[0] == 0` and `*starts.last() == n`, non-decreasing.
-    starts: Vec<usize>,
-}
-
-impl NodePartition {
-    /// Cuts `0..node_count` into `parts` chunks of (nearly) equal
-    /// **in-edge** weight, using the graph's in-CSR offsets.
-    ///
-    /// Chunk boundaries land on the smallest node whose cumulative
-    /// weight reaches `k/parts` of the total, so every chunk's weight is
-    /// below `total/parts + w_max + 1` where `w_max` is the heaviest
-    /// single node — the best a contiguous cut can do, since one node
-    /// cannot be split.
-    pub fn edge_balanced(graph: &Graph, parts: usize) -> NodePartition {
-        let n = graph.node_count();
-        let parts = parts.max(1);
-        let offsets = graph.in_offsets();
-        // Cumulative weight of the prefix 0..y with node weight
-        // in_degree + 1; monotone strictly increasing in y.
-        let cum = |y: usize| offsets[y] as usize + y;
-        let total = cum(n);
-        let mut starts = Vec::with_capacity(parts + 1);
-        starts.push(0usize);
-        for k in 1..parts {
-            let target = total * k / parts;
-            let prev = *starts.last().expect("starts is non-empty");
-            // First y in [prev, n] with cum(y) >= target.
-            let (mut lo, mut hi) = (prev, n);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if cum(mid) < target {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            starts.push(lo);
-        }
-        starts.push(n);
-        NodePartition { starts }
-    }
-
-    /// Cuts `0..node_count` into `parts` chunks of (nearly) equal node
-    /// count, ignoring edge weight. The legacy strategy, kept for
-    /// comparison and for kernels whose per-node work is uniform.
-    pub fn uniform(node_count: usize, parts: usize) -> NodePartition {
-        let parts = parts.max(1);
-        let mut starts = Vec::with_capacity(parts + 1);
-        for k in 0..=parts {
-            starts.push(node_count * k / parts);
-        }
-        NodePartition { starts }
-    }
-
-    /// Number of chunks.
-    pub fn len(&self) -> usize {
-        self.starts.len() - 1
-    }
-
-    /// Whether the partition has no chunks (never true for constructed
-    /// partitions; present for API completeness).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The destination range of chunk `k`.
-    #[inline]
-    pub fn range(&self, k: usize) -> Range<usize> {
-        self.starts[k]..self.starts[k + 1]
-    }
-
-    /// Iterator over all chunk ranges in order.
-    pub fn ranges(&self) -> impl Iterator<Item = Range<usize>> + '_ {
-        (0..self.len()).map(move |k| self.range(k))
-    }
-
-    /// In-edge count of each chunk (diagnostic; used by skew tests and
-    /// benchmarks).
-    pub fn chunk_in_edges(&self, graph: &Graph) -> Vec<usize> {
-        let offsets = graph.in_offsets();
-        self.ranges().map(|r| (offsets[r.end] - offsets[r.start]) as usize).collect()
-    }
-}
 
 /// A piece of a destination row whose in-edges straddle an edge-range
 /// cut: worker-local gathers over `edges` produce a partial sum the
@@ -151,7 +55,6 @@ pub struct MergeEntry {
 ///   order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EdgePartition {
-    node_count: usize,
     /// Edge-range boundaries: worker `w` owns edges `cuts[w]..cuts[w+1]`.
     cuts: Vec<usize>,
     /// Per-worker fully-owned destination rows.
@@ -223,7 +126,7 @@ impl EdgePartition {
                 _ => merge.push(MergeEntry { node, parts: vec![(w, slot)] }),
             }
         }
-        EdgePartition { node_count: n, cuts, interiors, pieces, merge }
+        EdgePartition { cuts, interiors, pieces, merge }
     }
 
     /// Number of workers.
@@ -235,11 +138,6 @@ impl EdgePartition {
     /// partitions; present for API completeness).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The node count the partition was built for.
-    pub fn node_count(&self) -> usize {
-        self.node_count
     }
 
     /// Worker `w`'s edge range.
@@ -283,67 +181,6 @@ mod tests {
     fn star(n: u32) -> Graph {
         let edges: Vec<(u32, u32)> = (1..n).map(|x| (x, 0)).collect();
         GraphBuilder::from_edges(n as usize, &edges)
-    }
-
-    fn assert_covers(p: &NodePartition, n: usize) {
-        let mut next = 0usize;
-        for r in p.ranges() {
-            assert_eq!(r.start, next, "ranges must be contiguous");
-            assert!(r.end >= r.start);
-            next = r.end;
-        }
-        assert_eq!(next, n, "ranges must cover 0..n");
-    }
-
-    #[test]
-    fn covers_disjointly_on_various_shapes() {
-        for (graph, parts) in [
-            (star(50), 4),
-            (star(1), 3),
-            (GraphBuilder::from_edges(0, &[]), 2),
-            (GraphBuilder::from_edges(10, &[(0, 1), (1, 2), (9, 0)]), 16),
-        ] {
-            let p = NodePartition::edge_balanced(&graph, parts);
-            assert_eq!(p.len(), parts);
-            assert_covers(&p, graph.node_count());
-        }
-    }
-
-    #[test]
-    fn star_hub_chunk_stays_isolated() {
-        // Node 0 carries every in-edge (~half the total weight), so the
-        // cut isolates it in its own chunk — it may absorb more than one
-        // quota (an unsplittable node can), but the edge-free tail must
-        // still be spread over the remaining chunks, not lumped into one.
-        let g = star(1000);
-        let p = NodePartition::edge_balanced(&g, 4);
-        assert_covers(&p, 1000);
-        let edges = p.chunk_in_edges(&g);
-        assert_eq!(edges.iter().sum::<usize>(), g.edge_count());
-        assert_eq!(p.range(0), 0..1, "hub sits alone in chunk 0");
-        assert_eq!(edges[0], 999, "hub chunk holds all edges");
-        let tail_sizes: Vec<usize> =
-            p.ranges().skip(1).map(|r| r.len()).filter(|&s| s > 0).collect();
-        assert!(tail_sizes.len() >= 2, "tail must be split: {tail_sizes:?}");
-        let (min, max) = (tail_sizes.iter().min().unwrap(), tail_sizes.iter().max().unwrap());
-        assert!(max - min <= 1, "nonempty tail chunks balanced: {tail_sizes:?}");
-    }
-
-    #[test]
-    fn uniform_splits_by_node_count() {
-        let p = NodePartition::uniform(10, 3);
-        let sizes: Vec<usize> = p.ranges().map(|r| r.len()).collect();
-        assert_eq!(sizes.iter().sum::<usize>(), 10);
-        assert!(sizes.iter().all(|&s| s == 3 || s == 4));
-        assert_covers(&p, 10);
-    }
-
-    #[test]
-    fn deterministic_for_fixed_inputs() {
-        let g = star(256);
-        let a = NodePartition::edge_balanced(&g, 5);
-        let b = NodePartition::edge_balanced(&g, 5);
-        assert_eq!(a, b);
     }
 
     /// Full structural audit of an [`EdgePartition`]: edge ranges tile
@@ -434,23 +271,5 @@ mod tests {
     fn edge_partition_is_deterministic() {
         let g = star(256);
         assert_eq!(EdgePartition::balanced(&g, 5), EdgePartition::balanced(&g, 5));
-    }
-
-    #[test]
-    fn weight_bound_holds() {
-        // Chunk weight (in-edges + nodes) must stay below
-        // total/parts + w_max + 1.
-        let edges: Vec<(u32, u32)> =
-            (1..400u32).flat_map(|x| (0..(x % 7)).map(move |k| (x, k))).collect();
-        let g = GraphBuilder::from_edges(400, &edges);
-        let parts = 6;
-        let p = NodePartition::edge_balanced(&g, parts);
-        assert_covers(&p, 400);
-        let total = g.edge_count() + g.node_count();
-        let w_max = g.nodes().map(|y| g.in_degree(y) + 1).max().unwrap_or(1);
-        for (k, r) in p.ranges().enumerate() {
-            let weight = p.chunk_in_edges(&g)[k] + r.len();
-            assert!(weight <= total / parts + w_max + 1, "chunk {k} weight {weight} exceeds bound");
-        }
     }
 }

@@ -1,11 +1,5 @@
-//! Persistent worker pool advanced by a single sense-reversing barrier.
-//!
-//! The original parallel solver spawned fresh scoped threads **twice per
-//! Jacobi sweep**; the first pool replaced that with threads spawned once
-//! per solve but still crossed a [`std::sync::Barrier`] **twice per
-//! round** (start-of-round release, end-of-round reunion) — two futex
-//! round-trips per sweep on every worker. This version cuts that to one
-//! synchronization point per round:
+//! Persistent worker pool advanced by a single sense-reversing barrier:
+//! one synchronization point per round.
 //!
 //! ```text
 //! workers:  kernel(r, w) ─ arrive ─ spin on phase ─ kernel(r+1, w) ─ …
@@ -19,18 +13,18 @@
 //! exclusive access to all shared state, and publishes the next phase
 //! value (release), which simultaneously releases every worker into the
 //! next round. The phase word's low bit is the stop flag, so shutdown
-//! needs no extra crossing. Acquire/release pairs on the arrival counter
-//! and phase word provide the same happens-before edges the two barriers
-//! did: kernel writes → control reads, control writes → next round's
+//! needs no extra crossing. The acquire/release pairs on the arrival
+//! counter and phase word provide the happens-before edges the sweep
+//! needs: kernel writes → control reads, control writes → next round's
 //! kernel reads.
 //!
-//! Round-parity buffers compose with this unchanged: round `r` reads
-//! buffer `r mod 2` and writes buffer `(r+1) mod 2`, and the single
-//! handoff still separates every round from the next.
+//! Round-parity buffers compose with this: round `r` reads buffer
+//! `r mod 2` and writes buffer `(r+1) mod 2`, and the single handoff
+//! separates every round from the next.
 //!
 //! The pool performs no allocation after the workers are spawned;
-//! combined with hoisted kernel scratch buffers this keeps the solver
-//! loops allocation-free per iteration (asserted by the counting-
+//! combined with hoisted kernel scratch buffers this keeps the solve
+//! loop allocation-free per iteration (asserted by the counting-
 //! allocator test in `tests/alloc.rs`).
 
 use crate::profiler::PoolProfiler;
@@ -65,22 +59,14 @@ fn spin_wait(spins: &mut u32) {
 /// With `threads <= 1` no threads are spawned and the rounds run inline
 /// on the calling thread — the degenerate pool is just a loop, so
 /// callers need no separate serial code path.
-pub fn run_rounds<R, K, C>(threads: usize, kernel: K, control: C) -> R
-where
-    K: Fn(usize, usize) + Sync,
-    C: FnMut(usize) -> ControlFlow<R>,
-{
-    run_rounds_profiled(threads, None, kernel, control)
-}
-
-/// [`run_rounds`] with an optional [`PoolProfiler`]: when present, every
-/// worker times its kernel and its wait at the round handoff, and the
-/// control thread flushes the accumulated nanoseconds into the live
-/// registry once per round (after the control closure, so merge-phase
-/// timing recorded inside `control` lands in the same round's flush).
-/// With `profiler == None` the timestamps are skipped entirely, so the
-/// unprofiled path costs nothing extra.
-pub(crate) fn run_rounds_profiled<R, K, C>(
+///
+/// With a [`PoolProfiler`], every worker times its kernel and its wait
+/// at the round handoff, and the control thread flushes the accumulated
+/// nanoseconds into the live registry once per round (after the control
+/// closure, so merge-phase timing recorded inside `control` lands in the
+/// same round's flush). With `None` the timestamps are skipped entirely,
+/// so the unprofiled path costs nothing extra.
+pub(crate) fn run_rounds<R, K, C>(
     threads: usize,
     profiler: Option<&PoolProfiler>,
     kernel: K,
@@ -269,6 +255,7 @@ mod tests {
         let hits: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
         let rounds = run_rounds(
             4,
+            None,
             |_round, worker| {
                 hits[worker].fetch_add(1, Ordering::Relaxed);
             },
@@ -293,6 +280,7 @@ mod tests {
         let total = AtomicUsize::new(0);
         let ok = run_rounds(
             3,
+            None,
             |_round, _worker| {
                 total.fetch_add(1, Ordering::Relaxed);
             },
@@ -321,6 +309,7 @@ mod tests {
         let rounds = 50usize;
         run_rounds(
             4,
+            None,
             |_round, _worker| {
                 total.fetch_add(1, Ordering::Relaxed);
             },
@@ -342,6 +331,7 @@ mod tests {
         let mut log = Vec::new();
         let out = run_rounds(
             1,
+            None,
             |round, worker| {
                 assert_eq!(worker, 0);
                 let _ = round;
@@ -361,7 +351,7 @@ mod tests {
 
     #[test]
     fn break_on_first_round_releases_workers() {
-        let r = run_rounds(8, |_, _| {}, |_| ControlFlow::Break(42));
+        let r = run_rounds(8, None, |_, _| {}, |_| ControlFlow::Break(42));
         assert_eq!(r, 42);
     }
 
@@ -372,6 +362,7 @@ mod tests {
         let hits: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
         run_rounds(
             3,
+            None,
             |_round, worker| {
                 hits[worker].fetch_add(1, Ordering::Relaxed);
             },

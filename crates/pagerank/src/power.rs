@@ -56,7 +56,7 @@ pub fn solve_power(
 /// # Errors
 /// Same contract as [`solve_power`] minus the normalization pre-check:
 /// callers of the dense entry point are trusted to pass a distribution.
-pub fn solve_power_dense(
+fn solve_power_dense(
     graph: &Graph,
     v: &[f64],
     config: &PageRankConfig,

@@ -6,23 +6,22 @@
 //! the per-node damping coefficients (`n` f64), and **one** decoded
 //! block's scratch CSR. The edge structure itself never materializes —
 //! each sweep streams the in-orientation blocks of a
-//! [`CompressedImage`] through the same gather kernels the in-memory
-//! engine dispatches ([`crate::kernel`]), decoding block-at-a-time into
-//! a reusable [`BlockScratch`].
+//! [`CompressedImage`], decoding block-at-a-time into a reusable
+//! [`BlockScratch`], and hands every decoded row to the engine's row
+//! body ([`crate::engine`]); the engine's column controller owns the
+//! matrices, the convergence decision and the result.
 //!
 //! ## Exactness
 //!
-//! A streamed sweep visits rows in ascending order, accumulates each
-//! row with the identical kernel and coefficient vector, and folds the
-//! per-column residual in the same row order as the pooled engine's
-//! single-worker path ([`crate::engine`] with `threads = 1`, which has
-//! no boundary pieces and therefore no merge step). The two paths are
-//! therefore **bit-for-bit identical** — the streamed solver is not an
-//! approximation, just a different edge-delivery mechanism. Against a
-//! multi-worker in-memory solve the scores agree to the usual
-//! re-association noise (≤1e-12 per node on converged solves), and the
-//! flagged set is identical; `crates/core/tests/stream_parity.rs` pins
-//! both claims.
+//! A streamed sweep visits rows in ascending order through the same row
+//! body, gather kernel and coefficient values as the resident engine
+//! with `threads = 1` (which has no boundary rows), so the two are
+//! **bit-for-bit identical** — the streamed solver is not an
+//! approximation, just a different row source. Against a multi-worker
+//! resident solve the scores agree to the usual re-association noise
+//! (≤1e-12 per node on converged solves), and the flagged set is
+//! identical; `tests/properties.rs` and
+//! `crates/core/tests/stream_parity.rs` pin the two claims.
 //!
 //! ## Budget
 //!
@@ -33,18 +32,16 @@
 //! an out-of-core path that silently allocates past its contract is
 //! worse than none.
 
+use crate::batch::{empty_results, MAX_FUSED_COLUMNS};
 use crate::config::PageRankConfig;
+use crate::engine::Columns;
 use crate::error::PageRankError;
-use crate::guard::ConvergenceGuard;
-use crate::history::ResidualHistory;
 use crate::jump::JumpVector;
 use crate::kernel;
 use crate::PageRankResult;
 use spammass_graph::compress::{BlockScratch, CompressedImage, Orientation};
 use spammass_obs as obs;
-
-/// Widest fused column chunk, matching [`crate::batch`].
-const MAX_FUSED_COLUMNS: usize = 4;
+use std::ops::ControlFlow;
 
 /// Bytes the streamed solve keeps resident for `n` nodes, `k` total
 /// columns, and an image whose largest block decodes to
@@ -67,10 +64,9 @@ pub fn resident_bytes_needed(
 }
 
 /// Solves `(I − c·Tᵀ)pⱼ = (1 − c)vⱼ` for every jump vector in `jumps`
-/// by streaming the compressed image's in-blocks through the gather
-/// kernel each sweep — the out-of-core counterpart of
-/// [`crate::batch::solve_batch`], bit-identical to its
-/// single-worker pooled path.
+/// by streaming the compressed image's in-blocks through the engine's
+/// sweep — the out-of-core counterpart of
+/// [`crate::batch::solve_batch`], bit-identical to its one-worker path.
 ///
 /// `max_resident_bytes` bounds the solve's own working set (scores,
 /// coefficients, block scratch — not the mmap'd image, which the OS
@@ -79,10 +75,10 @@ pub fn resident_bytes_needed(
 /// # Errors
 /// [`PageRankError::ResidentBudget`] when the working set cannot fit;
 /// otherwise the same contract as [`crate::batch::solve_batch`]
-/// (validation, guard trips, the iteration cap). Mid-solve block
-/// corruption — the file changed under the mmap, or the medium is
-/// failing — surfaces as [`PageRankError::InvalidJumpVector`] carrying
-/// the decode error's message.
+/// (validation, guard trips, the iteration cap). A block that fails to
+/// decode — block checksums are verified lazily at first decode, so this
+/// is where a damaged payload, a file changed under the mmap, or a
+/// failing medium surfaces — is [`PageRankError::EdgeSource`].
 pub fn solve_batch_streamed(
     image: &CompressedImage,
     jumps: &[JumpVector],
@@ -96,20 +92,8 @@ pub fn solve_batch_streamed(
     for jump in jumps {
         vs.push(jump.materialize(n)?);
     }
-    if k == 0 {
-        return Ok(Vec::new());
-    }
-    if n == 0 {
-        return Ok(vs
-            .iter()
-            .map(|_| PageRankResult {
-                scores: Vec::new(),
-                iterations: 0,
-                residual: 0.0,
-                converged: true,
-                residual_history: ResidualHistory::new(),
-            })
-            .collect());
+    if k == 0 || n == 0 {
+        return Ok(empty_results(k));
     }
 
     let (max_rows, max_edges) = image.max_block_dims();
@@ -132,7 +116,7 @@ pub fn solve_batch_streamed(
     {
         let mut scratch = BlockScratch::default();
         for idx in 0..image.block_count(Orientation::Out) {
-            image.decode_block(Orientation::Out, idx, &mut scratch).map_err(corruption)?;
+            image.decode_block(Orientation::Out, idx, &mut scratch).map_err(edge_source)?;
             for i in 0..scratch.rows {
                 let d = (scratch.offsets[i + 1] - scratch.offsets[i]) as f64;
                 if d > 0.0 {
@@ -146,10 +130,10 @@ pub fn solve_batch_streamed(
     let mut blocks_decoded = 0u64;
     for chunk in vs.chunks(MAX_FUSED_COLUMNS) {
         results.extend(match chunk.len() {
-            1 => solve_streamed_fixed::<1>(image, chunk, &coef, config, &mut blocks_decoded)?,
-            2 => solve_streamed_fixed::<2>(image, chunk, &coef, config, &mut blocks_decoded)?,
-            3 => solve_streamed_fixed::<3>(image, chunk, &coef, config, &mut blocks_decoded)?,
-            _ => solve_streamed_fixed::<4>(image, chunk, &coef, config, &mut blocks_decoded)?,
+            1 => sweep_blocks::<1>(image, chunk, &coef, config, &mut blocks_decoded)?,
+            2 => sweep_blocks::<2>(image, chunk, &coef, config, &mut blocks_decoded)?,
+            3 => sweep_blocks::<3>(image, chunk, &coef, config, &mut blocks_decoded)?,
+            _ => sweep_blocks::<4>(image, chunk, &coef, config, &mut blocks_decoded)?,
         });
     }
 
@@ -161,159 +145,56 @@ pub fn solve_batch_streamed(
     Ok(results)
 }
 
-/// Converts a decode-time corruption error into the solver's error
-/// domain. The image was fully validated at open; mid-solve corruption
-/// means the backing file changed or the medium is failing, which the
-/// caller should treat like any other unrecoverable solver failure.
-fn corruption(e: spammass_graph::GraphError) -> PageRankError {
-    PageRankError::InvalidJumpVector(format!("compressed image decode failed: {e}"))
+/// Converts a block-decode failure into the solver's error domain.
+fn edge_source(e: spammass_graph::GraphError) -> PageRankError {
+    PageRankError::EdgeSource(e.to_string())
 }
 
-/// One `K`-column streamed solve: the engine's single-worker sweep with
-/// edges delivered block-at-a-time.
-fn solve_streamed_fixed<const K: usize>(
+/// One `K`-column streamed solve: the engine's sweep with rows delivered
+/// block-at-a-time in ascending order.
+fn sweep_blocks<const K: usize>(
     image: &CompressedImage,
     vs: &[Vec<f64>],
     coef: &[f64],
     config: &PageRankConfig,
     blocks_decoded: &mut u64,
 ) -> Result<Vec<PageRankResult>, PageRankError> {
-    debug_assert_eq!(vs.len(), K);
-    let n = image.node_count();
-    let kind = config.kernel.resolve();
-    let one_minus_c = 1.0 - config.damping;
     let in_blocks = image.block_count(Orientation::In);
-
-    // Interleaved row-major n×K matrices, exactly as the pooled engine
-    // lays them out; `front` is the cold start (the jump vectors).
-    let mut vmat = vec![0.0f64; n * K];
-    for (j, v) in vs.iter().enumerate() {
-        for (y, &vy) in v.iter().enumerate() {
-            vmat[y * K + j] = vy;
-        }
-    }
-    let mut front = vmat.clone();
-    let mut back = vec![0.0f64; n * K];
+    let mut cols = Columns::<K>::new(vs, None, config);
     let mut scratch = BlockScratch::default();
-
-    let mut active = [true; K];
-    let mut histories: Vec<ResidualHistory> = (0..K).map(|_| ResidualHistory::new()).collect();
-    let mut guards: Vec<ConvergenceGuard> = (0..K).map(|_| ConvergenceGuard::new()).collect();
-    let mut col_iterations = [0usize; K];
-    let mut col_residual = [f64::INFINITY; K];
-    let mut completed = 0usize;
-
-    let outcome: Result<(), PageRankError> = loop {
-        let iterations = completed + 1;
-        // `front` is this sweep's read buffer, `back` its write buffer;
-        // the swap below keeps the latest iterate in `front`.
-        let read: &[f64] = &front;
-        let write: &mut [f64] = &mut back;
-        let act = active;
-        let mut local_deltas = [0.0f64; K];
+    loop {
+        let (body, read, write) = cols.sweep();
+        let mut deltas = [0.0f64; K];
         for idx in 0..in_blocks {
-            image.decode_block(Orientation::In, idx, &mut scratch).map_err(corruption)?;
+            image.decode_block(Orientation::In, idx, &mut scratch).map_err(edge_source)?;
             *blocks_decoded += 1;
             for i in 0..scratch.rows {
                 let y = scratch.first_row + i;
-                let mut acc: [f64; K] =
-                    vmat[y * K..(y + 1) * K].try_into().expect("vmat row is K wide");
-                for a in &mut acc {
-                    *a *= one_minus_c;
-                }
-                kernel::gather_row(kind, read, coef, scratch.row(i), &mut acc);
-                let old: &[f64; K] =
-                    read[y * K..(y + 1) * K].try_into().expect("score row is K wide");
-                let row = &mut write[y * K..(y + 1) * K];
-                for (j, (&a, &o)) in acc.iter().zip(old).enumerate() {
-                    if act[j] {
-                        local_deltas[j] += (a - o).abs();
-                        row[j] = a;
-                    } else {
-                        // Frozen column: copy through bit-exact.
-                        row[j] = o;
-                    }
-                }
+                body.relax(
+                    y,
+                    read,
+                    |acc| kernel::gather_row(read, coef, scratch.row(i), acc),
+                    &mut write[y * K..(y + 1) * K],
+                    &mut deltas,
+                );
             }
         }
-        completed = iterations;
-        std::mem::swap(&mut front, &mut back);
-
-        let mut all_frozen = true;
-        let mut guard_err = None;
-        for j in 0..K {
-            if !active[j] {
-                continue;
-            }
-            let residual = local_deltas[j];
-            col_residual[j] = residual;
-            histories[j].push(residual);
-            if let Err(e) = guards[j].observe(iterations, residual) {
-                guard_err = Some(e);
-                break;
-            }
-            if residual < config.tolerance {
-                active[j] = false;
-                col_iterations[j] = iterations;
-            } else {
-                all_frozen = false;
-            }
+        if let ControlFlow::Break(outcome) = cols.finish_sweep(deltas, config) {
+            outcome?;
+            break;
         }
-        if let Some(e) = guard_err {
-            break Err(e);
-        }
-        if all_frozen {
-            break Ok(());
-        }
-        if iterations >= config.max_iterations {
-            let worst =
-                (0..K).filter(|&j| active[j]).map(|j| col_residual[j]).fold(0.0f64, f64::max);
-            break Err(PageRankError::DidNotConverge { iterations, residual: worst });
-        }
-    };
-    outcome?;
-
-    // `front` holds every column's final iterate (frozen columns were
-    // copied through each later sweep). Free the sweep-only state before
-    // materializing per-column vectors so the de-interleave phase stays
-    // under the same budget as the sweeps.
-    drop(vmat);
-    drop(back);
+    }
+    // Free the sweep-only state before materializing per-column vectors
+    // so the de-interleave phase stays under the same budget as the
+    // sweeps.
     drop(scratch);
-    let final_buf = front;
-    let mut results = Vec::with_capacity(K);
-    if K == 1 {
-        obs::observe("pagerank.iterations", col_iterations[0] as f64);
-        results.push(PageRankResult {
-            scores: final_buf,
-            iterations: col_iterations[0],
-            residual: col_residual[0],
-            converged: true,
-            residual_history: histories.remove(0),
-        });
-        return Ok(results);
-    }
-    for (j, (history, &iterations)) in histories.iter().zip(&col_iterations).enumerate() {
-        obs::observe("pagerank.iterations", iterations as f64);
-        let mut scores = vec![0.0f64; n];
-        for (y, s) in scores.iter_mut().enumerate() {
-            *s = final_buf[y * K + j];
-        }
-        results.push(PageRankResult {
-            scores,
-            iterations,
-            residual: col_residual[j],
-            converged: true,
-            residual_history: history.clone(),
-        });
-    }
-    Ok(results)
+    cols.release_sweep_buffers();
+    Ok(cols.into_results())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::solve_batch;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use spammass_graph::compress::{graph_to_bytes_v4_with, V4Config};
@@ -347,21 +228,30 @@ mod tests {
     }
 
     #[test]
-    fn streamed_is_bit_identical_to_pooled_single_worker() {
-        let g = random_graph(20_000, 300_000, 61);
-        let image = tiny_block_image(&g);
-        // edges_per_thread(1) pins the pooled engine; threads(1) gives it
-        // one worker — the exact path the streamed sweep replicates.
-        let config = PageRankConfig::default().threads(1).edges_per_thread(1);
-        let js = jumps(g.node_count());
-        let pooled = solve_batch(&g, &js, &config).unwrap();
-        let streamed = solve_batch_streamed(&image, &js, &config, u64::MAX).unwrap();
-        assert_eq!(pooled.len(), streamed.len());
-        for (p, s) in pooled.iter().zip(&streamed) {
-            assert_eq!(p.scores, s.scores, "scores must be bit-identical");
-            assert_eq!(p.iterations, s.iterations);
-            assert_eq!(p.residual, s.residual);
-        }
+    fn corrupt_block_payload_is_an_edge_source_error() {
+        // Block checksums are verified lazily at first decode, so a
+        // flipped payload byte passes `from_store` and must surface from
+        // the solve under its own name — never as a jump-vector error.
+        let g = random_graph(2_000, 16_000, 61);
+        let cfg = V4Config { rows_per_block: 512, edges_per_block: 2048 };
+        let mut bytes = graph_to_bytes_v4_with(&g, cfg).unwrap();
+        // v4 header: the in-index offset sits at byte 40; an index entry
+        // opens with the block's absolute offset (u64) and length (u32).
+        let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+        let in_index = u64_at(&bytes, 40) as usize;
+        let block = u64_at(&bytes, in_index) as usize;
+        let len = u32::from_le_bytes(bytes[in_index + 8..in_index + 12].try_into().unwrap());
+        bytes[block + len as usize / 2] ^= 0x40;
+        let image = CompressedImage::from_store(Arc::new(bytes)).expect("open skips payloads");
+        let err = solve_batch_streamed(
+            &image,
+            &jumps(g.node_count()),
+            &PageRankConfig::default(),
+            u64::MAX,
+        )
+        .unwrap_err();
+        assert!(matches!(err, PageRankError::EdgeSource(_)), "expected EdgeSource, got {err:?}");
+        assert!(err.to_string().starts_with("edge source failed:"), "{err}");
     }
 
     #[test]

@@ -1,18 +1,15 @@
-//! Allocation accounting for the pooled solvers.
+//! Allocation accounting for the engine.
 //!
-//! The fused parallel kernel and the batched solver hoist every buffer
-//! (score ping-pong pair, coefficient table, partition, per-chunk
-//! residual slots, scratch, residual-history sample storage) out of the
-//! iteration loop, so after setup the sweep loop performs **zero heap
+//! The engine hoists every buffer (score ping-pong pair, coefficient
+//! table, partition, per-chunk residual slots, scratch, residual-history
+//! sample storage) out of the iteration loop, so after setup the sweep loop performs **zero heap
 //! allocations**. This harness pins that with a counting global
 //! allocator: two solves differing only in iteration count must allocate
 //! exactly the same number of times — any per-iteration allocation would
 //! scale with the count and break the equality.
 
 use spammass_graph::{GraphBuilder, NodeId};
-use spammass_pagerank::{
-    batch::solve_batch, parallel::solve_parallel_jacobi, JumpVector, PageRankConfig, PageRankError,
-};
+use spammass_pagerank::{solve_batch, JumpVector, PageRankConfig, PageRankError};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -71,7 +68,7 @@ fn test_graph() -> spammass_graph::Graph {
 fn capped_solve_allocations(graph: &spammass_graph::Graph, iterations: usize) -> usize {
     let config = PageRankConfig::default().threads(2).max_iterations(iterations).tolerance(1e-300);
     let (allocations, result) =
-        allocations_during(|| solve_parallel_jacobi(graph, &JumpVector::Uniform, &config));
+        allocations_during(|| solve_batch(graph, &[JumpVector::Uniform], &config));
     assert!(
         matches!(result, Err(PageRankError::DidNotConverge { iterations: i, .. }) if i == iterations),
         "solve must run exactly {iterations} sweeps"
@@ -90,28 +87,25 @@ fn capped_batch_allocations(graph: &spammass_graph::Graph, iterations: usize) ->
     allocations
 }
 
+/// One `#[test]` for both cases: the counter is process-global and the
+/// harness runs tests on parallel threads, so a second test in this
+/// binary would allocate inside the first one's counted regions.
 #[test]
-fn parallel_solver_does_not_allocate_per_iteration() {
+fn solves_do_not_allocate_per_iteration() {
     let graph = test_graph();
-    // Warm up: first run pays one-time costs (thread-local telemetry
-    // probes, lazy runtime state).
-    let _ = capped_solve_allocations(&graph, 4);
-    let short = capped_solve_allocations(&graph, 8);
-    let long = capped_solve_allocations(&graph, 64);
-    assert_eq!(
-        short, long,
-        "allocation count must not scale with iterations: {short} for 8 sweeps vs {long} for 64"
-    );
-}
-
-#[test]
-fn batch_solver_does_not_allocate_per_iteration() {
-    let graph = test_graph();
-    let _ = capped_batch_allocations(&graph, 4);
-    let short = capped_batch_allocations(&graph, 8);
-    let long = capped_batch_allocations(&graph, 64);
-    assert_eq!(
-        short, long,
-        "allocation count must not scale with iterations: {short} for 8 sweeps vs {long} for 64"
-    );
+    for (columns, count) in [
+        (1, capped_solve_allocations as fn(&spammass_graph::Graph, usize) -> usize),
+        (2, capped_batch_allocations),
+    ] {
+        // Warm up: first run pays one-time costs (thread-local telemetry
+        // probes, lazy runtime state).
+        let _ = count(&graph, 4);
+        let short = count(&graph, 8);
+        let long = count(&graph, 64);
+        assert_eq!(
+            short, long,
+            "{columns}-column solve: allocation count must not scale with iterations: \
+             {short} for 8 sweeps vs {long} for 64"
+        );
+    }
 }

@@ -5,8 +5,8 @@ use spammass_graph::{Graph, GraphBuilder, NodeId};
 use spammass_pagerank::batch::{solve_batch, solve_batch_warm};
 use spammass_pagerank::contribution::{contribution_of_node, contribution_of_set};
 use spammass_pagerank::jacobi::{solve_jacobi_dense, solve_jacobi_dense_warm};
-use spammass_pagerank::parallel::{solve_parallel_jacobi, solve_parallel_jacobi_dense_warm};
-use spammass_pagerank::{EdgePartition, JumpVector, KernelKind, NodePartition, PageRankConfig};
+use spammass_pagerank::parallel::SERIAL_CUTOFF_EDGES;
+use spammass_pagerank::{solve_batch_streamed, EdgePartition, JumpVector, PageRankConfig};
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (2usize..=25).prop_flat_map(|n| {
@@ -131,7 +131,7 @@ proptest! {
         }
     }
 
-    /// `solve_batch` matches k independent `solve_parallel_jacobi` runs
+    /// `solve_batch` matches k independent reference (Algorithm 1) runs
     /// to ≤ 1e-12 per node on arbitrary graphs with mixed jump shapes.
     #[test]
     fn batch_matches_independent_solves(g in arb_graph(), mask in proptest::collection::vec(any::<bool>(), 25)) {
@@ -149,42 +149,13 @@ proptest! {
         prop_assert_eq!(batch.len(), jumps.len());
         for (jump, col) in jumps.iter().zip(&batch) {
             prop_assert!(col.converged);
-            let solo = solve_parallel_jacobi(&g, jump, &config).unwrap();
+            let solo = solve_jacobi_dense(&g, &jump.materialize(n).unwrap(), &config).unwrap();
             for i in 0..n {
                 prop_assert!(
                     (solo.scores[i] - col.scores[i]).abs() <= 1e-12,
                     "node {}: {} vs {}", i, solo.scores[i], col.scores[i]
                 );
             }
-        }
-    }
-
-    /// Edge-balanced partitions cover `0..n` disjointly for arbitrary
-    /// graphs and part counts, and every chunk's in-edge weight respects
-    /// the contiguous-cut optimum `total/parts + w_max (+1 rounding)`.
-    #[test]
-    fn edge_balanced_partition_covers_and_bounds_skew(g in arb_graph(), parts in 1usize..=9) {
-        let n = g.node_count();
-        let p = NodePartition::edge_balanced(&g, parts);
-        prop_assert_eq!(p.len(), parts);
-        let mut next = 0usize;
-        for r in p.ranges() {
-            prop_assert_eq!(r.start, next); // contiguous ⇒ disjoint
-            prop_assert!(r.end >= r.start);
-            next = r.end;
-        }
-        prop_assert_eq!(next, n); // exhaustive
-        let total = g.edge_count() + n;
-        let w_max = g.nodes().map(|y| g.in_degree(y) + 1).max().unwrap_or(1);
-        let edges = p.chunk_in_edges(&g);
-        prop_assert_eq!(edges.iter().sum::<usize>(), g.edge_count());
-        for (k, r) in p.ranges().enumerate() {
-            let weight = edges[k] + r.len();
-            prop_assert!(
-                weight <= total / parts + w_max + 1,
-                "chunk {} weight {} over bound ({} total, {} parts, {} w_max)",
-                k, weight, total, parts, w_max
-            );
         }
     }
 
@@ -224,11 +195,10 @@ proptest! {
         }
     }
 
-    /// Warm starts behave identically across the pooled and batched
-    /// solvers: seeding each column with its own cold fixed point
+    /// Seeding each batch column with its own cold fixed point
     /// reproduces the cold scores to ≤ 1e-12 without extra iterations.
     #[test]
-    fn warm_start_batch_and_parallel_match_cold(g in arb_graph(), mask in proptest::collection::vec(any::<bool>(), 25)) {
+    fn warm_start_batch_matches_cold(g in arb_graph(), mask in proptest::collection::vec(any::<bool>(), 25)) {
         let n = g.node_count();
         let core: Vec<NodeId> = g.nodes().filter(|x| mask[x.index()]).collect();
         prop_assume!(!core.is_empty());
@@ -247,14 +217,6 @@ proptest! {
                 prop_assert!((w.scores[i] - c.scores[i]).abs() <= 1e-12);
             }
         }
-
-        let v = JumpVector::Uniform.materialize(n).unwrap();
-        let warm_par =
-            solve_parallel_jacobi_dense_warm(&g, &v, Some(&cold[0].scores), &config).unwrap();
-        prop_assert!(warm_par.iterations <= cold[0].iterations);
-        for i in 0..n {
-            prop_assert!((warm_par.scores[i] - cold[0].scores[i]).abs() <= 1e-12);
-        }
     }
 
     /// Edge-range partitions cut `0..m` into contiguous equal ranges and
@@ -267,7 +229,6 @@ proptest! {
         let m = g.edge_count();
         let p = EdgePartition::balanced(&g, parts);
         prop_assert_eq!(p.len(), parts);
-        prop_assert_eq!(p.node_count(), n);
         // Edge ranges: contiguous, disjoint, exhaustive, equal to ±1.
         let mut next = 0usize;
         for w in 0..parts {
@@ -308,14 +269,10 @@ proptest! {
         }
     }
 
-    /// Pooled solvers are bit-for-bit deterministic across repeated runs.
+    /// Solves are bit-for-bit deterministic across repeated runs.
     #[test]
-    fn pooled_solves_are_deterministic(g in arb_graph()) {
+    fn solves_are_deterministic(g in arb_graph()) {
         let config = cfg();
-        let a = solve_parallel_jacobi(&g, &JumpVector::Uniform, &config).unwrap();
-        let b = solve_parallel_jacobi(&g, &JumpVector::Uniform, &config).unwrap();
-        prop_assert_eq!(&a.scores, &b.scores);
-        prop_assert_eq!(a.iterations, b.iterations);
         let jumps = [JumpVector::Uniform];
         let x = solve_batch(&g, &jumps, &config).unwrap();
         let y = solve_batch(&g, &jumps, &config).unwrap();
@@ -353,25 +310,6 @@ proptest! {
     // Each case runs several 40k-node pooled solves; keep the count low.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The unrolled (4-bank) kernel agrees with the scalar kernel to
-    /// ≤ 1e-12 per node on random pooled graphs at any worker count.
-    #[test]
-    fn unrolled_kernel_matches_scalar_on_pooled_graphs(seed in 0u64..1 << 20, threads in 2usize..=4) {
-        let g = pooled_random_graph(seed);
-        let s = solve_parallel_jacobi(
-            &g, &JumpVector::Uniform, &pooled_cfg().threads(threads).kernel(KernelKind::Scalar))
-            .unwrap();
-        let u = solve_parallel_jacobi(
-            &g, &JumpVector::Uniform, &pooled_cfg().threads(threads).kernel(KernelKind::Unrolled4))
-            .unwrap();
-        for i in 0..g.node_count() {
-            prop_assert!(
-                (s.scores[i] - u.scores[i]).abs() <= 1e-12,
-                "node {}: scalar {} vs unrolled {}", i, s.scores[i], u.scores[i]
-            );
-        }
-    }
-
     /// The merge phase is deterministic: a fixed thread count reproduces
     /// scores bit-for-bit across runs, and different thread counts agree
     /// to ≤ 1e-12 (the cut moves the partial-sum association, not the
@@ -382,12 +320,15 @@ proptest! {
     ) {
         let g = pooled_random_graph(seed);
         let cfg1 = pooled_cfg().threads(t1);
-        let a = solve_parallel_jacobi(&g, &JumpVector::Uniform, &cfg1).unwrap();
-        let b = solve_parallel_jacobi(&g, &JumpVector::Uniform, &cfg1).unwrap();
+        let solve = |config: &PageRankConfig| {
+            solve_batch(&g, &[JumpVector::Uniform], config).unwrap().remove(0)
+        };
+        let a = solve(&cfg1);
+        let b = solve(&cfg1);
         prop_assert_eq!(&a.scores, &b.scores);
         prop_assert_eq!(a.iterations, b.iterations);
         prop_assert_eq!(a.residual.to_bits(), b.residual.to_bits());
-        let c = solve_parallel_jacobi(&g, &JumpVector::Uniform, &pooled_cfg().threads(t2)).unwrap();
+        let c = solve(&pooled_cfg().threads(t2));
         for i in 0..g.node_count() {
             prop_assert!(
                 (a.scores[i] - c.scores[i]).abs() <= 1e-12,
@@ -397,47 +338,15 @@ proptest! {
     }
 }
 
-/// Rows with fewer than four in-edges take the unrolled kernel's scalar
-/// fallthrough, so on a graph whose maximum in-degree is three the two
-/// kernels must agree bit-for-bit — same scores, same iteration count,
-/// same residual.
-#[test]
-fn unrolled_kernel_is_bit_exact_on_low_degree_graphs() {
-    let n = 40_000u32;
-    let mut edges = Vec::with_capacity(3 * n as usize);
-    for x in 0..n {
-        for d in 1..=3 {
-            edges.push((x, (x + d) % n));
-        }
-    }
-    let g = GraphBuilder::from_edges(n as usize, &edges);
-    assert!(g.nodes().map(|y| g.in_degree(y)).max().unwrap() < 4);
-    let s = solve_parallel_jacobi(
-        &g,
-        &JumpVector::Uniform,
-        &pooled_cfg().threads(3).kernel(KernelKind::Scalar),
-    )
-    .unwrap();
-    let u = solve_parallel_jacobi(
-        &g,
-        &JumpVector::Uniform,
-        &pooled_cfg().threads(3).kernel(KernelKind::Unrolled4),
-    )
-    .unwrap();
-    assert_eq!(s.scores, u.scores);
-    assert_eq!(s.iterations, u.iterations);
-    assert_eq!(s.residual.to_bits(), u.residual.to_bits());
-}
-
 /// Preferential attachment via a repeated-endpoints trick: each new node
-/// links to an endpoint sampled from the edge list (degree-proportional),
+/// draws `links` endpoints from the edge list (degree-proportional),
 /// using a deterministic xorshift stream.
-fn preferential_attachment_edges(n: u32) -> Vec<(u32, u32)> {
+fn preferential_attachment_edges(n: u32, links: usize) -> Vec<(u32, u32)> {
     let mut endpoints: Vec<u32> = vec![0, 1];
     let mut edges: Vec<(u32, u32)> = vec![(1, 0)];
     let mut state = 0x9E3779B97F4A7C15u64;
     for x in 2..n {
-        for _ in 0..5 {
+        for _ in 0..links {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
@@ -452,49 +361,6 @@ fn preferential_attachment_edges(n: u32) -> Vec<(u32, u32)> {
     edges
 }
 
-/// Skew bound on a larger power-law graph (preferential attachment),
-/// where equal-node chunks would be badly imbalanced: the edge-balanced
-/// cut must keep every chunk within the contiguous-cut optimum, and far
-/// below the skew of the uniform cut's worst chunk.
-#[test]
-fn edge_balanced_beats_uniform_on_power_law_graph() {
-    let n = 20_000u32;
-    let edges = preferential_attachment_edges(n);
-    let g = GraphBuilder::from_edges(n as usize, &edges);
-    let parts = 8;
-    let total = g.edge_count() + g.node_count();
-    let w_max = g.nodes().map(|y| g.in_degree(y) + 1).max().unwrap();
-
-    let balanced = NodePartition::edge_balanced(&g, parts);
-    let balanced_worst = balanced
-        .chunk_in_edges(&g)
-        .iter()
-        .zip(balanced.ranges())
-        .map(|(e, r)| e + r.len())
-        .max()
-        .unwrap();
-    assert!(
-        balanced_worst <= total / parts + w_max + 1,
-        "edge-balanced worst chunk {balanced_worst} over bound"
-    );
-
-    let uniform = NodePartition::uniform(g.node_count(), parts);
-    let uniform_worst = uniform
-        .chunk_in_edges(&g)
-        .iter()
-        .zip(uniform.ranges())
-        .map(|(e, r)| e + r.len())
-        .max()
-        .unwrap();
-    // Preferential attachment concentrates in-edges on early nodes, so
-    // the uniform cut's first chunk is far heavier than the balanced
-    // bound — the imbalance the new partitioner exists to fix.
-    assert!(
-        uniform_worst > balanced_worst,
-        "uniform worst {uniform_worst} should exceed balanced worst {balanced_worst}"
-    );
-}
-
 /// The incremental-update payoff, pinned deterministically: after a ~1%
 /// edge delta on a 20k-node power-law graph, a solve warm-started from
 /// the pre-delta fixed point must reach the *same* fixed point as a cold
@@ -503,7 +369,7 @@ fn edge_balanced_beats_uniform_on_power_law_graph() {
 #[test]
 fn warm_start_saves_iterations_after_small_delta() {
     let n = 20_000u32;
-    let edges = preferential_attachment_edges(n);
+    let edges = preferential_attachment_edges(n, 5);
     let g = GraphBuilder::from_edges(n as usize, &edges);
     let config = cfg();
     let v = JumpVector::Uniform.materialize(g.node_count()).unwrap();
@@ -535,11 +401,94 @@ fn warm_start_saves_iterations_after_small_delta() {
         );
     }
 
-    // The pooled warm path saves the same iterations on the same delta.
-    let warm_par =
-        solve_parallel_jacobi_dense_warm(&perturbed, &v, Some(&before.scores), &config).unwrap();
-    assert!(warm_par.iterations < cold.iterations);
+    // The production warm path saves the same iterations on the same delta.
+    let warm_batch =
+        solve_batch_warm(&perturbed, &[JumpVector::Uniform], Some(&[before.scores]), &config)
+            .unwrap()
+            .remove(0);
+    assert!(warm_batch.iterations < cold.iterations);
     for i in 0..g.node_count() {
-        assert!((warm_par.scores[i] - cold.scores[i]).abs() <= 1e-12);
+        assert!((warm_batch.scores[i] - cold.scores[i]).abs() <= 1e-12);
+    }
+}
+
+/// The one parity table: every way the engine can be asked to run the
+/// same solve gives the same answer. Over {threads 1, 2, 4} × {K = 1, 2}
+/// × {cold, warm seed}: scores within 1e-12 of Algorithm 1
+/// (`solve_jacobi_dense{,_warm}`), a column bit-identical whichever
+/// batch width it is solved under, and the streamed solve (tiny blocks,
+/// dozens of decodes per sweep) bit-identical to the one-worker resident
+/// solve — scores, iteration count and residual.
+#[test]
+fn engine_parity_table() {
+    use spammass_graph::{graph_to_bytes_v4_with, CompressedImage, V4Config};
+
+    // Hubs wide enough for the gather kernel's accumulator banks, ≥ 4
+    // node-floor quotas so four workers survive the auto-sizer, and
+    // enough edges that one worker still takes the engine, not the
+    // serial route.
+    let n = 66_000u32;
+    let g = GraphBuilder::from_edges(n as usize, &preferential_attachment_edges(n, 6));
+    let n = g.node_count();
+    assert!(g.edge_count() >= SERIAL_CUTOFF_EDGES, "{} edges", g.edge_count());
+    assert!(g.nodes().map(|y| g.in_degree(y)).max().unwrap() >= 64);
+
+    let jumps =
+        [JumpVector::Uniform, JumpVector::core((0..n as u32 / 10).map(NodeId).collect(), n)];
+    let vs: Vec<Vec<f64>> = jumps.iter().map(|j| j.materialize(n).unwrap()).collect();
+    // Warm seeds: each column's jump vector bent away from both the cold
+    // start and the fixed point.
+    let seeds: Vec<Vec<f64>> = vs
+        .iter()
+        .map(|v| v.iter().enumerate().map(|(y, x)| x * (0.5 + (y % 7) as f64 / 7.0)).collect())
+        .collect();
+    let config = pooled_cfg();
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+
+    for warm in [false, true] {
+        let oracle: Vec<Vec<f64>> = (0..2)
+            .map(|j| {
+                let seed = warm.then(|| &seeds[j][..]);
+                solve_jacobi_dense_warm(&g, &vs[j], seed, &config).unwrap().scores
+            })
+            .collect();
+        for threads in [1usize, 2, 4] {
+            let cfg_t = config.threads(threads);
+            let seed = |cols: std::ops::Range<usize>| warm.then(|| &seeds[cols]);
+            let pair = solve_batch_warm(&g, &jumps, seed(0..2), &cfg_t).unwrap();
+            for j in 0..2 {
+                let cell = format!("warm={warm} threads={threads} column={j}");
+                let max_diff = pair[j]
+                    .scores
+                    .iter()
+                    .zip(&oracle[j])
+                    .map(|(a, b)| (a - b).abs())
+                    .fold(0.0f64, f64::max);
+                assert!(max_diff <= 1e-12, "{cell}: {max_diff:e} from Algorithm 1");
+                let solo =
+                    solve_batch_warm(&g, &jumps[j..=j], seed(j..j + 1), &cfg_t).unwrap().remove(0);
+                assert_eq!(bits(&solo.scores), bits(&pair[j].scores), "{cell}: K=1 vs K=2");
+                assert_eq!(solo.iterations, pair[j].iterations, "{cell}");
+                assert_eq!(solo.residual.to_bits(), pair[j].residual.to_bits(), "{cell}");
+            }
+            if threads == 1 && !warm {
+                let blocks = V4Config { rows_per_block: 512, edges_per_block: 2048 };
+                let bytes = graph_to_bytes_v4_with(&g, blocks).unwrap();
+                let image = CompressedImage::from_store(std::sync::Arc::new(bytes)).unwrap();
+                let streamed_pair = solve_batch_streamed(&image, &jumps, &cfg_t, u64::MAX).unwrap();
+                for j in 0..2 {
+                    let streamed_solo =
+                        solve_batch_streamed(&image, &jumps[j..=j], &cfg_t, u64::MAX)
+                            .unwrap()
+                            .remove(0);
+                    for (k, s) in [(2, &streamed_pair[j]), (1, &streamed_solo)] {
+                        let cell = format!("streamed K={k} column={j}");
+                        assert_eq!(bits(&s.scores), bits(&pair[j].scores), "{cell}");
+                        assert_eq!(s.iterations, pair[j].iterations, "{cell}");
+                        assert_eq!(s.residual.to_bits(), pair[j].residual.to_bits(), "{cell}");
+                    }
+                }
+            }
+        }
     }
 }

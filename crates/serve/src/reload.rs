@@ -96,8 +96,7 @@ impl Reloader {
         // update → crash-safe publish → snapshot the new generation.
         let (saved, _recovery) = self.state.load_with_recovery()?;
         let config = EstimatorConfig::scaled(self.gamma)
-            .with_pagerank(PageRankConfig::with_damping(self.damping).threads(self.threads))
-            .with_batching(true);
+            .with_pagerank(PageRankConfig::with_damping(self.damping).threads(self.threads));
         let report = MassEstimator::new(config).update(saved, fresh, &self.detector)?;
         self.state.save(
             &report.graph,

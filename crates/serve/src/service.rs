@@ -238,8 +238,14 @@ mod tests {
     }
 
     fn snapshot() -> Snapshot {
-        let dir =
-            std::env::temp_dir().join(format!("spammass-serve-service-{}", std::process::id()));
+        // One directory per call: the tests here run on parallel threads
+        // and each builds (and removes) its own state.
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "spammass-serve-service-{}-{}",
+            std::process::id(),
+            CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         let g = GraphBuilder::from_edges(4, &[(1, 0), (2, 0), (2, 3)]);
         let state = StateDir::new(&dir);

@@ -270,10 +270,9 @@ for f in BENCH_pagerank.json BENCH_incremental.json BENCH_layout.json \
     BENCH_serve.json; do
   [ -f "$f" ] || { echo "missing checked-in $f"; exit 1; }
 done
-# The checked-in pagerank baseline must carry the scaling acceptance
-# workload so bench-diff can gate future kernel regressions against it.
-for key in 'pagerank_scaling/fused_1t' 'pagerank_scaling/simd_1t' \
-    'pagerank_scaling/edge_parallel_4t'; do
+# The checked-in pagerank baseline must carry the scaling workload so
+# bench-diff can gate future engine regressions against it.
+for key in 'pagerank_scaling/fused_1t' 'pagerank_scaling/fused_4t'; do
   grep -q "$key" BENCH_pagerank.json \
     || { echo "BENCH_pagerank.json missing $key"; exit 1; }
 done

@@ -10,8 +10,7 @@ use spammass::graph::{Graph, GraphBuilder, NodeId};
 use spammass::pagerank::contribution::{contribution_of_node, walk_sum_truncated};
 use spammass::pagerank::gauss_seidel::solve_gauss_seidel_dense;
 use spammass::pagerank::jacobi::solve_jacobi_dense;
-use spammass::pagerank::parallel::solve_parallel_jacobi_dense;
-use spammass::pagerank::PageRankConfig;
+use spammass::pagerank::{solve_batch, JumpVector, PageRankConfig};
 
 /// Strategy: a random directed graph with 2..=20 nodes and a set of edges.
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -88,7 +87,7 @@ proptest! {
         let v = vec![1.0 / n as f64; n];
         let a = solve_jacobi_dense(&g, &v, &cfg()).unwrap().scores;
         let b = solve_gauss_seidel_dense(&g, &v, &cfg()).unwrap().scores;
-        let c = solve_parallel_jacobi_dense(&g, &v, &cfg()).unwrap().scores;
+        let c = solve_batch(&g, &[JumpVector::Uniform], &cfg()).unwrap().remove(0).scores;
         for i in 0..n {
             prop_assert!((a[i] - b[i]).abs() < 1e-10);
             prop_assert!((a[i] - c[i]).abs() < 1e-10);
