@@ -10,10 +10,13 @@
 //!   compression ratio are measured;
 //! * the streamed (out-of-core) batched solve runs from the v4 file
 //!   under a byte budget **smaller than the raw CSR working set** and is
-//!   timed against the same solve on the fully resident graph;
+//!   timed against the same solve on the fully resident graph — on one
+//!   worker, and at the default thread count with one more block scratch
+//!   in the budget per extra worker;
 //! * correctness gates: the streamed scores must match the resident
-//!   single-worker solve bit-for-bit, and — in timed (non `--test`)
-//!   runs — the degree-ordered v4 image must encode at ≤ 8 bits/edge.
+//!   single-worker solve bit-for-bit at either worker count, and — in
+//!   timed (non `--test`) runs — the degree-ordered v4 image must encode
+//!   at ≤ 8 bits/edge.
 //!
 //! One verification pass prints a `BENCH_SCALE {...}` JSON line for
 //! `scripts/bench.sh` to collect into `BENCH_scale.json`.
@@ -24,7 +27,7 @@ use spammass_graph::{
     graph_to_bytes_v4, CompressedImage, Graph, GraphBuilder, NodeId, NodeOrdering, Orientation,
     Permutation,
 };
-use spammass_pagerank::stream::resident_bytes_needed;
+use spammass_pagerank::stream::{resident_bytes_needed, streamed_workers};
 use spammass_pagerank::{solve_batch, solve_batch_streamed, JumpVector, PageRankConfig};
 use spammass_synth::stream::{generate_stream, StreamConfig, StreamManifest};
 use std::hint::black_box;
@@ -61,6 +64,19 @@ fn config() -> PageRankConfig {
     // its summation order, so the comparison is bit-exact, not just
     // tolerance-close.
     PageRankConfig::default().tolerance(1e-10).max_iterations(200).threads(1).edges_per_thread(1)
+}
+
+/// The production default on the streamed side: every core the sizing
+/// rule grants.
+fn default_threads_config() -> PageRankConfig {
+    PageRankConfig::default().tolerance(1e-10).max_iterations(200)
+}
+
+/// The streamed solve's footprint on `workers` workers.
+fn streamed_budget(image: &CompressedImage, columns: usize, workers: usize) -> u64 {
+    let (max_rows, max_edges) = image.max_block_dims();
+    let blocks = image.block_count(Orientation::Out) + image.block_count(Orientation::In);
+    resident_bytes_needed(image.node_count(), columns, max_rows, max_edges, blocks, workers)
 }
 
 fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
@@ -127,14 +143,16 @@ fn verify_and_report(g: &Graph) {
     let image = CompressedImage::open(&v4_path).expect("v4 image maps");
     assert_eq!(image.edge_count(), ordered.edge_count() as u64);
 
-    // Budget: what the streamed solve actually needs, rounded up to the
-    // next MiB — deliberately below the raw CSR footprint it displaces.
+    // Budget: exactly what the one-worker streamed solve needs —
+    // deliberately below the raw CSR footprint it displaces. The
+    // default-threads row gets one more scratch per extra worker.
     let jump_set = jumps(&ordered);
-    let (max_rows, max_edges) = image.max_block_dims();
     let blocks = image.block_count(Orientation::Out) + image.block_count(Orientation::In);
-    let needed =
-        resident_bytes_needed(image.node_count(), jump_set.len(), max_rows, max_edges, blocks);
-    let budget = needed;
+    let budget = streamed_budget(&image, jump_set.len(), 1);
+    let cfg_default = default_threads_config();
+    let workers = streamed_workers(&image, jump_set.len(), &cfg_default, u64::MAX)
+        .expect("an unlimited budget fits");
+    let budget_default = streamed_budget(&image, jump_set.len(), workers);
     let csr = csr_bytes(&ordered);
     // On toy smoke graphs the fixed score-vector overhead can exceed the
     // tiny CSR, so the undercut claim is only checked at real scale.
@@ -148,18 +166,27 @@ fn verify_and_report(g: &Graph) {
     let resident = solve_batch(&ordered, &jump_set, &cfg).expect("resident solve converges");
     let streamed =
         solve_batch_streamed(&image, &jump_set, &cfg, budget).expect("streamed solve converges");
+    let streamed_default = solve_batch_streamed(&image, &jump_set, &cfg_default, budget_default)
+        .expect("streamed solve converges");
     // Below the auto-sizer's serial cutoff the resident batch runs the
     // scatter solver, whose summation order differs — only the pooled
-    // gather path is the bit-exact twin of the streamed solve.
+    // gather path is the bit-exact twin of the streamed solve. Streamed
+    // scores do not depend on the worker count.
     let pooled = ordered.edge_count() >= spammass_pagerank::parallel::SERIAL_CUTOFF_EDGES;
-    for (r, s) in resident.iter().zip(&streamed) {
-        if pooled {
-            assert_eq!(r.scores, s.scores, "streamed scores must be bit-exact vs resident");
-            assert_eq!(r.iterations, s.iterations);
-        } else {
-            let max_diff =
-                r.scores.iter().zip(&s.scores).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
-            assert!(max_diff <= 1e-12, "streamed scores drifted by {max_diff:e}");
+    for streamed in [&streamed, &streamed_default] {
+        for (r, s) in resident.iter().zip(streamed) {
+            if pooled {
+                assert_eq!(r.scores, s.scores, "streamed scores must be bit-exact vs resident");
+                assert_eq!(r.iterations, s.iterations);
+            } else {
+                let max_diff = r
+                    .scores
+                    .iter()
+                    .zip(&s.scores)
+                    .map(|(a, b)| (a - b).abs())
+                    .fold(0.0f64, f64::max);
+                assert!(max_diff <= 1e-12, "streamed scores drifted by {max_diff:e}");
+            }
         }
     }
 
@@ -173,12 +200,21 @@ fn verify_and_report(g: &Graph) {
         );
     });
 
+    let streamed_default_ms = median_ms(reps, || {
+        black_box(
+            solve_batch_streamed(&image, &jump_set, &cfg_default, budget_default)
+                .expect("streamed solve converges"),
+        );
+    });
+
     println!(
         "BENCH_SCALE {{\"hosts\": {}, \"edges\": {}, \"v3_bytes\": {}, \"v4_bytes\": {}, \
          \"bits_per_edge\": {:.3}, \"compression_ratio\": {:.3}, \"encode_ms\": {:.3}, \
          \"order_ms\": {:.3}, \"budget_bytes\": {}, \"csr_bytes\": {}, \
          \"resident_solve_ms\": {:.3}, \"streamed_solve_ms\": {:.3}, \
-         \"streamed_overhead_pct\": {:.1}, \"blocks\": {}, \"peak_rss_mb\": {:.1}}}",
+         \"streamed_overhead_pct\": {:.1}, \"streamed_default_ms\": {:.3}, \
+         \"streamed_default_workers\": {}, \"streamed_default_budget_bytes\": {}, \
+         \"streamed_over_resident_1t\": {:.3}, \"blocks\": {}, \"peak_rss_mb\": {:.1}}}",
         ordered.node_count(),
         ordered.edge_count(),
         v3_bytes_len,
@@ -192,6 +228,10 @@ fn verify_and_report(g: &Graph) {
         resident_solve_ms,
         streamed_solve_ms,
         (streamed_solve_ms - resident_solve_ms) / resident_solve_ms * 100.0,
+        streamed_default_ms,
+        workers,
+        budget_default,
+        streamed_default_ms / resident_solve_ms,
         blocks,
         peak_rss_mb(),
     );
@@ -222,10 +262,8 @@ fn bench_scale(c: &mut Criterion) {
     let dir = std::env::temp_dir().join("spammass-bench-scale");
     let v4_path = dir.join("web.v4.spamgrph");
     let image = CompressedImage::open(&v4_path).expect("v4 image maps");
-    let (max_rows, max_edges) = image.max_block_dims();
-    let blocks = image.block_count(Orientation::Out) + image.block_count(Orientation::In);
-    let budget =
-        resident_bytes_needed(image.node_count(), jump_set.len(), max_rows, max_edges, blocks);
+    let budget = streamed_budget(&image, jump_set.len(), 1);
+    let cfg_default = default_threads_config();
 
     let mut group = c.benchmark_group("scale");
     group.sample_size(10);
@@ -238,6 +276,13 @@ fn bench_scale(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("solve_streamed", hosts), &hosts, |b, _| {
         b.iter(|| {
             black_box(solve_batch_streamed(&image, &jump_set, &cfg, budget).expect("converges"))
+        })
+    });
+    group.bench_with_input(BenchmarkId::new("solve_streamed_default", hosts), &hosts, |b, _| {
+        b.iter(|| {
+            black_box(
+                solve_batch_streamed(&image, &jump_set, &cfg_default, u64::MAX).expect("converges"),
+            )
         })
     });
     group.finish();

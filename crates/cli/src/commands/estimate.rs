@@ -96,7 +96,8 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     let core_len;
     if let Some(_budget) = args.optional("max-resident-mb") {
         // Out-of-core path: the graph stays a compressed v4 image on disk;
-        // only score vectors and one decode scratch are resident.
+        // only score vectors and one decode scratch per worker are
+        // resident.
         let budget_mb: u64 = args.parsed_or("max-resident-mb", 0)?;
         if budget_mb == 0 {
             return Err(CliError::Usage("--max-resident-mb must be a positive integer".into()));
@@ -122,19 +123,20 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
             let _ = writeln!(warnings, "{w}");
         }
         let config = EstimatorConfig::scaled(gamma).with_pagerank(pagerank_config);
-        estimate = MassEstimator::new(config).estimate_streamed(
-            &image,
-            &core_load.nodes,
-            budget_mb * 1024 * 1024,
-        )?;
+        let estimator = MassEstimator::new(config);
+        let budget = budget_mb * 1024 * 1024;
+        let workers = estimator.streamed_workers(&image, budget)?;
+        estimate = estimator.estimate_streamed(&image, &core_load.nodes, budget)?;
         node_count = image.node_count();
         core_len = core_load.nodes.len();
         let _ = writeln!(
             warnings,
-            "streamed solve: {} blocks / {:.1} MiB decoded against a {budget_mb} MiB budget",
+            "streamed solve: {} blocks / {:.1} MiB decoded against a {budget_mb} MiB budget \
+             on {workers} worker{}",
             image.block_count(spammass_graph::Orientation::Out)
                 + image.block_count(spammass_graph::Orientation::In),
-            image.encoded_bytes_read() as f64 / (1024.0 * 1024.0)
+            image.encoded_bytes_read() as f64 / (1024.0 * 1024.0),
+            if workers == 1 { "" } else { "s" }
         );
     } else {
         let opts = read_options(args)?;

@@ -124,7 +124,7 @@ USAGE:
   spammass convert  --in FILE --out FILE [--format v1|v2|v3] [--order degree|bfs|none] [--lenient N] [--threads T]
   spammass stats    --graph FILE [--lenient N]
   spammass pagerank --graph FILE [--solver jacobi|gauss-seidel|power|parallel] [--damping C] [--top K] [--threads T] [--order degree|bfs|none] [--labels FILE] [--fallback true] [--lenient N]
-  spammass estimate --graph FILE --core FILE [--labels FILE] [--gamma G] [--out FILE] [--state DIR] [--threads T] [--order degree|bfs|none] [--lenient N]
+  spammass estimate --graph FILE --core FILE [--labels FILE] [--gamma G] [--out FILE] [--state DIR] [--threads T] [--order degree|bfs|none] [--lenient N] [--max-resident-mb M]
   spammass detect   --graph FILE --core FILE [--labels FILE] [--gamma G] [--rho R] [--tau T] [--top K] [--order degree|bfs|none] [--lenient N]
   spammass update   --journal FILE --state DIR [--labels FILE] [--gamma G] [--rho R] [--tau T] [--top K] [--threads T] [--lenient N]
   spammass serve    --state DIR [--addr A] [--journal FILE] [--poll-ms MS] [--gamma G] [--rho R] [--tau T] [--damping C] [--threads T] [--max-seconds S]
@@ -146,8 +146,11 @@ USAGE:
   --fallback true   on solver failure, retry with the hardened fallback chain
                     (each attempt is reported)
   --threads T       worker threads for the solve engine (`--solver parallel`,
-                    estimate, update) and for sharded text ingest (0 = all
-                    cores; small graphs and files run single-threaded anyway)
+                    estimate — resident and `--max-resident-mb` alike, the
+                    streamed count further capped by the image's block count
+                    and the budget — and update) and for sharded text ingest
+                    (0 = all cores; small graphs and files run single-threaded
+                    anyway)
   --edges-per-thread N
                     per-worker edge quota for the pool auto-sizer (0 = the
                     built-in default); lower it to force multi-worker solves

@@ -89,26 +89,29 @@ fn estimate_answers_scrapes_mid_solve_with_worker_series() {
     };
 
     // Scrape until the profiler series show up (they appear within the
-    // first few sweeps); every iteration is a real mid-run scrape.
-    let mut body = String::new();
-    let mut scrapes = 0u32;
-    while Instant::now() < deadline {
-        body = http_get(addr, "/metrics");
-        scrapes += 1;
-        if body.contains("spammass_pagerank_worker_1_gather_ns") {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(25));
-    }
-    assert!(scrapes >= 1);
-    for series in [
+    // first few sweeps); every iteration is a real mid-run scrape. A
+    // scrape can land inside the first per-round flush, so wait for the
+    // whole set, not the first series of it.
+    let expected = [
         "spammass_pagerank_worker_0_gather_ns",
         "spammass_pagerank_worker_1_gather_ns",
         "spammass_pagerank_worker_0_barrier_wait_ns",
         "spammass_pagerank_worker_1_barrier_wait_ns",
         "spammass_pagerank_pool_sweeps",
         "spammass_pagerank_partition_imbalance",
-    ] {
+    ];
+    let mut body = String::new();
+    let mut scrapes = 0u32;
+    while Instant::now() < deadline {
+        body = http_get(addr, "/metrics");
+        scrapes += 1;
+        if expected.iter().all(|series| body.contains(series)) {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    assert!(scrapes >= 1);
+    for series in expected {
         assert!(body.contains(series), "missing {series} in:\n{body}");
     }
     assert!(body.contains("spammass_pagerank_pool_threads 2.0"), "{body}");

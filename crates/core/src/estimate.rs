@@ -377,10 +377,11 @@ impl MassEstimator {
     /// Out-of-core estimation: both PageRank runs stream the in-blocks of
     /// a compressed v4 image through
     /// [`spammass_pagerank::solve_batch_streamed`], keeping only the score
-    /// vectors, out-degree coefficients, and one decoded block resident —
-    /// `max_resident_bytes` bounds that working set. The flagged set is
-    /// identical to the in-memory path on the same graph (the streamed
-    /// sweep is bit-exact against the single-worker pooled engine).
+    /// vectors, out-degree coefficients, and one decoded block per pool
+    /// worker resident — `max_resident_bytes` bounds that working set.
+    /// The flagged set is identical to the in-memory path on the same
+    /// graph (streamed scores do not depend on the worker count and are
+    /// bit-exact against the single-worker pooled engine).
     ///
     /// The configured [`EstimatorConfig::ordering`] is ignored: a v4
     /// image's node layout is baked at encode time (`spammass convert
@@ -426,6 +427,30 @@ impl MassEstimator {
         let mut report = self.build_report(good_core, uniform.scores, p_core.scores, core_diag);
         report.pagerank_diag = Some(pagerank_diag);
         Ok(report)
+    }
+
+    /// The pool workers [`estimate_streamed`](Self::estimate_streamed)
+    /// runs on for this image and budget — the configured thread count
+    /// through the solver's sizing rule, capped by the image's in-block
+    /// count and by the block scratches the budget affords.
+    ///
+    /// # Errors
+    /// [`EstimateError::Stream`] wrapping
+    /// [`spammass_pagerank::PageRankError::ResidentBudget`] when not even
+    /// one worker fits.
+    pub fn streamed_workers(
+        &self,
+        image: &CompressedImage,
+        max_resident_bytes: u64,
+    ) -> Result<usize, EstimateError> {
+        // Two columns: p and p′.
+        spammass_pagerank::stream::streamed_workers(
+            image,
+            2,
+            &self.config.pagerank,
+            max_resident_bytes,
+        )
+        .map_err(EstimateError::Stream)
     }
 
     /// Same as [`estimate`](Self::estimate), but reuses an existing regular

@@ -6,9 +6,10 @@
 //! tiny v4 blocks (forcing hundreds of decode cycles per sweep), the
 //! streamed estimator must flag the identical host set as the in-memory
 //! estimator and agree to ≤ 1e-12 per score against the default
-//! (multi-worker) configuration. (Bit-exactness against the one-worker
-//! resident solve is pinned at the solver layer, in
-//! `crates/pagerank/tests/properties.rs`.)
+//! (multi-worker) configuration — at the default thread count, on one
+//! worker and on two, with the same scores whichever it is.
+//! (Bit-exactness against the one-worker resident solve is pinned at the
+//! solver layer, in `crates/pagerank/tests/properties.rs`.)
 
 use spammass_core::detector::{detect, DetectorConfig};
 use spammass_core::estimate::{EstimatorConfig, MassEstimator};
@@ -63,32 +64,49 @@ fn streamed_flags_the_same_hosts_as_the_default_in_memory_estimator() {
     // Default config: the in-memory run uses the multi-worker engine with
     // boundary-row merging, so scores may differ from the streamed solve
     // only by reassociation noise.
-    let config =
-        EstimatorConfig::default().with_pagerank(PageRankConfig::default().tolerance(1e-10));
-    let in_memory = MassEstimator::new(config).estimate(&graph, &good_core()).unwrap();
-    let streamed = MassEstimator::new(config)
-        .estimate_streamed(&image, &good_core(), 8 * 1024 * 1024)
-        .unwrap();
-
-    let max_diff = in_memory
-        .pagerank
-        .iter()
-        .zip(&streamed.pagerank)
-        .chain(in_memory.core_pagerank.iter().zip(&streamed.core_pagerank))
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f64, f64::max);
-    assert!(max_diff <= 1e-12, "streamed scores drifted by {max_diff:e}");
-
+    let pagerank = PageRankConfig::default().tolerance(1e-10);
+    let with_threads = |t: usize| EstimatorConfig::default().with_pagerank(pagerank.threads(t));
+    let in_memory = MassEstimator::new(with_threads(0)).estimate(&graph, &good_core()).unwrap();
     // Thresholds away from any score boundary, so 1e-12 wobble cannot
     // flip membership: the flagged sets must be *identical*.
     let thresholds = DetectorConfig { rho: 1.0, tau: 0.5 };
     let flagged_mem = detect(&in_memory, &thresholds);
-    let flagged_stream = detect(&streamed, &thresholds);
     assert!(!flagged_mem.is_empty(), "workload should produce spam candidates");
-    assert_eq!(
-        flagged_mem.candidates, flagged_stream.candidates,
-        "out-of-core execution changed the flagged set"
-    );
+
+    // The streamed side at the default thread count (0 = every core the
+    // sizing rule grants), on one worker, and on two whatever the host.
+    let budget = 8 * 1024 * 1024;
+    let streamed: Vec<_> = [0usize, 1, 2]
+        .iter()
+        .map(|&t| {
+            let estimator = MassEstimator::new(with_threads(t));
+            let workers = estimator.streamed_workers(&image, budget).unwrap();
+            (t, workers, estimator.estimate_streamed(&image, &good_core(), budget).unwrap())
+        })
+        .collect();
+    assert_eq!((streamed[1].1, streamed[2].1), (1, 2), "configured counts must be what runs");
+    for (threads, workers, report) in &streamed {
+        let cell = format!("threads={threads} ({workers} workers)");
+        let max_diff = in_memory
+            .pagerank
+            .iter()
+            .zip(&report.pagerank)
+            .chain(in_memory.core_pagerank.iter().zip(&report.core_pagerank))
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f64, f64::max);
+        assert!(max_diff <= 1e-12, "{cell}: streamed scores drifted by {max_diff:e}");
+        assert_eq!(
+            flagged_mem.candidates,
+            detect(report, &thresholds).candidates,
+            "{cell}: out-of-core execution changed the flagged set"
+        );
+        // Who computes a row does not change it.
+        let one = &streamed[1].2;
+        assert!(
+            report.pagerank == one.pagerank && report.core_pagerank == one.core_pagerank,
+            "{cell}: scores differ from the one-worker streamed solve"
+        );
+    }
 }
 
 #[test]

@@ -350,6 +350,9 @@ pub struct BlockScratch {
     pub offsets: Vec<u32>,
     /// Concatenated row targets.
     pub targets: Vec<NodeId>,
+    /// The row decoder's interval list ([`varint::decode_row`]), kept
+    /// here so a row with intervals allocates nothing.
+    runs: Vec<(u64, u64)>,
 }
 
 impl BlockScratch {
@@ -359,9 +362,11 @@ impl BlockScratch {
         &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
-    /// Heap bytes a scratch sized for `rows`/`edges` holds.
+    /// Heap bytes a scratch sized for `rows`/`edges` holds: offsets,
+    /// targets, and the longest interval list a row of `edges` targets
+    /// can declare.
     pub fn bytes_for(rows: usize, edges: usize) -> usize {
-        (rows + 1) * 4 + edges * 4
+        (rows + 1) * 4 + edges * 4 + edges / varint::MIN_RUN * 16
     }
 }
 
@@ -621,6 +626,13 @@ impl CompressedImage {
         first[idx] as usize..first[idx + 1] as usize
     }
 
+    /// What the index records of block `idx`: the `(rows, edges)` it
+    /// decodes to and its encoded byte length.
+    pub fn block_dims(&self, orientation: Orientation, idx: usize) -> (usize, usize, usize) {
+        let entry = self.index(orientation)[idx];
+        (entry.rows as usize, entry.edges as usize, entry.len as usize)
+    }
+
     /// Decodes block `idx` of `orientation` into `scratch`, reusing its
     /// allocations. The block's CRC is verified on its first decode and
     /// trusted afterwards (the backing store is immutable).
@@ -670,6 +682,7 @@ impl CompressedImage {
                 (range.start + i) as u32,
                 self.node_count as u64,
                 entry.edges as u64,
+                &mut scratch.runs,
                 &mut scratch.targets,
             )?;
             if scratch.targets.len() > entry.edges as usize {
@@ -689,24 +702,6 @@ impl CompressedImage {
             });
         }
         Ok(())
-    }
-
-    /// Streams the out orientation once and returns every node's
-    /// out-degree — the only full-graph state a streamed solve needs
-    /// besides the score vectors.
-    ///
-    /// # Errors
-    /// Decode errors from any out block.
-    pub fn stream_out_degrees(&self) -> Result<Vec<u32>, GraphError> {
-        let mut degrees = vec![0u32; self.node_count];
-        let mut scratch = BlockScratch::default();
-        for idx in 0..self.out_blocks.len() {
-            self.decode_block(Orientation::Out, idx, &mut scratch)?;
-            for i in 0..scratch.rows {
-                degrees[scratch.first_row + i] = scratch.offsets[i + 1] - scratch.offsets[i];
-            }
-        }
-        Ok(degrees)
     }
 
     /// Fully decodes the image into an in-memory [`Graph`] (both
@@ -792,17 +787,6 @@ mod tests {
         }
         let (max_rows, max_edges) = image.max_block_dims();
         assert!(max_rows <= 2 && max_edges <= 3, "{max_rows} rows, {max_edges} edges");
-    }
-
-    #[test]
-    fn out_degrees_stream_matches_graph() {
-        let g = sample_graph();
-        let bytes = graph_to_bytes_v4(&g);
-        let image = CompressedImage::from_store(Arc::new(bytes)).unwrap();
-        let degrees = image.stream_out_degrees().unwrap();
-        for y in g.nodes() {
-            assert_eq!(degrees[y.index()] as usize, g.out_degree(y), "node {y}");
-        }
     }
 
     #[test]

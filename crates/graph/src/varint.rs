@@ -62,7 +62,23 @@ pub fn write_varint(out: &mut Vec<u8>, mut value: u64) {
 /// # Errors
 /// [`GraphError::Corrupted`] with field `"varint"` on truncation and
 /// `"varint_width"` on an overlong or `u64`-overflowing encoding.
+#[inline]
 pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, GraphError> {
+    // Degrees, gaps and run lengths are almost always below 128: one
+    // bounds-checked byte, no loop state. Everything else — longer
+    // encodings, truncation — takes the general loop from the same
+    // position.
+    match buf.get(*pos) {
+        Some(&byte) if byte < 0x80 => {
+            *pos += 1;
+            Ok(byte as u64)
+        }
+        _ => read_varint_multibyte(buf, pos),
+    }
+}
+
+/// The general LEB128 loop behind [`read_varint`]'s one-byte fast path.
+fn read_varint_multibyte(buf: &[u8], pos: &mut usize) -> Result<u64, GraphError> {
     let mut value = 0u64;
     let mut shift = 0u32;
     let start = *pos;
@@ -174,6 +190,32 @@ fn corrupt(field: &'static str, expected: u64, got: u64) -> GraphError {
     GraphError::Corrupted { field, expected, got }
 }
 
+/// Resolves a zigzag source-relative first id; anything below id 0 or
+/// past `u64` maps to `u64::MAX`, which every range check rejects.
+#[inline]
+fn source_relative(source: u32, raw: u64) -> u64 {
+    (source as i64).checked_add(unzigzag(raw)).filter(|&s| s >= 0).map_or(u64::MAX, |s| s as u64)
+}
+
+/// Appends the interval `start..start + len` to `targets` as one
+/// extend. A run is consecutive by construction, so its first id against
+/// `floor` (one past the last emitted target) here and its last id
+/// against `node_count` where [`decode_row`] parses it are the whole
+/// per-element order and range test.
+#[inline]
+fn emit_run(
+    (start, len): (u64, u64),
+    floor: &mut u64,
+    targets: &mut Vec<NodeId>,
+) -> Result<(), GraphError> {
+    if start < *floor {
+        return Err(corrupt("edge_order", *floor, start));
+    }
+    targets.extend((start..start + len).map(|t| NodeId(t as u32)));
+    *floor = start + len;
+    Ok(())
+}
+
 /// Decodes one adjacency row of `source` from `buf` at `*pos`, appending
 /// its targets (sorted ascending) to `targets` and returning the row's
 /// degree. Validates that the merged interval + residual stream is
@@ -181,7 +223,9 @@ fn corrupt(field: &'static str, expected: u64, got: u64) -> GraphError {
 ///
 /// `max_degree` caps the declared degree (callers pass the enclosing
 /// block's edge budget) so a corrupt length byte cannot drive a
-/// multi-gigabyte allocation.
+/// multi-gigabyte allocation. `runs` is caller-owned scratch for the
+/// row's `(start, len)` interval list — cleared here, so a decoder that
+/// reuses it allocates nothing per row.
 ///
 /// # Errors
 /// [`GraphError::Corrupted`] on truncation, a degree above `max_degree`
@@ -189,12 +233,14 @@ fn corrupt(field: &'static str, expected: u64, got: u64) -> GraphError {
 /// `"edge_target"`), an interval budget that disagrees with the degree
 /// (fields `"interval_count"` / `"interval_len"`), or residuals that
 /// collide with an interval (field `"edge_order"`).
+#[inline]
 pub fn decode_row(
     buf: &[u8],
     pos: &mut usize,
     source: u32,
     node_count: u64,
     max_degree: u64,
+    runs: &mut Vec<(u64, u64)>,
     targets: &mut Vec<NodeId>,
 ) -> Result<usize, GraphError> {
     let degree = read_varint(buf, pos)?;
@@ -209,17 +255,13 @@ pub fn decode_row(
         return Err(corrupt("interval_count", degree / MIN_RUN as u64, interval_count));
     }
     // Interval starts/lengths; bounded by degree / MIN_RUN entries.
-    let mut runs: Vec<(u64, u64)> = Vec::with_capacity(interval_count as usize);
+    runs.clear();
     let mut covered = 0u64;
     let mut prev_end: Option<u64> = None;
     for _ in 0..interval_count {
         let raw = read_varint(buf, pos)?;
         let start = match prev_end {
-            None => (source as i64)
-                .checked_add(unzigzag(raw))
-                .filter(|&s| s >= 0)
-                .map(|s| s as u64)
-                .unwrap_or(u64::MAX),
+            None => source_relative(source, raw),
             Some(pe) => pe.checked_add(raw).and_then(|v| v.checked_add(2)).unwrap_or(u64::MAX),
         };
         let len = read_varint(buf, pos)?
@@ -237,49 +279,35 @@ pub fn decode_row(
         prev_end = Some(end);
     }
     // Merge residuals with the interval stream, validating the combined
-    // order: every emitted target must be strictly above the last.
-    let mut out_prev: Option<u64> = None;
-    let mut emit = |t: u64, targets: &mut Vec<NodeId>| -> Result<(), GraphError> {
-        if t >= node_count {
-            return Err(corrupt("edge_target", node_count, t));
-        }
-        if let Some(p) = out_prev {
-            if t <= p {
-                return Err(corrupt("edge_order", p + 1, t));
-            }
-        }
-        out_prev = Some(t);
-        targets.push(NodeId(t as u32));
-        Ok(())
-    };
+    // order: every emitted target must be at or above `floor`, one past
+    // the last emitted target.
+    let mut floor = 0u64;
     let mut next_run = 0usize;
     let mut prev_res: Option<u64> = None;
     for _ in 0..degree - covered {
         let raw = read_varint(buf, pos)?;
         let r = match prev_res {
-            None => (source as i64)
-                .checked_add(unzigzag(raw))
-                .filter(|&s| s >= 0)
-                .map(|s| s as u64)
-                .unwrap_or(u64::MAX),
+            None => source_relative(source, raw),
             Some(p) => p.checked_add(raw).and_then(|v| v.checked_add(1)).unwrap_or(u64::MAX),
         };
         // Flush every interval that starts below this residual; a
         // residual landing inside one trips the order check.
         while next_run < runs.len() && runs[next_run].0 < r {
-            let (start, len) = runs[next_run];
-            for t in start..start + len {
-                emit(t, targets)?;
-            }
+            emit_run(runs[next_run], &mut floor, targets)?;
             next_run += 1;
         }
-        emit(r, targets)?;
+        if r >= node_count {
+            return Err(corrupt("edge_target", node_count, r));
+        }
+        if r < floor {
+            return Err(corrupt("edge_order", floor, r));
+        }
+        floor = r + 1;
+        targets.push(NodeId(r as u32));
         prev_res = Some(r);
     }
-    for &(start, len) in &runs[next_run..] {
-        for t in start..start + len {
-            emit(t, targets)?;
-        }
+    for &run in &runs[next_run..] {
+        emit_run(run, &mut floor, targets)?;
     }
     Ok(degree as usize)
 }
@@ -302,9 +330,16 @@ mod tests {
         encode_row(&mut buf, source, row);
         let mut pos = 0;
         let mut out = Vec::new();
-        let deg =
-            decode_row(&buf, &mut pos, source, u32::MAX as u64 + 1, row.len() as u64, &mut out)
-                .unwrap();
+        let deg = decode_row(
+            &buf,
+            &mut pos,
+            source,
+            u32::MAX as u64 + 1,
+            row.len() as u64,
+            &mut Vec::new(),
+            &mut out,
+        )
+        .unwrap();
         assert_eq!(deg, row.len());
         assert_eq!(out, row, "source {source}");
         assert_eq!(pos, buf.len(), "decoder must consume exactly the encoding");
@@ -416,7 +451,7 @@ mod tests {
         let mut pos = 0;
         let mut out = Vec::new();
         assert!(matches!(
-            decode_row(&buf, &mut pos, 0, 100, 64, &mut out),
+            decode_row(&buf, &mut pos, 0, 100, 64, &mut Vec::new(), &mut out),
             Err(GraphError::Corrupted { field: "edge_target", .. })
         ));
         // An interval breaching node_count is caught from its end, not
@@ -427,7 +462,7 @@ mod tests {
         let mut pos = 0;
         out.clear();
         assert!(matches!(
-            decode_row(&buf, &mut pos, 90, 100, 64, &mut out),
+            decode_row(&buf, &mut pos, 90, 100, 64, &mut Vec::new(), &mut out),
             Err(GraphError::Corrupted { field: "edge_target", .. })
         ));
     }
@@ -439,7 +474,7 @@ mod tests {
         let mut pos = 0;
         let mut out = Vec::new();
         assert!(matches!(
-            decode_row(&buf, &mut pos, 0, 10, 1 << 20, &mut out),
+            decode_row(&buf, &mut pos, 0, 10, 1 << 20, &mut Vec::new(), &mut out),
             Err(GraphError::Corrupted { field: "row_degree", .. })
         ));
         assert!(out.is_empty());
@@ -455,7 +490,7 @@ mod tests {
         let mut pos = 0;
         let mut out = Vec::new();
         assert!(matches!(
-            decode_row(&buf, &mut pos, 0, 1000, 64, &mut out),
+            decode_row(&buf, &mut pos, 0, 1000, 64, &mut Vec::new(), &mut out),
             Err(GraphError::Corrupted { field: "interval_count", .. })
         ));
     }
@@ -471,7 +506,7 @@ mod tests {
         let mut pos = 0;
         let mut out = Vec::new();
         assert!(matches!(
-            decode_row(&buf, &mut pos, 0, 1000, 64, &mut out),
+            decode_row(&buf, &mut pos, 0, 1000, 64, &mut Vec::new(), &mut out),
             Err(GraphError::Corrupted { field: "interval_len", .. })
         ));
     }
@@ -489,7 +524,7 @@ mod tests {
         let mut pos = 0;
         let mut out = Vec::new();
         assert!(matches!(
-            decode_row(&buf, &mut pos, 0, 1000, 64, &mut out),
+            decode_row(&buf, &mut pos, 0, 1000, 64, &mut Vec::new(), &mut out),
             Err(GraphError::Corrupted { field: "edge_order", .. })
         ));
     }
@@ -501,7 +536,7 @@ mod tests {
         assert_eq!(buf, vec![0]);
         let mut pos = 0;
         let mut out = Vec::new();
-        assert_eq!(decode_row(&buf, &mut pos, 7, 10, 0, &mut out).unwrap(), 0);
+        assert_eq!(decode_row(&buf, &mut pos, 7, 10, 0, &mut Vec::new(), &mut out).unwrap(), 0);
     }
 
     #[test]
@@ -516,7 +551,7 @@ mod tests {
         let mut pos = 0;
         let mut out = Vec::new();
         assert!(matches!(
-            decode_row(&buf, &mut pos, 0, u32::MAX as u64, 4, &mut out),
+            decode_row(&buf, &mut pos, 0, u32::MAX as u64, 4, &mut Vec::new(), &mut out),
             Err(GraphError::Corrupted { field: "edge_target", .. })
         ));
     }
@@ -531,7 +566,7 @@ mod tests {
         let mut pos = 0;
         let mut out = Vec::new();
         assert!(matches!(
-            decode_row(&buf, &mut pos, 10, 1000, 4, &mut out),
+            decode_row(&buf, &mut pos, 10, 1000, 4, &mut Vec::new(), &mut out),
             Err(GraphError::Corrupted { field: "edge_target", .. })
         ));
     }

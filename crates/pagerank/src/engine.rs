@@ -20,19 +20,24 @@
 //! residual from the workers' partial sums — worker index order, then
 //! the boundary rows — so the convergence decision is independent of
 //! thread scheduling. The **streamed** source is
-//! [`crate::stream::solve_batch_streamed`]: the same body and controller
-//! over rows decoded block-at-a-time from a compressed image.
+//! [`crate::stream::solve_batch_streamed`] through
+//! [`Columns::solve_whole_rows`]: the same body, controller, pool and
+//! handoff over rows each worker decodes block-at-a-time from its own
+//! range of a compressed image's in-blocks. Blocks hold whole rows, so
+//! that source has no boundary pieces and no merge phase.
 //!
 //! Determinism: for a fixed `(graph, threads)` the partition, the per-row
 //! accumulation order, the boundary-row order and the residual reduction
 //! order are all fixed, so results are bit-for-bit reproducible across
 //! runs; a column is bit-identical whatever `K` it is solved under
-//! because the gather kernel's edge→bank assignment ignores `K`; and the
-//! streamed solve is bit-identical to the one-worker resident solve
-//! because one worker has no boundary rows and visits rows in the same
-//! ascending order.
+//! because the gather kernel's edge→bank assignment ignores `K`; a
+//! streamed solve's scores do not depend on its worker count (a Jacobi
+//! row reads only the previous sweep); and the one-worker streamed solve
+//! is bit-identical to the one-worker resident solve because neither has
+//! boundary rows and both fold one worker's residual.
 //!
-//! Everything is allocated before the first sweep; the iteration loop is
+//! Everything is allocated before the first sweep (the streamed workers'
+//! decode scratches grow during it); the iteration loop is
 //! allocation-free (pinned by `tests/alloc.rs`).
 
 use crate::config::PageRankConfig;
@@ -46,8 +51,9 @@ use crate::profiler::PoolProfiler;
 use crate::PageRankResult;
 use spammass_graph::Graph;
 use spammass_obs as obs;
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// The per-row relaxation body of one sweep over `K` interleaved columns.
@@ -197,30 +203,105 @@ impl<const K: usize> Columns<K> {
         }
     }
 
-    /// The next sweep for a caller with exclusive access: its row body,
-    /// its read buffer and its write buffer.
-    pub(crate) fn sweep(&mut self) -> (RowBody<'_, K>, &[f64], &mut [f64]) {
-        let body = RowBody {
-            one_minus_c: self.one_minus_c,
-            vmat: &self.vmat,
-            active: self.verdicts.active,
-        };
-        let [even, odd] = &mut self.bufs;
-        if self.verdicts.completed.is_multiple_of(2) {
-            (body, even, odd)
-        } else {
-            (body, odd, even)
-        }
-    }
-
-    /// Ends the sweep begun by [`sweep`](Self::sweep) with its summed
-    /// per-column residuals; `Break` carries the solve's outcome.
-    pub(crate) fn finish_sweep(
+    /// Runs sweeps to a verdict over a source that delivers **whole
+    /// rows**: one pool worker per entry of `rows`, worker `w` relaxing
+    /// exactly the destination rows `rows[w]` each sweep. Whole rows have
+    /// no boundary pieces, so there is no merge phase; each column's
+    /// residual is folded from the workers' partial sums in worker index
+    /// order, which makes a fixed `rows` bit-reproducible, and every
+    /// score is independent of how the rows are split.
+    ///
+    /// `relax_rows(w, body, read, write, deltas)` relaxes worker `w`'s
+    /// rows through `body`: `read` is the sweep's read buffer, `write`
+    /// the `rows[w]` window of its write buffer, `deltas` the worker's
+    /// residual sums. An `Err` is parked in the worker's slot, the
+    /// sweep's handoff completes, and control returns the lowest-indexed
+    /// worker's error before any verdict is taken from the half-written
+    /// buffer.
+    ///
+    /// # Panics
+    /// If `rows` is empty or its ranges are not ascending, disjoint and
+    /// inside the matrix — the disjointness the workers' writes rely on.
+    pub(crate) fn solve_whole_rows<F>(
         &mut self,
-        residuals: [f64; K],
         config: &PageRankConfig,
-    ) -> ControlFlow<Result<(), PageRankError>> {
-        self.verdicts.observe(residuals, config)
+        rows: &[Range<usize>],
+        profiler: Option<&PoolProfiler>,
+        relax_rows: F,
+    ) -> Result<(), PageRankError>
+    where
+        F: Fn(
+                usize,
+                &RowBody<'_, K>,
+                &[f64],
+                &mut [f64],
+                &mut [f64; K],
+            ) -> Result<(), PageRankError>
+            + Sync,
+    {
+        let threads = rows.len();
+        let n = self.vmat.len() / K;
+        assert!(
+            threads > 0
+                && rows.iter().all(|r| r.start <= r.end && r.end <= n)
+                && rows.windows(2).all(|pair| pair[0].end <= pair[1].start),
+            "worker row ranges must be ascending, disjoint and within 0..{n}: {rows:?}"
+        );
+        let mut chunk_deltas = vec![0.0f64; threads * K];
+        let failures: Vec<Mutex<Option<PageRankError>>> =
+            (0..threads).map(|_| Mutex::new(None)).collect();
+        // The workers' view of the verdicts' active flags; see
+        // `solve_pooled`.
+        let active: [AtomicBool; K] = std::array::from_fn(|_| AtomicBool::new(true));
+
+        let Columns { one_minus_c, vmat, bufs: [even, odd], verdicts } = self;
+        let bufs = [SharedSlice::new(even), SharedSlice::new(odd)];
+        let deltas = SharedSlice::new(&mut chunk_deltas);
+        let (one_minus_c, vmat) = (*one_minus_c, &vmat[..]);
+        let (active, failures) = (&active, &failures);
+
+        let kernel = |round: usize, worker: usize| {
+            // SAFETY: every worker reads bufs[round % 2] and writes only
+            // its own rows of bufs[(round+1) % 2] — `rows` is pairwise
+            // disjoint (asserted above) — and the pool handoff orders
+            // rounds, so no location is read while written.
+            let read = unsafe { bufs[round % 2].as_slice() };
+            let mine = &rows[worker];
+            let write = unsafe { bufs[(round + 1) % 2].range_mut(mine.start * K, mine.end * K) };
+            // SAFETY: slots worker·K.. are written only by this worker.
+            let my_deltas = unsafe { deltas.range_mut(worker * K, (worker + 1) * K) };
+            let body = RowBody {
+                one_minus_c,
+                vmat,
+                active: std::array::from_fn(|j| active[j].load(Ordering::Relaxed)),
+            };
+            let mut local_deltas = [0.0f64; K];
+            if let Err(e) = relax_rows(worker, &body, read, write, &mut local_deltas) {
+                *failures[worker].lock().expect("failure slots are locked only to assign") =
+                    Some(e);
+            }
+            my_deltas.copy_from_slice(&local_deltas);
+        };
+
+        let control = |_round: usize| -> ControlFlow<Result<(), PageRankError>> {
+            for slot in failures {
+                let failed = slot.lock().expect("failure slots are locked only to assign").take();
+                if let Some(e) = failed {
+                    return ControlFlow::Break(Err(e));
+                }
+            }
+            // SAFETY: control runs between rounds; no worker is active.
+            let deltas = unsafe { deltas.as_slice() };
+            let residuals: [f64; K] =
+                std::array::from_fn(|j| (0..threads).map(|w| deltas[w * K + j]).sum::<f64>());
+            let flow = verdicts.observe(residuals, config);
+            for (flag, &on) in active.iter().zip(&verdicts.active) {
+                flag.store(on, Ordering::Relaxed);
+            }
+            flow
+        };
+
+        pool::run_rounds(threads, profiler, kernel, control)
     }
 
     /// Frees the jump matrix and the stale score buffer once the last
@@ -284,7 +365,7 @@ pub(crate) fn solve_pooled<const K: usize>(
     // All solve-lifetime state is allocated up front; the iteration loop
     // itself is allocation-free (see tests/alloc.rs).
     let partition = EdgePartition::balanced(graph, threads);
-    let profiler = PoolProfiler::from_live(&partition, K);
+    let profiler = PoolProfiler::from_live(&partition.chunk_edges(), K);
     let coef: Vec<f64> = graph
         .nodes()
         .map(|x| {

@@ -29,7 +29,7 @@
 //! | Solver | Module | Role |
 //! |---|---|---|
 //! | Engine, resident | [`batch`] | [`solve_batch`]/[`solve_batch_warm`]: k jump vectors (k = 1 included) through one in-CSR traversal per sweep on a worker pool — what the estimator, the updater and the daemon run |
-//! | Engine, streamed | [`stream`] | [`solve_batch_streamed`]: the same sweep over blocks decoded from a compressed image under a byte budget |
+//! | Engine, streamed | [`stream`] | [`solve_batch_streamed`]: the same sweep on the same pool, each worker decoding its own range of a compressed image's blocks, under a byte budget |
 //! | Jacobi | [`jacobi`] | Algorithm 1 of the paper, verbatim — the small-graph path and the test oracle |
 //! | Gauss–Seidel | [`gauss_seidel`] | in-place sweeps, ~2× fewer iterations; Section 2.2 experiment, chain fallback |
 //! | Power iteration | [`power`] | eigenvector formulation on `T″`; Section 2.2 experiment, cross-validation |
@@ -37,11 +37,13 @@
 //! The engine (private module `engine`) is one per-row relaxation body
 //! and one `K`-column controller, fed by two row sources: the resident
 //! in-CSR cut into equal edge ranges ([`partition`]) on persistent
-//! workers with one handoff per sweep (`pool`), and decoded blocks in
-//! ascending row order. Results are bit-for-bit deterministic for a
-//! fixed worker count, identical across batch widths, and the streamed
-//! solve is bit-identical to the one-worker resident solve. [`parallel`]
-//! sizes the pool and routes sub-threshold graphs to Algorithm 1.
+//! workers with one handoff per sweep (`pool`), and a compressed
+//! image's in-blocks cut into one contiguous range per worker of the
+//! same pool. Results are bit-for-bit deterministic for a fixed worker
+//! count, identical across batch widths; streamed scores do not depend
+//! on the worker count, and the one-worker streamed solve is
+//! bit-identical to the one-worker resident solve. [`parallel`] sizes
+//! the pool and routes sub-threshold graphs to Algorithm 1.
 //!
 //! All solvers are **fallible**: they return `Err` with a typed
 //! [`PageRankError`] on invalid input, on a hit iteration cap

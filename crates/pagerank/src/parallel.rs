@@ -17,8 +17,9 @@
 //!   routes to the serial scatter solver outright
 //!   ([`SERIAL_CUTOFF_EDGES`]); the gather engine only wins once the
 //!   working set outgrows cache.
-//! * every decision is recorded as a `pagerank.pool.sizing` event
-//!   (nodes, edges, quota, sweep hint, chosen path) so a solve that
+//! * every decision — resident or streamed — is recorded as a
+//!   `pagerank.pool.sizing` event (nodes, edges, quota, sweep hint,
+//!   chosen path, and the cap that chose the count) so a solve that
 //!   silently serialized is one grep away.
 
 use crate::config::PageRankConfig;
@@ -66,13 +67,45 @@ pub fn estimated_sweeps(tolerance: f64, damping: f64) -> usize {
     (ratio.ceil() as usize).clamp(1, 100_000)
 }
 
-/// The default quota scaled by expected sweep count: spawning a worker
-/// costs the same regardless of solve depth, so a solve with twice the
-/// sweeps justifies a worker at half the edges. Clamped to
-/// `[MIN_EDGES_PER_THREAD, DEFAULT_EDGES_PER_THREAD]`.
-fn sweep_scaled_quota(sweeps: usize) -> usize {
+/// The per-worker edge quota in force: `edges_per_thread` when nonzero,
+/// otherwise the default scaled by expected sweep count — spawning a
+/// worker costs the same regardless of solve depth, so a solve with
+/// twice the sweeps justifies a worker at half the edges. The scaled
+/// quota is clamped to `[MIN_EDGES_PER_THREAD, DEFAULT_EDGES_PER_THREAD]`.
+fn edge_quota(edges_per_thread: usize, sweeps: usize) -> usize {
+    if edges_per_thread != 0 {
+        return edges_per_thread;
+    }
     (DEFAULT_EDGES_PER_THREAD * REF_SWEEPS / sweeps.max(1))
         .clamp(MIN_EDGES_PER_THREAD, DEFAULT_EDGES_PER_THREAD)
+}
+
+/// A named upper bound on the worker count; the sizing event reports the
+/// name of the one that chose it.
+pub(crate) type Cap = (&'static str, usize);
+
+/// The caps of the sizing rule: the configured thread count (`0` =
+/// `hardware` cores), one worker per [`MIN_CHUNK`] nodes, and one worker
+/// per edge quota.
+fn pool_caps(
+    configured: usize,
+    edges_per_thread: usize,
+    hardware: usize,
+    nodes: usize,
+    edges: usize,
+    sweeps: usize,
+) -> [Cap; 3] {
+    let requested =
+        if configured == 0 { ("hardware", hardware) } else { ("configured", configured) };
+    let quota = edge_quota(edges_per_thread, sweeps);
+    [requested, ("node_floor", nodes.div_ceil(MIN_CHUNK)), ("edge_quota", edges.div_ceil(quota))]
+}
+
+/// The smallest cap (the first of equals, so the requested count wins a
+/// tie) and the worker count it allows — never below one.
+fn tightest(caps: &[Cap]) -> Cap {
+    let &(name, value) = caps.iter().min_by_key(|cap| cap.1).expect("the requested count is a cap");
+    (name, value.max(1))
 }
 
 /// Pure pool-sizing rule:
@@ -91,12 +124,10 @@ pub fn pool_threads(
     edges: usize,
     sweeps: usize,
 ) -> usize {
-    let t = if configured == 0 { hardware } else { configured };
-    let quota = if edges_per_thread == 0 { sweep_scaled_quota(sweeps) } else { edges_per_thread };
-    t.min(nodes.div_ceil(MIN_CHUNK)).min(edges.div_ceil(quota).max(1)).max(1)
+    tightest(&pool_caps(configured, edges_per_thread, hardware, nodes, edges, sweeps)).1
 }
 
-/// The resolved execution plan for one solve.
+/// The resolved execution plan for one resident solve.
 pub(crate) struct SolvePath {
     /// Worker count for the pooled engine (meaningful when `!serial`).
     pub(crate) threads: usize,
@@ -104,36 +135,67 @@ pub(crate) struct SolvePath {
     pub(crate) serial: bool,
 }
 
-/// Sizes a solve and records the full decision as a
-/// `pagerank.pool.sizing` event: when a run shows `pool_threads: 1`
-/// despite `--threads 4`, the event names the cap that collapsed it
-/// (node floor, edge quota, or host parallelism) and which path ran.
+/// A sized pool: the worker count plus everything the
+/// `pagerank.pool.sizing` event says about how it was chosen.
+pub(crate) struct PoolSizing {
+    /// The chosen worker count.
+    pub(crate) threads: usize,
+    /// The cap that chose it.
+    cap: &'static str,
+    /// The inputs of the decision, by event field name.
+    inputs: Vec<Cap>,
+}
+
+impl PoolSizing {
+    /// Sizes a solve over `n` nodes and `m` edges: [`pool_threads`],
+    /// further capped by `more_caps`.
+    pub(crate) fn new(config: &PageRankConfig, n: usize, m: usize, more_caps: &[Cap]) -> Self {
+        let hw = std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1);
+        let sweeps = estimated_sweeps(config.tolerance, config.damping);
+        let mut caps =
+            pool_caps(config.threads, config.edges_per_thread, hw, n, m, sweeps).to_vec();
+        caps.extend_from_slice(more_caps);
+        let (cap, threads) = tightest(&caps);
+        let mut inputs = vec![
+            ("nodes", n),
+            ("edges", m),
+            ("configured", config.threads),
+            ("hardware", hw),
+            ("edges_per_thread", edge_quota(config.edges_per_thread, sweeps)),
+            ("sweeps_hint", sweeps),
+        ];
+        inputs.extend_from_slice(more_caps);
+        PoolSizing { threads, cap, inputs }
+    }
+
+    /// Records the decision as a `pagerank.pool.sizing` event plus the
+    /// `pagerank.pool.threads` gauge: when a run shows `chosen: 1`
+    /// despite `--threads 4`, the event's `cap` names what collapsed it
+    /// and `path` which path ran.
+    pub(crate) fn record(self, path: &'static str) {
+        let mut fields: Vec<(String, obs::Json)> = self
+            .inputs
+            .iter()
+            .map(|&(name, value)| (name.to_string(), obs::Json::uint(value as u64)))
+            .collect();
+        fields.push(("path".to_string(), obs::Json::str(path)));
+        fields.push(("cap".to_string(), obs::Json::str(self.cap)));
+        fields.push(("chosen".to_string(), obs::Json::uint(self.threads as u64)));
+        obs::event(obs::names::PAGERANK_POOL_SIZING, fields);
+        obs::gauge(obs::names::PAGERANK_POOL_THREADS, self.threads as f64);
+    }
+}
+
+/// Sizes a resident solve and records the decision; a one-worker solve
+/// below the serial cutoffs routes to the scatter solver (path `serial`,
+/// otherwise `pooled`).
 pub(crate) fn solve_path(config: &PageRankConfig, graph: &Graph) -> SolvePath {
-    let hw = std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1);
     let n = graph.node_count();
     let m = graph.edge_count();
-    let sweeps = estimated_sweeps(config.tolerance, config.damping);
-    let threads = pool_threads(config.threads, config.edges_per_thread, hw, n, m, sweeps);
+    let sizing = PoolSizing::new(config, n, m, &[]);
+    let threads = sizing.threads;
     let serial = threads <= 1 && (n < MIN_CHUNK || m < SERIAL_CUTOFF_EDGES);
-    let quota = if config.edges_per_thread == 0 {
-        sweep_scaled_quota(sweeps)
-    } else {
-        config.edges_per_thread
-    };
-    obs::event(
-        obs::names::PAGERANK_POOL_SIZING,
-        vec![
-            ("nodes".to_string(), obs::Json::uint(n as u64)),
-            ("edges".to_string(), obs::Json::uint(m as u64)),
-            ("configured".to_string(), obs::Json::uint(config.threads as u64)),
-            ("hardware".to_string(), obs::Json::uint(hw as u64)),
-            ("edges_per_thread".to_string(), obs::Json::uint(quota as u64)),
-            ("sweeps_hint".to_string(), obs::Json::uint(sweeps as u64)),
-            ("path".to_string(), obs::Json::str(if serial { "serial" } else { "pooled" })),
-            ("chosen".to_string(), obs::Json::uint(threads as u64)),
-        ],
-    );
-    obs::gauge(obs::names::PAGERANK_POOL_THREADS, threads as f64);
+    sizing.record(if serial { "serial" } else { "pooled" });
     SolvePath { threads, serial }
 }
 
@@ -310,6 +372,8 @@ mod tests {
         assert_eq!(get("chosen").as_f64(), Some(3.0));
         assert_eq!(get("sweeps_hint").as_f64(), Some(171.0));
         assert_eq!(get("path").as_str(), Some("pooled"));
+        // Node floor and request tie at three; the request is named.
+        assert_eq!(get("cap").as_str(), Some("configured"));
         assert!(get("hardware").as_f64().unwrap() >= 1.0);
     }
 
@@ -321,6 +385,7 @@ mod tests {
         let fields = recorded_sizing_event(&PageRankConfig::default().threads(4), &g);
         let get = |k: &str| fields.iter().find(|(f, _)| f == k).unwrap().1.clone();
         assert_eq!(get("chosen").as_f64(), Some(1.0));
+        assert_eq!(get("cap").as_str(), Some("edge_quota"));
         assert_eq!(get("path").as_str(), Some("serial"));
     }
 

@@ -29,7 +29,6 @@
 //! [`PoolProfiler::from_live`] returns `None` and the pool runs the
 //! exact unprofiled code path — no timestamps, no atomics, no overhead.
 
-use crate::partition::EdgePartition;
 use spammass_obs::names;
 use spammass_obs::registry::{self, MetricsRegistry};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,15 +58,16 @@ pub(crate) struct PoolProfiler {
 }
 
 impl PoolProfiler {
-    /// Builds a profiler for `partition` — or `None` when the global
+    /// Builds a profiler for a pool whose worker `w` traverses
+    /// `chunk_edges[w]` edges per round — or `None` when the global
     /// registry is off, so the solvers pay nothing by default.
-    /// `columns` is the number of jump vectors a single round traverses
-    /// (1 for the single-RHS solver, K for the batched one).
-    pub(crate) fn from_live(partition: &EdgePartition, columns: usize) -> Option<PoolProfiler> {
+    /// `columns` is the number of jump vectors a single round traverses.
+    pub(crate) fn from_live(chunk_edges: &[usize], columns: usize) -> Option<PoolProfiler> {
         let registry = registry::live()?;
-        let workers = partition.len();
+        let workers = chunk_edges.len();
+        let imbalance = partition_imbalance(chunk_edges);
         let chunk_edges: Vec<f64> =
-            partition.chunk_edges().iter().map(|&e| (e * columns.max(1)) as f64).collect();
+            chunk_edges.iter().map(|&e| (e * columns.max(1)) as f64).collect();
         Some(PoolProfiler {
             registry,
             gather_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
@@ -79,7 +79,7 @@ impl PoolProfiler {
                 .collect(),
             eps_names: (0..workers).map(|w| names::worker_series(w, "edges_per_s")).collect(),
             chunk_edges,
-            imbalance: partition_imbalance(partition),
+            imbalance,
         })
     }
 
@@ -129,11 +129,11 @@ impl PoolProfiler {
 }
 
 /// Heaviest chunk's edge count relative to a perfect split (1.0 =
-/// balanced). Edge-range cuts are balanced to within one edge by
-/// construction, so values above ~1.0 only appear when there are more
-/// workers than edges.
-pub(crate) fn partition_imbalance(partition: &EdgePartition) -> f64 {
-    let edges = partition.chunk_edges();
+/// balanced). The resident edge-range cuts are balanced to within one
+/// edge by construction, so values above ~1.0 only appear when there are
+/// more workers than edges; the streamed block ranges are balanced to
+/// within a block.
+pub(crate) fn partition_imbalance(edges: &[usize]) -> f64 {
     let total: usize = edges.iter().sum();
     let max = edges.iter().copied().max().unwrap_or(0);
     if total == 0 {
@@ -145,6 +145,7 @@ pub(crate) fn partition_imbalance(partition: &EdgePartition) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::EdgePartition;
     use spammass_graph::{Graph, GraphBuilder};
 
     /// Star graph: all in-edges land on node 0.
@@ -157,7 +158,7 @@ mod tests {
     fn imbalance_is_one_for_single_chunk() {
         let g = star(100);
         let p = EdgePartition::balanced(&g, 1);
-        assert_eq!(partition_imbalance(&p), 1.0);
+        assert_eq!(partition_imbalance(&p.chunk_edges()), 1.0);
     }
 
     #[test]
@@ -166,7 +167,7 @@ mod tests {
         // one chunk owned every edge. Edge ranges cut through the row:
         // imbalance stays within one edge of perfect.
         let g = star(10_000);
-        let imb = partition_imbalance(&EdgePartition::balanced(&g, 4));
+        let imb = partition_imbalance(&EdgePartition::balanced(&g, 4).chunk_edges());
         let n_edges = g.edge_count() as f64;
         assert!(imb <= (n_edges / 4.0).ceil() * 4.0 / n_edges, "imbalance {imb}");
     }
@@ -175,7 +176,7 @@ mod tests {
     fn imbalance_handles_empty_graphs() {
         let g = GraphBuilder::from_edges(0, &[]);
         let p = EdgePartition::balanced(&g, 4);
-        assert_eq!(partition_imbalance(&p), 1.0);
+        assert_eq!(partition_imbalance(&p.chunk_edges()), 1.0);
     }
 
     #[test]
@@ -184,6 +185,6 @@ mod tests {
         // irreversible), so the gate must report None here.
         let g = star(50);
         let p = EdgePartition::balanced(&g, 2);
-        assert!(PoolProfiler::from_live(&p, 1).is_none());
+        assert!(PoolProfiler::from_live(&p.chunk_edges(), 1).is_none());
     }
 }

@@ -3,34 +3,41 @@
 //!
 //! The resident working set is only what the iteration mathematically
 //! needs: the interleaved jump/front/back score matrices (`3·n·K` f64),
-//! the per-node damping coefficients (`n` f64), and **one** decoded
-//! block's scratch CSR. The edge structure itself never materializes —
-//! each sweep streams the in-orientation blocks of a
-//! [`CompressedImage`], decoding block-at-a-time into a reusable
-//! [`BlockScratch`], and hands every decoded row to the engine's row
-//! body ([`crate::engine`]); the engine's column controller owns the
-//! matrices, the convergence decision and the result.
+//! the per-node damping coefficients (`n` f64), and one decoded block's
+//! scratch CSR **per worker**. The edge structure itself never
+//! materializes — the image's in-blocks are cut into one contiguous,
+//! cost-balanced range per pool worker, and each sweep every worker
+//! streams its own blocks, decoding block-at-a-time into its own
+//! reusable [`BlockScratch`] and handing every decoded row to the
+//! engine's row body ([`crate::engine`]); the engine's column controller
+//! owns the matrices, the pool handoff, the convergence decision and the
+//! result. Blocks hold whole rows, so there are no boundary pieces and
+//! no merge.
 //!
 //! ## Exactness
 //!
-//! A streamed sweep visits rows in ascending order through the same row
-//! body, gather kernel and coefficient values as the resident engine
-//! with `threads = 1` (which has no boundary rows), so the two are
-//! **bit-for-bit identical** — the streamed solver is not an
-//! approximation, just a different row source. Against a multi-worker
+//! A streamed sweep runs every row through the same row body, gather
+//! kernel and coefficient values as the resident engine, and a Jacobi
+//! row depends only on the previous sweep, so **scores and iteration
+//! counts are bit-for-bit independent of the worker count** — the
+//! streamed solver is not an approximation, just a different row source.
+//! With one worker the residual is bit-identical to the one-worker
+//! resident solve too; with more, each column's residual is folded from
+//! the workers' partial sums in worker index order, so a fixed
+//! `(image, workers)` is bit-reproducible. Against a multi-worker
 //! resident solve the scores agree to the usual re-association noise
 //! (≤1e-12 per node on converged solves), and the flagged set is
 //! identical; `tests/properties.rs` and
-//! `crates/core/tests/stream_parity.rs` pin the two claims.
+//! `crates/core/tests/stream_parity.rs` pin the claims.
 //!
 //! ## Budget
 //!
 //! Callers pass an explicit byte budget (the CLI's
 //! `--max-resident-mb`). The solve computes its worst-case resident
-//! footprint up front and refuses with
-//! [`PageRankError::ResidentBudget`] rather than quietly overshooting —
-//! an out-of-core path that silently allocates past its contract is
-//! worse than none.
+//! footprint up front, gives up workers (one block scratch each) until
+//! it fits, and refuses with [`PageRankError::ResidentBudget`] when even
+//! one worker does not — an out-of-core path that silently allocates
+//! past its contract is worse than none.
 
 use crate::batch::{empty_results, MAX_FUSED_COLUMNS};
 use crate::config::PageRankConfig;
@@ -38,47 +45,96 @@ use crate::engine::Columns;
 use crate::error::PageRankError;
 use crate::jump::JumpVector;
 use crate::kernel;
+use crate::parallel::PoolSizing;
+use crate::profiler::PoolProfiler;
 use crate::PageRankResult;
 use spammass_graph::compress::{BlockScratch, CompressedImage, Orientation};
 use spammass_obs as obs;
-use std::ops::ControlFlow;
+use std::ops::Range;
+use std::sync::Mutex;
 
 /// Bytes the streamed solve keeps resident for `n` nodes, `k` total
-/// columns, and an image whose largest block decodes to
-/// `(max_rows, max_edges)`: score matrices for the widest chunk, the
-/// coefficient vector, one block scratch, and the per-block index
-/// bookkeeping.
+/// columns, `workers` pool workers, and an image whose largest block
+/// decodes to `(max_rows, max_edges)`: score matrices for the widest
+/// chunk, the coefficient vector, one block scratch per worker, and the
+/// per-block index bookkeeping.
 pub fn resident_bytes_needed(
     n: usize,
     k: usize,
     max_rows: usize,
     max_edges: usize,
     blocks: usize,
+    workers: usize,
 ) -> u64 {
     let k_chunk = k.clamp(1, MAX_FUSED_COLUMNS);
     let score_matrices = 3 * (n as u64) * (k_chunk as u64) * 8; // vmat + front + back
     let coef = n as u64 * 8;
-    let scratch = BlockScratch::bytes_for(max_rows, max_edges) as u64;
+    let scratch = workers as u64 * BlockScratch::bytes_for(max_rows, max_edges) as u64;
     let index = blocks as u64 * 40; // entry + first-row + verified bit, rounded up
     score_matrices + coef + scratch + index
+}
+
+/// Checks the budget and sizes the pool for `k` columns over `image`:
+/// [`PageRankConfig::threads`] through the resident sizing rule, further
+/// capped by the in-block count — a worker owns whole blocks — and by
+/// how many block scratches the budget affords beside the matrices.
+fn size_pool(
+    image: &CompressedImage,
+    k: usize,
+    config: &PageRankConfig,
+    max_resident_bytes: u64,
+) -> Result<PoolSizing, PageRankError> {
+    let (max_rows, max_edges) = image.max_block_dims();
+    let in_blocks = image.block_count(Orientation::In);
+    let blocks = image.block_count(Orientation::Out) + in_blocks;
+    let required = resident_bytes_needed(image.node_count(), k, max_rows, max_edges, blocks, 1);
+    if required > max_resident_bytes {
+        return Err(PageRankError::ResidentBudget { required, budget: max_resident_bytes });
+    }
+    // Every worker beyond the first costs one more scratch.
+    let spare =
+        (max_resident_bytes - required) / BlockScratch::bytes_for(max_rows, max_edges) as u64;
+    let affordable = usize::try_from(spare).map_or(usize::MAX, |s| s.saturating_add(1));
+    let edges = usize::try_from(image.edge_count()).unwrap_or(usize::MAX);
+    let caps = [("block_count", in_blocks), ("budget", affordable)];
+    Ok(PoolSizing::new(config, image.node_count(), edges, &caps))
+}
+
+/// The worker count [`solve_batch_streamed`] resolves to for `columns`
+/// jump vectors over `image` under `config` and the byte budget — what a
+/// front end prints beside the budget.
+///
+/// # Errors
+/// [`PageRankError::ResidentBudget`] when not even one worker fits.
+pub fn streamed_workers(
+    image: &CompressedImage,
+    columns: usize,
+    config: &PageRankConfig,
+    max_resident_bytes: u64,
+) -> Result<usize, PageRankError> {
+    size_pool(image, columns, config, max_resident_bytes).map(|sizing| sizing.threads)
 }
 
 /// Solves `(I − c·Tᵀ)pⱼ = (1 − c)vⱼ` for every jump vector in `jumps`
 /// by streaming the compressed image's in-blocks through the engine's
 /// sweep — the out-of-core counterpart of
-/// [`crate::batch::solve_batch`], bit-identical to its one-worker path.
+/// [`crate::batch::solve_batch`], on the same worker pool (sized by
+/// [`streamed_workers`]). Scores and iteration counts do not depend on
+/// the worker count; with one worker the result is bit-identical to the
+/// resident one-worker solve.
 ///
 /// `max_resident_bytes` bounds the solve's own working set (scores,
-/// coefficients, block scratch — not the mmap'd image, which the OS
+/// coefficients, block scratches — not the mmap'd image, which the OS
 /// pages in and out freely).
 ///
 /// # Errors
-/// [`PageRankError::ResidentBudget`] when the working set cannot fit;
-/// otherwise the same contract as [`crate::batch::solve_batch`]
-/// (validation, guard trips, the iteration cap). A block that fails to
-/// decode — block checksums are verified lazily at first decode, so this
-/// is where a damaged payload, a file changed under the mmap, or a
-/// failing medium surfaces — is [`PageRankError::EdgeSource`].
+/// [`PageRankError::ResidentBudget`] when the working set cannot fit
+/// even with one worker; otherwise the same contract as
+/// [`crate::batch::solve_batch`] (validation, guard trips, the iteration
+/// cap). A block that fails to decode — block checksums are verified
+/// lazily at first decode, so this is where a damaged payload, a file
+/// changed under the mmap, or a failing medium surfaces — is
+/// [`PageRankError::EdgeSource`], whichever worker meets it.
 pub fn solve_batch_streamed(
     image: &CompressedImage,
     jumps: &[JumpVector],
@@ -96,16 +152,16 @@ pub fn solve_batch_streamed(
         return Ok(empty_results(k));
     }
 
-    let (max_rows, max_edges) = image.max_block_dims();
-    let blocks = image.block_count(Orientation::Out) + image.block_count(Orientation::In);
-    let required = resident_bytes_needed(n, k, max_rows, max_edges, blocks);
-    if required > max_resident_bytes {
-        return Err(PageRankError::ResidentBudget { required, budget: max_resident_bytes });
-    }
+    let sizing = size_pool(image, k, config, max_resident_bytes)?;
+    let workers = sizing.threads;
+    sizing.record("streamed");
+    let source = BlockSource::new(image, workers);
+    let in_blocks = image.block_count(Orientation::In);
 
     let mut span = obs::span("pagerank.solve.streamed");
     span.record("columns", k as f64);
     span.record("nodes", n as f64);
+    span.record("workers", workers as f64);
     span.record("resident_budget_bytes", max_resident_bytes as f64);
     let encoded_before = image.encoded_bytes_read();
 
@@ -114,7 +170,7 @@ pub fn solve_batch_streamed(
     let c = config.damping;
     let mut coef = vec![0.0f64; n];
     {
-        let mut scratch = BlockScratch::default();
+        let mut scratch = source.scratch(0);
         for idx in 0..image.block_count(Orientation::Out) {
             image.decode_block(Orientation::Out, idx, &mut scratch).map_err(edge_source)?;
             for i in 0..scratch.rows {
@@ -127,16 +183,20 @@ pub fn solve_batch_streamed(
     }
 
     let mut results = Vec::with_capacity(k);
-    let mut blocks_decoded = 0u64;
+    let mut sweeps = 0usize;
     for chunk in vs.chunks(MAX_FUSED_COLUMNS) {
-        results.extend(match chunk.len() {
-            1 => sweep_blocks::<1>(image, chunk, &coef, config, &mut blocks_decoded)?,
-            2 => sweep_blocks::<2>(image, chunk, &coef, config, &mut blocks_decoded)?,
-            3 => sweep_blocks::<3>(image, chunk, &coef, config, &mut blocks_decoded)?,
-            _ => sweep_blocks::<4>(image, chunk, &coef, config, &mut blocks_decoded)?,
-        });
+        let solved = match chunk.len() {
+            1 => sweep_blocks::<1>(&source, &coef, chunk, config)?,
+            2 => sweep_blocks::<2>(&source, &coef, chunk, config)?,
+            3 => sweep_blocks::<3>(&source, &coef, chunk, config)?,
+            _ => sweep_blocks::<4>(&source, &coef, chunk, config)?,
+        };
+        // A chunk sweeps until its last column freezes.
+        sweeps += solved.iter().map(|r| r.iterations).max().unwrap_or(0);
+        results.extend(solved);
     }
 
+    let blocks_decoded = (sweeps * in_blocks) as u64;
     let decoded_bytes = image.encoded_bytes_read() - encoded_before;
     span.record("blocks_decoded", blocks_decoded as f64);
     span.record("decoded_bytes", decoded_bytes as f64);
@@ -150,44 +210,113 @@ fn edge_source(e: spammass_graph::GraphError) -> PageRankError {
     PageRankError::EdgeSource(e.to_string())
 }
 
-/// One `K`-column streamed solve: the engine's sweep with rows delivered
-/// block-at-a-time in ascending order.
-fn sweep_blocks<const K: usize>(
-    image: &CompressedImage,
-    vs: &[Vec<f64>],
-    coef: &[f64],
-    config: &PageRankConfig,
-    blocks_decoded: &mut u64,
-) -> Result<Vec<PageRankResult>, PageRankError> {
-    let in_blocks = image.block_count(Orientation::In);
-    let mut cols = Columns::<K>::new(vs, None, config);
-    let mut scratch = BlockScratch::default();
-    loop {
-        let (body, read, write) = cols.sweep();
-        let mut deltas = [0.0f64; K];
-        for idx in 0..in_blocks {
-            image.decode_block(Orientation::In, idx, &mut scratch).map_err(edge_source)?;
-            *blocks_decoded += 1;
-            for i in 0..scratch.rows {
-                let y = scratch.first_row + i;
-                body.relax(
-                    y,
-                    read,
-                    |acc| kernel::gather_row(read, coef, scratch.row(i), acc),
-                    &mut write[y * K..(y + 1) * K],
-                    &mut deltas,
-                );
+/// The image's in-blocks as the engine's whole-row source: one
+/// contiguous range of blocks per worker, the destination rows and edges
+/// each range covers, and one decode scratch per worker.
+struct BlockSource<'a> {
+    image: &'a CompressedImage,
+    blocks: Vec<Range<usize>>,
+    rows: Vec<Range<usize>>,
+    edges: Vec<usize>,
+    scratches: Vec<Mutex<BlockScratch>>,
+}
+
+impl<'a> BlockSource<'a> {
+    /// Cuts the image's in-blocks into `workers` (`1..=` in-block count)
+    /// contiguous ranges of about equal cost, all of it from the index:
+    /// a block costs its edges, its rows and four times its encoded
+    /// bytes. Most edges sit in runs — decoded as one range, gathered
+    /// from consecutive scores — so the bytes count what is expensive:
+    /// residuals, decoded one varint at a time and gathered from
+    /// scattered sources. (Measured on the 1M-host bench web: weights 4
+    /// to 8 put the two workers within 5 % of each other, weight 1 leaves
+    /// the hub-row end 25 % heavier.) A range ends at the block whose
+    /// midpoint crosses the worker's share, but always holds at least one
+    /// block and leaves one for every later worker.
+    fn new(image: &'a CompressedImage, workers: usize) -> BlockSource<'a> {
+        let count = image.block_count(Orientation::In);
+        let dims: Vec<(usize, usize, usize)> =
+            (0..count).map(|idx| image.block_dims(Orientation::In, idx)).collect();
+        let cost = |idx: usize| {
+            let (rows, edges, encoded) = dims[idx];
+            (rows + edges + 4 * encoded) as u64
+        };
+        let total: u64 = (0..count).map(cost).sum();
+        let mut source = BlockSource {
+            image,
+            blocks: Vec::with_capacity(workers),
+            rows: Vec::with_capacity(workers),
+            edges: Vec::with_capacity(workers),
+            // Grown on demand: after the first sweep each holds its
+            // largest block and the sweeps allocate nothing.
+            scratches: (0..workers).map(|_| Mutex::default()).collect(),
+        };
+        let (mut start, mut spent) = (0usize, 0u64);
+        for w in 1..=workers {
+            let share = (total as u128 * w as u128 / workers as u128) as u64;
+            let last_start = count - (workers - w);
+            let mut end = start;
+            while end < last_start && (end == start || spent + cost(end) / 2 <= share) {
+                spent += cost(end);
+                end += 1;
             }
+            let first_row = image.block_rows(Orientation::In, start).start;
+            let end_row = image.block_rows(Orientation::In, end - 1).end;
+            source.rows.push(first_row..end_row);
+            source.edges.push(dims[start..end].iter().map(|&(_, edges, _)| edges).sum());
+            source.blocks.push(start..end);
+            start = end;
         }
-        if let ControlFlow::Break(outcome) = cols.finish_sweep(deltas, config) {
-            outcome?;
-            break;
-        }
+        source
     }
+
+    /// Worker `w`'s scratch. Each is locked by one thread at a time (the
+    /// coefficient pass, then its own worker once per sweep), so the
+    /// lock never waits.
+    fn scratch(&self, w: usize) -> std::sync::MutexGuard<'_, BlockScratch> {
+        self.scratches[w].lock().expect("a block scratch is only locked by its own worker")
+    }
+}
+
+/// One `K`-column streamed solve: the engine's sweep with each worker's
+/// rows delivered block-at-a-time from its own range of in-blocks.
+fn sweep_blocks<const K: usize>(
+    source: &BlockSource<'_>,
+    coef: &[f64],
+    vs: &[Vec<f64>],
+    config: &PageRankConfig,
+) -> Result<Vec<PageRankResult>, PageRankError> {
+    let mut cols = Columns::<K>::new(vs, None, config);
+    let profiler = PoolProfiler::from_live(&source.edges, K);
+    cols.solve_whole_rows(
+        config,
+        &source.rows,
+        profiler.as_ref(),
+        |worker, body, read, write, deltas| {
+            let mut scratch = source.scratch(worker);
+            let first = source.rows[worker].start;
+            for idx in source.blocks[worker].clone() {
+                source
+                    .image
+                    .decode_block(Orientation::In, idx, &mut scratch)
+                    .map_err(edge_source)?;
+                for i in 0..scratch.rows {
+                    let y = scratch.first_row + i;
+                    body.relax(
+                        y,
+                        read,
+                        |acc| kernel::gather_row(read, coef, scratch.row(i), acc),
+                        &mut write[(y - first) * K..(y - first + 1) * K],
+                        deltas,
+                    );
+                }
+            }
+            Ok(())
+        },
+    )?;
     // Free the sweep-only state before materializing per-column vectors
     // so the de-interleave phase stays under the same budget as the
     // sweeps.
-    drop(scratch);
     cols.release_sweep_buffers();
     Ok(cols.into_results())
 }
@@ -214,17 +343,42 @@ mod tests {
         b.build()
     }
 
-    fn tiny_block_image(g: &spammass_graph::Graph) -> CompressedImage {
-        // Blocks far smaller than the graph: each sweep cycles through
-        // many decode/gather rounds, the regime the parity claim covers.
+    /// Blocks far smaller than the graph: each sweep cycles through many
+    /// decode/gather rounds, and every worker owns dozens of blocks.
+    fn tiny_block_bytes(g: &spammass_graph::Graph) -> Vec<u8> {
         let cfg = V4Config { rows_per_block: 512, edges_per_block: 2048 };
-        let bytes = graph_to_bytes_v4_with(g, cfg).unwrap();
-        CompressedImage::from_store(Arc::new(bytes)).unwrap()
+        graph_to_bytes_v4_with(g, cfg).unwrap()
+    }
+
+    fn open(bytes: Vec<u8>) -> CompressedImage {
+        CompressedImage::from_store(Arc::new(bytes)).expect("open skips payloads")
     }
 
     fn jumps(n: usize) -> [JumpVector; 2] {
         let core: Vec<NodeId> = (0..(n as u32) / 10).map(NodeId).collect();
         [JumpVector::Uniform, JumpVector::core(core, n)]
+    }
+
+    /// Wide enough for four workers' node floors; the quota override
+    /// lifts the edge cap so `.threads(t)` is what runs.
+    const POOLED_NODES: usize = 66_000;
+
+    fn pooled(threads: usize) -> PageRankConfig {
+        PageRankConfig::default().edges_per_thread(1).threads(threads)
+    }
+
+    /// Flips one payload byte in the middle of the first or last
+    /// in-block, located through the in-index. v4 header: the in-index
+    /// offset sits at byte 40, the in-block count at byte 52; a 24-byte
+    /// index entry opens with the block's absolute offset (u64) and
+    /// length (u32).
+    fn flip_in_block_byte(bytes: &mut [u8], last: bool) {
+        let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+        let u32_at = |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
+        let count = u32_at(bytes, 52) as usize;
+        let entry = u64_at(bytes, 40) as usize + if last { (count - 1) * 24 } else { 0 };
+        let block = u64_at(bytes, entry) as usize;
+        bytes[block + u32_at(bytes, entry + 8) as usize / 2] ^= 0x40;
     }
 
     #[test]
@@ -233,18 +387,10 @@ mod tests {
         // flipped payload byte passes `from_store` and must surface from
         // the solve under its own name — never as a jump-vector error.
         let g = random_graph(2_000, 16_000, 61);
-        let cfg = V4Config { rows_per_block: 512, edges_per_block: 2048 };
-        let mut bytes = graph_to_bytes_v4_with(&g, cfg).unwrap();
-        // v4 header: the in-index offset sits at byte 40; an index entry
-        // opens with the block's absolute offset (u64) and length (u32).
-        let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
-        let in_index = u64_at(&bytes, 40) as usize;
-        let block = u64_at(&bytes, in_index) as usize;
-        let len = u32::from_le_bytes(bytes[in_index + 8..in_index + 12].try_into().unwrap());
-        bytes[block + len as usize / 2] ^= 0x40;
-        let image = CompressedImage::from_store(Arc::new(bytes)).expect("open skips payloads");
+        let mut bytes = tiny_block_bytes(&g);
+        flip_in_block_byte(&mut bytes, false);
         let err = solve_batch_streamed(
-            &image,
+            &open(bytes),
             &jumps(g.node_count()),
             &PageRankConfig::default(),
             u64::MAX,
@@ -255,9 +401,32 @@ mod tests {
     }
 
     #[test]
+    fn a_worker_that_hits_a_damaged_block_stops_the_solve() {
+        // The last in-block belongs to the last worker, so the failure
+        // happens off the control thread: it must come back as the typed
+        // error — no panic across the scope, no hang at the handoff — and
+        // the same image with the byte restored must solve.
+        let g = random_graph(POOLED_NODES, 260_000, 73);
+        let clean = tiny_block_bytes(&g);
+        let mut damaged = clean.clone();
+        flip_in_block_byte(&mut damaged, true);
+        let jumps = jumps(g.node_count());
+        for threads in [2usize, 4] {
+            let config = pooled(threads);
+            let image = open(damaged.clone());
+            assert_eq!(streamed_workers(&image, 2, &config, u64::MAX).unwrap(), threads);
+            let err = solve_batch_streamed(&image, &jumps, &config, u64::MAX).unwrap_err();
+            assert!(matches!(err, PageRankError::EdgeSource(_)), "{threads} workers: {err:?}");
+            let solved =
+                solve_batch_streamed(&open(clean.clone()), &jumps, &config, u64::MAX).unwrap();
+            assert!(solved.iter().all(|r| r.converged), "{threads} workers");
+        }
+    }
+
+    #[test]
     fn budget_violation_is_a_typed_error() {
         let g = random_graph(5_000, 40_000, 67);
-        let image = tiny_block_image(&g);
+        let image = open(tiny_block_bytes(&g));
         let config = PageRankConfig::default();
         let err = solve_batch_streamed(&image, &jumps(g.node_count()), &config, 1024).unwrap_err();
         match err {
@@ -270,9 +439,106 @@ mod tests {
     }
 
     #[test]
+    fn the_budget_gives_up_workers_before_it_refuses() {
+        let g = random_graph(POOLED_NODES, 260_000, 79);
+        let image = open(tiny_block_bytes(&g));
+        let jumps = jumps(g.node_count());
+        let (max_rows, max_edges) = image.max_block_dims();
+        let blocks = image.block_count(Orientation::Out) + image.block_count(Orientation::In);
+        let footprint = |workers| {
+            resident_bytes_needed(g.node_count(), 2, max_rows, max_edges, blocks, workers)
+        };
+        let wide = pooled(4);
+        assert_eq!(streamed_workers(&image, 2, &wide, u64::MAX).unwrap(), 4);
+        assert_eq!(streamed_workers(&image, 2, &wide, footprint(3)).unwrap(), 3);
+        assert_eq!(streamed_workers(&image, 2, &wide, footprint(2) - 1).unwrap(), 1);
+
+        // Exactly the one-worker footprint: solves, on one worker, with
+        // the bits of an unlimited budget at `threads = 1`.
+        assert_eq!(streamed_workers(&image, 2, &wide, footprint(1)).unwrap(), 1);
+        let tight = solve_batch_streamed(&image, &jumps, &wide, footprint(1)).unwrap();
+        let free = solve_batch_streamed(&image, &jumps, &pooled(1), u64::MAX).unwrap();
+        for (a, b) in tight.iter().zip(&free) {
+            assert!(a.scores.iter().zip(&b.scores).all(|(x, y)| x.to_bits() == y.to_bits()));
+            assert_eq!(a.iterations, b.iterations);
+            assert_eq!(a.residual.to_bits(), b.residual.to_bits());
+        }
+
+        // One byte less is a property of the input, not of a setting.
+        for config in [wide, pooled(1)] {
+            match solve_batch_streamed(&image, &jumps, &config, footprint(1) - 1) {
+                Err(PageRankError::ResidentBudget { required, budget }) => {
+                    assert_eq!((required, budget), (footprint(1), footprint(1) - 1));
+                }
+                other => panic!("expected ResidentBudget, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn block_ranges_tile_the_index_and_balance_cost() {
+        let g = random_graph(POOLED_NODES, 260_000, 83);
+        let image = open(tiny_block_bytes(&g));
+        let count = image.block_count(Orientation::In);
+        for workers in [1usize, 2, 3, 4, count] {
+            let source = BlockSource::new(&image, workers);
+            assert_eq!(source.blocks.len(), workers);
+            let mut next = (0usize, 0usize);
+            for (blocks, rows) in source.blocks.iter().zip(&source.rows) {
+                assert!(!blocks.is_empty(), "{workers} workers: {:?}", source.blocks);
+                assert_eq!((blocks.start, rows.start), next);
+                next = (blocks.end, rows.end);
+            }
+            assert_eq!(next, (count, g.node_count()));
+            assert_eq!(source.edges.iter().sum::<usize>(), g.edge_count());
+            if workers <= 4 {
+                // Uniform random edges: no range is far above its share.
+                let heaviest = *source.edges.iter().max().unwrap();
+                assert!(heaviest * workers <= g.edge_count() * 11 / 10, "{:?}", source.edges);
+            }
+        }
+    }
+
+    #[test]
+    fn the_streamed_solve_reports_its_pool() {
+        let recorder = Arc::new(obs::Recorder::new());
+        let collector = obs::Collector::builder().sink(recorder.clone()).build();
+        let g = random_graph(POOLED_NODES, 260_000, 89);
+        let image = open(tiny_block_bytes(&g));
+        {
+            let _guard = collector.install();
+            solve_batch_streamed(&image, &jumps(g.node_count()), &pooled(2), u64::MAX).unwrap();
+        }
+        let messages = recorder.messages();
+        let (_, fields) =
+            messages.iter().find(|(name, _)| name == obs::names::PAGERANK_POOL_SIZING).unwrap();
+        let get = |k: &str| {
+            fields.iter().find(|(f, _)| f == k).unwrap_or_else(|| panic!("missing {k}")).1.clone()
+        };
+        assert_eq!(get("path").as_str(), Some("streamed"));
+        assert_eq!(get("cap").as_str(), Some("configured"));
+        assert_eq!(get("chosen").as_f64(), Some(2.0));
+        assert_eq!(get("nodes").as_f64(), Some(g.node_count() as f64));
+        assert_eq!(get("edges").as_f64(), Some(g.edge_count() as f64));
+        assert_eq!(get("block_count").as_f64(), Some(image.block_count(Orientation::In) as f64));
+        assert!(get("budget").as_f64().unwrap() >= 2.0);
+        let metrics = collector.metrics_snapshot();
+        let gauge = metrics.iter().find(|(k, _)| k == obs::names::PAGERANK_POOL_THREADS).unwrap();
+        assert_eq!(gauge.1, obs::Metric::Gauge(2.0));
+        let spans = recorder.spans();
+        let span = spans.iter().find(|s| s.name == "pagerank.solve.streamed").unwrap();
+        let counter = |k: &str| span.counters.iter().find(|(name, _)| name == k).unwrap().1;
+        assert_eq!(counter("workers"), 2.0);
+        // Every in-block exactly once per sweep, whoever decodes it.
+        let sweeps = counter("blocks_decoded") / image.block_count(Orientation::In) as f64;
+        assert_eq!(sweeps.fract(), 0.0);
+        assert!(sweeps >= 1.0);
+    }
+
+    #[test]
     fn empty_and_zero_column_solves() {
         let g = GraphBuilder::from_edges(0, &[]);
-        let image = tiny_block_image(&g);
+        let image = open(tiny_block_bytes(&g));
         let config = PageRankConfig::default();
         assert!(solve_batch_streamed(&image, &[], &config, u64::MAX).unwrap().is_empty());
         let r = solve_batch_streamed(&image, &[JumpVector::Custom(Vec::new())], &config, u64::MAX)
@@ -284,7 +550,7 @@ mod tests {
     #[test]
     fn iteration_cap_fails_the_streamed_solve() {
         let g = random_graph(5_000, 40_000, 71);
-        let image = tiny_block_image(&g);
+        let image = open(tiny_block_bytes(&g));
         let tight = PageRankConfig::default().max_iterations(2).tolerance(1e-300);
         assert!(matches!(
             solve_batch_streamed(&image, &jumps(g.node_count()), &tight, u64::MAX),

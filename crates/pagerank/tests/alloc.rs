@@ -8,8 +8,10 @@
 //! exactly the same number of times — any per-iteration allocation would
 //! scale with the count and break the equality.
 
-use spammass_graph::{GraphBuilder, NodeId};
-use spammass_pagerank::{solve_batch, JumpVector, PageRankConfig, PageRankError};
+use spammass_graph::{graph_to_bytes_v4_with, CompressedImage, GraphBuilder, NodeId, V4Config};
+use spammass_pagerank::{
+    solve_batch, solve_batch_streamed, JumpVector, PageRankConfig, PageRankError,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -59,6 +61,14 @@ fn test_graph() -> spammass_graph::Graph {
             b.add_edge(NodeId(f), NodeId(t));
         }
     }
+    // Template rows: eight consecutive sources per destination, which the
+    // v4 codec stores as an interval — the row shape whose decode used to
+    // allocate.
+    for y in 0..4_000u32 {
+        for x in y + 10..y + 18 {
+            b.add_edge(NodeId(x), NodeId(y));
+        }
+    }
     b.build()
 }
 
@@ -87,15 +97,37 @@ fn capped_batch_allocations(graph: &spammass_graph::Graph, iterations: usize) ->
     allocations
 }
 
-/// One `#[test]` for both cases: the counter is process-global and the
+/// The streamed solve over a tiny-block v4 image of the same graph: two
+/// workers, each decoding dozens of blocks — interval rows included —
+/// into its own scratch every sweep.
+fn capped_streamed_allocations(graph: &spammass_graph::Graph, iterations: usize) -> usize {
+    let blocks = V4Config { rows_per_block: 512, edges_per_block: 2048 };
+    let bytes = graph_to_bytes_v4_with(graph, blocks).expect("v4 encode");
+    let image = CompressedImage::from_store(std::sync::Arc::new(bytes)).expect("v4 image");
+    let config = PageRankConfig::default().threads(2).max_iterations(iterations).tolerance(1e-300);
+    let jumps = [
+        JumpVector::Uniform,
+        JumpVector::core((0..1000).map(NodeId).collect(), graph.node_count()),
+    ];
+    let (allocations, result) =
+        allocations_during(|| solve_batch_streamed(&image, &jumps, &config, u64::MAX));
+    assert!(
+        matches!(result, Err(PageRankError::DidNotConverge { iterations: i, .. }) if i == iterations),
+        "streamed solve must run exactly {iterations} sweeps"
+    );
+    allocations
+}
+
+/// One `#[test]` for all cases: the counter is process-global and the
 /// harness runs tests on parallel threads, so a second test in this
 /// binary would allocate inside the first one's counted regions.
 #[test]
 fn solves_do_not_allocate_per_iteration() {
     let graph = test_graph();
-    for (columns, count) in [
-        (1, capped_solve_allocations as fn(&spammass_graph::Graph, usize) -> usize),
-        (2, capped_batch_allocations),
+    for (case, count) in [
+        ("1-column", capped_solve_allocations as fn(&spammass_graph::Graph, usize) -> usize),
+        ("2-column", capped_batch_allocations),
+        ("streamed 2-column", capped_streamed_allocations),
     ] {
         // Warm up: first run pays one-time costs (thread-local telemetry
         // probes, lazy runtime state).
@@ -104,7 +136,7 @@ fn solves_do_not_allocate_per_iteration() {
         let long = count(&graph, 64);
         assert_eq!(
             short, long,
-            "{columns}-column solve: allocation count must not scale with iterations: \
+            "{case} solve: allocation count must not scale with iterations: \
              {short} for 8 sweeps vs {long} for 64"
         );
     }

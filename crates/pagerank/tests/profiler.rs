@@ -6,10 +6,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spammass_graph::GraphBuilder;
+use spammass_graph::{graph_to_bytes_v4_with, CompressedImage, GraphBuilder, V4Config};
 use spammass_obs::registry;
 use spammass_obs::{names, MetricSnapshot};
-use spammass_pagerank::{solve_batch, JumpVector, PageRankConfig};
+use spammass_pagerank::{solve_batch, solve_batch_streamed, JumpVector, PageRankConfig};
 
 fn random_graph(n: usize, m: usize, seed: u64) -> spammass_graph::Graph {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -72,4 +72,30 @@ fn profiled_solve_populates_per_worker_series() {
     // The facade tees into the registry too: the sizing gauge arrives
     // through the plain obs::gauge call.
     assert!(snap.get(names::PAGERANK_POOL_THREADS).is_some());
+
+    // The streamed solve runs on the same pool, so the same series cover
+    // its workers' decode + gather. (Same test: the registry is one per
+    // process and the chunk gauge above would race a second test.) Three
+    // workers, so worker 2's series can only come from this solve.
+    let wide = random_graph(50_000, 150_000, 101);
+    let blocks = V4Config { rows_per_block: 512, edges_per_block: 2048 };
+    let bytes = graph_to_bytes_v4_with(&wide, blocks).expect("v4 encode");
+    let image = CompressedImage::from_store(std::sync::Arc::new(bytes)).expect("v4 image");
+    solve_batch_streamed(&image, &vs, &config.threads(3), u64::MAX).expect("streamed solve");
+    let snap = registry::global().snapshot();
+    for kind in ["gather_ns", "barrier_wait_ns"] {
+        let name = names::worker_series(2, kind);
+        match snap.get(&name) {
+            Some(MetricSnapshot::Histogram(h)) => assert!(h.count > 0, "{name} has no samples"),
+            other => panic!("{name}: expected histogram, got {other:?}"),
+        }
+    }
+    match snap.get(names::PAGERANK_PARTITION_CHUNKS) {
+        Some(MetricSnapshot::Gauge { value, .. }) => assert_eq!(*value, 3.0),
+        other => panic!("chunks: expected set gauge, got {other:?}"),
+    }
+    match snap.get(names::PAGERANK_POOL_THREADS) {
+        Some(MetricSnapshot::Gauge { value, .. }) => assert_eq!(*value, 3.0),
+        other => panic!("pool threads: expected set gauge, got {other:?}"),
+    }
 }

@@ -188,11 +188,12 @@ SCALE_OUT="BENCH_scale.json"
 
 grep -q '^BENCH_SCALE ' "$SCALE_LOG" || { echo "no BENCH_SCALE line captured"; exit 1; }
 # The scale record must carry the compression and out-of-core numbers
-# the docs quote: encoded size, bits/edge, budget vs CSR, both solve
-# timings, and the peak RSS of the run.
+# the docs quote: encoded size, bits/edge, budget vs CSR, the resident
+# and both streamed solve timings (one worker, default threads) with the
+# streamed-over-resident ratio, and the peak RSS of the run.
 for key in '"bits_per_edge"' '"compression_ratio"' '"v3_bytes"' '"v4_bytes"' \
     '"budget_bytes"' '"csr_bytes"' '"resident_solve_ms"' '"streamed_solve_ms"' \
-    '"peak_rss_mb"'; do
+    '"streamed_default_ms"' '"streamed_over_resident_1t"' '"peak_rss_mb"'; do
   grep -q "$key" "$SCALE_OUT" \
     || { echo "$SCALE_OUT missing scale key $key"; exit 1; }
 done

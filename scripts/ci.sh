@@ -67,7 +67,8 @@ SCALE_HOSTS=20000 cargo bench -p spammass-bench --bench scale -- --test \
   | tee "$SCALE_SMOKE"
 for key in '"bits_per_edge"' '"compression_ratio"' '"v3_bytes"' '"v4_bytes"' \
     '"budget_bytes"' '"csr_bytes"' '"resident_solve_ms"' \
-    '"streamed_solve_ms"' '"peak_rss_mb"'; do
+    '"streamed_solve_ms"' '"streamed_default_ms"' \
+    '"streamed_over_resident_1t"' '"peak_rss_mb"'; do
   grep '^BENCH_SCALE ' "$SCALE_SMOKE" | grep -q "$key" \
     || { echo "BENCH_SCALE line missing $key"; rm -f "$SCALE_SMOKE"; exit 1; }
 done
@@ -128,10 +129,12 @@ echo "== out-of-core pipeline smoke: stream 1M hosts -> v4 -> budgeted estimate 
 # 1M-host scenario to edge shards (never materializing the graph in
 # RAM), convert to a compressed v4 image via the external-memory
 # transpose, and estimate under a 64 MiB resident budget — smaller than
-# the ~92 MiB raw CSR the in-memory solve carries. The streamed solve
-# replicates the single-worker summation order, so the per-node TSV
-# (scores, mass, flags) must be byte-identical to the fully in-memory
-# run on the same image.
+# the ~92 MiB raw CSR the in-memory solve carries. On one worker the
+# streamed solve replicates the single-worker summation order, so the
+# per-node TSV (scores, mass, flags) must be byte-identical to the fully
+# in-memory run on the same image; and streamed scores do not depend on
+# who computes a row, so the same budgeted estimate at the default
+# thread count must write the same bytes again.
 ./target/release/spammass generate --stream "$SMOKE_DIR/stream" \
   --hosts 1000000 --seed 17 > "$SMOKE_DIR/stream.out"
 grep -q 'streamed 1000000 hosts' "$SMOKE_DIR/stream.out" \
@@ -150,8 +153,15 @@ grep -q 'streamed solve:' "$SMOKE_DIR/ooc.out" \
   --out "$SMOKE_DIR/stream-mem.tsv" > /dev/null
 diff -q "$SMOKE_DIR/stream-ooc.tsv" "$SMOKE_DIR/stream-mem.tsv" \
   || { echo "out-of-core flagged set/scores diverge from the in-memory run"; exit 1; }
-rm -rf "$SMOKE_DIR/stream" "$SMOKE_DIR/stream.v4" \
-  "$SMOKE_DIR/stream-ooc.tsv" "$SMOKE_DIR/stream-mem.tsv"
+./target/release/spammass estimate --graph "$SMOKE_DIR/stream.v4" \
+  --core "$SMOKE_DIR/stream/core.txt" --max-resident-mb 64 \
+  --out "$SMOKE_DIR/stream-ooc-pool.tsv" > "$SMOKE_DIR/ooc-pool.out" 2>&1
+grep -q 'streamed solve:.* on [0-9]* worker' "$SMOKE_DIR/ooc-pool.out" \
+  || { echo "pooled estimate --max-resident-mb did not name its workers"; cat "$SMOKE_DIR/ooc-pool.out"; exit 1; }
+diff -q "$SMOKE_DIR/stream-ooc-pool.tsv" "$SMOKE_DIR/stream-ooc.tsv" \
+  || { echo "streamed scores depend on the worker count"; exit 1; }
+rm -rf "$SMOKE_DIR/stream" "$SMOKE_DIR/stream.v4" "$SMOKE_DIR/stream-ooc.tsv" \
+  "$SMOKE_DIR/stream-ooc-pool.tsv" "$SMOKE_DIR/stream-mem.tsv"
 
 echo "== serve smoke: daemon answers queries and folds a journal reload =="
 # End to end through the real binary: estimate publishes generation 1,
