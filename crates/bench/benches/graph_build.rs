@@ -4,8 +4,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use spammass_bench::Fixture;
 use spammass_graph::stats::GraphStats;
-use spammass_graph::{io, GraphBuilder, NodeId};
+use spammass_graph::{io, ByteStore, GraphBuilder, NodeId};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_build(c: &mut Criterion) {
     let fixture = Fixture::new(20_000);
@@ -31,13 +32,13 @@ fn bench_build(c: &mut Criterion) {
 
 fn bench_io(c: &mut Criterion) {
     let fixture = Fixture::new(20_000);
-    let bytes = io::graph_to_bytes(fixture.graph());
+    let image: Arc<dyn ByteStore> = Arc::new(io::graph_to_bytes_v3(fixture.graph()));
 
     c.bench_function("binary_encode_20k", |b| {
-        b.iter(|| black_box(io::graph_to_bytes(fixture.graph())))
+        b.iter(|| black_box(io::graph_to_bytes_v3(fixture.graph())))
     });
     c.bench_function("binary_decode_20k", |b| {
-        b.iter(|| black_box(io::graph_from_bytes(&bytes).unwrap()))
+        b.iter(|| black_box(io::graph_from_image(image.clone()).unwrap()))
     });
 
     let mut text = Vec::new();

@@ -4,8 +4,7 @@
 //! / ≥1M-edge synthetic web, the fused gather kernel is measured on the
 //! natural layout versus the degree-descending and hub-first BFS
 //! permutations, and loading a v3 image through the memory-mapped
-//! zero-copy path is measured against the owned v2 decode. One
-//! verification pass prints a `BENCH_LAYOUT {...}` JSON line for
+//! zero-copy path is timed. One verification pass prints a `BENCH_LAYOUT {...}` JSON line for
 //! `scripts/bench.sh` to collect and asserts:
 //!
 //! * reordered solves reproduce natural-order scores exactly (≤1e-12
@@ -18,7 +17,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spammass_bench::Fixture;
-use spammass_graph::io::{graph_from_bytes, graph_to_bytes, graph_to_bytes_v3, map_graph_file};
+use spammass_graph::io::{graph_to_bytes_v3, map_graph_file};
 use spammass_graph::{Graph, NodeOrdering, Permutation};
 use spammass_pagerank::{parallel, solve_batch, JumpVector, PageRankConfig};
 use std::hint::black_box;
@@ -97,20 +96,16 @@ fn verify_and_report(g: &Graph) {
     let pool_threads_4t =
         parallel::pool_threads(4, 0, hardware, g.node_count(), g.edge_count(), sweeps);
 
-    // Zero-copy mmap load vs the owned v2 decode of the same graph.
+    // Zero-copy mmap load of the resident image.
     let dir = std::env::temp_dir().join("spammass-bench-layout");
     std::fs::create_dir_all(&dir).expect("create bench temp dir");
     let v3_path = dir.join("web.v3.spamgrph");
     std::fs::write(&v3_path, graph_to_bytes_v3(g)).expect("write v3 image");
-    let v2_bytes = graph_to_bytes(g);
     let (mapped, stats) = map_graph_file(&v3_path).expect("v3 image maps");
     assert!(stats.is_zero_copy(), "aligned v3 image must map zero-copy: {stats:?}");
     assert_eq!(mapped.edge_count(), g.edge_count());
     let mmap_load_ms = median_ms(reps, || {
         black_box(map_graph_file(&v3_path).expect("v3 image maps"));
-    });
-    let owned_load_ms = median_ms(reps, || {
-        black_box(graph_from_bytes(&v2_bytes).expect("v2 image decodes"));
     });
 
     let best = layouts.iter().map(|l| l.solve_ms).fold(f64::INFINITY, f64::min);
@@ -120,7 +115,7 @@ fn verify_and_report(g: &Graph) {
          \"degree_ms\": {:.3}, \"bfs_ms\": {:.3}, \"degree_order_ms\": {:.3}, \
          \"bfs_order_ms\": {:.3}, \"best_speedup_pct\": {:.1}, \
          \"fused_1t_ms\": {:.3}, \"fused_4t_ms\": {:.3}, \"pool_threads_4t\": {}, \
-         \"mmap_load_ms\": {:.3}, \"owned_load_ms\": {:.3}, \"zero_copy\": {}}}",
+         \"mmap_load_ms\": {:.3}, \"zero_copy\": {}}}",
         g.node_count(),
         g.edge_count(),
         natural_ms,
@@ -133,7 +128,6 @@ fn verify_and_report(g: &Graph) {
         fused_4t_ms,
         pool_threads_4t,
         mmap_load_ms,
-        owned_load_ms,
         stats.is_zero_copy(),
     );
 
@@ -178,12 +172,8 @@ fn bench_layout(c: &mut Criterion) {
     std::fs::create_dir_all(&dir).expect("create bench temp dir");
     let v3_path = dir.join("web.v3.spamgrph");
     std::fs::write(&v3_path, graph_to_bytes_v3(g)).expect("write v3 image");
-    let v2_bytes = graph_to_bytes(g);
     group.bench_with_input(BenchmarkId::new("load_mmap_v3", hosts), &hosts, |b, _| {
         b.iter(|| black_box(map_graph_file(&v3_path).expect("v3 image maps")))
-    });
-    group.bench_with_input(BenchmarkId::new("load_owned_v2", hosts), &hosts, |b, _| {
-        b.iter(|| black_box(graph_from_bytes(&v2_bytes).expect("v2 image decodes")))
     });
     group.finish();
 }

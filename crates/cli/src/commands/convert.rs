@@ -1,11 +1,13 @@
-//! `spammass convert` — re-encode a graph between the text edge-list
-//! format and the `SPAMGRPH` binary image versions.
+//! `spammass convert` — encode a graph into one of the two `SPAMGRPH`
+//! image versions the system writes.
 //!
-//! Two main uses: upgrading v1/v2 images (and text edge lists) to the v3
-//! aligned-section format, whose CSR arrays memory-map zero-copy on
-//! load; and compressing any input — including a shard **directory**
-//! from `spammass generate --stream` — into the v4 delta-varint block
-//! format that the out-of-core estimator streams
+//! `--format v3` (the default) is the resident format: aligned CSR
+//! sections that memory-map zero-copy on load. Any readable `--in` works
+//! — a text edge list, or an image of any version, which makes this the
+//! upgrade path for the import-only v1/v2 images. `--format v4`
+//! compresses any input — including a shard **directory** from
+//! `spammass generate --stream` — into the delta-varint block format
+//! that the out-of-core estimator streams
 //! (`spammass estimate --max-resident-mb`).
 //!
 //! Directory input never materializes the graph: out-rows stream
@@ -60,6 +62,9 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     let input = Path::new(args.required("in")?);
     let output = Path::new(args.required("out")?);
     let format = args.optional("format").unwrap_or("v3");
+    if !matches!(format, "v3" | "v4") {
+        return Err(CliError::Usage(format!("unknown --format {format:?} (v3, v4)")));
+    }
     if format != "v4"
         && (args.optional("block-rows").is_some() || args.optional("block-edges").is_some())
     {
@@ -93,22 +98,15 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         other => Permutation::compute(&graph, other).permute_graph(&graph),
     };
     let mut trailer = String::new();
-    let bytes = match format {
-        "v1" => io::graph_to_bytes_v1(&graph),
-        "v2" => io::graph_to_bytes(&graph),
-        "v3" => io::graph_to_bytes_v3(&graph),
-        "v4" => {
-            let config = v4_config(args)?;
-            let bytes = graph_to_bytes_v4_with(&graph, config)?;
-            if graph.edge_count() > 0 {
-                let bits = bytes.len() as f64 * 8.0 / (2.0 * graph.edge_count() as f64);
-                let _ = write!(trailer, " ({bits:.2} bits/edge over both orientations)");
-            }
-            bytes
+    let bytes = if format == "v4" {
+        let bytes = graph_to_bytes_v4_with(&graph, v4_config(args)?)?;
+        if graph.edge_count() > 0 {
+            let bits = bytes.len() as f64 * 8.0 / (2.0 * graph.edge_count() as f64);
+            let _ = write!(trailer, " ({bits:.2} bits/edge over both orientations)");
         }
-        other => {
-            return Err(CliError::Usage(format!("unknown --format {other:?} (v1, v2, v3, v4)")))
-        }
+        bytes
+    } else {
+        io::graph_to_bytes_v3(&graph)
     };
     fs::write(output, &bytes)?;
 
@@ -296,6 +294,8 @@ mod tests {
     use spammass_graph::{CompressedImage, GraphBuilder};
     use std::sync::Arc;
 
+    include!(concat!(env!("CARGO_MANIFEST_DIR"), "/../graph/tests/support/legacy_image.rs"));
+
     fn run_argv(argv: &[&str]) -> Result<String, CliError> {
         let v: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
         run(&ParsedArgs::parse(&v).unwrap())
@@ -303,27 +303,36 @@ mod tests {
 
     #[test]
     fn upgrades_v2_image_to_zero_copy_v3() {
-        let g = GraphBuilder::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+        let edges = [(0, 1), (1, 2), (2, 3), (3, 0)];
+        let g = GraphBuilder::from_edges(4, &edges);
         let d = crate::test_dir("convert-v2-to-v3");
-        let v2 = d.join("old.bin");
         let v3 = d.join("new.bin");
-        fs::write(&v2, io::graph_to_bytes(&g)).unwrap();
-        let out =
-            run_argv(&["convert", "--in", v2.to_str().unwrap(), "--out", v3.to_str().unwrap()])
-                .unwrap();
-        assert!(out.contains("wrote v3 image"), "{out}");
-        let (loaded, stats) = io::map_graph_file(&v3).unwrap();
-        assert_eq!(loaded.edge_count(), g.edge_count());
-        assert_eq!(stats.version, 3);
-        assert!(stats.is_zero_copy(), "{stats:?}");
+        for version in [1, 2] {
+            let old = d.join(format!("old.v{version}.bin"));
+            fs::write(&old, legacy_image(version, 4, &edges)).unwrap();
+            let out = run_argv(&[
+                "convert",
+                "--in",
+                old.to_str().unwrap(),
+                "--out",
+                v3.to_str().unwrap(),
+            ])
+            .unwrap();
+            assert!(out.contains("wrote v3 image"), "{out}");
+            assert_eq!(fs::read(&v3).unwrap(), io::graph_to_bytes_v3(&g), "v{version} upgrade");
+            let (loaded, stats) = io::map_graph_file(&v3).unwrap();
+            assert_eq!(loaded.edge_count(), g.edge_count());
+            assert_eq!(stats.version, 3);
+            assert!(stats.is_zero_copy(), "{stats:?}");
+        }
     }
 
     #[test]
-    fn converts_text_to_any_version_and_back_compat() {
-        let d = crate::test_dir("convert-text-any-version");
+    fn converts_text_to_either_written_version() {
+        let d = crate::test_dir("convert-text-either-version");
         let txt = d.join("edges.txt");
         fs::write(&txt, "# nodes: 3\n0 1\n1 2\n").unwrap();
-        for format in ["v1", "v2", "v3", "v4"] {
+        for format in ["v3", "v4"] {
             let bin = d.join(format!("as_{format}.bin"));
             let out = run_argv(&[
                 "convert",
@@ -336,8 +345,9 @@ mod tests {
             ])
             .unwrap();
             assert!(out.contains(&format!("wrote {format} image")), "{out}");
-            let g = io::graph_from_bytes(&fs::read(&bin).unwrap()).unwrap();
+            let (g, stats) = io::map_graph_file(&bin).unwrap();
             assert_eq!((g.node_count(), g.edge_count()), (3, 2));
+            assert_eq!(format!("v{}", stats.version), format);
         }
     }
 
@@ -359,7 +369,7 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("renumbered into degree order"), "{out}");
-        let g = io::graph_from_bytes(&fs::read(&bin).unwrap()).unwrap();
+        let (g, _) = io::map_graph_file(&bin).unwrap();
         assert_eq!(g.out_degree(spammass_graph::NodeId(0)), 3);
     }
 
@@ -369,16 +379,24 @@ mod tests {
         let txt = d.join("e.txt");
         fs::write(&txt, "0 1\n").unwrap();
         let bin = d.join("e.bin");
-        let bad_format = run_argv(&[
-            "convert",
-            "--in",
-            txt.to_str().unwrap(),
-            "--out",
-            bin.to_str().unwrap(),
-            "--format",
-            "v9",
-        ]);
-        assert!(matches!(bad_format, Err(CliError::Usage(_))));
+        // The retired writers' names are as unknown as any other: the
+        // error names the two formats that can be written.
+        for format in ["v1", "v2", "v9"] {
+            let bad_format = run_argv(&[
+                "convert",
+                "--in",
+                txt.to_str().unwrap(),
+                "--out",
+                bin.to_str().unwrap(),
+                "--format",
+                format,
+            ]);
+            match bad_format {
+                Err(CliError::Usage(m)) => assert!(m.contains("(v3, v4)"), "{format}: {m}"),
+                other => panic!("--format {format}: expected a usage error, got {other:?}"),
+            }
+            assert!(!bin.exists(), "--format {format} must not write anything");
+        }
         let bad_order = run_argv(&[
             "convert",
             "--in",

@@ -104,7 +104,7 @@ mod tests {
         let g = GraphBuilder::from_edges(33, &edges);
         let d = crate::test_dir("detect-boosted-target");
         let gp = d.join("g.bin");
-        fs::write(&gp, io::graph_to_bytes(&g)).unwrap();
+        fs::write(&gp, io::graph_to_bytes_v3(&g)).unwrap();
         let cp = d.join("core.txt");
         fs::write(&cp, "32\n").unwrap();
 
@@ -144,7 +144,7 @@ mod tests {
         let g = GraphBuilder::from_edges(29, &edges);
         let d = crate::test_dir("detect-top-k");
         let gp = d.join("g.bin");
-        fs::write(&gp, io::graph_to_bytes(&g)).unwrap();
+        fs::write(&gp, io::graph_to_bytes_v3(&g)).unwrap();
         let cp = d.join("core.txt");
         fs::write(&cp, "28\n").unwrap();
 

@@ -240,7 +240,7 @@ mod tests {
         let g = GraphBuilder::from_edges(8, &edges);
         let d = crate::test_dir(test);
         let gp = d.join("g.bin");
-        fs::write(&gp, io::graph_to_bytes(&g)).unwrap();
+        fs::write(&gp, io::graph_to_bytes_v3(&g)).unwrap();
         let cp = d.join("core.txt");
         fs::write(&cp, "7\n").unwrap();
         (gp, cp)
@@ -306,8 +306,8 @@ mod tests {
         let d = crate::test_dir("estimate-streamed-tsv");
         let v4 = d.join("g.v4");
         fs::write(&v4, spammass_graph::graph_to_bytes_v4(&g)).unwrap();
-        let v2 = d.join("g.v2");
-        fs::write(&v2, io::graph_to_bytes(&g)).unwrap();
+        let v3 = d.join("g.v3");
+        fs::write(&v3, io::graph_to_bytes_v3(&g)).unwrap();
         let cp = d.join("core.txt");
         fs::write(&cp, "0\n50\n100\n").unwrap();
 
@@ -329,7 +329,7 @@ mod tests {
             run(&args).unwrap()
         };
         let mem_tsv = d.join("mem.tsv");
-        run_with(&v2, &mem_tsv, &[]);
+        run_with(&v3, &mem_tsv, &[]);
         let streamed_tsv = d.join("streamed.tsv");
         let report = run_with(&v4, &streamed_tsv, &["--max-resident-mb", "8"]);
         assert!(report.contains("streamed solve:"), "{report}");

@@ -4,8 +4,9 @@
 //! warm-start safely: the CRC-guarded `MANIFEST`, every `gen-N/`
 //! snapshot's checksummed images and cross-file invariants, and (with
 //! `--journal`) the `SPAMDLT` delta journal. With `--repair true` it
-//! additionally quarantines damaged generations, re-points the manifest
-//! at the newest valid snapshot, sweeps publication debris, and
+//! additionally quarantines damaged generations, rewrites a graph image
+//! that loaded only by rebuilding a CRC-failed section, re-points the
+//! manifest at the newest valid snapshot, sweeps publication debris, and
 //! truncates a torn journal tail.
 //!
 //! Exit status is the scripting contract: success only when the
@@ -56,8 +57,7 @@ mod tests {
     }
 
     fn seeded_state(tag: &str) -> std::path::PathBuf {
-        let root = std::env::temp_dir().join(format!("spammass-cli-fsck-{tag}"));
-        let _ = fs::remove_dir_all(&root);
+        let root = crate::test_dir(&format!("fsck-{tag}"));
         let state = StateDir::new(root.join("state"));
         let g = GraphBuilder::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
         let p = vec![0.25; 4];

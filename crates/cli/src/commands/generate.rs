@@ -38,7 +38,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
 
     let config = ScenarioConfig::sized(hosts).with_evolve_steps(evolve);
     let scenario = Scenario::generate(&config, seed);
-    fs::write(out, io::graph_to_bytes(&scenario.graph))?;
+    fs::write(out, io::graph_to_bytes_v3(&scenario.graph))?;
 
     let mut report = String::new();
     let _ = writeln!(

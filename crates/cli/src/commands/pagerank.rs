@@ -142,7 +142,7 @@ mod tests {
     fn graph_file(test: &str) -> std::path::PathBuf {
         let g = GraphBuilder::from_edges(4, &[(0, 3), (1, 3), (2, 3)]);
         let p = crate::test_dir(test).join("g.bin");
-        std::fs::write(&p, io::graph_to_bytes(&g)).unwrap();
+        std::fs::write(&p, io::graph_to_bytes_v3(&g)).unwrap();
         p
     }
 
@@ -188,7 +188,7 @@ mod tests {
         // cap, while the fallback chain's relaxed-damping attempt can.
         let g = GraphBuilder::from_edges(3, &[(0, 1), (0, 2), (1, 0), (2, 0)]);
         let p = crate::test_dir(test).join("cycle.bin");
-        std::fs::write(&p, io::graph_to_bytes(&g)).unwrap();
+        std::fs::write(&p, io::graph_to_bytes_v3(&g)).unwrap();
         p
     }
 

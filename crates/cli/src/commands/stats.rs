@@ -59,7 +59,7 @@ mod tests {
     fn reports_basic_statistics() {
         let g = GraphBuilder::from_edges(4, &[(0, 1), (0, 2), (1, 2)]);
         let p = crate::test_dir("stats-basic").join("g.bin");
-        std::fs::write(&p, io::graph_to_bytes(&g)).unwrap();
+        std::fs::write(&p, io::graph_to_bytes_v3(&g)).unwrap();
         let args = ParsedArgs::parse(&[
             "stats".to_string(),
             "--graph".to_string(),

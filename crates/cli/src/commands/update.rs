@@ -199,7 +199,7 @@ mod tests {
         edges.push((6, 7));
         edges.push((7, 6));
         let g = GraphBuilder::from_edges(8, &edges);
-        fs::write(d.join("g.bin"), io::graph_to_bytes(&g)).unwrap();
+        fs::write(d.join("g.bin"), io::graph_to_bytes_v3(&g)).unwrap();
         fs::write(d.join("core.txt"), "7\n").unwrap();
         let args = parse(&[
             "estimate",

@@ -121,7 +121,7 @@ spammass — link spam detection based on mass estimation
 
 USAGE:
   spammass generate --hosts N [--seed S] --out FILE [--labels FILE] [--truth FILE] [--core FILE] [--evolve K --journal FILE]
-  spammass convert  --in FILE --out FILE [--format v1|v2|v3] [--order degree|bfs|none] [--lenient N] [--threads T]
+  spammass convert  --in FILE --out FILE [--format v3|v4] [--order degree|bfs|none] [--lenient N] [--threads T]
   spammass stats    --graph FILE [--lenient N]
   spammass pagerank --graph FILE [--solver jacobi|gauss-seidel|power|parallel] [--damping C] [--top K] [--threads T] [--order degree|bfs|none] [--labels FILE] [--fallback true] [--lenient N]
   spammass estimate --graph FILE --core FILE [--labels FILE] [--gamma G] [--out FILE] [--state DIR] [--threads T] [--order degree|bfs|none] [--lenient N] [--max-resident-mb M]
@@ -138,8 +138,9 @@ USAGE:
                     publish a new snapshot generation;
                     fsck: audit the manifest, every snapshot generation, and
                     (with --journal) the delta journal; --repair quarantines
-                    damaged generations, re-points the manifest at the newest
-                    valid one, and truncates a torn journal tail
+                    damaged generations, rewrites a graph image that loaded
+                    only by rebuilding a section, re-points the manifest at
+                    the newest valid one, and truncates a torn journal tail
 
   --lenient N       tolerate up to N malformed edge-list lines (skipped and
                     reported) instead of failing on the first bad line

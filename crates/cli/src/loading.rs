@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn graph_autodetect_binary_and_text() {
         let g = GraphBuilder::from_edges(3, &[(0, 1), (1, 2)]);
-        let bin = tmp("auto.bin", &io::graph_to_bytes(&g));
+        let bin = tmp("auto.bin", &io::graph_to_bytes_v3(&g));
         let loaded = load_graph(&bin).unwrap();
         assert_eq!(loaded.edge_count(), 2);
 
@@ -265,7 +265,7 @@ mod tests {
         assert!(warn.contains("1 skipped"), "{warn}");
         // Binary images never produce a report.
         let g2 = GraphBuilder::from_edges(2, &[(0, 1)]);
-        let bin = tmp("lenient.bin", &io::graph_to_bytes(&g2));
+        let bin = tmp("lenient.bin", &io::graph_to_bytes_v3(&g2));
         let (_, report) = load_graph_with(&bin, &ReadOptions::lenient(5)).unwrap();
         assert!(report.is_none());
         assert!(ingest_warning(report.as_ref()).is_none());

@@ -17,7 +17,10 @@ fn parse(parts: &[&str]) -> ParsedArgs {
 
 #[test]
 fn armed_panic_failpoint_writes_a_flight_dump_naming_the_site() {
-    let dir = std::env::temp_dir().join("spammass-cli-flight-crash");
+    let dir = std::env::temp_dir().join(format!(
+        "spammass-cli-{}-armed_panic_failpoint_writes_a_flight_dump_naming_the_site",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let graph = dir.join("web.graph");

@@ -29,7 +29,10 @@ fn http_get(addr: SocketAddr, path: &str) -> String {
 
 #[test]
 fn estimate_answers_scrapes_mid_solve_with_worker_series() {
-    let dir = std::env::temp_dir().join("spammass-cli-live-metrics");
+    let dir = std::env::temp_dir().join(format!(
+        "spammass-cli-{}-estimate_answers_scrapes_mid_solve_with_worker_series",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let graph = dir.join("web.graph");

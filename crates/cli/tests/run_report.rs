@@ -26,7 +26,7 @@ fn fixture(test: &str) -> (PathBuf, PathBuf) {
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
     let graph = dir.join("g.bin");
-    fs::write(&graph, io::graph_to_bytes(&g)).unwrap();
+    fs::write(&graph, io::graph_to_bytes_v3(&g)).unwrap();
     let core = dir.join("core.txt");
     fs::write(&core, "14\n").unwrap();
     (graph, core)
@@ -94,7 +94,7 @@ fn estimate_run_report_round_trips_with_required_sections() {
     for stage in stages {
         collect_paths(stage, &mut paths);
     }
-    for expected in ["graph.ingest.binary", "estimate", "estimate.pagerank_batch"] {
+    for expected in ["graph.ingest.image", "estimate", "estimate.pagerank_batch"] {
         assert!(paths.iter().any(|p| p == expected), "no stage {expected} in {paths:?}");
     }
 

@@ -13,6 +13,9 @@
 //! * stray `MANIFEST.tmp` debris is deleted;
 //! * damaged generations are **quarantined** (moved under
 //!   `quarantine/`, never deleted — the operator may want the bytes);
+//! * a generation whose v3 graph image loaded only by rebuilding a
+//!   CRC-failed CSR orientation from the intact one has that image
+//!   **rewritten** clean (staged beside it, fsynced, renamed over it);
 //! * a damaged or dangling manifest is re-pointed at the newest valid
 //!   generation via the same atomic publication path `save` uses;
 //! * a journal with a torn tail is truncated back to its trusted
@@ -23,7 +26,8 @@
 //! says so instead of pretending.
 
 use crate::journal;
-use crate::state::{StateDir, StateError};
+use crate::state::{sync_dir, write_durable, StateDir, StateError};
+use spammass_graph::io;
 use spammass_graph::retry::retry_io;
 use spammass_obs as obs;
 use std::fmt;
@@ -49,12 +53,22 @@ pub struct GenerationCheck {
     /// `None` when the snapshot loads and cross-validates; otherwise
     /// what failed.
     pub error: Option<String>,
+    /// CSR sections of the graph image the loader had to rebuild from
+    /// the opposite orientation after a CRC failure (`0`: the image is
+    /// intact). Such a generation loads — every reader gets the right
+    /// graph — but its bytes on disk are damaged.
+    pub rebuilt_sections: usize,
 }
 
 impl GenerationCheck {
     /// Whether the snapshot is fully loadable.
     pub fn is_valid(&self) -> bool {
         self.error.is_none()
+    }
+
+    /// Whether the snapshot loads *and* every byte of it checked out.
+    pub fn is_intact(&self) -> bool {
+        self.is_valid() && self.rebuilt_sections == 0
     }
 }
 
@@ -102,11 +116,11 @@ impl StateFsck {
     }
 
     /// Whether every audited layer checked out: consistent manifest, no
-    /// damaged generations, no publication debris, clean journal (when
-    /// one was checked).
+    /// damaged or self-repaired generations, no publication debris, clean
+    /// journal (when one was checked).
     pub fn is_healthy(&self) -> bool {
         self.manifest_consistent()
-            && self.generations.iter().all(GenerationCheck::is_valid)
+            && self.generations.iter().all(GenerationCheck::is_intact)
             && !self.stray_manifest_tmp
             && !matches!(self.legacy, Some(Err(_)))
             && self.journal.as_ref().is_none_or(journal::JournalFsck::is_clean)
@@ -129,6 +143,11 @@ impl fmt::Display for StateFsck {
         }
         for c in &self.generations {
             match &c.error {
+                None if c.rebuilt_sections > 0 => writeln!(
+                    f,
+                    "gen-{:04}: ok, image self-repaired ({} sections rebuilt)",
+                    c.generation, c.rebuilt_sections
+                )?,
                 None => writeln!(f, "gen-{:04}: ok", c.generation)?,
                 Some(e) => writeln!(f, "gen-{:04}: DAMAGED ({e})", c.generation)?,
             }
@@ -178,11 +197,11 @@ pub fn check_state(dir: &StateDir, journal_path: Option<&Path>) -> Result<StateF
     let mut report = StateFsck { manifest: Some(manifest), ..StateFsck::default() };
 
     for g in dir.list_generations()? {
-        let error = match StateDir::load_files(&dir.generation_path(g)) {
-            Ok(_) => None,
-            Err(e) => Some(e.to_string()),
+        let (error, rebuilt_sections) = match StateDir::load_files(&dir.generation_path(g)) {
+            Ok((_, image)) => (None, image.rebuilt_sections),
+            Err(e) => (Some(e.to_string()), 0),
         };
-        report.generations.push(GenerationCheck { generation: g, error });
+        report.generations.push(GenerationCheck { generation: g, error, rebuilt_sections });
     }
 
     // The manifest may name a generation with no directory at all —
@@ -192,6 +211,7 @@ pub fn check_state(dir: &StateDir, journal_path: Option<&Path>) -> Result<StateF
             report.generations.push(GenerationCheck {
                 generation: *g,
                 error: Some("generation directory missing".to_string()),
+                rebuilt_sections: 0,
             });
             report.generations.sort_unstable_by_key(|c| c.generation);
         }
@@ -262,6 +282,20 @@ pub fn repair_state(dir: &StateDir, journal_path: Option<&Path>) -> Result<State
         quarantined.push(g);
         repairs.push(format!("quarantined gen-{g:04} → {}", dest.display()));
         obs::counter(obs::names::FSCK_GENERATIONS_QUARANTINED, 1.0);
+    }
+
+    // A self-repaired image: the load already reconstructed the graph, so
+    // write it back clean. Staged beside the damaged file and renamed over
+    // it, so a reader that has the old inode mapped is undisturbed.
+    for check in before.generations.iter().filter(|c| c.rebuilt_sections > 0) {
+        let g = check.generation;
+        let path = dir.generation_path(g).join(StateDir::GRAPH_FILE);
+        let (graph, _) = io::map_graph_file(&path)?;
+        let staged = path.with_extension("bin.tmp");
+        write_durable(&staged, &io::graph_to_bytes_v3(&graph), "fsck.repair.image")?;
+        retry_io("fsck.repair.image", || fs::rename(&staged, &path))?;
+        sync_dir(&dir.generation_path(g))?;
+        repairs.push(format!("rewrote self-repaired graph image of gen-{g:04}"));
     }
 
     // Re-point the manifest when it is damaged, dangling, or names a
@@ -376,6 +410,57 @@ mod tests {
         let g = GraphBuilder::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
         let next = state.save(&g, &expected.core, &expected.pagerank, &expected.core_pagerank);
         assert_eq!(next.unwrap(), 2, "gen-2 was quarantined away, its slot is free again");
+        fs::remove_dir_all(state.path()).unwrap();
+    }
+
+    #[test]
+    fn self_repaired_image_is_reported_and_rewritten() {
+        let (state, expected) = populated("selfrepair", 2);
+        let victim = state.generation_path(2).join(StateDir::GRAPH_FILE);
+        let clean = fs::read(&victim).unwrap();
+        // Flip one byte inside the out-targets section (table entry 1;
+        // its offset field sits at 32 + 24 + 8).
+        let out_targets = spammass_graph::le::get_u64(&clean, 64) as usize;
+        let mut bytes = clean.clone();
+        bytes[out_targets] ^= 0x01;
+        // Unlink before writing: `expected.graph` still maps this inode.
+        fs::remove_file(&victim).unwrap();
+        fs::write(&victim, &bytes).unwrap();
+
+        // The loader rebuilds the orientation: every reader gets the graph.
+        let loaded = state.load().unwrap();
+        assert_eq!(io::graph_to_bytes_v3(&loaded.graph), clean);
+        assert_eq!(loaded.pagerank, expected.pagerank);
+
+        // fsck sees what the loader saw: usable, not healthy.
+        let report = check_state(&state, None).unwrap();
+        assert!(!report.is_healthy(), "{report}");
+        assert!(report.recoverable());
+        assert_eq!(report.newest_valid_generation(), Some(2));
+        let text = report.to_string();
+        assert!(text.contains("gen-0002: ok, image self-repaired (2 sections rebuilt)"), "{text}");
+        assert!(text.contains("gen-0001: ok\n"), "{text}");
+        assert!(text.contains("verdict: damaged (recoverable)"), "{text}");
+
+        // Repair rewrites the image in place; nothing is quarantined and
+        // the manifest keeps naming the newest generation.
+        let repaired = repair_state(&state, None).unwrap();
+        assert!(repaired.is_healthy(), "{repaired}");
+        assert!(repaired.quarantined.is_empty());
+        assert!(repaired.repairs.iter().any(|r| r.contains("gen-0002")), "{repaired}");
+        assert_eq!(state.read_manifest().unwrap(), Some(2));
+        assert_eq!(fs::read(&victim).unwrap(), clean);
+
+        // A truncated image is not self-repairable: the length sentinel
+        // rejects it before any section is looked at.
+        fs::remove_file(&victim).unwrap();
+        fs::write(&victim, &clean[..clean.len() - 5]).unwrap();
+        let report = check_state(&state, None).unwrap();
+        let damaged = report.generations.iter().find(|c| c.generation == 2).unwrap();
+        assert!(
+            damaged.error.as_deref().is_some_and(|e| e.contains("length sentinel")),
+            "{report}"
+        );
         fs::remove_dir_all(state.path()).unwrap();
     }
 

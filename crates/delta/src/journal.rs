@@ -39,6 +39,7 @@ use crate::failpoint;
 use crate::record::DeltaRecord;
 use spammass_graph::crc32::crc32;
 use spammass_graph::io::ReadOptions;
+use spammass_graph::le::{get_u32, put_u32};
 use spammass_graph::retry::retry_io;
 use spammass_graph::{GraphError, NodeId};
 use spammass_obs as obs;
@@ -57,16 +58,6 @@ const HEADER_LEN: usize = 12;
 const BATCH_OVERHEAD: usize = 12;
 /// How many skipped batches a [`JournalReport`] retains verbatim.
 const REPORT_SAMPLE_CAP: usize = 16;
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn get_u32(data: &[u8], offset: usize) -> u32 {
-    let mut b = [0u8; 4];
-    b.copy_from_slice(&data[offset..offset + 4]);
-    u32::from_le_bytes(b)
-}
 
 /// Whether `data` starts with the journal magic — cheap format sniffing
 /// for CLI inputs that may be either a graph image or a journal.

@@ -11,7 +11,7 @@
 //!   MANIFEST       pointer to the current generation (CRC-guarded,
 //!                  published via write-temp → fsync → rename)
 //!   gen-0001/      a complete, self-consistent snapshot
-//!     graph.bin    SPAMGRPH image of the graph the scores belong to
+//!     graph.bin    SPAMGRPH v3 image of the graph the scores belong to
 //!     p.bin        SPAMSCRS image of the PageRank vector p
 //!     p_core.bin   SPAMSCRS image of the core-biased vector p′
 //!     core.txt     good-core node ids, one per line, `#` comments
@@ -71,13 +71,14 @@
 
 use crate::{failpoint, journal};
 use spammass_graph::crc32::crc32;
+use spammass_graph::io::{self, ImageLoadStats};
+use spammass_graph::le::{get_u32, get_u64};
 use spammass_graph::retry::retry_io;
-use spammass_graph::{io, Graph, GraphError, NodeId};
+use spammass_graph::{Graph, GraphError, NodeId};
 use spammass_obs as obs;
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
-use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of the score-vector format.
@@ -95,18 +96,6 @@ const MANIFEST_HEADER: &str = "SPAMMANIFEST 1";
 /// Published generations kept around after a save: the new one plus one
 /// fallback. Anything older is pruned best-effort.
 const RETAINED_GENERATIONS: u64 = 2;
-
-fn get_u32(data: &[u8], offset: usize) -> u32 {
-    let mut b = [0u8; 4];
-    b.copy_from_slice(&data[offset..offset + 4]);
-    u32::from_le_bytes(b)
-}
-
-fn get_u64(data: &[u8], offset: usize) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&data[offset..offset + 8]);
-    u64::from_le_bytes(b)
-}
 
 /// Serializes a score vector into the checksummed `SPAMSCRS` image.
 pub fn scores_to_bytes(scores: &[f64]) -> Vec<u8> {
@@ -331,7 +320,7 @@ pub fn manifest_from_bytes(data: &[u8]) -> Result<u64, StateError> {
 /// boundaries: `{point}` before the create, `{point}.torn` mid-write
 /// (half the payload lands, simulating a torn page flush), and
 /// `{point}.fsync` before the sync.
-fn write_durable(path: &Path, bytes: &[u8], point: &str) -> std::io::Result<()> {
+pub(crate) fn write_durable(path: &Path, bytes: &[u8], point: &str) -> std::io::Result<()> {
     failpoint::hit(point)?;
     let mut file = retry_io(point, || fs::File::create(path))?;
     if let Err(e) = failpoint::hit(&format!("{point}.torn")) {
@@ -348,7 +337,7 @@ fn write_durable(path: &Path, bytes: &[u8], point: &str) -> std::io::Result<()> 
 /// Fsyncs a directory so a just-renamed entry inside it is durable.
 /// Non-Unix platforms have no stable directory-fsync story; the rename
 /// itself is still atomic there.
-fn sync_dir(dir: &Path) -> std::io::Result<()> {
+pub(crate) fn sync_dir(dir: &Path) -> std::io::Result<()> {
     #[cfg(unix)]
     {
         retry_io("state.dirsync", || fs::File::open(dir))?.sync_all()
@@ -561,7 +550,7 @@ impl StateDir {
 
         write_durable(
             &dir.join(Self::GRAPH_FILE),
-            &io::graph_to_bytes(graph),
+            &io::graph_to_bytes_v3(graph),
             "state.write.graph",
         )?;
         write_durable(&dir.join(Self::PAGERANK_FILE), &scores_to_bytes(pagerank), "state.write.p")?;
@@ -608,10 +597,20 @@ impl StateDir {
     /// damage along that path is an error; see
     /// [`StateDir::load_with_recovery`] for the lenient variant.
     pub fn load(&self) -> Result<SavedState, StateError> {
-        match self.read_manifest()? {
-            Some(generation) => self.load_generation(generation),
-            None => Self::load_files(&self.root),
-        }
+        self.load_current().map(|(_, state)| state)
+    }
+
+    /// [`StateDir::load`], also naming the generation the one manifest
+    /// read resolved to (`None`: the legacy flat layout) — what a reader
+    /// that tags its answers with a generation needs to stay consistent
+    /// with a concurrent publish.
+    pub fn load_current(&self) -> Result<(Option<u64>, SavedState), StateError> {
+        let generation = self.read_manifest()?;
+        let state = match generation {
+            Some(g) => self.load_generation(g)?,
+            None => Self::load_files(&self.root)?.0,
+        };
+        Ok((generation, state))
     }
 
     /// Loads the snapshot of a specific generation.
@@ -620,7 +619,7 @@ impl StateDir {
         if !dir.is_dir() {
             return Err(StateError::MissingGeneration { generation });
         }
-        Self::load_files(&dir)
+        Ok(Self::load_files(&dir)?.0)
     }
 
     /// Loads a usable snapshot even when the manifest or its target is
@@ -673,7 +672,7 @@ impl StateDir {
         // Last resort: the legacy flat layout.
         if self.root.join(Self::GRAPH_FILE).is_file() {
             match Self::load_files(&self.root) {
-                Ok(state) => {
+                Ok((state, _)) => {
                     // Legacy-without-manifest is the normal pre-PR-6 path,
                     // not a recovery.
                     report.recovered = requested.is_some() || !report.errors.is_empty();
@@ -688,13 +687,14 @@ impl StateDir {
         Err(StateError::NoUsableGeneration { tried: report.errors })
     }
 
-    /// Loads and cross-validates the four state files inside `dir`.
-    /// Crate-visible so the fsck engine can validate a generation (or a
-    /// legacy flat layout) without going through the manifest.
-    pub(crate) fn load_files(dir: &Path) -> Result<SavedState, StateError> {
+    /// Loads and cross-validates the four state files inside `dir`, the
+    /// graph image memory-mapped — the one parser of a generation, behind
+    /// every loader here and the serving snapshot. Crate-visible, with the
+    /// image's load statistics, so fsck can validate a generation (or a
+    /// legacy flat layout) and see whether its image had to repair itself.
+    pub(crate) fn load_files(dir: &Path) -> Result<(SavedState, ImageLoadStats), StateError> {
         let mut span = obs::span("delta.state.load");
-        let graph_bytes = retry_io("state.read.graph", || fs::read(dir.join(Self::GRAPH_FILE)))?;
-        let graph = io::graph_from_bytes(&graph_bytes)?;
+        let (graph, image) = io::map_graph_file(&dir.join(Self::GRAPH_FILE))?;
         let n = graph.node_count();
         let pagerank = scores_from_bytes(&retry_io("state.read.p", || {
             fs::read(dir.join(Self::PAGERANK_FILE))
@@ -711,10 +711,10 @@ impl StateDir {
                 .into());
             }
         }
-        let core_file = retry_io("state.read.core", || fs::File::open(dir.join(Self::CORE_FILE)))?;
+        let core_txt =
+            retry_io("state.read.core", || fs::read_to_string(dir.join(Self::CORE_FILE)))?;
         let mut core = Vec::new();
-        for (lineno, line) in BufReader::new(core_file).lines().enumerate() {
-            let line = line?;
+        for (lineno, line) in core_txt.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
@@ -732,7 +732,7 @@ impl StateDir {
         core.dedup();
         span.record("nodes", n as f64);
         span.record("core", core.len() as f64);
-        Ok(SavedState { graph, core, pagerank, core_pagerank })
+        Ok((SavedState { graph, core, pagerank, core_pagerank }, image))
     }
 
     /// Blocks until the manifest names a generation newer than `after`,
@@ -787,6 +787,8 @@ impl StateDir {
 mod tests {
     use super::*;
     use spammass_graph::GraphBuilder;
+
+    include!(concat!(env!("CARGO_MANIFEST_DIR"), "/../graph/tests/support/legacy_image.rs"));
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir =
@@ -939,7 +941,9 @@ mod tests {
         let dir = tmpdir("legacy");
         let (g, core, p, pc) = sample();
         fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join(StateDir::GRAPH_FILE), io::graph_to_bytes(&g)).unwrap();
+        // Exactly what a pre-PR-6 run left behind: flat files, v2 image.
+        let edges: Vec<(u32, u32)> = g.edges().map(|(f, t)| (f.0, t.0)).collect();
+        fs::write(dir.join(StateDir::GRAPH_FILE), legacy_image(2, g.node_count(), &edges)).unwrap();
         fs::write(dir.join(StateDir::PAGERANK_FILE), scores_to_bytes(&p)).unwrap();
         fs::write(dir.join(StateDir::CORE_PAGERANK_FILE), scores_to_bytes(&pc)).unwrap();
         fs::write(dir.join(StateDir::CORE_FILE), "0\n2\n").unwrap();
@@ -957,6 +961,8 @@ mod tests {
         assert_eq!(state.save(&g, &core, &p, &pc).unwrap(), 1);
         assert_eq!(state.read_manifest().unwrap(), Some(1));
         assert!(state.generation_path(1).is_dir());
+        let published = fs::read(state.generation_path(1).join(StateDir::GRAPH_FILE)).unwrap();
+        assert_eq!(published, io::graph_to_bytes_v3(&g), "the upgrade publishes a v3 image");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -34,7 +34,7 @@ static SERIAL: Mutex<()> = Mutex::new(());
 /// A comparable digest of a loaded state: serialized graph plus the
 /// exact core/score vectors.
 fn fingerprint(s: &SavedState) -> (Vec<u8>, Vec<NodeId>, Vec<f64>, Vec<f64>) {
-    (io::graph_to_bytes(&s.graph), s.core.clone(), s.pagerank.clone(), s.core_pagerank.clone())
+    (io::graph_to_bytes_v3(&s.graph), s.core.clone(), s.pagerank.clone(), s.core_pagerank.clone())
 }
 
 struct Scenario {

@@ -149,7 +149,8 @@ mod tests {
 
     #[test]
     fn write_csv_creates_file() {
-        let dir = std::env::temp_dir().join("spammass-eval-test");
+        let dir = std::env::temp_dir()
+            .join(format!("spammass-eval-{}-write_csv_creates_file", std::process::id()));
         sample().write_csv(&dir, "demo").unwrap();
         let content = std::fs::read_to_string(dir.join("demo.csv")).unwrap();
         assert!(content.starts_with("name,value"));

@@ -44,6 +44,7 @@
 use crate::crc32::crc32;
 use crate::error::GraphError;
 use crate::graph::Graph;
+use crate::le::{get_u32, get_u64};
 use crate::node::NodeId;
 use crate::storage::ByteStore;
 use crate::varint;
@@ -399,14 +400,6 @@ impl std::fmt::Debug for CompressedImage {
             .field("in_blocks", &self.in_blocks.len())
             .finish()
     }
-}
-
-fn get_u32(b: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(b[at..at + 4].try_into().expect("bounds checked by caller"))
-}
-
-fn get_u64(b: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(b[at..at + 8].try_into().expect("bounds checked by caller"))
 }
 
 impl CompressedImage {
@@ -838,7 +831,7 @@ mod tests {
     #[test]
     fn v4_matches_v3_csr_exactly() {
         let g = sample_graph();
-        let v3 = io::graph_from_bytes(&io::graph_to_bytes_v3(&g)).unwrap();
+        let (v3, _) = io::graph_from_image(Arc::new(io::graph_to_bytes_v3(&g))).unwrap();
         let v4 = CompressedImage::from_store(Arc::new(graph_to_bytes_v4(&g)))
             .unwrap()
             .decode_graph()

@@ -6,30 +6,17 @@
 //!   synthetic workload. Real crawl dumps are messy; [`read_edge_list_with`]
 //!   offers a **lenient** mode that skips malformed lines up to an error
 //!   budget and reports them in a [`LoadReport`].
-//! * **Binary**: a little-endian `SPAMGRPH` image for fast reload of large
-//!   generated graphs between experiment runs. Version 2 (the legacy
-//!   edge-list encoding) appends a CRC-32 of the image and a trailing length
-//!   sentinel, so truncated or bit-flipped images are rejected with a precise
-//!   [`GraphError::Corrupted`] instead of being decoded into garbage.
-//!   Version 1 images (no checksum) remain readable. Version 3 stores the
-//!   four CSR arrays as 8-byte-aligned, individually-checksummed sections so
-//!   a graph can be loaded **zero-copy** straight out of a memory-mapped
-//!   file (see [`graph_from_image`] / [`map_graph_file`]) — no per-edge
-//!   decode, no per-edge copy.
-//!
-//! ## Binary layout (v1/v2)
-//!
-//! ```text
-//! offset        field
-//! 0             magic  b"SPAMGRPH"
-//! 8             version u32 LE (1 or 2)
-//! 12            node_count u64 LE
-//! 20            edge_count u64 LE
-//! 28            edges: edge_count × (from u32 LE, to u32 LE)
-//! -- v2 only --
-//! 28 + 8·E      crc32 u32 LE  — CRC-32 (IEEE) over bytes [0, 28 + 8·E)
-//! 32 + 8·E      total_len u64 LE — length of the whole image (40 + 8·E)
-//! ```
+//! * **Binary**: the little-endian `SPAMGRPH` image. The system writes two
+//!   versions, each with one job: **v3** ([`graph_to_bytes_v3`]) is the
+//!   resident format — the four CSR arrays as 8-byte-aligned,
+//!   individually-checksummed sections, so a graph loads **zero-copy**
+//!   straight out of a memory-mapped file ([`map_graph_file`]) with no
+//!   per-edge decode and no per-edge copy — and **v4**
+//!   ([`crate::compress`]) is the compressed, block-streamed one.
+//!   Versions 1 and 2 (edge lists; v2 with a CRC-32 and a trailing length
+//!   sentinel) are **import-only**: [`graph_from_image`] still decodes
+//!   them, with every integrity check they ever had, and nothing writes
+//!   them any more. `spammass convert --in old.bin` is the upgrade path.
 //!
 //! ## Binary layout (v3)
 //!
@@ -57,12 +44,27 @@
 //! target are used in place ([`U32Store::shared`]); anything else falls
 //! back to an owned copy — same graph, one copy. [`ImageLoadStats`] reports
 //! which path each section took.
+//!
+//! ## Binary layout (v1/v2, read-only)
+//!
+//! ```text
+//! offset        field
+//! 0             magic  b"SPAMGRPH"
+//! 8             version u32 LE (1 or 2)
+//! 12            node_count u64 LE
+//! 20            edge_count u64 LE
+//! 28            edges: edge_count × (from u32 LE, to u32 LE)
+//! -- v2 only --
+//! 28 + 8·E      crc32 u32 LE  — CRC-32 (IEEE) over bytes [0, 28 + 8·E)
+//! 32 + 8·E      total_len u64 LE — length of the whole image (40 + 8·E)
+//! ```
 
 use crate::builder::GraphBuilder;
 use crate::crc32::crc32;
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::labels::NodeLabels;
+use crate::le::{get_u32, get_u64, put_u32, put_u64};
 use crate::node::NodeId;
 use crate::storage::{ByteStore, NodeStore, U32Store};
 use spammass_obs as obs;
@@ -72,17 +74,16 @@ use std::sync::Arc;
 
 /// Magic prefix of the binary graph format.
 const MAGIC: &[u8; 8] = b"SPAMGRPH";
-/// Edge-list binary format version (checksummed); still the
-/// [`graph_to_bytes`] default for its byte-exhaustive corruption coverage.
-const VERSION: u32 = 2;
-/// First version carrying no integrity information.
+/// Legacy edge-list format carrying no integrity information (read-only).
 const VERSION_V1: u32 = 1;
+/// Legacy checksummed edge-list format (read-only).
+const VERSION_V2: u32 = 2;
 /// Sectioned CSR format, loadable zero-copy from a mapped file.
 const VERSION_V3: u32 = 3;
 /// Fixed header size shared by v1/v2.
-const HEADER_LEN: usize = 28;
+const LEGACY_HEADER_LEN: usize = 28;
 /// v2 trailer: CRC-32 (4 bytes) + length sentinel (8 bytes).
-const TRAILER_LEN: usize = 12;
+const LEGACY_TRAILER_LEN: usize = 12;
 /// How many offending lines a [`LoadReport`] retains verbatim.
 const REPORT_SAMPLE_CAP: usize = 16;
 /// Number of CSR sections in a v3 image.
@@ -552,178 +553,6 @@ fn read_edge_list_sharded(
 // Binary images
 // ---------------------------------------------------------------------------
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn get_u32(data: &[u8], offset: usize) -> u32 {
-    let mut b = [0u8; 4];
-    b.copy_from_slice(&data[offset..offset + 4]);
-    u32::from_le_bytes(b)
-}
-
-fn get_u64(data: &[u8], offset: usize) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&data[offset..offset + 8]);
-    u64::from_le_bytes(b)
-}
-
-/// Serializes `g` into the current (v2, checksummed) binary image format.
-pub fn graph_to_bytes(g: &Graph) -> Vec<u8> {
-    let total = HEADER_LEN + g.edge_count() * 8 + TRAILER_LEN;
-    let mut buf = Vec::with_capacity(total);
-    buf.extend_from_slice(MAGIC);
-    put_u32(&mut buf, VERSION);
-    put_u64(&mut buf, g.node_count() as u64);
-    put_u64(&mut buf, g.edge_count() as u64);
-    for (f, t) in g.edges() {
-        put_u32(&mut buf, f.0);
-        put_u32(&mut buf, t.0);
-    }
-    let checksum = crc32(&buf);
-    put_u32(&mut buf, checksum);
-    put_u64(&mut buf, total as u64);
-    debug_assert_eq!(buf.len(), total);
-    buf
-}
-
-/// Deserializes a graph from the binary image format (v1 or v2).
-///
-/// v2 images are verified end-to-end — length sentinel first, then
-/// CRC-32 — before any structural decoding, so truncation and bit flips
-/// surface as [`GraphError::Corrupted`] with the expected/observed values.
-pub fn graph_from_bytes(data: &[u8]) -> Result<Graph, GraphError> {
-    let mut span = obs::span("graph.ingest.binary");
-    span.record("bytes", data.len() as f64);
-    obs::counter("graph.ingest.bytes", data.len() as f64);
-    if data.len() < HEADER_LEN {
-        return Err(GraphError::Corrupt("image shorter than header".into()));
-    }
-    if &data[..8] != MAGIC {
-        return Err(GraphError::Corrupt("bad magic".into()));
-    }
-    let version = get_u32(data, 8);
-    if version == VERSION_V3 {
-        // Owned decode for callers holding a plain byte slice; the
-        // zero-copy entry point is `graph_from_image`.
-        drop(span);
-        let owner: Arc<dyn ByteStore> = Arc::new(data.to_vec());
-        return graph_from_image(owner).map(|(g, _)| g);
-    }
-    if version == crate::compress::VERSION_V4 {
-        // Compressed images decode block-by-block into an owned CSR;
-        // block-streaming callers use `CompressedImage` directly.
-        drop(span);
-        let image = crate::compress::CompressedImage::from_store(Arc::new(data.to_vec()))?;
-        return image.decode_graph();
-    }
-    let edge_base = match version {
-        VERSION_V1 => data.len(),
-        VERSION => {
-            if data.len() < HEADER_LEN + TRAILER_LEN {
-                return Err(GraphError::Corrupted {
-                    field: "length sentinel",
-                    expected: (HEADER_LEN + TRAILER_LEN) as u64,
-                    got: data.len() as u64,
-                });
-            }
-            let sentinel = get_u64(data, data.len() - 8);
-            if sentinel != data.len() as u64 {
-                return Err(GraphError::Corrupted {
-                    field: "length sentinel",
-                    expected: sentinel,
-                    got: data.len() as u64,
-                });
-            }
-            let stored_crc = get_u32(data, data.len() - TRAILER_LEN);
-            // Nested span: path becomes `graph.ingest.binary.crc_verify`.
-            let crc_span = obs::span("crc_verify");
-            let computed = crc32(&data[..data.len() - TRAILER_LEN]);
-            drop(crc_span);
-            if stored_crc != computed {
-                return Err(GraphError::Corrupted {
-                    field: "crc32",
-                    expected: stored_crc as u64,
-                    got: computed as u64,
-                });
-            }
-            data.len() - TRAILER_LEN
-        }
-        other => return Err(GraphError::Corrupt(format!("unsupported version {other}"))),
-    };
-
-    let nodes = get_u64(data, 12) as usize;
-    let edges = get_u64(data, 20) as usize;
-    if nodes > u32::MAX as usize {
-        return Err(GraphError::Corrupt(format!("node count {nodes} exceeds u32 range")));
-    }
-    if edges > u32::MAX as usize {
-        return Err(GraphError::Corrupt(format!("edge count {edges} exceeds u32 range")));
-    }
-    let expected_payload = edges
-        .checked_mul(8)
-        .and_then(|b| b.checked_add(HEADER_LEN))
-        .ok_or_else(|| GraphError::Corrupt("edge byte count overflows".into()))?;
-    if edge_base != expected_payload {
-        return Err(GraphError::Corrupted {
-            field: "edge payload length",
-            expected: expected_payload as u64,
-            got: edge_base as u64,
-        });
-    }
-
-    span.record("nodes", nodes as f64);
-    span.record("edges", edges as f64);
-    obs::counter("graph.ingest.edges", edges as f64);
-    let mut b = GraphBuilder::with_capacity(nodes, edges);
-    for i in 0..edges {
-        let off = HEADER_LEN + i * 8;
-        let f = get_u32(data, off);
-        let t = get_u32(data, off + 4);
-        if f as usize >= nodes || t as usize >= nodes {
-            return Err(GraphError::Corrupt(format!("edge ({f},{t}) out of range")));
-        }
-        b.add_edge(NodeId(f), NodeId(t));
-    }
-    Ok(b.build())
-}
-
-/// Serializes `g` into the legacy v1 (unchecksummed) image — kept so the
-/// read-side v1 compatibility path stays exercised.
-pub fn graph_to_bytes_v1(g: &Graph) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_LEN + g.edge_count() * 8);
-    buf.extend_from_slice(MAGIC);
-    put_u32(&mut buf, VERSION_V1);
-    put_u64(&mut buf, g.node_count() as u64);
-    put_u64(&mut buf, g.edge_count() as u64);
-    for (f, t) in g.edges() {
-        put_u32(&mut buf, f.0);
-        put_u32(&mut buf, t.0);
-    }
-    buf
-}
-
-/// Writes the binary image to `writer`.
-pub fn write_binary<W: Write>(g: &Graph, mut writer: W) -> Result<(), GraphError> {
-    writer.write_all(&graph_to_bytes(g))?;
-    Ok(())
-}
-
-/// Reads the binary image from `reader`.
-pub fn read_binary<R: Read>(mut reader: R) -> Result<Graph, GraphError> {
-    let mut data = Vec::new();
-    reader.read_to_end(&mut data)?;
-    graph_from_bytes(&data)
-}
-
-// ---------------------------------------------------------------------------
-// v3 sectioned images (zero-copy load path)
-// ---------------------------------------------------------------------------
-
 fn put_u32_iter(buf: &mut Vec<u8>, values: impl Iterator<Item = u32>) {
     for v in values {
         put_u32(buf, v);
@@ -777,17 +606,11 @@ pub fn graph_to_bytes_v3(g: &Graph) -> Vec<u8> {
     buf
 }
 
-/// Writes the v3 sectioned image to `writer`.
-pub fn write_binary_v3<W: Write>(g: &Graph, mut writer: W) -> Result<(), GraphError> {
-    writer.write_all(&graph_to_bytes_v3(g))?;
-    Ok(())
-}
-
 /// How each CSR section of an image load was materialized.
 ///
 /// `zero_copy + copied + rebuilt` always equals the section count (4);
-/// v1/v2 images report all sections as copied (they have no in-place
-/// representation).
+/// v1/v2 and v4 images report all sections as copied (they have no
+/// in-place representation).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ImageLoadStats {
     /// Format version of the image.
@@ -829,13 +652,14 @@ fn csr_resident_bytes(g: &Graph) -> u64 {
 
 /// Loads a graph from a shared byte buffer (an [`crate::MappedFile`], an
 /// [`crate::AlignedBytes`], or a plain `Vec<u8>`), zero-copy when the
-/// image is v3 and the buffer permits it.
+/// image is v3 and the buffer permits it. This is the one place an
+/// image's version word is read.
 ///
 /// v3 sections with valid CRCs become in-place views when their address
 /// is element-aligned on a little-endian target, owned copies otherwise.
 /// A CRC-failed orientation is rebuilt from the intact one; only when
-/// both orientations are damaged does the load fail. v1/v2 images decode
-/// through the owned path.
+/// both orientations are damaged does the load fail. v4 images decompress
+/// and legacy v1/v2 images decode into an owned CSR.
 pub fn graph_from_image(owner: Arc<dyn ByteStore>) -> Result<(Graph, ImageLoadStats), GraphError> {
     let data = owner.bytes();
     if data.len() < 12 {
@@ -845,33 +669,108 @@ pub fn graph_from_image(owner: Arc<dyn ByteStore>) -> Result<(Graph, ImageLoadSt
         return Err(GraphError::Corrupt("bad magic".into()));
     }
     let version = get_u32(data, 8);
-    if version == crate::compress::VERSION_V4 {
-        // v4 decompresses into an owned CSR: every section is a copy by
-        // construction, and the decoded size (not the encoded size) is
-        // what becomes resident.
-        let image = crate::compress::CompressedImage::from_store(owner.clone())?;
-        let graph = image.decode_graph()?;
-        let stats = ImageLoadStats {
-            version,
-            copied_sections: V3_SECTION_COUNT,
-            copied_bytes: csr_resident_bytes(&graph),
-            ..Default::default()
-        };
-        stats.emit();
-        return Ok((graph, stats));
+    let graph = match version {
+        VERSION_V3 => return load_v3(owner),
+        // Block-streaming callers use `CompressedImage` directly; here
+        // the decoded size (not the encoded size) is what becomes resident.
+        crate::compress::VERSION_V4 => {
+            crate::compress::CompressedImage::from_store(owner.clone())?.decode_graph()?
+        }
+        VERSION_V1 | VERSION_V2 => decode_legacy(data, version == VERSION_V2)?,
+        other => return Err(GraphError::Corrupt(format!("unsupported version {other}"))),
+    };
+    // Neither v4 nor v1/v2 has an in-place representation: every section
+    // is an owned copy by construction.
+    let stats = ImageLoadStats {
+        version,
+        copied_sections: V3_SECTION_COUNT,
+        copied_bytes: csr_resident_bytes(&graph),
+        ..Default::default()
+    };
+    stats.emit();
+    Ok((graph, stats))
+}
+
+/// Decodes a legacy v1/v2 edge-list image (version word already read by
+/// [`graph_from_image`]).
+///
+/// v2 images are verified end-to-end — length sentinel first, then
+/// CRC-32 — before any structural decoding, so truncation and bit flips
+/// surface as [`GraphError::Corrupted`] with the expected/observed values.
+fn decode_legacy(data: &[u8], checksummed: bool) -> Result<Graph, GraphError> {
+    let mut span = obs::span("graph.ingest.binary");
+    span.record("bytes", data.len() as f64);
+    obs::counter("graph.ingest.bytes", data.len() as f64);
+    if data.len() < LEGACY_HEADER_LEN {
+        return Err(GraphError::Corrupt("image shorter than header".into()));
     }
-    if version != VERSION_V3 {
-        let graph = graph_from_bytes(data)?;
-        let stats = ImageLoadStats {
-            version,
-            copied_sections: V3_SECTION_COUNT,
-            copied_bytes: csr_resident_bytes(&graph),
-            ..Default::default()
-        };
-        stats.emit();
-        return Ok((graph, stats));
+    let edge_base = if checksummed {
+        if data.len() < LEGACY_HEADER_LEN + LEGACY_TRAILER_LEN {
+            return Err(GraphError::Corrupted {
+                field: "length sentinel",
+                expected: (LEGACY_HEADER_LEN + LEGACY_TRAILER_LEN) as u64,
+                got: data.len() as u64,
+            });
+        }
+        let sentinel = get_u64(data, data.len() - 8);
+        if sentinel != data.len() as u64 {
+            return Err(GraphError::Corrupted {
+                field: "length sentinel",
+                expected: sentinel,
+                got: data.len() as u64,
+            });
+        }
+        let stored_crc = get_u32(data, data.len() - LEGACY_TRAILER_LEN);
+        // Nested span: path becomes `graph.ingest.binary.crc_verify`.
+        let crc_span = obs::span("crc_verify");
+        let computed = crc32(&data[..data.len() - LEGACY_TRAILER_LEN]);
+        drop(crc_span);
+        if stored_crc != computed {
+            return Err(GraphError::Corrupted {
+                field: "crc32",
+                expected: stored_crc as u64,
+                got: computed as u64,
+            });
+        }
+        data.len() - LEGACY_TRAILER_LEN
+    } else {
+        data.len()
+    };
+
+    let nodes = get_u64(data, 12) as usize;
+    let edges = get_u64(data, 20) as usize;
+    if nodes > u32::MAX as usize {
+        return Err(GraphError::Corrupt(format!("node count {nodes} exceeds u32 range")));
     }
-    load_v3(owner)
+    if edges > u32::MAX as usize {
+        return Err(GraphError::Corrupt(format!("edge count {edges} exceeds u32 range")));
+    }
+    let expected_payload = edges
+        .checked_mul(8)
+        .and_then(|b| b.checked_add(LEGACY_HEADER_LEN))
+        .ok_or_else(|| GraphError::Corrupt("edge byte count overflows".into()))?;
+    if edge_base != expected_payload {
+        return Err(GraphError::Corrupted {
+            field: "edge payload length",
+            expected: expected_payload as u64,
+            got: edge_base as u64,
+        });
+    }
+
+    span.record("nodes", nodes as f64);
+    span.record("edges", edges as f64);
+    obs::counter("graph.ingest.edges", edges as f64);
+    let mut b = GraphBuilder::with_capacity(nodes, edges);
+    for i in 0..edges {
+        let off = LEGACY_HEADER_LEN + i * 8;
+        let f = get_u32(data, off);
+        let t = get_u32(data, off + 4);
+        if f as usize >= nodes || t as usize >= nodes {
+            return Err(GraphError::Corrupt(format!("edge ({f},{t}) out of range")));
+        }
+        b.add_edge(NodeId(f), NodeId(t));
+    }
+    Ok(b.build())
 }
 
 /// One parsed v3 section-table entry.
@@ -1086,8 +985,21 @@ pub fn read_labels<R: Read>(reader: R) -> Result<NodeLabels, GraphError> {
 mod tests {
     use super::*;
 
+    include!(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/support/legacy_image.rs"));
+
+    const SAMPLE_EDGES: [(u32, u32); 4] = [(0, 1), (0, 2), (1, 3), (2, 3)];
+
     fn sample() -> Graph {
-        GraphBuilder::from_edges(5, &[(0, 1), (0, 2), (1, 3), (2, 3)])
+        GraphBuilder::from_edges(5, &SAMPLE_EDGES)
+    }
+
+    /// `sample()` as the retired v1/v2 writers encoded it.
+    fn legacy_sample(version: u32) -> Vec<u8> {
+        legacy_image(version, 5, &SAMPLE_EDGES)
+    }
+
+    fn load(bytes: &[u8]) -> Result<Graph, GraphError> {
+        graph_from_image(aligned_image(bytes)).map(|(g, _)| g)
     }
 
     #[test]
@@ -1166,113 +1078,110 @@ mod tests {
     }
 
     #[test]
-    fn binary_round_trip() {
-        let g = sample();
-        let bytes = graph_to_bytes(&g);
-        let g2 = graph_from_bytes(&bytes).unwrap();
-        assert_eq!(g2.node_count(), g.node_count());
-        assert_eq!(g2.edge_count(), g.edge_count());
-        for x in g.nodes() {
-            assert_eq!(g.out_neighbors(x), g2.out_neighbors(x));
-            assert_eq!(g.in_neighbors(x), g2.in_neighbors(x));
-        }
+    fn legacy_fixture_is_byte_for_byte_what_the_old_writers_produced() {
+        // Trailer captured from `spammass convert --format v2` at the last
+        // commit that still had the writer: CRC-32 0x5a7e5929, length 72.
+        let v2 = legacy_sample(2);
+        assert_eq!(v2.len(), 72);
+        assert_eq!(&v2[..12], b"SPAMGRPH\x02\0\0\0");
+        assert_eq!(&v2[60..], [0x29, 0x59, 0x7e, 0x5a, 72, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(get_u32(&v2, 60), crc32(&v2[..60]), "fixture CRC agrees with the library's");
+        // v1 is the same image minus the trailer, under its own version.
+        let v1 = legacy_sample(1);
+        assert_eq!(&v1[..12], b"SPAMGRPH\x01\0\0\0");
+        assert_eq!(&v1[12..], &v2[12..60]);
     }
 
     #[test]
     fn v1_images_remain_readable() {
-        let g = sample();
-        let bytes = graph_to_bytes_v1(&g);
-        let g2 = graph_from_bytes(&bytes).unwrap();
-        assert_eq!(g2.node_count(), g.node_count());
-        assert_eq!(g2.edge_count(), g.edge_count());
+        assert_same_graph(&sample(), &load(&legacy_sample(1)).unwrap());
     }
 
     #[test]
     fn empty_graph_round_trips() {
-        let g = GraphBuilder::new(0).build();
-        let bytes = graph_to_bytes(&g);
-        let g2 = graph_from_bytes(&bytes).unwrap();
-        assert_eq!(g2.node_count(), 0);
-        assert_eq!(g2.edge_count(), 0);
+        for version in [1, 2] {
+            let g = load(&legacy_image(version, 0, &[])).unwrap();
+            assert_eq!((g.node_count(), g.edge_count()), (0, 0), "v{version}");
+        }
     }
 
     #[test]
     fn binary_rejects_corruption() {
-        let g = sample();
-        let bytes = graph_to_bytes(&g);
+        for bytes in [graph_to_bytes_v3(&sample()), legacy_sample(2), legacy_sample(1)] {
+            assert!(matches!(load(&bytes[..10]), Err(GraphError::Corrupt(_))));
 
-        assert!(matches!(graph_from_bytes(&bytes[..10]), Err(GraphError::Corrupt(_))));
+            let mut bad_magic = bytes.clone();
+            bad_magic[0] = b'X';
+            assert!(matches!(load(&bad_magic), Err(GraphError::Corrupt(_))));
 
-        let mut bad_magic = bytes.clone();
-        bad_magic[0] = b'X';
-        assert!(matches!(graph_from_bytes(&bad_magic), Err(GraphError::Corrupt(_))));
-
-        let mut bad_version = bytes.clone();
-        bad_version[8] = 99;
-        assert!(matches!(graph_from_bytes(&bad_version), Err(GraphError::Corrupt(_))));
+            let mut bad_version = bytes.clone();
+            bad_version[8] = 99;
+            assert!(matches!(load(&bad_version), Err(GraphError::Corrupt(_))));
+        }
+        // Past the version word but short of the legacy header.
+        assert!(matches!(load(&legacy_sample(2)[..20]), Err(GraphError::Corrupt(_))));
     }
 
     #[test]
     fn v2_rejects_truncation_with_precise_error() {
-        let g = sample();
-        let bytes = graph_to_bytes(&g);
-        // Drop the last 4 bytes: the sentinel no longer matches the length.
-        let truncated = &bytes[..bytes.len() - 4];
-        match graph_from_bytes(truncated).unwrap_err() {
-            GraphError::Corrupted { field: "length sentinel", expected, got } => {
-                assert_eq!(got, truncated.len() as u64);
-                assert_ne!(expected, got);
+        let bytes = legacy_sample(2);
+        // Every cut that keeps the version word readable: a sentinel
+        // mismatch, or (short of a full header + trailer) a length error.
+        for cut in LEGACY_HEADER_LEN..bytes.len() {
+            let truncated = &bytes[..cut];
+            match load(truncated).unwrap_err() {
+                GraphError::Corrupted { field: "length sentinel", expected, got } => {
+                    assert_eq!(got, truncated.len() as u64, "cut {cut}");
+                    assert_ne!(expected, got, "cut {cut}");
+                }
+                other => panic!("cut {cut}: expected sentinel mismatch, got {other:?}"),
             }
-            other => panic!("expected sentinel mismatch, got {other:?}"),
         }
     }
 
     #[test]
     fn v2_rejects_bit_flips_with_crc_mismatch() {
-        let g = sample();
-        let clean = graph_to_bytes(&g);
+        let clean = legacy_sample(2);
         // Flip one bit in every byte of the checksummed region in turn; the
         // CRC (or, for count fields, the payload-length check) must catch
         // every single one.
-        for i in 12..clean.len() - TRAILER_LEN {
+        for i in 12..clean.len() - LEGACY_TRAILER_LEN {
             let mut bytes = clean.clone();
             bytes[i] ^= 0x01;
-            let err = graph_from_bytes(&bytes).unwrap_err();
+            let err = load(&bytes).unwrap_err();
             assert!(
                 matches!(err, GraphError::Corrupted { .. }),
                 "byte {i}: expected Corrupted, got {err:?}"
             );
         }
+        // The trailer itself: a flipped stored CRC and a flipped sentinel.
+        let mut bad_crc = clean.clone();
+        bad_crc[clean.len() - LEGACY_TRAILER_LEN] ^= 0x01;
+        assert!(matches!(load(&bad_crc), Err(GraphError::Corrupted { field: "crc32", .. })));
+        let mut bad_len = clean.clone();
+        bad_len[clean.len() - 8] ^= 0x01;
+        assert!(matches!(
+            load(&bad_len),
+            Err(GraphError::Corrupted { field: "length sentinel", .. })
+        ));
     }
 
     #[test]
     fn v1_truncation_detected_structurally() {
-        let g = sample();
-        let bytes = graph_to_bytes_v1(&g);
+        let bytes = legacy_sample(1);
         let truncated = &bytes[..bytes.len() - 4];
         assert!(matches!(
-            graph_from_bytes(truncated),
+            load(truncated),
             Err(GraphError::Corrupted { field: "edge payload length", .. })
         ));
     }
 
     #[test]
     fn binary_rejects_out_of_range_edge() {
-        let g = sample();
-        // Build a v1 image (no CRC to fix up) with a poisoned edge target.
-        let mut bytes = graph_to_bytes_v1(&g);
-        let edge_base = HEADER_LEN;
-        bytes[edge_base + 4..edge_base + 8].copy_from_slice(&1000u32.to_le_bytes());
-        assert!(matches!(graph_from_bytes(&bytes), Err(GraphError::Corrupt(_))));
-    }
-
-    #[test]
-    fn write_read_binary_stream() {
-        let g = sample();
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).unwrap();
-        let g2 = read_binary(&buf[..]).unwrap();
-        assert_eq!(g2.edge_count(), 4);
+        // A v1 image (no CRC to fix up) with a poisoned edge target.
+        let mut bytes = legacy_sample(1);
+        bytes[LEGACY_HEADER_LEN + 4..LEGACY_HEADER_LEN + 8].copy_from_slice(&1000u32.to_le_bytes());
+        assert!(matches!(load(&bytes), Err(GraphError::Corrupt(_))));
     }
 
     #[test]
@@ -1283,7 +1192,7 @@ mod tests {
         {
             let _guard = collector.install();
             read_edge_list("# nodes: 3\n0 1\n1 2\n".as_bytes()).unwrap();
-            graph_from_bytes(&graph_to_bytes(&sample())).unwrap();
+            load(&legacy_sample(2)).unwrap();
         }
         let spans = recorder.spans();
         let text = spans.iter().find(|s| s.name == "graph.ingest.text").unwrap();
@@ -1293,7 +1202,7 @@ mod tests {
         assert_eq!(crc.path, "graph.ingest.binary.crc_verify");
         let metrics = collector.metrics_snapshot();
         let edges = metrics.iter().find(|(k, _)| k == "graph.ingest.edges").unwrap();
-        // 2 from the text load + 4 from the binary load.
+        // 2 from the text load + 4 from the legacy binary load.
         assert_eq!(edges.1, obs::Metric::Counter(6.0));
     }
 
@@ -1359,24 +1268,19 @@ mod tests {
     }
 
     #[test]
-    fn v3_readable_through_legacy_entry_points() {
-        let g = sample();
-        let bytes = graph_to_bytes_v3(&g);
-        assert_same_graph(&g, &graph_from_bytes(&bytes).unwrap());
-        assert_same_graph(&g, &read_binary(&bytes[..]).unwrap());
-    }
-
-    #[test]
     fn v2_images_load_through_image_entry_point() {
         let g = sample();
-        let (g2, stats) = graph_from_image(aligned_image(&graph_to_bytes(&g))).unwrap();
+        let (g2, stats) = graph_from_image(aligned_image(&legacy_sample(2))).unwrap();
         assert_same_graph(&g, &g2);
         assert_eq!(stats.version, 2);
         assert_eq!(stats.copied_sections, 4);
         assert!(!stats.is_zero_copy());
-        let (g1, stats) = graph_from_image(aligned_image(&graph_to_bytes_v1(&g))).unwrap();
+        let (g1, stats) = graph_from_image(aligned_image(&legacy_sample(1))).unwrap();
         assert_same_graph(&g, &g1);
         assert_eq!(stats.version, 1);
+        // Re-encoding the import is the v3 upgrade: same bytes as encoding
+        // the original graph.
+        assert_eq!(graph_to_bytes_v3(&g2), graph_to_bytes_v3(&g));
     }
 
     #[test]
@@ -1499,15 +1403,14 @@ mod tests {
         assert_eq!(stats.zero_copy_bytes, 0);
 
         // v2 (no in-place representation): everything copied.
-        let (_, stats) = graph_from_image(aligned_image(&graph_to_bytes(&g))).unwrap();
+        let (_, stats) = graph_from_image(aligned_image(&legacy_sample(2))).unwrap();
         assert_eq!(stats.copied_bytes, total, "{stats:?}");
     }
 
     #[test]
-    fn v4_images_load_through_both_entry_points() {
+    fn v4_images_load_through_the_image_entry_point() {
         let g = sample();
         let bytes = crate::compress::graph_to_bytes_v4(&g);
-        assert_same_graph(&g, &graph_from_bytes(&bytes).unwrap());
         let (g2, stats) = graph_from_image(aligned_image(&bytes)).unwrap();
         assert_same_graph(&g, &g2);
         assert_eq!(stats.version, 4);
@@ -1519,14 +1422,25 @@ mod tests {
     #[test]
     fn v3_maps_zero_copy_from_file() {
         let g = sample();
-        let dir = std::env::temp_dir().join("spammass-graph-io-v3");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sample.v3.bin");
-        write_binary_v3(&g, std::fs::File::create(&path).unwrap()).unwrap();
+        let path = crate::test_dir("v3_maps_zero_copy_from_file").join("sample.v3.bin");
+        std::fs::write(&path, graph_to_bytes_v3(&g)).unwrap();
         let (g2, stats) = map_graph_file(&path).unwrap();
         assert!(stats.is_zero_copy(), "mmap base is page-aligned: {stats:?}");
         assert!(g2.is_zero_copy());
         assert_same_graph(&g, &g2);
+    }
+
+    #[test]
+    fn legacy_files_import_through_map_graph_file() {
+        let dir = crate::test_dir("legacy_files_import_through_map_graph_file");
+        for version in [1, 2] {
+            let path = dir.join(format!("sample.v{version}.bin"));
+            std::fs::write(&path, legacy_sample(version)).unwrap();
+            let (g, stats) = map_graph_file(&path).unwrap();
+            assert_same_graph(&sample(), &g);
+            assert_eq!(stats.version, version);
+            assert!(!g.is_zero_copy(), "edge lists have no in-place representation");
+        }
     }
 
     // -- sharded text ingest ------------------------------------------------

@@ -51,6 +51,7 @@ mod error;
 mod graph;
 pub mod io;
 mod labels;
+pub mod le;
 mod mmap;
 mod node;
 pub mod order;
@@ -62,6 +63,17 @@ pub mod subgraph;
 pub mod traversal;
 pub mod varint;
 mod view;
+
+/// A fresh scratch directory for one test. `test` must be unique among
+/// the crate's tests (use the test's name): tests run on parallel
+/// threads, so two sharing a directory race on its files.
+#[cfg(test)]
+pub(crate) fn test_dir(test: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("spammass-graph-{}-{test}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create test scratch directory");
+    dir
+}
 
 pub use builder::GraphBuilder;
 pub use compress::{

@@ -117,9 +117,7 @@ mod tests {
 
     #[test]
     fn maps_file_contents() {
-        let dir = std::env::temp_dir().join("spammass-graph-mmap");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sample.bin");
+        let path = crate::test_dir("maps_file_contents").join("sample.bin");
         let payload: Vec<u8> = (0..255u8).collect();
         std::fs::File::create(&path).unwrap().write_all(&payload).unwrap();
         let map = MappedFile::open(&path).unwrap();
@@ -131,9 +129,7 @@ mod tests {
 
     #[test]
     fn empty_file_maps_empty() {
-        let dir = std::env::temp_dir().join("spammass-graph-mmap");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("empty.bin");
+        let path = crate::test_dir("empty_file_maps_empty").join("empty.bin");
         std::fs::File::create(&path).unwrap();
         let map = MappedFile::open(&path).unwrap();
         assert!(map.is_empty());

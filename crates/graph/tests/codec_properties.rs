@@ -154,7 +154,7 @@ proptest! {
             .unwrap()
             .decode_graph()
             .unwrap();
-        let via_v3 = io::graph_from_bytes(&io::graph_to_bytes_v3(&graph)).unwrap();
+        let (via_v3, _) = io::graph_from_image(Arc::new(io::graph_to_bytes_v3(&graph))).unwrap();
         prop_assert_eq!(via_v4.node_count(), via_v3.node_count());
         prop_assert_eq!(via_v4.edge_count(), via_v3.edge_count());
         prop_assert_eq!(via_v4.out_offsets(), via_v3.out_offsets());

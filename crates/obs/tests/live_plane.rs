@@ -128,7 +128,9 @@ fn live_plane_round_trips() {
 
     // ---- crash dump (on-demand path; the panic-hook path is pinned in
     // the CLI's flight_crash test) ----
-    let dir = std::env::temp_dir().join("spammass-obs-live-plane");
+    let dir = std::env::temp_dir()
+        .join(format!("spammass-obs-{}-live_plane_round_trips", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let dump = dir.join("dump.json");
     obs::flight::write_crash_dump(&dump, Some(("boom", Some("here.rs:1:1")))).unwrap();

@@ -218,8 +218,20 @@ struct BlockSource<'a> {
     blocks: Vec<Range<usize>>,
     rows: Vec<Range<usize>>,
     edges: Vec<usize>,
-    scratches: Vec<Mutex<BlockScratch>>,
+    scratches: Vec<ScratchSlot>,
 }
+
+/// One worker's scratch on cache lines of its own. A decode rewrites the
+/// scratch's lengths and row window for every row, so two slots packed
+/// into one allocation (96 bytes each) share the line at their boundary
+/// and the workers steal it from each other all sweep — how badly
+/// depends on where the allocator put the pair. Measured on the 1M-host
+/// bench web, two workers, by the allocation's offset in its line:
+/// 3.8 s a solve at 0, 3.4 s at 16, 2.6 s at 32 and 48, and 2.6 s with
+/// the slots apart. 128 covers the adjacent-line prefetch pair.
+#[derive(Default)]
+#[repr(align(128))]
+struct ScratchSlot(Mutex<BlockScratch>);
 
 impl<'a> BlockSource<'a> {
     /// Cuts the image's in-blocks into `workers` (`1..=` in-block count)
@@ -249,7 +261,7 @@ impl<'a> BlockSource<'a> {
             edges: Vec::with_capacity(workers),
             // Grown on demand: after the first sweep each holds its
             // largest block and the sweeps allocate nothing.
-            scratches: (0..workers).map(|_| Mutex::default()).collect(),
+            scratches: (0..workers).map(|_| ScratchSlot::default()).collect(),
         };
         let (mut start, mut spent) = (0usize, 0u64);
         for w in 1..=workers {
@@ -274,7 +286,7 @@ impl<'a> BlockSource<'a> {
     /// coefficient pass, then its own worker once per sweep), so the
     /// lock never waits.
     fn scratch(&self, w: usize) -> std::sync::MutexGuard<'_, BlockScratch> {
-        self.scratches[w].lock().expect("a block scratch is only locked by its own worker")
+        self.scratches[w].0.lock().expect("a block scratch is only locked by its own worker")
     }
 }
 
@@ -491,6 +503,12 @@ mod tests {
             }
             assert_eq!(next, (count, g.node_count()));
             assert_eq!(source.edges.iter().sum::<usize>(), g.edge_count());
+            // No two workers' scratch headers on one cache line.
+            for (w, pair) in source.scratches.windows(2).enumerate() {
+                let at = |slot: &ScratchSlot| slot as *const ScratchSlot as usize;
+                assert_eq!(at(&pair[0]) % 128, 0, "slot {w}");
+                assert!(at(&pair[1]) - at(&pair[0]) >= 128, "slots {w} and {}", w + 1);
+            }
             if workers <= 4 {
                 // Uniform random edges: no range is far above its share.
                 let heaviest = *source.edges.iter().max().unwrap();

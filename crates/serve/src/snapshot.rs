@@ -1,10 +1,12 @@
 //! An immutable, queryable view of one published state generation.
 //!
-//! A [`Snapshot`] is loaded once and never mutated: the graph comes in
-//! through the zero-copy `SPAMGRPH` mmap path where the platform
-//! supports it, the score vectors through the checksummed `SPAMSCRS`
-//! images, and everything derived — absolute mass, relative mass, the
-//! Algorithm 2 flag set — is computed eagerly at load time with exactly
+//! A [`Snapshot`] is loaded once and never mutated. The generation comes
+//! in through [`StateDir::load_current`] — the same loader and the same
+//! cross-validation `spammass update` and `fsck` use: the `SPAMGRPH` v3
+//! image memory-mapped zero-copy where the platform supports it, the
+//! score vectors through the checksummed `SPAMSCRS` images. What is the
+//! snapshot's own is everything derived — absolute mass, relative mass,
+//! the Algorithm 2 flag set — computed eagerly at load time with exactly
 //! the conventions of `spammass_core` (`M̃ = p − p′` unclamped,
 //! `m̃ = M̃/p` with `p = 0 → 0`, flag when `p̂ ≥ ρ` and `m̃ ≥ τ`), so a
 //! daemon answer and a `spammass detect` run over the same generation
@@ -13,10 +15,8 @@
 use crate::ServeError;
 use spammass_core::detector::{detect_raw, Detection, DetectorConfig};
 use spammass_core::top_k_by;
-use spammass_delta::{StateDir, StateError};
-use spammass_graph::{io, Graph, GraphError, NodeId};
-use std::fs;
-use std::io::{BufRead, BufReader};
+use spammass_delta::{SavedState, StateDir};
+use spammass_graph::{Graph, NodeId};
 
 /// All per-node numbers the service reports for one host, in the scaled
 /// (`· n/(1−c)`) convention of the paper's Section 4 — except
@@ -128,49 +128,9 @@ impl Snapshot {
         detector: &DetectorConfig,
         damping: f64,
     ) -> Result<Snapshot, ServeError> {
-        let generation = state.read_manifest()?;
-        let dir = match generation {
-            Some(g) => {
-                let dir = state.generation_path(g);
-                if !dir.is_dir() {
-                    return Err(StateError::MissingGeneration { generation: g }.into());
-                }
-                dir
-            }
-            None => state.path().to_path_buf(),
-        };
-        let (graph, _stats) = io::map_graph_file(&dir.join(StateDir::GRAPH_FILE))?;
+        let (generation, saved) = state.load_current()?;
+        let SavedState { graph, core, pagerank, core_pagerank } = saved;
         let n = graph.node_count();
-        let pagerank =
-            spammass_delta::scores_from_bytes(&fs::read(dir.join(StateDir::PAGERANK_FILE))?)?;
-        let core_pagerank =
-            spammass_delta::scores_from_bytes(&fs::read(dir.join(StateDir::CORE_PAGERANK_FILE))?)?;
-        for (name, v) in [("p", &pagerank), ("p_core", &core_pagerank)] {
-            if v.len() != n {
-                return Err(GraphError::Corrupt(format!(
-                    "state mismatch: {name} has {} scores for a {n}-node graph",
-                    v.len()
-                ))
-                .into());
-            }
-        }
-        let mut core_len = 0usize;
-        let core_file = fs::File::open(dir.join(StateDir::CORE_FILE))?;
-        for (lineno, line) in BufReader::new(core_file).lines().enumerate() {
-            let line = line?;
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let id: u32 = line.parse().map_err(|_| GraphError::Parse {
-                line: lineno + 1,
-                message: format!("bad core node id {line:?}"),
-            })?;
-            if id as usize >= n {
-                return Err(GraphError::NodeOutOfRange { node: id, node_count: n }.into());
-            }
-            core_len += 1;
-        }
 
         // Derived vectors, exactly as spammass-core computes them:
         // absolute = p − p′ (no clamping), relative = absolute/p with
@@ -190,7 +150,7 @@ impl Snapshot {
             core_pagerank,
             relative,
             detection,
-            core_len,
+            core_len: core.len(),
             damping,
             mapped,
         })
@@ -309,6 +269,8 @@ mod tests {
     use spammass_graph::GraphBuilder;
     use std::path::PathBuf;
 
+    include!(concat!(env!("CARGO_MANIFEST_DIR"), "/../graph/tests/support/legacy_image.rs"));
+
     fn tmpdir(name: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("spammass-serve-{name}-{}", std::process::id()));
@@ -350,6 +312,38 @@ mod tests {
         assert!(!snap.score(2).unwrap().flagged);
         assert!(snap.score(3).unwrap().flagged);
         assert!(snap.score(4).is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn published_generation_is_served_mapped() {
+        let dir = tmpdir("mapped");
+        let p = [0.4, 0.1, 0.3, 0.2];
+        let pc = [0.1, 0.0, 0.3, 0.05];
+        let (state, generation) = publish(&dir, &p, &pc);
+        let detector = DetectorConfig { rho: 1.0, tau: 0.5 };
+        let snap = Snapshot::load(&state, &detector, 0.85).unwrap();
+        // What `/stats` reports: `save` writes the v3 image, the load maps it.
+        assert_eq!(snap.is_mapped(), cfg!(unix));
+        assert_eq!(snap.generation, generation);
+        assert_eq!((snap.node_count(), snap.edge_count()), (4, 3));
+
+        // A generation published before v3 became the resident format
+        // holds a v2 edge-list image: it still serves, from an owned
+        // decode, with the same answers.
+        let image = state.generation_path(generation).join(StateDir::GRAPH_FILE);
+        // Unlink first: `snap` still maps the published inode, and a
+        // published image is never rewritten in place.
+        std::fs::remove_file(&image).unwrap();
+        std::fs::write(&image, legacy_image(2, 4, &[(1, 0), (2, 0), (2, 3)])).unwrap();
+        let old = Snapshot::load(&state, &detector, 0.85).unwrap();
+        assert!(!old.is_mapped());
+        assert_eq!(old.generation, generation);
+        for node in 0..4 {
+            assert_eq!(old.score(node), snap.score(node));
+            assert_eq!(old.explain(node, 8), snap.explain(node, 8));
+        }
+        assert_eq!(old.top_k(RankBy::Absolute, 4), snap.top_k(RankBy::Absolute, 4));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

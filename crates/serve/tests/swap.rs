@@ -3,12 +3,18 @@
 //! Every response must be **internally consistent** — the score and flag
 //! it reports must be exactly the ones belonging to the generation it
 //! claims — i.e. no torn reads across an epoch swap, ever.
+//!
+//! The second case pins what keeps an *old* reader safe through those
+//! swaps: a snapshot serves its graph out of a mapping of
+//! `gen-N/graph.bin`, and retention prunes `gen-N/` two publishes later.
+//! Unlink-while-mapped must leave the mapping fully readable.
 
 use spammass_core::detector::DetectorConfig;
 use spammass_delta::StateDir;
 use spammass_graph::{GraphBuilder, NodeId};
 use spammass_obs::json::Json;
-use spammass_serve::{Reloader, ServeOptions, Server};
+use spammass_serve::snapshot::RankBy;
+use spammass_serve::{Reloader, ServeOptions, Server, Snapshot};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -31,8 +37,9 @@ const TABLE: &[(f64, f64, bool)] = &[
     (0.50, 0.40, false), // m̃ = 0.200
 ];
 
-fn tmpdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("spammass-serve-swap-{}", std::process::id()));
+fn tmpdir(test: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("spammass-serve-swap-{test}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -76,7 +83,7 @@ fn connect(addr: std::net::SocketAddr) -> BufReader<TcpStream> {
 
 #[test]
 fn responses_stay_consistent_across_repeated_swaps() {
-    let dir = tmpdir();
+    let dir = tmpdir("hammer");
     let state = StateDir::new(&dir);
     assert_eq!(publish(&state, 0), 1);
 
@@ -173,5 +180,49 @@ fn responses_stay_consistent_across_repeated_swaps() {
     drop(control);
     drop(server);
     assert!(spammass_serve::serving_addr().is_none());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn snapshot_outlives_the_pruning_of_its_generation() {
+    let dir = tmpdir("prune");
+    let state = StateDir::new(&dir);
+    // A ring with chords, big enough that the image spans many pages.
+    let n = 20_000u32;
+    let edges: Vec<(u32, u32)> =
+        (0..n).flat_map(|i| [(i, (i + 1) % n), (i, (i + 7) % n)]).collect();
+    let g = GraphBuilder::from_edges(n as usize, &edges);
+    let p = vec![1.0 / n as f64; n as usize];
+    let pc: Vec<f64> = (0..n).map(|i| if i % 2 == 0 { 0.5 / n as f64 } else { 0.0 }).collect();
+    assert_eq!(state.save(&g, &[NodeId(0)], &p, &pc).unwrap(), 1);
+
+    let detector = DetectorConfig { rho: 0.0, tau: 0.75 };
+    let held = Snapshot::load(&state, &detector, DAMPING).unwrap();
+    assert_eq!(held.generation, 1);
+    assert_eq!(held.is_mapped(), cfg!(unix));
+    let explain_before: Vec<_> = (0..n).step_by(997).map(|x| held.explain(x, 4)).collect();
+    let top_before = held.top_k(RankBy::Relative, 16);
+
+    // Publish the hammer's six generations; retention keeps two.
+    for generation in 2..=TABLE.len() as u64 {
+        assert_eq!(state.save(&g, &[NodeId(0)], &p, &pc).unwrap(), generation);
+    }
+    assert_eq!(state.list_generations().unwrap(), vec![5, 6]);
+    assert!(!state.generation_path(1).exists(), "the held generation's directory is gone");
+
+    // The held snapshot still answers, from every part of the image.
+    assert_eq!(held.node_count(), n as usize);
+    assert_eq!(held.edge_count(), edges.len());
+    let explain_after: Vec<_> = (0..n).step_by(997).map(|x| held.explain(x, 4)).collect();
+    assert_eq!(explain_after, explain_before);
+    assert_eq!(held.top_k(RankBy::Relative, 16), top_before);
+    let last = held.explain(n - 1, 4).unwrap();
+    assert_eq!(last.in_degree, 2);
+
+    // And a fresh load sees the newest generation, mapped the same way.
+    let fresh = Snapshot::load(&state, &detector, DAMPING).unwrap();
+    assert_eq!(fresh.generation, TABLE.len() as u64);
+    assert_eq!(fresh.is_mapped(), cfg!(unix));
+    drop(held);
     std::fs::remove_dir_all(&dir).unwrap();
 }

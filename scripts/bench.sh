@@ -99,7 +99,7 @@ grep -q '^BENCH_INCR ' "$INCR_LOG" || { echo "no BENCH_INCR line captured"; exit
 echo "wrote $INCR_OUT"
 
 # Cache-aware layout: fused kernel on natural vs degree vs BFS node order
-# at 120k hosts, plus zero-copy mmap load vs owned decode. The bench
+# at 120k hosts, plus the zero-copy mmap load of the v3 image. The bench
 # prints one BENCH_LAYOUT verification line (score agreement asserted
 # inside) plus BENCH_JSON timings; both land in BENCH_layout.json.
 LAYOUT_LOG="$(mktemp)"

@@ -37,7 +37,7 @@ LAYOUT_HOSTS=20000 cargo bench -p spammass-bench --bench layout -- --test \
   | tee "$LAYOUT_SMOKE"
 for key in '"natural_ms"' '"degree_ms"' '"bfs_ms"' '"best_speedup_pct"' \
     '"fused_1t_ms"' '"fused_4t_ms"' '"pool_threads_4t"' \
-    '"mmap_load_ms"' '"owned_load_ms"' '"zero_copy": true'; do
+    '"mmap_load_ms"' '"zero_copy": true'; do
   grep '^BENCH_LAYOUT ' "$LAYOUT_SMOKE" | grep -q "$key" \
     || { echo "BENCH_LAYOUT line missing $key"; rm -f "$LAYOUT_SMOKE"; exit 1; }
 done
@@ -199,8 +199,15 @@ squery '/topk?k=5&by=relative' | grep -q 'spammass.topk_response/v1' \
   || { echo "/topk missing its schema tag"; exit 1; }
 squery '/explain?node=0' | grep -q 'spammass.explain_response/v1' \
   || { echo "/explain missing its schema tag"; exit 1; }
-squery '/stats' | grep -q '"generation":1' \
+squery '/stats' > "$SMOKE_DIR/stats-gen1.out"
+grep -q '"generation":1' "$SMOKE_DIR/stats-gen1.out" \
   || { echo "/stats not serving generation 1"; exit 1; }
+# The daemon does what the docs say: `estimate --state` published a v3
+# image (version word, byte 8, is 03) and the snapshot serves it mapped.
+[ "$(od -An -tu1 -j8 -N1 "$SMOKE_DIR/srv-state/gen-0001/graph.bin" | tr -d ' ')" = 3 ] \
+  || { echo "gen-0001/graph.bin is not a v3 image"; exit 1; }
+grep -q '"mapped":true' "$SMOKE_DIR/stats-gen1.out" \
+  || { echo "/stats does not serve the graph mapped"; cat "$SMOKE_DIR/stats-gen1.out"; exit 1; }
 # Publish fresh journal records and trigger the warm reload.
 cp "$SMOKE_DIR/srv.journal" "$SMOKE_DIR/srv-live.journal"
 squery '/reload' > "$SMOKE_DIR/reload.out"

@@ -65,8 +65,8 @@ fn whole_pipeline_is_deterministic() {
 fn scenario_graph_survives_io_round_trip() {
     let (scenario, estimate) = pipeline(6_000, 3);
     // Binary round trip.
-    let bytes = io::graph_to_bytes(&scenario.graph);
-    let loaded = io::graph_from_bytes(&bytes).expect("decode");
+    let bytes = io::graph_to_bytes_v3(&scenario.graph);
+    let (loaded, _) = io::graph_from_image(std::sync::Arc::new(bytes)).expect("decode");
     assert_eq!(loaded.node_count(), scenario.graph.node_count());
     assert_eq!(loaded.edge_count(), scenario.graph.edge_count());
 
