@@ -7,7 +7,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spammass_bench::Fixture;
-use spammass_pagerank::{gauss_seidel, jacobi, power, solve_batch, JumpVector, PageRankConfig};
+use spammass_pagerank::reference::{gauss_seidel, jacobi, power};
+use spammass_pagerank::{solve_batch, JumpVector, PageRankConfig};
 use std::hint::black_box;
 
 fn config() -> PageRankConfig {

@@ -12,8 +12,9 @@ use spammass_graph::NodeId;
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// Renders the health diagnostics of an [`EstimateReport`] — solver
-/// fallback usage, anomalous nodes, dead core entries — as warning lines.
+/// Renders the health diagnostics of an [`EstimateReport`] — a solve that
+/// needed its second attempt, anomalous nodes, dead core entries — as
+/// warning lines.
 pub(crate) fn health_lines(
     report: &EstimateReport,
     labels: Option<&spammass_graph::NodeLabels>,
@@ -277,6 +278,32 @@ mod tests {
         let target_line = tsv.lines().find(|l| l.starts_with("0\t")).unwrap();
         let rel: f64 = target_line.rsplit('\t').next().unwrap().parse().unwrap();
         assert!(rel > 0.99, "target m~ = {rel}");
+    }
+
+    #[test]
+    fn a_second_attempt_is_a_warning_naming_the_cap_it_needed() {
+        // 6 ↔ 7 is a cycle, so the solve is a real iteration; cap it one
+        // sweep short of what it needs.
+        let mut edges: Vec<(u32, u32)> = (1..=5).map(|i| (i, 0)).collect();
+        edges.extend([(6, 7), (7, 6)]);
+        let g = GraphBuilder::from_edges(8, &edges);
+        let estimate = |pagerank| {
+            MassEstimator::new(EstimatorConfig::scaled(0.85).with_pagerank(pagerank))
+                .estimate(&g, &[NodeId(7)])
+                .unwrap()
+        };
+        let healthy = estimate(spammass_pagerank::PageRankConfig::default());
+        assert!(!health_lines(&healthy, None).contains("degraded"));
+        let needed = healthy.pagerank_diag.as_ref().unwrap().iterations;
+        let tight = spammass_pagerank::PageRankConfig::default().max_iterations(needed - 1);
+        let degraded = estimate(tight);
+        let (lines, cap) = (health_lines(&degraded, None), degraded.core_diag.cap);
+        assert!(cap >= needed);
+        for run in ["pagerank", "core"] {
+            let line = lines.lines().find(|l| l.contains(&format!("{run} run degraded")));
+            let line = line.unwrap_or_else(|| panic!("no warning for the {run} run in {lines:?}"));
+            assert!(line.ends_with(&format!("solved again with cap {cap})")), "{line}");
+        }
     }
 
     #[test]

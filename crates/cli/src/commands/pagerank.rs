@@ -7,27 +7,14 @@ use crate::loading::{
 };
 use crate::CliError;
 use spammass_graph::{NodeOrdering, Permutation};
-use spammass_pagerank::{JumpVector, PageRankConfig, SolverChain, SolverKind};
+use spammass_pagerank::{solve_columns, JumpVector, PageRankConfig};
 use std::fmt::Write as _;
 use std::path::Path;
-
-fn solver_kind(name: &str) -> Result<SolverKind, CliError> {
-    match name {
-        "jacobi" => Ok(SolverKind::Jacobi),
-        "gauss-seidel" => Ok(SolverKind::GaussSeidel),
-        "power" => Ok(SolverKind::Power),
-        "parallel" => Ok(SolverKind::ParallelJacobi),
-        other => Err(CliError::Usage(format!(
-            "unknown solver {other:?} (jacobi, gauss-seidel, power, parallel)"
-        ))),
-    }
-}
 
 /// Runs the subcommand.
 pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     args.expect_only(&[
         "graph",
-        "solver",
         "damping",
         "tolerance",
         "top",
@@ -36,7 +23,6 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         "labels",
         "order",
         "lenient",
-        "fallback",
         "trace",
         "metrics-out",
         "serve-metrics",
@@ -64,11 +50,8 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     let damping: f64 = args.parsed_or("damping", 0.85)?;
     let tolerance: f64 = args.parsed_or("tolerance", 1e-12)?;
     let top: usize = args.parsed_or("top", 20)?;
-    let fallback: bool = args.parsed_or("fallback", false)?;
     let threads: usize = args.parsed_or("threads", 0)?;
     let edges_per_thread: usize = args.parsed_or("edges-per-thread", 0)?;
-    let solver = args.optional("solver").unwrap_or("jacobi");
-    let kind = solver_kind(solver)?;
 
     let cfg = PageRankConfig::with_damping(damping)
         .tolerance(tolerance)
@@ -76,48 +59,28 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         .threads(threads)
         .edges_per_thread(edges_per_thread);
     cfg.validate().map_err(|e| CliError::Usage(e.to_string()))?;
-    let jump = JumpVector::Uniform;
 
     let mut out = String::new();
     if let Some(warn) = ingest_warning(load_report.as_ref()) {
         let _ = writeln!(out, "{warn}");
     }
 
-    let mut result = if fallback {
-        // Chosen solver first, then the hardened fallback attempts.
-        let mut chain = SolverChain::new(kind, cfg);
-        for (s, c) in SolverChain::recommended(cfg).attempts().iter().skip(1) {
-            chain = chain.then(*s, *c);
+    let mut solve = solve_columns(&graph, &[JumpVector::Uniform], None, &cfg)?;
+    if solve.attempts.len() > 1 {
+        for attempt in &solve.attempts {
+            let _ = writeln!(out, "attempt: {attempt}");
         }
-        let solve = chain.solve(&graph, &jump)?;
-        if solve.degraded() {
-            for attempt in &solve.attempts {
-                let _ = writeln!(out, "attempt: {attempt}");
-            }
-        }
-        solve.result
-    } else {
-        kind.solve(&graph, &jump, &cfg).map_err(|e| {
-            CliError::Compute(format!("{e}; rerun with --fallback true to retry harder"))
-        })?
-    };
+    }
+    let mut result = solve.columns.pop().expect("one jump vector yields one column");
     if let Some(p) = &perm {
         result.scores = p.restore_values(&result.scores);
     }
 
     let _ = writeln!(
         out,
-        "{solver}: {} iterations, residual {:.2e}, converged: {}",
+        "engine: {} iterations, residual {:.2e}, converged: {}",
         result.iterations, result.residual, result.converged
     );
-    if solver == "power" {
-        let _ = writeln!(
-            out,
-            "note: power iteration returns the normalized stationary distribution;\n\
-             the n/(1-c) display scale matches the linear solvers only on\n\
-             dangling-free graphs"
-        );
-    }
     let view = result.scores_view(&cfg);
     let _ = writeln!(out, "{:>6}  {:>12}  host", "rank", "scaled p");
     for (rank, (node, _)) in view.top_k(top).into_iter().enumerate() {
@@ -147,24 +110,24 @@ mod tests {
     }
 
     #[test]
-    fn all_solvers_rank_the_hub_first() {
-        let g = graph_file("pagerank-all-solvers");
-        for solver in ["jacobi", "gauss-seidel", "power", "parallel"] {
-            let out = run_on(&g, &["--solver", solver, "--top", "1"]).unwrap();
-            let hub_line = out
-                .lines()
-                .find(|l| l.trim_start().starts_with("1 "))
-                .unwrap_or_else(|| panic!("{solver}: no rank line in {out:?}"));
-            assert!(hub_line.trim_end().ends_with('3'), "{solver}: {hub_line}");
-        }
+    fn ranks_the_hub_first() {
+        let out = run_on(&graph_file("pagerank-hub"), &["--top", "1"]).unwrap();
+        let hub_line = out.lines().find(|l| l.trim_start().starts_with("1 ")).expect("a rank line");
+        assert!(hub_line.trim_end().ends_with('3'), "{hub_line}");
+        assert!(!out.contains("attempt:"), "a healthy run has no attempt chatter: {out}");
+        assert!(out.contains("converged: true"), "{out}");
     }
 
     #[test]
-    fn rejects_bad_solver_damping_and_removed_flags() {
+    fn rejects_bad_damping_and_removed_flags() {
         let g = graph_file("pagerank-rejects");
-        assert!(matches!(run_on(&g, &["--solver", "magic"]), Err(CliError::Usage(_))));
         assert!(matches!(run_on(&g, &["--damping", "1.5"]), Err(CliError::Usage(_))));
-        assert!(matches!(run_on(&g, &["--kernel", "scalar"]), Err(CliError::Usage(_))));
+        for removed in [["--solver", "parallel"], ["--fallback", "true"], ["--kernel", "scalar"]] {
+            match run_on(&g, &removed) {
+                Err(CliError::Usage(m)) => assert!(m.contains(removed[0]), "{m}"),
+                other => panic!("{removed:?}: expected a usage error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -183,9 +146,9 @@ mod tests {
         // Bipartite star with unequal sides ({0} vs {1, 2}): the
         // transition matrix has eigenvalue -1 and the uniform jump vector
         // is unbalanced across the bipartition, so the Jacobi residual
-        // decays at exactly rate c per iteration. Damping close to 1
-        // therefore cannot converge within the command's 500-iteration
-        // cap, while the fallback chain's relaxed-damping attempt can.
+        // decays at exactly rate c per iteration — how many sweeps a
+        // damping factor needs is ln(ε)/ln(c), against the command's
+        // 500-iteration cap.
         let g = GraphBuilder::from_edges(3, &[(0, 1), (0, 2), (1, 0), (2, 0)]);
         let p = crate::test_dir(test).join("cycle.bin");
         std::fs::write(&p, io::graph_to_bytes_v3(&g)).unwrap();
@@ -200,33 +163,31 @@ mod tests {
     }
 
     #[test]
-    fn non_convergence_is_a_typed_failure_with_hint() {
+    fn non_convergence_is_a_typed_failure_naming_both_attempts() {
+        // c ≈ 1 needs ~1e10 sweeps: out of reach for the retry too.
         let err = run_on(&cycle_file("pagerank-non-convergence"), &["--damping", "0.999999999"])
             .unwrap_err();
         match err {
             CliError::Compute(m) => {
-                assert!(m.contains("did not converge"), "{m}");
-                assert!(m.contains("--fallback"), "{m}");
+                assert!(m.contains("solve failed after 2 attempts"), "{m}");
+                assert!(m.contains("cap=500: did not converge"), "{m}");
+                assert!(m.contains("c=0.999999999, cap=100501"), "{m}");
             }
             other => panic!("expected Compute error, got {other:?}"),
         }
     }
 
     #[test]
-    fn fallback_chain_recovers_and_reports_attempts() {
-        // The primary and Gauss–Seidel attempts drown at c ≈ 1; the
-        // relaxed-damping attempt converges and every attempt is reported.
-        let cycle = cycle_file("pagerank-fallback-cycle");
-        let out = run_on(&cycle, &["--damping", "0.999999999", "--fallback", "true"]).unwrap();
-        assert!(out.contains("attempt:"), "{out}");
-        assert!(out.contains("did not converge"), "{out}");
-        assert!(out.contains("converged in"), "{out}");
+    fn a_tight_cap_is_retried_and_both_attempts_are_printed() {
+        // c = 0.96 needs ~680 sweeps for 1e-12: the 500-sweep attempt
+        // fails, the second gets the cap its residual asks for, and the
+        // scores are for c = 0.96 all the same.
+        let out = run_on(&cycle_file("pagerank-retry"), &["--damping", "0.96"]).unwrap();
+        let attempts: Vec<&str> = out.lines().filter(|l| l.starts_with("attempt:")).collect();
+        assert_eq!(attempts.len(), 2, "{out}");
+        assert!(attempts[0].contains("c=0.96, cap=500: did not converge"), "{out}");
+        assert!(attempts[1].contains("c=0.96, cap=") && attempts[1].contains("converged in"));
         assert!(out.contains("converged: true"), "{out}");
-        // Healthy run with fallback enabled: no attempt chatter.
-        let quiet =
-            run_on(&graph_file("pagerank-fallback-quiet"), &["--fallback", "true"]).unwrap();
-        assert!(!quiet.contains("attempt:"), "{quiet}");
-        assert!(quiet.contains("converged: true"), "{quiet}");
     }
 
     #[test]

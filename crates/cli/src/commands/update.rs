@@ -99,8 +99,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
 
     let _ = writeln!(
         out,
-        "delta applied ({}): +{} edges, -{} edges, {} -> {} nodes, {} affected",
-        report.apply.strategy.name(),
+        "delta applied: +{} edges, -{} edges, {} -> {} nodes, {} affected",
         report.apply.edges_added,
         report.apply.edges_removed,
         report.apply.nodes_before,

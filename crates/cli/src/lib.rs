@@ -5,7 +5,7 @@
 //! ```text
 //! spammass generate --hosts 60000 --seed 42 --out web.graph [--labels hosts.txt] [--truth truth.tsv] [--core core.txt] [--evolve 3 --journal delta.journal]
 //! spammass stats    --graph web.graph
-//! spammass pagerank --graph web.graph [--solver jacobi|gauss-seidel|power|parallel] [--top 20]
+//! spammass pagerank --graph web.graph [--damping 0.85] [--top 20]
 //! spammass estimate --graph web.graph --core core.txt [--gamma 0.85] [--out mass.tsv] [--state state/]
 //! spammass detect   --graph web.graph --core core.txt [--rho 10] [--tau 0.98] [--labels hosts.txt]
 //! spammass update   --journal delta.journal --state state/ [--rho 10] [--tau 0.98]
@@ -48,7 +48,7 @@ pub enum CliError {
     /// Graph or core file could not be parsed.
     Format(String),
     /// A solve or estimation failed on valid inputs; the string carries the
-    /// per-attempt diagnostics (iteration counts, residuals, fallbacks).
+    /// per-attempt diagnostics (caps, iteration counts, residuals).
     Compute(String),
 }
 
@@ -123,7 +123,7 @@ USAGE:
   spammass generate --hosts N [--seed S] --out FILE [--labels FILE] [--truth FILE] [--core FILE] [--evolve K --journal FILE]
   spammass convert  --in FILE --out FILE [--format v3|v4] [--order degree|bfs|none] [--lenient N] [--threads T]
   spammass stats    --graph FILE [--lenient N]
-  spammass pagerank --graph FILE [--solver jacobi|gauss-seidel|power|parallel] [--damping C] [--top K] [--threads T] [--order degree|bfs|none] [--labels FILE] [--fallback true] [--lenient N]
+  spammass pagerank --graph FILE [--damping C] [--top K] [--threads T] [--order degree|bfs|none] [--labels FILE] [--lenient N]
   spammass estimate --graph FILE --core FILE [--labels FILE] [--gamma G] [--out FILE] [--state DIR] [--threads T] [--order degree|bfs|none] [--lenient N] [--max-resident-mb M]
   spammass detect   --graph FILE --core FILE [--labels FILE] [--gamma G] [--rho R] [--tau T] [--top K] [--order degree|bfs|none] [--lenient N]
   spammass update   --journal FILE --state DIR [--labels FILE] [--gamma G] [--rho R] [--tau T] [--top K] [--threads T] [--lenient N]
@@ -144,9 +144,7 @@ USAGE:
 
   --lenient N       tolerate up to N malformed edge-list lines (skipped and
                     reported) instead of failing on the first bad line
-  --fallback true   on solver failure, retry with the hardened fallback chain
-                    (each attempt is reported)
-  --threads T       worker threads for the solve engine (`--solver parallel`,
+  --threads T       worker threads for the solve engine (pagerank,
                     estimate — resident and `--max-resident-mb` alike, the
                     streamed count further capped by the image's block count
                     and the budget — and update) and for sharded text ingest
@@ -165,6 +163,11 @@ USAGE:
   --threshold PCT   bench-diff: fail when a bench's median regressed by more
                     than PCT percent (default 10); --report-only true prints
                     the table but never fails
+
+  solves: pagerank, estimate, detect, update and serve all run the one
+  engine. A solve that hits its iteration cap is run once more — same
+  damping, same start — with the cap its own residual asks for, and says so
+  (`attempt:` lines from pagerank; `warning: … degraded` names the cap)
 
   serve: answers HTTP/JSON spam-mass queries from the state directory's
   current snapshot generation (mmapped where possible): /score?node=N,

@@ -30,8 +30,8 @@
 //! ## Example
 //!
 //! Estimation is fallible: it returns an [`estimate::EstimateReport`]
-//! carrying the mass estimate plus health diagnostics (solver fallback
-//! usage, anomalous nodes, dead core entries), or a typed
+//! carrying the mass estimate plus health diagnostics (a solve that
+//! needed its second attempt, anomalous nodes, dead core entries), or a typed
 //! [`estimate::EstimateError`].
 //!
 //! ```

@@ -12,10 +12,10 @@
 //! web — it serves as the ground-truth yardstick the estimators of
 //! [`crate::estimate`] are measured against.
 
-use crate::estimate::EstimateError;
+use crate::estimate::{solve_staged, EstimateError};
 use crate::partition::Partition;
 use spammass_graph::{Graph, NodeId};
-use spammass_pagerank::{JumpVector, PageRankConfig, SolverChain};
+use spammass_pagerank::{JumpVector, PageRankConfig};
 
 /// Exact spam-mass analysis of a graph under a full partition.
 #[derive(Debug, Clone)]
@@ -34,14 +34,13 @@ pub struct ExactMass {
 impl ExactMass {
     /// Computes exact mass for `graph` under `partition`.
     ///
-    /// Runs linear PageRank twice (`PR(v)` and `PR(v^{V⁻})`); the good
+    /// `PR(v)` and `PR(v^{V⁻})` are the two columns of one solve; the good
     /// contribution falls out of linearity as `p − M` (verified to match
     /// `PR(v^{V⁺})` by the property-test suite).
     ///
     /// # Errors
     /// [`EstimateError::LengthMismatch`] when the partition does not cover
-    /// the graph; [`EstimateError::Solver`] when every solver attempt fails
-    /// for either run.
+    /// the graph; [`EstimateError::Solver`] when the solve fails.
     pub fn compute(
         graph: &Graph,
         partition: &Partition,
@@ -52,23 +51,15 @@ impl ExactMass {
             return Err(EstimateError::LengthMismatch { got: partition.len(), expected: n });
         }
 
-        let chain = SolverChain::recommended(*config);
-        let p = chain
-            .solve(graph, &JumpVector::Uniform)
-            .map_err(|source| EstimateError::Solver { stage: "pagerank", source })?
-            .result
-            .scores;
-
+        // An empty spam side has no jump vector to solve for: M = 0.
         let spam_nodes = partition.spam_nodes();
-        let absolute = if spam_nodes.is_empty() {
-            vec![0.0; n]
-        } else {
-            chain
-                .solve(graph, &JumpVector::core(spam_nodes, n))
-                .map_err(|source| EstimateError::Solver { stage: "core", source })?
-                .result
-                .scores
-        };
+        let mut jumps = vec![JumpVector::Uniform];
+        if !spam_nodes.is_empty() {
+            jumps.push(JumpVector::core(spam_nodes, n));
+        }
+        let mut columns = solve_staged(graph, &jumps, config, "exact-mass")?.columns.into_iter();
+        let p = columns.next().expect("the uniform column").scores;
+        let absolute = columns.next().map_or_else(|| vec![0.0; n], |m| m.scores);
 
         let good_contribution: Vec<f64> =
             p.iter().zip(&absolute).map(|(&py, &my)| py - my).collect();
@@ -161,6 +152,23 @@ mod tests {
             assert!((exact.scaled_pagerank(si) - 1.0).abs() < 1e-9);
             assert!((exact.scaled_absolute(si) - 1.0).abs() < 1e-9);
             assert!((exact.relative_of(si) - 1.0).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn one_two_column_solve_equals_two_algorithm_1_runs() {
+        // `[p, M]` as one batch is, on graphs this small, Algorithm 1 per
+        // column: bit for bit the two separate solves it replaced.
+        use spammass_pagerank::reference::jacobi::solve_jacobi;
+        let (f1, f2) = (figure1(5), figure2());
+        for (graph, partition) in [(&f1.graph, f1.partition_x_good()), (&f2.graph, f2.partition())]
+        {
+            let exact = ExactMass::compute(graph, &partition, &cfg()).unwrap();
+            let spam = JumpVector::core(partition.spam_nodes(), graph.node_count());
+            let p = solve_jacobi(graph, &JumpVector::Uniform, &cfg()).unwrap().scores;
+            let m = solve_jacobi(graph, &spam, &cfg()).unwrap().scores;
+            assert_eq!(exact.pagerank, p);
+            assert_eq!(exact.absolute, m);
         }
     }
 

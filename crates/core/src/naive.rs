@@ -14,18 +14,14 @@
 //! Spam mass (Section 3.3) is the scheme that finally accounts for all
 //! direct and indirect contributions.
 
-use crate::estimate::EstimateError;
+use crate::estimate::{solve_one, EstimateError};
 use crate::partition::{NodeSide, Partition};
 use spammass_graph::{Graph, NodeId};
-use spammass_pagerank::{JumpVector, PageRankConfig, SolverChain, SolverKind};
+use spammass_pagerank::{JumpVector, PageRankConfig};
 
-/// One plain Jacobi solve under the uniform jump, with failures wrapped
-/// into the crate's estimation error.
+/// Regular PageRank `p = PR(v)` under the uniform jump.
 fn solve_uniform(graph: &Graph, config: &PageRankConfig) -> Result<Vec<f64>, EstimateError> {
-    SolverChain::new(SolverKind::Jacobi, *config)
-        .solve(graph, &JumpVector::Uniform)
-        .map(|s| s.result.scores)
-        .map_err(|source| EstimateError::Solver { stage: "pagerank", source })
+    solve_one(graph, JumpVector::Uniform, config, "pagerank")
 }
 
 /// Scheme 1: majority vote over in-link sources.

@@ -21,9 +21,9 @@
 //! also expose the natural detection heuristic "high PageRank but low
 //! trust".
 
-use crate::estimate::EstimateError;
+use crate::estimate::{solve_one, EstimateError};
 use spammass_graph::{Graph, NodeId};
-use spammass_pagerank::{JumpVector, PageRankConfig, SolverChain};
+use spammass_pagerank::{JumpVector, PageRankConfig};
 
 /// TrustRank configuration.
 #[derive(Debug, Clone, Copy)]
@@ -82,13 +82,9 @@ impl TrustRank {
 /// many nodes quickly — good seed candidates.
 ///
 /// # Errors
-/// [`EstimateError::Solver`] when every solver attempt fails.
+/// [`EstimateError::Solver`] when the solve fails.
 pub fn inverse_pagerank(graph: &Graph, config: &PageRankConfig) -> Result<Vec<f64>, EstimateError> {
-    let reversed = graph.reversed();
-    let solve = SolverChain::recommended(*config)
-        .solve(&reversed, &JumpVector::Uniform)
-        .map_err(|source| EstimateError::Solver { stage: "inverse-pagerank", source })?;
-    Ok(solve.result.scores)
+    solve_one(&graph.reversed(), JumpVector::Uniform, config, "inverse-pagerank")
 }
 
 /// Selects up to `budget` good seeds: the top inverse-PageRank nodes that
@@ -137,7 +133,7 @@ pub fn trustrank<F: FnMut(NodeId) -> bool>(
 ///
 /// # Errors
 /// [`EstimateError::EmptyCore`] on an empty seed set;
-/// [`EstimateError::Solver`] when every solver attempt fails.
+/// [`EstimateError::Solver`] when the solve fails.
 pub fn trustrank_with_seeds(
     graph: &Graph,
     config: &PageRankConfig,
@@ -146,11 +142,8 @@ pub fn trustrank_with_seeds(
     if seeds.is_empty() {
         return Err(EstimateError::EmptyCore);
     }
-    let jump = JumpVector::scaled_core(seeds.clone(), 1.0);
-    let solve = SolverChain::recommended(*config)
-        .solve(graph, &jump)
-        .map_err(|source| EstimateError::Solver { stage: "trust", source })?;
-    Ok(TrustRank { seeds, scores: solve.result.scores, damping: config.damping })
+    let scores = solve_one(graph, JumpVector::scaled_core(seeds.clone(), 1.0), config, "trust")?;
+    Ok(TrustRank { seeds, scores, damping: config.damping })
 }
 
 /// Detection heuristic on top of TrustRank: flag nodes whose scaled
@@ -250,7 +243,7 @@ mod tests {
         let f = figure2();
         let partition = f.partition();
         let pr_cfg = cfg().pagerank;
-        let p = spammass_pagerank::solve(&f.graph, &JumpVector::Uniform, &pr_cfg).unwrap().scores;
+        let p = solve_one(&f.graph, JumpVector::Uniform, &pr_cfg, "pagerank").unwrap();
         let tr = trustrank(&f.graph, &cfg(), |x| partition.is_good(x)).unwrap();
         let flagged = detect_low_trust(&tr, &p, 1.5, 0.5);
         assert!(flagged.contains(&f.s[0]), "s0 has high PR and no trust");

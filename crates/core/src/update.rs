@@ -17,19 +17,17 @@
 //! New nodes (the graph only ever grows) get their seed entries from
 //! `(1−c)·v` — the exact fixed point for a node with no in-links, and a
 //! far better guess than the cold start's `v` for a typical fresh node.
-//! If the warm
-//! batched solve fails for any reason, the estimator falls back to the
-//! full cold [`MassEstimator::estimate`] path (counter
-//! `estimate.warm_fallback`), trading the speedup for its fallback
-//! chain; the result contract is unchanged either way.
+//! If the warm solve fails — its own retry included — the estimator
+//! falls back to the full cold [`MassEstimator::estimate`] path (counter
+//! `estimate.warm_fallback`); the result contract is unchanged either way.
 
 use crate::detector::{detect, detect_raw, Detection, DetectionDiff, DetectorConfig};
-use crate::estimate::{EstimateError, EstimateReport, MassEstimator, SolveDiagnostics};
+use crate::estimate::{EstimateError, EstimateReport, MassEstimator};
 use crate::mass::relative_mass;
 use spammass_delta::{DeltaRecord, GraphDelta, SavedState};
 use spammass_graph::{Graph, NodeId};
 use spammass_obs as obs;
-use spammass_pagerank::{solve_batch_warm, JumpVector};
+use spammass_pagerank::{solve_columns, JumpVector};
 
 /// One node's change in scaled absolute spam mass across an update.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,8 +57,8 @@ pub struct UpdateReport {
     pub core: Vec<NodeId>,
     /// The fresh estimate on the patched graph.
     pub estimate: EstimateReport,
-    /// What the delta did to the graph (strategy, effective op counts,
-    /// affected nodes, dangling changes).
+    /// What the delta did to the graph (effective op counts, affected
+    /// nodes, dangling changes).
     pub apply: spammass_delta::ApplyReport,
     /// Algorithm 2 re-run from the *saved* vectors — the baseline the
     /// diff is computed against. Costs one O(n) scan, no solve.
@@ -176,31 +174,19 @@ impl MassEstimator {
         let seeds = [seed_p, seed_pc];
 
         let warm_span = obs::span("estimate.warm");
-        let outcome = solve_batch_warm(&graph, &jumps, Some(&seeds), &self.config().pagerank);
+        let outcome = solve_columns(&graph, &jumps, Some(&seeds), &self.config().pagerank);
         drop(warm_span);
 
         let (estimate, warm) = match outcome {
-            Ok(mut results) => {
-                let p_core = results.pop().expect("batch returns two columns");
-                let uniform = results.pop().expect("batch returns two columns");
-                let diag = |r: &spammass_pagerank::PageRankResult| SolveDiagnostics {
-                    solver: "batch-warm",
-                    iterations: r.iterations,
-                    residual: r.residual,
-                    attempts: 1,
-                };
-                let pagerank_diag = diag(&uniform);
-                let core_diag = diag(&p_core);
-                obs::observe("estimate.warm.iterations", pagerank_diag.iterations as f64);
-                let mut report = self.build_report(&core, uniform.scores, p_core.scores, core_diag);
-                report.pagerank_diag = Some(pagerank_diag);
-                (report, true)
+            Ok(solve) => {
+                obs::observe("estimate.warm.iterations", solve.columns[0].iterations as f64);
+                let (attempts, cap) = (solve.attempts.len(), solve.cap());
+                (self.pair_report(&core, "batch-warm", attempts, cap, solve.columns), true)
             }
             Err(e) => {
                 // Warm seeding cannot change the fixed point, but a warm
                 // solve can still trip the convergence guard (e.g. on a
-                // pathological delta); recover through the cold path with
-                // its full fallback chain.
+                // pathological delta); recover through the cold path.
                 obs::counter("estimate.warm_fallback", 1.0);
                 obs::event(
                     "estimate.warm_fallback",

@@ -1,51 +1,20 @@
 //! Applying a delta to a loaded [`Graph`].
 //!
 //! The CSR graph is immutable, so "mutating" it means building a
-//! replacement edge set and reconstructing. Two strategies produce
-//! byte-identical results (pinned by tests):
+//! replacement edge set and reconstructing: a single merge-join over the
+//! old sorted edge stream and the (sorted, normalized) add/remove sets,
+//! feeding [`Graph::from_sorted_unique_edges`] directly — `O(m + d)` with
+//! no sort, whatever the size of the delta.
 //!
-//! * **Patch** — a single merge-join over the old sorted edge stream and
-//!   the (sorted, normalized) add/remove sets, feeding
-//!   [`Graph::from_sorted_unique_edges`] directly. `O(m + d)` with no
-//!   sort; the right call when the delta is small.
-//! * **Rebuild** — collect, retain, extend, re-sort. `O((m + d)·log)`
-//!   but with trivially simple bookkeeping; used when the delta is a
-//!   large fraction of the graph and the merge-join's branchy inner
-//!   loop stops paying for itself.
-//!
-//! The cutover (`PATCH_FACTOR`) picks patch while the op count is below
-//! `edge_count / 4`. Dangling-set maintenance goes through
-//! [`recompute_out_degrees`] — the same helper CSR construction and
-//! `Graph::filter_edges` use — so every path agrees on which nodes are
-//! dangling (the paper's Section 2.2 treatment of leaked mass depends on
-//! this set being exact).
+//! Dangling-set maintenance goes through [`recompute_out_degrees`] — the
+//! same helper CSR construction and `Graph::filter_edges` use — so every
+//! path agrees on which nodes are dangling (the paper's Section 2.2
+//! treatment of leaked mass depends on this set being exact).
 
 use crate::record::DeltaRecord;
 use spammass_graph::{recompute_out_degrees, Graph, NodeId, Permutation};
 use spammass_obs as obs;
 use std::collections::BTreeSet;
-
-/// How [`GraphDelta::apply`] rebuilt the CSR image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ApplyStrategy {
-    /// Merge-join patch of the sorted edge stream (small deltas).
-    Patch,
-    /// Full collect-and-re-sort rebuild (large deltas).
-    Rebuild,
-}
-
-impl ApplyStrategy {
-    /// Short name used in telemetry and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            ApplyStrategy::Patch => "patch",
-            ApplyStrategy::Rebuild => "rebuild",
-        }
-    }
-}
-
-/// Patch while `op_count * PATCH_FACTOR <= edge_count`.
-const PATCH_FACTOR: usize = 4;
 
 /// A normalized, order-resolved set of graph and core mutations.
 ///
@@ -192,15 +161,7 @@ impl GraphDelta {
         let mut span = obs::span("delta.apply");
         let nodes_before = graph.node_count();
         let nodes_after = self.node_count_after(graph);
-        let strategy = if self.op_count() * PATCH_FACTOR <= graph.edge_count() {
-            ApplyStrategy::Patch
-        } else {
-            ApplyStrategy::Rebuild
-        };
-        let (edges, edges_added, edges_removed) = match strategy {
-            ApplyStrategy::Patch => self.patch_edges(graph),
-            ApplyStrategy::Rebuild => self.rebuild_edges(graph),
-        };
+        let (edges, edges_added, edges_removed) = self.patch_edges(graph);
 
         // Dangling bookkeeping through the shared helper: a node is newly
         // dangling iff its recomputed out-degree hit zero (or it is a new
@@ -233,12 +194,7 @@ impl GraphDelta {
         span.record("edges_added", edges_added as f64);
         span.record("edges_removed", edges_removed as f64);
         span.record("affected", affected.len() as f64);
-        obs::event(
-            "delta.apply.strategy",
-            vec![("strategy".to_string(), obs::Json::str(strategy.name()))],
-        );
         ApplyReport {
-            strategy,
             nodes_before,
             nodes_after,
             edges_added,
@@ -292,27 +248,6 @@ impl GraphDelta {
         (out, added, removed)
     }
 
-    /// Collect-and-re-sort rebuild; contract identical to
-    /// [`patch_edges`](Self::patch_edges).
-    fn rebuild_edges(&self, graph: &Graph) -> (Vec<(u32, u32)>, usize, usize) {
-        let mut edges: Vec<(u32, u32)> = graph.edges().map(|(f, t)| (f.0, t.0)).collect();
-        let before = edges.len();
-        edges.retain(|e| self.remove_edges.binary_search(e).is_err());
-        let removed = before - edges.len();
-        let mut added = 0usize;
-        for &(f, t) in &self.add_edges {
-            let present = (f as usize) < graph.node_count()
-                && (t as usize) < graph.node_count()
-                && graph.has_edge(NodeId(f), NodeId(t));
-            if !present {
-                edges.push((f, t));
-                added += 1;
-            }
-        }
-        edges.sort_unstable();
-        (edges, added, removed)
-    }
-
     /// Applies the core membership changes to a sorted core node list.
     /// Returns `(added, removed)` counts of operations that took effect.
     pub fn apply_to_core(&self, core: &mut Vec<NodeId>) -> (usize, usize) {
@@ -337,8 +272,6 @@ impl GraphDelta {
 /// What [`GraphDelta::apply`] did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ApplyReport {
-    /// Strategy chosen by the size heuristic.
-    pub strategy: ApplyStrategy,
     /// Node count before the apply.
     pub nodes_before: usize,
     /// Node count after the apply (never smaller).
@@ -439,9 +372,11 @@ mod tests {
 
     #[test]
     fn patch_and_rebuild_agree() {
-        // A mid-sized pseudo-random graph and a delta straddling present,
-        // absent, and out-of-range edges: both strategies must produce
-        // identical graphs and identical reports (modulo the strategy tag).
+        // A mid-sized pseudo-random graph and deltas straddling present,
+        // absent, and out-of-range edges — one a fraction of the graph,
+        // one several times its size: the merge-join must produce the
+        // graph a from-scratch build of the final edge set produces, and
+        // count exactly the operations that took effect.
         let n = 60u32;
         let mut state = 0xDEADBEEFu64;
         let mut step = move || {
@@ -459,40 +394,31 @@ mod tests {
             }
         }
         let base = GraphBuilder::from_edges(n as usize, &edges);
-        let mut records = Vec::new();
-        for i in 0..120 {
-            let f = (step() % (n as u64 + 8)) as u32;
-            let t = (step() % (n as u64 + 8)) as u32;
-            if f == t {
-                continue;
+        for ops in [120, 3 * base.edge_count()] {
+            let mut records = Vec::new();
+            for i in 0..ops {
+                let f = (step() % (n as u64 + 8)) as u32;
+                let t = (step() % (n as u64 + 8)) as u32;
+                if f == t {
+                    continue;
+                }
+                records.push(if i % 3 == 0 { remove(f, t) } else { add(f, t) });
             }
-            records.push(if i % 3 == 0 { remove(f, t) } else { add(f, t) });
+            let d = GraphDelta::from_records(&records);
+            assert_eq!(d.op_count() > base.edge_count(), ops > 120, "one delta outgrows the graph");
+
+            let mut expected: BTreeSet<(u32, u32)> =
+                base.edges().map(|(f, t)| (f.0, t.0)).collect();
+            let removed = d.edges_to_remove().iter().filter(|e| expected.remove(e)).count();
+            let added = d.edges_to_add().iter().filter(|&&e| expected.insert(e)).count();
+            let final_edges: Vec<(u32, u32)> = expected.into_iter().collect();
+            let oracle = GraphBuilder::from_edges(d.node_count_after(&base), &final_edges);
+
+            let mut patched = base.clone();
+            let report = d.apply(&mut patched);
+            assert_eq!((report.edges_added, report.edges_removed), (added, removed));
+            assert_same_graph(&patched, &oracle);
         }
-        let d = GraphDelta::from_records(&records);
-
-        let mut patched = base.clone();
-        let (p_edges, p_added, p_removed) = d.patch_edges(&base);
-        let (r_edges, r_added, r_removed) = d.rebuild_edges(&base);
-        assert_eq!(p_edges, r_edges);
-        assert_eq!((p_added, p_removed), (r_added, r_removed));
-
-        let report = d.apply(&mut patched);
-        assert_eq!(report.edges_added, p_added);
-        assert_eq!(report.edges_removed, p_removed);
-        assert_eq!(patched.edge_count(), p_edges.len());
-        for (f, t) in &p_edges {
-            assert!(patched.has_edge(NodeId(*f), NodeId(*t)));
-        }
-    }
-
-    #[test]
-    fn strategy_heuristic_switches_on_delta_size() {
-        let mut g = diamond();
-        let small = GraphDelta::from_records(&[add(3, 1)]);
-        assert_eq!(small.apply(&mut g).strategy, ApplyStrategy::Patch);
-        let mut g = diamond();
-        let big = GraphDelta::from_records(&[add(3, 1), add(3, 2), remove(0, 1), remove(0, 2)]);
-        assert_eq!(big.apply(&mut g).strategy, ApplyStrategy::Rebuild);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   CRC-framed per batch so a torn tail never poisons the intact prefix.
 //! * [`apply`] — [`GraphDelta`], which normalizes an ordered record
 //!   stream and patches a loaded CSR [`Graph`](spammass_graph::Graph)
-//!   (merge-join patch for small deltas, full rebuild for large ones),
-//!   reporting affected nodes and dangling-set changes.
+//!   (one merge-join over the sorted edge stream), reporting affected
+//!   nodes and dangling-set changes.
 //! * [`state`] — [`StateDir`], the saved warm-start state (graph image,
 //!   checksummed **`SPAMSCRS`** score vectors, core list) published as
 //!   generation-numbered snapshots behind a CRC-guarded `MANIFEST`, so a
@@ -40,7 +40,7 @@ pub mod journal;
 mod record;
 pub mod state;
 
-pub use apply::{ApplyReport, ApplyStrategy, GraphDelta};
+pub use apply::{ApplyReport, GraphDelta};
 pub use fsck::{check_state, repair_state, GenerationCheck, ManifestStatus, StateFsck};
 pub use journal::{
     append_to_file, fsck_journal, is_journal, journal_to_bytes, read_journal,

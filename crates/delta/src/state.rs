@@ -69,7 +69,7 @@
 //! must be in range — a state directory assembled from mismatched runs
 //! fails loudly instead of warm-starting a solve from garbage.
 
-use crate::{failpoint, journal};
+use crate::failpoint;
 use spammass_graph::crc32::crc32;
 use spammass_graph::io::{self, ImageLoadStats};
 use spammass_graph::le::{get_u32, get_u64};
@@ -485,22 +485,6 @@ impl StateDir {
         Ok(())
     }
 
-    /// Whether the directory holds loadable-looking state: a manifest
-    /// whose generation directory has all four files, or the legacy flat
-    /// file set. (Content validation happens at [`StateDir::load`].)
-    pub fn is_complete(&self) -> bool {
-        let files =
-            [Self::GRAPH_FILE, Self::PAGERANK_FILE, Self::CORE_PAGERANK_FILE, Self::CORE_FILE];
-        match self.read_manifest() {
-            Ok(Some(g)) => {
-                let dir = self.generation_path(g);
-                files.iter().all(|f| dir.join(f).is_file())
-            }
-            Ok(None) => files.iter().all(|f| self.root.join(f).is_file()),
-            Err(_) => false,
-        }
-    }
-
     /// Writes the full state as a fresh generation and publishes it,
     /// returning the new generation number.
     ///
@@ -734,53 +718,6 @@ impl StateDir {
         span.record("core", core.len() as f64);
         Ok((SavedState { graph, core, pagerank, core_pagerank }, image))
     }
-
-    /// Blocks until the manifest names a generation newer than `after`,
-    /// polling every `poll_interval` up to `timeout`. Returns the new
-    /// generation number, or `Ok(None)` on timeout. `after = None`
-    /// accepts the first published generation it sees — including one
-    /// already on disk, so "watch from before the first save" works.
-    ///
-    /// This is the cheap half of the serving plane's reload loop: one
-    /// small manifest read per poll, no generation payload touched until
-    /// the caller decides to load. Corrupt-manifest reads are treated as
-    /// "no new generation yet" rather than fatal — a watcher's job is to
-    /// outlive a publisher mid-crash, and `fsck` owns the diagnosis.
-    ///
-    /// # Errors
-    /// Only non-recoverable I/O failures (permissions, injected faults)
-    /// abort the watch.
-    pub fn watch_latest_generation(
-        &self,
-        after: Option<u64>,
-        poll_interval: std::time::Duration,
-        timeout: std::time::Duration,
-    ) -> Result<Option<u64>, StateError> {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            match self.read_manifest() {
-                Ok(Some(g)) if after.is_none_or(|a| g > a) => return Ok(Some(g)),
-                Ok(_) => {}
-                Err(e) if e.is_corruption() => {}
-                Err(e) => return Err(e),
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Ok(None);
-            }
-            std::thread::sleep(poll_interval.min(deadline.duration_since(now)));
-        }
-    }
-
-    /// Reads the journal file at `path` (convenience wrapper so callers
-    /// deal in one error type end to end).
-    pub fn read_journal_file(
-        path: &Path,
-        options: &io::ReadOptions,
-    ) -> Result<(Vec<Vec<crate::DeltaRecord>>, journal::JournalReport), GraphError> {
-        let data = retry_io("journal.read", || fs::read(path))?;
-        journal::read_journal_with(&data, options)
-    }
 }
 
 #[cfg(test)]
@@ -863,9 +800,7 @@ mod tests {
         let dir = tmpdir("roundtrip");
         let (g, core, p, pc) = sample();
         let state = StateDir::new(&dir);
-        assert!(!state.is_complete());
         assert_eq!(state.save(&g, &core, &p, &pc).unwrap(), 1);
-        assert!(state.is_complete());
         assert_eq!(state.read_manifest().unwrap(), Some(1));
         let loaded = state.load().unwrap();
         assert_eq!(loaded.graph.node_count(), 4);
@@ -949,7 +884,6 @@ mod tests {
         fs::write(dir.join(StateDir::CORE_FILE), "0\n2\n").unwrap();
 
         let state = StateDir::new(&dir);
-        assert!(state.is_complete());
         assert_eq!(state.read_manifest().unwrap(), None);
         let loaded = state.load().unwrap();
         assert_eq!(loaded.core, core);
@@ -1021,7 +955,6 @@ mod tests {
         state.save(&g, &core, &p, &pc).unwrap();
         fs::write(dir.join(StateDir::MANIFEST_FILE), b"SPAMMANIFEST 1\ngeneration ?\n").unwrap();
         assert!(matches!(state.load(), Err(StateError::Manifest { .. })));
-        assert!(!state.is_complete());
         let (recovered, report) = state.load_with_recovery().unwrap();
         assert!(report.recovered);
         assert_eq!(report.requested, None);
@@ -1045,42 +978,6 @@ mod tests {
             }
             other => panic!("expected NoUsableGeneration, got {other:?}"),
         }
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn watcher_sees_a_mid_watch_publish() {
-        use std::time::Duration;
-        let dir = tmpdir("watch");
-        let (g, core, p, pc) = sample();
-        let state = StateDir::new(&dir);
-        state.save(&g, &core, &p, &pc).unwrap();
-
-        // Already-satisfied watch returns without waiting out the timeout.
-        let got = state
-            .watch_latest_generation(None, Duration::from_millis(1), Duration::from_secs(5))
-            .unwrap();
-        assert_eq!(got, Some(1));
-
-        // Nothing newer than 1 yet: the watch times out cleanly.
-        let got = state
-            .watch_latest_generation(Some(1), Duration::from_millis(1), Duration::from_millis(20))
-            .unwrap();
-        assert_eq!(got, None);
-
-        // Publish generation 2 from another thread mid-watch.
-        let publisher = {
-            let state = state.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(30));
-                state.save(&g, &core, &p, &pc).unwrap()
-            })
-        };
-        let got = state
-            .watch_latest_generation(Some(1), Duration::from_millis(2), Duration::from_secs(10))
-            .unwrap();
-        assert_eq!(got, Some(2));
-        assert_eq!(publisher.join().unwrap(), 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 

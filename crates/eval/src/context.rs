@@ -89,7 +89,7 @@ impl Context {
         );
         let estimate = estimator
             .estimate(&scenario.graph, &core.as_vec())
-            .expect("experiment-scale synthetic webs converge under the fallback chain")
+            .expect("experiment-scale synthetic webs converge")
             .into_mass();
         drop(estimate_span);
         let pool = candidate_pool(&estimate, opts.rho);

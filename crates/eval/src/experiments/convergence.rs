@@ -10,7 +10,8 @@
 
 use crate::context::Context;
 use crate::report::{f, Table};
-use spammass_pagerank::{gauss_seidel, jacobi, power, solve_batch, JumpVector, PageRankConfig};
+use spammass_pagerank::reference::{gauss_seidel, jacobi, power};
+use spammass_pagerank::{solve_batch, JumpVector, PageRankConfig};
 
 /// Runs all four solvers on the scenario graph.
 pub fn run(ctx: &Context) -> Vec<Table> {

@@ -1,5 +1,6 @@
-//! The production solve: k jump vectors through one CSR traversal per
-//! sweep.
+//! The engine's resident entry: k jump vectors through one CSR traversal
+//! per sweep — one attempt; [`crate::solve_columns`] is the production
+//! solve built on it.
 //!
 //! Mass estimation (Section 3.5 of the paper) needs **two** PageRank
 //! solves over the same graph — `p = PR(v)` with the uniform jump and
@@ -23,19 +24,20 @@
 //! assignment, and residual reduction order are all independent of `K`,
 //! a column is **bit-for-bit identical** whichever batch it is solved in
 //! — `tests/properties.rs` pins this. Sub-threshold graphs route each
-//! column through the serial scatter solver (Algorithm 1), which is
-//! per-column by construction.
+//! column through the serial scatter solver (Algorithm 1 in
+//! [`crate::reference`]), which is per-column by construction.
 //!
 //! Error semantics match the strict reference solvers: any column
 //! tripping its guard (divergence, NaN poisoning) or the shared
 //! iteration cap fails the whole batch, since the estimate consuming the
-//! results needs every column.
+//! results needs every column. A hit cap reports the largest residual
+//! among the columns it stopped, on either route.
 
 use crate::config::PageRankConfig;
 use crate::error::PageRankError;
 use crate::history::ResidualHistory;
-use crate::jacobi::{check_initial_length, solve_jacobi_dense_warm};
 use crate::jump::JumpVector;
+use crate::reference::jacobi::{check_initial_length, solve_jacobi_dense_warm};
 use crate::PageRankResult;
 use spammass_graph::Graph;
 
@@ -62,7 +64,7 @@ pub fn solve_batch(
 /// `initial[j]` instead of its jump vector. `None` is the cold start for
 /// every column. Warm starts change neither the fixed points nor any
 /// guard semantics (see
-/// [`solve_jacobi_dense_warm`](crate::jacobi::solve_jacobi_dense_warm)),
+/// [`solve_jacobi_dense_warm`]),
 /// only the iteration count — the incremental estimator re-solves `p`
 /// and `p′` from their previous fixed points after a graph delta.
 ///
@@ -144,11 +146,25 @@ fn solve_batch_fixed<const K: usize>(
     let path = crate::parallel::solve_path(config, graph);
     if path.serial {
         let mut results = Vec::with_capacity(K);
+        // Like the engine, a hit cap stops every column and reports the
+        // worst residual left, not the first column's.
+        let mut worst: Option<f64> = None;
         for (j, v) in vs.iter().enumerate() {
             let init = initial.map(|inits| &inits[j][..]);
-            results.push(solve_jacobi_dense_warm(graph, v, init, config)?);
+            match solve_jacobi_dense_warm(graph, v, init, config) {
+                Ok(result) => results.push(result),
+                Err(PageRankError::DidNotConverge { residual, .. }) => {
+                    worst = Some(worst.map_or(residual, |w| w.max(residual)));
+                }
+                Err(e) => return Err(e),
+            }
         }
-        return Ok(results);
+        return match worst {
+            Some(residual) => {
+                Err(PageRankError::DidNotConverge { iterations: config.max_iterations, residual })
+            }
+            None => Ok(results),
+        };
     }
     crate::engine::solve_pooled::<K>(graph, vs, initial, config, path.threads)
 }
@@ -156,7 +172,7 @@ fn solve_batch_fixed<const K: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jacobi::solve_jacobi;
+    use crate::reference::jacobi::solve_jacobi;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use spammass_graph::GraphBuilder;
@@ -258,6 +274,24 @@ mod tests {
             solve_batch(&g, &[JumpVector::Uniform, core_jump(g.node_count())], &tight),
             Err(PageRankError::DidNotConverge { iterations: 2, .. })
         ));
+    }
+
+    #[test]
+    fn a_hit_cap_reports_the_worst_column_on_the_serial_route_too() {
+        // The first column carries a thousandth of the uniform column's
+        // mass and so a far smaller residual; it must not be the one the
+        // batch's error quotes.
+        let g = GraphBuilder::from_edges(6, &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]);
+        let light = JumpVector::SingleNode { node: spammass_graph::NodeId(0), mass: 0.001 };
+        let jumps = [light, JumpVector::Uniform];
+        let tight = PageRankConfig::default().max_iterations(20);
+        let residual_of = |jumps: &[JumpVector]| match solve_batch(&g, jumps, &tight) {
+            Err(PageRankError::DidNotConverge { iterations: 20, residual }) => residual,
+            other => panic!("expected the cap, got {other:?}"),
+        };
+        let (light, uniform) = (residual_of(&jumps[..1]), residual_of(&jumps[1..]));
+        assert!(light < uniform / 10.0, "{light:e} vs {uniform:e}");
+        assert_eq!(residual_of(&jumps), uniform);
     }
 
     #[test]

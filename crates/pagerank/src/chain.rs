@@ -1,100 +1,59 @@
-//! Solver fallback chains with per-attempt diagnostics.
+//! The production solve: every column through the engine, behind one
+//! retry rule.
 //!
-//! The strict solvers ([`solve_jacobi`](crate::jacobi::solve_jacobi) & co.)
-//! turn a failed solve into a typed error. A [`SolverChain`] layers graceful
-//! degradation on top: it runs a configured sequence of (solver, config)
-//! attempts, returning the first success together with a structured
-//! [`AttemptReport`] for every attempt made — so a pipeline can log *why*
-//! the primary solver was abandoned, not just that it was.
+//! [`solve_columns`] is what the estimator, the updater, the baselines
+//! and the CLI call. It runs [`solve_batch_warm`] on all columns together
+//! and, when that fails, decides from the failure itself whether a second
+//! run can succeed:
 //!
-//! A typical chain retries with a different iteration structure first
-//! (Gauss–Seidel propagates updates within a sweep, so it converges where
-//! Jacobi stalls against a tight cap) and only then relaxes the problem
-//! itself (a slightly smaller damping factor contracts faster at the cost
-//! of solving a more-damped system — acceptable as a flagged last resort,
-//! never silently).
+//! * **The cap was hit** ([`PageRankError::DidNotConverge`] with a finite
+//!   last residual `r`): the same system is solved once more from the same
+//!   start with the cap the failed run's own residual asks for,
+//!   `cap + ⌈ln(ε / r) / ln c⌉ + 1`. `T` is substochastic, so
+//!   `‖c·Tᵀ·d‖₁ ≤ c·‖d‖₁`: the L1 residual of this iteration shrinks by at
+//!   least `c` a sweep on any graph, the run is deterministic up to the old
+//!   cap, and that many further sweeps bring `r` under `ε` whenever `ε` is
+//!   reachable in floating point. The extra sweeps are clamped as
+//!   [`estimated_sweeps`] clamps, so a damping factor next to one cannot
+//!   ask for a solve that never returns.
+//! * **Anything else** — a tripped guard, invalid input — is returned at
+//!   once: a deterministic solve of the same system from the same start
+//!   fails the same way.
+//!
+//! Every attempt solves the configured system: the damping factor, the
+//! tolerance and the start never change, only the cap. Each attempt leaves
+//! an [`AttemptReport`] (and a `pagerank.chain.attempt` event), so a
+//! pipeline can say that a cap was too tight and what cap was needed.
 
+use crate::batch::solve_batch_warm;
 use crate::config::PageRankConfig;
 use crate::error::PageRankError;
 use crate::jump::JumpVector;
-use crate::{batch, gauss_seidel, jacobi, power, PageRankResult};
+use crate::parallel::estimated_sweeps;
+use crate::PageRankResult;
 use spammass_graph::Graph;
 use spammass_obs as obs;
 use std::fmt;
 
-/// Which solver implementation an attempt uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverKind {
-    /// Serial Jacobi — Algorithm 1 of the paper.
-    Jacobi,
-    /// Gauss–Seidel in-place sweeps.
-    GaussSeidel,
-    /// The production engine ([`solve_batch`](crate::solve_batch) with
-    /// one column): thread-parallel Jacobi.
-    ParallelJacobi,
-    /// Power iteration on the augmented matrix (requires `‖v‖₁ = 1`).
-    Power,
-}
-
-impl SolverKind {
-    /// Stable human-readable name (matches the CLI `--solver` values).
-    pub fn name(&self) -> &'static str {
-        match self {
-            SolverKind::Jacobi => "jacobi",
-            SolverKind::GaussSeidel => "gauss-seidel",
-            SolverKind::ParallelJacobi => "parallel",
-            SolverKind::Power => "power",
-        }
-    }
-
-    /// Runs this solver.
-    ///
-    /// # Errors
-    /// Propagates the underlying solver's error.
-    pub fn solve(
-        &self,
-        graph: &Graph,
-        jump: &JumpVector,
-        config: &PageRankConfig,
-    ) -> Result<PageRankResult, PageRankError> {
-        match self {
-            SolverKind::Jacobi => jacobi::solve_jacobi(graph, jump, config),
-            SolverKind::GaussSeidel => gauss_seidel::solve_gauss_seidel(graph, jump, config),
-            SolverKind::ParallelJacobi => {
-                let mut columns = batch::solve_batch(graph, std::slice::from_ref(jump), config)?;
-                Ok(columns.pop().expect("one jump vector yields one column"))
-            }
-            SolverKind::Power => power::solve_power(graph, jump, config),
-        }
-    }
-}
-
-impl fmt::Display for SolverKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Outcome of one chain attempt.
+/// Outcome of one attempt.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttemptOutcome {
-    /// The attempt converged.
+    /// Every column converged.
     Succeeded {
-        /// Iterations the successful solve took.
+        /// Sweeps the slowest column took.
         iterations: usize,
-        /// Final residual.
+        /// Largest final residual among the columns.
         residual: f64,
     },
     /// The attempt failed with the contained error.
     Failed(PageRankError),
 }
 
-/// Diagnostics for one attempt in a chain solve.
+/// Diagnostics for one attempt of [`solve_columns`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttemptReport {
-    /// Solver used.
-    pub solver: SolverKind,
-    /// Configuration of the attempt.
+    /// Configuration of the attempt, shared by all its columns; only
+    /// `max_iterations` ever differs from the caller's.
     pub config: PageRankConfig,
     /// What happened.
     pub outcome: AttemptOutcome,
@@ -102,43 +61,34 @@ pub struct AttemptReport {
 
 impl fmt::Display for AttemptReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "c={}, cap={}: ", self.config.damping, self.config.max_iterations)?;
         match &self.outcome {
-            AttemptOutcome::Succeeded { iterations, residual } => write!(
-                f,
-                "{} (c={}, cap={}): converged in {iterations} iterations (residual {residual:.3e})",
-                self.solver, self.config.damping, self.config.max_iterations
-            ),
-            AttemptOutcome::Failed(e) => write!(
-                f,
-                "{} (c={}, cap={}): {e}",
-                self.solver, self.config.damping, self.config.max_iterations
-            ),
+            AttemptOutcome::Succeeded { iterations, residual } => {
+                write!(f, "converged in {iterations} iterations (residual {residual:.3e})")
+            }
+            AttemptOutcome::Failed(e) => write!(f, "{e}"),
         }
     }
 }
 
-/// A successful chain solve: the winning result plus every attempt made.
+/// A successful [`solve_columns`]: the columns plus every attempt made.
 #[derive(Debug, Clone)]
 pub struct ChainSolve {
-    /// Result of the first attempt that converged.
-    pub result: PageRankResult,
+    /// One result per jump vector, in order, all from the last attempt.
+    pub columns: Vec<PageRankResult>,
     /// Reports for all attempts, in order; the last one succeeded.
     pub attempts: Vec<AttemptReport>,
 }
 
 impl ChainSolve {
-    /// The attempt that produced [`result`](ChainSolve::result).
-    pub fn winner(&self) -> &AttemptReport {
-        self.attempts.last().expect("a ChainSolve always records at least the winning attempt")
-    }
-
-    /// Whether any fallback was needed (i.e. the first attempt failed).
-    pub fn degraded(&self) -> bool {
-        self.attempts.len() > 1
+    /// The iteration cap of the attempt that converged: the configured
+    /// one, or the one the retry rule worked out.
+    pub fn cap(&self) -> usize {
+        self.attempts.last().expect("the attempt that converged is recorded").config.max_iterations
     }
 }
 
-/// Every attempt in a chain failed.
+/// [`solve_columns`] failed; carries the report of every attempt.
 #[derive(Debug, Clone)]
 pub struct ChainError {
     /// Reports for all failed attempts, in order.
@@ -147,7 +97,8 @@ pub struct ChainError {
 
 impl fmt::Display for ChainError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "all {} solver attempts failed:", self.attempts.len())?;
+        let n = self.attempts.len();
+        write!(f, "solve failed after {n} attempt{}:", if n == 1 { "" } else { "s" })?;
         for a in &self.attempts {
             write!(f, "\n  {a}")?;
         }
@@ -157,85 +108,54 @@ impl fmt::Display for ChainError {
 
 impl std::error::Error for ChainError {}
 
-/// A configurable sequence of solver attempts tried in order.
-#[derive(Debug, Clone)]
-pub struct SolverChain {
-    attempts: Vec<(SolverKind, PageRankConfig)>,
+/// Solves `(I − c·Tᵀ)pⱼ = (1 − c)vⱼ` for every jump vector — from
+/// `initial[j]` when seeds are given — under the retry rule of the
+/// [module docs](self).
+///
+/// # Errors
+/// [`ChainError`] with one report when the failure cannot be retried,
+/// with two when the second attempt failed as well.
+pub fn solve_columns(
+    graph: &Graph,
+    jumps: &[JumpVector],
+    initial: Option<&[Vec<f64>]>,
+    config: &PageRankConfig,
+) -> Result<ChainSolve, ChainError> {
+    let mut span = obs::span("pagerank.chain");
+    let mut attempts = Vec::with_capacity(1);
+    let mut config = *config;
+    loop {
+        span.record("attempts", 1.0);
+        let solved = solve_batch_warm(graph, jumps, initial, &config);
+        let outcome = match &solved {
+            Ok(columns) => AttemptOutcome::Succeeded {
+                iterations: columns.iter().map(|r| r.iterations).max().unwrap_or(0),
+                residual: columns.iter().map(|r| r.residual).fold(0.0, f64::max),
+            },
+            Err(e) => AttemptOutcome::Failed(e.clone()),
+        };
+        let report = AttemptReport { config, outcome };
+        emit_attempt_event(attempts.len(), &report);
+        attempts.push(report);
+        match solved {
+            Ok(columns) => return Ok(ChainSolve { columns, attempts }),
+            Err(PageRankError::DidNotConverge { residual, .. })
+                if attempts.len() == 1 && residual.is_finite() =>
+            {
+                config.max_iterations = retry_cap(&config, residual);
+            }
+            Err(_) => return Err(ChainError { attempts }),
+        }
+    }
 }
 
-impl SolverChain {
-    /// Chain with a single initial attempt.
-    pub fn new(solver: SolverKind, config: PageRankConfig) -> Self {
-        SolverChain { attempts: vec![(solver, config)] }
-    }
-
-    /// Appends a fallback attempt, builder-style.
-    #[must_use]
-    pub fn then(mut self, solver: SolverKind, config: PageRankConfig) -> Self {
-        self.attempts.push((solver, config));
-        self
-    }
-
-    /// The default hardened chain for a base configuration:
-    ///
-    /// 1. Jacobi with the base config (the paper's Algorithm 1);
-    /// 2. Gauss–Seidel with a doubled iteration cap (different iteration
-    ///    structure, ~2× faster convergence on the same problem);
-    /// 3. Jacobi with a doubled cap and damping tightened by 5% — this
-    ///    solves a slightly more-damped system, so it is a last resort that
-    ///    the [`AttemptReport`] makes visible to the caller.
-    pub fn recommended(base: PageRankConfig) -> Self {
-        let widened = base.max_iterations(base.max_iterations.saturating_mul(2).max(1));
-        let mut relaxed = widened;
-        relaxed.damping = base.damping * 0.95;
-        SolverChain::new(SolverKind::Jacobi, base)
-            .then(SolverKind::GaussSeidel, widened)
-            .then(SolverKind::Jacobi, relaxed)
-    }
-
-    /// The configured attempts, in order.
-    pub fn attempts(&self) -> &[(SolverKind, PageRankConfig)] {
-        &self.attempts
-    }
-
-    /// Runs the chain: attempts are tried in order and the first success is
-    /// returned along with per-attempt diagnostics.
-    ///
-    /// # Errors
-    /// [`ChainError`] carrying every attempt's report if all attempts fail
-    /// (or the chain is empty).
-    pub fn solve(&self, graph: &Graph, jump: &JumpVector) -> Result<ChainSolve, ChainError> {
-        let mut span = obs::span("pagerank.chain");
-        let mut reports = Vec::with_capacity(self.attempts.len());
-        for (attempt, (solver, config)) in self.attempts.iter().enumerate() {
-            span.record("attempts", 1.0);
-            match solver.solve(graph, jump, config) {
-                Ok(result) => {
-                    let report = AttemptReport {
-                        solver: *solver,
-                        config: *config,
-                        outcome: AttemptOutcome::Succeeded {
-                            iterations: result.iterations,
-                            residual: result.residual,
-                        },
-                    };
-                    emit_attempt_event(attempt, &report);
-                    reports.push(report);
-                    return Ok(ChainSolve { result, attempts: reports });
-                }
-                Err(e) => {
-                    let report = AttemptReport {
-                        solver: *solver,
-                        config: *config,
-                        outcome: AttemptOutcome::Failed(e),
-                    };
-                    emit_attempt_event(attempt, &report);
-                    reports.push(report);
-                }
-            }
-        }
-        Err(ChainError { attempts: reports })
-    }
+/// The cap a run that stopped at `config.max_iterations` with L1 residual
+/// `residual` needs to reach the tolerance: at least `c` per sweep means
+/// `⌈ln(ε / r) / ln c⌉` more sweeps, plus one for the rounding of the
+/// residual sum.
+fn retry_cap(config: &PageRankConfig, residual: f64) -> usize {
+    let more = estimated_sweeps(config.tolerance / residual, config.damping);
+    config.max_iterations.saturating_add(more).saturating_add(1)
 }
 
 /// Emits one `pagerank.chain.attempt` telemetry event (no-op with no
@@ -244,7 +164,6 @@ fn emit_attempt_event(attempt: usize, report: &AttemptReport) {
     use obs::Json;
     let mut fields = vec![
         ("attempt".to_string(), Json::uint(attempt as u64)),
-        ("solver".to_string(), Json::str(report.solver.name())),
         ("damping".to_string(), Json::num(report.config.damping)),
         ("max_iterations".to_string(), Json::uint(report.config.max_iterations as u64)),
     ];
@@ -265,120 +184,206 @@ fn emit_attempt_event(attempt: usize, report: &AttemptReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spammass_graph::GraphBuilder;
+    use crate::batch::solve_batch;
+    use spammass_graph::{GraphBuilder, NodeId};
 
     fn cfg() -> PageRankConfig {
         PageRankConfig::default()
     }
 
-    fn chain_graph() -> spammass_graph::Graph {
+    /// 0 → 1 → … → 99: Jacobi needs a sweep per node to reach the tail.
+    fn chain_graph() -> Graph {
         let edges: Vec<(u32, u32)> = (0..99).map(|i| (i, i + 1)).collect();
         GraphBuilder::from_edges(100, &edges)
     }
 
+    /// 66k nodes in two unequal sides with five random out-links each,
+    /// all of them across: engine-sized (≥ `SERIAL_CUTOFF_EDGES`), and
+    /// `Tᵀ` has the eigenvalue −1, so the residual shrinks by exactly `c`
+    /// a sweep — the slowest any graph can be — and alternates in sign
+    /// down to the last bit, where the iterate settles into a two-state
+    /// cycle instead of a fixed point (residual 1.19e-20 from sweep ~300
+    /// on, for any worker count).
+    fn bipartite_graph() -> Graph {
+        let (n, a) = (66_000u32, 22_000u32);
+        let mut state = 0x9E3779B97F4A7C15u64;
+        let mut b = GraphBuilder::with_capacity(n as usize, 5 * n as usize);
+        for x in 0..n {
+            for _ in 0..5 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let t = if x < a {
+                    a + (state % (n - a) as u64) as u32
+                } else {
+                    (state % a as u64) as u32
+                };
+                b.add_edge(NodeId(x), NodeId(t));
+            }
+        }
+        b.build()
+    }
+
+    /// `cap + ⌈ln(ε / r) / ln c⌉ + 1` from a failed first attempt's report.
+    fn cap_the_rule_asks_for(first: &AttemptReport) -> usize {
+        let AttemptOutcome::Failed(PageRankError::DidNotConverge { iterations, residual }) =
+            first.outcome
+        else {
+            panic!("first attempt should have hit its cap: {first}");
+        };
+        assert_eq!(iterations, first.config.max_iterations);
+        let more = ((first.config.tolerance / residual).ln() / first.config.damping.ln()).ceil();
+        iterations + more as usize + 1
+    }
+
+    /// `tight` fails on its cap; the second attempt is the same config
+    /// with the rule's cap and lands on the uncapped solve.
+    fn assert_rescued(g: &Graph, jumps: &[JumpVector], tight: PageRankConfig) {
+        let uncapped = solve_batch(g, jumps, &tight.max_iterations(100_000)).unwrap();
+        let s = solve_columns(g, jumps, None, &tight).unwrap();
+        assert_eq!(s.attempts.len(), 2, "{:?}", s.attempts);
+        assert_eq!(s.attempts[0].config, tight);
+        let cap = cap_the_rule_asks_for(&s.attempts[0]);
+        assert_eq!(s.attempts[1].config, tight.max_iterations(cap), "only the cap changes");
+        assert_eq!(s.cap(), cap);
+        assert!(matches!(s.attempts[1].outcome, AttemptOutcome::Succeeded { .. }));
+        assert_eq!(s.columns.len(), jumps.len());
+        for (col, want) in s.columns.iter().zip(&uncapped) {
+            assert!(col.converged && col.iterations <= cap);
+            assert_eq!(col.iterations, want.iterations);
+            for (a, b) in col.scores.iter().zip(&want.scores) {
+                assert!((a - b).abs() <= 1e-12, "{a} vs {b}");
+            }
+        }
+    }
+
     #[test]
     fn first_attempt_wins_when_healthy() {
-        let g = chain_graph();
-        let s = SolverChain::recommended(cfg()).solve(&g, &JumpVector::Uniform).unwrap();
-        assert!(!s.degraded());
+        let s = solve_columns(&chain_graph(), &[JumpVector::Uniform], None, &cfg()).unwrap();
         assert_eq!(s.attempts.len(), 1);
-        assert_eq!(s.winner().solver, SolverKind::Jacobi);
-        assert!(matches!(s.winner().outcome, AttemptOutcome::Succeeded { .. }));
+        assert_eq!(s.attempts[0].config, cfg());
+        assert_eq!(s.cap(), cfg().max_iterations);
+        let AttemptOutcome::Succeeded { iterations, residual } = s.attempts[0].outcome else {
+            panic!("{}", s.attempts[0]);
+        };
+        assert_eq!((iterations, residual), (s.columns[0].iterations, s.columns[0].residual));
     }
 
     #[test]
-    fn falls_back_when_primary_cap_is_too_tight() {
-        // A 100-node chain needs ~100 Jacobi sweeps to propagate mass to
-        // the tail; Gauss–Seidel does it in far fewer. Cap at 60 so the
-        // primary fails and the fallback succeeds on the SAME problem.
-        let g = chain_graph();
-        let base = cfg().max_iterations(60).tolerance(1e-12);
-        let chain = SolverChain::new(SolverKind::Jacobi, base).then(SolverKind::GaussSeidel, base);
-        let s = chain.solve(&g, &JumpVector::Uniform).unwrap();
-        assert!(s.degraded());
-        assert_eq!(s.attempts.len(), 2);
-        assert!(matches!(
-            s.attempts[0].outcome,
-            AttemptOutcome::Failed(PageRankError::DidNotConverge { iterations: 60, .. })
-        ));
-        assert_eq!(s.winner().solver, SolverKind::GaussSeidel);
-        assert!(s.result.converged);
+    fn a_cap_one_sweep_short_is_rescued() {
+        // Cycles and a dangling node; the core column needs fewer sweeps
+        // than the uniform one, the cap is one short of the slower.
+        let g = GraphBuilder::from_edges(6, &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]);
+        let jumps = [JumpVector::Uniform, JumpVector::core(vec![NodeId(0)], 6)];
+        let needed = solve_batch(&g, &jumps, &cfg()).unwrap().iter().map(|r| r.iterations).max();
+        assert_rescued(&g, &jumps, cfg().max_iterations(needed.unwrap() - 1));
     }
 
     #[test]
-    fn exhausted_chain_reports_every_attempt() {
-        let g = chain_graph();
-        let hopeless = cfg().max_iterations(1).tolerance(1e-300);
-        let chain =
-            SolverChain::new(SolverKind::Jacobi, hopeless).then(SolverKind::GaussSeidel, hopeless);
-        let err = chain.solve(&g, &JumpVector::Uniform).unwrap_err();
-        assert_eq!(err.attempts.len(), 2);
-        for a in &err.attempts {
-            assert!(matches!(a.outcome, AttemptOutcome::Failed(_)));
+    fn chain_graph_at_cap_60_is_rescued_with_both_columns_from_one_attempt() {
+        // The uniform column needs ~100 sweeps, the tail's own
+        // contribution two: the batch fails as one and is retried as one.
+        let jumps = [JumpVector::Uniform, JumpVector::SingleNode { node: NodeId(99), mass: 0.01 }];
+        assert_rescued(&chain_graph(), &jumps, cfg().max_iterations(60).tolerance(1e-12));
+    }
+
+    #[test]
+    fn engine_sized_solves_follow_the_rule() {
+        let g = bipartite_graph();
+        assert!(g.edge_count() >= crate::parallel::SERIAL_CUTOFF_EDGES);
+        let jumps =
+            [JumpVector::Uniform, JumpVector::core((0..6_600).map(NodeId).collect(), 66_000)];
+        for threads in [1usize, 2] {
+            let base = cfg().threads(threads).edges_per_thread(1);
+            assert_rescued(&g, &jumps, base.tolerance(1e-6).max_iterations(40));
+
+            // 1e-30 is under this graph's floating-point floor: two
+            // reports, and no more sweeps than the rule allows itself.
+            let hopeless = base.tolerance(1e-30).max_iterations(40);
+            let err = solve_columns(&g, &jumps, None, &hopeless).unwrap_err();
+            assert_eq!(err.attempts.len(), 2, "{err}");
+            let cap = cap_the_rule_asks_for(&err.attempts[0]);
+            assert_eq!(err.attempts[1].config, hopeless.max_iterations(cap));
+            match err.attempts[1].outcome {
+                AttemptOutcome::Failed(PageRankError::DidNotConverge { iterations, residual }) => {
+                    // 40 + cap = 2·40 + ⌈ln(ε / r) / ln c⌉ + 1 sweeps in all.
+                    assert_eq!(iterations, cap);
+                    assert!(residual > 1e-30 && residual < 1e-15, "{residual:e}");
+                }
+                ref other => panic!("expected the cap again, got {other:?}"),
+            }
+            assert!(err.to_string().starts_with("solve failed after 2 attempts:"), "{err}");
         }
-        let msg = err.to_string();
-        assert!(msg.contains("all 2 solver attempts failed"), "{msg}");
-        assert!(msg.contains("jacobi") && msg.contains("gauss-seidel"), "{msg}");
     }
 
     #[test]
-    fn recommended_chain_shape() {
-        let chain = SolverChain::recommended(cfg());
-        let attempts = chain.attempts();
-        assert_eq!(attempts.len(), 3);
-        assert_eq!(attempts[0].0, SolverKind::Jacobi);
-        assert_eq!(attempts[1].0, SolverKind::GaussSeidel);
-        assert_eq!(attempts[2].0, SolverKind::Jacobi);
-        assert!(attempts[2].1.damping < attempts[0].1.damping);
-        assert!(attempts[1].1.max_iterations > attempts[0].1.max_iterations);
+    fn failures_a_retry_cannot_change_return_at_once() {
+        let g = chain_graph();
+        let nan_seed = vec![vec![f64::NAN; 100]];
+        let err = solve_columns(&g, &[JumpVector::Uniform], Some(&nan_seed), &cfg()).unwrap_err();
+        assert_eq!(err.attempts.len(), 1, "{err}");
+        assert!(matches!(
+            err.attempts[0].outcome,
+            AttemptOutcome::Failed(PageRankError::NumericalInstability { iterations: 1, .. })
+        ));
+        let long = JumpVector::Custom(vec![0.001; 101]);
+        let err = solve_columns(&g, &[JumpVector::Uniform, long], None, &cfg()).unwrap_err();
+        assert_eq!(err.attempts.len(), 1, "{err}");
+        assert!(matches!(
+            err.attempts[0].outcome,
+            AttemptOutcome::Failed(PageRankError::JumpVectorLength { got: 101, expected: 100 })
+        ));
+        assert!(err.to_string().starts_with("solve failed after 1 attempt:"), "{err}");
     }
 
     #[test]
-    fn chain_emits_attempt_events_and_residual_telemetry() {
+    fn a_damping_factor_next_to_one_cannot_ask_for_an_endless_solve() {
+        // Unequal bipartite star: the residual decays at exactly c per
+        // sweep, so c ≈ 1 would need ~1e10 sweeps; the clamp stops at 1e5.
+        let g = GraphBuilder::from_edges(3, &[(0, 1), (0, 2), (1, 0), (2, 0)]);
+        let slow = PageRankConfig::with_damping(0.999_999_999).max_iterations(50);
+        let err = solve_columns(&g, &[JumpVector::Uniform], None, &slow).unwrap_err();
+        assert_eq!(err.attempts.len(), 2);
+        assert_eq!(err.attempts[1].config.max_iterations, 50 + 100_000 + 1);
+    }
+
+    #[test]
+    fn attempts_reach_telemetry() {
         use std::sync::Arc;
         let recorder = Arc::new(obs::Recorder::new());
         let collector = obs::Collector::builder().sink(recorder.clone()).build();
-        let g = chain_graph();
-        let base = cfg().max_iterations(60).tolerance(1e-12);
-        let chain = SolverChain::new(SolverKind::Jacobi, base).then(SolverKind::GaussSeidel, base);
+        let tight = cfg().max_iterations(60).tolerance(1e-12);
         {
             let _guard = collector.install();
-            chain.solve(&g, &JumpVector::Uniform).unwrap();
+            solve_columns(&chain_graph(), &[JumpVector::Uniform], None, &tight).unwrap();
         }
-        let messages = recorder.messages();
+        let messages: Vec<_> = recorder
+            .messages()
+            .into_iter()
+            .filter(|(name, _)| name == "pagerank.chain.attempt")
+            .collect();
         assert_eq!(messages.len(), 2);
         let outcome =
             |idx: usize| messages[idx].1.iter().find(|(k, _)| k == "outcome").unwrap().1.clone();
-        assert_eq!(messages[0].0, "pagerank.chain.attempt");
         assert_eq!(outcome(0), obs::Json::str("failed"));
         assert_eq!(outcome(1), obs::Json::str("converged"));
-        // Solver spans nest under the chain span.
+        // Both attempts' solver spans nest under the one chain span.
         let spans = recorder.spans();
-        assert!(spans.iter().any(|s| s.path == "pagerank.chain.pagerank.solve.jacobi"));
-        assert!(spans.iter().any(|s| s.path == "pagerank.chain.pagerank.solve.gauss_seidel"));
-        // The guard fed every iteration's residual into the histogram —
-        // more samples than the (thinned) in-result history can hold.
+        let nested = spans.iter().filter(|s| s.path == "pagerank.chain.pagerank.solve.jacobi");
+        assert_eq!(nested.count(), 2);
+        // The guard fed every sweep's residual of both attempts into the
+        // histogram.
         let metrics = collector.metrics_snapshot();
         let residuals = metrics.iter().find(|(k, _)| k == "pagerank.residual").unwrap();
         match &residuals.1 {
-            obs::Metric::Histogram(h) => assert!(h.count() >= 60, "{}", h.count()),
+            obs::Metric::Histogram(h) => assert!(h.count() >= 60 + 100, "{}", h.count()),
             other => panic!("expected histogram, got {}", other.kind()),
         }
     }
 
     #[test]
-    fn solver_kind_names_are_cli_compatible() {
-        assert_eq!(SolverKind::Jacobi.name(), "jacobi");
-        assert_eq!(SolverKind::GaussSeidel.name(), "gauss-seidel");
-        assert_eq!(SolverKind::ParallelJacobi.name(), "parallel");
-        assert_eq!(SolverKind::Power.name(), "power");
-        assert_eq!(SolverKind::Power.to_string(), "power");
-    }
-
-    #[test]
     fn attempt_report_display_is_informative() {
         let r = AttemptReport {
-            solver: SolverKind::Jacobi,
             config: cfg(),
             outcome: AttemptOutcome::Failed(PageRankError::DidNotConverge {
                 iterations: 9,
@@ -386,6 +391,6 @@ mod tests {
             }),
         };
         let s = r.to_string();
-        assert!(s.contains("jacobi") && s.contains("9 iterations"), "{s}");
+        assert!(s.contains("cap=1000") && s.contains("9 iterations"), "{s}");
     }
 }

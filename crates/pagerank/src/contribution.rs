@@ -19,28 +19,35 @@
 //!   evaluators that compute `q` directly from the walk definition, used by
 //!   the test-suite to validate the theorems numerically.
 
+use crate::chain::{solve_columns, ChainError};
 use crate::config::PageRankConfig;
-use crate::error::PageRankError;
-use crate::jacobi::solve_jacobi_dense;
 use crate::jump::JumpVector;
 use spammass_graph::{Graph, NodeId};
+
+/// One column through the production solve.
+fn solve_one(
+    graph: &Graph,
+    jump: JumpVector,
+    config: &PageRankConfig,
+) -> Result<Vec<f64>, ChainError> {
+    let mut solve = solve_columns(graph, &[jump], None, config)?;
+    Ok(solve.columns.pop().expect("one jump vector yields one column").scores)
+}
 
 /// Contribution vector `q^x = PR(v^x)` of node `x` to every node
 /// (Theorem 2). `v_x` is the jump probability of `x` under the reference
 /// jump vector — `1/n` in the uniform setting.
 ///
 /// # Errors
-/// Propagates jump-vector validation failures (e.g. `x` out of range, bad
-/// `v_x`) and solver convergence errors.
+/// Jump-vector validation failures (e.g. `x` out of range, bad `v_x`) and
+/// solver convergence errors, as [`solve_columns`] reports them.
 pub fn contribution_of_node(
     graph: &Graph,
     x: NodeId,
     v_x: f64,
     config: &PageRankConfig,
-) -> Result<Vec<f64>, PageRankError> {
-    let jump = JumpVector::SingleNode { node: x, mass: v_x };
-    let v = jump.materialize(graph.node_count())?;
-    Ok(solve_jacobi_dense(graph, &v, config)?.scores)
+) -> Result<Vec<f64>, ChainError> {
+    solve_one(graph, JumpVector::SingleNode { node: x, mass: v_x }, config)
 }
 
 /// Contribution vector `q^U = PR(v^U)` of a node set `U`, where each
@@ -52,11 +59,8 @@ pub fn contribution_of_set(
     graph: &Graph,
     set: &[NodeId],
     config: &PageRankConfig,
-) -> Result<Vec<f64>, PageRankError> {
-    let n = graph.node_count();
-    let jump = JumpVector::core(set.to_vec(), n);
-    let v = jump.materialize(n)?;
-    Ok(solve_jacobi_dense(graph, &v, config)?.scores)
+) -> Result<Vec<f64>, ChainError> {
+    solve_one(graph, JumpVector::core(set.to_vec(), graph.node_count()), config)
 }
 
 /// Reference evaluator: computes `q^x` by dynamic programming over walk
@@ -208,9 +212,7 @@ mod tests {
         let g = GraphBuilder::from_edges(5, &[(0, 1), (1, 2), (2, 0), (2, 3), (1, 4)]);
         let n = g.node_count();
         let config = cfg();
-        let p = solve_jacobi_dense(&g, &JumpVector::Uniform.materialize(n).unwrap(), &config)
-            .unwrap()
-            .scores;
+        let p = solve_one(&g, JumpVector::Uniform, &config).unwrap();
         let mut sum = vec![0.0f64; n];
         for x in g.nodes() {
             let q = contribution_of_node(&g, x, 1.0 / n as f64, &config).unwrap();

@@ -22,17 +22,16 @@
 //!    not re-injected, so a jump vector supported on a *good core* yields
 //!    exactly the good-contribution estimate `p′` of Section 3.4.
 //!
-//! ## Solvers
+//! ## Solving
 //!
-//! One production solve, three references:
+//! One way to solve, and the paper's algorithms beside it as references:
 //!
-//! | Solver | Module | Role |
+//! | Entry | Module | Role |
 //! |---|---|---|
-//! | Engine, resident | [`batch`] | [`solve_batch`]/[`solve_batch_warm`]: k jump vectors (k = 1 included) through one in-CSR traversal per sweep on a worker pool — what the estimator, the updater and the daemon run |
-//! | Engine, streamed | [`stream`] | [`solve_batch_streamed`]: the same sweep on the same pool, each worker decoding its own range of a compressed image's blocks, under a byte budget |
-//! | Jacobi | [`jacobi`] | Algorithm 1 of the paper, verbatim — the small-graph path and the test oracle |
-//! | Gauss–Seidel | [`gauss_seidel`] | in-place sweeps, ~2× fewer iterations; Section 2.2 experiment, chain fallback |
-//! | Power iteration | [`power`] | eigenvector formulation on `T″`; Section 2.2 experiment, cross-validation |
+//! | [`solve_columns`] | [`chain`] | the production solve: k jump vectors (k = 1 included), cold or seeded, through [`solve_batch_warm`] behind one retry rule — what the estimator, the updater, the daemon, the baselines and the CLI call |
+//! | [`solve_batch`]/[`solve_batch_warm`] | [`batch`] | the engine, resident: one in-CSR traversal per sweep for all columns on a worker pool; one attempt, no retry |
+//! | [`solve_batch_streamed`] | [`stream`] | the same sweep on the same pool, each worker decoding its own range of a compressed image's blocks, under a byte budget |
+//! | Algorithm 1, Gauss–Seidel, power iteration | [`reference`] | the paper's solvers as written: Section 2.2 experiment, test and bench oracles, and the engine's own route for graphs too small to be worth a gather |
 //!
 //! The engine (private module `engine`) is one per-row relaxation body
 //! and one `K`-column controller, fed by two row sources: the resident
@@ -45,13 +44,15 @@
 //! bit-identical to the one-worker resident solve. [`parallel`] sizes
 //! the pool and routes sub-threshold graphs to Algorithm 1.
 //!
-//! All solvers are **fallible**: they return `Err` with a typed
-//! [`PageRankError`] on invalid input, on a hit iteration cap
+//! Every solve is **fallible**: `Err` with a typed [`PageRankError`] on
+//! invalid input, on a hit iteration cap
 //! ([`PageRankError::DidNotConverge`]), on a growing residual
 //! ([`PageRankError::Diverged`]), and on NaN/overflow poisoning
-//! ([`PageRankError::NumericalInstability`]). [`SolverChain`] layers
-//! graceful degradation over the strict solvers, with per-attempt
-//! [`AttemptReport`] diagnostics.
+//! ([`PageRankError::NumericalInstability`]). [`solve_columns`] answers a
+//! hit cap by solving the same system once more with the cap the failed
+//! run's residual asks for, and reports every attempt
+//! ([`AttemptReport`]); it never changes the damping factor, so every
+//! answer it returns is an answer for the configured system.
 //!
 //! ## Contributions
 //!
@@ -63,11 +64,12 @@
 //!
 //! ```
 //! use spammass_graph::GraphBuilder;
-//! use spammass_pagerank::{PageRankConfig, JumpVector, solve};
+//! use spammass_pagerank::{solve_batch, JumpVector, PageRankConfig};
 //!
 //! let g = GraphBuilder::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
-//! let pr = solve(&g, &JumpVector::Uniform, &PageRankConfig::default())
-//!     .expect("symmetric 3-cycle converges");
+//! let pr = solve_batch(&g, &[JumpVector::Uniform], &PageRankConfig::default())
+//!     .expect("symmetric 3-cycle converges")
+//!     .remove(0);
 //! assert!(pr.converged);
 //! // A symmetric cycle gives equal scores.
 //! assert!((pr.scores[0] - pr.scores[1]).abs() < 1e-9);
@@ -82,22 +84,20 @@ mod config;
 pub mod contribution;
 mod engine;
 mod error;
-pub mod gauss_seidel;
 mod guard;
 mod history;
-pub mod jacobi;
 mod jump;
 mod kernel;
 pub mod parallel;
 pub mod partition;
 mod pool;
-pub mod power;
 mod profiler;
+pub mod reference;
 mod scores;
 pub mod stream;
 
 pub use batch::{solve_batch, solve_batch_warm};
-pub use chain::{AttemptOutcome, AttemptReport, ChainError, ChainSolve, SolverChain, SolverKind};
+pub use chain::{solve_columns, AttemptOutcome, AttemptReport, ChainError, ChainSolve};
 pub use config::PageRankConfig;
 pub use error::PageRankError;
 pub use history::ResidualHistory;
@@ -105,8 +105,6 @@ pub use jump::JumpVector;
 pub use partition::EdgePartition;
 pub use scores::PageRankScores;
 pub use stream::solve_batch_streamed;
-
-use spammass_graph::Graph;
 
 /// Result of a PageRank solve.
 #[derive(Debug, Clone)]
@@ -142,17 +140,4 @@ impl PageRankResult {
     pub fn convergence_rate(&self) -> Option<f64> {
         self.residual_history.convergence_rate()
     }
-}
-
-/// Solves linear PageRank with the default (Jacobi) solver — the exact
-/// Algorithm 1 of the paper.
-///
-/// # Errors
-/// See [`jacobi::solve_jacobi`]; use [`SolverChain`] for automatic fallback.
-pub fn solve(
-    graph: &Graph,
-    jump: &JumpVector,
-    config: &PageRankConfig,
-) -> Result<PageRankResult, PageRankError> {
-    jacobi::solve_jacobi(graph, jump, config)
 }

@@ -203,8 +203,8 @@ pub(crate) fn solve_path(config: &PageRankConfig, graph: &Graph) -> SolvePath {
 mod tests {
     use super::*;
     use crate::batch::solve_batch;
-    use crate::jacobi::solve_jacobi;
     use crate::jump::JumpVector;
+    use crate::reference::jacobi::solve_jacobi;
     use crate::{PageRankError, PageRankResult};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

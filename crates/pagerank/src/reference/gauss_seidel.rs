@@ -18,7 +18,6 @@ use crate::config::PageRankConfig;
 use crate::error::PageRankError;
 use crate::guard::ConvergenceGuard;
 use crate::history::ResidualHistory;
-use crate::jacobi::check_jump_length;
 use crate::jump::JumpVector;
 use crate::PageRankResult;
 use spammass_graph::Graph;
@@ -37,21 +36,6 @@ pub fn solve_gauss_seidel(
 ) -> Result<PageRankResult, PageRankError> {
     config.validate()?;
     let v = jump.materialize(graph.node_count())?;
-    solve_gauss_seidel_dense(graph, &v, config)
-}
-
-/// Gauss–Seidel with an already-materialized jump vector.
-///
-/// # Errors
-/// Same contract as [`solve_gauss_seidel`].
-pub fn solve_gauss_seidel_dense(
-    graph: &Graph,
-    v: &[f64],
-    config: &PageRankConfig,
-) -> Result<PageRankResult, PageRankError> {
-    config.validate()?;
-    let n = graph.node_count();
-    check_jump_length(v, n)?;
     let mut span = obs::span("pagerank.solve.gauss_seidel");
     let c = config.damping;
     let one_minus_c = 1.0 - c;
@@ -70,7 +54,7 @@ pub fn solve_gauss_seidel_dense(
         })
         .collect();
 
-    let mut p: Vec<f64> = v.to_vec();
+    let mut p = v.clone();
     let mut iterations = 0usize;
     let mut residual = f64::INFINITY;
     let mut residual_history = ResidualHistory::new();
@@ -117,7 +101,7 @@ pub fn solve_gauss_seidel_dense(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jacobi::solve_jacobi;
+    use crate::reference::jacobi::solve_jacobi;
     use spammass_graph::GraphBuilder;
 
     fn cfg() -> PageRankConfig {

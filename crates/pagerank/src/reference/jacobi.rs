@@ -70,8 +70,7 @@ pub(crate) fn check_initial_length(p0: &[f64], n: usize) -> Result<(), PageRankE
 /// # Errors
 /// Returns a configuration/jump-vector error before iterating, and
 /// [`PageRankError::DidNotConverge`], [`PageRankError::Diverged`], or
-/// [`PageRankError::NumericalInstability`] if the iteration fails — see
-/// [`SolverChain`](crate::SolverChain) for graceful fallback.
+/// [`PageRankError::NumericalInstability`] if the iteration fails.
 pub fn solve_jacobi(
     graph: &Graph,
     jump: &JumpVector,
@@ -79,23 +78,11 @@ pub fn solve_jacobi(
 ) -> Result<PageRankResult, PageRankError> {
     config.validate()?;
     let v = jump.materialize(graph.node_count())?;
-    solve_jacobi_dense(graph, &v, config)
+    solve_jacobi_dense_warm(graph, &v, None, config)
 }
 
-/// Jacobi iteration with an already-materialized jump vector.
-///
-/// # Errors
-/// Same contract as [`solve_jacobi`].
-pub fn solve_jacobi_dense(
-    graph: &Graph,
-    v: &[f64],
-    config: &PageRankConfig,
-) -> Result<PageRankResult, PageRankError> {
-    solve_jacobi_dense_warm(graph, v, None, config)
-}
-
-/// Jacobi iteration seeded with `initial` scores instead of `v` — the
-/// warm-start entry point for incremental re-solves.
+/// Jacobi iteration over an already-materialized jump vector, seeded
+/// with `initial` scores instead of `v` when given.
 ///
 /// The linear system `(I − c·Tᵀ)p = (1 − c)v` has a unique fixed point
 /// and the iteration is a c-contraction from **any** finite start, so a
@@ -272,7 +259,7 @@ mod tests {
     fn nan_jump_vector_is_numerical_instability() {
         let g = GraphBuilder::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
         let v = vec![f64::NAN, 0.5, 0.25];
-        match solve_jacobi_dense(&g, &v, &cfg()) {
+        match solve_jacobi_dense_warm(&g, &v, None, &cfg()) {
             Err(PageRankError::NumericalInstability { iterations: 1, .. }) => {}
             other => panic!("expected NumericalInstability, got {other:?}"),
         }
@@ -283,7 +270,7 @@ mod tests {
         // Two f64::MAX contributions converging on node 2 overflow to ∞.
         let g = GraphBuilder::from_edges(3, &[(0, 2), (1, 2)]);
         let v = vec![f64::MAX, f64::MAX, f64::MAX];
-        let err = solve_jacobi_dense(&g, &v, &cfg()).unwrap_err();
+        let err = solve_jacobi_dense_warm(&g, &v, None, &cfg()).unwrap_err();
         assert!(matches!(err, PageRankError::NumericalInstability { .. }), "got {err:?}");
     }
 
@@ -313,7 +300,7 @@ mod tests {
     fn rejects_length_mismatch() {
         let g = GraphBuilder::from_edges(3, &[(0, 1)]);
         assert!(matches!(
-            solve_jacobi_dense(&g, &[0.5, 0.5], &cfg()),
+            solve_jacobi_dense_warm(&g, &[0.5, 0.5], None, &cfg()),
             Err(PageRankError::JumpVectorLength { got: 2, expected: 3 })
         ));
     }

@@ -17,8 +17,8 @@ use crate::config::PageRankConfig;
 use crate::error::PageRankError;
 use crate::guard::ConvergenceGuard;
 use crate::history::ResidualHistory;
-use crate::jacobi::{check_jump_length, l1_distance};
 use crate::jump::JumpVector;
+use crate::reference::jacobi::{l1_distance, scatter_transition};
 use crate::PageRankResult;
 use spammass_graph::Graph;
 use spammass_obs as obs;
@@ -40,30 +40,6 @@ pub fn solve_power(
     config.validate()?;
     let n = graph.node_count();
     let v = jump.materialize(n)?;
-    if n > 0 {
-        let norm: f64 = v.iter().sum();
-        if (norm - 1.0).abs() >= 1e-9 {
-            return Err(PageRankError::InvalidJumpVector(format!(
-                "power iteration requires a normalized jump vector (got ‖v‖ = {norm})"
-            )));
-        }
-    }
-    solve_power_dense(graph, &v, config)
-}
-
-/// Power iteration with an already-materialized, normalized jump vector.
-///
-/// # Errors
-/// Same contract as [`solve_power`] minus the normalization pre-check:
-/// callers of the dense entry point are trusted to pass a distribution.
-fn solve_power_dense(
-    graph: &Graph,
-    v: &[f64],
-    config: &PageRankConfig,
-) -> Result<PageRankResult, PageRankError> {
-    config.validate()?;
-    let n = graph.node_count();
-    check_jump_length(v, n)?;
     if n == 0 {
         return Ok(PageRankResult {
             scores: Vec::new(),
@@ -73,10 +49,16 @@ fn solve_power_dense(
             residual_history: ResidualHistory::new(),
         });
     }
+    let norm: f64 = v.iter().sum();
+    if (norm - 1.0).abs() >= 1e-9 {
+        return Err(PageRankError::InvalidJumpVector(format!(
+            "power iteration requires a normalized jump vector (got ‖v‖ = {norm})"
+        )));
+    }
     let mut span = obs::span("pagerank.solve.power");
     let c = config.damping;
 
-    let mut p: Vec<f64> = v.to_vec();
+    let mut p = v.clone();
     let mut p_next = vec![0.0f64; n];
     let mut iterations = 0usize;
     let mut residual = f64::INFINITY;
@@ -91,10 +73,10 @@ fn solve_power_dense(
         // ‖p‖ = 1 is maintained, so the teleport term is (1 − c)·v; the
         // dangling term redistributes c·(dᵀp) according to v.
         let background = c * dangling_mass + (1.0 - c);
-        for (slot, &vy) in p_next.iter_mut().zip(v) {
+        for (slot, &vy) in p_next.iter_mut().zip(&v) {
             *slot = background * vy;
         }
-        crate::jacobi::scatter_transition(graph, c, &p, &mut p_next);
+        scatter_transition(graph, c, &p, &mut p_next);
 
         residual = l1_distance(&p, &p_next);
         residual_history.push(residual);
@@ -126,7 +108,7 @@ fn solve_power_dense(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jacobi::solve_jacobi;
+    use crate::reference::jacobi::solve_jacobi;
     use spammass_graph::GraphBuilder;
 
     fn cfg() -> PageRankConfig {

@@ -4,8 +4,8 @@ use proptest::prelude::*;
 use spammass_graph::{Graph, GraphBuilder, NodeId};
 use spammass_pagerank::batch::{solve_batch, solve_batch_warm};
 use spammass_pagerank::contribution::{contribution_of_node, contribution_of_set};
-use spammass_pagerank::jacobi::{solve_jacobi_dense, solve_jacobi_dense_warm};
 use spammass_pagerank::parallel::SERIAL_CUTOFF_EDGES;
+use spammass_pagerank::reference::jacobi::solve_jacobi_dense_warm;
 use spammass_pagerank::{solve_batch_streamed, EdgePartition, JumpVector, PageRankConfig};
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -34,7 +34,7 @@ proptest! {
     fn score_bounds(g in arb_graph()) {
         let n = g.node_count();
         let v = JumpVector::Uniform.materialize(n).unwrap();
-        let r = solve_jacobi_dense(&g, &v, &cfg()).unwrap();
+        let r = solve_jacobi_dense_warm(&g, &v, None, &cfg()).unwrap();
         prop_assert!(r.converged);
         let c = 0.85;
         for (vi, si) in v.iter().zip(&r.scores) {
@@ -52,7 +52,7 @@ proptest! {
     fn mass_balance_at_fixed_point(g in arb_graph()) {
         let n = g.node_count();
         let v = JumpVector::Uniform.materialize(n).unwrap();
-        let r = solve_jacobi_dense(&g, &v, &cfg()).unwrap();
+        let r = solve_jacobi_dense_warm(&g, &v, None, &cfg()).unwrap();
         let norm_p: f64 = r.scores.iter().sum();
         let dangling: f64 = g.dangling_nodes().map(|x| r.scores[x.index()]).sum();
         let norm_v: f64 = v.iter().sum();
@@ -67,7 +67,7 @@ proptest! {
     fn no_inlink_nodes_score_baseline(g in arb_graph()) {
         let n = g.node_count();
         let v = JumpVector::Uniform.materialize(n).unwrap();
-        let r = solve_jacobi_dense(&g, &v, &cfg()).unwrap();
+        let r = solve_jacobi_dense_warm(&g, &v, None, &cfg()).unwrap();
         for x in g.nodes() {
             if g.in_degree(x) == 0 {
                 prop_assert!((r.scores[x.index()] - 0.15 * v[x.index()]).abs() < 1e-12);
@@ -83,7 +83,7 @@ proptest! {
     fn residual_history_contracts(g in arb_graph()) {
         let n = g.node_count();
         let v = JumpVector::Uniform.materialize(n).unwrap();
-        let r = solve_jacobi_dense(&g, &v, &cfg()).unwrap();
+        let r = solve_jacobi_dense_warm(&g, &v, None, &cfg()).unwrap();
         prop_assert_eq!(r.residual_history.observed(), r.iterations);
         prop_assert_eq!(r.residual_history.last(), Some(r.residual));
         for w in r.residual_history.series().windows(2) {
@@ -125,7 +125,7 @@ proptest! {
         let n = g.node_count();
         let v = JumpVector::Uniform.materialize(n).unwrap();
         let config = PageRankConfig::with_damping(1e-9).tolerance(1e-14).max_iterations(100);
-        let r = solve_jacobi_dense(&g, &v, &config).unwrap();
+        let r = solve_jacobi_dense_warm(&g, &v, None, &config).unwrap();
         for (vi, si) in v.iter().zip(&r.scores) {
             prop_assert!((si - vi).abs() < 1e-6);
         }
@@ -149,7 +149,7 @@ proptest! {
         prop_assert_eq!(batch.len(), jumps.len());
         for (jump, col) in jumps.iter().zip(&batch) {
             prop_assert!(col.converged);
-            let solo = solve_jacobi_dense(&g, &jump.materialize(n).unwrap(), &config).unwrap();
+            let solo = solve_jacobi_dense_warm(&g, &jump.materialize(n).unwrap(), None, &config).unwrap();
             for i in 0..n {
                 prop_assert!(
                     (solo.scores[i] - col.scores[i]).abs() <= 1e-12,
@@ -169,13 +169,13 @@ proptest! {
         let n = g.node_count();
         let config = cfg();
         let v = JumpVector::Uniform.materialize(n).unwrap();
-        let before = solve_jacobi_dense(&g, &v, &config).unwrap();
+        let before = solve_jacobi_dense_warm(&g, &v, None, &config).unwrap();
 
         // Small delta: drop the lexicographically first edge (identity on
         // edgeless graphs, where warm == cold trivially).
         let first = g.edges().next();
         let perturbed = g.filter_edges(|f, t| Some((f, t)) != first);
-        let cold = solve_jacobi_dense(&perturbed, &v, &config).unwrap();
+        let cold = solve_jacobi_dense_warm(&perturbed, &v, None, &config).unwrap();
 
         let warm = solve_jacobi_dense_warm(&perturbed, &v, Some(&before.scores), &config).unwrap();
         prop_assert!(warm.converged);
@@ -373,7 +373,7 @@ fn warm_start_saves_iterations_after_small_delta() {
     let g = GraphBuilder::from_edges(n as usize, &edges);
     let config = cfg();
     let v = JumpVector::Uniform.materialize(g.node_count()).unwrap();
-    let before = solve_jacobi_dense(&g, &v, &config).unwrap();
+    let before = solve_jacobi_dense_warm(&g, &v, None, &config).unwrap();
 
     // ~1% delta: drop every 100th edge of the sorted edge stream.
     let mut seen = 0usize;
@@ -383,7 +383,7 @@ fn warm_start_saves_iterations_after_small_delta() {
     });
     assert!(perturbed.edge_count() < g.edge_count());
 
-    let cold = solve_jacobi_dense(&perturbed, &v, &config).unwrap();
+    let cold = solve_jacobi_dense_warm(&perturbed, &v, None, &config).unwrap();
     let warm = solve_jacobi_dense_warm(&perturbed, &v, Some(&before.scores), &config).unwrap();
     assert!(
         warm.iterations < cold.iterations,
@@ -415,7 +415,7 @@ fn warm_start_saves_iterations_after_small_delta() {
 /// The one parity table: every way the engine can be asked to run the
 /// same solve gives the same answer. Over {threads 1, 2, 4} × {K = 1, 2}
 /// × {cold, warm seed}: scores within 1e-12 of Algorithm 1
-/// (`solve_jacobi_dense{,_warm}`), a column bit-identical whichever
+/// (`solve_jacobi_dense_warm`), a column bit-identical whichever
 /// batch width it is solved under, the streamed solve (tiny blocks,
 /// dozens of decodes per sweep) on one worker bit-identical to the
 /// one-worker resident solve — scores, iteration count and residual —

@@ -34,6 +34,9 @@ pub struct Reloader {
     state: StateDir,
     journal: Option<PathBuf>,
     consumed: usize,
+    /// Byte length of the journal the last published pass read; like
+    /// `consumed`, advanced only after that pass's publish.
+    consumed_len: Option<u64>,
     detector: DetectorConfig,
     gamma: f64,
     damping: f64,
@@ -51,7 +54,16 @@ impl Reloader {
         damping: f64,
         threads: usize,
     ) -> Reloader {
-        Reloader { state, journal, consumed: 0, detector, gamma, damping, threads }
+        Reloader {
+            state,
+            journal,
+            consumed: 0,
+            consumed_len: None,
+            detector,
+            gamma,
+            damping,
+            threads,
+        }
     }
 
     /// Loads the manifest's current generation as the daemon's first
@@ -78,11 +90,19 @@ impl Reloader {
             }
         }
 
-        // Path 2: fresh journal records.
+        // Path 2: fresh journal records. The journal is append-only, so
+        // an unchanged length means nothing to read, CRC-check or decode.
         let Some(journal) = self.journal.clone() else { return Ok(None) };
+        let not_found = |e: &std::io::Error| e.kind() == std::io::ErrorKind::NotFound;
+        match fs::metadata(&journal) {
+            Ok(meta) if Some(meta.len()) == self.consumed_len => return Ok(None),
+            Ok(_) => {}
+            Err(e) if not_found(&e) => return Ok(None),
+            Err(e) => return Err(e.into()),
+        }
         let data = match fs::read(&journal) {
             Ok(d) => d,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) if not_found(&e) => return Ok(None),
             Err(e) => return Err(e.into()),
         };
         let (batches, _report) = read_journal_with(&data, &ReadOptions::default())?;
@@ -105,6 +125,7 @@ impl Reloader {
             &report.estimate.core_pagerank,
         )?;
         self.consumed = records.len();
+        self.consumed_len = Some(data.len() as u64);
         Snapshot::load(&self.state, &self.detector, self.damping).map(Some)
     }
 }
@@ -211,6 +232,38 @@ mod tests {
         assert_eq!(third.generation, 3);
         assert_eq!(third.edge_count(), next.edge_count() + 1);
         assert_eq!(r.consumed(), 3);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_unchanged_journal_is_not_read_again() {
+        use spammass_obs as obs;
+        use std::sync::Arc;
+        let dir = tmpdir("journal-len");
+        let state = seed_state(&dir);
+        let journal = dir.join("delta.dlt");
+        let detector = DetectorConfig { rho: 1.0, tau: 0.5 };
+        let mut r = Reloader::new(state, Some(journal.clone()), detector, 0.85, 0.85, 1);
+        let snap = r.initial_snapshot().unwrap();
+        fs::write(&journal, journal_to_bytes(&[vec![DeltaRecord::AddNode { node: NodeId(5) }]]))
+            .unwrap();
+
+        let recorder = Arc::new(obs::Recorder::new());
+        let collector = obs::Collector::builder().sink(recorder.clone()).build();
+        let guard = collector.install();
+        let reads = || recorder.spans().iter().filter(|s| s.name == "delta.journal.read").count();
+
+        let next = r.check(snap.generation).unwrap().expect("journal records consumed");
+        assert_eq!(reads(), 1);
+        // No append in between: the second check stops at the length.
+        assert!(r.check(next.generation).unwrap().is_none());
+        assert_eq!(reads(), 1);
+        // An append in between: read again, only the tail replayed.
+        let more = vec![vec![DeltaRecord::AddEdge { from: NodeId(5), to: NodeId(0) }]];
+        spammass_delta::append_to_file(&journal, &more).unwrap();
+        let third = r.check(next.generation).unwrap().expect("appended batch consumed");
+        assert_eq!((reads(), r.consumed(), third.generation), (2, 2, 3));
+        drop(guard);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -75,7 +75,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use spammass_graph::Graph;
-    use spammass_pagerank::{jacobi, JumpVector, PageRankConfig};
+    use spammass_pagerank::{solve_columns, JumpVector, PageRankConfig};
 
     const C: f64 = 0.85;
 
@@ -83,10 +83,10 @@ mod tests {
         // 1e-13 stays far below the 1e-6/1e-8 assertion tolerances while
         // leaving headroom above the residual's floating-point floor.
         let cfg = PageRankConfig::default().tolerance(1e-13).max_iterations(50_000);
-        let r = jacobi::solve_jacobi(graph, &JumpVector::Uniform, &cfg)
+        let solve = solve_columns(graph, &[JumpVector::Uniform], None, &cfg)
             .expect("farm graphs converge at 1e-13");
         let scale = graph.node_count() as f64 / (1.0 - C);
-        r.scores.iter().map(|&p| p * scale).collect()
+        solve.columns[0].scores.iter().map(|&p| p * scale).collect()
     }
 
     fn farm(

@@ -86,6 +86,22 @@ for f in crates/graph/src/mmap.rs crates/graph/src/storage.rs; do
     || { echo "$f: $unsafe_count unsafe sites but only $safety_count SAFETY comments"; exit 1; }
 done
 
+echo "== one solve route: nothing in production names a reference solver =="
+# Algorithm 1, Gauss-Seidel and power iteration are the paper's text and
+# the engine's oracles. By name they may appear in their own module, in
+# solve_batch's sub-threshold route, in the Section 2.2 experiment, in
+# benches and in test code (tests/ directories and everything from a
+# file's #[cfg(test)] line on) - nowhere else.
+LEAKS="$(find crates src examples -name '*.rs' \
+    ! -path 'crates/pagerank/src/reference/*' ! -path 'crates/pagerank/src/batch.rs' \
+    ! -path 'crates/eval/src/experiments/convergence.rs' ! -path 'crates/bench/*' \
+    ! -path '*/tests/*' -exec awk '/^#\[cfg\(test\)\]/ { nextfile }
+      /reference::|solve_jacobi|solve_gauss_seidel|solve_power/ { print FILENAME ":" FNR ": " $0 }' {} +)"
+[ -z "$LEAKS" ] || { echo "reference solvers named outside their allowed homes:"; echo "$LEAKS"; exit 1; }
+
+echo "== whole-system benchmark: builds and its own tests pass =="
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== telemetry: obs crate tests =="
 cargo test -q -p spammass-obs
 
