@@ -10,6 +10,12 @@
 //! that the out-of-core estimator streams
 //! (`spammass estimate --max-resident-mb`).
 //!
+//! `--order degree` renumbers the nodes into degree order once, for every
+//! later solve on the image. Files keyed by the original ids are re-keyed
+//! beside it: `--core FILE` is written as `<out>.core.txt` (node ids, the
+//! format a state generation's `core.txt` has) and `--labels FILE` as
+//! `<out>.labels.txt`.
+//!
 //! Directory input never materializes the graph: out-rows stream
 //! straight from the shards (they arrive source-sorted) while the
 //! transposed in-orientation is built with an external-memory bucket
@@ -17,12 +23,14 @@
 //! bucket, not the edge list.
 
 use crate::args::ParsedArgs;
-use crate::loading::{ingest_warning, load_graph_with, node_ordering, read_options};
+use crate::loading::{ingest_warning, load_core, load_graph_with, load_labels, read_options};
 use crate::CliError;
 use spammass_graph::{
-    graph_to_bytes_v4_with, io, GraphError, NodeId, NodeOrdering, Permutation, V4Config, V4Writer,
+    graph_to_bytes_v4_with, io, GraphError, NodeId, NodeLabels, NodeOrdering, Permutation,
+    V4Config, V4Writer,
 };
 use spammass_synth::stream::StreamManifest;
+use std::ffi::OsString;
 use std::fmt::Write as _;
 use std::fs;
 use std::fs::File;
@@ -52,6 +60,8 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         "out",
         "format",
         "order",
+        "core",
+        "labels",
         "lenient",
         "threads",
         "block-rows",
@@ -69,6 +79,17 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         && (args.optional("block-rows").is_some() || args.optional("block-edges").is_some())
     {
         return Err(CliError::Usage("--block-rows/--block-edges only apply to --format v4".into()));
+    }
+    let ordering: NodeOrdering = match args.optional("order") {
+        None => NodeOrdering::Natural,
+        Some(v) => v.parse().map_err(|e| CliError::Usage(format!("--order: {e}")))?,
+    };
+    for flag in ["core", "labels"] {
+        if ordering == NodeOrdering::Natural && args.optional(flag).is_some() {
+            return Err(CliError::Usage(format!(
+                "--{flag} is re-keyed to a renumbered image and needs --order degree"
+            )));
+        }
     }
 
     if input.is_dir() {
@@ -88,14 +109,29 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     }
 
     let opts = read_options(args)?;
-    let ordering = node_ordering(args)?;
     let (graph, load_report) = load_graph_with(input, &opts)?;
-    // Baking an ordering into the image renumbers nodes permanently, so
-    // label files and core lists written against the original ids no
-    // longer apply — worth it only for solver-only pipelines; say so.
-    let graph = match ordering {
-        NodeOrdering::Natural => graph,
-        other => Permutation::compute(&graph, other).permute_graph(&graph),
+    let n = graph.node_count();
+    // Both inputs are read and checked before anything is written.
+    let labels = match args.optional("labels") {
+        Some(p) => Some(load_labels(Path::new(p))?),
+        None => None,
+    };
+    if let Some(labels) = labels.as_ref().filter(|l| l.len() < n) {
+        // A nameless node cannot be written: the labels format is one name
+        // per line, and a blank line is skipped on read.
+        return Err(CliError::Usage(format!(
+            "--labels names {} hosts but the graph has {n}; every node needs a name",
+            labels.len()
+        )));
+    }
+    let core = match args.optional("core") {
+        Some(p) => Some(load_core(Path::new(p), labels.as_ref(), n)?),
+        None => None,
+    };
+    let perm = (ordering != NodeOrdering::Natural).then(|| Permutation::compute(&graph, ordering));
+    let graph = match &perm {
+        Some(perm) => perm.permute_graph(&graph),
+        None => graph,
     };
     let mut trailer = String::new();
     let bytes = if format == "v4" {
@@ -114,11 +150,14 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     if let Some(warn) = ingest_warning(load_report.as_ref()) {
         let _ = writeln!(out, "{warn}");
     }
-    if ordering != NodeOrdering::Natural {
+    if let Some(w) = core.as_ref().and_then(|c| c.warning()) {
+        let _ = writeln!(out, "{w}");
+    }
+    if perm.is_some() {
         let _ = writeln!(
             out,
-            "note: nodes renumbered into {} order; labels/core files keyed by \
-             original ids no longer apply to this image",
+            "note: nodes renumbered into {} order; a journal or any file not re-keyed here \
+             must name this image's ids",
             ordering.name()
         );
     }
@@ -132,7 +171,29 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         trailer,
         output.display()
     );
+    if let (Some(perm), Some(core)) = (&perm, &core) {
+        let path = beside(output, ".core.txt");
+        fs::write(&path, spammass_delta::core_to_text(&perm.permute_nodes(&core.nodes)))?;
+        let _ = writeln!(out, "re-keyed core: {} hosts -> {}", core.nodes.len(), path.display());
+    }
+    if let (Some(perm), Some(labels)) = (&perm, &labels) {
+        let mut rekeyed = NodeLabels::with_capacity(labels.len());
+        for new in 0..labels.len() {
+            let old = perm.to_old(NodeId::from_index(new));
+            rekeyed.push(labels.name(old).expect("every node has a name").as_str());
+        }
+        let path = beside(output, ".labels.txt");
+        io::write_labels(&rekeyed, File::create(&path)?)?;
+        let _ = writeln!(out, "re-keyed labels: {} hosts -> {}", labels.len(), path.display());
+    }
     Ok(out)
+}
+
+/// `output` with `suffix` appended to its file name.
+fn beside(output: &Path, suffix: &str) -> PathBuf {
+    let mut name = OsString::from(output.as_os_str());
+    name.push(suffix);
+    PathBuf::from(name)
 }
 
 fn corrupt(msg: String) -> CliError {
@@ -151,7 +212,7 @@ fn convert_stream_dir(dir: &Path, output: &Path, config: V4Config) -> Result<Str
     let n = manifest.nodes;
     let mut writer = V4Writer::new(BufWriter::new(File::create(output)?), n as usize, config)?;
 
-    let tmp = PathBuf::from(format!("{}.transpose.tmp", output.display()));
+    let tmp = beside(output, ".transpose.tmp");
     fs::create_dir_all(&tmp)?;
     let result = convert_stream_dir_inner(dir, &manifest, &tmp, &mut writer);
     // The temp buckets are pure scratch; remove them on every exit path.
@@ -397,16 +458,43 @@ mod tests {
             }
             assert!(!bin.exists(), "--format {format} must not write anything");
         }
-        let bad_order = run_argv(&[
-            "convert",
-            "--in",
-            txt.to_str().unwrap(),
-            "--out",
-            bin.to_str().unwrap(),
-            "--order",
-            "random",
-        ]);
-        assert!(matches!(bad_order, Err(CliError::Usage(_))));
+        // BFS order is retired like any unknown one.
+        for order in ["random", "bfs"] {
+            match run_argv(&[
+                "convert",
+                "--in",
+                txt.to_str().unwrap(),
+                "--out",
+                bin.to_str().unwrap(),
+                "--order",
+                order,
+            ]) {
+                Err(CliError::Usage(m)) => assert!(m.contains("(none, degree)"), "{order}: {m}"),
+                other => panic!("--order {order}: expected a usage error, got {other:?}"),
+            }
+        }
+        // The files to re-key need a renumbering to re-key them to, and
+        // a labels file must name every node of the graph.
+        let (core, short_labels) = (d.join("core.txt"), d.join("short.txt"));
+        fs::write(&core, "0\n").unwrap();
+        fs::write(&short_labels, "a.example\n").unwrap();
+        for (flags, needle) in [
+            (vec!["--core", core.to_str().unwrap()], "needs --order degree"),
+            (vec!["--labels", short_labels.to_str().unwrap(), "--order", "none"], "--order degree"),
+            (
+                vec!["--labels", short_labels.to_str().unwrap(), "--order", "degree"],
+                "names 1 hosts",
+            ),
+        ] {
+            let mut argv = vec!["convert", "--in", txt.to_str().unwrap()];
+            argv.extend(["--out", bin.to_str().unwrap()]);
+            argv.extend(&flags);
+            match run_argv(&argv) {
+                Err(CliError::Usage(m)) => assert!(m.contains(needle), "{flags:?}: {m}"),
+                other => panic!("{flags:?}: expected a usage error, got {other:?}"),
+            }
+            assert!(!bin.exists(), "{flags:?} must not write anything");
+        }
         let blocks_without_v4 = run_argv(&[
             "convert",
             "--in",
@@ -417,6 +505,206 @@ mod tests {
             "64",
         ]);
         assert!(matches!(blocks_without_v4, Err(CliError::Usage(_))));
+    }
+
+    #[test]
+    fn rekeyed_image_core_and_labels_flag_the_same_hosts() {
+        let d = crate::test_dir("convert-rekeyed-detect");
+        let path = |name: &str| d.join(name).to_str().unwrap().to_string();
+        let parse = |argv: &[&str]| {
+            ParsedArgs::parse(&argv.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+        };
+        let (web, labels, core) = (path("web.graph"), path("hosts.txt"), path("core.txt"));
+        crate::commands::generate::run(&parse(&[
+            "generate", "--hosts", "2000", "--seed", "7", "--out", &web, "--labels", &labels,
+            "--core", &core,
+        ]))
+        .unwrap();
+        let out = run_argv(&[
+            "convert",
+            "--in",
+            &web,
+            "--out",
+            &path("web.v3"),
+            "--order",
+            "degree",
+            "--core",
+            &core,
+            "--labels",
+            &labels,
+        ])
+        .unwrap();
+        assert!(out.contains("re-keyed core") && out.contains("re-keyed labels"), "{out}");
+        // The candidate column of `detect`, as a sorted list of host names.
+        let flagged = |graph: &str, core: &str, labels: &str| {
+            let report = crate::commands::detect::run(&parse(&[
+                "detect", "--graph", graph, "--core", core, "--labels", labels,
+            ]))
+            .unwrap();
+            let rows = report.lines().skip_while(|l| !l.ends_with("candidate")).skip(1);
+            let mut hosts: Vec<String> =
+                rows.map(|l| l.split_whitespace().last().unwrap().to_string()).collect();
+            hosts.sort();
+            hosts
+        };
+        let original = flagged(&web, &core, &labels);
+        assert!(!original.is_empty(), "the farm web should flag something");
+        assert!(original.iter().all(|h| h.parse::<u32>().is_err()), "{original:?}");
+        let rekeyed =
+            flagged(&path("web.v3"), &path("web.v3.core.txt"), &path("web.v3.labels.txt"));
+        assert_eq!(original, rekeyed);
+        // The image really was renumbered: the labels moved with it.
+        assert_ne!(fs::read(&labels).unwrap(), fs::read(path("web.v3.labels.txt")).unwrap());
+    }
+
+    /// A five-host web whose degree order is not the natural one, with its
+    /// labels and a core naming two hosts by name, written under `d`.
+    fn small_labelled_web(d: &Path) -> (spammass_graph::Graph, [PathBuf; 3]) {
+        let edges = [(0, 1), (0, 2), (3, 0), (3, 1), (3, 2), (3, 4), (4, 0)];
+        let paths = [d.join("web.txt"), d.join("hosts.txt"), d.join("core.txt")];
+        let text: String = edges.iter().map(|(f, t)| format!("{f} {t}\n")).collect();
+        fs::write(&paths[0], format!("# nodes: 5\n{text}")).unwrap();
+        fs::write(&paths[1], "a.example\nb.example\nc.example\nd.example\ne.example\n").unwrap();
+        fs::write(&paths[2], "b.example\nd.example\n").unwrap();
+        (GraphBuilder::from_edges(5, &edges), paths)
+    }
+
+    fn convert_with_order(
+        paths: &[PathBuf; 3],
+        out: &Path,
+        format: &str,
+    ) -> Result<String, CliError> {
+        let arg = |p: &Path| p.to_str().unwrap().to_string();
+        let (web, labels, core, out) = (arg(&paths[0]), arg(&paths[1]), arg(&paths[2]), arg(out));
+        run_argv(&[
+            "convert", "--in", &web, "--out", &out, "--format", format, "--order", "degree",
+            "--core", &core, "--labels", &labels,
+        ])
+    }
+
+    #[test]
+    fn core_named_by_host_is_rekeyed_into_the_image_ids() {
+        let d = crate::test_dir("convert-rekeyed-core");
+        let (g, paths) = small_labelled_web(&d);
+        let bin = d.join("web.v3");
+        convert_with_order(&paths, &bin, "v3").unwrap();
+        // Written as a state generation's core.txt, in the image's ids.
+        let perm = Permutation::compute(&g, NodeOrdering::DegreeDescending);
+        let expected = perm.permute_nodes(&[NodeId(1), NodeId(3)]);
+        let text = fs::read_to_string(beside(&bin, ".core.txt")).unwrap();
+        assert_eq!(text, spammass_delta::core_to_text(&expected));
+        // Those ids still name the hosts the original core named.
+        let rekeyed = load_labels(&beside(&bin, ".labels.txt")).unwrap();
+        let mut names: Vec<&str> =
+            expected.iter().map(|&x| rekeyed.name(x).unwrap().as_str()).collect();
+        names.sort_unstable();
+        assert_eq!(names, ["b.example", "d.example"]);
+    }
+
+    #[test]
+    fn rekeyed_labels_name_the_same_edges() {
+        let d = crate::test_dir("convert-rekeyed-labels");
+        let (g, paths) = small_labelled_web(&d);
+        let bin = d.join("web.v3");
+        convert_with_order(&paths, &bin, "v3").unwrap();
+        let (image, _) = io::map_graph_file(&bin).unwrap();
+        let (before, after) =
+            (load_labels(&paths[1]).unwrap(), load_labels(&beside(&bin, ".labels.txt")).unwrap());
+        assert_eq!(after.len(), before.len());
+        // Every edge, named by host, is an edge of the renumbered image.
+        let rename = |x: NodeId| after.id(before.name(x).unwrap().as_str()).unwrap();
+        assert_eq!(image.edge_count(), g.edge_count());
+        for (f, t) in g.edges() {
+            assert!(image.has_edge(rename(f), rename(t)), "edge {f} -> {t}");
+        }
+        // The hub (host d) has the most out-links and leads the image.
+        assert_eq!(after.name(NodeId(0)).unwrap().as_str(), "d.example");
+    }
+
+    #[test]
+    fn v4_output_is_renumbered_like_v3() {
+        let d = crate::test_dir("convert-rekeyed-v4");
+        let (_, paths) = small_labelled_web(&d);
+        let (v3, v4) = (d.join("web.v3"), d.join("web.v4"));
+        convert_with_order(&paths, &v3, "v3").unwrap();
+        convert_with_order(&paths, &v4, "v4").unwrap();
+        let (resident, _) = io::map_graph_file(&v3).unwrap();
+        let image = CompressedImage::from_store(Arc::new(fs::read(&v4).unwrap())).unwrap();
+        let streamed = image.decode_graph().unwrap();
+        assert_eq!(streamed.edge_count(), resident.edge_count());
+        for y in resident.nodes() {
+            assert_eq!(streamed.out_neighbors(y), resident.out_neighbors(y), "node {y}");
+        }
+        for suffix in [".core.txt", ".labels.txt"] {
+            assert_eq!(
+                fs::read(beside(&v3, suffix)).unwrap(),
+                fs::read(beside(&v4, suffix)).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn rekeyed_image_estimates_match_by_host_name() {
+        let d = crate::test_dir("convert-rekeyed-estimate");
+        let path = |name: &str| d.join(name).to_str().unwrap().to_string();
+        let parse = |argv: &[&str]| {
+            ParsedArgs::parse(&argv.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+        };
+        let (web, labels, core) = (path("web.graph"), path("hosts.txt"), path("core.txt"));
+        crate::commands::generate::run(&parse(&[
+            "generate", "--hosts", "1500", "--seed", "5", "--out", &web, "--labels", &labels,
+            "--core", &core,
+        ]))
+        .unwrap();
+        run_argv(&[
+            "convert",
+            "--in",
+            &web,
+            "--out",
+            &path("web.v3"),
+            "--order",
+            "degree",
+            "--core",
+            &core,
+            "--labels",
+            &labels,
+        ])
+        .unwrap();
+        // The `estimate --out` rows keyed by host name: the four score columns.
+        let rows = |graph: &str, core: &str, labels: &str, out: &str| {
+            crate::commands::estimate::run(&parse(&[
+                "estimate", "--graph", graph, "--core", core, "--labels", labels, "--out", out,
+            ]))
+            .unwrap();
+            let tsv = fs::read_to_string(out).unwrap();
+            let mut rows: Vec<(String, Vec<f64>)> = tsv
+                .lines()
+                .filter(|l| !l.starts_with('#'))
+                .map(|l| {
+                    let cols: Vec<&str> = l.split('\t').collect();
+                    (cols[1].to_string(), cols[2..].iter().map(|c| c.parse().unwrap()).collect())
+                })
+                .collect();
+            rows.sort_by(|a, b| a.0.cmp(&b.0));
+            rows
+        };
+        let original = rows(&web, &core, &labels, &path("a.tsv"));
+        let rekeyed = rows(
+            &path("web.v3"),
+            &path("web.v3.core.txt"),
+            &path("web.v3.labels.txt"),
+            &path("b.tsv"),
+        );
+        assert!(original.len() >= 1500, "{} rows", original.len());
+        assert_eq!(original.len(), rekeyed.len());
+        for ((host, a), (other, b)) in original.iter().zip(&rekeyed) {
+            assert_eq!(host, other);
+            // Printed to six decimals: values within 1e-12 of each other
+            // may round one unit apart.
+            for (x, y) in a.iter().zip(b) {
+                assert!((x - y).abs() <= 1.5e-6, "{host}: {a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 use crate::args::ParsedArgs;
 use crate::commands::estimate::health_lines;
 use crate::loading::{
-    display_node, ingest_warning, load_core, load_graph_with, load_labels, node_ordering,
-    read_options, require_hosts,
+    display_node, ingest_warning, load_core, load_graph_with, load_labels, read_options,
+    require_hosts,
 };
 use crate::CliError;
 use spammass_core::detector::{detect, DetectorConfig};
@@ -23,7 +23,6 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         "rho",
         "tau",
         "top",
-        "order",
         "lenient",
         "trace",
         "metrics-out",
@@ -54,8 +53,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     }
 
     let estimate =
-        MassEstimator::new(EstimatorConfig::scaled(gamma).with_ordering(node_ordering(args)?))
-            .estimate(&graph, &core_load.nodes)?;
+        MassEstimator::new(EstimatorConfig::scaled(gamma)).estimate(&graph, &core_load.nodes)?;
     out.push_str(&health_lines(&estimate, labels.as_ref()));
     let detection = detect(&estimate, &DetectorConfig { rho, tau });
 
@@ -196,6 +194,11 @@ mod tests {
             other => panic!("expected a usage error, got {other:?}"),
         }
         assert!(run_on(&gp, &[]).is_ok());
-        assert!(matches!(run_on(&gp, &["--kernel", "scalar"]), Err(CliError::Usage(_))));
+        for removed in [["--kernel", "scalar"], ["--order", "degree"]] {
+            match run_on(&gp, &removed) {
+                Err(CliError::Usage(m)) => assert!(m.contains(removed[0]), "{m}"),
+                other => panic!("{removed:?}: expected a usage error, got {other:?}"),
+            }
+        }
     }
 }

@@ -3,8 +3,8 @@
 
 use crate::args::ParsedArgs;
 use crate::loading::{
-    display_node, ingest_warning, load_core, load_graph_with, load_labels, node_ordering,
-    read_options, require_hosts,
+    display_node, ingest_warning, load_core, load_graph_with, load_labels, read_options,
+    require_hosts,
 };
 use crate::CliError;
 use spammass_core::estimate::{EstimateReport, EstimatorConfig, MassEstimator};
@@ -66,7 +66,6 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         "top",
         "threads",
         "edges-per-thread",
-        "order",
         "lenient",
         "max-resident-mb",
         "trace",
@@ -103,13 +102,12 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         if budget_mb == 0 {
             return Err(CliError::Usage("--max-resident-mb must be a positive integer".into()));
         }
-        for flag in ["state", "order"] {
-            if args.optional(flag).is_some() {
-                return Err(CliError::Usage(format!(
-                    "--{flag} does not apply to the streamed (--max-resident-mb) path; \
-                     orderings are baked at `spammass convert` time"
-                )));
-            }
+        if args.optional("state").is_some() {
+            return Err(CliError::Usage(
+                "--state does not apply to the streamed (--max-resident-mb) path; \
+                 a state generation holds a resident v3 image"
+                    .into(),
+            ));
         }
         let path = Path::new(args.required("graph")?);
         #[cfg(unix)]
@@ -151,9 +149,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         if let Some(w) = core_load.warning() {
             let _ = writeln!(warnings, "{w}");
         }
-        let config = EstimatorConfig::scaled(gamma)
-            .with_pagerank(pagerank_config)
-            .with_ordering(node_ordering(args)?);
+        let config = EstimatorConfig::scaled(gamma).with_pagerank(pagerank_config);
         estimate = MassEstimator::new(config).estimate(&graph, &core_load.nodes)?;
         if let Some(state_path) = args.optional("state") {
             // Persist graph + core + both score vectors so `spammass update`
@@ -371,20 +367,22 @@ mod tests {
     #[test]
     fn streamed_estimate_rejects_incompatible_flags() {
         let (gp, cp) = setup("estimate-streamed-flags");
-        for extra in [["--state", "/tmp/st"], ["--order", "degree"]] {
-            let mut argv = vec![
-                "estimate",
-                "--graph",
-                gp.to_str().unwrap(),
-                "--core",
-                cp.to_str().unwrap(),
-                "--max-resident-mb",
-                "4",
-            ];
-            argv.extend_from_slice(&extra);
-            let args =
-                ParsedArgs::parse(&argv.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap();
-            assert!(matches!(run(&args), Err(CliError::Usage(_))), "{extra:?}");
+        let argv = [
+            "estimate",
+            "--graph",
+            gp.to_str().unwrap(),
+            "--core",
+            cp.to_str().unwrap(),
+            "--max-resident-mb",
+            "4",
+            "--state",
+            "/tmp/st",
+        ];
+        let args =
+            ParsedArgs::parse(&argv.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap();
+        match run(&args) {
+            Err(CliError::Usage(m)) => assert!(m.contains("resident v3 image"), "{m}"),
+            other => panic!("expected a usage error, got {other:?}"),
         }
     }
 
@@ -424,7 +422,7 @@ mod tests {
             Err(CliError::Usage(m)) => assert!(m.contains("no hosts"), "{m}"),
             other => panic!("expected a usage error, got {other:?}"),
         }
-        for removed in [["--kernel", "scalar"], ["--batch", "false"]] {
+        for removed in [["--kernel", "scalar"], ["--batch", "false"], ["--order", "degree"]] {
             assert!(matches!(run_on(&gp, &removed), Err(CliError::Usage(_))), "{removed:?}");
         }
     }

@@ -2,11 +2,9 @@
 
 use crate::args::ParsedArgs;
 use crate::loading::{
-    display_node, ingest_warning, load_graph_with, load_labels, node_ordering, read_options,
-    require_hosts,
+    display_node, ingest_warning, load_graph_with, load_labels, read_options, require_hosts,
 };
 use crate::CliError;
-use spammass_graph::{NodeOrdering, Permutation};
 use spammass_pagerank::{solve_columns, JumpVector, PageRankConfig};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -21,7 +19,6 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         "threads",
         "edges-per-thread",
         "labels",
-        "order",
         "lenient",
         "trace",
         "metrics-out",
@@ -32,17 +29,6 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     let opts = read_options(args)?;
     let (graph, load_report) = load_graph_with(Path::new(args.required("graph")?), &opts)?;
     require_hosts(graph.node_count(), "--graph")?;
-    // Solve in the requested cache-friendly layout; scores are mapped
-    // back below so ranks and labels stay in original node ids.
-    let ordering = node_ordering(args)?;
-    let perm = match ordering {
-        NodeOrdering::Natural => None,
-        other => Some(Permutation::compute(&graph, other)),
-    };
-    let graph = match &perm {
-        None => graph,
-        Some(p) => p.permute_graph(&graph),
-    };
     let labels = match args.optional("labels") {
         Some(p) => Some(load_labels(Path::new(p))?),
         None => None,
@@ -71,10 +57,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
             let _ = writeln!(out, "attempt: {attempt}");
         }
     }
-    let mut result = solve.columns.pop().expect("one jump vector yields one column");
-    if let Some(p) = &perm {
-        result.scores = p.restore_values(&result.scores);
-    }
+    let result = solve.columns.pop().expect("one jump vector yields one column");
 
     let _ = writeln!(
         out,
@@ -122,7 +105,12 @@ mod tests {
     fn rejects_bad_damping_and_removed_flags() {
         let g = graph_file("pagerank-rejects");
         assert!(matches!(run_on(&g, &["--damping", "1.5"]), Err(CliError::Usage(_))));
-        for removed in [["--solver", "parallel"], ["--fallback", "true"], ["--kernel", "scalar"]] {
+        for removed in [
+            ["--solver", "parallel"],
+            ["--fallback", "true"],
+            ["--kernel", "scalar"],
+            ["--order", "degree"],
+        ] {
             match run_on(&g, &removed) {
                 Err(CliError::Usage(m)) => assert!(m.contains(removed[0]), "{m}"),
                 other => panic!("{removed:?}: expected a usage error, got {other:?}"),

@@ -121,11 +121,11 @@ spammass — link spam detection based on mass estimation
 
 USAGE:
   spammass generate --hosts N [--seed S] --out FILE [--labels FILE] [--truth FILE] [--core FILE] [--evolve K --journal FILE]
-  spammass convert  --in FILE --out FILE [--format v3|v4] [--order degree|bfs|none] [--lenient N] [--threads T]
+  spammass convert  --in FILE --out FILE [--format v3|v4] [--order degree|none] [--core FILE] [--labels FILE] [--lenient N] [--threads T]
   spammass stats    --graph FILE [--lenient N]
-  spammass pagerank --graph FILE [--damping C] [--top K] [--threads T] [--order degree|bfs|none] [--labels FILE] [--lenient N]
-  spammass estimate --graph FILE --core FILE [--labels FILE] [--gamma G] [--out FILE] [--state DIR] [--threads T] [--order degree|bfs|none] [--lenient N] [--max-resident-mb M]
-  spammass detect   --graph FILE --core FILE [--labels FILE] [--gamma G] [--rho R] [--tau T] [--top K] [--order degree|bfs|none] [--lenient N]
+  spammass pagerank --graph FILE [--damping C] [--top K] [--threads T] [--labels FILE] [--lenient N]
+  spammass estimate --graph FILE --core FILE [--labels FILE] [--gamma G] [--out FILE] [--state DIR] [--threads T] [--lenient N] [--max-resident-mb M]
+  spammass detect   --graph FILE --core FILE [--labels FILE] [--gamma G] [--rho R] [--tau T] [--top K] [--lenient N]
   spammass update   --journal FILE --state DIR [--labels FILE] [--gamma G] [--rho R] [--tau T] [--top K] [--threads T] [--lenient N]
   spammass serve    --state DIR [--addr A] [--journal FILE] [--poll-ms MS] [--gamma G] [--rho R] [--tau T] [--damping C] [--threads T] [--max-seconds S]
   spammass fsck     --state DIR [--journal FILE] [--repair true]
@@ -155,10 +155,12 @@ USAGE:
                     built-in default); lower it to force multi-worker solves
                     on small graphs — the `pagerank.pool.sizing` event names
                     whichever cap won
-  --order O         solve in a cache-friendly node layout: `degree`
-                    (descending out-degree) or `bfs` (hub-first BFS);
-                    results always report original node ids. `convert`
-                    instead bakes the renumbering into the output image
+  --order degree    convert: renumber the image's nodes by descending
+                    out-degree, a cache-friendly layout every later solve
+                    on it runs in; --core F and --labels F are re-keyed
+                    beside the image as OUT.core.txt and OUT.labels.txt
+                    (the labels file must name every node). A journal for
+                    such an image must name its new ids
 
   --threshold PCT   bench-diff: fail when a bench's median regressed by more
                     than PCT percent (default 10); --report-only true prints

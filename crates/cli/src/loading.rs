@@ -4,18 +4,9 @@
 use crate::args::ParsedArgs;
 use crate::CliError;
 use spammass_graph::io::{self, LoadReport, ReadOptions};
-use spammass_graph::{Graph, NodeId, NodeLabels, NodeOrdering};
+use spammass_graph::{Graph, NodeId, NodeLabels};
 use std::fs;
 use std::path::Path;
-
-/// Parses the shared `--order degree|bfs|none` flag (default: the graph's
-/// natural layout) into a [`NodeOrdering`].
-pub fn node_ordering(args: &ParsedArgs) -> Result<NodeOrdering, CliError> {
-    match args.optional("order") {
-        None => Ok(NodeOrdering::Natural),
-        Some(v) => v.parse().map_err(|e| CliError::Usage(format!("--order: {e}"))),
-    }
-}
 
 /// Builds [`ReadOptions`] from the shared `--lenient N` flag: strict by
 /// default, or skipping up to `N` malformed lines when given.

@@ -23,7 +23,9 @@
 //! for both — on large graphs the edge arrays are the dominant memory
 //! traffic. Every other PageRank this crate computes (the core-only
 //! re-solve of the Section 4.5 ablation, exact mass, the TrustRank and
-//! naive baselines) is a column of the same call.
+//! naive baselines) is a column of the same call. Every solve runs in the
+//! graph's own node ids: a cache-friendly order belongs to the image
+//! (`spammass convert --order degree`), never to an estimate.
 //!
 //! ## Hardening
 //!
@@ -42,7 +44,7 @@
 //! also provided.
 
 use crate::mass::relative_mass;
-use spammass_graph::{CompressedImage, Graph, NodeId, NodeOrdering, Permutation};
+use spammass_graph::{CompressedImage, Graph, NodeId};
 use spammass_obs as obs;
 use spammass_pagerank::{
     solve_columns, ChainError, ChainSolve, JumpVector, PageRankConfig, PageRankResult,
@@ -67,23 +69,12 @@ pub struct EstimatorConfig {
     pub pagerank: PageRankConfig,
     /// Core jump scaling.
     pub scaling: CoreScaling,
-    /// Node layout the solves run under. Anything other than
-    /// [`NodeOrdering::Natural`] makes the estimator permute the graph
-    /// (and core) into the requested cache-friendly order, solve there,
-    /// and map every score vector and node list in the report back to the
-    /// caller's original node ids — the ordering is an execution detail
-    /// and never leaks into results.
-    pub ordering: NodeOrdering,
 }
 
 impl EstimatorConfig {
     /// Section 3.4 setting: unscaled core vector.
     pub fn unscaled() -> Self {
-        EstimatorConfig {
-            pagerank: PageRankConfig::default(),
-            scaling: CoreScaling::Unscaled,
-            ordering: NodeOrdering::Natural,
-        }
+        EstimatorConfig { pagerank: PageRankConfig::default(), scaling: CoreScaling::Unscaled }
     }
 
     /// Section 3.5 / Section 4.3 setting: γ-scaled core vector
@@ -93,23 +84,12 @@ impl EstimatorConfig {
     /// [`EstimateError::InvalidGamma`] — so a bad value cannot panic deep
     /// inside a pipeline.
     pub fn scaled(gamma: f64) -> Self {
-        EstimatorConfig {
-            pagerank: PageRankConfig::default(),
-            scaling: CoreScaling::Gamma(gamma),
-            ordering: NodeOrdering::Natural,
-        }
+        EstimatorConfig { pagerank: PageRankConfig::default(), scaling: CoreScaling::Gamma(gamma) }
     }
 
     /// Replaces the PageRank solver configuration, builder-style.
     pub fn with_pagerank(mut self, pr: PageRankConfig) -> Self {
         self.pagerank = pr;
-        self
-    }
-
-    /// Sets the node layout the solves run under, builder-style. Results
-    /// are always reported in the caller's original node ids.
-    pub fn with_ordering(mut self, ordering: NodeOrdering) -> Self {
-        self.ordering = ordering;
         self
     }
 
@@ -310,14 +290,6 @@ impl MassEstimator {
         if good_core.is_empty() {
             return Err(EstimateError::EmptyCore);
         }
-        if self.config.ordering != NodeOrdering::Natural {
-            let perm = self.reorder(graph);
-            let permuted = perm.permute_graph(graph);
-            let core = perm.permute_nodes(good_core);
-            let mut report = self.natural().estimate(&permuted, &core)?;
-            Self::restore_report(&perm, &mut report);
-            return Ok(report);
-        }
         let jumps = [JumpVector::Uniform, self.core_jump(good_core, graph.node_count())];
         let batch_span = obs::span("pagerank_batch");
         let outcome = solve_columns(graph, &jumps, None, &self.config.pagerank);
@@ -338,30 +310,6 @@ impl MassEstimator {
         Ok(self.pair_report(good_core, "batch", solve.attempts.len(), solve.cap(), solve.columns))
     }
 
-    /// Computes the configured permutation, with a telemetry span.
-    fn reorder(&self, graph: &Graph) -> Permutation {
-        let mut span = obs::span("estimate.reorder");
-        span.record("nodes", graph.node_count() as f64);
-        Permutation::compute(graph, self.config.ordering)
-    }
-
-    /// A copy of this estimator that runs in the graph's natural layout —
-    /// the inner worker for the reordered paths.
-    fn natural(&self) -> MassEstimator {
-        MassEstimator::new(EstimatorConfig { ordering: NodeOrdering::Natural, ..self.config })
-    }
-
-    /// Maps every node-indexed vector and node list of a report computed
-    /// on a permuted graph back to the original node ids.
-    fn restore_report(perm: &Permutation, report: &mut EstimateReport) {
-        report.mass.pagerank = perm.restore_values(&report.mass.pagerank);
-        report.mass.core_pagerank = perm.restore_values(&report.mass.core_pagerank);
-        report.mass.absolute = perm.restore_values(&report.mass.absolute);
-        report.mass.relative = perm.restore_values(&report.mass.relative);
-        report.anomalies = perm.restore_nodes(&report.anomalies);
-        report.dead_core = perm.restore_nodes(&report.dead_core);
-    }
-
     /// Out-of-core estimation: both PageRank runs stream the in-blocks of
     /// a compressed v4 image through
     /// [`spammass_pagerank::solve_batch_streamed`], keeping only the score
@@ -371,10 +319,7 @@ impl MassEstimator {
     /// graph (streamed scores do not depend on the worker count and are
     /// bit-exact against the single-worker pooled engine).
     ///
-    /// The configured [`EstimatorConfig::ordering`] is ignored: a v4
-    /// image's node layout is baked at encode time (`spammass convert
-    /// --order …`), and re-permuting out-of-core would defeat the point.
-    /// There is also no retry — failures surface directly as
+    /// There is no retry — failures surface directly as
     /// [`EstimateError::Stream`].
     ///
     /// # Errors
@@ -453,16 +398,6 @@ impl MassEstimator {
         if good_core.is_empty() {
             return Err(EstimateError::EmptyCore);
         }
-        if self.config.ordering != NodeOrdering::Natural {
-            let perm = self.reorder(graph);
-            let permuted = perm.permute_graph(graph);
-            let core = perm.permute_nodes(good_core);
-            let p = perm.permute_values(&pagerank);
-            let mut report = self.natural().estimate_with_pagerank(&permuted, &core, p)?;
-            Self::restore_report(&perm, &mut report);
-            return Ok(report);
-        }
-
         let jump = self.core_jump(good_core, n);
         let core_span = obs::span("pagerank_core");
         let solve = solve_staged(graph, &[jump], &self.config.pagerank, "core");

@@ -118,11 +118,11 @@ impl GraphDelta {
 
     /// Translates the delta into the id space of a permuted graph.
     ///
-    /// Journals are always written in **original** node ids — they must
-    /// stay replayable against any layout of the same graph. When the
-    /// pipeline runs on a reordered image ([`Permutation::permute_graph`]),
-    /// apply the remapped delta to it instead: applying `self` to `G` and
-    /// then permuting gives the same graph as permuting `G` and applying
+    /// `spammass update` applies a journal as written, so a journal for a
+    /// renumbered image must name the image's ids. A delta written against
+    /// the original ids is carried over by this map: applying `self` to
+    /// `G` and then permuting gives the same graph as permuting `G`
+    /// ([`Permutation::permute_graph`]) and applying
     /// `self.remapped(perm)`. Ids at or beyond the permutation's length
     /// (nodes this delta appends) pass through unchanged, matching
     /// [`Permutation::to_new`].
@@ -461,7 +461,6 @@ mod tests {
 
     #[test]
     fn remapped_apply_commutes_with_permutation() {
-        use spammass_graph::NodeOrdering;
         let g = GraphBuilder::from_edges(
             8,
             &[(0, 1), (0, 2), (0, 3), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 7), (7, 0)],
@@ -474,24 +473,22 @@ mod tests {
             DeltaRecord::CoreAdd { node: NodeId(4) },
             DeltaRecord::CoreRemove { node: NodeId(1) },
         ]);
-        for ordering in [NodeOrdering::DegreeDescending, NodeOrdering::BfsFromHubs] {
-            let perm = Permutation::compute(&g, ordering);
-            // Path A: apply in original ids, then permute the result.
-            let mut patched = g.clone();
-            d.apply(&mut patched);
-            let a = perm.permute_graph(&patched);
-            // Path B: permute first, then apply the remapped delta.
-            let mut b = perm.permute_graph(&g);
-            d.remapped(&perm).apply(&mut b);
-            assert_same_graph(&a, &b);
-            // Core edits translate the same way.
-            let mut core_then_permute = vec![NodeId(1), NodeId(2)];
-            d.apply_to_core(&mut core_then_permute);
-            let core_then_permute = perm.permute_nodes(&core_then_permute);
-            let mut permute_then_apply = perm.permute_nodes(&[NodeId(1), NodeId(2)]);
-            d.remapped(&perm).apply_to_core(&mut permute_then_apply);
-            assert_eq!(core_then_permute, permute_then_apply);
-        }
+        let perm = Permutation::compute(&g, spammass_graph::NodeOrdering::DegreeDescending);
+        // Path A: apply in original ids, then permute the result.
+        let mut patched = g.clone();
+        d.apply(&mut patched);
+        let a = perm.permute_graph(&patched);
+        // Path B: permute first, then apply the remapped delta.
+        let mut b = perm.permute_graph(&g);
+        d.remapped(&perm).apply(&mut b);
+        assert_same_graph(&a, &b);
+        // Core edits translate the same way.
+        let mut core_then_permute = vec![NodeId(1), NodeId(2)];
+        d.apply_to_core(&mut core_then_permute);
+        let core_then_permute = perm.permute_nodes(&core_then_permute);
+        let mut permute_then_apply = perm.permute_nodes(&[NodeId(1), NodeId(2)]);
+        d.remapped(&perm).apply_to_core(&mut permute_then_apply);
+        assert_eq!(core_then_permute, permute_then_apply);
     }
 
     #[test]

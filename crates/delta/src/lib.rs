@@ -49,6 +49,6 @@ pub use journal::{
 };
 pub use record::DeltaRecord;
 pub use state::{
-    manifest_from_bytes, manifest_to_bytes, scores_from_bytes, scores_to_bytes, RecoveryReport,
-    SavedState, StateDir, StateError,
+    core_to_text, manifest_from_bytes, manifest_to_bytes, scores_from_bytes, scores_to_bytes,
+    RecoveryReport, SavedState, StateDir, StateError,
 };

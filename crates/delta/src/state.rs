@@ -114,6 +114,16 @@ pub fn scores_to_bytes(scores: &[f64]) -> Vec<u8> {
     buf
 }
 
+/// Renders a good core as a generation's `core.txt`: a comment line, then
+/// one node id per line.
+pub fn core_to_text(core: &[NodeId]) -> String {
+    let mut text = String::from("# good core (node ids)\n");
+    for x in core {
+        text.push_str(&format!("{x}\n"));
+    }
+    text
+}
+
 /// Deserializes a `SPAMSCRS` image, verifying sentinel, CRC, payload
 /// length, and value finiteness before returning the vector.
 pub fn scores_from_bytes(data: &[u8]) -> Result<Vec<f64>, GraphError> {
@@ -543,10 +553,7 @@ impl StateDir {
             &scores_to_bytes(core_pagerank),
             "state.write.p_core",
         )?;
-        let mut core_txt = String::from("# good core (node ids)\n");
-        for x in core {
-            core_txt.push_str(&format!("{x}\n"));
-        }
+        let core_txt = core_to_text(core);
         write_durable(&dir.join(Self::CORE_FILE), core_txt.as_bytes(), "state.write.core")?;
         // Make the new generation's directory entries durable before the
         // manifest can name them.

@@ -845,7 +845,7 @@ mod tests {
     #[test]
     fn bits_per_edge_is_small_on_clustered_targets() {
         // Local links (small deltas → one payload byte per edge), the
-        // regime the degree/BFS orderings of PR 5 produce.
+        // regime degree order produces.
         let mut b = GraphBuilder::new(2000);
         for y in 0..1996u32 {
             for t in y + 1..=y + 4 {

@@ -21,9 +21,7 @@
 //!   distributions).
 //! * [`powerlaw`] — discrete power-law fitting (Hill / MLE estimator) and
 //!   log-binned histograms for Figure 6.
-//! * [`traversal`] / [`components`] — BFS/DFS, weakly-connected components,
-//!   and Tarjan SCC, used to analyse isolated cliques (Section 4.4.3,
-//!   observation 1).
+//! * [`traversal`] — BFS/DFS reachability and hop-bounded neighbourhoods.
 //! * [`io`] — text edge-list and binary round-trip formats.
 //!
 //! ## Quick example
@@ -44,7 +42,6 @@
 #![warn(clippy::all)]
 
 mod builder;
-pub mod components;
 pub mod compress;
 pub mod crc32;
 mod error;

@@ -1,4 +1,4 @@
-//! Locality-improving node orderings.
+//! Locality-improving node order, baked into an image once.
 //!
 //! The PageRank gather kernel reads `p[x]` and `coef[x]` for every
 //! in-neighbour `x` of every destination — a random-access pattern whose
@@ -10,28 +10,23 @@
 //! PageRank is permutation-equivariant (`PR(πG)(π(x)) = PR(G)(x)`,
 //! because the linear system `(I − c·Tᵀ)p = (1−c)v` is just re-indexed by
 //! a permutation matrix), so the fixed point is the same vector with its
-//! entries shuffled — pinned by the property tests.
+//! entries shuffled — pinned by the engine's parity table.
 //!
-//! Two orderings are provided:
+//! [`NodeOrdering::DegreeDescending`] is the one renumbering: sources with
+//! high out-degree are read `out(x)` times per sweep, and packing them at
+//! low indices concentrates the hot part of `p`/`coef` into a few cache
+//! lines.
 //!
-//! * [`NodeOrdering::DegreeDescending`] — sources with high out-degree
-//!   are read `out(x)` times per sweep; packing them at low indices
-//!   concentrates the hot part of `p`/`coef` into a few cache lines.
-//! * [`NodeOrdering::BfsFromHubs`] — breadth-first renumbering seeded
-//!   from the highest-degree hubs over the undirected closure, so nodes
-//!   that appear in the same in-lists get nearby ids (the classic
-//!   locality trick of web-graph compression schemes).
-//!
-//! A [`Permutation`] carries both directions of the mapping. Everything
-//! user-facing stays in **original** ids: callers permute the graph and
-//! core going in and restore score vectors and node lists coming out.
+//! A [`Permutation`] carries both directions of the mapping. The order is
+//! a property of the image: `spammass convert --order degree` applies it
+//! once and re-keys the core and label files beside the image through
+//! [`Permutation::permute_nodes`], and nothing downstream permutes.
 
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::node::NodeId;
-use std::collections::VecDeque;
 
-/// Which node layout to use for a solve.
+/// Which node layout an image is written in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NodeOrdering {
     /// Keep ids as-is (no permutation).
@@ -40,9 +35,6 @@ pub enum NodeOrdering {
     /// Renumber by out-degree descending (ties: total degree descending,
     /// then original id).
     DegreeDescending,
-    /// Breadth-first renumbering over the undirected closure, seeded
-    /// from the highest-degree hubs.
-    BfsFromHubs,
 }
 
 impl NodeOrdering {
@@ -51,7 +43,6 @@ impl NodeOrdering {
         match self {
             NodeOrdering::Natural => "natural",
             NodeOrdering::DegreeDescending => "degree",
-            NodeOrdering::BfsFromHubs => "bfs",
         }
     }
 }
@@ -59,23 +50,21 @@ impl NodeOrdering {
 impl std::str::FromStr for NodeOrdering {
     type Err = String;
 
-    /// Parses the CLI spelling: `none`/`natural`, `degree`, `bfs`.
+    /// Parses the CLI spelling: `none`/`natural`, `degree`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "none" | "natural" => Ok(NodeOrdering::Natural),
             "degree" => Ok(NodeOrdering::DegreeDescending),
-            "bfs" => Ok(NodeOrdering::BfsFromHubs),
-            other => Err(format!("unknown ordering {other:?} (none, degree, bfs)")),
+            other => Err(format!("unknown ordering {other:?} (none, degree)")),
         }
     }
 }
 
 /// A bijective node renumbering with both directions materialized.
 ///
-/// `old_to_new[old] = new` and `new_to_old[new] = old`; the inverse map
-/// is what lets every user-facing artifact (scores, anomaly lists,
-/// detection output) be restored to original ids after a solve on the
-/// permuted graph.
+/// `old_to_new[old] = new` and `new_to_old[new] = old`: node sets and
+/// value vectors map forward into the permuted ids, and back again
+/// through the inverse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Permutation {
     old_to_new: Vec<u32>,
@@ -117,7 +106,6 @@ impl Permutation {
         match ordering {
             NodeOrdering::Natural => Permutation::identity(graph.node_count()),
             NodeOrdering::DegreeDescending => Permutation::degree_descending(graph),
-            NodeOrdering::BfsFromHubs => Permutation::bfs_from_hubs(graph),
         }
     }
 
@@ -134,40 +122,6 @@ impl Permutation {
         });
         // `order` is new -> old by construction.
         Permutation::from_new_to_old(order)
-    }
-
-    /// Hub-seeded BFS renumbering: visit order over the undirected
-    /// closure starting from the highest-out-degree node of each
-    /// component (hubs first), assigning new ids in discovery order.
-    pub fn bfs_from_hubs(graph: &Graph) -> Permutation {
-        let n = graph.node_count();
-        let mut seeds: Vec<u32> = (0..n as u32).collect();
-        seeds.sort_by_key(|&x| {
-            let node = NodeId(x);
-            (std::cmp::Reverse(graph.out_degree(node)), std::cmp::Reverse(graph.in_degree(node)), x)
-        });
-
-        let mut new_to_old = Vec::with_capacity(n);
-        let mut visited = vec![false; n];
-        let mut queue = VecDeque::new();
-        for &seed in &seeds {
-            if visited[seed as usize] {
-                continue;
-            }
-            visited[seed as usize] = true;
-            queue.push_back(seed);
-            while let Some(x) = queue.pop_front() {
-                new_to_old.push(x);
-                let node = NodeId(x);
-                for &y in graph.out_neighbors(node).iter().chain(graph.in_neighbors(node)) {
-                    if !visited[y.index()] {
-                        visited[y.index()] = true;
-                        queue.push_back(y.0);
-                    }
-                }
-            }
-        }
-        Permutation::from_new_to_old(new_to_old)
     }
 
     /// Builds from the inverse map (trusted internal callers only: the
@@ -313,32 +267,15 @@ mod tests {
     }
 
     #[test]
-    fn bfs_ordering_visits_hub_component_first() {
-        let g = star_plus_chain();
-        let p = Permutation::bfs_from_hubs(&g);
-        assert_eq!(p.to_new(NodeId(0)), NodeId(0));
-        // The hub's component {0..4} occupies new ids 0..5 contiguously.
-        for x in 0..5u32 {
-            assert!(p.to_new(NodeId(x)).index() < 5, "node {x} in hub block");
-        }
-        // Chain component follows.
-        for x in 5..8u32 {
-            assert!(p.to_new(NodeId(x)).index() >= 5, "node {x} after hub block");
-        }
-    }
-
-    #[test]
     fn forward_and_backward_compose_to_identity() {
         let g = star_plus_chain();
-        for ordering in [NodeOrdering::DegreeDescending, NodeOrdering::BfsFromHubs] {
-            let p = Permutation::compute(&g, ordering);
-            for x in g.nodes() {
-                assert_eq!(p.to_old(p.to_new(x)), x, "{ordering:?}");
-            }
-            let values: Vec<f64> = (0..g.node_count()).map(|i| i as f64).collect();
-            assert_eq!(p.restore_values(&p.permute_values(&values)), values, "{ordering:?}");
-            assert!(p.inverse().inverse() == p, "{ordering:?}");
+        let p = Permutation::compute(&g, NodeOrdering::DegreeDescending);
+        for x in g.nodes() {
+            assert_eq!(p.to_old(p.to_new(x)), x);
         }
+        let values: Vec<f64> = (0..g.node_count()).map(|i| i as f64).collect();
+        assert_eq!(p.restore_values(&p.permute_values(&values)), values);
+        assert!(p.inverse().inverse() == p);
     }
 
     #[test]
@@ -358,9 +295,55 @@ mod tests {
     }
 
     #[test]
+    fn natural_ordering_computes_the_identity() {
+        let g = star_plus_chain();
+        let p = Permutation::compute(&g, NodeOrdering::Natural);
+        assert!(p.is_identity());
+        assert_eq!(p.len(), g.node_count());
+        assert_eq!(NodeOrdering::default(), NodeOrdering::Natural);
+        assert_eq!(NodeOrdering::Natural.name(), "natural");
+    }
+
+    #[test]
+    fn degree_ties_break_by_total_degree_then_id() {
+        // Nodes 1 and 2 both have out-degree 1; 2 also has two in-links,
+        // so it ranks first. Nodes 1, 3 and 4 tie on both degrees and keep
+        // their id order; the sink 0 comes last.
+        let g = GraphBuilder::from_edges(5, &[(1, 0), (2, 0), (3, 2), (4, 2)]);
+        let p = Permutation::degree_descending(&g);
+        let order: Vec<u32> = (0..5).map(|new| p.to_old(NodeId(new)).0).collect();
+        assert_eq!(order, vec![2, 1, 3, 4, 0]);
+    }
+
+    #[test]
+    fn values_move_forward_and_back_by_opposite_maps() {
+        let g = star_plus_chain();
+        let p = Permutation::degree_descending(&g);
+        let values: Vec<u32> = (0..g.node_count() as u32).map(|i| i * 10).collect();
+        let permuted = p.permute_values(&values);
+        for x in g.nodes() {
+            assert_eq!(permuted[p.to_new(x).index()], values[x.index()], "node {x}");
+        }
+        let restored = p.restore_values(&permuted);
+        assert_eq!(restored, values);
+        // Forward then inverse-forward is the same as forward then back.
+        assert_eq!(p.inverse().permute_values(&permuted), values);
+    }
+
+    #[test]
+    fn empty_graph_permutes_to_empty() {
+        let g = GraphBuilder::from_edges(0, &[]);
+        let p = Permutation::compute(&g, NodeOrdering::DegreeDescending);
+        assert!(p.is_empty() && p.is_identity());
+        assert_eq!(p.permute_graph(&g).node_count(), 0);
+        assert!(p.permute_nodes(&[]).is_empty());
+        assert!(p.permute_values::<f64>(&[]).is_empty());
+    }
+
+    #[test]
     fn node_lists_map_both_ways() {
         let g = star_plus_chain();
-        let p = Permutation::bfs_from_hubs(&g);
+        let p = Permutation::degree_descending(&g);
         let core = vec![NodeId(2), NodeId(6)];
         let mapped = p.permute_nodes(&core);
         assert_eq!(p.restore_nodes(&mapped), core);
@@ -386,8 +369,10 @@ mod tests {
         assert_eq!(NodeOrdering::from_str("none").unwrap(), NodeOrdering::Natural);
         assert_eq!(NodeOrdering::from_str("natural").unwrap(), NodeOrdering::Natural);
         assert_eq!(NodeOrdering::from_str("degree").unwrap(), NodeOrdering::DegreeDescending);
-        assert_eq!(NodeOrdering::from_str("bfs").unwrap(), NodeOrdering::BfsFromHubs);
-        assert!(NodeOrdering::from_str("zorder").is_err());
-        assert_eq!(NodeOrdering::BfsFromHubs.name(), "bfs");
+        for retired in ["bfs", "zorder"] {
+            let err = NodeOrdering::from_str(retired).unwrap_err();
+            assert!(err.contains("(none, degree)"), "{err}");
+        }
+        assert_eq!(NodeOrdering::DegreeDescending.name(), "degree");
     }
 }

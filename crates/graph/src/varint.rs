@@ -20,8 +20,9 @@
 //! because template navigation makes whole id ranges co-cited. Runs cost
 //! a couple of bytes regardless of length, so a 20-link nav row encodes
 //! in ~4 bytes, while one-off links degrade gracefully to plain gap
-//! coding. Under the degree/BFS orderings of PR 5 equal-degree node
-//! groups keep their relative order, so the runs survive renumbering.
+//! coding. Under degree order (`spammass convert --order degree`)
+//! equal-degree node groups keep their relative order, so the runs
+//! survive renumbering.
 //!
 //! Decoding is fully defensive: every read is bounds-checked and every
 //! structural violation (truncation, overlong varint, out-of-range,

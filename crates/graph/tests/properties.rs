@@ -1,7 +1,9 @@
 //! Property-based invariants of the graph substrate.
 
 use proptest::prelude::*;
-use spammass_graph::{components, io, subgraph, traversal, Graph, GraphBuilder, NodeId};
+use spammass_graph::{
+    io, subgraph, traversal, Graph, GraphBuilder, NodeId, NodeOrdering, Permutation,
+};
 use std::sync::Arc;
 
 include!("support/legacy_image.rs");
@@ -89,20 +91,46 @@ proptest! {
         }
     }
 
-    /// Every SCC lies inside one weakly-connected component, and SCC
-    /// count is at least the WCC count.
+    /// Permuting node-indexed values and node lists into degree order and
+    /// restoring them is the identity, and the permutation is a bijection.
     #[test]
-    fn scc_refines_wcc((g, _) in arb_graph()) {
-        let wcc = components::weakly_connected(&g);
-        let scc = components::strongly_connected(&g);
-        prop_assert!(scc.count >= wcc.count);
-        // Nodes in the same SCC share a WCC.
-        for a in g.nodes() {
-            for b in g.nodes() {
-                if scc.component_of(a) == scc.component_of(b) {
-                    prop_assert_eq!(wcc.component_of(a), wcc.component_of(b));
-                }
-            }
+    fn permutation_round_trips_values((g, _) in arb_graph()) {
+        let perm = Permutation::compute(&g, NodeOrdering::DegreeDescending);
+        let values: Vec<f64> = (0..g.node_count()).map(|i| i as f64 * 0.5).collect();
+        let restored = perm.restore_values(&perm.permute_values(&values));
+        prop_assert_eq!(restored, values);
+        let nodes: Vec<NodeId> = (0..g.node_count() as u32).step_by(3).map(NodeId).collect();
+        let round = perm.restore_nodes(&perm.permute_nodes(&nodes));
+        prop_assert_eq!(round, nodes);
+        for x in g.nodes() {
+            prop_assert_eq!(perm.to_old(perm.to_new(x)), x);
+        }
+    }
+
+    /// The degree-ordered graph lists out-degrees non-increasing by id,
+    /// ties by total degree non-increasing.
+    #[test]
+    fn degree_order_sorts_out_degree_descending((g, _) in arb_graph()) {
+        let pg = Permutation::compute(&g, NodeOrdering::DegreeDescending).permute_graph(&g);
+        let key = |x: NodeId| (pg.out_degree(x), pg.out_degree(x) + pg.in_degree(x));
+        for new in 1..pg.node_count() as u32 {
+            prop_assert!(key(NodeId(new - 1)) >= key(NodeId(new)), "ids {} and {new}", new - 1);
+        }
+    }
+
+    /// Renumbering maps every edge onto an edge and nothing else: the
+    /// permuted graph is isomorphic to the original under the map.
+    #[test]
+    fn degree_permuted_graph_is_isomorphic((g, _) in arb_graph()) {
+        let perm = Permutation::compute(&g, NodeOrdering::DegreeDescending);
+        let pg = perm.permute_graph(&g);
+        prop_assert_eq!(pg.edge_count(), g.edge_count());
+        for x in g.nodes() {
+            let mut mapped: Vec<NodeId> =
+                g.out_neighbors(x).iter().map(|&y| perm.to_new(y)).collect();
+            mapped.sort_unstable();
+            prop_assert_eq!(pg.out_neighbors(perm.to_new(x)), &mapped[..]);
+            prop_assert_eq!(pg.in_degree(perm.to_new(x)), g.in_degree(x));
         }
     }
 

@@ -98,7 +98,7 @@ INCR_OUT="BENCH_incremental.json"
 grep -q '^BENCH_INCR ' "$INCR_LOG" || { echo "no BENCH_INCR line captured"; exit 1; }
 echo "wrote $INCR_OUT"
 
-# Cache-aware layout: fused kernel on natural vs degree vs BFS node order
+# Cache-aware layout: fused kernel on natural vs degree node order
 # at 120k hosts, plus the zero-copy mmap load of the v3 image. The bench
 # prints one BENCH_LAYOUT verification line (score agreement asserted
 # inside) plus BENCH_JSON timings; both land in BENCH_layout.json.

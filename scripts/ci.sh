@@ -28,14 +28,14 @@ echo "== bench smoke: incremental warm-vs-cold agreement =="
 INCR_HOSTS=10000 cargo bench -p spammass-bench --bench incremental -- --test
 
 echo "== bench smoke: layout reorder/zero-copy verification =="
-# The layout bench asserts permuted-solve score agreement and zero-copy
+# The layout bench asserts degree-ordered score agreement and zero-copy
 # mmap loading before timing anything; timing thresholds only apply to
 # real `scripts/bench.sh` runs. The BENCH_LAYOUT line must carry every
 # key the bench report schema promises.
 LAYOUT_SMOKE="$(mktemp)"
 LAYOUT_HOSTS=20000 cargo bench -p spammass-bench --bench layout -- --test \
   | tee "$LAYOUT_SMOKE"
-for key in '"natural_ms"' '"degree_ms"' '"bfs_ms"' '"best_speedup_pct"' \
+for key in '"natural_ms"' '"degree_ms"' '"best_speedup_pct"' \
     '"fused_1t_ms"' '"fused_4t_ms"' '"pool_threads_4t"' \
     '"mmap_load_ms"' '"zero_copy": true'; do
   grep '^BENCH_LAYOUT ' "$LAYOUT_SMOKE" | grep -q "$key" \
@@ -123,6 +123,26 @@ for key in '"schema":"spammass.run_report/v1"' '"command":"estimate"' \
   grep -q "$key" "$SMOKE_DIR/metrics.json" \
     || { echo "run report missing $key"; exit 1; }
 done
+
+echo "== re-keyed image smoke: convert --order degree keeps detect's verdicts =="
+# The node order belongs to the image: convert renumbers it once and
+# re-keys the core and labels beside it, and detect on the re-keyed
+# triple must flag the same host names as on the originals.
+./target/release/spammass generate --hosts 3000 --seed 5 --out "$SMOKE_DIR/rk.graph" \
+  --labels "$SMOKE_DIR/rk-hosts.txt" --core "$SMOKE_DIR/rk-core.txt" > /dev/null
+./target/release/spammass convert --in "$SMOKE_DIR/rk.graph" --out "$SMOKE_DIR/rk.v3" \
+  --order degree --core "$SMOKE_DIR/rk-core.txt" --labels "$SMOKE_DIR/rk-hosts.txt" > /dev/null
+candidates() {
+  ./target/release/spammass detect --graph "$1" --core "$2" --labels "$3" \
+    | awk 'listing { print $NF } / candidate$/ { listing = 1 }' | sort
+}
+candidates "$SMOKE_DIR/rk.graph" "$SMOKE_DIR/rk-core.txt" "$SMOKE_DIR/rk-hosts.txt" \
+  > "$SMOKE_DIR/rk-natural.flags"
+candidates "$SMOKE_DIR/rk.v3" "$SMOKE_DIR/rk.v3.core.txt" "$SMOKE_DIR/rk.v3.labels.txt" \
+  > "$SMOKE_DIR/rk-degree.flags"
+[ -s "$SMOKE_DIR/rk-natural.flags" ] || { echo "detect flagged nothing on the farm web"; exit 1; }
+diff "$SMOKE_DIR/rk-natural.flags" "$SMOKE_DIR/rk-degree.flags" \
+  || { echo "detect on the re-keyed image flags different hosts"; exit 1; }
 
 echo "== incremental pipeline smoke: generate --evolve / estimate --state / update =="
 ./target/release/spammass generate --hosts 5000 --seed 11 \
