@@ -1,11 +1,17 @@
 //! Partial-select top-k: the k best items without sorting all n.
 //!
 //! The detect CLI prints candidates ranked by scaled PageRank, and the
-//! query daemon's `/topk` endpoint ranks every host by estimated spam
-//! mass. Both want a handful of winners out of up to millions of
-//! scores; a full `O(n log n)` sort pays for order nobody reads. This
-//! module keeps a size-k min-heap instead — `O(n log k)`, and for the
-//! serving path crucially allocation-bounded by k, not n.
+//! query daemon ranks every host by estimated spam mass. Both want a
+//! handful of winners out of up to millions of scores; a full
+//! `O(n log n)` sort pays for order nobody reads. This module keeps a
+//! size-k min-heap instead — `O(n log k)`. The daemon runs it three times
+//! per snapshot at load, one ranking per `/topk` axis, and a request
+//! slices those; per request it runs only over one host's in-neighbours
+//! for `/explain`.
+//!
+//! Memory is bounded by the smaller of `k` and the input, never by `k`
+//! alone: `k` may arrive from a request unchecked (`/explain?limit=`), so
+//! the heap reserves for `min(k, items.size_hint().0) + 1` entries.
 //!
 //! Scores are compared with `f64::total_cmp` (the workspace's NaN-safe
 //! ordering convention): NaN sorts below every real score, so a single
@@ -71,8 +77,10 @@ pub fn top_k_by<T>(
     if k == 0 {
         return Vec::new();
     }
-    let mut heap: BinaryHeap<Entry<T>> = BinaryHeap::with_capacity(k + 1);
-    for (position, item) in items.into_iter().enumerate() {
+    let items = items.into_iter();
+    let mut heap: BinaryHeap<Entry<T>> =
+        BinaryHeap::with_capacity(k.min(items.size_hint().0).saturating_add(1));
+    for (position, item) in items.enumerate() {
         let entry = Entry { score: score(&item), position, item };
         if heap.len() < k {
             heap.push(entry);
@@ -136,6 +144,14 @@ mod tests {
     fn empty_and_zero_k() {
         assert!(top_k_scores(&[], 5).is_empty());
         assert!(top_k_scores(&[1.0, 2.0], 0).is_empty());
+    }
+
+    #[test]
+    fn huge_k_allocates_for_the_input_not_the_request() {
+        let scores = [0.2, 0.7, 0.5];
+        for k in [1usize << 40, usize::MAX] {
+            assert_eq!(top_k_scores(&scores, k), full_sort(&scores, 3), "k = {k}");
+        }
     }
 
     #[test]

@@ -353,6 +353,13 @@ mod tests {
         let contributions = parsed.get("contributions").and_then(Json::as_arr).unwrap();
         assert_eq!(contributions.len(), 1);
         assert_eq!(contributions[0].get("from").and_then(Json::as_f64), Some(2.0));
+
+        // An unchecked limit must not size an allocation: it lists every
+        // in-neighbour and no more.
+        let doc = explain(&snap, &request("/explain?node=0&limit=1000000000000")).unwrap();
+        let parsed = Json::parse(&doc.render()).unwrap();
+        assert_eq!(parsed.get("in_degree").and_then(Json::as_f64), Some(2.0));
+        assert_eq!(parsed.get("contributions").and_then(Json::as_arr).map(<[_]>::len), Some(2));
         assert!(matches!(
             explain(&snap, &request("/explain?node=7")).unwrap_err(),
             QueryError::UnknownNode(7)

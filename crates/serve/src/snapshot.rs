@@ -6,12 +6,14 @@
 //! image memory-mapped zero-copy where the platform supports it, the
 //! score vectors through the checksummed `SPAMSCRS` images. What is the
 //! snapshot's own is everything derived — absolute mass, relative mass,
-//! the Algorithm 2 flag set — computed eagerly at load time with exactly
-//! the conventions of `spammass_core` (`M̃ = p − p′` unclamped,
-//! `m̃ = M̃/p` with `p = 0 → 0`, flag when `p̂ ≥ ρ` and `m̃ ≥ τ`), so a
-//! daemon answer and a `spammass detect` run over the same generation
-//! can never disagree.
+//! the Algorithm 2 flag set, and one rank index per [`RankBy`] axis (the
+//! best `min(n, TOPK_LIMIT)` host ids, which `/topk` slices) — computed
+//! eagerly at load time with exactly the conventions of `spammass_core`
+//! (`M̃ = p − p′` unclamped, `m̃ = M̃/p` with `p = 0 → 0`, flag when
+//! `p̂ ≥ ρ` and `m̃ ≥ τ`), so a daemon answer and a `spammass detect` run
+//! over the same generation can never disagree.
 
+use crate::service::TOPK_LIMIT;
 use crate::ServeError;
 use spammass_core::detector::{detect_raw, Detection, DetectorConfig};
 use spammass_core::top_k_by;
@@ -82,6 +84,9 @@ pub enum RankBy {
 }
 
 impl RankBy {
+    /// Every axis, in discriminant order: `by as usize` indexes it.
+    const ALL: [RankBy; 3] = [RankBy::Absolute, RankBy::Relative, RankBy::Pagerank];
+
     /// Parses the `by=` query value.
     pub fn parse(s: &str) -> Option<RankBy> {
         match s {
@@ -113,6 +118,9 @@ pub struct Snapshot {
     core_pagerank: Vec<f64>,
     relative: Vec<f64>,
     detection: Detection,
+    /// Per [`RankBy`] axis (indexed `by as usize`), the best
+    /// `min(n, TOPK_LIMIT)` host ids, descending.
+    rankings: [Vec<u32>; 3],
     core_len: usize,
     damping: f64,
     mapped: bool,
@@ -142,6 +150,18 @@ impl Snapshot {
             .collect();
         let scale = n as f64 / (1.0 - damping);
         let detection = detect_raw(&pagerank, &relative, scale, detector);
+        // The ranking is a strict total order (score, then the lower id),
+        // so the top k of any k ≤ TOPK_LIMIT is a prefix of these.
+        let rankings = RankBy::ALL.map(|by| {
+            top_k_by(0..n as u32, TOPK_LIMIT, |&x| {
+                let i = x as usize;
+                match by {
+                    RankBy::Absolute => (pagerank[i] - core_pagerank[i]) * scale,
+                    RankBy::Relative => relative[i],
+                    RankBy::Pagerank => pagerank[i] * scale,
+                }
+            })
+        });
         let mapped = graph.is_zero_copy();
         Ok(Snapshot {
             generation: generation.unwrap_or(0),
@@ -150,6 +170,7 @@ impl Snapshot {
             core_pagerank,
             relative,
             detection,
+            rankings,
             core_len: core.len(),
             damping,
             mapped,
@@ -209,18 +230,12 @@ impl Snapshot {
         })
     }
 
-    /// The `k` hosts ranking highest on `by`, descending.
+    /// The `k` hosts ranking highest on `by`, descending, ties to the
+    /// lower id — read from the rank index built at load, so at most
+    /// `min(n, TOPK_LIMIT)` rows whatever `k` asks for.
     pub fn top_k(&self, by: RankBy, k: usize) -> Vec<NodeScore> {
-        let scale = self.scale();
-        let scores = top_k_by(0..self.graph.node_count() as u32, k, |&x| {
-            let i = x as usize;
-            match by {
-                RankBy::Absolute => (self.pagerank[i] - self.core_pagerank[i]) * scale,
-                RankBy::Relative => self.relative[i],
-                RankBy::Pagerank => self.pagerank[i] * scale,
-            }
-        });
-        scores.into_iter().filter_map(|x| self.score(x)).collect()
+        let ranking = &self.rankings[by as usize];
+        ranking[..k.min(ranking.len())].iter().filter_map(|&x| self.score(x)).collect()
     }
 
     /// Which in-neighbors (and what residual jump share) drive `p′` at
@@ -366,6 +381,61 @@ mod tests {
         assert_eq!(by_rel, vec![1, 0, 3, 2]);
         let by_pr: Vec<u32> = snap.top_k(RankBy::Pagerank, 2).into_iter().map(|s| s.node).collect();
         assert_eq!(by_pr, vec![0, 2]);
+
+        // n < TOPK_LIMIT: the index holds every host, so any k ≥ n is all n.
+        for by in RankBy::ALL {
+            for k in [0, 1, 4, 5, TOPK_LIMIT, usize::MAX] {
+                assert_eq!(snap.top_k(by, k), heap_top_k(&snap, by, k), "{by:?} k = {k}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// What `top_k` computed per request before the rank indexes: a heap
+    /// over every host on the scaled score the response reports.
+    fn heap_top_k(snap: &Snapshot, by: RankBy, k: usize) -> Vec<NodeScore> {
+        let all = 0..snap.node_count() as u32;
+        let ids = top_k_by(all, k, |&x| {
+            let s = snap.score(x).unwrap();
+            match by {
+                RankBy::Absolute => s.absolute,
+                RankBy::Relative => s.relative,
+                RankBy::Pagerank => s.pagerank,
+            }
+        });
+        ids.into_iter().filter_map(|x| snap.score(x)).collect()
+    }
+
+    #[test]
+    fn rank_indexes_equal_a_heap_over_every_host() {
+        let dir = tmpdir("rank-index");
+        let n = TOPK_LIMIT + 2_000;
+        // Few score levels, so ties straddle every cut; p = 0 hosts
+        // (relative mass 0) and p′ > p hosts (negative mass, γ overshoot).
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut level = |levels: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % levels) as f64 / 8_000.0
+        };
+        let p: Vec<f64> = (0..n).map(|_| level(8)).collect();
+        let pc: Vec<f64> = (0..n).map(|_| level(10)).collect();
+        assert!(p.contains(&0.0));
+        assert!(p.iter().zip(&pc).any(|(p, pc)| pc > p));
+        let edges: Vec<(u32, u32)> = (0..n as u32).map(|i| (i, (i * 7 + 1) % n as u32)).collect();
+        let state = StateDir::new(&dir);
+        state.save(&GraphBuilder::from_edges(n, &edges), &[NodeId(0)], &p, &pc).unwrap();
+        let snap = Snapshot::load(&state, &DetectorConfig::default(), 0.85).unwrap();
+
+        for by in RankBy::ALL {
+            for k in [0, 1, 100, TOPK_LIMIT] {
+                assert_eq!(snap.top_k(by, k), heap_top_k(&snap, by, k), "{by:?} k = {k}");
+            }
+            for k in [TOPK_LIMIT + 1, n + 5] {
+                assert_eq!(snap.top_k(by, k).len(), TOPK_LIMIT, "{by:?} k = {k}");
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -2,7 +2,9 @@
 //! connections while the snapshot is republished and swapped repeatedly.
 //! Every response must be **internally consistent** — the score and flag
 //! it reports must be exactly the ones belonging to the generation it
-//! claims — i.e. no torn reads across an epoch swap, ever.
+//! claims — i.e. no torn reads across an epoch swap, ever. One reader
+//! alternates with `/topk?k=1`, whose answer comes from the rank index
+//! built with the snapshot: its top host must be the generation's own.
 //!
 //! The second case pins what keeps an *old* reader safe through those
 //! swaps: a snapshot serves its graph out of a mapping of
@@ -25,16 +27,18 @@ use std::time::Duration;
 const DAMPING: f64 = 0.85;
 const NODES: usize = 4;
 
-/// Per-generation ground truth for node 0: stored `p`, stored `p′`, and
-/// whether Algorithm 2 (ρ = 1, τ = 0.5) flags it. Generation g uses row
-/// g − 1. Flags alternate so a torn (generation, flag) pair is loud.
-const TABLE: &[(f64, f64, bool)] = &[
-    (0.40, 0.10, true),  // m̃ = 0.750
-    (0.35, 0.30, false), // m̃ ≈ 0.143
-    (0.30, 0.05, true),  // m̃ ≈ 0.833
-    (0.25, 0.20, false), // m̃ = 0.200
-    (0.45, 0.10, true),  // m̃ ≈ 0.778
-    (0.50, 0.40, false), // m̃ = 0.200
+/// Per-generation ground truth for node 0: stored `p`, stored `p′`,
+/// whether Algorithm 2 (ρ = 1, τ = 0.5) flags it, and the host with the
+/// most absolute mass — node 0 (mass p − p′) or node 3 (a constant
+/// 0.15). Generation g uses row g − 1. Flags and the top host alternate
+/// so a torn (generation, flag) or (generation, top) pair is loud.
+const TABLE: &[(f64, f64, bool, u32)] = &[
+    (0.40, 0.10, true, 0),  // m̃ = 0.750, M̃ = 0.30
+    (0.35, 0.30, false, 3), // m̃ ≈ 0.143, M̃ = 0.05
+    (0.30, 0.05, true, 0),  // m̃ ≈ 0.833, M̃ = 0.25
+    (0.25, 0.20, false, 3), // m̃ = 0.200, M̃ = 0.05
+    (0.45, 0.10, true, 0),  // m̃ ≈ 0.778, M̃ = 0.35
+    (0.50, 0.40, false, 3), // m̃ = 0.200, M̃ = 0.10
 ];
 
 fn tmpdir(test: &str) -> PathBuf {
@@ -45,7 +49,7 @@ fn tmpdir(test: &str) -> PathBuf {
 }
 
 fn publish(state: &StateDir, row: usize) -> u64 {
-    let (p0, pc0, _) = TABLE[row];
+    let (p0, pc0, _, _) = TABLE[row];
     let g = GraphBuilder::from_edges(NODES, &[(1, 0), (2, 0), (2, 3)]);
     let p = [p0, 0.1, 0.3, 0.2];
     let pc = [pc0, 0.0, 0.3, 0.05];
@@ -103,14 +107,17 @@ fn responses_stay_consistent_across_repeated_swaps() {
     let scale = NODES as f64 / (1.0 - DAMPING);
     let stop = Arc::new(AtomicBool::new(false));
     let readers: Vec<_> = (0..3)
-        .map(|_| {
+        .map(|id| {
             let stop = stop.clone();
             std::thread::spawn(move || {
                 let mut reader = connect(addr);
                 let mut checked = 0usize;
                 let mut generations_seen = std::collections::BTreeSet::new();
                 while !stop.load(Ordering::Acquire) {
-                    let (status, body) = get(&mut reader, "/score?node=0");
+                    // Reader 0 sends every other request to /topk.
+                    let topk = id == 0 && checked % 2 == 1;
+                    let path = if topk { "/topk?k=1" } else { "/score?node=0" };
+                    let (status, body) = get(&mut reader, path);
                     assert_eq!(status, 200, "{body}");
                     let doc = Json::parse(&body).unwrap();
                     let generation = doc.get("generation").and_then(Json::as_f64).unwrap() as usize;
@@ -118,18 +125,32 @@ fn responses_stay_consistent_across_repeated_swaps() {
                         (1..=TABLE.len()).contains(&generation),
                         "generation {generation} was never published"
                     );
-                    let (p0, _, flag) = TABLE[generation - 1];
-                    let score = doc.get("score").unwrap();
-                    let pagerank = score.get("pagerank").and_then(Json::as_f64).unwrap();
-                    let flagged = score.get("flagged") == Some(&Json::Bool(true));
-                    // The consistency pin: score and flag must belong to
-                    // the generation the response claims.
-                    assert!(
-                        (pagerank - p0 * scale).abs() < 1e-6,
-                        "generation {generation} reported pagerank {pagerank}, expected {}",
-                        p0 * scale
-                    );
-                    assert_eq!(flagged, flag, "generation {generation} reported flag {flagged}");
+                    let (p0, _, flag, top) = TABLE[generation - 1];
+                    // The consistency pin: score, flag and ranking must
+                    // belong to the generation the response claims.
+                    if topk {
+                        let results = doc.get("results").and_then(Json::as_arr).unwrap();
+                        assert_eq!(results.len(), 1, "{body}");
+                        let node = results[0].get("node").and_then(Json::as_f64).unwrap();
+                        assert_eq!(
+                            node,
+                            f64::from(top),
+                            "generation {generation} ranked host {node} first, expected {top}"
+                        );
+                    } else {
+                        let score = doc.get("score").unwrap();
+                        let pagerank = score.get("pagerank").and_then(Json::as_f64).unwrap();
+                        let flagged = score.get("flagged") == Some(&Json::Bool(true));
+                        assert!(
+                            (pagerank - p0 * scale).abs() < 1e-6,
+                            "generation {generation} reported pagerank {pagerank}, expected {}",
+                            p0 * scale
+                        );
+                        assert_eq!(
+                            flagged, flag,
+                            "generation {generation} reported flag {flagged}"
+                        );
+                    }
                     checked += 1;
                     generations_seen.insert(generation);
                 }

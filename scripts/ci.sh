@@ -244,6 +244,20 @@ grep -q '"generation":1' "$SMOKE_DIR/stats-gen1.out" \
   || { echo "gen-0001/graph.bin is not a v3 image"; exit 1; }
 grep -q '"mapped":true' "$SMOKE_DIR/stats-gen1.out" \
   || { echo "/stats does not serve the graph mapped"; cat "$SMOKE_DIR/stats-gen1.out"; exit 1; }
+# Below TOPK_LIMIT hosts the snapshot's rank index holds every host, so
+# the largest /topk lists them all.
+NODES="$(sed -n 's/.*"nodes":\([0-9]*\).*/\1/p' "$SMOKE_DIR/stats-gen1.out")"
+squery '/topk?k=10000&by=pagerank' > "$SMOKE_DIR/topk-all.out"
+TOPK_COUNT="$(sed -n 's/.*"count":\([0-9]*\).*/\1/p' "$SMOKE_DIR/topk-all.out")"
+[ -n "$NODES" ] && [ "$TOPK_COUNT" = "$NODES" ] \
+  || { echo "/topk?k=10000 listed ${TOPK_COUNT:-no} hosts, /stats has ${NODES:-no} nodes"; exit 1; }
+# A limit far past any in-degree lists every in-neighbour, allocates for
+# no more, and leaves the daemon answering.
+squery '/explain?node=0&limit=1000000000000' > "$SMOKE_DIR/explain-huge.out"
+grep -q 'spammass.explain_response/v1' "$SMOKE_DIR/explain-huge.out" \
+  || { echo "/explain with a huge limit failed"; cat "$SMOKE_DIR/explain-huge.out"; exit 1; }
+squery '/score?node=0' | grep -q 'spammass.score_response/v1' \
+  || { echo "the daemon stopped answering after /explain with a huge limit"; exit 1; }
 # Publish fresh journal records and trigger the warm reload.
 cp "$SMOKE_DIR/srv.journal" "$SMOKE_DIR/srv-live.journal"
 squery '/reload' > "$SMOKE_DIR/reload.out"
@@ -253,6 +267,9 @@ squery '/score?node=0' > "$SMOKE_DIR/score-gen2.out"
 grep -q '"generation":2' "$SMOKE_DIR/score-gen2.out" \
   || { echo "post-reload /score still on generation 1"; \
        cat "$SMOKE_DIR/score-gen2.out"; exit 1; }
+# The rank index was rebuilt with the new snapshot, not carried over.
+squery '/topk?k=1' | grep -q '"generation":2' \
+  || { echo "post-reload /topk still on generation 1"; exit 1; }
 # The swap is visible: same query, different generation tag.
 if diff -q "$SMOKE_DIR/score-gen1.out" "$SMOKE_DIR/score-gen2.out" > /dev/null; then
   echo "reload changed nothing in /score output"; exit 1
