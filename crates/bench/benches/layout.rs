@@ -8,8 +8,8 @@
 //! verification pass prints a `BENCH_LAYOUT {...}` JSON line for
 //! `scripts/bench.sh` to collect and asserts:
 //!
-//! * the degree-ordered solve reproduces natural-order scores exactly
-//!   (≤1e-12 after inverse mapping) — always;
+//! * the degree-ordered solve reproduces natural-order scores (≤1e-12
+//!   after inverse mapping, both solved to tolerance 1e-12) — always;
 //! * degree order beats natural order by ≥15% median, and 4
 //!   configured threads are not slower than 1 — only in timed runs on
 //!   hosts with ≥4 hardware threads (the auto-sizer may resolve both
@@ -54,7 +54,6 @@ fn solve(g: &Graph, cfg: &PageRankConfig) -> Vec<f64> {
 fn verify_and_report(g: &Graph) {
     let reps = if smoke_mode() { 1 } else { 5 };
     let cfg = config().threads(1);
-    let baseline = solve(g, &cfg);
     let natural_ms = median_ms(reps, || {
         black_box(solve(g, &cfg));
     });
@@ -63,9 +62,14 @@ fn verify_and_report(g: &Graph) {
     let perm = Permutation::compute(g, NodeOrdering::DegreeDescending);
     let permuted = perm.permute_graph(g);
     let degree_order_ms = t.elapsed().as_secs_f64() * 1e3;
-    // Correctness first: the permuted solve must reproduce the
-    // natural-order fixed point exactly after inverse mapping.
-    let restored = perm.restore_values(&solve(&permuted, &cfg));
+    // Correctness first: the permuted solve must reach the natural-order
+    // fixed point after inverse mapping. The in-place sweep's fresh reads
+    // follow the node order, so two orders stop at different iterates
+    // within the tolerance (7e-12 apart at 1e-10 on this web): check at
+    // 1e-12.
+    let exact = cfg.tolerance(1e-12);
+    let baseline = solve(g, &exact);
+    let restored = perm.restore_values(&solve(&permuted, &exact));
     let max_diff =
         restored.iter().zip(&baseline).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
     assert!(max_diff <= 1e-12, "degree: scores diverge after inverse mapping: {max_diff:e}");

@@ -1,5 +1,8 @@
 //! Solver comparison: Jacobi (Algorithm 1), Gauss–Seidel, power iteration
-//! (eigen formulation), and the production engine with one column.
+//! (eigen formulation), and the production engine with one column
+//! (`parallel_jacobi`, a name kept for the checked-in baselines: the
+//! engine's sweep is in place within each worker, and under the serial
+//! cutoff it runs Algorithm 1).
 //!
 //! Backs the paper's Section 2.2 remark that linear solvers "are regularly
 //! faster than the algorithms available for solving eigensystems", and

@@ -6,7 +6,12 @@
 //! All solvers run to the same tolerance on the same graph and jump
 //! vector; the table reports iterations and the measured geometric
 //! convergence rate (ideal Jacobi rate = c = 0.85; Gauss–Seidel beats it
-//! because in-sweep updates propagate within an iteration).
+//! because in-sweep updates propagate within an iteration). The engine
+//! row is the production solve: in place within each worker (Gauss–Seidel
+//! there, Jacobi between workers), with the edge quota lifted so it runs
+//! the engine rather than the serial route. A graph under 16k nodes still
+//! sizes to one worker and takes that route, so at test scale the row
+//! repeats Algorithm 1's.
 
 use crate::context::Context;
 use crate::report::{f, Table};
@@ -23,8 +28,9 @@ pub fn run(ctx: &Context) -> Vec<Table> {
         ("jacobi (Algorithm 1)", jacobi::solve_jacobi(g, &jump, &cfg)),
         ("gauss-seidel", gauss_seidel::solve_gauss_seidel(g, &jump, &cfg)),
         (
-            "parallel jacobi",
-            solve_batch(g, std::slice::from_ref(&jump), &cfg).map(|mut columns| columns.remove(0)),
+            "engine (in place)",
+            solve_batch(g, std::slice::from_ref(&jump), &cfg.edges_per_thread(1))
+                .map(|mut columns| columns.remove(0)),
         ),
         ("power iteration (eigen)", power::solve_power(g, &jump, &cfg)),
     ];
@@ -66,6 +72,8 @@ mod tests {
         let gs = iters("gauss-seidel");
         let pow = iters("power");
         assert!(gs < jac, "gauss-seidel {gs} should beat jacobi {jac}");
+        let engine = iters("engine");
+        assert!(engine <= jac, "the engine {engine} should need no more sweeps than jacobi {jac}");
         // The paper's actual claim: the linear formulation admits methods
         // (Gauss-Seidel) that are "regularly faster" than power iteration.
         // Plain Jacobi and power iteration share the same O(c^k) rate.

@@ -1,5 +1,14 @@
-//! The one Jacobi sweep: a per-row relaxation body and a `K`-column
-//! controller, driven by two row sources.
+//! The one sweep: a per-row relaxation body and a `K`-column controller,
+//! driven by two row sources.
+//!
+//! The sweep relaxes **in place** where a worker can: when a worker
+//! relaxes row `y`, an in-neighbour it already relaxed earlier in the same
+//! sweep — a source in `first..y`, `first` being the worker's first row —
+//! is read from the write buffer, every other one from the read buffer
+//! ([`kernel::gather_row`]). Within one worker's rows that is
+//! Gauss–Seidel; across workers, and for the resident source's boundary
+//! pieces, it stays Jacobi. `crate::chain` derives why the step still
+//! bounds the true residual and contracts by `c` a sweep.
 //!
 //! * [`RowBody::relax`] is the sweep's arithmetic for one destination
 //!   row: `(1−c)·v[y]`, plus the gathered in-edge sum, committed to the
@@ -13,28 +22,33 @@
 //! The **resident** source is [`solve_pooled`] below: the in-CSR cut into
 //! equal edge ranges ([`EdgePartition`]), one worker per range on the
 //! persistent pool ([`crate::pool`]), one handoff per sweep. Each worker
-//! relaxes its interior rows straight into the write buffer and gathers
-//! the up-to-two partial row pieces at its range boundaries into private
-//! scratch; after the handoff the control thread relaxes the boundary
-//! rows from those pieces in fixed worker order and folds each column's
-//! residual from the workers' partial sums — worker index order, then
-//! the boundary rows — so the convergence decision is independent of
-//! thread scheduling. The **streamed** source is
+//! relaxes its interior rows in place, in ascending order, straight into
+//! the write buffer, and gathers the up-to-two partial row pieces at its
+//! range boundaries from the read buffer into private scratch; after the
+//! handoff the control thread relaxes the boundary rows from those
+//! pieces in fixed worker order and folds each column's residual from
+//! the workers' partial sums — worker index order, then the boundary
+//! rows — so the convergence decision is independent of thread
+//! scheduling. The **streamed** source is
 //! [`crate::stream::solve_batch_streamed`] through
 //! [`Columns::solve_whole_rows`]: the same body, controller, pool and
 //! handoff over rows each worker decodes block-at-a-time from its own
-//! range of a compressed image's in-blocks. Blocks hold whole rows, so
-//! that source has no boundary pieces and no merge phase.
+//! range of a compressed image's in-blocks, in place over that range.
+//! Blocks hold whole rows, so that source has no boundary pieces and no
+//! merge phase.
 //!
-//! Determinism: for a fixed `(graph, threads)` the partition, the per-row
-//! accumulation order, the boundary-row order and the residual reduction
-//! order are all fixed, so results are bit-for-bit reproducible across
-//! runs; a column is bit-identical whatever `K` it is solved under
-//! because the gather kernel's edge→bank assignment ignores `K`; a
-//! streamed solve's scores do not depend on its worker count (a Jacobi
-//! row reads only the previous sweep); and the one-worker streamed solve
-//! is bit-identical to the one-worker resident solve because neither has
-//! boundary rows and both fold one worker's residual.
+//! Determinism: for a fixed `(graph, threads)` the partition (and so
+//! which reads are fresh), the per-row accumulation order, the
+//! boundary-row order and the residual reduction order are all fixed, so
+//! results are bit-for-bit reproducible across runs; a column is
+//! bit-identical whatever `K` it is solved under because the gather
+//! kernel's edge→bank assignment ignores `K` and a column's fresh reads
+//! are its own; across worker counts scores agree to rounding (≤ 1e-12
+//! at the default tolerance), for either source, because the workers'
+//! first rows move; and the one-worker streamed solve is bit-identical to
+//! the one-worker resident solve because neither has boundary rows, both
+//! read every source in `0..y` fresh, and both fold one worker's
+//! residual.
 //!
 //! Everything is allocated before the first sweep (the streamed workers'
 //! decode scratches grow during it); the iteration loop is
@@ -156,7 +170,8 @@ impl<const K: usize> Verdicts<K> {
 
 /// The `K`-column controller: interleaved matrices plus per-column
 /// verdicts. Sweep `r` (0-based) reads `bufs[r % 2]` and writes
-/// `bufs[(r + 1) % 2]`; frozen columns are copied through every later
+/// `bufs[(r + 1) % 2]` — each worker also reading back the rows it has
+/// written there this sweep; frozen columns are copied through every later
 /// sweep, so after `completed` sweeps `bufs[completed % 2]` holds every
 /// column's final iterate.
 pub(crate) struct Columns<const K: usize> {
@@ -208,13 +223,13 @@ impl<const K: usize> Columns<K> {
     /// exactly the destination rows `rows[w]` each sweep. Whole rows have
     /// no boundary pieces, so there is no merge phase; each column's
     /// residual is folded from the workers' partial sums in worker index
-    /// order, which makes a fixed `rows` bit-reproducible, and every
-    /// score is independent of how the rows are split.
+    /// order, which makes a fixed `rows` bit-reproducible.
     ///
     /// `relax_rows(w, body, read, write, deltas)` relaxes worker `w`'s
-    /// rows through `body`: `read` is the sweep's read buffer, `write`
-    /// the `rows[w]` window of its write buffer, `deltas` the worker's
-    /// residual sums. An `Err` is parked in the worker's slot, the
+    /// rows through `body`, in place: `read` is the sweep's read buffer,
+    /// `write` the `rows[w]` window of its write buffer — where the rows
+    /// relaxed so far this sweep are read back fresh — and `deltas` the
+    /// worker's residual sums. An `Err` is parked in the worker's slot, the
     /// sweep's handoff completes, and control returns the lowest-indexed
     /// worker's error before any verdict is taken from the half-written
     /// buffer.
@@ -261,10 +276,11 @@ impl<const K: usize> Columns<K> {
         let (active, failures) = (&active, &failures);
 
         let kernel = |round: usize, worker: usize| {
-            // SAFETY: every worker reads bufs[round % 2] and writes only
-            // its own rows of bufs[(round+1) % 2] — `rows` is pairwise
-            // disjoint (asserted above) — and the pool handoff orders
-            // rounds, so no location is read while written.
+            // SAFETY: every worker reads bufs[round % 2] and writes (and
+            // reads back) only its own rows of bufs[(round+1) % 2] —
+            // `rows` is pairwise disjoint (asserted above) — and the pool
+            // handoff orders rounds, so no location is read while another
+            // thread writes it.
             let read = unsafe { bufs[round % 2].as_slice() };
             let mine = &rows[worker];
             let write = unsafe { bufs[(round + 1) % 2].range_mut(mine.start * K, mine.end * K) };
@@ -403,11 +419,12 @@ pub(crate) fn solve_pooled<const K: usize>(
 
         let kernel = |round: usize, worker: usize| {
             // SAFETY: the buffers alternate roles by round parity — every
-            // worker reads bufs[round % 2] and writes only its own
-            // interior rows of bufs[(round+1) % 2] (interiors are
-            // pairwise disjoint and disjoint from the boundary rows the
-            // control thread relaxes); the pool handoff orders rounds, so
-            // no location is read while written.
+            // worker reads bufs[round % 2] and writes (and reads back)
+            // only its own interior rows of bufs[(round+1) % 2]
+            // (interiors are pairwise disjoint and disjoint from the
+            // boundary rows the control thread relaxes); the pool handoff
+            // orders rounds, so no location is read while another thread
+            // writes it.
             let read = unsafe { bufs[round % 2].as_slice() };
             let interior = partition.interior(worker);
             let write =
@@ -424,22 +441,27 @@ pub(crate) fn solve_pooled<const K: usize>(
                 active: std::array::from_fn(|j| active[j].load(Ordering::Relaxed)),
             };
             let mut local_deltas = [0.0f64; K];
-            for (y, row) in interior.clone().zip(write.chunks_exact_mut(K)) {
+            let first = interior.start;
+            for y in interior {
+                // In place: the interior rows this worker already relaxed
+                // this sweep are read back from the write window.
+                let (fresh, rest) = write.split_at_mut((y - first) * K);
                 let row_srcs = &srcs_all[offsets[y] as usize..offsets[y + 1] as usize];
                 body.relax(
                     y,
                     read,
-                    |acc| kernel::gather_row(read, coef, row_srcs, acc),
-                    row,
+                    |acc| kernel::gather_row(read, fresh, first, coef, row_srcs, acc),
+                    &mut rest[..K],
                     &mut local_deltas,
                 );
             }
-            // Boundary pieces: accumulate into private scratch; the
-            // control thread relaxes their rows after the handoff.
+            // Boundary pieces: accumulate from the read buffer into
+            // private scratch; the control thread relaxes their rows
+            // after the handoff.
             for (slot, piece) in partition.pieces(worker).iter().enumerate() {
                 if let Some(p) = piece {
                     let mut acc = [0.0f64; K];
-                    kernel::gather_row(read, coef, &srcs_all[p.edges.clone()], &mut acc);
+                    kernel::gather_row(read, &[], 0, coef, &srcs_all[p.edges.clone()], &mut acc);
                     my_partials[slot * K..(slot + 1) * K].copy_from_slice(&acc);
                 }
             }

@@ -23,6 +23,13 @@ const MAX_GROWTH_STREAK: usize = 5;
 
 /// A residual this many times larger than the first observed residual,
 /// combined with a sustained growth streak, is declared divergence.
+///
+/// Sound for the engine's in-place sweep at `c ≤ 0.9`: with the split
+/// `cTᵀ = L + U` of `crate::chain`'s module docs, the step of sweep
+/// `k ≥ 2` is `Δ_k = (I−L)⁻¹·U·Δ_{k−1} = (I−L)⁻¹·(U(I−L)⁻¹)^{k−2}·U·Δ_1`,
+/// and `‖U‖₁ ≤ c`, `‖U(I−L)⁻¹‖₁ ≤ c`, `‖(I−L)⁻¹‖₁ ≤ 1/(1−c)` give
+/// `‖Δ_k‖₁ ≤ c^{k−1}·‖Δ_1‖₁/(1−c) ≤ 10·‖Δ_1‖₁` — a converging solve's step
+/// may rise after the first sweep, but never past this factor.
 const DIVERGENCE_FACTOR: f64 = 10.0;
 
 /// Tracks the residual sequence of one solve and reports pathologies.

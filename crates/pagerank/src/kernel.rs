@@ -1,6 +1,14 @@
 //! The gather kernel: `acc[j] += p[x]·coef[x]` over a row's in-edge
 //! sources — the hot loop of every engine sweep, resident or streamed.
 //!
+//! The sweep relaxes in place: a worker relaxing its rows `first..` in
+//! ascending order reads a source `x` in `first..y` — a row it already
+//! relaxed this sweep — from its write window (*fresh*), and every other
+//! source from the previous sweep's buffer (*stale*). [`gather_row`]
+//! decides per edge, with one unsigned compare, which buffer a source's
+//! scores come from; an empty window makes it a plain Jacobi gather (the
+//! resident source's boundary pieces).
+//!
 //! A strictly sequential accumulation chains every add through one
 //! register, so the ~4-cycle FP-add latency — not memory bandwidth —
 //! bounds throughput on rows with many in-edges (which degree ordering
@@ -11,12 +19,27 @@
 //!
 //! Reproducibility rules:
 //!
-//! * the edge→bank assignment depends only on an edge's position within
-//!   the row slice — never on the column count `K` — so a batched column
-//!   stays bit-for-bit identical to the equivalent one-column solve;
+//! * a row is one pass in edge order, and the edge→bank assignment
+//!   depends only on an edge's position in the row — never on the column
+//!   count `K` or on which buffer an edge reads — so a batched column
+//!   stays bit-for-bit identical to the equivalent one-column solve, and
+//!   a row with no fresh source sums exactly as a Jacobi gather does;
 //! * rows with fewer than [`UNROLL_CUTOFF`] (16) in-edges run the plain
 //!   sequential loop — their chains are already shorter than the FP-add
 //!   pipeline.
+//!
+//! Edge order, not stale-then-fresh: summing a row's stale sources first
+//! and its fresh ones last keeps the fresh reads off the front of the add
+//! chain, but every way of doing it measured slower than one pass in edge
+//! order with a per-edge select. Best of three to five runs in
+//! alternating sets on a 2-core host, two workers — 1M-host stream web,
+//! ms a streamed sweep (the Jacobi sweep read 35–40 there): three slice
+//! gathers bounded by binary search 49.2, one stale-first pass over a
+//! computed index 50.4, edge order with binary-searched bounds 43.8, edge
+//! order with the compare above 40.1; 120k-host scenario web, K = 2, ms a
+//! resident solve: 332 / 287 / 207 for the last three. Three slices cost
+//! three loop exits on short rows and split long rows' banks, and the
+//! searches themselves cost more than the compare.
 
 use spammass_graph::NodeId;
 
@@ -28,78 +51,70 @@ use spammass_graph::NodeId;
 /// chain actually binds — get the banks.
 const UNROLL_CUTOFF: usize = 16;
 
-/// Sequential accumulation in edge order, for short rows.
-#[inline(always)]
-fn gather_sequential<const K: usize>(
-    read: &[f64],
-    coef: &[f64],
-    srcs: &[NodeId],
-    acc: &mut [f64; K],
-) {
-    for s in srcs {
-        let x = s.index();
-        // SAFETY: CSR source ids are < node_count by graph construction;
-        // callers size coef to node_count and read to node_count·K.
-        unsafe {
-            let w = *coef.get_unchecked(x);
-            let row = read.get_unchecked(x * K..x * K + K);
-            for j in 0..K {
-                acc[j] += row[j] * w;
-            }
-        }
-    }
-}
-
-/// Adds `Σ read[x·K+j]·coef[x]` over `srcs` into `acc`. `read` is the
-/// interleaved `n×K` score matrix, `coef` the per-source coefficient
-/// table `c/out(x)`.
+/// Adds `Σ p[x]·coef[x]` over `srcs` into `acc`, in edge order: `p[x]`
+/// is row `x` of `fresh` when `first ≤ x < first + fresh.len()/K` and row
+/// `x` of `read` otherwise. `read` is the interleaved `n×K` score matrix
+/// of the previous sweep, `fresh` the window of this sweep's write buffer
+/// holding rows `first..y` — those the calling worker already relaxed —
+/// and `coef` the per-source coefficient table `c/out(x)`.
 ///
-/// Chunks of four edges go to banks 0–3; the trailing `len % 4` edges
-/// land in banks 0.. by position, and the banks combine pairwise
-/// `(b0+b1)+(b2+b3)` into `acc`.
+/// Rows of [`UNROLL_CUTOFF`] edges or more go four at a time to banks
+/// 0–3; the trailing `len % 4` edges land in banks 0.. by position, and
+/// the banks combine pairwise `(b0+b1)+(b2+b3)` into `acc`.
 #[inline(always)]
-// `j` strides four banks and four read rows at once; an iterator over
+// `j` strides four banks and four score rows at once; an iterator over
 // any single one of them would obscure the lockstep access pattern.
 #[allow(clippy::needless_range_loop)]
 pub(crate) fn gather_row<const K: usize>(
     read: &[f64],
+    fresh: &[f64],
+    first: usize,
     coef: &[f64],
     srcs: &[NodeId],
     acc: &mut [f64; K],
 ) {
+    let span = fresh.len() / K;
+    // Where row `x` of the fresh window would sit if the window started
+    // at row 0; only ever offset back into the window.
+    let fresh_origin = fresh.as_ptr().wrapping_sub(first * K);
+    let term = |k: usize| {
+        // SAFETY: k < srcs.len() (every loop below); source ids are <
+        // node_count = coef.len() (CSR / decoder invariant); a source in
+        // `first..first + span` has its row in the `fresh` window, any
+        // other in `read` (n×K).
+        unsafe {
+            let x = srcs.get_unchecked(k).index();
+            let origin = if x.wrapping_sub(first) < span { fresh_origin } else { read.as_ptr() };
+            (*coef.get_unchecked(x), &*origin.wrapping_add(x * K).cast::<[f64; K]>())
+        }
+    };
     let len = srcs.len();
     if len < UNROLL_CUTOFF {
-        gather_sequential(read, coef, srcs, acc);
+        for k in 0..len {
+            let (w, row) = term(k);
+            for j in 0..K {
+                acc[j] += row[j] * w;
+            }
+        }
         return;
     }
     let mut banks = [[0.0f64; K]; 4];
-    let mut i = 0usize;
-    while i + 4 <= len {
-        // SAFETY: i+3 < len by the loop bound; source ids are <
-        // node_count (CSR invariant), coef.len() == node_count and
-        // read.len() == node_count·K.
-        unsafe {
-            let x0 = srcs.get_unchecked(i).index();
-            let x1 = srcs.get_unchecked(i + 1).index();
-            let x2 = srcs.get_unchecked(i + 2).index();
-            let x3 = srcs.get_unchecked(i + 3).index();
-            let w0 = *coef.get_unchecked(x0);
-            let w1 = *coef.get_unchecked(x1);
-            let w2 = *coef.get_unchecked(x2);
-            let w3 = *coef.get_unchecked(x3);
-            for j in 0..K {
-                banks[0][j] += *read.get_unchecked(x0 * K + j) * w0;
-                banks[1][j] += *read.get_unchecked(x1 * K + j) * w1;
-                banks[2][j] += *read.get_unchecked(x2 * K + j) * w2;
-                banks[3][j] += *read.get_unchecked(x3 * K + j) * w3;
-            }
+    let mut k = 0usize;
+    while k + 4 <= len {
+        let (w0, r0) = term(k);
+        let (w1, r1) = term(k + 1);
+        let (w2, r2) = term(k + 2);
+        let (w3, r3) = term(k + 3);
+        for j in 0..K {
+            banks[0][j] += r0[j] * w0;
+            banks[1][j] += r1[j] * w1;
+            banks[2][j] += r2[j] * w2;
+            banks[3][j] += r3[j] * w3;
         }
-        i += 4;
+        k += 4;
     }
-    for (bank, s) in banks.iter_mut().zip(&srcs[i..]) {
-        let x = s.index();
-        let w = coef[x];
-        let row = &read[x * K..x * K + K];
+    for (bank, k) in banks.iter_mut().zip(k..len) {
+        let (w, row) = term(k);
         for j in 0..K {
             bank[j] += row[j] * w;
         }
@@ -118,13 +133,18 @@ mod tests {
         ids.iter().map(|&i| NodeId(i)).collect()
     }
 
+    /// A Jacobi gather: every source from `read`.
+    fn gather_stale<const K: usize>(read: &[f64], coef: &[f64], s: &[NodeId], acc: &mut [f64; K]) {
+        gather_row(read, &[], 0, coef, s, acc);
+    }
+
     #[test]
     fn short_rows_accumulate_in_edge_order() {
         let read = [0.125f64, 0.5, 0.0625, 0.25, 0.75];
         let coef = [0.1f64, 0.2, 0.3, 0.4, 0.5];
         for ids in [&[][..], &[2][..], &[0, 4][..], &[3, 1, 0][..]] {
             let mut got = [1.0f64];
-            gather_row(&read, &coef, &srcs(ids), &mut got);
+            gather_stale(&read, &coef, &srcs(ids), &mut got);
             let mut want = 1.0f64;
             for &x in ids {
                 want += read[x as usize] * coef[x as usize];
@@ -138,12 +158,13 @@ mod tests {
         let n = 37usize;
         let read: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 1.0)).collect();
         let coef: Vec<f64> = (0..n).map(|i| 0.85 / (i as f64 + 2.0)).collect();
-        let s = srcs(&(0..n as u32).collect::<Vec<_>>());
-        let mut a = [0.5f64];
+        let mut a = 0.5f64;
+        for i in 0..n {
+            a += read[i] * coef[i];
+        }
         let mut b = [0.5f64];
-        gather_sequential(&read, &coef, &s, &mut a);
-        gather_row(&read, &coef, &s, &mut b);
-        assert!((a[0] - b[0]).abs() < 1e-14, "{} vs {}", a[0], b[0]);
+        gather_stale(&read, &coef, &srcs(&(0..n as u32).collect::<Vec<_>>()), &mut b);
+        assert!((a - b[0]).abs() < 1e-14, "{a} vs {}", b[0]);
     }
 
     #[test]
@@ -158,8 +179,33 @@ mod tests {
         let s = srcs(&(0..n as u32).rev().collect::<Vec<_>>());
         let mut one = [0.0f64];
         let mut two = [0.0f64; 2];
-        gather_row(&read1, &coef, &s, &mut one);
-        gather_row(&read2, &coef, &s, &mut two);
+        gather_stale(&read1, &coef, &s, &mut one);
+        gather_stale(&read2, &coef, &s, &mut two);
         assert_eq!(one[0], two[0]);
+    }
+
+    #[test]
+    fn in_place_reads_only_this_workers_earlier_rows_fresh() {
+        // Worker rows 10..30, relaxing row 20: sources in 10..20 come from
+        // the fresh window, the rest (20 itself included) from `read`.
+        // The result has the bits of a Jacobi gather over one matrix
+        // holding each source's fresh or stale scores — same edge order,
+        // same banks — for short rows and banked ones alike.
+        let n = 40usize;
+        let read: Vec<f64> = (0..2 * n).map(|i| 1.0 + i as f64).collect();
+        let fresh: Vec<f64> = (2 * 10..2 * 20).map(|i| -100.0 / (i as f64 + 1.0)).collect();
+        let coef: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 2.0)).collect();
+        let mut mixed = read.clone();
+        mixed[2 * 10..2 * 20].copy_from_slice(&fresh);
+        for ids in
+            [vec![], vec![3, 9], vec![10, 19], vec![20, 35], vec![9, 10, 19, 20], (0..40).collect()]
+        {
+            let s = srcs(&ids);
+            let mut got = [0.5f64; 2];
+            gather_row(&read, &fresh, 10, &coef, &s, &mut got);
+            let mut want = [0.5f64; 2];
+            gather_stale(&mixed, &coef, &s, &mut want);
+            assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{ids:?}");
+        }
     }
 }

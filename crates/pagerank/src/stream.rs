@@ -1,5 +1,5 @@
-//! Blocked out-of-core Jacobi: PageRank over a compressed image larger
-//! than RAM.
+//! Blocked out-of-core PageRank: the engine's in-place sweep over a
+//! compressed image larger than RAM.
 //!
 //! The resident working set is only what the iteration mathematically
 //! needs: the interleaved jump/front/back score matrices (`3·n·K` f64),
@@ -17,18 +17,20 @@
 //! ## Exactness
 //!
 //! A streamed sweep runs every row through the same row body, gather
-//! kernel and coefficient values as the resident engine, and a Jacobi
-//! row depends only on the previous sweep, so **scores and iteration
-//! counts are bit-for-bit independent of the worker count** — the
-//! streamed solver is not an approximation, just a different row source.
-//! With one worker the residual is bit-identical to the one-worker
-//! resident solve too; with more, each column's residual is folded from
-//! the workers' partial sums in worker index order, so a fixed
-//! `(image, workers)` is bit-reproducible. Against a multi-worker
-//! resident solve the scores agree to the usual re-association noise
-//! (≤1e-12 per node on converged solves), and the flagged set is
-//! identical; `tests/properties.rs` and
-//! `crates/core/tests/stream_parity.rs` pin the claims.
+//! kernel and coefficient values as the resident engine, in place over
+//! each worker's block range: a row reads a source fresh when the same
+//! worker relaxed it earlier in the sweep (a source in `first..y`), so
+//! the streamed solver is not an approximation, just a different row
+//! source. **With one worker, scores, iteration counts and residuals are
+//! bit-identical to the one-worker resident solve** — both read every
+//! source below the row fresh. With more, where each worker's range
+//! starts decides which reads are fresh, and each column's residual is
+//! folded from the workers' partial sums in worker index order: a fixed
+//! `(image, workers)` is bit-reproducible, and across worker counts —
+//! and against any resident solve — scores agree to rounding (≤ 1e-12
+//! per node at the default tolerance) with an identical flagged set.
+//! `tests/properties.rs` and `crates/core/tests/stream_parity.rs` pin the
+//! claims.
 //!
 //! ## Budget
 //!
@@ -119,9 +121,9 @@ pub fn streamed_workers(
 /// by streaming the compressed image's in-blocks through the engine's
 /// sweep — the out-of-core counterpart of
 /// [`crate::batch::solve_batch`], on the same worker pool (sized by
-/// [`streamed_workers`]). Scores and iteration counts do not depend on
-/// the worker count; with one worker the result is bit-identical to the
-/// resident one-worker solve.
+/// [`streamed_workers`]). A fixed worker count is bit-reproducible,
+/// other counts agree to rounding; with one worker the result is
+/// bit-identical to the resident one-worker solve.
 ///
 /// `max_resident_bytes` bounds the solve's own working set (scores,
 /// coefficients, block scratches — not the mmap'd image, which the OS
@@ -314,11 +316,14 @@ fn sweep_blocks<const K: usize>(
                     .map_err(edge_source)?;
                 for i in 0..scratch.rows {
                     let y = scratch.first_row + i;
+                    // In place: the rows of this worker's earlier blocks
+                    // and of this one up to `y` are read back fresh.
+                    let (fresh, rest) = write.split_at_mut((y - first) * K);
                     body.relax(
                         y,
                         read,
-                        |acc| kernel::gather_row(read, coef, scratch.row(i), acc),
-                        &mut write[(y - first) * K..(y - first + 1) * K],
+                        |acc| kernel::gather_row(read, fresh, first, coef, scratch.row(i), acc),
+                        &mut rest[..K],
                         deltas,
                     );
                 }

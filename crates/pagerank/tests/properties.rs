@@ -412,32 +412,70 @@ fn warm_start_saves_iterations_after_small_delta() {
     }
 }
 
+/// `‖(1−c)v + cTᵀp − p‖₁`: the linear-system residual of `p`,
+/// recomputed from the out-edges.
+fn linear_residual(g: &Graph, v: &[f64], p: &[f64], c: f64) -> f64 {
+    let mut r: Vec<f64> = v.iter().map(|x| (1.0 - c) * x).collect();
+    for x in g.nodes() {
+        let out = g.out_neighbors(x);
+        for t in out {
+            r[t.index()] += c * p[x.index()] / out.len() as f64;
+        }
+    }
+    r.iter().zip(p).map(|(a, b)| (a - b).abs()).sum()
+}
+
+/// Share of edges `x → y` with `x < y`: the links an in-place sweep can
+/// read fresh when one worker relaxes both ends.
+fn forward_fraction(g: &Graph) -> f64 {
+    let forward: usize = g.nodes().map(|y| g.in_neighbors(y).partition_point(|x| *x < y)).sum();
+    forward as f64 / g.edge_count() as f64
+}
+
 /// The one parity table: every way the engine can be asked to run the
-/// same solve gives the same answer. Over {threads 1, 2, 4} × {K = 1, 2}
-/// × {cold, warm seed}: scores within 1e-12 of Algorithm 1
-/// (`solve_jacobi_dense_warm`), a column bit-identical whichever
-/// batch width it is solved under, the streamed solve (tiny blocks,
-/// dozens of decodes per sweep) on one worker bit-identical to the
-/// one-worker resident solve — scores, iteration count and residual —
-/// and on 2 and 4 workers bit-identical to itself on one in scores and
-/// iteration count. Node order is a dimension too: the graph renumbered
-/// into degree order, with the core column renumbered alike, solves
-/// cold at K = 2 on 1 and 2 workers to within 1e-12 of the natural-order
-/// oracle once the scores are mapped back.
+/// same solve gives the same answer. Over {links to older ids, the same
+/// graph with ids reversed} × {threads 1, 2, 4} × {K = 1, 2} × {cold,
+/// warm seed} × {resident, streamed}: scores within 1e-12 of Algorithm 1
+/// (`solve_jacobi_dense_warm`); a column bit-identical whichever batch
+/// width it is solved under; the streamed solve (tiny blocks, dozens of
+/// decodes per sweep) on one worker bit-identical to the one-worker
+/// resident solve — scores, iteration count and residual — and on 2 and
+/// 4 workers bit-reproducible for a fixed `(image, workers)` and within
+/// 1e-12 of itself on one. Every cell's recomputed linear residual is at
+/// most `c` times its reported residual (`chain`'s module docs): a result
+/// one buffer stale fails that. Node order is a dimension too: each graph
+/// renumbered into degree order, with the core column renumbered alike,
+/// solves cold at K = 2 on 1 and 2 workers to within 1e-12 of the
+/// natural-order oracle once the scores are mapped back.
+///
+/// The reversed graph is what makes the in-place sweep visible: in the
+/// original every link points to an older id, so no in-edge is ever read
+/// fresh, while reversed every link points forward.
 #[test]
 fn engine_parity_table() {
-    use spammass_graph::{graph_to_bytes_v4_with, CompressedImage, V4Config};
-
     // Hubs wide enough for the gather kernel's accumulator banks, ≥ 4
     // node-floor quotas so four workers survive the auto-sizer, and
     // enough edges that one worker still takes the engine, not the
     // serial route.
     let n = 66_000u32;
-    let g = GraphBuilder::from_edges(n as usize, &preferential_attachment_edges(n, 6));
-    let n = g.node_count();
-    assert!(g.edge_count() >= SERIAL_CUTOFF_EDGES, "{} edges", g.edge_count());
-    assert!(g.nodes().map(|y| g.in_degree(y)).max().unwrap() >= 64);
+    let edges = preferential_attachment_edges(n, 6);
+    let older = GraphBuilder::from_edges(n as usize, &edges);
+    let reversed: Vec<(u32, u32)> = edges.iter().map(|&(f, t)| (n - 1 - f, n - 1 - t)).collect();
+    let newer = GraphBuilder::from_edges(n as usize, &reversed);
+    assert_eq!(forward_fraction(&older), 0.0);
+    assert!(forward_fraction(&newer) > 0.5, "{}", forward_fraction(&newer));
+    for (name, g) in [("older", &older), ("reversed", &newer)] {
+        assert!(g.edge_count() >= SERIAL_CUTOFF_EDGES, "{name}: {} edges", g.edge_count());
+        assert!(g.nodes().map(|y| g.in_degree(y)).max().unwrap() >= 64, "{name}");
+        parity_cells(name, g);
+    }
+}
 
+/// The cells of [`engine_parity_table`] for one graph.
+fn parity_cells(name: &str, g: &Graph) {
+    use spammass_graph::{graph_to_bytes_v4_with, CompressedImage, V4Config};
+
+    let n = g.node_count();
     let core: Vec<NodeId> = (0..n as u32 / 10).map(NodeId).collect();
     let jumps = [JumpVector::Uniform, JumpVector::core(core.clone(), n)];
     let vs: Vec<Vec<f64>> = jumps.iter().map(|j| j.materialize(n).unwrap()).collect();
@@ -448,41 +486,52 @@ fn engine_parity_table() {
         .map(|v| v.iter().enumerate().map(|(y, x)| x * (0.5 + (y % 7) as f64 / 7.0)).collect())
         .collect();
     let config = pooled_cfg();
+    let c = config.damping;
     let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let max_diff =
+        |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0f64, f64::max);
+    let assert_residual =
+        |cell: &str, g: &Graph, v: &[f64], r: &spammass_pagerank::PageRankResult| {
+            // Plus the rounding of the recomputation itself: 6e-17 where a
+            // sweep's step is exactly zero (one worker solves the reversed
+            // graph, a DAG in id order, in a single pass).
+            let recomputed = linear_residual(g, v, &r.scores, c);
+            assert!(
+                recomputed <= c * r.residual + 1e-15,
+                "{cell}: linear residual {recomputed:e} over c × reported {:e}",
+                r.residual
+            );
+        };
     // Tiny blocks: dozens of decodes per worker per sweep.
     let blocks = V4Config { rows_per_block: 512, edges_per_block: 2048 };
     let image = CompressedImage::from_store(std::sync::Arc::new(
-        graph_to_bytes_v4_with(&g, blocks).unwrap(),
+        graph_to_bytes_v4_with(g, blocks).unwrap(),
     ))
     .unwrap();
     // The streamed one-worker cells, which the wider ones compare to.
     let mut streamed_one = Vec::new();
-    let perm = Permutation::compute(&g, NodeOrdering::DegreeDescending);
-    let permuted = perm.permute_graph(&g);
+    let perm = Permutation::compute(g, NodeOrdering::DegreeDescending);
+    let permuted = perm.permute_graph(g);
     let permuted_jumps = [JumpVector::Uniform, JumpVector::core(perm.permute_nodes(&core), n)];
 
     for warm in [false, true] {
         let oracle: Vec<Vec<f64>> = (0..2)
             .map(|j| {
                 let seed = warm.then(|| &seeds[j][..]);
-                solve_jacobi_dense_warm(&g, &vs[j], seed, &config).unwrap().scores
+                solve_jacobi_dense_warm(g, &vs[j], seed, &config).unwrap().scores
             })
             .collect();
         for threads in [1usize, 2, 4] {
             let cfg_t = config.threads(threads);
             let seed = |cols: std::ops::Range<usize>| warm.then(|| &seeds[cols]);
-            let pair = solve_batch_warm(&g, &jumps, seed(0..2), &cfg_t).unwrap();
+            let pair = solve_batch_warm(g, &jumps, seed(0..2), &cfg_t).unwrap();
             for j in 0..2 {
-                let cell = format!("warm={warm} threads={threads} column={j}");
-                let max_diff = pair[j]
-                    .scores
-                    .iter()
-                    .zip(&oracle[j])
-                    .map(|(a, b)| (a - b).abs())
-                    .fold(0.0f64, f64::max);
-                assert!(max_diff <= 1e-12, "{cell}: {max_diff:e} from Algorithm 1");
+                let cell = format!("{name} warm={warm} threads={threads} column={j}");
+                let drift = max_diff(&pair[j].scores, &oracle[j]);
+                assert!(drift <= 1e-12, "{cell}: {drift:e} from Algorithm 1");
+                assert_residual(&cell, g, &vs[j], &pair[j]);
                 let solo =
-                    solve_batch_warm(&g, &jumps[j..=j], seed(j..j + 1), &cfg_t).unwrap().remove(0);
+                    solve_batch_warm(g, &jumps[j..=j], seed(j..j + 1), &cfg_t).unwrap().remove(0);
                 assert_eq!(bits(&solo.scores), bits(&pair[j].scores), "{cell}: K=1 vs K=2");
                 assert_eq!(solo.iterations, pair[j].iterations, "{cell}");
                 assert_eq!(solo.residual.to_bits(), pair[j].residual.to_bits(), "{cell}");
@@ -490,46 +539,47 @@ fn engine_parity_table() {
             if !warm && threads <= 2 {
                 let reordered = solve_batch_warm(&permuted, &permuted_jumps, None, &cfg_t).unwrap();
                 for j in 0..2 {
+                    let cell = format!("{name} degree order threads={threads} column={j}");
                     let restored = perm.restore_values(&reordered[j].scores);
-                    let max_diff = restored
-                        .iter()
-                        .zip(&oracle[j])
-                        .map(|(a, b)| (a - b).abs())
-                        .fold(0.0f64, f64::max);
-                    let cell = format!("degree order threads={threads} column={j}");
-                    assert!(max_diff <= 1e-12, "{cell}: {max_diff:e} from Algorithm 1");
+                    let drift = max_diff(&restored, &oracle[j]);
+                    assert!(drift <= 1e-12, "{cell}: {drift:e} from Algorithm 1");
+                    let v = permuted_jumps[j].materialize(n).unwrap();
+                    assert_residual(&cell, &permuted, &v, &reordered[j]);
                 }
             }
             if !warm {
                 // Streamed × {K = 1, 2} at this thread count. One worker
                 // is the resident one-worker solve bit for bit; more
-                // workers change only the residual's fold order.
+                // workers start their fresh reads at other rows.
                 let streamed_pair = solve_batch_streamed(&image, &jumps, &cfg_t, u64::MAX).unwrap();
                 if threads == 1 {
                     streamed_one = streamed_pair.clone();
+                } else {
+                    let again = solve_batch_streamed(&image, &jumps, &cfg_t, u64::MAX).unwrap();
+                    for (a, b) in again.iter().zip(&streamed_pair) {
+                        let cell = format!("{name} streamed threads={threads}, run twice");
+                        assert_eq!(bits(&a.scores), bits(&b.scores), "{cell}");
+                        assert_eq!(a.iterations, b.iterations, "{cell}");
+                        assert_eq!(a.residual.to_bits(), b.residual.to_bits(), "{cell}");
+                    }
                 }
                 for j in 0..2 {
-                    let streamed_solo =
-                        solve_batch_streamed(&image, &jumps[j..=j], &cfg_t, u64::MAX)
-                            .unwrap()
-                            .remove(0);
-                    for (k, s) in [(2, &streamed_pair[j]), (1, &streamed_solo)] {
-                        let cell = format!("streamed threads={threads} K={k} column={j}");
-                        if threads == 1 {
-                            assert_eq!(bits(&s.scores), bits(&pair[j].scores), "{cell}");
-                            assert_eq!(s.iterations, pair[j].iterations, "{cell}");
-                            assert_eq!(s.residual.to_bits(), pair[j].residual.to_bits(), "{cell}");
-                        } else {
-                            assert_eq!(bits(&s.scores), bits(&streamed_one[j].scores), "{cell}");
-                            assert_eq!(s.iterations, streamed_one[j].iterations, "{cell}");
-                            // A fixed (image, workers) folds the residual
-                            // in a fixed order, whatever the batch width.
-                            assert_eq!(
-                                s.residual.to_bits(),
-                                streamed_pair[j].residual.to_bits(),
-                                "{cell}"
-                            );
-                        }
+                    let cell = format!("{name} streamed threads={threads} column={j}");
+                    let s = &streamed_pair[j];
+                    assert_residual(&cell, g, &vs[j], s);
+                    let solo = solve_batch_streamed(&image, &jumps[j..=j], &cfg_t, u64::MAX)
+                        .unwrap()
+                        .remove(0);
+                    assert_eq!(bits(&solo.scores), bits(&s.scores), "{cell}: K=1 vs K=2");
+                    assert_eq!(solo.iterations, s.iterations, "{cell}");
+                    assert_eq!(solo.residual.to_bits(), s.residual.to_bits(), "{cell}");
+                    if threads == 1 {
+                        assert_eq!(bits(&s.scores), bits(&pair[j].scores), "{cell}");
+                        assert_eq!(s.iterations, pair[j].iterations, "{cell}");
+                        assert_eq!(s.residual.to_bits(), pair[j].residual.to_bits(), "{cell}");
+                    } else {
+                        let spread = max_diff(&s.scores, &streamed_one[j].scores);
+                        assert!(spread <= 1e-12, "{cell}: {spread:e} from one worker");
                     }
                 }
             }

@@ -167,10 +167,14 @@ echo "== out-of-core pipeline smoke: stream 1M hosts -> v4 -> budgeted estimate 
 # transpose, and estimate under a 64 MiB resident budget — smaller than
 # the ~92 MiB raw CSR the in-memory solve carries. On one worker the
 # streamed solve replicates the single-worker summation order, so the
-# per-node TSV (scores, mass, flags) must be byte-identical to the fully
-# in-memory run on the same image; and streamed scores do not depend on
-# who computes a row, so the same budgeted estimate at the default
-# thread count must write the same bytes again.
+# per-node TSV (scores, mass) must be byte-identical to the fully
+# in-memory run on the same image. At the default thread count each
+# worker reads the rows it relaxed earlier in a sweep fresh, so scores
+# move by rounding: the flagged column (scaled p >= 10, relative mass
+# >= 0.98) must be identical and every score within 1e-9 (the columns
+# print p * n / (1 - c); they must agree within 1e-9 * n). The in-place
+# sweep reaches 1e-12 in about 55 sweeps on this web, against Jacobi's
+# 125: more than 80 fails.
 ./target/release/spammass generate --stream "$SMOKE_DIR/stream" \
   --hosts 1000000 --seed 17 > "$SMOKE_DIR/stream.out"
 grep -q 'streamed 1000000 hosts' "$SMOKE_DIR/stream.out" \
@@ -194,8 +198,24 @@ diff -q "$SMOKE_DIR/stream-ooc.tsv" "$SMOKE_DIR/stream-mem.tsv" \
   --out "$SMOKE_DIR/stream-ooc-pool.tsv" > "$SMOKE_DIR/ooc-pool.out" 2>&1
 grep -q 'streamed solve:.* on [0-9]* worker' "$SMOKE_DIR/ooc-pool.out" \
   || { echo "pooled estimate --max-resident-mb did not name its workers"; cat "$SMOKE_DIR/ooc-pool.out"; exit 1; }
-diff -q "$SMOKE_DIR/stream-ooc-pool.tsv" "$SMOKE_DIR/stream-ooc.tsv" \
-  || { echo "streamed scores depend on the worker count"; exit 1; }
+paste "$SMOKE_DIR/stream-ooc-pool.tsv" "$SMOKE_DIR/stream-ooc.tsv" | awk -F'\t' '
+  /^#/ { next }
+  { n++
+    for (c = 3; c <= 6; c++) { d = $c - $(c + 6); if (d < 0) d = -d; if (d > m[c]) m[c] = d }
+    if (($3 >= 10 && $6 >= 0.98) != ($9 >= 10 && $12 >= 0.98)) flips++ }
+  END {
+    # Columns 3-5 are scores scaled by n; relative mass (6) is a ratio
+    # printed to six decimals, so one last-digit flip is all it can show.
+    bad = flips > 0 || m[6] > 1.5e-6
+    for (c = 3; c <= 5; c++) if (m[c] > 1e-9 * n) bad = 1
+    printf "worker count: %d flag flips, max |d| %g %g %g %g\n", flips, m[3], m[4], m[5], m[6]
+    exit bad }' \
+  || { echo "streamed verdicts or scores depend on the worker count"; exit 1; }
+for out in ooc ooc-pool; do
+  SWEEPS="$(sed -n 's/^pagerank solve: .* \([0-9]*\) iterations.*/\1/p' "$SMOKE_DIR/$out.out")"
+  [ -n "$SWEEPS" ] && [ "$SWEEPS" -le 80 ] \
+    || { echo "$out: the 1M-host solve took ${SWEEPS:-no} sweeps (gate 80)"; exit 1; }
+done
 rm -rf "$SMOKE_DIR/stream" "$SMOKE_DIR/stream.v4" "$SMOKE_DIR/stream-ooc.tsv" \
   "$SMOKE_DIR/stream-ooc-pool.tsv" "$SMOKE_DIR/stream-mem.tsv"
 
