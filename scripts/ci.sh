@@ -262,6 +262,16 @@ grep -q '"generation":1' "$SMOKE_DIR/stats-gen1.out" \
 # image (version word, byte 8, is 03) and the snapshot serves it mapped.
 [ "$(od -An -tu1 -j8 -N1 "$SMOKE_DIR/srv-state/gen-0001/graph.bin" | tr -d ' ')" = 3 ] \
   || { echo "gen-0001/graph.bin is not a v3 image"; exit 1; }
+# Written once, same bytes: the published image equals `convert --format
+# v3` of the same graph, and the directory audits healthy.
+./target/release/spammass convert --in "$SMOKE_DIR/srv.graph" --format v3 \
+  --out "$SMOKE_DIR/srv.v3" > /dev/null
+cmp "$SMOKE_DIR/srv.v3" "$SMOKE_DIR/srv-state/gen-0001/graph.bin" \
+  || { echo "gen-0001/graph.bin differs from convert --format v3"; exit 1; }
+./target/release/spammass fsck --state "$SMOKE_DIR/srv-state" > "$SMOKE_DIR/srv-fsck.out" \
+  || { echo "fsck reported the served state unhealthy"; cat "$SMOKE_DIR/srv-fsck.out"; exit 1; }
+grep -q 'verdict: healthy' "$SMOKE_DIR/srv-fsck.out" \
+  || { echo "fsck of the served state is not healthy"; cat "$SMOKE_DIR/srv-fsck.out"; exit 1; }
 grep -q '"mapped":true' "$SMOKE_DIR/stats-gen1.out" \
   || { echo "/stats does not serve the graph mapped"; cat "$SMOKE_DIR/stats-gen1.out"; exit 1; }
 # Below TOPK_LIMIT hosts the snapshot's rank index holds every host, so
