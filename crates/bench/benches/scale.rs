@@ -73,10 +73,10 @@ fn default_threads_config() -> PageRankConfig {
 }
 
 /// The streamed solve's footprint on `workers` workers.
-fn streamed_budget(image: &CompressedImage, columns: usize, workers: usize) -> u64 {
+fn streamed_budget(image: &CompressedImage, jumps: &[JumpVector], workers: usize) -> u64 {
     let (max_rows, max_edges) = image.max_block_dims();
     let blocks = image.block_count(Orientation::Out) + image.block_count(Orientation::In);
-    resident_bytes_needed(image.node_count(), columns, max_rows, max_edges, blocks, workers)
+    resident_bytes_needed(image.node_count(), jumps, max_rows, max_edges, blocks, workers)
 }
 
 fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
@@ -148,11 +148,11 @@ fn verify_and_report(g: &Graph) {
     // default-threads row gets one more scratch per extra worker.
     let jump_set = jumps(&ordered);
     let blocks = image.block_count(Orientation::Out) + image.block_count(Orientation::In);
-    let budget = streamed_budget(&image, jump_set.len(), 1);
+    let budget = streamed_budget(&image, &jump_set, 1);
     let cfg_default = default_threads_config();
-    let workers = streamed_workers(&image, jump_set.len(), &cfg_default, u64::MAX)
+    let workers = streamed_workers(&image, &jump_set, &cfg_default, u64::MAX)
         .expect("an unlimited budget fits");
-    let budget_default = streamed_budget(&image, jump_set.len(), workers);
+    let budget_default = streamed_budget(&image, &jump_set, workers);
     let csr = csr_bytes(&ordered);
     // On toy smoke graphs the fixed score-vector overhead can exceed the
     // tiny CSR, so the undercut claim is only checked at real scale.
@@ -262,7 +262,7 @@ fn bench_scale(c: &mut Criterion) {
     let dir = std::env::temp_dir().join("spammass-bench-scale");
     let v4_path = dir.join("web.v4.spamgrph");
     let image = CompressedImage::open(&v4_path).expect("v4 image maps");
-    let budget = streamed_budget(&image, jump_set.len(), 1);
+    let budget = streamed_budget(&image, &jump_set, 1);
     let cfg_default = default_threads_config();
 
     let mut group = c.benchmark_group("scale");

@@ -124,7 +124,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         let config = EstimatorConfig::scaled(gamma).with_pagerank(pagerank_config);
         let estimator = MassEstimator::new(config);
         let budget = budget_mb * 1024 * 1024;
-        let workers = estimator.streamed_workers(&image, budget)?;
+        let workers = estimator.streamed_workers(&image, &core_load.nodes, budget)?;
         estimate = estimator.estimate_streamed(&image, &core_load.nodes, budget)?;
         node_count = image.node_count();
         core_len = core_load.nodes.len();

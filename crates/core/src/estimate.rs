@@ -352,9 +352,9 @@ impl MassEstimator {
     }
 
     /// The pool workers [`estimate_streamed`](Self::estimate_streamed)
-    /// runs on for this image and budget — the configured thread count
-    /// through the solver's sizing rule, capped by the image's in-block
-    /// count and by the block scratches the budget affords.
+    /// runs on for this image, core and budget — the configured thread
+    /// count through the solver's sizing rule, capped by the image's
+    /// in-block count and by the block scratches the budget affords.
     ///
     /// # Errors
     /// [`EstimateError::Stream`] wrapping
@@ -363,12 +363,13 @@ impl MassEstimator {
     pub fn streamed_workers(
         &self,
         image: &CompressedImage,
+        good_core: &[NodeId],
         max_resident_bytes: u64,
     ) -> Result<usize, EstimateError> {
-        // Two columns: p and p′.
+        let jumps = [JumpVector::Uniform, self.core_jump(good_core, image.node_count())];
         spammass_pagerank::stream::streamed_workers(
             image,
-            2,
+            &jumps,
             &self.config.pagerank,
             max_resident_bytes,
         )

@@ -83,7 +83,7 @@ fn streamed_flags_the_same_hosts_as_the_default_in_memory_estimator() {
         .iter()
         .map(|&t| {
             let estimator = MassEstimator::new(with_threads(t));
-            let workers = estimator.streamed_workers(&image, budget).unwrap();
+            let workers = estimator.streamed_workers(&image, &good_core(), budget).unwrap();
             (t, workers, estimator.estimate_streamed(&image, &good_core(), budget).unwrap())
         })
         .collect();

@@ -36,7 +36,7 @@
 use crate::config::PageRankConfig;
 use crate::error::PageRankError;
 use crate::history::ResidualHistory;
-use crate::jump::JumpVector;
+use crate::jump::{JumpSpec, JumpVector};
 use crate::reference::jacobi::{check_initial_length, solve_jacobi_dense_warm};
 use crate::PageRankResult;
 use spammass_graph::Graph;
@@ -81,10 +81,7 @@ pub fn solve_batch_warm(
     config.validate()?;
     let n = graph.node_count();
     let k = jumps.len();
-    let mut vs = Vec::with_capacity(k);
-    for jump in jumps {
-        vs.push(jump.materialize(n)?);
-    }
+    let specs = jumps.iter().map(|jump| jump.spec(n)).collect::<Result<Vec<_>, _>>()?;
     if k == 0 {
         return Ok(Vec::new());
     }
@@ -105,7 +102,7 @@ pub fn solve_batch_warm(
     // per-edge loop. Wider batches run as independent chunks of up to
     // MAX_FUSED_COLUMNS columns (each chunk one traversal per sweep).
     let mut results = Vec::with_capacity(k);
-    for (i, chunk) in vs.chunks(MAX_FUSED_COLUMNS).enumerate() {
+    for (i, chunk) in specs.chunks(MAX_FUSED_COLUMNS).enumerate() {
         let lo = i * MAX_FUSED_COLUMNS;
         let init_chunk = initial.map(|inits| &inits[lo..lo + chunk.len()]);
         results.extend(match chunk.len() {
@@ -136,10 +133,10 @@ pub(crate) fn empty_results(k: usize) -> Vec<PageRankResult> {
 
 /// Routes a validated `K`-column chunk (`1 ≤ K ≤ 4`, `n > 0`) through
 /// the engine — or, below the sizing thresholds, through the serial
-/// scatter solver column by column.
+/// scatter solver column by column, which takes each jump dense.
 fn solve_batch_fixed<const K: usize>(
     graph: &Graph,
-    vs: &[Vec<f64>],
+    specs: &[JumpSpec],
     initial: Option<&[Vec<f64>]>,
     config: &PageRankConfig,
 ) -> Result<Vec<PageRankResult>, PageRankError> {
@@ -149,9 +146,10 @@ fn solve_batch_fixed<const K: usize>(
         // Like the engine, a hit cap stops every column and reports the
         // worst residual left, not the first column's.
         let mut worst: Option<f64> = None;
-        for (j, v) in vs.iter().enumerate() {
+        for (j, spec) in specs.iter().enumerate() {
+            let v = spec.to_dense(graph.node_count());
             let init = initial.map(|inits| &inits[j][..]);
-            match solve_jacobi_dense_warm(graph, v, init, config) {
+            match solve_jacobi_dense_warm(graph, &v, init, config) {
                 Ok(result) => results.push(result),
                 Err(PageRankError::DidNotConverge { residual, .. }) => {
                     worst = Some(worst.map_or(residual, |w| w.max(residual)));
@@ -166,7 +164,7 @@ fn solve_batch_fixed<const K: usize>(
             None => Ok(results),
         };
     }
-    crate::engine::solve_pooled::<K>(graph, vs, initial, config, path.threads)
+    crate::engine::solve_pooled::<K>(graph, specs, initial, config, path.threads)
 }
 
 #[cfg(test)]

@@ -1,32 +1,47 @@
 //! The one sweep: a per-row relaxation body and a `K`-column controller,
 //! driven by two row sources.
 //!
+//! The sweep's state is the iterate `p` and its **contributions**
+//! `q[x] = p[x]·c/out(x)`, both interleaved `n×K`. A row's in-edge sum
+//! `Σ_{x→y} q[x]` ([`kernel::gather_row`]) reads one random row per edge
+//! — the product is formed once per source and sweep, when the source's
+//! row is relaxed, not once per out-edge. `p` is rewritten in place; `q`
+//! alternates between two buffers by sweep parity.
+//!
 //! The sweep relaxes **in place** where a worker can: when a worker
 //! relaxes row `y`, an in-neighbour it already relaxed earlier in the same
 //! sweep — a source in `first..y`, `first` being the worker's first row —
-//! is read from the write buffer, every other one from the read buffer
-//! ([`kernel::gather_row`]). Within one worker's rows that is
-//! Gauss–Seidel; across workers, and for the resident source's boundary
-//! pieces, it stays Jacobi. `crate::chain` derives why the step still
-//! bounds the true residual and contracts by `c` a sweep.
+//! is read from the write contribution buffer, every other one from the
+//! read buffer. Within one worker's rows that is Gauss–Seidel; across
+//! workers, and for the resident source's boundary pieces, it stays
+//! Jacobi. `crate::chain` derives why the step still bounds the true
+//! residual and contracts by `c` a sweep.
 //!
 //! * [`RowBody::relax`] is the sweep's arithmetic for one destination
-//!   row: `(1−c)·v[y]`, plus the gathered in-edge sum, committed to the
-//!   write buffer with each column's residual contribution — or, for a
-//!   column that already converged, copied through bit-exact.
-//! * [`Columns`] owns everything that outlives a sweep: the interleaved
-//!   jump/front/back matrices, the per-column guards and residual
-//!   histories, the freeze / convergence / iteration-cap decision, and
-//!   the final de-interleave into [`PageRankResult`]s.
+//!   row: `(1−c)·v[y]` from the column's jump spec, plus the gathered
+//!   in-edge sum, committed to `p[y]` and `q[y]` with each column's
+//!   residual contribution — or, for a column that already converged,
+//!   `q[y]` copied through bit-exact.
+//! * [`Columns`] owns everything that outlives a sweep: the iterate, the
+//!   contribution pair, the jump specs and coefficients, the per-column
+//!   guards and residual histories, the freeze / convergence /
+//!   iteration-cap decision, and the final de-interleave into
+//!   [`PageRankResult`]s.
+//!
+//! A sweep moves `4(n+1) + 4m` bytes of edge structure and `8n(4K+1)` of
+//! node vectors — `p` read and written back, the stale `q` read, the
+//! fresh `q` written, `coef` read — plus one bit per node for each core
+//! or single-node column; beyond that, each edge's one random read lands
+//! in `q`.
 //!
 //! The **resident** source is [`solve_pooled`] below: the in-CSR cut into
 //! equal edge ranges ([`EdgePartition`]), one worker per range on the
 //! persistent pool ([`crate::pool`]), one handoff per sweep. Each worker
 //! relaxes its interior rows in place, in ascending order, straight into
-//! the write buffer, and gathers the up-to-two partial row pieces at its
-//! range boundaries from the read buffer into private scratch; after the
-//! handoff the control thread relaxes the boundary rows from those
-//! pieces in fixed worker order and folds each column's residual from
+//! `p` and the write buffer, and gathers the up-to-two partial row pieces
+//! at its range boundaries from the read buffer into private scratch;
+//! after the handoff the control thread relaxes the boundary rows from
+//! those pieces in fixed worker order and folds each column's residual from
 //! the workers' partial sums — worker index order, then the boundary
 //! rows — so the convergence decision is independent of thread
 //! scheduling. The **streamed** source is
@@ -48,7 +63,10 @@
 //! first rows move; and the one-worker streamed solve is bit-identical to
 //! the one-worker resident solve because neither has boundary rows, both
 //! read every source in `0..y` fresh, and both fold one worker's
-//! residual.
+//! residual. Storing `q` instead of multiplying on every edge moves no
+//! bit either: `q[x][j]` is the product `p[x][j]·coef[x]` a per-edge
+//! gather would form, and Rust never fuses a multiply into the add that
+//! follows it.
 //!
 //! Everything is allocated before the first sweep (the streamed workers'
 //! decode scratches grow during it); the iteration loop is
@@ -58,6 +76,7 @@ use crate::config::PageRankConfig;
 use crate::error::PageRankError;
 use crate::guard::ConvergenceGuard;
 use crate::history::ResidualHistory;
+use crate::jump::JumpSpec;
 use crate::kernel;
 use crate::partition::EdgePartition;
 use crate::pool::{self, SharedSlice};
@@ -73,43 +92,53 @@ use std::time::Instant;
 /// The per-row relaxation body of one sweep over `K` interleaved columns.
 pub(crate) struct RowBody<'a, const K: usize> {
     one_minus_c: f64,
-    /// The jump vectors, interleaved row-major `n×K`.
-    vmat: &'a [f64],
+    /// The columns' jump specs, `K` of them.
+    specs: &'a [JumpSpec],
+    /// `c/out(x)` per node.
+    coef: &'a [f64],
     /// Columns still iterating this sweep; the rest are frozen.
     active: [bool; K],
 }
 
 impl<const K: usize> RowBody<'_, K> {
     /// Relaxes destination row `y`: `(1−c)·v[y]` plus whatever `gather`
-    /// adds (the row's in-edge sum, from edges or from partial sums),
-    /// written to `row` — the row's `K` slots of the sweep's write
-    /// buffer — with `|new − old|` added to `deltas` per active column.
-    /// `read` is the sweep's read buffer.
+    /// adds (the row's in-edge sum, from edges or from partial sums).
+    /// `p` is the row's `K` slots of the iterate, rewritten in place with
+    /// `|new − old|` added to `deltas` per active column; `q` its `K` slots
+    /// of the sweep's write contribution buffer, set to `p·coef[y]`. A
+    /// frozen column keeps its `p` and copies its row of `stale` — the
+    /// sweep's read contribution buffer — through bit-exact.
     #[inline(always)]
     pub(crate) fn relax(
         &self,
         y: usize,
-        read: &[f64],
+        stale: &[f64],
         gather: impl FnOnce(&mut [f64; K]),
-        row: &mut [f64],
+        p: &mut [f64],
+        q: &mut [f64],
         deltas: &mut [f64; K],
     ) {
-        let mut acc: [f64; K] =
-            self.vmat[y * K..(y + 1) * K].try_into().expect("vmat row is K wide");
-        for a in &mut acc {
-            *a *= self.one_minus_c;
-        }
+        let mut acc: [f64; K] = std::array::from_fn(|j| self.specs[j].at(y) * self.one_minus_c);
         gather(&mut acc);
-        let old: &[f64; K] = read[y * K..(y + 1) * K].try_into().expect("score row is K wide");
-        for (j, (&a, &o)) in acc.iter().zip(old).enumerate() {
+        let w = self.coef[y];
+        let mut p_row: [f64; K] = p[..K].try_into().expect("an iterate row is K wide");
+        let mut q_row = [0.0f64; K];
+        for (j, &a) in acc.iter().enumerate() {
             if self.active[j] {
-                deltas[j] += (a - o).abs();
-                row[j] = a;
+                deltas[j] += (a - p_row[j]).abs();
+                p_row[j] = a;
+                q_row[j] = a * w;
             } else {
-                // Frozen column: copy through bit-exact.
-                row[j] = o;
+                q_row[j] = stale[y * K + j];
             }
         }
+        // One store per row, not one per column: the next rows often read
+        // this `q` row back fresh as one wide load, and a load is
+        // forwarded from the store buffer only when a single store covers
+        // it. On a 2-core host, 1M-host stream web, two workers, a
+        // streamed sweep was faster this way in 9 of 10 alternating rounds.
+        p.copy_from_slice(&p_row);
+        q.copy_from_slice(&q_row);
     }
 }
 
@@ -168,45 +197,53 @@ impl<const K: usize> Verdicts<K> {
     }
 }
 
-/// The `K`-column controller: interleaved matrices plus per-column
-/// verdicts. Sweep `r` (0-based) reads `bufs[r % 2]` and writes
-/// `bufs[(r + 1) % 2]` — each worker also reading back the rows it has
-/// written there this sweep; frozen columns are copied through every later
-/// sweep, so after `completed` sweeps `bufs[completed % 2]` holds every
-/// column's final iterate.
-pub(crate) struct Columns<const K: usize> {
+/// The `K`-column controller: the iterate, its contributions, the jump
+/// specs and coefficients it is formed from, plus per-column verdicts.
+/// `p` (`n×K`, interleaved row-major) is rewritten in place, each row by
+/// the worker or control thread that owns it. Sweep `r` (0-based) gathers
+/// from `q[r % 2]` and writes `q[(r + 1) % 2]` — each worker also reading
+/// back the rows it has written there this sweep — with
+/// `q[x][j] = p[x][j]·coef[x]`; frozen columns keep their `p` and copy
+/// their `q` through every later sweep, so `p` always holds every
+/// column's latest iterate.
+pub(crate) struct Columns<'a, const K: usize> {
     one_minus_c: f64,
-    vmat: Vec<f64>,
-    bufs: [Vec<f64>; 2],
+    specs: &'a [JumpSpec],
+    coef: &'a [f64],
+    p: Vec<f64>,
+    q: [Vec<f64>; 2],
     verdicts: Verdicts<K>,
 }
 
-impl<const K: usize> Columns<K> {
-    /// Interleaves the `K` validated jump vectors `vs` (each `n` long)
-    /// and seeds the first read buffer from `initial`, or from the jump
-    /// vectors themselves for a cold start.
+impl<'a, const K: usize> Columns<'a, K> {
+    /// Seeds the iterate from `initial` (`K` vectors, each `n` long), or
+    /// from the jump `specs` themselves for a cold start, and the first
+    /// contribution buffer from it; `coef` is `c/out(x)` per node.
     pub(crate) fn new(
-        vs: &[Vec<f64>],
+        specs: &'a [JumpSpec],
+        coef: &'a [f64],
         initial: Option<&[Vec<f64>]>,
         config: &PageRankConfig,
     ) -> Self {
-        debug_assert_eq!(vs.len(), K);
-        let interleave = |cols: &[Vec<f64>]| {
-            let mut mat = vec![0.0f64; cols[0].len() * K];
-            for (j, col) in cols.iter().enumerate() {
-                for (y, &value) in col.iter().enumerate() {
-                    mat[y * K + j] = value;
-                }
+        debug_assert_eq!(specs.len(), K);
+        let n = coef.len();
+        let mut p = vec![0.0f64; n * K];
+        for (y, row) in p.chunks_exact_mut(K).enumerate() {
+            for (j, slot) in row.iter_mut().enumerate() {
+                *slot = match initial {
+                    Some(cols) => cols[j][y],
+                    None => specs[j].at(y),
+                };
             }
-            mat
-        };
-        let vmat = interleave(vs);
-        let front = initial.map_or_else(|| vmat.clone(), interleave);
-        let back = vec![0.0f64; vmat.len()];
+        }
+        let front = p.iter().enumerate().map(|(i, &x)| x * coef[i / K]).collect();
+        let back = vec![0.0f64; n * K];
         Columns {
             one_minus_c: 1.0 - config.damping,
-            vmat,
-            bufs: [front, back],
+            specs,
+            coef,
+            p,
+            q: [front, back],
             verdicts: Verdicts {
                 active: [true; K],
                 guards: std::array::from_fn(|_| ConvergenceGuard::new()),
@@ -225,14 +262,15 @@ impl<const K: usize> Columns<K> {
     /// residual is folded from the workers' partial sums in worker index
     /// order, which makes a fixed `rows` bit-reproducible.
     ///
-    /// `relax_rows(w, body, read, write, deltas)` relaxes worker `w`'s
-    /// rows through `body`, in place: `read` is the sweep's read buffer,
-    /// `write` the `rows[w]` window of its write buffer — where the rows
+    /// `relax_rows(w, body, stale, p, q, deltas)` relaxes worker `w`'s
+    /// rows through `body`, in place: `stale` is the sweep's read
+    /// contribution buffer, `p` and `q` the `rows[w]` windows of the
+    /// iterate and of the write contribution buffer — where the rows
     /// relaxed so far this sweep are read back fresh — and `deltas` the
     /// worker's residual sums. An `Err` is parked in the worker's slot, the
     /// sweep's handoff completes, and control returns the lowest-indexed
     /// worker's error before any verdict is taken from the half-written
-    /// buffer.
+    /// buffers.
     ///
     /// # Panics
     /// If `rows` is empty or its ranges are not ascending, disjoint and
@@ -250,12 +288,13 @@ impl<const K: usize> Columns<K> {
                 &RowBody<'_, K>,
                 &[f64],
                 &mut [f64],
+                &mut [f64],
                 &mut [f64; K],
             ) -> Result<(), PageRankError>
             + Sync,
     {
         let threads = rows.len();
-        let n = self.vmat.len() / K;
+        let n = self.coef.len();
         assert!(
             threads > 0
                 && rows.iter().all(|r| r.start <= r.end && r.end <= n)
@@ -269,30 +308,33 @@ impl<const K: usize> Columns<K> {
         // `solve_pooled`.
         let active: [AtomicBool; K] = std::array::from_fn(|_| AtomicBool::new(true));
 
-        let Columns { one_minus_c, vmat, bufs: [even, odd], verdicts } = self;
-        let bufs = [SharedSlice::new(even), SharedSlice::new(odd)];
+        let Columns { one_minus_c, specs, coef, p, q: [even, odd], verdicts } = self;
+        let p = SharedSlice::new(p);
+        let q = [SharedSlice::new(even), SharedSlice::new(odd)];
         let deltas = SharedSlice::new(&mut chunk_deltas);
-        let (one_minus_c, vmat) = (*one_minus_c, &vmat[..]);
+        let (one_minus_c, specs, coef) = (*one_minus_c, *specs, *coef);
         let (active, failures) = (&active, &failures);
 
         let kernel = |round: usize, worker: usize| {
-            // SAFETY: every worker reads bufs[round % 2] and writes (and
-            // reads back) only its own rows of bufs[(round+1) % 2] —
+            // SAFETY: every worker reads q[round % 2] and writes (and
+            // reads back) only its own rows of p and of q[(round+1) % 2] —
             // `rows` is pairwise disjoint (asserted above) — and the pool
             // handoff orders rounds, so no location is read while another
             // thread writes it.
-            let read = unsafe { bufs[round % 2].as_slice() };
+            let stale = unsafe { q[round % 2].as_slice() };
             let mine = &rows[worker];
-            let write = unsafe { bufs[(round + 1) % 2].range_mut(mine.start * K, mine.end * K) };
+            let p_rows = unsafe { p.range_mut(mine.start * K, mine.end * K) };
+            let q_rows = unsafe { q[(round + 1) % 2].range_mut(mine.start * K, mine.end * K) };
             // SAFETY: slots worker·K.. are written only by this worker.
             let my_deltas = unsafe { deltas.range_mut(worker * K, (worker + 1) * K) };
             let body = RowBody {
                 one_minus_c,
-                vmat,
+                specs,
+                coef,
                 active: std::array::from_fn(|j| active[j].load(Ordering::Relaxed)),
             };
             let mut local_deltas = [0.0f64; K];
-            if let Err(e) = relax_rows(worker, &body, read, write, &mut local_deltas) {
+            if let Err(e) = relax_rows(worker, &body, stale, p_rows, q_rows, &mut local_deltas) {
                 *failures[worker].lock().expect("failure slots are locked only to assign") =
                     Some(e);
             }
@@ -320,26 +362,27 @@ impl<const K: usize> Columns<K> {
         pool::run_rounds(threads, profiler, kernel, control)
     }
 
-    /// Frees the jump matrix and the stale score buffer once the last
-    /// sweep is done; only [`into_results`](Self::into_results) may
-    /// follow. The streamed solve calls this so its de-interleave phase
-    /// peaks below the sweeps' own (budgeted) footprint.
+    /// Frees both contribution buffers once the last sweep is done; only
+    /// [`into_results`](Self::into_results) may follow. The streamed solve
+    /// calls this so its de-interleave phase peaks below the sweeps' own
+    /// (budgeted) footprint. The resident solve does not: freeing them
+    /// before the result columns are allocated measured a higher
+    /// `batch_resident` peak RSS (306–314 MiB against 292, three of three
+    /// runs), not a lower one.
     pub(crate) fn release_sweep_buffers(&mut self) {
-        self.vmat = Vec::new();
-        self.bufs[(self.verdicts.completed + 1) % 2] = Vec::new();
+        self.q = [Vec::new(), Vec::new()];
     }
 
     /// De-interleaves the final iterate into one result per column.
     pub(crate) fn into_results(self) -> Vec<PageRankResult> {
-        let Columns { bufs: [even, odd], verdicts, .. } = self;
-        let final_buf = if verdicts.completed.is_multiple_of(2) { even } else { odd };
-        let n = final_buf.len() / K;
+        let Columns { p, verdicts, .. } = self;
+        let n = p.len() / K;
         let columns: Vec<Vec<f64>> = if K == 1 {
             // Single column: the interleaved matrix *is* the score
             // vector; move it instead of copying.
-            vec![final_buf]
+            vec![p]
         } else {
-            (0..K).map(|j| (0..n).map(|y| final_buf[y * K + j]).collect()).collect()
+            (0..K).map(|j| (0..n).map(|y| p[y * K + j]).collect()).collect()
         };
         columns
             .into_iter()
@@ -359,16 +402,17 @@ impl<const K: usize> Columns<K> {
     }
 }
 
-/// Runs the resident edge-parallel solve for exactly `K` columns on
-/// `threads` workers. Inputs are already validated by the caller
-/// (`n > 0`, every vector `n` long, config valid, `threads ≥ 1`).
+/// Runs the resident edge-parallel solve for exactly `K` columns, one
+/// per jump spec in `specs`, on `threads` workers. Inputs are already
+/// validated by the caller (`n > 0`, every vector `n` long, config valid,
+/// `threads ≥ 1`).
 ///
 /// Returns one result per column, in order; any column tripping its
 /// convergence guard — or the shared iteration cap with any column still
 /// active — fails the whole solve.
 pub(crate) fn solve_pooled<const K: usize>(
     graph: &Graph,
-    vs: &[Vec<f64>],
+    specs: &[JumpSpec],
     initial: Option<&[Vec<f64>]>,
     config: &PageRankConfig,
     threads: usize,
@@ -393,7 +437,7 @@ pub(crate) fn solve_pooled<const K: usize>(
             }
         })
         .collect();
-    let mut cols = Columns::<K>::new(vs, initial, config);
+    let mut cols = Columns::<K>::new(specs, &coef, initial, config);
     // Per-worker boundary-piece partial sums: slot (w·2 + s)·K holds
     // worker w's piece s (0 = head, 1 = tail), K columns wide.
     let mut partials = vec![0.0f64; threads * 2 * K];
@@ -406,29 +450,30 @@ pub(crate) fn solve_pooled<const K: usize>(
     let active: [AtomicBool; K] = std::array::from_fn(|_| AtomicBool::new(true));
 
     let outcome: Result<(), PageRankError> = {
-        let Columns { one_minus_c, vmat, bufs: [even, odd], verdicts } = &mut cols;
-        let bufs = [SharedSlice::new(even), SharedSlice::new(odd)];
+        let Columns { one_minus_c, specs, coef, p, q: [even, odd], verdicts } = &mut cols;
+        let p = SharedSlice::new(p);
+        let q = [SharedSlice::new(even), SharedSlice::new(odd)];
         let deltas = SharedSlice::new(&mut chunk_deltas);
         let partials = SharedSlice::new(&mut partials);
         let partition = &partition;
-        let coef = &coef[..];
-        let (one_minus_c, vmat) = (*one_minus_c, &vmat[..]);
+        let (one_minus_c, specs, coef) = (*one_minus_c, *specs, *coef);
         let active = &active;
         let srcs_all = graph.in_sources();
         let offsets = graph.in_offsets();
 
         let kernel = |round: usize, worker: usize| {
-            // SAFETY: the buffers alternate roles by round parity — every
-            // worker reads bufs[round % 2] and writes (and reads back)
-            // only its own interior rows of bufs[(round+1) % 2]
-            // (interiors are pairwise disjoint and disjoint from the
-            // boundary rows the control thread relaxes); the pool handoff
-            // orders rounds, so no location is read while another thread
-            // writes it.
-            let read = unsafe { bufs[round % 2].as_slice() };
+            // SAFETY: the contribution buffers alternate roles by round
+            // parity — every worker reads q[round % 2] and writes (and
+            // reads back) only its own interior rows of p and of
+            // q[(round+1) % 2] (interiors are pairwise disjoint and
+            // disjoint from the boundary rows the control thread
+            // relaxes); the pool handoff orders rounds, so no location is
+            // read while another thread writes it.
+            let stale = unsafe { q[round % 2].as_slice() };
             let interior = partition.interior(worker);
-            let write =
-                unsafe { bufs[(round + 1) % 2].range_mut(interior.start * K, interior.end * K) };
+            let (lo, hi) = (interior.start * K, interior.end * K);
+            let p_rows = unsafe { p.range_mut(lo, hi) };
+            let q_rows = unsafe { q[(round + 1) % 2].range_mut(lo, hi) };
             // SAFETY: slots worker·K.. and (worker·2)·K.. are written
             // only by this worker.
             let my_deltas = unsafe { deltas.range_mut(worker * K, (worker + 1) * K) };
@@ -437,7 +482,8 @@ pub(crate) fn solve_pooled<const K: usize>(
             // per round so the row loop branches on plain bools.
             let body = RowBody {
                 one_minus_c,
-                vmat,
+                specs,
+                coef,
                 active: std::array::from_fn(|j| active[j].load(Ordering::Relaxed)),
             };
             let mut local_deltas = [0.0f64; K];
@@ -445,12 +491,14 @@ pub(crate) fn solve_pooled<const K: usize>(
             for y in interior {
                 // In place: the interior rows this worker already relaxed
                 // this sweep are read back from the write window.
-                let (fresh, rest) = write.split_at_mut((y - first) * K);
+                let at = (y - first) * K;
+                let (fresh, rest) = q_rows.split_at_mut(at);
                 let row_srcs = &srcs_all[offsets[y] as usize..offsets[y + 1] as usize];
                 body.relax(
                     y,
-                    read,
-                    |acc| kernel::gather_row(read, fresh, first, coef, row_srcs, acc),
+                    stale,
+                    |acc| kernel::gather_row(stale, fresh, first, row_srcs, acc),
+                    &mut p_rows[at..at + K],
                     &mut rest[..K],
                     &mut local_deltas,
                 );
@@ -459,9 +507,9 @@ pub(crate) fn solve_pooled<const K: usize>(
             // private scratch; the control thread relaxes their rows
             // after the handoff.
             for (slot, piece) in partition.pieces(worker).iter().enumerate() {
-                if let Some(p) = piece {
+                if let Some(piece) = piece {
                     let mut acc = [0.0f64; K];
-                    kernel::gather_row(read, &[], 0, coef, &srcs_all[p.edges.clone()], &mut acc);
+                    kernel::gather_row(stale, &[], 0, &srcs_all[piece.edges.clone()], &mut acc);
                     my_partials[slot * K..(slot + 1) * K].copy_from_slice(&acc);
                 }
             }
@@ -471,36 +519,36 @@ pub(crate) fn solve_pooled<const K: usize>(
         let control = |round: usize| -> ControlFlow<Result<(), PageRankError>> {
             // SAFETY: control runs between rounds; no worker is active,
             // so it may read every scratch slot and write the boundary
-            // rows of the round's write buffer.
-            let read = unsafe { bufs[round % 2].as_slice() };
+            // rows of p and of the round's write buffer.
+            let stale = unsafe { q[round % 2].as_slice() };
             let all_partials = unsafe { partials.as_slice() };
             let deltas = unsafe { deltas.as_slice() };
 
             // Boundary rows: relaxed from the pieces the workers left, in
             // fixed worker order per row so the f64 sum is deterministic.
             let merge_t0 = profiler.as_ref().map(|_| Instant::now());
-            let body = RowBody { one_minus_c, vmat, active: verdicts.active };
+            let body = RowBody { one_minus_c, specs, coef, active: verdicts.active };
             let mut merge_deltas = [0.0f64; K];
             for entry in partition.merge_entries() {
-                let b = entry.node;
-                let row = unsafe { bufs[(round + 1) % 2].range_mut(b * K, (b + 1) * K) };
+                let (lo, hi) = (entry.node * K, (entry.node + 1) * K);
                 body.relax(
-                    b,
-                    read,
+                    entry.node,
+                    stale,
                     |acc| {
                         for &(w, slot) in &entry.parts {
                             let part = &all_partials[(w * 2 + slot) * K..(w * 2 + slot + 1) * K];
-                            for (a, &p) in acc.iter_mut().zip(part) {
-                                *a += p;
+                            for (a, &sum) in acc.iter_mut().zip(part) {
+                                *a += sum;
                             }
                         }
                     },
-                    row,
+                    unsafe { p.range_mut(lo, hi) },
+                    unsafe { q[(round + 1) % 2].range_mut(lo, hi) },
                     &mut merge_deltas,
                 );
             }
-            if let (Some(p), Some(t0)) = (profiler.as_ref(), merge_t0) {
-                p.record_merge(t0.elapsed().as_nanos() as u64);
+            if let (Some(profiler), Some(t0)) = (profiler.as_ref(), merge_t0) {
+                profiler.record_merge(t0.elapsed().as_nanos() as u64);
             }
 
             // Residual reduction in fixed order — worker index order,

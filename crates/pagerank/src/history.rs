@@ -42,6 +42,9 @@ impl Default for ResidualHistory {
 }
 
 impl ResidualHistory {
+    /// Heap bytes a [`new`](Self::new) history reserves.
+    pub(crate) const DEFAULT_BYTES: usize = DEFAULT_CAP * std::mem::size_of::<(usize, f64)>();
+
     /// An empty history with the default sample budget.
     pub fn new() -> Self {
         Self::with_budget(DEFAULT_CAP)

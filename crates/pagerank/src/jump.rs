@@ -12,6 +12,12 @@
 //! Jump vectors may be unnormalized (`0 < ‖v‖ ≤ 1`), which leaves the
 //! PageRank vector unnormalized as well — this is intentional and required
 //! by the mass-estimation algebra.
+//!
+//! The engine never holds a jump as a dense `n`-long vector unless it is
+//! one: [`JumpVector::spec`] validates it into a [`JumpSpec`] — a constant
+//! for the uniform jump, a value on a bitset for a core or a single node,
+//! a dense vector only for a custom one. [`JumpVector::materialize`] is
+//! that spec written out densely.
 
 use crate::error::PageRankError;
 use spammass_graph::NodeId;
@@ -66,14 +72,19 @@ impl JumpVector {
 
     /// Materializes the jump vector as a dense `Vec<f64>` of length `n`.
     pub fn materialize(&self, n: usize) -> Result<Vec<f64>, PageRankError> {
-        let v = match self {
-            JumpVector::Uniform => {
-                if n == 0 {
-                    Vec::new()
-                } else {
-                    vec![1.0 / n as f64; n]
-                }
-            }
+        Ok(match self.spec(n)? {
+            JumpSpec::Dense(values) => values,
+            spec => spec.to_dense(n),
+        })
+    }
+
+    /// The jump as the engine's sweep reads it, validated: every entry
+    /// finite and non-negative, `0 < ‖v‖ ≤ 1` (with `1e-9` of slack) on a
+    /// non-empty graph. [`materialize`](Self::materialize) is this spec
+    /// written out densely.
+    pub(crate) fn spec(&self, n: usize) -> Result<JumpSpec, PageRankError> {
+        let spec = match self {
+            JumpVector::Uniform => JumpSpec::Constant(if n == 0 { 0.0 } else { 1.0 / n as f64 }),
             JumpVector::Core { nodes, total_mass } => {
                 if nodes.is_empty() {
                     return Err(PageRankError::InvalidJumpVector("empty core".into()));
@@ -84,37 +95,32 @@ impl JumpVector {
                 let mut unique = nodes.clone();
                 unique.sort_unstable();
                 unique.dedup();
-                let per_node = total_mass / unique.len() as f64;
-                let mut v = vec![0.0; n];
-                for &x in &unique {
-                    if x.index() >= n {
-                        return Err(PageRankError::InvalidJumpVector(format!(
-                            "core node {x} out of range for {n} nodes"
-                        )));
-                    }
-                    v[x.index()] = per_node;
-                }
-                v
+                let value = total_mass / unique.len() as f64;
+                JumpSpec::OnSet { value, bits: node_set(&unique, n, "core node")? }
             }
             JumpVector::SingleNode { node, mass } => {
-                if node.index() >= n {
-                    return Err(PageRankError::InvalidJumpVector(format!(
-                        "node {node} out of range for {n} nodes"
-                    )));
-                }
-                let mut v = vec![0.0; n];
-                v[node.index()] = *mass;
-                v
+                JumpSpec::OnSet { value: *mass, bits: node_set(&[*node], n, "node")? }
             }
             JumpVector::Custom(values) => {
                 if values.len() != n {
                     return Err(PageRankError::JumpVectorLength { got: values.len(), expected: n });
                 }
-                values.clone()
+                JumpSpec::Dense(values.clone())
             }
         };
-        validate_entries(&v)?;
-        Ok(v)
+        validate_entries((0..n).map(|y| spec.at(y)))?;
+        Ok(spec)
+    }
+
+    /// Heap bytes the [`spec`](Self::spec) of this jump holds on an
+    /// `n`-node graph: none for the uniform jump, a bitset for a core or a
+    /// single node, `8n` for a custom vector.
+    pub(crate) fn spec_bytes(&self, n: usize) -> u64 {
+        match self {
+            JumpVector::Uniform => 0,
+            JumpVector::Core { .. } | JumpVector::SingleNode { .. } => bitset_bytes(n) as u64,
+            JumpVector::Custom(_) => n as u64 * 8,
+        }
     }
 
     /// Total mass `‖v‖₁` the materialized vector will have.
@@ -134,20 +140,88 @@ impl JumpVector {
     }
 }
 
-fn validate_entries(v: &[f64]) -> Result<(), PageRankError> {
+/// A validated jump in the form the engine's sweep reads it; see
+/// [`JumpVector::spec`].
+#[derive(Debug)]
+pub(crate) enum JumpSpec {
+    /// The same value on every node: the uniform jump's `1/n`.
+    Constant(f64),
+    /// `value` on the nodes whose bit is set, zero elsewhere: a core or a
+    /// single node.
+    OnSet {
+        /// The per-node jump probability on the set.
+        value: f64,
+        /// Bit `y % 64` of word `y / 64` marks node `y`.
+        bits: Vec<u64>,
+    },
+    /// One value per node: a custom jump.
+    Dense(Vec<f64>),
+}
+
+impl JumpSpec {
+    /// The jump probability of node `y`.
+    #[inline(always)]
+    pub(crate) fn at(&self, y: usize) -> f64 {
+        match self {
+            JumpSpec::Constant(value) => *value,
+            JumpSpec::OnSet { value, bits } => {
+                if bits[y / 64] >> (y % 64) & 1 == 1 {
+                    *value
+                } else {
+                    0.0
+                }
+            }
+            JumpSpec::Dense(values) => values[y],
+        }
+    }
+
+    /// The jump written out as one value per node of an `n`-node graph.
+    pub(crate) fn to_dense(&self, n: usize) -> Vec<f64> {
+        (0..n).map(|y| self.at(y)).collect()
+    }
+}
+
+/// Bytes of the bitset [`node_set`] allocates over `n` nodes.
+const fn bitset_bytes(n: usize) -> usize {
+    n.div_ceil(64) * 8
+}
+
+/// The bitset of `nodes` (ascending) over `n` nodes; the error names the
+/// first node out of range.
+fn node_set(nodes: &[NodeId], n: usize, what: &str) -> Result<Vec<u64>, PageRankError> {
+    let mut bits = vec![0u64; bitset_bytes(n) / 8];
+    for &x in nodes {
+        if x.index() >= n {
+            return Err(PageRankError::InvalidJumpVector(format!(
+                "{what} {x} out of range for {n} nodes"
+            )));
+        }
+        bits[x.index() / 64] |= 1 << (x.index() % 64);
+    }
+    Ok(bits)
+}
+
+/// Every entry finite and non-negative; on a non-empty vector, the entry
+/// sum within `0 < ‖v‖ ≤ 1` (with `1e-9` of slack).
+fn validate_entries(entries: impl Iterator<Item = f64>) -> Result<(), PageRankError> {
     let mut sum = 0.0;
-    for &x in v {
+    let mut empty = true;
+    for x in entries {
         if !x.is_finite() || x < 0.0 {
             return Err(PageRankError::InvalidJumpVector(format!(
                 "entry {x} is negative or non-finite"
             )));
         }
         sum += x;
+        empty = false;
     }
-    if !v.is_empty() && sum > 1.0 + 1e-9 {
+    if empty {
+        return Ok(());
+    }
+    if sum > 1.0 + 1e-9 {
         return Err(PageRankError::InvalidJumpVector(format!("norm {sum} exceeds 1")));
     }
-    if !v.is_empty() && sum <= 0.0 {
+    if sum <= 0.0 {
         return Err(PageRankError::InvalidJumpVector(
             "norm must be positive (0 < ||v|| <= 1)".into(),
         ));
@@ -214,6 +288,28 @@ mod tests {
         assert!(oob.materialize(2).is_err());
         let oob_single = JumpVector::SingleNode { node: NodeId(9), mass: 0.1 };
         assert!(oob_single.materialize(2).is_err());
+        assert!(JumpVector::scaled_core(vec![NodeId(1), NodeId(2)], 1.5).materialize(4).is_err());
+        for mass in [-0.0, f64::NAN] {
+            assert!(JumpVector::SingleNode { node: NodeId(0), mass }.materialize(3).is_err());
+        }
+    }
+
+    #[test]
+    fn spec_bytes_is_what_the_spec_holds() {
+        let cases = [
+            (JumpVector::Uniform, 7),
+            (JumpVector::scaled_core(vec![NodeId(3), NodeId(1), NodeId(3)], 0.85), 130),
+            (JumpVector::SingleNode { node: NodeId(63), mass: 1.0 }, 64),
+            (JumpVector::Custom(vec![0.5, 0.25, 0.0]), 3),
+        ];
+        for (jump, n) in cases {
+            let held = match jump.spec(n).unwrap() {
+                JumpSpec::Constant(_) => 0,
+                JumpSpec::OnSet { bits, .. } => bits.len() * 8,
+                JumpSpec::Dense(values) => values.len() * 8,
+            };
+            assert_eq!(jump.spec_bytes(n), held as u64, "{jump:?} on {n}");
+        }
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //! compressed image larger than RAM.
 //!
 //! The resident working set is only what the iteration mathematically
-//! needs: the interleaved jump/front/back score matrices (`3·n·K` f64),
-//! the per-node damping coefficients (`n` f64), and one decoded block's
+//! needs: the iterate and its two contribution buffers (`3·n·K` f64), the
+//! per-node damping coefficients (`n` f64), each column's jump spec (a
+//! bitset of `n/8` bytes for a core or a single node, `8n` bytes for a
+//! custom vector, nothing for the uniform jump), and one decoded block's
 //! scratch CSR **per worker**. The edge structure itself never
 //! materializes — the image's in-blocks are cut into one contiguous,
 //! cost-balanced range per pool worker, and each sweep every worker
@@ -17,13 +19,13 @@
 //! ## Exactness
 //!
 //! A streamed sweep runs every row through the same row body, gather
-//! kernel and coefficient values as the resident engine, in place over
-//! each worker's block range: a row reads a source fresh when the same
-//! worker relaxed it earlier in the sweep (a source in `first..y`), so
-//! the streamed solver is not an approximation, just a different row
-//! source. **With one worker, scores, iteration counts and residuals are
-//! bit-identical to the one-worker resident solve** — both read every
-//! source below the row fresh. With more, where each worker's range
+//! kernel, jump specs and coefficient values as the resident engine, in
+//! place over each worker's block range: a row reads a source fresh when
+//! the same worker relaxed it earlier in the sweep (a source in
+//! `first..y`), so the streamed solver is not an approximation, just a
+//! different row source. **With one worker, scores, iteration counts and
+//! residuals are bit-identical to the one-worker resident solve** — both
+//! read every source below the row fresh. With more, where each worker's range
 //! starts decides which reads are fresh, and each column's residual is
 //! folded from the workers' partial sums in worker index order: a fixed
 //! `(image, workers)` is bit-reproducible, and across worker counts —
@@ -36,16 +38,21 @@
 //!
 //! Callers pass an explicit byte budget (the CLI's
 //! `--max-resident-mb`). The solve computes its worst-case resident
-//! footprint up front, gives up workers (one block scratch each) until
-//! it fits, and refuses with [`PageRankError::ResidentBudget`] when even
-//! one worker does not — an out-of-core path that silently allocates
-//! past its contract is worse than none.
+//! footprint up front ([`resident_bytes_needed`]:
+//! `24·n·K + 8·n + Σ spec bytes + 8·n·S + 4 KiB · k + workers ·
+//! scratch + 40 · blocks` for `k` columns, the widest chunk of `K ≤ 4` of
+//! them, the `S` whose scores earlier chunks hold, and a residual history
+//! each), gives up workers (one block scratch
+//! each) until it fits, and refuses with [`PageRankError::ResidentBudget`]
+//! when even one worker does not — an out-of-core path that silently
+//! allocates past its contract is worse than none.
 
 use crate::batch::{empty_results, MAX_FUSED_COLUMNS};
 use crate::config::PageRankConfig;
 use crate::engine::Columns;
 use crate::error::PageRankError;
-use crate::jump::JumpVector;
+use crate::history::ResidualHistory;
+use crate::jump::{JumpSpec, JumpVector};
 use crate::kernel;
 use crate::parallel::PoolSizing;
 use crate::profiler::PoolProfiler;
@@ -55,41 +62,48 @@ use spammass_obs as obs;
 use std::ops::Range;
 use std::sync::Mutex;
 
-/// Bytes the streamed solve keeps resident for `n` nodes, `k` total
-/// columns, `workers` pool workers, and an image whose largest block
-/// decodes to `(max_rows, max_edges)`: score matrices for the widest
-/// chunk, the coefficient vector, one block scratch per worker, and the
-/// per-block index bookkeeping.
+/// Bytes the streamed solve keeps resident for `n` nodes, the columns
+/// `jumps`, `workers` pool workers, and an image whose largest block
+/// decodes to `(max_rows, max_edges)`: the iterate and its two
+/// contribution buffers for the widest chunk, the coefficient vector,
+/// every column's jump spec and residual history, the score vectors of
+/// the chunks solved before the last, one block scratch per worker, and
+/// the per-block index bookkeeping.
 pub fn resident_bytes_needed(
     n: usize,
-    k: usize,
+    jumps: &[JumpVector],
     max_rows: usize,
     max_edges: usize,
     blocks: usize,
     workers: usize,
 ) -> u64 {
-    let k_chunk = k.clamp(1, MAX_FUSED_COLUMNS);
-    let score_matrices = 3 * (n as u64) * (k_chunk as u64) * 8; // vmat + front + back
+    let k_chunk = jumps.len().clamp(1, MAX_FUSED_COLUMNS);
+    let score_matrices = 3 * (n as u64) * (k_chunk as u64) * 8; // p + two q
     let coef = n as u64 * 8;
+    let specs: u64 = jumps.iter().map(|jump| jump.spec_bytes(n)).sum();
+    let solved_columns = jumps.len().saturating_sub(1) / MAX_FUSED_COLUMNS * MAX_FUSED_COLUMNS;
+    let results = solved_columns as u64 * n as u64 * 8
+        + jumps.len() as u64 * ResidualHistory::DEFAULT_BYTES as u64;
     let scratch = workers as u64 * BlockScratch::bytes_for(max_rows, max_edges) as u64;
     let index = blocks as u64 * 40; // entry + first-row + verified bit, rounded up
-    score_matrices + coef + scratch + index
+    score_matrices + coef + specs + results + scratch + index
 }
 
-/// Checks the budget and sizes the pool for `k` columns over `image`:
+/// Checks the budget and sizes the pool for the columns `jumps` over
+/// `image`:
 /// [`PageRankConfig::threads`] through the resident sizing rule, further
 /// capped by the in-block count — a worker owns whole blocks — and by
 /// how many block scratches the budget affords beside the matrices.
 fn size_pool(
     image: &CompressedImage,
-    k: usize,
+    jumps: &[JumpVector],
     config: &PageRankConfig,
     max_resident_bytes: u64,
 ) -> Result<PoolSizing, PageRankError> {
     let (max_rows, max_edges) = image.max_block_dims();
     let in_blocks = image.block_count(Orientation::In);
     let blocks = image.block_count(Orientation::Out) + in_blocks;
-    let required = resident_bytes_needed(image.node_count(), k, max_rows, max_edges, blocks, 1);
+    let required = resident_bytes_needed(image.node_count(), jumps, max_rows, max_edges, blocks, 1);
     if required > max_resident_bytes {
         return Err(PageRankError::ResidentBudget { required, budget: max_resident_bytes });
     }
@@ -102,19 +116,19 @@ fn size_pool(
     Ok(PoolSizing::new(config, image.node_count(), edges, &caps))
 }
 
-/// The worker count [`solve_batch_streamed`] resolves to for `columns`
-/// jump vectors over `image` under `config` and the byte budget — what a
-/// front end prints beside the budget.
+/// The worker count [`solve_batch_streamed`] resolves to for `jumps` over
+/// `image` under `config` and the byte budget — what a front end prints
+/// beside the budget.
 ///
 /// # Errors
 /// [`PageRankError::ResidentBudget`] when not even one worker fits.
 pub fn streamed_workers(
     image: &CompressedImage,
-    columns: usize,
+    jumps: &[JumpVector],
     config: &PageRankConfig,
     max_resident_bytes: u64,
 ) -> Result<usize, PageRankError> {
-    size_pool(image, columns, config, max_resident_bytes).map(|sizing| sizing.threads)
+    size_pool(image, jumps, config, max_resident_bytes).map(|sizing| sizing.threads)
 }
 
 /// Solves `(I − c·Tᵀ)pⱼ = (1 − c)vⱼ` for every jump vector in `jumps`
@@ -126,8 +140,8 @@ pub fn streamed_workers(
 /// bit-identical to the resident one-worker solve.
 ///
 /// `max_resident_bytes` bounds the solve's own working set (scores,
-/// coefficients, block scratches — not the mmap'd image, which the OS
-/// pages in and out freely).
+/// coefficients, jump specs, block scratches — not the mmap'd image,
+/// which the OS pages in and out freely).
 ///
 /// # Errors
 /// [`PageRankError::ResidentBudget`] when the working set cannot fit
@@ -146,15 +160,12 @@ pub fn solve_batch_streamed(
     config.validate()?;
     let n = image.node_count();
     let k = jumps.len();
-    let mut vs = Vec::with_capacity(k);
-    for jump in jumps {
-        vs.push(jump.materialize(n)?);
-    }
+    let specs = jumps.iter().map(|jump| jump.spec(n)).collect::<Result<Vec<_>, _>>()?;
     if k == 0 || n == 0 {
         return Ok(empty_results(k));
     }
 
-    let sizing = size_pool(image, k, config, max_resident_bytes)?;
+    let sizing = size_pool(image, jumps, config, max_resident_bytes)?;
     let workers = sizing.threads;
     sizing.record("streamed");
     let source = BlockSource::new(image, workers);
@@ -186,7 +197,7 @@ pub fn solve_batch_streamed(
 
     let mut results = Vec::with_capacity(k);
     let mut sweeps = 0usize;
-    for chunk in vs.chunks(MAX_FUSED_COLUMNS) {
+    for chunk in specs.chunks(MAX_FUSED_COLUMNS) {
         let solved = match chunk.len() {
             1 => sweep_blocks::<1>(&source, &coef, chunk, config)?,
             2 => sweep_blocks::<2>(&source, &coef, chunk, config)?,
@@ -297,16 +308,16 @@ impl<'a> BlockSource<'a> {
 fn sweep_blocks<const K: usize>(
     source: &BlockSource<'_>,
     coef: &[f64],
-    vs: &[Vec<f64>],
+    specs: &[JumpSpec],
     config: &PageRankConfig,
 ) -> Result<Vec<PageRankResult>, PageRankError> {
-    let mut cols = Columns::<K>::new(vs, None, config);
+    let mut cols = Columns::<K>::new(specs, coef, None, config);
     let profiler = PoolProfiler::from_live(&source.edges, K);
     cols.solve_whole_rows(
         config,
         &source.rows,
         profiler.as_ref(),
-        |worker, body, read, write, deltas| {
+        |worker, body, stale, p, q, deltas| {
             let mut scratch = source.scratch(worker);
             let first = source.rows[worker].start;
             for idx in source.blocks[worker].clone() {
@@ -318,11 +329,13 @@ fn sweep_blocks<const K: usize>(
                     let y = scratch.first_row + i;
                     // In place: the rows of this worker's earlier blocks
                     // and of this one up to `y` are read back fresh.
-                    let (fresh, rest) = write.split_at_mut((y - first) * K);
+                    let at = (y - first) * K;
+                    let (fresh, rest) = q.split_at_mut(at);
                     body.relax(
                         y,
-                        read,
-                        |acc| kernel::gather_row(read, fresh, first, coef, scratch.row(i), acc),
+                        stale,
+                        |acc| kernel::gather_row(stale, fresh, first, scratch.row(i), acc),
+                        &mut p[at..at + K],
                         &mut rest[..K],
                         deltas,
                     );
@@ -331,9 +344,9 @@ fn sweep_blocks<const K: usize>(
             Ok(())
         },
     )?;
-    // Free the sweep-only state before materializing per-column vectors
-    // so the de-interleave phase stays under the same budget as the
-    // sweeps.
+    // Free the contribution buffers before de-interleaving the iterate
+    // into per-column vectors so that phase stays under the same budget
+    // as the sweeps.
     cols.release_sweep_buffers();
     Ok(cols.into_results())
 }
@@ -431,7 +444,7 @@ mod tests {
         for threads in [2usize, 4] {
             let config = pooled(threads);
             let image = open(damaged.clone());
-            assert_eq!(streamed_workers(&image, 2, &config, u64::MAX).unwrap(), threads);
+            assert_eq!(streamed_workers(&image, &jumps, &config, u64::MAX).unwrap(), threads);
             let err = solve_batch_streamed(&image, &jumps, &config, u64::MAX).unwrap_err();
             assert!(matches!(err, PageRankError::EdgeSource(_)), "{threads} workers: {err:?}");
             let solved =
@@ -463,16 +476,16 @@ mod tests {
         let (max_rows, max_edges) = image.max_block_dims();
         let blocks = image.block_count(Orientation::Out) + image.block_count(Orientation::In);
         let footprint = |workers| {
-            resident_bytes_needed(g.node_count(), 2, max_rows, max_edges, blocks, workers)
+            resident_bytes_needed(g.node_count(), &jumps, max_rows, max_edges, blocks, workers)
         };
         let wide = pooled(4);
-        assert_eq!(streamed_workers(&image, 2, &wide, u64::MAX).unwrap(), 4);
-        assert_eq!(streamed_workers(&image, 2, &wide, footprint(3)).unwrap(), 3);
-        assert_eq!(streamed_workers(&image, 2, &wide, footprint(2) - 1).unwrap(), 1);
+        assert_eq!(streamed_workers(&image, &jumps, &wide, u64::MAX).unwrap(), 4);
+        assert_eq!(streamed_workers(&image, &jumps, &wide, footprint(3)).unwrap(), 3);
+        assert_eq!(streamed_workers(&image, &jumps, &wide, footprint(2) - 1).unwrap(), 1);
 
         // Exactly the one-worker footprint: solves, on one worker, with
         // the bits of an unlimited budget at `threads = 1`.
-        assert_eq!(streamed_workers(&image, 2, &wide, footprint(1)).unwrap(), 1);
+        assert_eq!(streamed_workers(&image, &jumps, &wide, footprint(1)).unwrap(), 1);
         let tight = solve_batch_streamed(&image, &jumps, &wide, footprint(1)).unwrap();
         let free = solve_batch_streamed(&image, &jumps, &pooled(1), u64::MAX).unwrap();
         for (a, b) in tight.iter().zip(&free) {

@@ -446,7 +446,10 @@ fn forward_fraction(g: &Graph) -> f64 {
 /// one buffer stale fails that. Node order is a dimension too: each graph
 /// renumbered into degree order, with the core column renumbered alike,
 /// solves cold at K = 2 on 1 and 2 workers to within 1e-12 of the
-/// natural-order oracle once the scores are mapped back.
+/// natural-order oracle once the scores are mapped back. The other two
+/// jump kinds — a custom vector and a single node — solve cold as one
+/// K = 2 batch, resident and streamed, on 1, 2 and 4 workers under the
+/// same oracle, batch-width and one-worker checks.
 ///
 /// The reversed graph is what makes the in-place sweep visible: in the
 /// original every link points to an older id, so no in-edge is ever read
@@ -582,6 +585,45 @@ fn parity_cells(name: &str, g: &Graph) {
                         assert!(spread <= 1e-12, "{cell}: {spread:e} from one worker");
                     }
                 }
+            }
+        }
+    }
+
+    // The other two jump kinds, cold: a custom vector (a dense spec) and
+    // a single node (a one-bit set), resident and streamed.
+    let custom: Vec<f64> = (0..n).map(|y| (1 + y % 5) as f64 / (3 * n) as f64).collect();
+    let other = [
+        JumpVector::Custom(custom),
+        JumpVector::SingleNode { node: NodeId(n as u32 / 3), mass: 0.5 },
+    ];
+    let other_vs: Vec<Vec<f64>> = other.iter().map(|j| j.materialize(n).unwrap()).collect();
+    let oracle: Vec<Vec<f64>> = other_vs
+        .iter()
+        .map(|v| solve_jacobi_dense_warm(g, v, None, &config).unwrap().scores)
+        .collect();
+    let mut resident_one = Vec::new();
+    for threads in [1usize, 2, 4] {
+        let cfg_t = config.threads(threads);
+        let pair = solve_batch_warm(g, &other, None, &cfg_t).unwrap();
+        let streamed_pair = solve_batch_streamed(&image, &other, &cfg_t, u64::MAX).unwrap();
+        if threads == 1 {
+            resident_one = pair.clone();
+        }
+        for j in 0..2 {
+            let cell = format!("{name} {} threads={threads}", ["custom", "single node"][j]);
+            let drift = max_diff(&pair[j].scores, &oracle[j]);
+            assert!(drift <= 1e-12, "{cell}: {drift:e} from Algorithm 1");
+            assert_residual(&cell, g, &other_vs[j], &pair[j]);
+            let solo = solve_batch_warm(g, &other[j..=j], None, &cfg_t).unwrap().remove(0);
+            assert_eq!(bits(&solo.scores), bits(&pair[j].scores), "{cell}: K=1 vs K=2");
+            let s = &streamed_pair[j];
+            assert_residual(&cell, g, &other_vs[j], s);
+            if threads == 1 {
+                assert_eq!(bits(&s.scores), bits(&pair[j].scores), "{cell}: streamed");
+                assert_eq!(s.iterations, pair[j].iterations, "{cell}: streamed");
+            } else {
+                let spread = max_diff(&s.scores, &resident_one[j].scores);
+                assert!(spread <= 1e-12, "{cell}: streamed {spread:e} from one worker");
             }
         }
     }

@@ -99,6 +99,19 @@ LEAKS="$(find crates src examples -name '*.rs' \
       /reference::|solve_jacobi|solve_gauss_seidel|solve_power/ { print FILENAME ":" FNR ": " $0 }' {} +)"
 [ -z "$LEAKS" ] || { echo "reference solvers named outside their allowed homes:"; echo "$LEAKS"; exit 1; }
 
+echo "== jumps are specs: a dense jump vector only where one is needed =="
+# The engine reads each column's jump through its spec (JumpVector::spec:
+# a constant, a bitset or, for a custom jump, a dense vector). A dense
+# n-long copy (`materialize(`) may be built in jump.rs itself, by the
+# reference solvers, by update.rs's warm-start seeding, in benches and in
+# test code - nowhere else.
+DENSE="$(find crates src examples -name '*.rs' \
+    ! -path 'crates/pagerank/src/jump.rs' ! -path 'crates/pagerank/src/reference/*' \
+    ! -path 'crates/core/src/update.rs' ! -path 'crates/bench/*' \
+    ! -path '*/tests/*' -exec awk '/^#\[cfg\(test\)\]/ { nextfile }
+      /materialize\(/ { print FILENAME ":" FNR ": " $0 }' {} +)"
+[ -z "$DENSE" ] || { echo "dense jump vectors built outside their allowed homes:"; echo "$DENSE"; exit 1; }
+
 echo "== whole-system benchmark: builds and its own tests pass =="
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
