@@ -26,7 +26,7 @@
 //! says so instead of pretending.
 
 use crate::journal;
-use crate::state::{sync_dir, write_durable, StateDir, StateError};
+use crate::state::{sync_dir, write_durable_with, StateDir, StateError};
 use spammass_graph::io;
 use spammass_graph::retry::retry_io;
 use spammass_obs as obs;
@@ -292,7 +292,7 @@ pub fn repair_state(dir: &StateDir, journal_path: Option<&Path>) -> Result<State
         let path = dir.generation_path(g).join(StateDir::GRAPH_FILE);
         let (graph, _) = io::map_graph_file(&path)?;
         let staged = path.with_extension("bin.tmp");
-        write_durable(&staged, &io::graph_to_bytes_v3(&graph), "fsck.repair.image")?;
+        write_durable_with(&staged, "fsck.repair.image", |file| io::write_graph_v3(&graph, file))?;
         retry_io("fsck.repair.image", || fs::rename(&staged, &path))?;
         sync_dir(&dir.generation_path(g))?;
         repairs.push(format!("rewrote self-repaired graph image of gen-{g:04}"));

@@ -326,19 +326,31 @@ pub fn manifest_from_bytes(data: &[u8]) -> Result<u64, StateError> {
 // Durable writes (failpointed)
 // ---------------------------------------------------------------------------
 
-/// Writes `bytes` to `path` and fsyncs, with failpoints at the syscall
-/// boundaries: `{point}` before the create, `{point}.torn` mid-write
-/// (half the payload lands, simulating a torn page flush), and
-/// `{point}.fsync` before the sync.
+/// Writes `bytes` to `path` and fsyncs (see [`write_durable_with`]).
 pub(crate) fn write_durable(path: &Path, bytes: &[u8], point: &str) -> std::io::Result<()> {
+    write_durable_with(path, point, |mut file| file.write_all(bytes).map(|()| bytes.len() as u64))
+}
+
+/// Creates `path`, lets `write` fill it (returning the length written)
+/// and fsyncs, with failpoints at the syscall boundaries: `{point}`
+/// before the create, `{point}.torn` mid-write (only the first half of
+/// the payload lands and is synced, simulating a torn page flush), and
+/// `{point}.fsync` before the sync.
+pub(crate) fn write_durable_with(
+    path: &Path,
+    point: &str,
+    write: impl FnOnce(&fs::File) -> std::io::Result<u64>,
+) -> std::io::Result<()> {
     failpoint::hit(point)?;
-    let mut file = retry_io(point, || fs::File::create(path))?;
+    let file = retry_io(point, || fs::File::create(path))?;
     if let Err(e) = failpoint::hit(&format!("{point}.torn")) {
-        let _ = file.write_all(&bytes[..bytes.len() / 2]);
+        if let Ok(len) = write(&file) {
+            let _ = file.set_len(len / 2);
+        }
         let _ = file.sync_all();
         return Err(e);
     }
-    file.write_all(bytes)?;
+    write(&file)?;
     failpoint::hit(&format!("{point}.fsync"))?;
     retry_io(point, || file.sync_all())?;
     Ok(())
@@ -542,11 +554,11 @@ impl StateDir {
         failpoint::hit("state.gen.create")?;
         retry_io("state.gen.create", || fs::create_dir(&dir))?;
 
-        write_durable(
-            &dir.join(Self::GRAPH_FILE),
-            &io::graph_to_bytes_v3(graph),
-            "state.write.graph",
-        )?;
+        // The image is streamed into the file: no second copy of the
+        // graph is held while it is written.
+        write_durable_with(&dir.join(Self::GRAPH_FILE), "state.write.graph", |file| {
+            io::write_graph_v3(graph, file)
+        })?;
         write_durable(&dir.join(Self::PAGERANK_FILE), &scores_to_bytes(pagerank), "state.write.p")?;
         write_durable(
             &dir.join(Self::CORE_PAGERANK_FILE),

@@ -96,25 +96,27 @@ impl GraphBuilder {
         }
     }
 
-    /// Builds the immutable graph: sorts staged edges, removes duplicates,
-    /// and lays out both CSR orientations.
-    pub fn build(mut self) -> Graph {
-        // Sort + dedup gives deterministic, duplicate-free adjacency and a
-        // single pass CSR layout.
-        self.edges.sort_unstable();
-        self.edges.dedup();
-        Graph::from_sorted_unique_edges(self.node_count, &self.edges)
+    /// Builds the immutable graph: lays out both CSR orientations of the
+    /// staged edges with duplicates collapsed and every list sorted.
+    ///
+    /// # Panics
+    /// Panics when a staged edge is out of range (only
+    /// [`add_edge`](GraphBuilder::add_edge) in a release build can stage
+    /// one).
+    pub fn build(self) -> Graph {
+        Graph::from_edge_list(self.node_count, &self.edges)
     }
 
     /// Convenience: builds a graph directly from `(from, to)` pairs given as
     /// raw `u32` ids, growing the node range to fit (at least `min_nodes`).
+    /// Self-loops are dropped and duplicates collapsed, as
+    /// [`build`](GraphBuilder::build) does; `edges` is read in place,
+    /// never copied.
     pub fn from_edges(min_nodes: usize, edges: &[(u32, u32)]) -> Graph {
         let max_node = edges.iter().map(|&(f, t)| f.max(t) as usize + 1).max().unwrap_or(0);
-        let mut b = GraphBuilder::with_capacity(min_nodes.max(max_node), edges.len());
-        for &(f, t) in edges {
-            b.add_edge(NodeId(f), NodeId(t));
-        }
-        b.build()
+        let node_count = min_nodes.max(max_node);
+        assert!(node_count <= u32::MAX as usize, "graphs are limited to u32::MAX nodes");
+        Graph::from_edge_list(node_count, edges)
     }
 }
 

@@ -697,10 +697,10 @@ impl CompressedImage {
         Ok(())
     }
 
-    /// Fully decodes the image into an in-memory [`Graph`] (both
-    /// orientations validated by `Graph::from_csr_parts`). Needs RAM for
-    /// the whole CSR — the in-memory comparison path, not the streaming
-    /// one.
+    /// Fully decodes the image into an in-memory [`Graph`], one
+    /// orientation per thread (both validated by
+    /// `Graph::from_csr_parts`). Needs RAM for the whole CSR — the
+    /// in-memory comparison path, not the streaming one.
     ///
     /// # Errors
     /// Decode errors, plus CSR validation failures when the two
@@ -726,8 +726,11 @@ impl CompressedImage {
             }
             Ok((offsets, targets))
         };
-        let (out_offsets, out_targets) = decode_side(Orientation::Out)?;
-        let (in_offsets, in_sources) = decode_side(Orientation::In)?;
+        let (out, inn) = crate::graph::per_orientation(
+            || decode_side(Orientation::Out),
+            || decode_side(Orientation::In),
+        );
+        let ((out_offsets, out_targets), (in_offsets, in_sources)) = (out?, inn?);
         Graph::from_csr_parts(
             n,
             out_offsets.into(),

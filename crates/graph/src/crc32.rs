@@ -54,9 +54,16 @@ const TABLES: [[u32; 256]; 16] = {
 
 /// CRC-32 of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
+    crc32_update(0, data)
+}
+
+/// Continues the CRC-32 `crc` of some bytes `a` over the bytes that
+/// follow them: `crc32_update(crc32(a), b) == crc32(a ++ b)`. Lets a
+/// writer checksum an image one chunk at a time as the chunks go out.
+pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
     let t = &TABLES;
     let byte = |w: u32, shift: u32| ((w >> shift) & 0xFF) as usize;
-    let mut crc = 0xFFFF_FFFFu32;
+    let mut crc = !crc;
     let mut chunks = data.chunks_exact(16);
     for chunk in &mut chunks {
         let word =
@@ -82,7 +89,7 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
-    crc ^ 0xFFFF_FFFF
+    !crc
 }
 
 #[cfg(test)]
@@ -146,6 +153,25 @@ mod tests {
         for offset in 0..16 {
             let slice = &data[offset..offset + 4099];
             assert_eq!(crc32(slice), reference(slice), "offset {offset}");
+        }
+    }
+
+    #[test]
+    fn update_continues_a_crc_across_every_split() {
+        let data = noise(4096, 4);
+        let whole = crc32(&data);
+        for split in 0..=data.len() {
+            let (a, b) = data.split_at(split);
+            assert_eq!(crc32_update(crc32(a), b), whole, "split {split}");
+        }
+        // Three pieces at seeded split points, as a chunked writer feeds it.
+        let cuts = noise(128, 5);
+        for pair in cuts.chunks_exact(4) {
+            let cut = |lo: u8, hi: u8| u16::from_le_bytes([lo, hi]) as usize % (data.len() + 1);
+            let (x, y) = (cut(pair[0], pair[1]), cut(pair[2], pair[3]));
+            let (lo, hi) = (x.min(y), x.max(y));
+            let crc = crc32_update(crc32_update(crc32(&data[..lo]), &data[lo..hi]), &data[hi..]);
+            assert_eq!(crc, whole, "splits {lo}, {hi}");
         }
     }
 

@@ -6,14 +6,11 @@ use crate::storage::{NodeStore, U32Store};
 
 /// Recomputes per-node out-degrees from an edge list.
 ///
-/// This is the single source of truth for out-degree — and therefore
-/// dangling-node — bookkeeping: CSR construction
-/// ([`Graph::from_sorted_unique_edges`], hence also
-/// [`Graph::filter_edges`]) derives its offsets from these counts, and
-/// the incremental delta applier (`spammass-delta`) uses the same
-/// function when it maintains the dangling set across edge insertions
-/// and removals. A node whose last out-edge is removed is classified as
-/// dangling identically on every path.
+/// The incremental delta applier (`spammass-delta`) maintains the
+/// dangling set across edge insertions and removals with this function.
+/// It counts an edge under its source exactly as the out-orientation
+/// pass of CSR construction does, so a node whose last out-edge is
+/// removed is classified as dangling identically on every path.
 ///
 /// # Panics
 /// Panics when an edge references a node id `>= node_count`.
@@ -23,6 +20,98 @@ pub fn recompute_out_degrees(node_count: usize, edges: &[(u32, u32)]) -> Vec<u32
         degrees[f as usize] += 1;
     }
     degrees
+}
+
+/// Runs `out` on the calling thread and `inn` on one scoped thread, and
+/// returns both results. The out-CSR and the in-CSR are independent
+/// halves of equal size, so every whole-graph pass (build, image encode,
+/// image checksum, validation) splits this way: always exactly two
+/// threads, whatever the graph size. A panic on either side resumes on
+/// the caller.
+pub(crate) fn per_orientation<A, B: Send>(
+    out: impl FnOnce() -> A,
+    inn: impl FnOnce() -> B + Send,
+) -> (A, B) {
+    std::thread::scope(|scope| {
+        let inn = scope.spawn(inn);
+        let out = out();
+        (out, inn.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+    })
+}
+
+/// Lays out one CSR orientation of `edges` by counting sort. `row` maps
+/// an edge to `(list, entry)`: `(from, to)` for the out-lists, `(to,
+/// from)` for the in-lists. Self-loops are dropped; every list comes out
+/// sorted and free of repeats.
+///
+/// Count by list, prefix-sum, scatter in input order, then one pass that
+/// sorts only the lists that arrived out of order, drops repeats and
+/// closes the gaps they leave. Input sorted by `(from, to)` scatters
+/// both orientations' lists already in order, so that pass only checks.
+///
+/// # Panics
+/// Panics when an edge references a node id `>= node_count`.
+fn csr_orientation(
+    node_count: usize,
+    edges: &[(u32, u32)],
+    row: impl Fn((u32, u32)) -> (u32, u32),
+) -> (Vec<u32>, Vec<u32>) {
+    // `offsets[r + 2]` counts list `r`; after the prefix sum `offsets[r +
+    // 1]` is where list `r` starts, and the scatter advances it to where
+    // list `r` ends — which is where list `r + 1` starts.
+    let mut offsets = vec![0u32; node_count + 2];
+    for &e in edges {
+        let (r, v) = row(e);
+        let hi = r.max(v);
+        assert!(
+            (hi as usize) < node_count,
+            "{}",
+            GraphError::NodeOutOfRange { node: hi, node_count }
+        );
+        if r != v {
+            offsets[r as usize + 2] += 1;
+        }
+    }
+    for i in 1..offsets.len() {
+        offsets[i] += offsets[i - 1];
+    }
+    let mut entries = vec![0u32; offsets[node_count + 1] as usize];
+    for &e in edges {
+        let (r, v) = row(e);
+        if r != v {
+            let slot = &mut offsets[r as usize + 1];
+            entries[*slot as usize] = v;
+            *slot += 1;
+        }
+    }
+    offsets.pop();
+
+    let mut kept = 0usize;
+    let mut start = 0usize;
+    for r in 0..node_count {
+        let end = offsets[r + 1] as usize;
+        let list = &mut entries[start..end];
+        let mut len = list.len();
+        if list.windows(2).any(|w| w[0] >= w[1]) {
+            list.sort_unstable();
+            len = 1;
+            for i in 1..list.len() {
+                if list[i] != list[len - 1] {
+                    list[len] = list[i];
+                    len += 1;
+                }
+            }
+        }
+        if kept != start {
+            entries.copy_within(start..start + len, kept);
+        }
+        kept += len;
+        offsets[r + 1] = kept as u32;
+        start = end;
+    }
+    entries.truncate(kept);
+    entries.shrink_to_fit();
+    (offsets, entries)
 }
 
 /// An immutable directed graph in compressed-sparse-row form.
@@ -53,34 +142,57 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Builds a graph from an edge list that is already sorted by
-    /// `(from, to)` and free of duplicates and self-loops.
+    /// Builds a graph from `edges` in any order, dropping self-loops and
+    /// collapsing repeats — the one CSR construction behind
+    /// [`GraphBuilder`](crate::GraphBuilder) and the sorted-input
+    /// constructors. The out-lists are laid out on the calling thread and
+    /// the in-lists on one scoped thread (see [`per_orientation`]).
     ///
-    /// This is the single CSR layout routine: [`GraphBuilder::build`]
-    /// (which sorts and deduplicates first) and the incremental delta
-    /// applier (which splices already-sorted runs) both end here.
+    /// # Panics
+    /// Panics when `edges` holds more than `u32::MAX` entries or an id
+    /// `>= node_count`.
+    pub(crate) fn from_edge_list(node_count: usize, edges: &[(u32, u32)]) -> Graph {
+        if edges.len() > u32::MAX as usize {
+            panic!("{}", GraphError::TooManyEdges { count: edges.len() });
+        }
+        let ((out_offsets, out_targets), (in_offsets, in_sources)) = per_orientation(
+            || csr_orientation(node_count, edges, |(f, t)| (f, t)),
+            || csr_orientation(node_count, edges, |(f, t)| (t, f)),
+        );
+        debug_assert_eq!(out_targets.len(), in_sources.len());
+        Graph {
+            node_count,
+            edge_count: out_targets.len(),
+            out_offsets: out_offsets.into(),
+            out_targets: out_targets.into(),
+            in_offsets: in_offsets.into(),
+            in_sources: in_sources.into(),
+        }
+    }
+
+    /// Builds a graph from an edge list that is already sorted by
+    /// `(from, to)` and free of duplicates and self-loops — what the
+    /// incremental delta applier (which splices already-sorted runs) and
+    /// [`filter_edges`](Graph::filter_edges) hold.
     ///
     /// # Preconditions
     /// `edges` must be sorted by `(from, to)`, free of duplicates and
-    /// self-loops, and reference only ids below `node_count`. Violating
-    /// the sortedness invariant produces a graph with unsorted adjacency
-    /// lists (breaking [`has_edge`](Graph::has_edge)); a debug assertion
-    /// catches it in test builds. Out-of-range ids and edge counts above
-    /// `u32::MAX` panic; callers that cannot guarantee their input (e.g.
-    /// lenient ingest of adversarial files) should use
+    /// self-loops, and reference only ids below `node_count`. A debug
+    /// assertion checks the order in test builds; in release builds
+    /// unsorted input still yields the same graph as
+    /// [`GraphBuilder::build`] would. Out-of-range ids and edge counts
+    /// above `u32::MAX` panic; callers that cannot guarantee their input
+    /// (e.g. lenient ingest of adversarial files) should use
     /// [`try_from_sorted_unique_edges`](Graph::try_from_sorted_unique_edges)
     /// for a typed error instead.
     ///
     /// [`GraphBuilder::build`]: crate::GraphBuilder::build
     pub fn from_sorted_unique_edges(node_count: usize, edges: &[(u32, u32)]) -> Graph {
-        if let Err(e) = validate_edge_slice(node_count, edges) {
-            panic!("{e}");
-        }
         debug_assert!(
             edges.windows(2).all(|w| w[0] < w[1]),
             "edges must be sorted by (from, to) and duplicate-free"
         );
-        Graph::build_from_sorted(node_count, edges)
+        Graph::from_edge_list(node_count, edges)
     }
 
     /// Fallible [`from_sorted_unique_edges`](Graph::from_sorted_unique_edges):
@@ -89,13 +201,12 @@ impl Graph {
     ///
     /// Checks, in order: the edge count fits `u32`
     /// ([`GraphError::TooManyEdges`] — the counting pass increments `u32`
-    /// cells, so an oversized list would overflow them before the old
-    /// assertion semantics ever fired), every endpoint is in range
-    /// ([`GraphError::NodeOutOfRange`]), no self-loops
-    /// ([`GraphError::SelfLoop`]), and the list is sorted and
-    /// duplicate-free ([`GraphError::Corrupt`] — unlike the infallible
-    /// constructor this is checked in release builds too, because callers
-    /// reaching for this entry point are handling untrusted input).
+    /// cells, so an oversized list would overflow them), every endpoint
+    /// is in range ([`GraphError::NodeOutOfRange`]), the list is sorted
+    /// and duplicate-free ([`GraphError::Corrupt`] — unlike the
+    /// infallible constructor this is checked in release builds too,
+    /// because callers reaching for this entry point are handling
+    /// untrusted input), and no self-loops ([`GraphError::SelfLoop`]).
     ///
     /// # Errors
     /// See above; the graph is only constructed when all checks pass.
@@ -113,50 +224,7 @@ impl Graph {
         if let Some(&(f, _)) = edges.iter().find(|&&(f, t)| f == t) {
             return Err(GraphError::SelfLoop { node: f });
         }
-        Ok(Graph::build_from_sorted(node_count, edges))
-    }
-
-    /// The shared CSR layout pass. Precondition checks happened in the
-    /// callers; this only does the counting and scatter work.
-    fn build_from_sorted(node_count: usize, edges: &[(u32, u32)]) -> Graph {
-        let m = edges.len();
-        let degrees = recompute_out_degrees(node_count, edges);
-        let mut out_offsets = vec![0u32; node_count + 1];
-        let mut in_offsets = vec![0u32; node_count + 1];
-        for (i, &d) in degrees.iter().enumerate() {
-            out_offsets[i + 1] = d;
-        }
-        for &(_, t) in edges {
-            in_offsets[t as usize + 1] += 1;
-        }
-        for i in 0..node_count {
-            out_offsets[i + 1] += out_offsets[i];
-            in_offsets[i + 1] += in_offsets[i];
-        }
-
-        // Out-targets can be emitted directly because `edges` is sorted by
-        // `from`; in-sources need a counting-sort scatter pass.
-        let mut out_targets = Vec::with_capacity(m);
-        out_targets.extend(edges.iter().map(|&(_, t)| t));
-
-        let mut in_sources = vec![0u32; m];
-        let mut cursor: Vec<u32> = in_offsets[..node_count].to_vec();
-        for &(f, t) in edges {
-            let c = &mut cursor[t as usize];
-            in_sources[*c as usize] = f;
-            *c += 1;
-        }
-        // Because `edges` is sorted by (from, to), sources scatter into each
-        // in-list in increasing order — in-lists come out sorted too.
-
-        Graph {
-            node_count,
-            edge_count: m,
-            out_offsets: out_offsets.into(),
-            out_targets: out_targets.into(),
-            in_offsets: in_offsets.into(),
-            in_sources: in_sources.into(),
-        }
+        Ok(Graph::from_edge_list(node_count, edges))
     }
 
     /// Assembles a graph directly from its four CSR arrays — the entry
@@ -167,7 +235,10 @@ impl Graph {
     /// shapes, monotonicity, agreement of both orientations on the edge
     /// count, id ranges, strictly sorted adjacency lists, and absence of
     /// self-loops in the out-lists. Anything inconsistent yields
-    /// [`GraphError::Corrupt`] rather than a malformed graph.
+    /// [`GraphError::Corrupt`] rather than a malformed graph. Each
+    /// orientation is checked on its own thread ([`per_orientation`]);
+    /// the error returned is the first in the fixed order out-structure,
+    /// in-structure, edge count, self-loops, however the threads finish.
     ///
     /// # Errors
     /// [`GraphError::Corrupt`] describing the first failed check.
@@ -178,8 +249,20 @@ impl Graph {
         in_offsets: U32Store,
         in_sources: NodeStore,
     ) -> Result<Graph, GraphError> {
-        validate_csr(node_count, &out_offsets, &out_targets, "out")?;
-        validate_csr(node_count, &in_offsets, &in_sources, "in")?;
+        let (out_check, in_check) = per_orientation(
+            // The out-lists' self-loop scan runs on this thread too, but
+            // its finding is reported after the in-orientation's checks.
+            || -> Result<Option<usize>, GraphError> {
+                validate_csr(node_count, &out_offsets, &out_targets, "out")?;
+                Ok((0..node_count).find(|&x| {
+                    let list = &out_targets[out_offsets[x] as usize..out_offsets[x + 1] as usize];
+                    list.iter().any(|&t| t.index() == x)
+                }))
+            },
+            || validate_csr(node_count, &in_offsets, &in_sources, "in"),
+        );
+        let self_loop = out_check?;
+        in_check?;
         let m = out_targets.len();
         if in_sources.len() != m {
             return Err(GraphError::Corrupt(format!(
@@ -187,12 +270,8 @@ impl Graph {
                 in_sources.len()
             )));
         }
-        for x in 0..node_count {
-            let lo = out_offsets[x] as usize;
-            let hi = out_offsets[x + 1] as usize;
-            if out_targets[lo..hi].iter().any(|&t| t.index() == x) {
-                return Err(GraphError::SelfLoop { node: x as u32 });
-            }
+        if let Some(x) = self_loop {
+            return Err(GraphError::SelfLoop { node: x as u32 });
         }
         Ok(Graph { node_count, edge_count: m, out_offsets, out_targets, in_offsets, in_sources })
     }
@@ -346,10 +425,10 @@ impl Graph {
     }
 }
 
-/// Pre-counting validation shared by the fallible and panicking CSR
-/// constructors: edge count fits `u32` and every endpoint is in range.
-/// Runs **before** any `u32` counting cell is incremented, so a
-/// duplicate-heavy adversarial list cannot overflow the counts first.
+/// Pre-counting validation of the fallible CSR constructor: edge count
+/// fits `u32` and every endpoint is in range. Runs **before** any `u32`
+/// counting cell is incremented, so a duplicate-heavy adversarial list
+/// cannot overflow the counts first.
 fn validate_edge_slice(node_count: usize, edges: &[(u32, u32)]) -> Result<(), GraphError> {
     if edges.len() > u32::MAX as usize {
         return Err(GraphError::TooManyEdges { count: edges.len() });

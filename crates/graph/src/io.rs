@@ -64,7 +64,7 @@ use crate::crc32::crc32;
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::labels::NodeLabels;
-use crate::le::{get_u32, get_u64, put_u32, put_u64};
+use crate::le::{get_u32, get_u64};
 use crate::node::NodeId;
 use crate::storage::{ByteStore, NodeStore, U32Store};
 use spammass_obs as obs;
@@ -553,57 +553,194 @@ fn read_edge_list_sharded(
 // Binary images
 // ---------------------------------------------------------------------------
 
-fn put_u32_iter(buf: &mut Vec<u8>, values: impl Iterator<Item = u32>) {
-    for v in values {
-        put_u32(buf, v);
+/// Where every part of a v3 image of a given graph lives.
+struct V3Layout {
+    node_count: usize,
+    edge_count: usize,
+    /// `(offset, len)` of each section, in kind order.
+    sections: [(usize, usize); V3_SECTION_COUNT],
+    /// Whole image length, length sentinel included.
+    total: usize,
+}
+
+impl V3Layout {
+    fn of(g: &Graph) -> V3Layout {
+        let (n, m) = (g.node_count(), g.edge_count());
+        let mut pos = V3_SECTIONS_OFFSET;
+        let sections = [4 * (n + 1), 4 * m, 4 * (n + 1), 4 * m].map(|len| {
+            let start = pos.next_multiple_of(8);
+            pos = start + len;
+            (start, len)
+        });
+        V3Layout { node_count: n, edge_count: m, sections, total: pos.next_multiple_of(8) + 8 }
     }
+
+    /// Image bytes `[0, V3_SECTIONS_OFFSET)`: the fixed header, the
+    /// section table carrying `crcs`, the header CRC and the pad.
+    fn header(&self, crcs: [u32; V3_SECTION_COUNT]) -> [u8; V3_SECTIONS_OFFSET] {
+        let mut h = [0u8; V3_SECTIONS_OFFSET];
+        h[..8].copy_from_slice(MAGIC);
+        h[8..12].copy_from_slice(&VERSION_V3.to_le_bytes());
+        h[12..16].copy_from_slice(&(V3_SECTION_COUNT as u32).to_le_bytes());
+        h[16..24].copy_from_slice(&(self.node_count as u64).to_le_bytes());
+        h[24..32].copy_from_slice(&(self.edge_count as u64).to_le_bytes());
+        for (kind, (&(offset, len), crc)) in self.sections.iter().zip(crcs).enumerate() {
+            let base = V3_TABLE_OFFSET + kind * V3_TABLE_ENTRY_LEN;
+            h[base..base + 4].copy_from_slice(&(kind as u32).to_le_bytes());
+            h[base + 4..base + 8].copy_from_slice(&crc.to_le_bytes());
+            h[base + 8..base + 16].copy_from_slice(&(offset as u64).to_le_bytes());
+            h[base + 16..base + 24].copy_from_slice(&(len as u64).to_le_bytes());
+        }
+        let header_crc = crc32(&h[..V3_HEADER_CRC_OFFSET]);
+        h[V3_HEADER_CRC_OFFSET..V3_HEADER_CRC_OFFSET + 4]
+            .copy_from_slice(&header_crc.to_le_bytes());
+        h
+    }
+
+    /// Encodes both orientations' sections into `out` and `inn`, one
+    /// orientation per thread, and returns the four section CRCs. The
+    /// out-orientation writes `[V3_SECTIONS_OFFSET, in-offsets start)`,
+    /// the in-orientation from there to the length sentinel; each writes
+    /// the zero pads in its range too. The header and the sentinel are
+    /// the caller's.
+    fn encode(&self, g: &Graph, out: Sink, inn: Sink) -> std::io::Result<[u32; V3_SECTION_COUNT]> {
+        let [(s0, _), (s1, _), (s2, _), (s3, _)] = self.sections;
+        let end = self.total - 8;
+        let (out, inn) = crate::graph::per_orientation(
+            || encode_orientation(g.out_offsets(), g.out_targets(), [s0, s1, s2], out),
+            || encode_orientation(g.in_offsets(), g.in_sources(), [s2, s3, end], inn),
+        );
+        let ([c0, c1], [c2, c3]) = (out?, inn?);
+        Ok([c0, c1, c2, c3])
+    }
+}
+
+/// Bytes one v3 encoder thread stages before handing them to a file.
+const V3_CHUNK_BYTES: usize = 1 << 20;
+
+/// Where a v3 encoder thread puts its bytes.
+enum Sink<'a> {
+    /// Straight into the image buffer: `buf` holds the image's bytes
+    /// from offset `base` on.
+    Buffer { buf: &'a mut [u8], base: usize },
+    /// Through `chunk` into `file`, at the same offsets.
+    #[cfg(unix)]
+    File { file: &'a std::fs::File, chunk: Vec<u8> },
+}
+
+impl Sink<'_> {
+    /// The buffer the image bytes `[pos, pos + len)` are encoded into.
+    fn chunk(&mut self, pos: usize, len: usize) -> &mut [u8] {
+        match self {
+            Sink::Buffer { buf, base } => &mut buf[pos - *base..pos - *base + len],
+            #[cfg(unix)]
+            Sink::File { chunk, .. } => &mut chunk[..len],
+        }
+    }
+
+    /// The bytes `[pos, pos + len)` handed out by [`Sink::chunk`] are
+    /// final.
+    fn commit(&mut self, pos: usize, len: usize) -> std::io::Result<()> {
+        match self {
+            Sink::Buffer { .. } => Ok(()),
+            #[cfg(unix)]
+            Sink::File { file, chunk } => {
+                std::os::unix::fs::FileExt::write_all_at(*file, &chunk[..len], pos as u64)
+            }
+        }
+    }
+}
+
+/// Encodes one orientation into the image bytes `[bounds[0], bounds[2])`
+/// — the offsets section from `bounds[0]`, the adjacency section from
+/// `bounds[1]`, each zero-padded up to where the next part starts — and
+/// returns the two section CRCs.
+fn encode_orientation(
+    offsets: &[u32],
+    adjacency: &[NodeId],
+    bounds: [usize; 3],
+    mut sink: Sink,
+) -> std::io::Result<[u32; 2]> {
+    let [off_start, adj_start, end] = bounds;
+    let off_crc = encode_section(offsets, |v| v, off_start, adj_start, &mut sink)?;
+    let adj_crc = encode_section(adjacency, |t| t.0, adj_start, end, &mut sink)?;
+    Ok([off_crc, adj_crc])
+}
+
+/// Writes `values` as little-endian `u32` words from image offset `start`,
+/// a chunk at a time, then zeros up to `end`; returns the CRC of the
+/// words (the pad is outside every section CRC).
+fn encode_section<T: Copy>(
+    values: &[T],
+    word: impl Fn(T) -> u32,
+    start: usize,
+    end: usize,
+    sink: &mut Sink,
+) -> std::io::Result<u32> {
+    let mut crc = 0;
+    let mut pos = start;
+    for piece in values.chunks(V3_CHUNK_BYTES / 4) {
+        let len = piece.len() * 4;
+        let bytes = sink.chunk(pos, len);
+        for (dst, &v) in bytes.chunks_exact_mut(4).zip(piece) {
+            dst.copy_from_slice(&word(v).to_le_bytes());
+        }
+        crc = crate::crc32::crc32_update(crc, bytes);
+        sink.commit(pos, len)?;
+        pos += len;
+    }
+    sink.chunk(pos, end - pos).fill(0);
+    sink.commit(pos, end - pos)?;
+    Ok(crc)
 }
 
 /// Serializes `g` into the v3 sectioned image: the four CSR arrays,
 /// 8-aligned and individually CRC-checksummed, loadable zero-copy by
-/// [`graph_from_image`].
+/// [`graph_from_image`]. Each orientation's two sections are filled and
+/// checksummed on their own thread, page faults of the fresh buffer
+/// included.
 pub fn graph_to_bytes_v3(g: &Graph) -> Vec<u8> {
-    let mut buf =
-        Vec::with_capacity(V3_SECTIONS_OFFSET + g.heap_size_bytes() + 8 * (V3_SECTION_COUNT + 1));
-    buf.extend_from_slice(MAGIC);
-    put_u32(&mut buf, VERSION_V3);
-    put_u32(&mut buf, V3_SECTION_COUNT as u32);
-    put_u64(&mut buf, g.node_count() as u64);
-    put_u64(&mut buf, g.edge_count() as u64);
-    // Reserve the section table + header CRC + pad; filled in below once
-    // the section offsets are known.
-    buf.resize(V3_SECTIONS_OFFSET, 0);
-
-    let mut table = [(0u32, 0u64, 0u64); V3_SECTION_COUNT]; // (crc, offset, len)
-    for (kind, entry) in table.iter_mut().enumerate() {
-        while buf.len() % 8 != 0 {
-            buf.push(0);
-        }
-        let start = buf.len();
-        match kind {
-            0 => put_u32_iter(&mut buf, g.out_offsets().iter().copied()),
-            1 => put_u32_iter(&mut buf, g.out_targets().iter().map(|t| t.0)),
-            2 => put_u32_iter(&mut buf, g.in_offsets().iter().copied()),
-            _ => put_u32_iter(&mut buf, g.in_sources().iter().map(|s| s.0)),
-        }
-        *entry = (crc32(&buf[start..]), start as u64, (buf.len() - start) as u64);
-    }
-    for (kind, (crc, offset, len)) in table.iter().enumerate() {
-        let base = V3_TABLE_OFFSET + kind * V3_TABLE_ENTRY_LEN;
-        buf[base..base + 4].copy_from_slice(&(kind as u32).to_le_bytes());
-        buf[base + 4..base + 8].copy_from_slice(&crc.to_le_bytes());
-        buf[base + 8..base + 16].copy_from_slice(&offset.to_le_bytes());
-        buf[base + 16..base + 24].copy_from_slice(&len.to_le_bytes());
-    }
-    let header_crc = crc32(&buf[..V3_HEADER_CRC_OFFSET]);
-    buf[V3_HEADER_CRC_OFFSET..V3_HEADER_CRC_OFFSET + 4].copy_from_slice(&header_crc.to_le_bytes());
-    // Trailing length sentinel, padded onto an 8-byte boundary.
-    while buf.len() % 8 != 0 {
-        buf.push(0);
-    }
-    let total = buf.len() + 8;
-    put_u64(&mut buf, total as u64);
+    let layout = V3Layout::of(g);
+    let mut buf = vec![0u8; layout.total];
+    let split = layout.sections[2].0;
+    let (out, inn) = buf.split_at_mut(split);
+    let crcs = layout
+        .encode(g, Sink::Buffer { buf: out, base: 0 }, Sink::Buffer { buf: inn, base: split })
+        .expect("encoding into memory cannot fail");
+    buf[..V3_SECTIONS_OFFSET].copy_from_slice(&layout.header(crcs));
+    buf[layout.total - 8..].copy_from_slice(&(layout.total as u64).to_le_bytes());
     buf
+}
+
+/// Writes the v3 image of `g` — the bytes of [`graph_to_bytes_v3`] —
+/// into `file` from offset 0 and returns its length, without ever holding
+/// the image in memory: each orientation's thread encodes through its own
+/// 1 MiB chunk, continues its sections' CRCs chunk by chunk
+/// ([`crate::crc32::crc32_update`]) and writes each chunk in place with a
+/// positioned write. The header goes last, once the CRCs are known. Not
+/// on Unix, the image is encoded in memory and written in one piece.
+///
+/// # Errors
+/// The first failed write, out-orientation first; the file then holds
+/// a partial image.
+pub fn write_graph_v3(g: &Graph, file: &std::fs::File) -> std::io::Result<u64> {
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::FileExt;
+        let layout = V3Layout::of(g);
+        let sink = || Sink::File { file, chunk: vec![0; V3_CHUNK_BYTES] };
+        let crcs = layout.encode(g, sink(), sink())?;
+        file.write_all_at(&layout.header(crcs), 0)?;
+        file.write_all_at(&(layout.total as u64).to_le_bytes(), (layout.total - 8) as u64)?;
+        Ok(layout.total as u64)
+    }
+    #[cfg(not(unix))]
+    {
+        let bytes = graph_to_bytes_v3(g);
+        let mut writer = file;
+        writer.write_all(&bytes)?;
+        Ok(bytes.len() as u64)
+    }
 }
 
 /// How each CSR section of an image load was materialized.
@@ -846,10 +983,17 @@ fn load_v3(owner: Arc<dyn ByteStore>) -> Result<(Graph, ImageLoadStats), GraphEr
                 "section {kind} window (offset {offset}, len {len}) inconsistent with image"
             )));
         }
-        // A nested span per section would be noise; one CRC pass over the
-        // whole payload is the dominant cost and is implicit here.
-        let computed_crc = crc32(&data[offset..offset + len]);
-        sections.push(V3Section { offset, elems: len / 4, stored_crc, computed_crc });
+        sections.push(V3Section { offset, elems: len / 4, stored_crc, computed_crc: 0 });
+    }
+    // The CRC pass is the dominant cost of a load: each orientation's two
+    // sections are checksummed on their own thread.
+    let crc_of = |s: &V3Section| crc32(&data[s.offset..s.offset + s.elems * 4]);
+    let (out_crcs, in_crcs) = crate::graph::per_orientation(
+        || [crc_of(&sections[0]), crc_of(&sections[1])],
+        || [crc_of(&sections[2]), crc_of(&sections[3])],
+    );
+    for (s, crc) in sections.iter_mut().zip(out_crcs.into_iter().chain(in_crcs)) {
+        s.computed_crc = crc;
     }
 
     let out_ok = sections[0].crc_ok() && sections[1].crc_ok();
@@ -1329,6 +1473,59 @@ mod tests {
         ));
     }
 
+    /// Recomputes every section CRC and the header CRC of a v3 image
+    /// after a test edited its sections, so only structural checks can
+    /// object to it.
+    fn reseal(bytes: &mut [u8]) {
+        for kind in 0..V3_SECTION_COUNT {
+            let (offset, len) = section_window(bytes, kind);
+            let crc = crc32(&bytes[offset..offset + len]);
+            let base = V3_TABLE_OFFSET + kind * V3_TABLE_ENTRY_LEN;
+            bytes[base + 4..base + 8].copy_from_slice(&crc.to_le_bytes());
+        }
+        let header_crc = crc32(&bytes[..V3_HEADER_CRC_OFFSET]);
+        bytes[V3_HEADER_CRC_OFFSET..V3_HEADER_CRC_OFFSET + 4]
+            .copy_from_slice(&header_crc.to_le_bytes());
+    }
+
+    /// Overwrites word `index` of section `kind`.
+    fn poke(bytes: &mut [u8], kind: usize, index: usize, value: u32) {
+        let (offset, _) = section_window(bytes, kind);
+        bytes[offset + 4 * index..offset + 4 * index + 4].copy_from_slice(&value.to_le_bytes());
+    }
+
+    #[test]
+    fn v3_structural_errors_keep_their_order_under_parallel_checks() {
+        // Each orientation is validated on its own thread; the error that
+        // comes back is still the first in the order out, in, edge count,
+        // self-loops.
+        let clean = graph_to_bytes_v3(&sample());
+        let error_of = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut bytes = clean.clone();
+            edit(&mut bytes);
+            reseal(&mut bytes);
+            graph_from_image(aligned_image(&bytes)).unwrap_err().to_string()
+        };
+        // Out-offsets are [0, 2, 3, 4, 4, 4], in-offsets [0, 0, 1, 2, 4, 4]:
+        // a 9 in slot 1 makes either non-monotone.
+        let both = error_of(&|b| {
+            poke(b, 0, 1, 9);
+            poke(b, 2, 1, 9);
+        });
+        assert!(both.contains("out-offsets not monotone"), "{both}");
+        let inn = error_of(&|b| poke(b, 2, 1, 9));
+        assert!(inn.contains("in-offsets not monotone"), "{inn}");
+        // Node 1's one out-edge (1, 3) becomes (1, 1): valid lists, but a
+        // self-loop, reported only once the in-orientation has passed.
+        let self_loop = error_of(&|b| poke(b, 1, 2, 1));
+        assert!(self_loop.contains("self-loop"), "{self_loop}");
+        let self_loop_and_bad_in = error_of(&|b| {
+            poke(b, 1, 2, 1);
+            poke(b, 2, 1, 9);
+        });
+        assert!(self_loop_and_bad_in.contains("in-offsets not monotone"), "{self_loop_and_bad_in}");
+    }
+
     #[test]
     fn v3_truncation_and_header_flips_are_rejected() {
         let g = sample();
@@ -1416,6 +1613,46 @@ mod tests {
         assert_eq!(stats.version, 4);
         assert!(!stats.is_zero_copy());
         assert_eq!(stats.copied_bytes, expected_csr_bytes(&g), "{stats:?}");
+    }
+
+    /// 100 000 nodes and 300 001 edges: every section spans more than
+    /// one 1 MiB encoder chunk, and both `n + 1` and `m` are odd, so
+    /// every section but the first is preceded by a pad.
+    fn multi_chunk_graph() -> Graph {
+        let n = 100_000u32;
+        let mut edges: Vec<(u32, u32)> =
+            (0..n).flat_map(|x| (1..4).map(move |d| (x, (x + d) % n))).collect();
+        edges.push((0, n / 2));
+        GraphBuilder::from_edges(n as usize, &edges)
+    }
+
+    #[test]
+    fn streamed_file_image_equals_the_in_memory_image() {
+        let dir = crate::test_dir("streamed_file_image_equals_the_in_memory_image");
+        for g in [sample(), GraphBuilder::new(0).build(), multi_chunk_graph()] {
+            let path = dir.join("g.v3");
+            let file = std::fs::File::create(&path).unwrap();
+            let len = write_graph_v3(&g, &file).unwrap();
+            drop(file);
+            let bytes = graph_to_bytes_v3(&g);
+            assert_eq!(len, bytes.len() as u64);
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "{g:?}");
+            let (loaded, stats) = map_graph_file(&path).unwrap();
+            assert_eq!(stats.rebuilt_sections, 0, "every chunked section CRC verifies: {g:?}");
+            assert_same_graph(&g, &loaded);
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn streamed_write_failures_propagate() {
+        let dir = crate::test_dir("streamed_write_failures_propagate");
+        let path = dir.join("g.v3");
+        std::fs::write(&path, b"").unwrap();
+        // A read-only handle: the first positioned write of either
+        // orientation's thread fails, and the error reaches the caller.
+        let file = std::fs::File::open(&path).unwrap();
+        assert!(write_graph_v3(&multi_chunk_graph(), &file).is_err());
     }
 
     #[cfg(unix)]

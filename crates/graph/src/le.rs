@@ -18,8 +18,3 @@ pub fn get_u64(data: &[u8], offset: usize) -> u64 {
 pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
-
-/// Appends `v` to `buf`.
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}

@@ -157,6 +157,20 @@ candidates "$SMOKE_DIR/rk.v3" "$SMOKE_DIR/rk.v3.core.txt" "$SMOKE_DIR/rk.v3.labe
 diff "$SMOKE_DIR/rk-natural.flags" "$SMOKE_DIR/rk-degree.flags" \
   || { echo "detect on the re-keyed image flags different hosts"; exit 1; }
 
+echo "== CSR build smoke: edge order and repeats do not reach the image =="
+# The builder sorts each list and collapses repeats itself, so a text
+# edge list and a shuffled copy with every line doubled (self-loops and
+# repeats included) must convert to the same v3 bytes.
+awk 'BEGIN { srand(7); for (i = 0; i < 20000; i++) print int(rand() * 3000), int(rand() * 3000) }' \
+  > "$SMOKE_DIR/order.txt"
+awk '{ print; print }' "$SMOKE_DIR/order.txt" | shuf > "$SMOKE_DIR/order-shuffled.txt"
+for f in order order-shuffled; do
+  ./target/release/spammass convert --in "$SMOKE_DIR/$f.txt" --format v3 \
+    --out "$SMOKE_DIR/$f.v3" > /dev/null
+done
+cmp "$SMOKE_DIR/order.v3" "$SMOKE_DIR/order-shuffled.v3" \
+  || { echo "shuffled, doubled edge list converts to a different v3 image"; exit 1; }
+
 echo "== incremental pipeline smoke: generate --evolve / estimate --state / update =="
 ./target/release/spammass generate --hosts 5000 --seed 11 \
   --out "$SMOKE_DIR/evo.graph" --core "$SMOKE_DIR/evo-core.txt" \
@@ -275,8 +289,9 @@ grep -q '"generation":1' "$SMOKE_DIR/stats-gen1.out" \
 # image (version word, byte 8, is 03) and the snapshot serves it mapped.
 [ "$(od -An -tu1 -j8 -N1 "$SMOKE_DIR/srv-state/gen-0001/graph.bin" | tr -d ' ')" = 3 ] \
   || { echo "gen-0001/graph.bin is not a v3 image"; exit 1; }
-# Written once, same bytes: the published image equals `convert --format
-# v3` of the same graph, and the directory audits healthy.
+# Written once, same bytes: the published image, which `save` streams
+# into the file chunk by chunk, equals `convert --format v3` of the same
+# graph, which is encoded in memory; and the directory audits healthy.
 ./target/release/spammass convert --in "$SMOKE_DIR/srv.graph" --format v3 \
   --out "$SMOKE_DIR/srv.v3" > /dev/null
 cmp "$SMOKE_DIR/srv.v3" "$SMOKE_DIR/srv-state/gen-0001/graph.bin" \
