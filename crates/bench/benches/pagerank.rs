@@ -1,16 +1,15 @@
-//! Solver comparison: Jacobi (Algorithm 1), Gauss–Seidel, power iteration
-//! (eigen formulation), and the production engine with one column
-//! (`parallel_jacobi`, a name kept for the checked-in baselines: the
-//! engine's sweep is in place within each worker, and under the serial
-//! cutoff it runs Algorithm 1).
+//! Solver comparison: Jacobi (Algorithm 1) against the production engine
+//! with one column (`engine`: in place within each worker), on small
+//! webs at the engine's default sizing — one worker there. The other
+//! reference solvers (Gauss–Seidel, power iteration) are compared by
+//! `experiments convergence`.
 //!
-//! Backs the paper's Section 2.2 remark that linear solvers "are regularly
-//! faster than the algorithms available for solving eigensystems", and
-//! times the engine on a ≥1M-edge synthetic web at one and four threads.
+//! Also times the engine on a ≥1M-edge synthetic web at one and four
+//! threads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spammass_bench::Fixture;
-use spammass_pagerank::reference::{gauss_seidel, jacobi, power};
+use spammass_pagerank::reference::jacobi;
 use spammass_pagerank::{solve_batch, JumpVector, PageRankConfig};
 use std::hint::black_box;
 
@@ -29,13 +28,7 @@ fn bench_solvers(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("jacobi", hosts), &hosts, |b, _| {
             b.iter(|| black_box(jacobi::solve_jacobi(g, &jump, &cfg)))
         });
-        group.bench_with_input(BenchmarkId::new("gauss_seidel", hosts), &hosts, |b, _| {
-            b.iter(|| black_box(gauss_seidel::solve_gauss_seidel(g, &jump, &cfg)))
-        });
-        group.bench_with_input(BenchmarkId::new("power_iteration", hosts), &hosts, |b, _| {
-            b.iter(|| black_box(power::solve_power(g, &jump, &cfg)))
-        });
-        group.bench_with_input(BenchmarkId::new("parallel_jacobi", hosts), &hosts, |b, _| {
+        group.bench_with_input(BenchmarkId::new("engine", hosts), &hosts, |b, _| {
             b.iter(|| black_box(solve_batch(g, std::slice::from_ref(&jump), &cfg)))
         });
     }

@@ -167,8 +167,7 @@ fn verify_and_report(g: &Graph) {
     // system stop within 1e-12 of each other. On one worker the streamed
     // solve is the resident engine's twin, bit for bit; at the default
     // worker count each worker's first row decides which reads are
-    // fresh, and below the auto-sizer's serial cutoff the resident batch
-    // runs Algorithm 1's scatter — both only tolerance-close.
+    // fresh, so that pair is only tolerance-close.
     let exact = cfg.tolerance(1e-12);
     let resident = solve_batch(&ordered, &jump_set, &exact).expect("resident solve converges");
     let streamed =
@@ -176,11 +175,9 @@ fn verify_and_report(g: &Graph) {
     let streamed_default =
         solve_batch_streamed(&image, &jump_set, &cfg_default.tolerance(1e-12), budget_default)
             .expect("streamed solve converges");
-    if ordered.edge_count() >= spammass_pagerank::parallel::SERIAL_CUTOFF_EDGES {
-        for (r, s) in resident.iter().zip(&streamed) {
-            assert_eq!(r.scores, s.scores, "streamed scores must be bit-exact vs resident");
-            assert_eq!(r.iterations, s.iterations);
-        }
+    for (r, s) in resident.iter().zip(&streamed) {
+        assert_eq!(r.scores, s.scores, "streamed scores must be bit-exact vs resident");
+        assert_eq!(r.iterations, s.iterations);
     }
     for streamed in [&streamed, &streamed_default] {
         for (r, s) in resident.iter().zip(streamed) {

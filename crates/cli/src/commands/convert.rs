@@ -3,8 +3,7 @@
 //!
 //! `--format v3` (the default) is the resident format: aligned CSR
 //! sections that memory-map zero-copy on load. Any readable `--in` works
-//! — a text edge list, or an image of any version, which makes this the
-//! upgrade path for the import-only v1/v2 images. `--format v4`
+//! — a text edge list, or a v3 or v4 image. `--format v4`
 //! compresses any input — including a shard **directory** from
 //! `spammass generate --stream` — into the delta-varint block format
 //! that the out-of-core estimator streams
@@ -355,36 +354,35 @@ mod tests {
     use spammass_graph::{CompressedImage, GraphBuilder};
     use std::sync::Arc;
 
-    include!(concat!(env!("CARGO_MANIFEST_DIR"), "/../graph/tests/support/legacy_image.rs"));
-
     fn run_argv(argv: &[&str]) -> Result<String, CliError> {
         let v: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
         run(&ParsedArgs::parse(&v).unwrap())
     }
 
     #[test]
-    fn upgrades_v2_image_to_zero_copy_v3() {
-        let edges = [(0, 1), (1, 2), (2, 3), (3, 0)];
-        let g = GraphBuilder::from_edges(4, &edges);
-        let d = crate::test_dir("convert-v2-to-v3");
-        let v3 = d.join("new.bin");
-        for version in [1, 2] {
+    fn a_retired_v1_or_v2_image_is_refused_and_nothing_is_written() {
+        let d = crate::test_dir("convert-retired-version");
+        let out = d.join("new.bin");
+        for version in [1u32, 2] {
+            // A v1/v2 header: magic, version, node and edge counts.
+            let mut bytes = b"SPAMGRPH".to_vec();
+            bytes.extend_from_slice(&version.to_le_bytes());
+            bytes.extend_from_slice(&4u64.to_le_bytes());
+            bytes.extend_from_slice(&0u64.to_le_bytes());
             let old = d.join(format!("old.v{version}.bin"));
-            fs::write(&old, legacy_image(version, 4, &edges)).unwrap();
-            let out = run_argv(&[
+            fs::write(&old, bytes).unwrap();
+            let err = run_argv(&[
                 "convert",
                 "--in",
                 old.to_str().unwrap(),
                 "--out",
-                v3.to_str().unwrap(),
+                out.to_str().unwrap(),
             ])
-            .unwrap();
-            assert!(out.contains("wrote v3 image"), "{out}");
-            assert_eq!(fs::read(&v3).unwrap(), io::graph_to_bytes_v3(&g), "v{version} upgrade");
-            let (loaded, stats) = io::map_graph_file(&v3).unwrap();
-            assert_eq!(loaded.edge_count(), g.edge_count());
-            assert_eq!(stats.version, 3);
-            assert!(stats.is_zero_copy(), "{stats:?}");
+            .unwrap_err()
+            .to_string();
+            assert!(err.contains(&format!("unsupported version {version}")), "{err}");
+            assert!(err.contains("reads v3 and v4") && err.contains("commit 4e9c81e"), "{err}");
+            assert!(!out.exists(), "v{version}: nothing may be written");
         }
     }
 
@@ -410,6 +408,33 @@ mod tests {
             assert_eq!((g.node_count(), g.edge_count()), (3, 2));
             assert_eq!(format!("v{}", stats.version), format);
         }
+    }
+
+    #[test]
+    fn converts_between_the_two_image_versions_byte_for_byte() {
+        // v3 → v4 → v3 reproduces the first image exactly, and each
+        // written image is what encoding the graph directly gives.
+        let d = crate::test_dir("convert-v3-v4-v3");
+        let g = GraphBuilder::from_edges(6, &[(0, 1), (0, 4), (1, 2), (2, 0), (3, 2), (5, 3)]);
+        let v3 = d.join("g.v3");
+        fs::write(&v3, io::graph_to_bytes_v3(&g)).unwrap();
+        let v4 = d.join("g.v4");
+        let back = d.join("back.v3");
+        for (from, to, format) in [(&v3, &v4, "v4"), (&v4, &back, "v3")] {
+            let out = run_argv(&[
+                "convert",
+                "--in",
+                from.to_str().unwrap(),
+                "--out",
+                to.to_str().unwrap(),
+                "--format",
+                format,
+            ])
+            .unwrap();
+            assert!(out.contains(&format!("wrote {format} image")), "{out}");
+        }
+        assert_eq!(fs::read(&v4).unwrap(), spammass_graph::compress::graph_to_bytes_v4(&g));
+        assert_eq!(fs::read(&back).unwrap(), fs::read(&v3).unwrap());
     }
 
     #[test]

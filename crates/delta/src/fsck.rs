@@ -22,8 +22,8 @@
 //!   prefix.
 //!
 //! What repair **cannot** do is conjure data: a directory with no valid
-//! generation and no legacy flat layout stays unhealthy, and the report
-//! says so instead of pretending.
+//! generation has no usable state, and the report says so instead of
+//! pretending.
 
 use crate::journal;
 use crate::state::{sync_dir, write_durable_with, StateDir, StateError};
@@ -37,7 +37,7 @@ use std::path::Path;
 /// What the manifest audit found.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ManifestStatus {
-    /// No manifest file — a fresh directory or the legacy flat layout.
+    /// No manifest file — a fresh directory.
     Absent,
     /// Manifest parses, CRC checks, and points at generation `.0`.
     Ok(u64),
@@ -79,9 +79,6 @@ pub struct StateFsck {
     pub manifest: Option<ManifestStatus>,
     /// Per-generation verdicts, ascending by generation.
     pub generations: Vec<GenerationCheck>,
-    /// Whether a legacy flat-layout file set exists at the root (and, if
-    /// so, whether it loads).
-    pub legacy: Option<Result<(), String>>,
     /// Whether a stray `MANIFEST.tmp` (publication debris) is present.
     pub stray_manifest_tmp: bool,
     /// Journal verdict, when a journal path was supplied.
@@ -99,17 +96,15 @@ impl StateFsck {
     }
 
     /// Whether the manifest points at a generation that is present and
-    /// valid (or the directory is a loadable legacy/fresh layout).
+    /// valid (or the directory is fresh).
     pub fn manifest_consistent(&self) -> bool {
         match &self.manifest {
             Some(ManifestStatus::Ok(g)) => {
                 self.generations.iter().any(|c| c.generation == *g && c.is_valid())
             }
-            // No manifest is fine only when nothing expects one: either
-            // a loadable legacy layout or a completely fresh directory.
-            Some(ManifestStatus::Absent) => {
-                self.generations.is_empty() && !matches!(self.legacy, Some(Err(_)))
-            }
+            // No manifest is fine only when nothing expects one: a
+            // directory with no generations.
+            Some(ManifestStatus::Absent) => self.generations.is_empty(),
             Some(ManifestStatus::Damaged(_)) => false,
             None => false,
         }
@@ -122,14 +117,13 @@ impl StateFsck {
         self.manifest_consistent()
             && self.generations.iter().all(GenerationCheck::is_intact)
             && !self.stray_manifest_tmp
-            && !matches!(self.legacy, Some(Err(_)))
             && self.journal.as_ref().is_none_or(journal::JournalFsck::is_clean)
     }
 
     /// Whether a load (with recovery) would still find *something*
     /// usable — the "graceful fallback available" signal.
     pub fn recoverable(&self) -> bool {
-        self.newest_valid_generation().is_some() || matches!(self.legacy, Some(Ok(())))
+        self.newest_valid_generation().is_some()
     }
 }
 
@@ -151,11 +145,6 @@ impl fmt::Display for StateFsck {
                 None => writeln!(f, "gen-{:04}: ok", c.generation)?,
                 Some(e) => writeln!(f, "gen-{:04}: DAMAGED ({e})", c.generation)?,
             }
-        }
-        match &self.legacy {
-            Some(Ok(())) => writeln!(f, "legacy flat layout: ok")?,
-            Some(Err(e)) => writeln!(f, "legacy flat layout: DAMAGED ({e})")?,
-            None => {}
         }
         if self.stray_manifest_tmp {
             writeln!(f, "debris: stray {} present", StateDir::MANIFEST_TMP_FILE)?;
@@ -215,13 +204,6 @@ pub fn check_state(dir: &StateDir, journal_path: Option<&Path>) -> Result<StateF
             });
             report.generations.sort_unstable_by_key(|c| c.generation);
         }
-    }
-
-    if dir.path().join(StateDir::GRAPH_FILE).is_file() {
-        report.legacy = Some(match StateDir::load_files(dir.path()) {
-            Ok(_) => Ok(()),
-            Err(e) => Err(e.to_string()),
-        });
     }
 
     report.stray_manifest_tmp = dir.path().join(StateDir::MANIFEST_TMP_FILE).is_file();
@@ -314,8 +296,8 @@ pub fn repair_state(dir: &StateDir, journal_path: Option<&Path>) -> Result<State
         dir.write_manifest(g)?;
         repairs.push(format!("re-pointed manifest at generation {g}"));
     } else if !before.manifest_consistent() && before.newest_valid_generation().is_none() {
-        // Nothing valid to point at: remove a damaged manifest so a
-        // loadable legacy layout (if any) becomes reachable again.
+        // Nothing valid to point at: remove a damaged manifest, which
+        // leaves a directory the next save starts afresh.
         if matches!(before.manifest, Some(ManifestStatus::Damaged(_))) {
             retry_io("fsck.repair.manifest", || {
                 fs::remove_file(dir.path().join(StateDir::MANIFEST_FILE))
@@ -556,31 +538,62 @@ mod tests {
     }
 
     #[test]
-    fn fresh_and_legacy_directories_are_healthy() {
+    fn a_generation_holding_a_retired_image_is_quarantined() {
+        // A v2 header where the published image should be: unlike a
+        // CRC-damaged v3 orientation there is nothing to rebuild from, so
+        // the generation is invalid and repair falls back past it.
+        let (state, expected) = populated("retired", 2);
+        let mut v2 = b"SPAMGRPH".to_vec();
+        v2.extend_from_slice(&2u32.to_le_bytes());
+        v2.extend_from_slice(&4u64.to_le_bytes());
+        v2.extend_from_slice(&4u64.to_le_bytes());
+        fs::write(state.generation_path(2).join(StateDir::GRAPH_FILE), v2).unwrap();
+
+        let report = check_state(&state, None).unwrap();
+        assert!(!report.is_healthy(), "{report}");
+        assert!(report.recoverable(), "{report}");
+        assert_eq!(report.newest_valid_generation(), Some(1));
+        assert!(report.to_string().contains("unsupported version 2"), "{report}");
+
+        let repaired = repair_state(&state, None).unwrap();
+        assert!(repaired.is_healthy(), "{repaired}");
+        assert_eq!(repaired.quarantined, vec![2]);
+        assert_eq!(state.read_manifest().unwrap(), Some(1));
+        assert_eq!(state.load().unwrap().pagerank, expected.pagerank);
+        fs::remove_dir_all(state.path()).unwrap();
+    }
+
+    #[test]
+    fn a_fresh_directory_is_healthy() {
         // A directory that does not exist yet.
         let state = StateDir::new(tmpdir("fresh"));
         let report = check_state(&state, None).unwrap();
         assert!(report.is_healthy(), "{report}");
         assert!(!report.recoverable(), "nothing saved yet");
+    }
 
-        // A legacy flat layout (no manifest).
-        let (gen_state, loaded) = populated("legacy-src", 1);
-        let legacy_root = tmpdir("legacy");
-        fs::create_dir_all(&legacy_root).unwrap();
+    #[test]
+    fn a_flat_layout_is_not_state() {
+        // The four files of a generation lying flat at the root with no
+        // MANIFEST — the layout before generations. Nothing reads it.
+        let (gen_state, _) = populated("flat-src", 1);
+        let flat_root = tmpdir("flat");
+        fs::create_dir_all(&flat_root).unwrap();
         for f in [
             StateDir::GRAPH_FILE,
             StateDir::PAGERANK_FILE,
             StateDir::CORE_PAGERANK_FILE,
             StateDir::CORE_FILE,
         ] {
-            fs::copy(gen_state.generation_path(1).join(f), legacy_root.join(f)).unwrap();
+            fs::copy(gen_state.generation_path(1).join(f), flat_root.join(f)).unwrap();
         }
-        let legacy = StateDir::new(&legacy_root);
-        let report = check_state(&legacy, None).unwrap();
-        assert!(report.is_healthy(), "{report}");
-        assert!(report.recoverable());
-        assert_eq!(legacy.load().unwrap().core, loaded.core);
+        let flat = StateDir::new(&flat_root);
+        assert!(matches!(flat.load(), Err(StateError::Io(_))));
+        assert!(matches!(flat.load_with_recovery(), Err(StateError::NoUsableGeneration { .. })));
+        let report = check_state(&flat, None).unwrap();
+        assert!(!report.recoverable(), "{report}");
+        assert_eq!(report.to_string(), "manifest: absent\nverdict: healthy");
         fs::remove_dir_all(gen_state.path()).unwrap();
-        fs::remove_dir_all(&legacy_root).unwrap();
+        fs::remove_dir_all(&flat_root).unwrap();
     }
 }

@@ -1,10 +1,10 @@
 //! Saved estimation state: crash-safe, generation-numbered snapshots.
 //!
 //! A **state directory** holds everything `spammass update` needs to
-//! re-estimate without starting cold. Since PR 6 it is organized as
-//! immutable snapshot *generations* published through a tiny
-//! CRC-guarded pointer file, so a crash at any syscall boundary leaves
-//! the directory loadable:
+//! re-estimate without starting cold. It is organized as immutable
+//! snapshot *generations* published through a tiny CRC-guarded pointer
+//! file, so a crash at any syscall boundary leaves the directory
+//! loadable:
 //!
 //! ```text
 //! state/
@@ -40,13 +40,10 @@
 //! [`crate::failpoint`], and the crash-torture suite kills the sequence
 //! at each of them to hold this invariant.
 //!
-//! ## Legacy layout
-//!
-//! Pre-PR-6 state directories stored the four files flat at the root
-//! with no manifest. [`StateDir::load`] still reads that layout when no
-//! `MANIFEST` is present; the first [`StateDir::save`] on such a
-//! directory publishes `gen-0001` and the manifest, upgrading it in
-//! place (the flat files are left behind and ignored thereafter).
+//! A directory without a `MANIFEST` holds no state: [`StateDir::load`]
+//! fails on it, and [`StateDir::load_with_recovery`] still scans its
+//! `gen-*` directories. The four files lying flat at the root — the
+//! layout before generations — are not read.
 //!
 //! `SPAMSCRS` is the score-vector sibling of the `SPAMGRPH` image:
 //! little-endian, CRC-32 checksummed, with a trailing length sentinel so
@@ -203,7 +200,7 @@ pub enum StateError {
         generation: u64,
     },
     /// Recovery scanned every candidate (manifest target, other
-    /// generations, legacy layout) and none loaded.
+    /// generations) and none loaded.
     NoUsableGeneration {
         /// One line per candidate tried, with its failure.
         tried: Vec<String>,
@@ -400,8 +397,8 @@ pub struct RecoveryReport {
     /// The generation the manifest pointed at (`None`: manifest absent
     /// or unreadable).
     pub requested: Option<u64>,
-    /// The generation actually loaded (`None`: the legacy flat layout).
-    pub used: Option<u64>,
+    /// The generation actually loaded.
+    pub used: u64,
     /// Whether the load deviated from the manifest's instruction — the
     /// signal that the directory needs an `fsck --repair`.
     pub recovered: bool,
@@ -411,12 +408,11 @@ pub struct RecoveryReport {
 
 impl fmt::Display for RecoveryReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match (self.recovered, self.used) {
-            (false, Some(g)) => write!(f, "loaded generation {g}"),
-            (false, None) => write!(f, "loaded legacy flat layout"),
-            (true, Some(g)) => write!(f, "recovered: fell back to generation {g}"),
-            (true, None) => write!(f, "recovered: fell back to legacy flat layout"),
-        }?;
+        if self.recovered {
+            write!(f, "recovered: fell back to generation {}", self.used)?;
+        } else {
+            write!(f, "loaded generation {}", self.used)?;
+        }
         for e in &self.errors {
             write!(f, "\n  {e}")?;
         }
@@ -481,8 +477,7 @@ impl StateDir {
     }
 
     /// Reads and verifies the manifest. `Ok(None)` when no manifest file
-    /// exists (fresh or legacy directory); `Err` when one exists but is
-    /// damaged.
+    /// exists (a fresh directory); `Err` when one exists but is damaged.
     pub fn read_manifest(&self) -> Result<Option<u64>, StateError> {
         let path = self.root.join(Self::MANIFEST_FILE);
         let data = match retry_io("state.manifest.read", || fs::read(&path)) {
@@ -596,24 +591,25 @@ impl StateDir {
     }
 
     /// Loads and cross-validates the current state, strictly following
-    /// the manifest (or the legacy flat layout when none exists). Any
-    /// damage along that path is an error; see
-    /// [`StateDir::load_with_recovery`] for the lenient variant.
+    /// the manifest. A missing manifest or any damage along that path is
+    /// an error; see [`StateDir::load_with_recovery`] for the lenient
+    /// variant.
     pub fn load(&self) -> Result<SavedState, StateError> {
         self.load_current().map(|(_, state)| state)
     }
 
     /// [`StateDir::load`], also naming the generation the one manifest
-    /// read resolved to (`None`: the legacy flat layout) — what a reader
-    /// that tags its answers with a generation needs to stay consistent
-    /// with a concurrent publish.
-    pub fn load_current(&self) -> Result<(Option<u64>, SavedState), StateError> {
-        let generation = self.read_manifest()?;
-        let state = match generation {
-            Some(g) => self.load_generation(g)?,
-            None => Self::load_files(&self.root)?.0,
-        };
-        Ok((generation, state))
+    /// read resolved to — what a reader that tags its answers with a
+    /// generation needs to stay consistent with a concurrent publish.
+    pub fn load_current(&self) -> Result<(u64, SavedState), StateError> {
+        let generation = self.read_manifest()?.ok_or_else(|| {
+            let path = self.root.join(Self::MANIFEST_FILE);
+            std::io::Error::new(
+                std::io::ErrorKind::NotFound,
+                format!("{}: no published generation", path.display()),
+            )
+        })?;
+        Ok((generation, self.load_generation(generation)?))
     }
 
     /// Loads the snapshot of a specific generation.
@@ -627,9 +623,8 @@ impl StateDir {
 
     /// Loads a usable snapshot even when the manifest or its target is
     /// damaged: tries the manifest's generation first, then every other
-    /// generation newest-first, then the legacy flat layout. The report
-    /// says what was used and what failed; `recovered` is the signal to
-    /// run `spammass fsck --repair`.
+    /// generation newest-first. The report says what was used and what
+    /// failed; `recovered` is the signal to run `spammass fsck --repair`.
     pub fn load_with_recovery(&self) -> Result<(SavedState, RecoveryReport), StateError> {
         let mut span = obs::span("delta.state.recover");
         let mut report = RecoveryReport::default();
@@ -646,7 +641,7 @@ impl StateDir {
         if let Some(g) = requested {
             match self.load_generation(g) {
                 Ok(state) => {
-                    report.used = Some(g);
+                    report.used = g;
                     span.record("generation", g as f64);
                     return Ok((state, report));
                 }
@@ -663,7 +658,7 @@ impl StateDir {
             }
             match self.load_generation(g) {
                 Ok(state) => {
-                    report.used = Some(g);
+                    report.used = g;
                     report.recovered = true;
                     span.record("generation", g as f64);
                     obs::counter(obs::names::DELTA_STATE_RECOVERED, 1.0);
@@ -672,29 +667,14 @@ impl StateDir {
                 Err(e) => report.errors.push(format!("gen-{g:04}: {e}")),
             }
         }
-        // Last resort: the legacy flat layout.
-        if self.root.join(Self::GRAPH_FILE).is_file() {
-            match Self::load_files(&self.root) {
-                Ok((state, _)) => {
-                    // Legacy-without-manifest is the normal pre-PR-6 path,
-                    // not a recovery.
-                    report.recovered = requested.is_some() || !report.errors.is_empty();
-                    if report.recovered {
-                        obs::counter(obs::names::DELTA_STATE_RECOVERED, 1.0);
-                    }
-                    return Ok((state, report));
-                }
-                Err(e) => report.errors.push(format!("legacy layout: {e}")),
-            }
-        }
         Err(StateError::NoUsableGeneration { tried: report.errors })
     }
 
     /// Loads and cross-validates the four state files inside `dir`, the
     /// graph image memory-mapped — the one parser of a generation, behind
     /// every loader here and the serving snapshot. Crate-visible, with the
-    /// image's load statistics, so fsck can validate a generation (or a
-    /// legacy flat layout) and see whether its image had to repair itself.
+    /// image's load statistics, so fsck can validate a generation and see
+    /// whether its image had to repair itself.
     pub(crate) fn load_files(dir: &Path) -> Result<(SavedState, ImageLoadStats), StateError> {
         let mut span = obs::span("delta.state.load");
         let (graph, image) = io::map_graph_file(&dir.join(Self::GRAPH_FILE))?;
@@ -743,8 +723,6 @@ impl StateDir {
 mod tests {
     use super::*;
     use spammass_graph::GraphBuilder;
-
-    include!(concat!(env!("CARGO_MANIFEST_DIR"), "/../graph/tests/support/legacy_image.rs"));
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir =
@@ -891,35 +869,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_flat_layout_still_loads_and_upgrades() {
-        let dir = tmpdir("legacy");
-        let (g, core, p, pc) = sample();
-        fs::create_dir_all(&dir).unwrap();
-        // Exactly what a pre-PR-6 run left behind: flat files, v2 image.
-        let edges: Vec<(u32, u32)> = g.edges().map(|(f, t)| (f.0, t.0)).collect();
-        fs::write(dir.join(StateDir::GRAPH_FILE), legacy_image(2, g.node_count(), &edges)).unwrap();
-        fs::write(dir.join(StateDir::PAGERANK_FILE), scores_to_bytes(&p)).unwrap();
-        fs::write(dir.join(StateDir::CORE_PAGERANK_FILE), scores_to_bytes(&pc)).unwrap();
-        fs::write(dir.join(StateDir::CORE_FILE), "0\n2\n").unwrap();
-
-        let state = StateDir::new(&dir);
-        assert_eq!(state.read_manifest().unwrap(), None);
-        let loaded = state.load().unwrap();
-        assert_eq!(loaded.core, core);
-        // Recovery on a legacy dir is not "recovery" — it is the normal path.
-        let (_, report) = state.load_with_recovery().unwrap();
-        assert!(!report.recovered, "{report}");
-
-        // The first save upgrades to the generation layout.
-        assert_eq!(state.save(&g, &core, &p, &pc).unwrap(), 1);
-        assert_eq!(state.read_manifest().unwrap(), Some(1));
-        assert!(state.generation_path(1).is_dir());
-        let published = fs::read(state.generation_path(1).join(StateDir::GRAPH_FILE)).unwrap();
-        assert_eq!(published, io::graph_to_bytes_v3(&g), "the upgrade publishes a v3 image");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn recovery_falls_back_to_previous_generation() {
         let dir = tmpdir("fallback");
         let (g, core, p, pc) = sample();
@@ -939,7 +888,7 @@ mod tests {
         let (recovered, report) = state.load_with_recovery().unwrap();
         assert!(report.recovered, "{report}");
         assert_eq!(report.requested, Some(2));
-        assert_eq!(report.used, Some(1));
+        assert_eq!(report.used, 1);
         assert_eq!(recovered.pagerank, p);
         assert!(!report.errors.is_empty());
 
@@ -960,7 +909,7 @@ mod tests {
         fs::write(dir.join(StateDir::MANIFEST_FILE), manifest_to_bytes(9)).unwrap();
         assert!(matches!(state.load(), Err(StateError::MissingGeneration { generation: 9 })));
         let (recovered, report) = state.load_with_recovery().unwrap();
-        assert_eq!(report.used, Some(1));
+        assert_eq!(report.used, 1);
         assert!(report.recovered);
         assert_eq!(recovered.pagerank, p);
         fs::remove_dir_all(&dir).unwrap();
@@ -977,7 +926,7 @@ mod tests {
         let (recovered, report) = state.load_with_recovery().unwrap();
         assert!(report.recovered);
         assert_eq!(report.requested, None);
-        assert_eq!(report.used, Some(1));
+        assert_eq!(report.used, 1);
         assert_eq!(recovered.pagerank, p);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -997,6 +946,78 @@ mod tests {
             }
             other => panic!("expected NoUsableGeneration, got {other:?}"),
         }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A retired v1/v2 image header, built by hand: magic, version, and
+    /// the node and edge counts of `sample()`.
+    fn retired_header(version: u32) -> Vec<u8> {
+        let mut bytes = b"SPAMGRPH".to_vec();
+        bytes.extend_from_slice(&version.to_le_bytes());
+        bytes.extend_from_slice(&4u64.to_le_bytes());
+        bytes.extend_from_slice(&4u64.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn load_current_names_the_generation_the_manifest_resolved() {
+        let dir = tmpdir("load-current");
+        let (g, core, p, pc) = sample();
+        let state = StateDir::new(&dir);
+        // Generation directories without a manifest publish nothing.
+        fs::create_dir_all(state.generation_path(1)).unwrap();
+        match state.load_current() {
+            Err(StateError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::NotFound);
+                assert!(e.to_string().contains("no published generation"), "{e}");
+            }
+            other => panic!("expected a NotFound i/o error, got {other:?}"),
+        }
+        fs::remove_dir_all(state.generation_path(1)).unwrap();
+
+        state.save(&g, &core, &p, &pc).unwrap();
+        let p2 = vec![0.4, 0.3, 0.2, 0.1];
+        state.save(&g, &core, &p2, &pc).unwrap();
+        let (generation, loaded) = state.load_current().unwrap();
+        assert_eq!((generation, loaded.pagerank), (2, p2));
+        // Pointing the manifest back is all it takes to read generation 1.
+        fs::write(dir.join(StateDir::MANIFEST_FILE), manifest_to_bytes(1)).unwrap();
+        let (generation, loaded) = state.load_current().unwrap();
+        assert_eq!((generation, loaded.pagerank), (1, p));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_generation_holding_a_retired_image_is_corruption() {
+        let dir = tmpdir("retired-image");
+        let (g, core, p, pc) = sample();
+        let state = StateDir::new(&dir);
+        state.save(&g, &core, &p, &pc).unwrap();
+        fs::write(state.generation_path(1).join(StateDir::GRAPH_FILE), retired_header(2)).unwrap();
+        let err = state.load().unwrap_err();
+        assert!(err.is_corruption(), "{err}");
+        let StateError::Graph(GraphError::Corrupt(msg)) = &err else {
+            panic!("expected a corrupt graph image, got {err:?}");
+        };
+        assert!(msg.contains("unsupported version 2") && msg.contains("reads v3 and v4"), "{msg}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn recovery_skips_a_generation_holding_a_retired_image() {
+        let dir = tmpdir("retired-recovery");
+        let (g, core, p, pc) = sample();
+        let state = StateDir::new(&dir);
+        state.save(&g, &core, &p, &pc).unwrap();
+        state.save(&g, &core, &[0.4, 0.3, 0.2, 0.1], &pc).unwrap();
+        fs::write(state.generation_path(2).join(StateDir::GRAPH_FILE), retired_header(1)).unwrap();
+        let (recovered, report) = state.load_with_recovery().unwrap();
+        assert!(report.recovered, "{report}");
+        assert_eq!((report.requested, report.used), (Some(2), 1));
+        assert_eq!(recovered.pagerank, p);
+        let text = report.to_string();
+        assert!(text.starts_with("recovered: fell back to generation 1"), "{text}");
+        assert!(text.contains("unsupported version 1"), "{text}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -7,11 +7,8 @@
 //! vector; the table reports iterations and the measured geometric
 //! convergence rate (ideal Jacobi rate = c = 0.85; Gauss–Seidel beats it
 //! because in-sweep updates propagate within an iteration). The engine
-//! row is the production solve: in place within each worker (Gauss–Seidel
-//! there, Jacobi between workers), with the edge quota lifted so it runs
-//! the engine rather than the serial route. A graph under 16k nodes still
-//! sizes to one worker and takes that route, so at test scale the row
-//! repeats Algorithm 1's.
+//! row is the production solve at its default sizing: in place within
+//! each worker (Gauss–Seidel there, Jacobi between workers).
 
 use crate::context::Context;
 use crate::report::{f, Table};
@@ -29,8 +26,7 @@ pub fn run(ctx: &Context) -> Vec<Table> {
         ("gauss-seidel", gauss_seidel::solve_gauss_seidel(g, &jump, &cfg)),
         (
             "engine (in place)",
-            solve_batch(g, std::slice::from_ref(&jump), &cfg.edges_per_thread(1))
-                .map(|mut columns| columns.remove(0)),
+            solve_batch(g, std::slice::from_ref(&jump), &cfg).map(|mut columns| columns.remove(0)),
         ),
         ("power iteration (eigen)", power::solve_power(g, &jump, &cfg)),
     ];

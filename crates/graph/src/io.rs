@@ -12,11 +12,10 @@
 //!   individually-checksummed sections, so a graph loads **zero-copy**
 //!   straight out of a memory-mapped file ([`map_graph_file`]) with no
 //!   per-edge decode and no per-edge copy — and **v4**
-//!   ([`crate::compress`]) is the compressed, block-streamed one.
-//!   Versions 1 and 2 (edge lists; v2 with a CRC-32 and a trailing length
-//!   sentinel) are **import-only**: [`graph_from_image`] still decodes
-//!   them, with every integrity check they ever had, and nothing writes
-//!   them any more. `spammass convert --in old.bin` is the upgrade path.
+//!   ([`crate::compress`]) is the compressed, block-streamed one. These
+//!   two are also the only versions it reads: a v1/v2 edge-list image is
+//!   rejected as an unsupported version, and `spammass convert` built
+//!   from commit `4e9c81e`, the last to read them, upgrades one to v3.
 //!
 //! ## Binary layout (v3)
 //!
@@ -45,20 +44,6 @@
 //! back to an owned copy — same graph, one copy. [`ImageLoadStats`] reports
 //! which path each section took.
 //!
-//! ## Binary layout (v1/v2, read-only)
-//!
-//! ```text
-//! offset        field
-//! 0             magic  b"SPAMGRPH"
-//! 8             version u32 LE (1 or 2)
-//! 12            node_count u64 LE
-//! 20            edge_count u64 LE
-//! 28            edges: edge_count × (from u32 LE, to u32 LE)
-//! -- v2 only --
-//! 28 + 8·E      crc32 u32 LE  — CRC-32 (IEEE) over bytes [0, 28 + 8·E)
-//! 32 + 8·E      total_len u64 LE — length of the whole image (40 + 8·E)
-//! ```
-
 use crate::builder::GraphBuilder;
 use crate::crc32::crc32;
 use crate::error::GraphError;
@@ -74,16 +59,8 @@ use std::sync::Arc;
 
 /// Magic prefix of the binary graph format.
 const MAGIC: &[u8; 8] = b"SPAMGRPH";
-/// Legacy edge-list format carrying no integrity information (read-only).
-const VERSION_V1: u32 = 1;
-/// Legacy checksummed edge-list format (read-only).
-const VERSION_V2: u32 = 2;
 /// Sectioned CSR format, loadable zero-copy from a mapped file.
 const VERSION_V3: u32 = 3;
-/// Fixed header size shared by v1/v2.
-const LEGACY_HEADER_LEN: usize = 28;
-/// v2 trailer: CRC-32 (4 bytes) + length sentinel (8 bytes).
-const LEGACY_TRAILER_LEN: usize = 12;
 /// How many offending lines a [`LoadReport`] retains verbatim.
 const REPORT_SAMPLE_CAP: usize = 16;
 /// Number of CSR sections in a v3 image.
@@ -746,8 +723,8 @@ pub fn write_graph_v3(g: &Graph, file: &std::fs::File) -> std::io::Result<u64> {
 /// How each CSR section of an image load was materialized.
 ///
 /// `zero_copy + copied + rebuilt` always equals the section count (4);
-/// v1/v2 and v4 images report all sections as copied (they have no
-/// in-place representation).
+/// v4 images report all sections as copied (they have no in-place
+/// representation).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ImageLoadStats {
     /// Format version of the image.
@@ -755,7 +732,7 @@ pub struct ImageLoadStats {
     /// Sections used in place as views into the shared buffer.
     pub zero_copy_sections: usize,
     /// Sections copied into owned arrays (misalignment, big-endian
-    /// target, or a pre-v3 image).
+    /// target, or a v4 image).
     pub copied_sections: usize,
     /// Sections reconstructed from the opposite CSR orientation after a
     /// CRC failure.
@@ -796,7 +773,7 @@ fn csr_resident_bytes(g: &Graph) -> u64 {
 /// is element-aligned on a little-endian target, owned copies otherwise.
 /// A CRC-failed orientation is rebuilt from the intact one; only when
 /// both orientations are damaged does the load fail. v4 images decompress
-/// and legacy v1/v2 images decode into an owned CSR.
+/// into an owned CSR; any other version is [`GraphError::Corrupt`].
 pub fn graph_from_image(owner: Arc<dyn ByteStore>) -> Result<(Graph, ImageLoadStats), GraphError> {
     let data = owner.bytes();
     if data.len() < 12 {
@@ -813,11 +790,10 @@ pub fn graph_from_image(owner: Arc<dyn ByteStore>) -> Result<(Graph, ImageLoadSt
         crate::compress::VERSION_V4 => {
             crate::compress::CompressedImage::from_store(owner.clone())?.decode_graph()?
         }
-        VERSION_V1 | VERSION_V2 => decode_legacy(data, version == VERSION_V2)?,
-        other => return Err(GraphError::Corrupt(format!("unsupported version {other}"))),
+        other => return Err(unsupported_version(other)),
     };
-    // Neither v4 nor v1/v2 has an in-place representation: every section
-    // is an owned copy by construction.
+    // v4 has no in-place representation: every section is an owned copy
+    // by construction.
     let stats = ImageLoadStats {
         version,
         copied_sections: V3_SECTION_COUNT,
@@ -828,86 +804,17 @@ pub fn graph_from_image(owner: Arc<dyn ByteStore>) -> Result<(Graph, ImageLoadSt
     Ok((graph, stats))
 }
 
-/// Decodes a legacy v1/v2 edge-list image (version word already read by
-/// [`graph_from_image`]).
-///
-/// v2 images are verified end-to-end — length sentinel first, then
-/// CRC-32 — before any structural decoding, so truncation and bit flips
-/// surface as [`GraphError::Corrupted`] with the expected/observed values.
-fn decode_legacy(data: &[u8], checksummed: bool) -> Result<Graph, GraphError> {
-    let mut span = obs::span("graph.ingest.binary");
-    span.record("bytes", data.len() as f64);
-    obs::counter("graph.ingest.bytes", data.len() as f64);
-    if data.len() < LEGACY_HEADER_LEN {
-        return Err(GraphError::Corrupt("image shorter than header".into()));
-    }
-    let edge_base = if checksummed {
-        if data.len() < LEGACY_HEADER_LEN + LEGACY_TRAILER_LEN {
-            return Err(GraphError::Corrupted {
-                field: "length sentinel",
-                expected: (LEGACY_HEADER_LEN + LEGACY_TRAILER_LEN) as u64,
-                got: data.len() as u64,
-            });
-        }
-        let sentinel = get_u64(data, data.len() - 8);
-        if sentinel != data.len() as u64 {
-            return Err(GraphError::Corrupted {
-                field: "length sentinel",
-                expected: sentinel,
-                got: data.len() as u64,
-            });
-        }
-        let stored_crc = get_u32(data, data.len() - LEGACY_TRAILER_LEN);
-        // Nested span: path becomes `graph.ingest.binary.crc_verify`.
-        let crc_span = obs::span("crc_verify");
-        let computed = crc32(&data[..data.len() - LEGACY_TRAILER_LEN]);
-        drop(crc_span);
-        if stored_crc != computed {
-            return Err(GraphError::Corrupted {
-                field: "crc32",
-                expected: stored_crc as u64,
-                got: computed as u64,
-            });
-        }
-        data.len() - LEGACY_TRAILER_LEN
+/// The error for an image version this build does not read. The retired
+/// v1/v2 edge lists name the last build that upgrades them.
+fn unsupported_version(version: u32) -> GraphError {
+    let upgrade = if matches!(version, 1 | 2) {
+        "; `spammass convert` built from commit 4e9c81e, the last to read v1/v2, upgrades it to v3"
     } else {
-        data.len()
+        ""
     };
-
-    let nodes = get_u64(data, 12) as usize;
-    let edges = get_u64(data, 20) as usize;
-    if nodes > u32::MAX as usize {
-        return Err(GraphError::Corrupt(format!("node count {nodes} exceeds u32 range")));
-    }
-    if edges > u32::MAX as usize {
-        return Err(GraphError::Corrupt(format!("edge count {edges} exceeds u32 range")));
-    }
-    let expected_payload = edges
-        .checked_mul(8)
-        .and_then(|b| b.checked_add(LEGACY_HEADER_LEN))
-        .ok_or_else(|| GraphError::Corrupt("edge byte count overflows".into()))?;
-    if edge_base != expected_payload {
-        return Err(GraphError::Corrupted {
-            field: "edge payload length",
-            expected: expected_payload as u64,
-            got: edge_base as u64,
-        });
-    }
-
-    span.record("nodes", nodes as f64);
-    span.record("edges", edges as f64);
-    obs::counter("graph.ingest.edges", edges as f64);
-    let mut b = GraphBuilder::with_capacity(nodes, edges);
-    for i in 0..edges {
-        let off = LEGACY_HEADER_LEN + i * 8;
-        let f = get_u32(data, off);
-        let t = get_u32(data, off + 4);
-        if f as usize >= nodes || t as usize >= nodes {
-            return Err(GraphError::Corrupt(format!("edge ({f},{t}) out of range")));
-        }
-        b.add_edge(NodeId(f), NodeId(t));
-    }
-    Ok(b.build())
+    GraphError::Corrupt(format!(
+        "unsupported version {version} (this build reads v3 and v4{upgrade})"
+    ))
 }
 
 /// One parsed v3 section-table entry.
@@ -1129,17 +1036,10 @@ pub fn read_labels<R: Read>(reader: R) -> Result<NodeLabels, GraphError> {
 mod tests {
     use super::*;
 
-    include!(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/support/legacy_image.rs"));
-
     const SAMPLE_EDGES: [(u32, u32); 4] = [(0, 1), (0, 2), (1, 3), (2, 3)];
 
     fn sample() -> Graph {
         GraphBuilder::from_edges(5, &SAMPLE_EDGES)
-    }
-
-    /// `sample()` as the retired v1/v2 writers encoded it.
-    fn legacy_sample(version: u32) -> Vec<u8> {
-        legacy_image(version, 5, &SAMPLE_EDGES)
     }
 
     fn load(bytes: &[u8]) -> Result<Graph, GraphError> {
@@ -1221,111 +1121,101 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn legacy_fixture_is_byte_for_byte_what_the_old_writers_produced() {
-        // Trailer captured from `spammass convert --format v2` at the last
-        // commit that still had the writer: CRC-32 0x5a7e5929, length 72.
-        let v2 = legacy_sample(2);
-        assert_eq!(v2.len(), 72);
-        assert_eq!(&v2[..12], b"SPAMGRPH\x02\0\0\0");
-        assert_eq!(&v2[60..], [0x29, 0x59, 0x7e, 0x5a, 72, 0, 0, 0, 0, 0, 0, 0]);
-        assert_eq!(get_u32(&v2, 60), crc32(&v2[..60]), "fixture CRC agrees with the library's");
-        // v1 is the same image minus the trailer, under its own version.
-        let v1 = legacy_sample(1);
-        assert_eq!(&v1[..12], b"SPAMGRPH\x01\0\0\0");
-        assert_eq!(&v1[12..], &v2[12..60]);
+    /// A retired v1/v2 image header, built by hand: magic, version, and
+    /// the node and edge counts of `sample()`.
+    fn retired_header(version: u32) -> Vec<u8> {
+        let mut bytes = b"SPAMGRPH".to_vec();
+        bytes.extend_from_slice(&version.to_le_bytes());
+        bytes.extend_from_slice(&5u64.to_le_bytes());
+        bytes.extend_from_slice(&4u64.to_le_bytes());
+        bytes
     }
 
     #[test]
-    fn v1_images_remain_readable() {
-        assert_same_graph(&sample(), &load(&legacy_sample(1)).unwrap());
+    fn v1_and_v2_images_are_rejected_naming_what_this_build_reads() {
+        for version in [1, 2] {
+            let Err(GraphError::Corrupt(msg)) = load(&retired_header(version)) else {
+                panic!("v{version} must be rejected as corrupt");
+            };
+            assert!(msg.contains(&format!("unsupported version {version}")), "{msg}");
+            assert!(msg.contains("reads v3 and v4"), "{msg}");
+            assert!(msg.contains("commit 4e9c81e"), "{msg}");
+        }
+        let Err(GraphError::Corrupt(msg)) = load(&retired_header(99)) else {
+            panic!("v99 must be rejected as corrupt");
+        };
+        assert!(msg.contains("reads v3 and v4") && !msg.contains("4e9c81e"), "{msg}");
+    }
+
+    #[test]
+    fn a_retired_version_is_named_whatever_follows_the_version_word() {
+        // The version word alone decides: a bare 12-byte header, the full
+        // counts, or a header followed by an old payload all name it.
+        for version in [1, 2] {
+            let header = retired_header(version);
+            let mut padded = header.clone();
+            padded.extend(std::iter::repeat_n(0xA5, 4096));
+            for bytes in [&header[..12], &header[..], &padded[..]] {
+                let Err(GraphError::Corrupt(msg)) = load(bytes) else {
+                    panic!("v{version}, {} bytes: must be rejected as corrupt", bytes.len());
+                };
+                assert!(msg.contains(&format!("unsupported version {version}")), "{msg}");
+                assert!(msg.contains("commit 4e9c81e"), "{msg}");
+            }
+            // Short of the version word there is no version to name.
+            let Err(GraphError::Corrupt(msg)) = load(&header[..11]) else {
+                panic!("v{version}, 11 bytes: must be rejected as corrupt");
+            };
+            assert!(msg.contains("shorter than header"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn retired_images_are_refused_through_map_graph_file() {
+        let dir = crate::test_dir("retired_images_are_refused_through_map_graph_file");
+        for version in [1, 2] {
+            let path = dir.join(format!("sample.v{version}.bin"));
+            std::fs::write(&path, retired_header(version)).unwrap();
+            let Err(GraphError::Corrupt(msg)) = map_graph_file(&path) else {
+                panic!("v{version} must be rejected as corrupt");
+            };
+            assert!(msg.contains(&format!("unsupported version {version}")), "{msg}");
+            assert!(msg.contains("reads v3 and v4") && msg.contains("commit 4e9c81e"), "{msg}");
+        }
     }
 
     #[test]
     fn empty_graph_round_trips() {
-        for version in [1, 2] {
-            let g = load(&legacy_image(version, 0, &[])).unwrap();
-            assert_eq!((g.node_count(), g.edge_count()), (0, 0), "v{version}");
+        // Through every format this build writes, and the file entry
+        // point for both image versions.
+        let g = GraphBuilder::new(0).build();
+        let mut text = Vec::new();
+        write_edge_list(&g, &mut text).unwrap();
+        let dir = crate::test_dir("empty_graph_round_trips");
+        let v3 = dir.join("empty.v3");
+        let v4 = dir.join("empty.v4");
+        std::fs::write(&v3, graph_to_bytes_v3(&g)).unwrap();
+        std::fs::write(&v4, crate::compress::graph_to_bytes_v4(&g)).unwrap();
+        let (from_v3, v3_stats) = map_graph_file(&v3).unwrap();
+        let (from_v4, v4_stats) = map_graph_file(&v4).unwrap();
+        assert_eq!((v3_stats.version, v4_stats.version), (3, 4));
+        for g2 in [read_edge_list(&text[..]).unwrap(), from_v3, from_v4] {
+            assert_eq!((g2.node_count(), g2.edge_count()), (0, 0));
         }
     }
 
     #[test]
     fn binary_rejects_corruption() {
-        for bytes in [graph_to_bytes_v3(&sample()), legacy_sample(2), legacy_sample(1)] {
-            assert!(matches!(load(&bytes[..10]), Err(GraphError::Corrupt(_))));
+        let bytes = graph_to_bytes_v3(&sample());
+        assert!(matches!(load(&bytes[..10]), Err(GraphError::Corrupt(_))));
 
-            let mut bad_magic = bytes.clone();
-            bad_magic[0] = b'X';
-            assert!(matches!(load(&bad_magic), Err(GraphError::Corrupt(_))));
+        let mut bad_magic = bytes.clone();
+        bad_magic[0] = b'X';
+        assert!(matches!(load(&bad_magic), Err(GraphError::Corrupt(_))));
 
-            let mut bad_version = bytes.clone();
-            bad_version[8] = 99;
-            assert!(matches!(load(&bad_version), Err(GraphError::Corrupt(_))));
-        }
-        // Past the version word but short of the legacy header.
-        assert!(matches!(load(&legacy_sample(2)[..20]), Err(GraphError::Corrupt(_))));
-    }
-
-    #[test]
-    fn v2_rejects_truncation_with_precise_error() {
-        let bytes = legacy_sample(2);
-        // Every cut that keeps the version word readable: a sentinel
-        // mismatch, or (short of a full header + trailer) a length error.
-        for cut in LEGACY_HEADER_LEN..bytes.len() {
-            let truncated = &bytes[..cut];
-            match load(truncated).unwrap_err() {
-                GraphError::Corrupted { field: "length sentinel", expected, got } => {
-                    assert_eq!(got, truncated.len() as u64, "cut {cut}");
-                    assert_ne!(expected, got, "cut {cut}");
-                }
-                other => panic!("cut {cut}: expected sentinel mismatch, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn v2_rejects_bit_flips_with_crc_mismatch() {
-        let clean = legacy_sample(2);
-        // Flip one bit in every byte of the checksummed region in turn; the
-        // CRC (or, for count fields, the payload-length check) must catch
-        // every single one.
-        for i in 12..clean.len() - LEGACY_TRAILER_LEN {
-            let mut bytes = clean.clone();
-            bytes[i] ^= 0x01;
-            let err = load(&bytes).unwrap_err();
-            assert!(
-                matches!(err, GraphError::Corrupted { .. }),
-                "byte {i}: expected Corrupted, got {err:?}"
-            );
-        }
-        // The trailer itself: a flipped stored CRC and a flipped sentinel.
-        let mut bad_crc = clean.clone();
-        bad_crc[clean.len() - LEGACY_TRAILER_LEN] ^= 0x01;
-        assert!(matches!(load(&bad_crc), Err(GraphError::Corrupted { field: "crc32", .. })));
-        let mut bad_len = clean.clone();
-        bad_len[clean.len() - 8] ^= 0x01;
-        assert!(matches!(
-            load(&bad_len),
-            Err(GraphError::Corrupted { field: "length sentinel", .. })
-        ));
-    }
-
-    #[test]
-    fn v1_truncation_detected_structurally() {
-        let bytes = legacy_sample(1);
-        let truncated = &bytes[..bytes.len() - 4];
-        assert!(matches!(
-            load(truncated),
-            Err(GraphError::Corrupted { field: "edge payload length", .. })
-        ));
-    }
-
-    #[test]
-    fn binary_rejects_out_of_range_edge() {
-        // A v1 image (no CRC to fix up) with a poisoned edge target.
-        let mut bytes = legacy_sample(1);
-        bytes[LEGACY_HEADER_LEN + 4..LEGACY_HEADER_LEN + 8].copy_from_slice(&1000u32.to_le_bytes());
-        assert!(matches!(load(&bytes), Err(GraphError::Corrupt(_))));
+        let mut bad_version = bytes.clone();
+        bad_version[8] = 99;
+        assert!(matches!(load(&bad_version), Err(GraphError::Corrupt(_))));
     }
 
     #[test]
@@ -1336,17 +1226,17 @@ mod tests {
         {
             let _guard = collector.install();
             read_edge_list("# nodes: 3\n0 1\n1 2\n".as_bytes()).unwrap();
-            load(&legacy_sample(2)).unwrap();
+            load(&graph_to_bytes_v3(&sample())).unwrap();
         }
         let spans = recorder.spans();
         let text = spans.iter().find(|s| s.name == "graph.ingest.text").unwrap();
         assert!(text.counters.contains(&("lines".to_string(), 3.0)));
         assert!(text.counters.contains(&("edges".to_string(), 2.0)));
-        let crc = spans.iter().find(|s| s.name == "crc_verify").unwrap();
-        assert_eq!(crc.path, "graph.ingest.binary.crc_verify");
+        let image = spans.iter().find(|s| s.name == "graph.ingest.image").unwrap();
+        assert!(image.counters.contains(&("edges".to_string(), 4.0)));
         let metrics = collector.metrics_snapshot();
         let edges = metrics.iter().find(|(k, _)| k == "graph.ingest.edges").unwrap();
-        // 2 from the text load + 4 from the legacy binary load.
+        // 2 from the text load + 4 from the v3 image load.
         assert_eq!(edges.1, obs::Metric::Counter(6.0));
     }
 
@@ -1409,22 +1299,6 @@ mod tests {
         assert_same_graph(&g, &g2);
         // A reversed view of a zero-copy graph stays zero-copy (Arc bumps).
         assert!(g2.reversed().is_zero_copy());
-    }
-
-    #[test]
-    fn v2_images_load_through_image_entry_point() {
-        let g = sample();
-        let (g2, stats) = graph_from_image(aligned_image(&legacy_sample(2))).unwrap();
-        assert_same_graph(&g, &g2);
-        assert_eq!(stats.version, 2);
-        assert_eq!(stats.copied_sections, 4);
-        assert!(!stats.is_zero_copy());
-        let (g1, stats) = graph_from_image(aligned_image(&legacy_sample(1))).unwrap();
-        assert_same_graph(&g, &g1);
-        assert_eq!(stats.version, 1);
-        // Re-encoding the import is the v3 upgrade: same bytes as encoding
-        // the original graph.
-        assert_eq!(graph_to_bytes_v3(&g2), graph_to_bytes_v3(&g));
     }
 
     #[test]
@@ -1527,6 +1401,20 @@ mod tests {
     }
 
     #[test]
+    fn binary_rejects_out_of_range_edge() {
+        // A poisoned endpoint in either orientation, resealed so only the
+        // structural check can object: no rebuild from the other side.
+        let clean = graph_to_bytes_v3(&sample());
+        for kind in [1, 3] {
+            let mut bytes = clean.clone();
+            poke(&mut bytes, kind, 0, 1000);
+            reseal(&mut bytes);
+            let err = load(&bytes).unwrap_err();
+            assert!(matches!(err, GraphError::Corrupt(_)), "section {kind}: {err:?}");
+        }
+    }
+
+    #[test]
     fn v3_truncation_and_header_flips_are_rejected() {
         let g = sample();
         let bytes = graph_to_bytes_v3(&g);
@@ -1598,10 +1486,6 @@ mod tests {
         let (_, stats) = graph_from_image(aligned_image(&bytes)).unwrap();
         assert_eq!(stats.zero_copy_bytes + stats.copied_bytes, total, "{stats:?}");
         assert_eq!(stats.zero_copy_bytes, 0);
-
-        // v2 (no in-place representation): everything copied.
-        let (_, stats) = graph_from_image(aligned_image(&legacy_sample(2))).unwrap();
-        assert_eq!(stats.copied_bytes, total, "{stats:?}");
     }
 
     #[test]
@@ -1665,19 +1549,6 @@ mod tests {
         assert!(stats.is_zero_copy(), "mmap base is page-aligned: {stats:?}");
         assert!(g2.is_zero_copy());
         assert_same_graph(&g, &g2);
-    }
-
-    #[test]
-    fn legacy_files_import_through_map_graph_file() {
-        let dir = crate::test_dir("legacy_files_import_through_map_graph_file");
-        for version in [1, 2] {
-            let path = dir.join(format!("sample.v{version}.bin"));
-            std::fs::write(&path, legacy_sample(version)).unwrap();
-            let (g, stats) = map_graph_file(&path).unwrap();
-            assert_same_graph(&sample(), &g);
-            assert_eq!(stats.version, version);
-            assert!(!g.is_zero_copy(), "edge lists have no in-place representation");
-        }
     }
 
     // -- sharded text ingest ------------------------------------------------

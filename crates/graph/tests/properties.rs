@@ -6,8 +6,6 @@ use spammass_graph::{
 };
 use std::sync::Arc;
 
-include!("support/legacy_image.rs");
-
 /// Arbitrary graph: up to 30 nodes, up to 120 raw edges (duplicates and
 /// self-loops included to exercise the builder's cleaning).
 fn arb_graph() -> impl Strategy<Value = (Graph, Vec<(u32, u32)>)> {
@@ -56,19 +54,17 @@ proptest! {
         prop_assert_eq!(in_sum, g.edge_count());
     }
 
-    /// Text and binary round trips — and imports of the retired v1/v2
-    /// edge-list images — reproduce the graph exactly.
+    /// Text and binary (v3 and v4) round trips reproduce the graph
+    /// exactly.
     #[test]
     fn io_round_trips((g, _) in arb_graph()) {
         let image = |bytes: Vec<u8>| io::graph_from_image(Arc::new(bytes)).unwrap().0;
-        let edges: Vec<(u32, u32)> = g.edges().map(|(f, t)| (f.0, t.0)).collect();
         let from_bin = image(io::graph_to_bytes_v3(&g));
-        let from_v1 = image(legacy_image(1, g.node_count(), &edges));
-        let from_v2 = image(legacy_image(2, g.node_count(), &edges));
+        let from_v4 = image(spammass_graph::graph_to_bytes_v4(&g));
         let mut text = Vec::new();
         io::write_edge_list(&g, &mut text).unwrap();
         let from_text = io::read_edge_list(&text[..]).unwrap();
-        for other in [&from_bin, &from_v1, &from_v2, &from_text] {
+        for other in [&from_bin, &from_v4, &from_text] {
             prop_assert_eq!(other.node_count(), g.node_count());
             prop_assert_eq!(other.edge_count(), g.edge_count());
             for x in g.nodes() {

@@ -30,7 +30,7 @@ pub const DELTA_JOURNAL_APPENDED_BYTES: &str = "delta.journal.appended_bytes";
 pub const DELTA_STATE_PUBLISHED: &str = "delta.state.published";
 
 /// Loads that deviated from the manifest's instruction and fell back to
-/// another generation (or the legacy layout). Counter; nonzero means
+/// another generation. Counter; nonzero means
 /// "run fsck --repair".
 pub const DELTA_STATE_RECOVERED: &str = "delta.state.recovered";
 

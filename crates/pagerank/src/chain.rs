@@ -218,15 +218,16 @@ mod tests {
         PageRankConfig::default()
     }
 
-    /// 0 → 1 → … → 99: Jacobi needs a sweep per node to reach the tail.
+    /// 99 → 98 → … → 0: every link points to an older id, so no in-edge
+    /// is read fresh and the in-place sweep, like Jacobi, needs a sweep
+    /// per node to reach the tail.
     fn chain_graph() -> Graph {
-        let edges: Vec<(u32, u32)> = (0..99).map(|i| (i, i + 1)).collect();
+        let edges: Vec<(u32, u32)> = (0..99).map(|i| (i + 1, i)).collect();
         GraphBuilder::from_edges(100, &edges)
     }
 
     /// 66k nodes in two unequal sides with five random out-links each,
-    /// all of them across: engine-sized (≥ `SERIAL_CUTOFF_EDGES`), and
-    /// `Tᵀ` has the eigenvalue −1. A Jacobi sweep shrinks the residual by
+    /// all of them across: `Tᵀ` has the eigenvalue −1. A Jacobi sweep shrinks the residual by
     /// exactly `c` here — the slowest bound (b) allows — and ends in a
     /// last-bit two-state cycle (1.19e-20). The in-place sweep reads the
     /// sides' cross edges fresh wherever one worker relaxed the source
@@ -313,14 +314,13 @@ mod tests {
     fn chain_graph_at_cap_60_is_rescued_with_both_columns_from_one_attempt() {
         // The uniform column needs ~100 sweeps, the tail's own
         // contribution two: the batch fails as one and is retried as one.
-        let jumps = [JumpVector::Uniform, JumpVector::SingleNode { node: NodeId(99), mass: 0.01 }];
+        let jumps = [JumpVector::Uniform, JumpVector::SingleNode { node: NodeId(0), mass: 0.01 }];
         assert_rescued(&chain_graph(), &jumps, cfg().max_iterations(60).tolerance(1e-12));
     }
 
     #[test]
     fn engine_sized_solves_follow_the_rule() {
         let g = bipartite_graph();
-        assert!(g.edge_count() >= crate::parallel::SERIAL_CUTOFF_EDGES);
         let jumps =
             [JumpVector::Uniform, JumpVector::core((0..6_600).map(NodeId).collect(), 66_000)];
         for threads in [1usize, 2] {
@@ -387,7 +387,7 @@ mod tests {
         assert_eq!(outcome(1), obs::Json::str("converged"));
         // Both attempts' solver spans nest under the one chain span.
         let spans = recorder.spans();
-        let nested = spans.iter().filter(|s| s.path == "pagerank.chain.pagerank.solve.jacobi");
+        let nested = spans.iter().filter(|s| s.path == "pagerank.chain.pagerank.solve.batch");
         assert_eq!(nested.count(), 2);
         // The guard fed every sweep's residual of both attempts into the
         // histogram.

@@ -1,10 +1,10 @@
-//! Path selection and pool sizing for the engine.
+//! Pool sizing for the engine.
 //!
 //! The Yahoo! experiments ran PageRank twice over a 979M-edge host
 //! graph; at that scale the matrix–vector product dominates, so every
 //! sweep-level inefficiency multiplies by hundreds of iterations. The
-//! hot path lives in [`crate::engine`]; this module decides **how** a
-//! solve runs:
+//! hot path lives in [`crate::engine`]; this module decides how many
+//! workers a solve runs on:
 //!
 //! * [`pool_threads`] — the pure sizing rule: configured threads capped
 //!   by a node floor and a **sweep-scaled edge quota**. A worker is
@@ -13,14 +13,13 @@
 //!   sweep count grows ([`estimated_sweeps`], from the tolerance and
 //!   damping factor) — a deep solve amortizes thread setup over many
 //!   more sweeps than a shallow one.
-//! * the **serial cutoff**: a solve sized to one worker on a small graph
-//!   routes to the serial scatter solver outright
-//!   ([`SERIAL_CUTOFF_EDGES`]); the gather engine only wins once the
-//!   working set outgrows cache.
 //! * every decision — resident or streamed — is recorded as a
 //!   `pagerank.pool.sizing` event (nodes, edges, quota, sweep hint,
-//!   chosen path, and the cap that chose the count) so a solve that
-//!   silently serialized is one grep away.
+//!   `pooled` or `streamed`, and the cap that chose the count) so a solve
+//!   that silently ran on one worker is one grep away.
+//!
+//! Every graph, however small, is solved by the engine; one worker is
+//! simply a pool of one.
 
 use crate::config::PageRankConfig;
 use spammass_graph::Graph;
@@ -42,17 +41,6 @@ pub const MIN_EDGES_PER_THREAD: usize = 1 << 15;
 /// Sweep count at which [`DEFAULT_EDGES_PER_THREAD`] applies unscaled
 /// (roughly a tolerance of 1e-7 at the paper's damping 0.85).
 const REF_SWEEPS: usize = 96;
-
-/// Below this many edges, a one-worker solve routes to the serial
-/// scatter solver instead of the gather engine: at small sizes the
-/// scatter kernel's sequential writes make a sweep about twice as cheap
-/// as the gather's random reads, which the engine's in-place sweep only
-/// just repays with half the sweeps. With the route disabled,
-/// `pagerank_solvers` over six runs on a 2-core host: the one-worker
-/// engine won 3 of 6 on 10k hosts (median 19.1 ms against Algorithm 1's
-/// 19.0) and 6 of 6 on 40k (92 against 98 ms) — not a win at both sizes,
-/// so the route stays.
-pub const SERIAL_CUTOFF_EDGES: usize = 1 << 18;
 
 /// Expected sweep count for a given tolerance and damping: the residual
 /// contracts by at least `c` per sweep (Jacobi's rate; the engine's
@@ -132,14 +120,6 @@ pub fn pool_threads(
     tightest(&pool_caps(configured, edges_per_thread, hardware, nodes, edges, sweeps)).1
 }
 
-/// The resolved execution plan for one resident solve.
-pub(crate) struct SolvePath {
-    /// Worker count for the pooled engine (meaningful when `!serial`).
-    pub(crate) threads: usize,
-    /// Route to the serial scatter solver instead of the pool.
-    pub(crate) serial: bool,
-}
-
 /// A sized pool: the worker count plus everything the
 /// `pagerank.pool.sizing` event says about how it was chosen.
 pub(crate) struct PoolSizing {
@@ -176,7 +156,7 @@ impl PoolSizing {
     /// Records the decision as a `pagerank.pool.sizing` event plus the
     /// `pagerank.pool.threads` gauge: when a run shows `chosen: 1`
     /// despite `--threads 4`, the event's `cap` names what collapsed it
-    /// and `path` which path ran.
+    /// and `path` whether the solve was resident or streamed.
     pub(crate) fn record(self, path: &'static str) {
         let mut fields: Vec<(String, obs::Json)> = self
             .inputs
@@ -191,17 +171,13 @@ impl PoolSizing {
     }
 }
 
-/// Sizes a resident solve and records the decision; a one-worker solve
-/// below the serial cutoffs routes to the scatter solver (path `serial`,
-/// otherwise `pooled`).
-pub(crate) fn solve_path(config: &PageRankConfig, graph: &Graph) -> SolvePath {
-    let n = graph.node_count();
-    let m = graph.edge_count();
-    let sizing = PoolSizing::new(config, n, m, &[]);
+/// Sizes a resident solve, records the decision (path `pooled`) and
+/// returns the worker count.
+pub(crate) fn solve_path(config: &PageRankConfig, graph: &Graph) -> usize {
+    let sizing = PoolSizing::new(config, graph.node_count(), graph.edge_count(), &[]);
     let threads = sizing.threads;
-    let serial = threads <= 1 && (n < MIN_CHUNK || m < SERIAL_CUTOFF_EDGES);
-    sizing.record(if serial { "serial" } else { "pooled" });
-    SolvePath { threads, serial }
+    sizing.record("pooled");
+    threads
 }
 
 #[cfg(test)]
@@ -239,15 +215,6 @@ mod tests {
         Ok(solve_batch(g, &[JumpVector::Uniform], config)?.remove(0))
     }
 
-    #[test]
-    fn small_graph_falls_back_to_serial() {
-        let g = GraphBuilder::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
-        let a = solve_jacobi(&g, &JumpVector::Uniform, &cfg()).unwrap();
-        let b = solve_uniform(&g, &cfg()).unwrap();
-        assert_eq!(a.scores, b.scores);
-        assert_eq!(a.iterations, b.iterations);
-    }
-
     /// `‖(1−c)v + cTᵀp − p‖₁` for the uniform jump: the linear-system
     /// residual of `p`, recomputed from the out-edges.
     fn linear_residual(g: &Graph, p: &[f64], c: f64) -> f64 {
@@ -273,8 +240,7 @@ mod tests {
         assert!(b.iterations <= a.iterations, "{} vs {}", b.iterations, a.iterations);
         // Where every link points forward, each worker's rows settle
         // within a pass: far fewer sweeps. A silent return to Jacobi
-        // fails here. Enough edges that one worker takes the engine, not
-        // the serial route.
+        // fails here.
         let mut rng = StdRng::seed_from_u64(11);
         let mut forward = GraphBuilder::with_capacity(40_000, 300_000);
         for _ in 0..300_000 {
@@ -285,7 +251,6 @@ mod tests {
             }
         }
         let g = forward.build();
-        assert!(g.edge_count() >= SERIAL_CUTOFF_EDGES);
         for threads in [1usize, 2, 4] {
             let a = solve_jacobi(&g, &JumpVector::Uniform, &cfg()).unwrap();
             let b = solve_uniform(&g, &cfg().threads(threads)).unwrap();
@@ -368,9 +333,9 @@ mod tests {
 
     #[test]
     fn default_edge_quota_serializes_small_graphs() {
-        // Without the test override, a 40k-node / 200k-edge graph routes
-        // to the serial scatter path no matter how many threads are
-        // requested — and its result must match the pooled engine's.
+        // Without the test override, a 40k-node / 200k-edge graph runs on
+        // one worker no matter how many threads are requested — and its
+        // result must match the four-worker engine's.
         let g = random_graph(40_000, 200_000, 31);
         let auto = PageRankConfig::default().threads(4);
         let forced = cfg().threads(4);
@@ -424,15 +389,39 @@ mod tests {
     }
 
     #[test]
-    fn serial_cutoff_is_recorded_in_the_sizing_event() {
-        // Default quota on a 40k/200k graph: one worker, below the edge
-        // cutoff → the scatter path, named in the event.
+    fn a_one_worker_solve_is_recorded_as_a_pool_of_one() {
+        // Default quota on a 40k/200k graph: one worker, recorded as the
+        // engine's pool — the only route there is.
         let g = random_graph(40_000, 200_000, 43);
         let fields = recorded_sizing_event(&PageRankConfig::default().threads(4), &g);
         let get = |k: &str| fields.iter().find(|(f, _)| f == k).unwrap().1.clone();
         assert_eq!(get("chosen").as_f64(), Some(1.0));
         assert_eq!(get("cap").as_str(), Some("edge_quota"));
-        assert_eq!(get("path").as_str(), Some("serial"));
+        assert_eq!(get("path").as_str(), Some("pooled"));
+    }
+
+    #[test]
+    fn a_tiny_graph_is_solved_by_the_engine() {
+        use std::sync::Arc;
+        // Four nodes, one worker: the engine's span and no reference
+        // solver's, and Algorithm 1's answer within two fixed-point
+        // bounds `c·ε/(1−c)`.
+        let g = GraphBuilder::from_edges(4, &[(0, 1), (0, 2), (1, 2), (2, 0), (3, 2)]);
+        let config = PageRankConfig::default();
+        let recorder = Arc::new(obs::Recorder::new());
+        let collector = obs::Collector::builder().sink(recorder.clone()).build();
+        let r = {
+            let _guard = collector.install();
+            solve_uniform(&g, &config).unwrap()
+        };
+        let spans = recorder.spans();
+        assert!(spans.iter().any(|s| s.name == "pagerank.solve.batch"));
+        assert!(!spans.iter().any(|s| s.name == "pagerank.solve.jacobi"));
+        let a = solve_jacobi(&g, &JumpVector::Uniform, &config).unwrap();
+        let c = config.damping;
+        let l1: f64 = a.scores.iter().zip(&r.scores).map(|(x, y)| (x - y).abs()).sum();
+        assert!(l1 <= 2.0 * c * config.tolerance / (1.0 - c), "L1 {l1:e}");
+        assert!(r.converged);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! Dangling nodes contribute nothing — the defining property of *linear*
 //! PageRank (their mass is deliberately lost rather than teleported).
 
+use crate::batch::check_initial_length;
 use crate::config::PageRankConfig;
 use crate::error::PageRankError;
 use crate::guard::ConvergenceGuard;
@@ -53,14 +54,6 @@ pub(crate) fn l1_distance(a: &[f64], b: &[f64]) -> f64 {
 pub(crate) fn check_jump_length(v: &[f64], n: usize) -> Result<(), PageRankError> {
     if v.len() != n {
         return Err(PageRankError::JumpVectorLength { got: v.len(), expected: n });
-    }
-    Ok(())
-}
-
-/// Checks that a warm-start score vector matches the graph.
-pub(crate) fn check_initial_length(p0: &[f64], n: usize) -> Result<(), PageRankError> {
-    if p0.len() != n {
-        return Err(PageRankError::InitialScoresLength { got: p0.len(), expected: n });
     }
     Ok(())
 }

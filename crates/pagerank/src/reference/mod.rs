@@ -7,11 +7,7 @@
 //! * `experiments -- convergence`, the Section 2.2 comparison of linear
 //!   solvers against the eigenvector formulation;
 //! * tests and benches, as the oracle the engine is held to (≤ 1e-12 per
-//!   score, see `tests/properties.rs::engine_parity_table`);
-//! * [`solve_batch`](crate::solve_batch)'s own sub-threshold route:
-//!   below [`SERIAL_CUTOFF_EDGES`](crate::parallel::SERIAL_CUTOFF_EDGES)
-//!   Algorithm 1's sequential scatter beats the gather engine, so a small
-//!   graph's columns are [`jacobi::solve_jacobi_dense_warm`] calls.
+//!   score, see `tests/properties.rs::engine_parity_table`).
 //!
 //! `scripts/ci.sh` greps that no other production file names them.
 

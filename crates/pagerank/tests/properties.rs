@@ -4,7 +4,6 @@ use proptest::prelude::*;
 use spammass_graph::{Graph, GraphBuilder, NodeId, NodeOrdering, Permutation};
 use spammass_pagerank::batch::{solve_batch, solve_batch_warm};
 use spammass_pagerank::contribution::{contribution_of_node, contribution_of_set};
-use spammass_pagerank::parallel::SERIAL_CUTOFF_EDGES;
 use spammass_pagerank::reference::jacobi::solve_jacobi_dense_warm;
 use spammass_pagerank::{solve_batch_streamed, EdgePartition, JumpVector, PageRankConfig};
 
@@ -282,8 +281,7 @@ proptest! {
 }
 
 /// A reproducible random graph big enough to clear the pool's node floor
-/// (16k rows per worker), so `.threads(k)` genuinely runs the
-/// edge-parallel engine instead of the serial fallback.
+/// (16k rows per worker), so `.threads(k)` genuinely runs k workers.
 fn pooled_random_graph(seed: u64) -> Graph {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -449,17 +447,18 @@ fn forward_fraction(g: &Graph) -> f64 {
 /// natural-order oracle once the scores are mapped back. The other two
 /// jump kinds — a custom vector and a single node — solve cold as one
 /// K = 2 batch, resident and streamed, on 1, 2 and 4 workers under the
-/// same oracle, batch-width and one-worker checks.
+/// same oracle, batch-width and one-worker checks. A small graph (2k
+/// nodes, one worker) is a cell of its own: resident and streamed are
+/// bit-identical there too, and both lie within `2·c·ε/(1−c)` in L1 of
+/// Algorithm 1 — each solution within `c·ε/(1−c)` of the fixed point.
 ///
 /// The reversed graph is what makes the in-place sweep visible: in the
 /// original every link points to an older id, so no in-edge is ever read
 /// fresh, while reversed every link points forward.
 #[test]
 fn engine_parity_table() {
-    // Hubs wide enough for the gather kernel's accumulator banks, ≥ 4
-    // node-floor quotas so four workers survive the auto-sizer, and
-    // enough edges that one worker still takes the engine, not the
-    // serial route.
+    // Hubs wide enough for the gather kernel's accumulator banks and ≥ 4
+    // node-floor quotas so four workers survive the auto-sizer.
     let n = 66_000u32;
     let edges = preferential_attachment_edges(n, 6);
     let older = GraphBuilder::from_edges(n as usize, &edges);
@@ -468,9 +467,42 @@ fn engine_parity_table() {
     assert_eq!(forward_fraction(&older), 0.0);
     assert!(forward_fraction(&newer) > 0.5, "{}", forward_fraction(&newer));
     for (name, g) in [("older", &older), ("reversed", &newer)] {
-        assert!(g.edge_count() >= SERIAL_CUTOFF_EDGES, "{name}: {} edges", g.edge_count());
         assert!(g.nodes().map(|y| g.in_degree(y)).max().unwrap() >= 64, "{name}");
         parity_cells(name, g);
+    }
+    small_graph_cell();
+}
+
+/// The small-graph cell of [`engine_parity_table`]: 2k nodes on one
+/// worker, under the default sizing rule.
+fn small_graph_cell() {
+    use spammass_graph::{graph_to_bytes_v4_with, CompressedImage, V4Config};
+
+    let n = 2_000u32;
+    let g = GraphBuilder::from_edges(n as usize, &preferential_attachment_edges(n, 6));
+    let n = g.node_count();
+    let jumps =
+        [JumpVector::Uniform, JumpVector::core((0..n as u32 / 10).map(NodeId).collect(), n)];
+    let config = PageRankConfig::default().threads(1);
+    let c = config.damping;
+    let bound = 2.0 * c * config.tolerance / (1.0 - c);
+    let blocks = V4Config { rows_per_block: 256, edges_per_block: 1024 };
+    let image = CompressedImage::from_store(std::sync::Arc::new(
+        graph_to_bytes_v4_with(&g, blocks).unwrap(),
+    ))
+    .unwrap();
+    let resident = solve_batch(&g, &jumps, &config).unwrap();
+    let streamed = solve_batch_streamed(&image, &jumps, &config, u64::MAX).unwrap();
+    for j in 0..2 {
+        let cell = format!("small graph column={j}");
+        let (r, s) = (&resident[j], &streamed[j]);
+        assert!(r.scores.iter().zip(&s.scores).all(|(a, b)| a.to_bits() == b.to_bits()), "{cell}");
+        assert_eq!(r.iterations, s.iterations, "{cell}");
+        assert_eq!(r.residual.to_bits(), s.residual.to_bits(), "{cell}");
+        let v = jumps[j].materialize(n).unwrap();
+        let oracle = solve_jacobi_dense_warm(&g, &v, None, &config).unwrap().scores;
+        let l1: f64 = r.scores.iter().zip(&oracle).map(|(a, b)| (a - b).abs()).sum();
+        assert!(l1 <= bound, "{cell}: {l1:e} in L1 from Algorithm 1 (bound {bound:e})");
     }
 }
 

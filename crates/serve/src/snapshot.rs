@@ -110,8 +110,7 @@ impl RankBy {
 /// An immutable, fully cross-validated view of one state generation.
 #[derive(Debug)]
 pub struct Snapshot {
-    /// The generation this snapshot was loaded from (`0`: the pre-PR-6
-    /// legacy flat layout, which has no generation number).
+    /// The generation this snapshot was loaded from.
     pub generation: u64,
     graph: Graph,
     pagerank: Vec<f64>,
@@ -127,9 +126,8 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Loads the generation the manifest currently names (or the legacy
-    /// flat layout when there is no manifest), mmapping the graph image
-    /// where possible, and derives the mass vectors and flag set under
+    /// Loads the generation the manifest currently names, mmapping the
+    /// graph image where possible, and derives the mass vectors and flag set under
     /// `detector` and `damping`.
     pub fn load(
         state: &StateDir,
@@ -164,7 +162,7 @@ impl Snapshot {
         });
         let mapped = graph.is_zero_copy();
         Ok(Snapshot {
-            generation: generation.unwrap_or(0),
+            generation,
             graph,
             pagerank,
             core_pagerank,
@@ -281,10 +279,9 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spammass_graph::GraphBuilder;
+    use spammass_delta::StateError;
+    use spammass_graph::{GraphBuilder, GraphError};
     use std::path::PathBuf;
-
-    include!(concat!(env!("CARGO_MANIFEST_DIR"), "/../graph/tests/support/legacy_image.rs"));
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir =
@@ -342,23 +339,6 @@ mod tests {
         assert_eq!(snap.is_mapped(), cfg!(unix));
         assert_eq!(snap.generation, generation);
         assert_eq!((snap.node_count(), snap.edge_count()), (4, 3));
-
-        // A generation published before v3 became the resident format
-        // holds a v2 edge-list image: it still serves, from an owned
-        // decode, with the same answers.
-        let image = state.generation_path(generation).join(StateDir::GRAPH_FILE);
-        // Unlink first: `snap` still maps the published inode, and a
-        // published image is never rewritten in place.
-        std::fs::remove_file(&image).unwrap();
-        std::fs::write(&image, legacy_image(2, 4, &[(1, 0), (2, 0), (2, 3)])).unwrap();
-        let old = Snapshot::load(&state, &detector, 0.85).unwrap();
-        assert!(!old.is_mapped());
-        assert_eq!(old.generation, generation);
-        for node in 0..4 {
-            assert_eq!(old.score(node), snap.score(node));
-            assert_eq!(old.explain(node, 8), snap.explain(node, 8));
-        }
-        assert_eq!(old.top_k(RankBy::Absolute, 4), snap.top_k(RankBy::Absolute, 4));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -480,6 +460,52 @@ mod tests {
         )
         .unwrap();
         assert!(Snapshot::load(&state, &DetectorConfig::default(), 0.85).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_flat_layout_is_not_served() {
+        // A generation's files lying at the root with no manifest: the
+        // layout before generations. There is no generation to tag
+        // answers with, so nothing is served.
+        let src = tmpdir("flat-src");
+        let (published, generation) = publish(&src, &[0.25; 4], &[0.1; 4]);
+        let dir = tmpdir("flat");
+        std::fs::create_dir_all(&dir).unwrap();
+        for f in [
+            StateDir::GRAPH_FILE,
+            StateDir::PAGERANK_FILE,
+            StateDir::CORE_PAGERANK_FILE,
+            StateDir::CORE_FILE,
+        ] {
+            std::fs::copy(published.generation_path(generation).join(f), dir.join(f)).unwrap();
+        }
+        match Snapshot::load(&StateDir::new(&dir), &DetectorConfig::default(), 0.85) {
+            Err(ServeError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::NotFound, "{e}");
+                assert!(e.to_string().contains("no published generation"), "{e}");
+            }
+            other => panic!("expected a NotFound i/o error, got {:?}", other.err()),
+        }
+        std::fs::remove_dir_all(&src).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_retired_image_is_not_served() {
+        let dir = tmpdir("retired");
+        let (state, generation) = publish(&dir, &[0.25; 4], &[0.1; 4]);
+        let mut v2 = b"SPAMGRPH".to_vec();
+        v2.extend_from_slice(&2u32.to_le_bytes());
+        v2.extend_from_slice(&4u64.to_le_bytes());
+        v2.extend_from_slice(&3u64.to_le_bytes());
+        std::fs::write(state.generation_path(generation).join(StateDir::GRAPH_FILE), v2).unwrap();
+        match Snapshot::load(&state, &DetectorConfig::default(), 0.85) {
+            Err(ServeError::State(StateError::Graph(GraphError::Corrupt(msg)))) => {
+                assert!(msg.contains("unsupported version 2"), "{msg}");
+            }
+            other => panic!("expected a corrupt image, got {:?}", other.err()),
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -89,11 +89,11 @@ done
 echo "== one solve route: nothing in production names a reference solver =="
 # Algorithm 1, Gauss-Seidel and power iteration are the paper's text and
 # the engine's oracles. By name they may appear in their own module, in
-# solve_batch's sub-threshold route, in the Section 2.2 experiment, in
-# benches and in test code (tests/ directories and everything from a
-# file's #[cfg(test)] line on) - nowhere else.
+# the Section 2.2 experiment, in benches and in test code (tests/
+# directories and everything from a file's #[cfg(test)] line on) -
+# nowhere else.
 LEAKS="$(find crates src examples -name '*.rs' \
-    ! -path 'crates/pagerank/src/reference/*' ! -path 'crates/pagerank/src/batch.rs' \
+    ! -path 'crates/pagerank/src/reference/*' \
     ! -path 'crates/eval/src/experiments/convergence.rs' ! -path 'crates/bench/*' \
     ! -path '*/tests/*' -exec awk '/^#\[cfg\(test\)\]/ { nextfile }
       /reference::|solve_jacobi|solve_gauss_seidel|solve_power/ { print FILENAME ":" FNR ": " $0 }' {} +)"
@@ -257,7 +257,12 @@ echo "== serve smoke: daemon answers queries and folds a journal reload =="
   --out "$SMOKE_DIR/srv.graph" --core "$SMOKE_DIR/srv-core.txt" \
   --evolve 2 --journal "$SMOKE_DIR/srv.journal" > /dev/null
 ./target/release/spammass estimate --graph "$SMOKE_DIR/srv.graph" \
-  --core "$SMOKE_DIR/srv-core.txt" --state "$SMOKE_DIR/srv-state" > /dev/null
+  --core "$SMOKE_DIR/srv-core.txt" --state "$SMOKE_DIR/srv-state" > "$SMOKE_DIR/srv-estimate.out"
+# A small web is solved by the engine too, in place: about 75 sweeps for
+# p at default settings (Algorithm 1's Jacobi sweep needs about 160).
+SWEEPS="$(sed -n 's/^pagerank solve: .* \([0-9]*\) iterations.*/\1/p' "$SMOKE_DIR/srv-estimate.out")"
+[ -n "$SWEEPS" ] && [ "$SWEEPS" -le 80 ] \
+  || { echo "the 3k-host solve took ${SWEEPS:-no} sweeps (gate 80)"; cat "$SMOKE_DIR/srv-estimate.out"; exit 1; }
 ./target/release/spammass serve --state "$SMOKE_DIR/srv-state" \
   --journal "$SMOKE_DIR/srv-live.journal" --poll-ms 600000 \
   --max-seconds 120 > "$SMOKE_DIR/serve.out" 2> "$SMOKE_DIR/serve.err" &

@@ -167,7 +167,6 @@ proptest! {
 #[test]
 fn partition_identity_holds_on_the_engine() {
     use spammass::graph::{graph_to_bytes_v4_with, CompressedImage, V4Config};
-    use spammass::pagerank::parallel::SERIAL_CUTOFF_EDGES;
 
     let n = 66_000u32;
     let mut endpoints: Vec<u32> = vec![0, 1];
@@ -186,7 +185,6 @@ fn partition_identity_holds_on_the_engine() {
         }
     }
     let g = GraphBuilder::from_edges(n as usize, &edges);
-    assert!(g.edge_count() >= SERIAL_CUTOFF_EDGES, "{} edges", g.edge_count());
 
     let n = g.node_count();
     let (spam, good): (Vec<NodeId>, Vec<NodeId>) = g.nodes().partition(|x| x.index() % 3 == 0);
