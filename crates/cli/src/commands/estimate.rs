@@ -278,10 +278,11 @@ mod tests {
 
     #[test]
     fn a_second_attempt_is_a_warning_naming_the_cap_it_needed() {
-        // 6 ↔ 7 is a cycle, so the solve is a real iteration; cap it one
-        // sweep short of what it needs.
+        // 6 ↔ 7 is a cycle that 5 feeds on one side, so the solve is a
+        // real iteration (a bare symmetric cycle starts at its fixed
+        // point); cap it one sweep short of what it needs.
         let mut edges: Vec<(u32, u32)> = (1..=5).map(|i| (i, 0)).collect();
-        edges.extend([(6, 7), (7, 6)]);
+        edges.extend([(5, 6), (6, 7), (7, 6)]);
         let g = GraphBuilder::from_edges(8, &edges);
         let estimate = |pagerank| {
             MassEstimator::new(EstimatorConfig::scaled(0.85).with_pagerank(pagerank))

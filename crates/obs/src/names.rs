@@ -64,12 +64,14 @@ pub const PAGERANK_POOL_THREADS: &str = "pagerank.pool.threads";
 /// Message event, emitted once per solve.
 pub const PAGERANK_POOL_SIZING: &str = "pagerank.pool.sizing";
 
-/// Completed power-iteration sweeps across the worker pool. Counter;
-/// its windowed rate is the live sweeps/s of a running solve.
+/// Completed rounds of the worker pool — a sweep each, plus, in a
+/// streamed solve, one round before the sweeps and one after them.
+/// Counter; its windowed rate is the live sweeps/s of a running solve.
 pub const PAGERANK_POOL_SWEEPS: &str = "pagerank.pool.sweeps";
 
-/// Partition imbalance: the heaviest chunk's share of the edge-balanced
-/// weight relative to a perfect split (1.0 = balanced). Gauge.
+/// Partition imbalance: the heaviest chunk's share of the balanced
+/// weight relative to a perfect split (1.0 = balanced) — gather cost
+/// for the resident cut, block edges for the streamed one. Gauge.
 pub const PAGERANK_PARTITION_IMBALANCE: &str = "pagerank.partition.imbalance";
 
 /// Number of chunks the node partition was cut into. Gauge.

@@ -50,6 +50,23 @@
 //!   `m ≥ ln(ε·(1−c) / r) / ln c`; one more sweep absorbs the rounding of
 //!   the residual sum. At `c = 0.85` the `1−c` costs 12 sweeps over the
 //!   Jacobi-era cap `⌈ln(ε / r) / ln c⌉`. (For the Jacobi sweep, `L = 0`.)
+//!
+//! **Only the live rows are swept** (`crate::engine`), and the three
+//! claims are about them. A *fixed* row (no in-edges) is written
+//! `(1−c)·v[y]` before the first sweep: its equation holds exactly and its
+//! contribution is a constant the sweeps read. A *terminal* row (no
+//! out-links) contributes nothing to any row, so the live rows' system
+//! does not contain it; the finish round after the last sweep sets it to
+//! `(1−c)·v[y] + Σ q[x]` from the final contributions, so its equation
+//! holds to the rounding of that sum. The sweeps therefore run the
+//! in-place iteration on the live system
+//! `p_live = (1−c)·v_live + b + c·T_liveᵀ·p_live`, `b` the fixed rows'
+//! constant inflow, whose `L` and `U` are the live-by-live blocks of the
+//! ones above — still non-negative, `L` still strictly lower triangular in
+//! relaxation order, every column sum of `L + U` still at most `c`. So
+//! (a)–(c) hold with `Δ` the live rows' step — the residual the verdicts
+//! see — and over all rows `‖r‖₁ ≤ c·‖Δ_live‖₁` up to the terminal rows'
+//! rounding. [`retry_cap`] is unchanged: it reads only `r`, `ε` and `c`.
 
 use crate::batch::solve_batch_warm;
 use crate::config::PageRankConfig;
@@ -220,10 +237,17 @@ mod tests {
 
     /// 99 → 98 → … → 0: every link points to an older id, so no in-edge
     /// is read fresh and the in-place sweep, like Jacobi, needs a sweep
-    /// per node to reach the tail.
+    /// per live node to reach the tail.
     fn chain_graph() -> Graph {
-        let edges: Vec<(u32, u32)> = (0..99).map(|i| (i + 1, i)).collect();
-        GraphBuilder::from_edges(100, &edges)
+        chain_of(100)
+    }
+
+    /// `n − 1 → … → 0`. Its ends leave the sweep — `n − 1` has no
+    /// in-edges, `0` no out-links — so the uniform column takes about
+    /// `n − 2` sweeps.
+    fn chain_of(n: u32) -> Graph {
+        let edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i + 1, i)).collect();
+        GraphBuilder::from_edges(n as usize, &edges)
     }
 
     /// 66k nodes in two unequal sides with five random out-links each,
@@ -371,9 +395,10 @@ mod tests {
         let recorder = Arc::new(obs::Recorder::new());
         let collector = obs::Collector::builder().sink(recorder.clone()).build();
         let tight = cfg().max_iterations(60).tolerance(1e-12);
+        // Long enough that the second attempt alone sweeps 100 times.
         {
             let _guard = collector.install();
-            solve_columns(&chain_graph(), &[JumpVector::Uniform], None, &tight).unwrap();
+            solve_columns(&chain_of(110), &[JumpVector::Uniform], None, &tight).unwrap();
         }
         let messages: Vec<_> = recorder
             .messages()

@@ -8,6 +8,24 @@
 //! row is relaxed, not once per out-edge. `p` is rewritten in place; `q`
 //! alternates between two buffers by sweep parity.
 //!
+//! **Only live rows are swept.** Every row is one of three kinds
+//! ([`RowKind`]), told apart by what the row loop already reads — the
+//! row's in-edge count and `coef[y]`:
+//!
+//! * a **fixed** row has no in-edges, so `p[y] = (1−c)·v[y]` exactly. The
+//!   controller writes that value, and its contribution into *both*
+//!   buffers, once before the first sweep, cold or warm, with the bits a
+//!   relaxation of the row would give; no sweep touches it again;
+//! * a **terminal** row has in-edges but no out-links: `coef[y] = 0`, so
+//!   its contribution is 0 in both buffers and no row reads its `p`
+//!   while the solve runs. Sweeps skip it; once the last sweep is done a
+//!   single **finish** round relaxes it from the final contribution
+//!   buffer — a Jacobi gather over the whole row in edge order — so its
+//!   value depends only on that buffer, whatever the row source or the
+//!   worker count;
+//! * every other row is **live**: relaxed every sweep, and the only rows
+//!   in the per-column residual and therefore in the verdicts.
+//!
 //! The sweep relaxes **in place** where a worker can: when a worker
 //! relaxes row `y`, an in-neighbour it already relaxed earlier in the same
 //! sweep — a source in `first..y`, `first` being the worker's first row —
@@ -17,40 +35,45 @@
 //! Jacobi. `crate::chain` derives why the step still bounds the true
 //! residual and contracts by `c` a sweep.
 //!
-//! * [`RowBody::relax`] is the sweep's arithmetic for one destination
-//!   row: `(1−c)·v[y]` from the column's jump spec, plus the gathered
+//! * [`RowBody`] is the arithmetic for one destination row: `relax` (a
+//!   sweep: `(1−c)·v[y]` from the column's jump spec plus the gathered
 //!   in-edge sum, committed to `p[y]` and `q[y]` with each column's
 //!   residual contribution — or, for a column that already converged,
-//!   `q[y]` copied through bit-exact.
+//!   `q[y]` copied through bit-exact), `fix` (a fixed row) and `finish`
+//!   (a terminal row).
 //! * [`Columns`] owns everything that outlives a sweep: the iterate, the
 //!   contribution pair, the jump specs and coefficients, the per-column
 //!   guards and residual histories, the freeze / convergence /
 //!   iteration-cap decision, and the final de-interleave into
 //!   [`PageRankResult`]s.
 //!
-//! A sweep moves `4(n+1) + 4m` bytes of edge structure and `8n(4K+1)` of
-//! node vectors — `p` read and written back, the stale `q` read, the
-//! fresh `q` written, `coef` read — plus one bit per node for each core
-//! or single-node column; beyond that, each edge's one random read lands
-//! in `q`.
+//! A sweep moves `4(n+1) + 4m_g` bytes of edge structure, `m_g` being
+//! the in-edges of live rows, and `8n_l(4K+1)` of node vectors for the
+//! `n_l` live rows — `p` read and written back, the stale `q` read, the
+//! fresh `q` written, `coef` read — plus `8n` of `coef` the row loop
+//! reads to tell the kinds apart and one bit per node for each core or
+//! single-node column; beyond that, each gathered edge's one random read
+//! lands in `q`. Fixed and terminal rows cost their offsets and `coef`.
 //!
 //! The **resident** source is [`solve_pooled`] below: the in-CSR cut into
-//! equal edge ranges ([`EdgePartition`]), one worker per range on the
-//! persistent pool ([`crate::pool`]), one handoff per sweep. Each worker
-//! relaxes its interior rows in place, in ascending order, straight into
-//! `p` and the write buffer, and gathers the up-to-two partial row pieces
-//! at its range boundaries from the read buffer into private scratch;
-//! after the handoff the control thread relaxes the boundary rows from
-//! those pieces in fixed worker order and folds each column's residual from
-//! the workers' partial sums — worker index order, then the boundary
-//! rows — so the convergence decision is independent of thread
-//! scheduling. The **streamed** source is
-//! [`crate::stream::solve_batch_streamed`] through
-//! [`Columns::solve_whole_rows`]: the same body, controller, pool and
-//! handoff over rows each worker decodes block-at-a-time from its own
-//! range of a compressed image's in-blocks, in place over that range.
-//! Blocks hold whole rows, so that source has no boundary pieces and no
-//! merge phase.
+//! ranges of equal gather cost ([`EdgePartition`]), one worker per
+//! range on the persistent pool ([`crate::pool`]), one handoff per sweep.
+//! Each worker relaxes its live interior rows in place, in ascending
+//! order, straight into `p` and the write buffer, and gathers the
+//! up-to-two partial row pieces at its range boundaries from the read
+//! buffer into private scratch; after the handoff the control thread
+//! relaxes the boundary rows from those pieces in fixed worker order and
+//! folds each column's residual from the workers' partial sums — worker
+//! index order, then the boundary rows — so the convergence decision is
+//! independent of thread scheduling. Its fixed rows are written and its
+//! terminal rows finished on the calling thread, straight from the CSR.
+//! The **streamed** source is [`crate::stream::solve_batch_streamed`]
+//! through [`Columns::solve_whole_rows`]: the same body, controller, pool
+//! and handoff over rows each worker decodes block-at-a-time from its own
+//! range of a compressed image's in-blocks, in place over that range,
+//! with one extra round before the sweeps to write the fixed rows and
+//! one after them to finish the terminal rows. Blocks hold whole rows,
+//! so that source has no boundary pieces and no merge phase.
 //!
 //! Determinism: for a fixed `(graph, threads)` the partition (and so
 //! which reads are fresh), the per-row accumulation order, the
@@ -62,15 +85,16 @@
 //! at the default tolerance), for either source, because the workers'
 //! first rows move; and the one-worker streamed solve is bit-identical to
 //! the one-worker resident solve because neither has boundary rows, both
-//! read every source in `0..y` fresh, and both fold one worker's
-//! residual. Storing `q` instead of multiplying on every edge moves no
+//! read every source in `0..y` fresh, both fold one worker's residual,
+//! and both write fixed rows and finish terminal rows with the same
+//! arithmetic. Storing `q` instead of multiplying on every edge moves no
 //! bit either: `q[x][j]` is the product `p[x][j]·coef[x]` a per-edge
 //! gather would form, and Rust never fuses a multiply into the add that
 //! follows it.
 //!
 //! Everything is allocated before the first sweep (the streamed workers'
-//! decode scratches grow during it); the iteration loop is
-//! allocation-free (pinned by `tests/alloc.rs`).
+//! decode scratches grow during it); the iteration loop and the finish
+//! round are allocation-free (pinned by `tests/alloc.rs`).
 
 use crate::config::PageRankConfig;
 use crate::error::PageRankError;
@@ -82,14 +106,65 @@ use crate::partition::EdgePartition;
 use crate::pool::{self, SharedSlice};
 use crate::profiler::PoolProfiler;
 use crate::PageRankResult;
-use spammass_graph::Graph;
+use spammass_graph::{Graph, NodeId};
 use spammass_obs as obs;
 use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// The per-row relaxation body of one sweep over `K` interleaved columns.
+/// The three kinds of row a solve tells apart (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RowKind {
+    /// No in-edges: written once, before the first sweep.
+    Fixed,
+    /// In-edges but `coef[y] = 0`: relaxed once, after the last sweep.
+    Terminal,
+    /// Relaxed by every sweep.
+    Live,
+}
+
+/// How many rows of each kind a solve holds, and the in-edges one sweep
+/// gathers (those of its live rows); recorded on the solve's span.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct RowKinds {
+    live: usize,
+    fixed: usize,
+    terminal: usize,
+    gathered_edges: usize,
+}
+
+impl RowKinds {
+    /// Counts one row of `kind` with `in_edges` in-edges.
+    fn add(&mut self, kind: RowKind, in_edges: usize) {
+        match kind {
+            RowKind::Fixed => self.fixed += 1,
+            RowKind::Terminal => self.terminal += 1,
+            RowKind::Live => {
+                self.live += 1;
+                self.gathered_edges += in_edges;
+            }
+        }
+    }
+
+    /// Adds another worker's counts.
+    fn merge(&mut self, other: RowKinds) {
+        self.live += other.live;
+        self.fixed += other.fixed;
+        self.terminal += other.terminal;
+        self.gathered_edges += other.gathered_edges;
+    }
+
+    /// Records the counts on a solve's span.
+    pub(crate) fn record(&self, span: &mut obs::Span) {
+        span.record("live_rows", self.live as f64);
+        span.record("fixed_rows", self.fixed as f64);
+        span.record("terminal_rows", self.terminal as f64);
+        span.record("gathered_edges", self.gathered_edges as f64);
+    }
+}
+
+/// The per-row arithmetic of one solve over `K` interleaved columns.
 pub(crate) struct RowBody<'a, const K: usize> {
     one_minus_c: f64,
     /// The columns' jump specs, `K` of them.
@@ -101,9 +176,27 @@ pub(crate) struct RowBody<'a, const K: usize> {
 }
 
 impl<const K: usize> RowBody<'_, K> {
-    /// Relaxes destination row `y`: `(1−c)·v[y]` plus whatever `gather`
-    /// adds (the row's in-edge sum, from edges or from partial sums).
-    /// `p` is the row's `K` slots of the iterate, rewritten in place with
+    /// Row `y`'s kind, from its in-edge count and its coefficient.
+    #[inline(always)]
+    pub(crate) fn kind(&self, y: usize, in_edges: usize) -> RowKind {
+        if in_edges == 0 {
+            RowKind::Fixed
+        } else if self.coef[y] == 0.0 {
+            RowKind::Terminal
+        } else {
+            RowKind::Live
+        }
+    }
+
+    /// `(1−c)·v[y]` per column: where every relaxation of row `y` starts.
+    #[inline(always)]
+    fn jump(&self, y: usize) -> [f64; K] {
+        std::array::from_fn(|j| self.specs[j].at(y) * self.one_minus_c)
+    }
+
+    /// Relaxes live row `y`: `(1−c)·v[y]` plus whatever `gather` adds
+    /// (the row's in-edge sum, from edges or from partial sums). `p` is
+    /// the row's `K` slots of the iterate, rewritten in place with
     /// `|new − old|` added to `deltas` per active column; `q` its `K` slots
     /// of the sweep's write contribution buffer, set to `p·coef[y]`. A
     /// frozen column keeps its `p` and copies its row of `stale` — the
@@ -118,7 +211,7 @@ impl<const K: usize> RowBody<'_, K> {
         q: &mut [f64],
         deltas: &mut [f64; K],
     ) {
-        let mut acc: [f64; K] = std::array::from_fn(|j| self.specs[j].at(y) * self.one_minus_c);
+        let mut acc = self.jump(y);
         gather(&mut acc);
         let w = self.coef[y];
         let mut p_row: [f64; K] = p[..K].try_into().expect("an iterate row is K wide");
@@ -139,6 +232,28 @@ impl<const K: usize> RowBody<'_, K> {
         // streamed sweep was faster this way in 9 of 10 alternating rounds.
         p.copy_from_slice(&p_row);
         q.copy_from_slice(&q_row);
+    }
+
+    /// Writes fixed row `y`: `p = (1−c)·v[y]` — what [`relax`](Self::relax)
+    /// computes for a row with no in-edges, bit for bit — and its
+    /// contribution `p·coef[y]` into the row's `K` slots of both buffers.
+    pub(crate) fn fix(&self, y: usize, p: &mut [f64], q: [&mut [f64]; 2]) {
+        let p_row = self.jump(y);
+        let w = self.coef[y];
+        let q_row = p_row.map(|a| a * w);
+        p.copy_from_slice(&p_row);
+        for slots in q {
+            slots.copy_from_slice(&q_row);
+        }
+    }
+
+    /// Finishes terminal row `y` from the final contributions `q`:
+    /// `p = (1−c)·v[y] + Σ q[x]` over `srcs`, a Jacobi gather in edge
+    /// order, for every column. Its contribution stays 0.
+    pub(crate) fn finish(&self, y: usize, q: &[f64], srcs: &[NodeId], p: &mut [f64]) {
+        let mut acc = self.jump(y);
+        kernel::gather_row(q, &[], 0, srcs, &mut acc);
+        p.copy_from_slice(&acc);
     }
 }
 
@@ -197,6 +312,18 @@ impl<const K: usize> Verdicts<K> {
     }
 }
 
+/// A row source that delivers **whole rows** to
+/// [`Columns::solve_whole_rows`], one range of them per pool worker.
+pub(crate) trait WholeRows: Sync {
+    /// Calls `visit(y, srcs)` for every row of worker `worker`'s range,
+    /// in ascending order, with the row's in-edge sources in edge order.
+    fn visit_rows(
+        &self,
+        worker: usize,
+        visit: impl FnMut(usize, &[NodeId]),
+    ) -> Result<(), PageRankError>;
+}
+
 /// The `K`-column controller: the iterate, its contributions, the jump
 /// specs and coefficients it is formed from, plus per-column verdicts.
 /// `p` (`n×K`, interleaved row-major) is rewritten in place, each row by
@@ -205,7 +332,8 @@ impl<const K: usize> Verdicts<K> {
 /// back the rows it has written there this sweep — with
 /// `q[x][j] = p[x][j]·coef[x]`; frozen columns keep their `p` and copy
 /// their `q` through every later sweep, so `p` always holds every
-/// column's latest iterate.
+/// column's latest iterate, and after `s` sweeps `q[s % 2]` holds every
+/// row's final contribution.
 pub(crate) struct Columns<'a, const K: usize> {
     one_minus_c: f64,
     specs: &'a [JumpSpec],
@@ -218,7 +346,8 @@ pub(crate) struct Columns<'a, const K: usize> {
 impl<'a, const K: usize> Columns<'a, K> {
     /// Seeds the iterate from `initial` (`K` vectors, each `n` long), or
     /// from the jump `specs` themselves for a cold start, and the first
-    /// contribution buffer from it; `coef` is `c/out(x)` per node.
+    /// contribution buffer from it; `coef` is `c/out(x)` per node. The
+    /// row source then writes the fixed rows ([`fix`](Self::fix)).
     pub(crate) fn new(
         specs: &'a [JumpSpec],
         coef: &'a [f64],
@@ -255,44 +384,57 @@ impl<'a, const K: usize> Columns<'a, K> {
         }
     }
 
-    /// Runs sweeps to a verdict over a source that delivers **whole
-    /// rows**: one pool worker per entry of `rows`, worker `w` relaxing
-    /// exactly the destination rows `rows[w]` each sweep. Whole rows have
-    /// no boundary pieces, so there is no merge phase; each column's
-    /// residual is folded from the workers' partial sums in worker index
-    /// order, which makes a fixed `rows` bit-reproducible.
+    /// The row body for the current active flags.
+    fn body(&self) -> RowBody<'a, K> {
+        RowBody {
+            one_minus_c: self.one_minus_c,
+            specs: self.specs,
+            coef: self.coef,
+            active: self.verdicts.active,
+        }
+    }
+
+    /// Writes fixed row `y` into `p` and both contribution buffers.
+    fn fix(&mut self, y: usize) {
+        let body = self.body();
+        let rows = y * K..(y + 1) * K;
+        let [even, odd] = &mut self.q;
+        body.fix(y, &mut self.p[rows.clone()], [&mut even[rows.clone()], &mut odd[rows]]);
+    }
+
+    /// Finishes terminal row `y`, whose in-edge sources are `srcs`, from
+    /// the last sweep's contribution buffer.
+    fn finish(&mut self, y: usize, srcs: &[NodeId]) {
+        let body = self.body();
+        let last = &self.q[self.verdicts.completed % 2];
+        body.finish(y, last, srcs, &mut self.p[y * K..(y + 1) * K]);
+    }
+
+    /// Runs a solve to a verdict over a source that delivers **whole
+    /// rows**: one pool worker per entry of `rows`, worker `w` visiting
+    /// exactly the destination rows `rows[w]` each round. Round 0 writes
+    /// the fixed rows; then each round is a sweep over the live rows;
+    /// after the sweep whose verdict is convergence, one more round
+    /// finishes the terminal rows from the final contribution buffer.
+    /// Whole rows have no boundary pieces, so there is no merge phase;
+    /// each column's residual is folded from the workers' partial sums in
+    /// worker index order, which makes a fixed `rows` bit-reproducible.
+    /// Returns the row counts by kind.
     ///
-    /// `relax_rows(w, body, stale, p, q, deltas)` relaxes worker `w`'s
-    /// rows through `body`, in place: `stale` is the sweep's read
-    /// contribution buffer, `p` and `q` the `rows[w]` windows of the
-    /// iterate and of the write contribution buffer — where the rows
-    /// relaxed so far this sweep are read back fresh — and `deltas` the
-    /// worker's residual sums. An `Err` is parked in the worker's slot, the
-    /// sweep's handoff completes, and control returns the lowest-indexed
-    /// worker's error before any verdict is taken from the half-written
-    /// buffers.
+    /// A source error is parked in the worker's slot, the round's handoff
+    /// completes, and control returns the lowest-indexed worker's error
+    /// before any verdict is taken from the half-written buffers.
     ///
     /// # Panics
     /// If `rows` is empty or its ranges are not ascending, disjoint and
     /// inside the matrix — the disjointness the workers' writes rely on.
-    pub(crate) fn solve_whole_rows<F>(
+    pub(crate) fn solve_whole_rows(
         &mut self,
         config: &PageRankConfig,
         rows: &[Range<usize>],
         profiler: Option<&PoolProfiler>,
-        relax_rows: F,
-    ) -> Result<(), PageRankError>
-    where
-        F: Fn(
-                usize,
-                &RowBody<'_, K>,
-                &[f64],
-                &mut [f64],
-                &mut [f64],
-                &mut [f64; K],
-            ) -> Result<(), PageRankError>
-            + Sync,
-    {
+        source: &impl WholeRows,
+    ) -> Result<RowKinds, PageRankError> {
         let threads = rows.len();
         let n = self.coef.len();
         assert!(
@@ -304,49 +446,111 @@ impl<'a, const K: usize> Columns<'a, K> {
         let mut chunk_deltas = vec![0.0f64; threads * K];
         let failures: Vec<Mutex<Option<PageRankError>>> =
             (0..threads).map(|_| Mutex::new(None)).collect();
+        let counts: Vec<Mutex<RowKinds>> =
+            (0..threads).map(|_| Mutex::new(RowKinds::default())).collect();
         // The workers' view of the verdicts' active flags; see
         // `solve_pooled`.
         let active: [AtomicBool; K] = std::array::from_fn(|_| AtomicBool::new(true));
+        // Set by control once the verdict is in: the next round finishes
+        // the terminal rows and ends the solve.
+        let finishing = AtomicBool::new(false);
 
         let Columns { one_minus_c, specs, coef, p, q: [even, odd], verdicts } = self;
         let p = SharedSlice::new(p);
         let q = [SharedSlice::new(even), SharedSlice::new(odd)];
         let deltas = SharedSlice::new(&mut chunk_deltas);
         let (one_minus_c, specs, coef) = (*one_minus_c, *specs, *coef);
-        let (active, failures) = (&active, &failures);
+        let (active, failures, counts, finishing) = (&active, &failures, &counts, &finishing);
 
         let kernel = |round: usize, worker: usize| {
-            // SAFETY: every worker reads q[round % 2] and writes (and
-            // reads back) only its own rows of p and of q[(round+1) % 2] —
-            // `rows` is pairwise disjoint (asserted above) — and the pool
-            // handoff orders rounds, so no location is read while another
-            // thread writes it.
-            let stale = unsafe { q[round % 2].as_slice() };
             let mine = &rows[worker];
-            let p_rows = unsafe { p.range_mut(mine.start * K, mine.end * K) };
-            let q_rows = unsafe { q[(round + 1) % 2].range_mut(mine.start * K, mine.end * K) };
-            // SAFETY: slots worker·K.. are written only by this worker.
-            let my_deltas = unsafe { deltas.range_mut(worker * K, (worker + 1) * K) };
+            let first = mine.start;
+            let (lo, hi) = (mine.start * K, mine.end * K);
+            // SAFETY: every worker writes (and reads back) only its own
+            // rows of p and of the round's write buffer — `rows` is
+            // pairwise disjoint (asserted above) — and reads only the
+            // round's read buffer, which no worker writes; round 0 reads
+            // neither buffer. The pool handoff orders rounds, so no
+            // location is read while another thread writes it.
+            let p_rows = unsafe { p.range_mut(lo, hi) };
             let body = RowBody {
                 one_minus_c,
                 specs,
                 coef,
                 active: std::array::from_fn(|j| active[j].load(Ordering::Relaxed)),
             };
-            let mut local_deltas = [0.0f64; K];
-            if let Err(e) = relax_rows(worker, &body, stale, p_rows, q_rows, &mut local_deltas) {
+            let outcome = if round == 0 {
+                let [q_even, q_odd] = [&q[0], &q[1]].map(|buf| unsafe { buf.range_mut(lo, hi) });
+                let mut kinds = RowKinds::default();
+                let visited = source.visit_rows(worker, |y, srcs| {
+                    let kind = body.kind(y, srcs.len());
+                    kinds.add(kind, srcs.len());
+                    if kind == RowKind::Fixed {
+                        let at = (y - first) * K..(y - first + 1) * K;
+                        body.fix(
+                            y,
+                            &mut p_rows[at.clone()],
+                            [&mut q_even[at.clone()], &mut q_odd[at]],
+                        );
+                    }
+                });
+                *counts[worker].lock().expect("count slots are locked only to assign") = kinds;
+                visited
+            } else if finishing.load(Ordering::Relaxed) {
+                // Sweep `round − 1` would read `q[(round − 1) % 2]`: the
+                // buffer the last sweep wrote.
+                let last = unsafe { q[(round - 1) % 2].as_slice() };
+                source.visit_rows(worker, |y, srcs| {
+                    if body.kind(y, srcs.len()) == RowKind::Terminal {
+                        let at = (y - first) * K;
+                        body.finish(y, last, srcs, &mut p_rows[at..at + K]);
+                    }
+                })
+            } else {
+                let sweep = round - 1;
+                let stale = unsafe { q[sweep % 2].as_slice() };
+                let q_rows = unsafe { q[(sweep + 1) % 2].range_mut(lo, hi) };
+                let mut local_deltas = [0.0f64; K];
+                let visited = source.visit_rows(worker, |y, srcs| {
+                    if body.kind(y, srcs.len()) != RowKind::Live {
+                        return;
+                    }
+                    // In place: the rows relaxed so far this sweep are
+                    // read back from the write window.
+                    let at = (y - first) * K;
+                    let (fresh, rest) = q_rows.split_at_mut(at);
+                    body.relax(
+                        y,
+                        stale,
+                        |acc| kernel::gather_row(stale, fresh, first, srcs, acc),
+                        &mut p_rows[at..at + K],
+                        &mut rest[..K],
+                        &mut local_deltas,
+                    );
+                });
+                // SAFETY: slots worker·K.. are written only by this worker.
+                unsafe { deltas.range_mut(worker * K, (worker + 1) * K) }
+                    .copy_from_slice(&local_deltas);
+                visited
+            };
+            if let Err(e) = outcome {
                 *failures[worker].lock().expect("failure slots are locked only to assign") =
                     Some(e);
             }
-            my_deltas.copy_from_slice(&local_deltas);
         };
 
-        let control = |_round: usize| -> ControlFlow<Result<(), PageRankError>> {
+        let control = |round: usize| -> ControlFlow<Result<(), PageRankError>> {
             for slot in failures {
                 let failed = slot.lock().expect("failure slots are locked only to assign").take();
                 if let Some(e) = failed {
                     return ControlFlow::Break(Err(e));
                 }
+            }
+            if round == 0 {
+                return ControlFlow::Continue(());
+            }
+            if finishing.load(Ordering::Relaxed) {
+                return ControlFlow::Break(Ok(()));
             }
             // SAFETY: control runs between rounds; no worker is active.
             let deltas = unsafe { deltas.as_slice() };
@@ -356,10 +560,21 @@ impl<'a, const K: usize> Columns<'a, K> {
             for (flag, &on) in active.iter().zip(&verdicts.active) {
                 flag.store(on, Ordering::Relaxed);
             }
-            flow
+            match flow {
+                ControlFlow::Break(Ok(())) => {
+                    finishing.store(true, Ordering::Relaxed);
+                    ControlFlow::Continue(())
+                }
+                flow => flow,
+            }
         };
 
-        pool::run_rounds(threads, profiler, kernel, control)
+        pool::run_rounds(threads, profiler, kernel, control)?;
+        let mut kinds = RowKinds::default();
+        for slot in counts {
+            kinds.merge(*slot.lock().expect("count slots are locked only to assign"));
+        }
+        Ok(kinds)
     }
 
     /// Frees both contribution buffers once the last sweep is done; only
@@ -425,7 +640,7 @@ pub(crate) fn solve_pooled<const K: usize>(
     // All solve-lifetime state is allocated up front; the iteration loop
     // itself is allocation-free (see tests/alloc.rs).
     let partition = EdgePartition::balanced(graph, threads);
-    let profiler = PoolProfiler::from_live(&partition.chunk_edges(), K);
+    let profiler = PoolProfiler::from_live(&partition.chunk_edges(), &partition.chunk_costs(), K);
     let coef: Vec<f64> = graph
         .nodes()
         .map(|x| {
@@ -437,7 +652,21 @@ pub(crate) fn solve_pooled<const K: usize>(
             }
         })
         .collect();
+    let srcs_all = graph.in_sources();
+    let offsets = graph.in_offsets();
+    let in_row = |y: usize| &srcs_all[offsets[y] as usize..offsets[y + 1] as usize];
     let mut cols = Columns::<K>::new(specs, &coef, initial, config);
+    // The fixed rows, written once before the first sweep.
+    let mut kinds = RowKinds::default();
+    let body = cols.body();
+    for y in 0..graph.node_count() {
+        let kind = body.kind(y, in_row(y).len());
+        kinds.add(kind, in_row(y).len());
+        if kind == RowKind::Fixed {
+            cols.fix(y);
+        }
+    }
+    kinds.record(&mut span);
     // Per-worker boundary-piece partial sums: slot (w·2 + s)·K holds
     // worker w's piece s (0 = head, 1 = tail), K columns wide.
     let mut partials = vec![0.0f64; threads * 2 * K];
@@ -458,8 +687,6 @@ pub(crate) fn solve_pooled<const K: usize>(
         let partition = &partition;
         let (one_minus_c, specs, coef) = (*one_minus_c, *specs, *coef);
         let active = &active;
-        let srcs_all = graph.in_sources();
-        let offsets = graph.in_offsets();
 
         let kernel = |round: usize, worker: usize| {
             // SAFETY: the contribution buffers alternate roles by round
@@ -489,11 +716,14 @@ pub(crate) fn solve_pooled<const K: usize>(
             let mut local_deltas = [0.0f64; K];
             let first = interior.start;
             for y in interior {
+                let row_srcs = in_row(y);
+                if body.kind(y, row_srcs.len()) != RowKind::Live {
+                    continue;
+                }
                 // In place: the interior rows this worker already relaxed
                 // this sweep are read back from the write window.
                 let at = (y - first) * K;
                 let (fresh, rest) = q_rows.split_at_mut(at);
-                let row_srcs = &srcs_all[offsets[y] as usize..offsets[y + 1] as usize];
                 body.relax(
                     y,
                     stale,
@@ -505,12 +735,15 @@ pub(crate) fn solve_pooled<const K: usize>(
             }
             // Boundary pieces: accumulate from the read buffer into
             // private scratch; the control thread relaxes their rows
-            // after the handoff.
+            // after the handoff. (A cut falls only inside a row with
+            // out-links, so a piece's row is terminal only at c = 0.)
             for (slot, piece) in partition.pieces(worker).iter().enumerate() {
                 if let Some(piece) = piece {
-                    let mut acc = [0.0f64; K];
-                    kernel::gather_row(stale, &[], 0, &srcs_all[piece.edges.clone()], &mut acc);
-                    my_partials[slot * K..(slot + 1) * K].copy_from_slice(&acc);
+                    if body.kind(piece.node, piece.edges.len()) == RowKind::Live {
+                        let mut acc = [0.0f64; K];
+                        kernel::gather_row(stale, &[], 0, &srcs_all[piece.edges.clone()], &mut acc);
+                        my_partials[slot * K..(slot + 1) * K].copy_from_slice(&acc);
+                    }
                 }
             }
             my_deltas.copy_from_slice(&local_deltas);
@@ -530,6 +763,9 @@ pub(crate) fn solve_pooled<const K: usize>(
             let body = RowBody { one_minus_c, specs, coef, active: verdicts.active };
             let mut merge_deltas = [0.0f64; K];
             for entry in partition.merge_entries() {
+                if body.kind(entry.node, in_row(entry.node).len()) != RowKind::Live {
+                    continue;
+                }
                 let (lo, hi) = (entry.node * K, (entry.node + 1) * K);
                 body.relax(
                     entry.node,
@@ -570,5 +806,12 @@ pub(crate) fn solve_pooled<const K: usize>(
     // Telemetry on every exit path, including guard errors.
     span.record("iterations", cols.verdicts.completed as f64);
     outcome?;
+    // The finish round: every terminal row once, whole, from the final
+    // contributions — never from boundary pieces.
+    for y in 0..graph.node_count() {
+        if body.kind(y, in_row(y).len()) == RowKind::Terminal {
+            cols.finish(y, in_row(y));
+        }
+    }
     Ok(cols.into_results())
 }

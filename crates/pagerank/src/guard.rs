@@ -29,7 +29,13 @@ const MAX_GROWTH_STREAK: usize = 5;
 /// `k ≥ 2` is `Δ_k = (I−L)⁻¹·U·Δ_{k−1} = (I−L)⁻¹·(U(I−L)⁻¹)^{k−2}·U·Δ_1`,
 /// and `‖U‖₁ ≤ c`, `‖U(I−L)⁻¹‖₁ ≤ c`, `‖(I−L)⁻¹‖₁ ≤ 1/(1−c)` give
 /// `‖Δ_k‖₁ ≤ c^{k−1}·‖Δ_1‖₁/(1−c) ≤ 10·‖Δ_1‖₁` — a converging solve's step
-/// may rise after the first sweep, but never past this factor.
+/// may rise after the first sweep, but never past this factor. The
+/// residuals are the live rows' steps: rows without in-edges are written
+/// before the first sweep, so `Δ_1` no longer holds their drop from the
+/// start to `(1−c)·v`, and rows without out-links are finished after the
+/// last. The derivation runs on the live system, whose `L` and `U` are
+/// blocks of the full ones with the same non-negativity, triangularity
+/// and column sums (`crate::chain`), so the same factor bounds it.
 const DIVERGENCE_FACTOR: f64 = 10.0;
 
 /// Tracks the residual sequence of one solve and reports pathologies.

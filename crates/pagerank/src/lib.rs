@@ -35,8 +35,8 @@
 //!
 //! The engine (private module `engine`) is one per-row relaxation body
 //! and one `K`-column controller, fed by two row sources: the resident
-//! in-CSR cut into equal edge ranges ([`partition`]) on persistent
-//! workers with one handoff per sweep (`pool`), and a compressed
+//! in-CSR cut into edge ranges of equal gather cost ([`partition`]) on
+//! persistent workers with one handoff per sweep (`pool`), and a compressed
 //! image's in-blocks cut into one contiguous range per worker of the
 //! same pool. Results are bit-for-bit deterministic for a fixed worker
 //! count, identical across batch widths; streamed scores do not depend

@@ -425,6 +425,25 @@ mod tests {
     }
 
     #[test]
+    fn the_solve_span_counts_rows_by_kind() {
+        use std::sync::Arc;
+        // 0, 1 and 2 link on (live), 3 has no in-edges (fixed), 4 no
+        // out-links (terminal); the live rows hold 5 in-edges.
+        let g = GraphBuilder::from_edges(5, &[(0, 1), (0, 2), (1, 2), (2, 0), (3, 2), (2, 4)]);
+        let recorder = Arc::new(obs::Recorder::new());
+        let collector = obs::Collector::builder().sink(recorder.clone()).build();
+        {
+            let _guard = collector.install();
+            solve_uniform(&g, &PageRankConfig::default()).unwrap();
+        }
+        let spans = recorder.spans();
+        let span = spans.iter().find(|s| s.name == "pagerank.solve.batch").unwrap();
+        let counter = |k: &str| span.counters.iter().find(|(name, _)| name == k).unwrap().1;
+        let counts = ["live_rows", "fixed_rows", "terminal_rows", "gathered_edges"].map(counter);
+        assert_eq!(counts, [3.0, 1.0, 1.0, 5.0]);
+    }
+
+    #[test]
     fn pool_size_gauge_is_recorded() {
         use std::sync::Arc;
         let recorder = Arc::new(obs::Recorder::new());

@@ -1,20 +1,42 @@
 //! Work partitioning for the engine's resident sweep.
 //!
-//! [`EdgePartition`] cuts the in-CSR edge array into `parts` **exactly
-//! equal edge ranges**; a worker owns every row fully contained in its
-//! range (its *interior*, written directly) plus up to two *partial
-//! rows* whose edges straddle a cut. Partial sums land in per-worker
-//! scratch slots and the control thread combines them in worker order —
-//! at most `parts − 1` boundary rows per sweep. Unlike node cuts
-//! weighted by in-degree, an edge cut cannot be skewed by hubs: a row
-//! wider than a whole worker quota is simply shared by several workers.
+//! [`EdgePartition`] cuts the in-CSR edge array into `parts` contiguous
+//! ranges of **equal gather cost**. Only the in-edges of rows whose node
+//! has out-links cost anything — the only ones a sweep reads (see
+//! [`crate::engine`]: a row without out-links is relaxed once, after the
+//! last sweep, and a row without in-edges has none to gather). Such an
+//! edge costs one unit for reading its source, plus one more when the
+//! source opens a new cache line of the contribution buffer: when it is
+//! the row's first, or does not share a group of [`GROUP_IDS`] ids with
+//! the source before it (a row's sources ascend). Edge counts alone
+//! leave a worker whose rows gather from all over the graph up to 1.8×
+//! slower than one whose rows gather from runs of neighbouring ids — a
+//! spam farm's target reading its boosters — and which of the two a
+//! worker gets depends on the graph; the line term evens that out.
+//!
+//! A worker owns every row fully contained in its range (its
+//! *interior*, written directly) plus up to two *partial rows* whose
+//! edges straddle a cut. Partial sums land in per-worker scratch slots
+//! and the control thread combines them in worker order — at most
+//! `parts − 1` boundary rows per sweep. Unlike node cuts weighted by
+//! in-degree, an edge cut cannot be skewed by hubs: a row wider than a
+//! whole worker quota is simply shared by several workers.
+//!
+//! A cut sits right after a gathered edge, so it never falls strictly
+//! inside the edges of a row without out-links: every boundary row has
+//! out-links.
 //!
 //! The partition is a pure function of `(graph, parts)`, so the
 //! fixed-partition determinism guarantee of the engine reduces to
 //! reusing one partition per solve.
 
-use spammass_graph::Graph;
+use spammass_graph::{Graph, NodeId};
 use std::ops::Range;
+
+/// Ids whose contributions share one 64-byte line in the gather-cost
+/// model: a two-column solve — `[p, p′]`, the estimator's pair — stores
+/// 16 bytes a node.
+pub const GROUP_IDS: u32 = 4;
 
 /// A piece of a destination row whose in-edges straddle an edge-range
 /// cut: worker-local gathers over `edges` produce a partial sum the
@@ -40,15 +62,17 @@ pub struct MergeEntry {
 }
 
 /// A partition of the in-CSR edge array `0..m` into `parts` contiguous
-/// equal ranges, with the induced row ownership: per worker an interior
-/// node range (rows fully inside its edge range, written directly) and
-/// up to two [`PartialRow`] pieces, plus the [`MergeEntry`] plan that
-/// reassembles the boundary rows.
+/// ranges of equal gather cost, with the induced row ownership: per
+/// worker an interior node range (rows fully inside its edge range,
+/// written directly) and up to two [`PartialRow`] pieces, plus the
+/// [`MergeEntry`] plan that reassembles the boundary rows.
 ///
 /// Invariants (pinned by unit and property tests):
 ///
-/// * edge ranges are contiguous, disjoint and cover `0..m`, each of size
-///   `⌊m/parts⌋` or `⌈m/parts⌉`;
+/// * edge ranges are contiguous, disjoint and cover `0..m`; of the total
+///   gather cost `t`, ranges `0..=w` hold between `⌊t·(w+1)/parts⌋` and
+///   one unit more, and range `w` ends right after a gathered edge (the
+///   last range ends at `m`);
 /// * every node lands in exactly one worker's interior **or** exactly
 ///   one merge entry (never both, never neither);
 /// * a merge entry's pieces tile its row's edge range exactly, in edge
@@ -57,6 +81,10 @@ pub struct MergeEntry {
 pub struct EdgePartition {
     /// Edge-range boundaries: worker `w` owns edges `cuts[w]..cuts[w+1]`.
     cuts: Vec<usize>,
+    /// Gathered edges per worker.
+    gathered: Vec<usize>,
+    /// Gather cost per worker.
+    costs: Vec<usize>,
     /// Per-worker fully-owned destination rows.
     interiors: Vec<Range<usize>>,
     /// Per-worker partial pieces: `[head, tail]`. The head piece belongs
@@ -69,15 +97,76 @@ pub struct EdgePartition {
 }
 
 impl EdgePartition {
-    /// Cuts the graph's in-CSR edge array into `parts` equal ranges and
-    /// derives row ownership. Pure in `(graph, parts)`.
+    /// Cuts the graph's in-CSR edge array into `parts` ranges of equal
+    /// gather cost and derives row ownership. Pure in `(graph, parts)`.
     pub fn balanced(graph: &Graph, parts: usize) -> EdgePartition {
         let n = graph.node_count();
         let m = graph.edge_count();
         let parts = parts.max(1);
         let offsets = graph.in_offsets();
+        let srcs = graph.in_sources();
         let off = |y: usize| offsets[y] as usize;
-        let cuts: Vec<usize> = (0..=parts).map(|w| m * w / parts).collect();
+        let gathers = |y: usize| graph.out_degree(NodeId(y as u32)) > 0;
+        let opens = |a: NodeId, b: NodeId| a.0 / GROUP_IDS != b.0 / GROUP_IDS;
+        // Edge `e` of a row `y` that gathers.
+        let edge_cost =
+            |y: usize, e: usize| 1 + usize::from(e == off(y) || opens(srcs[e - 1], srcs[e]));
+        let row_cost = |y: usize| -> usize {
+            let row = &srcs[off(y)..off(y + 1)];
+            if row.is_empty() || !gathers(y) {
+                return 0;
+            }
+            2 * row.len() - row.windows(2).filter(|w| !opens(w[0], w[1])).count()
+        };
+        let (mut total, mut total_gathered) = (0usize, 0usize);
+        for y in 0..n {
+            let cost = row_cost(y);
+            total += cost;
+            if cost > 0 {
+                total_gathered += off(y + 1) - off(y);
+            }
+        }
+        let targets: Vec<usize> = (0..=parts).map(|w| total * w / parts).collect();
+        // Cut `w` sits right after the edge at which the running cost
+        // first reaches `targets[w]` — inside or at the end of a row that
+        // gathers — or at the start of row `y` when the rows below it
+        // already hold exactly that much. `y`, `before` (the cost of the
+        // rows below `y`) and `below` (their gathered edges) only move
+        // forward. `cost_at` and `gathered_at` are the running cost and
+        // gathered edges at each cut.
+        let mut cuts = Vec::with_capacity(parts + 1);
+        let mut cost_at = Vec::with_capacity(parts + 1);
+        let mut gathered_at = Vec::with_capacity(parts + 1);
+        cuts.push(0);
+        cost_at.push(0);
+        gathered_at.push(0);
+        let (mut y, mut before, mut below) = (0usize, 0usize, 0usize);
+        for &target in &targets[1..parts] {
+            while y < n {
+                let cost = row_cost(y);
+                if before + cost >= target {
+                    break;
+                }
+                before += cost;
+                if cost > 0 {
+                    below += off(y + 1) - off(y);
+                }
+                y += 1;
+            }
+            let (mut e, mut cost) = (off(y), before);
+            while cost < target {
+                cost += edge_cost(y, e);
+                e += 1;
+            }
+            cuts.push(e);
+            cost_at.push(cost);
+            gathered_at.push(below + (e - off(y)));
+        }
+        cuts.push(m);
+        cost_at.push(total);
+        gathered_at.push(total_gathered);
+        let gathered: Vec<usize> = gathered_at.windows(2).map(|g| g[1] - g[0]).collect();
+        let costs: Vec<usize> = cost_at.windows(2).map(|c| c[1] - c[0]).collect();
         let mut interiors = Vec::with_capacity(parts);
         let mut pieces: Vec<[Option<PartialRow>; 2]> = vec![[None, None]; parts];
         // (node, worker, slot) in construction order, which is ascending
@@ -126,7 +215,7 @@ impl EdgePartition {
                 _ => merge.push(MergeEntry { node, parts: vec![(w, slot)] }),
             }
         }
-        EdgePartition { cuts, interiors, pieces, merge }
+        EdgePartition { cuts, gathered, costs, interiors, pieces, merge }
     }
 
     /// Number of workers.
@@ -164,10 +253,17 @@ impl EdgePartition {
         &self.merge
     }
 
-    /// Edges per worker (diagnostic; equal to within one by
-    /// construction).
+    /// Gathered edges per worker — the in-edges a sweep reads there
+    /// (diagnostic).
     pub fn chunk_edges(&self) -> Vec<usize> {
-        self.cuts.windows(2).map(|c| c[1] - c[0]).collect()
+        self.gathered.clone()
+    }
+
+    /// Gather cost per worker — what the cuts balance (diagnostic; by
+    /// construction within one unit of the worker's share
+    /// `⌊t·(w+1)/parts⌋ − ⌊t·w/parts⌋` of the total cost `t`).
+    pub fn chunk_costs(&self) -> Vec<usize> {
+        self.costs.clone()
     }
 }
 
@@ -177,24 +273,53 @@ mod tests {
     use spammass_graph::{Graph, GraphBuilder};
 
     /// A star graph: every node 1..n points at node 0, so node 0 holds
-    /// all in-edges.
+    /// all in-edges but one; node 0 links back to node 1, so every one
+    /// of them is gathered.
     fn star(n: u32) -> Graph {
-        let edges: Vec<(u32, u32)> = (1..n).map(|x| (x, 0)).collect();
+        let mut edges: Vec<(u32, u32)> = (1..n).map(|x| (x, 0)).collect();
+        if n > 1 {
+            edges.push((0, 1));
+        }
         GraphBuilder::from_edges(n as usize, &edges)
     }
 
+    /// The gather cost of every in-CSR edge position, worked out edge by
+    /// edge: 0 into a row without out-links, else 1, plus 1 when the
+    /// source is the row's first or leaves the previous source's group.
+    fn edge_costs(g: &Graph) -> Vec<usize> {
+        let mut costs = Vec::with_capacity(g.edge_count());
+        for y in g.nodes() {
+            let mut prev: Option<u32> = None;
+            for x in g.in_neighbors(y) {
+                let opens = prev.is_none_or(|p| p / GROUP_IDS != x.0 / GROUP_IDS);
+                costs.push(if g.out_degree(y) == 0 { 0 } else { 1 + usize::from(opens) });
+                prev = Some(x.0);
+            }
+        }
+        costs
+    }
+
     /// Full structural audit of an [`EdgePartition`]: edge ranges tile
-    /// `0..m`, every node is owned exactly once (interior xor merge),
-    /// and each merge entry's pieces tile its row in edge order.
+    /// `0..m`, each holding its share of the gather cost to within one
+    /// unit, with its gathered edges and cost reported; every node is
+    /// owned exactly once (interior xor merge), and each merge entry's
+    /// pieces tile the row of a node with out-links in edge order.
     fn assert_edge_partition_sound(p: &EdgePartition, g: &Graph) {
         let n = g.node_count();
         let m = g.edge_count();
         let offs = g.in_offsets();
+        let costs = edge_costs(g);
+        let total: usize = costs.iter().sum();
         let mut next_edge = 0usize;
         for w in 0..p.len() {
             let r = p.edge_range(w);
             assert_eq!(r.start, next_edge, "edge ranges must be contiguous");
             next_edge = r.end;
+            let cost: usize = costs[r.clone()].iter().sum();
+            let share = total * (w + 1) / p.len() - total * w / p.len();
+            assert!(cost.abs_diff(share) <= 1, "worker {w} costs {cost}, its share is {share}");
+            assert_eq!(p.chunk_costs()[w], cost);
+            assert_eq!(p.chunk_edges()[w], costs[r].iter().filter(|&&c| c > 0).count());
         }
         assert_eq!(next_edge, m, "edge ranges must cover 0..m");
         let mut owner = vec![0u32; n];
@@ -208,6 +333,7 @@ mod tests {
         }
         for e in p.merge_entries() {
             owner[e.node] += 1;
+            assert!(g.out_degree(NodeId(e.node as u32)) > 0, "boundary row {} is terminal", e.node);
             assert!(e.parts.len() >= 2, "boundary row {} has {} piece(s)", e.node, e.parts.len());
             let mut cursor = offs[e.node] as usize;
             let mut last_worker = None;
@@ -244,14 +370,12 @@ mod tests {
 
     #[test]
     fn edge_partition_shares_a_hub_row_across_workers() {
-        // The star's hub holds all 999 in-edges; node cuts would give one
-        // worker the whole row, the edge cut splits it across all four.
+        // The star's hub holds 999 of the 1000 in-edges; node cuts would
+        // give one worker the whole row, the edge cut splits it across
+        // all four.
         let g = star(1000);
         let p = EdgePartition::balanced(&g, 4);
         assert_edge_partition_sound(&p, &g);
-        let edges = p.chunk_edges();
-        let (min, max) = (edges.iter().min().unwrap(), edges.iter().max().unwrap());
-        assert!(max - min <= 1, "edge ranges must be equal to within one: {edges:?}");
         assert_eq!(p.merge_entries().len(), 1, "only the hub row straddles cuts");
         assert_eq!(p.merge_entries()[0].node, 0);
         assert_eq!(p.merge_entries()[0].parts.len(), 4, "all four workers contribute");
@@ -265,6 +389,53 @@ mod tests {
         assert_eq!(p.interior(0), 0..100);
         assert!(p.merge_entries().is_empty());
         assert_eq!(p.pieces(0), &[None, None]);
+    }
+
+    #[test]
+    fn a_row_without_out_links_weighs_nothing_and_is_never_cut() {
+        // Rows 0..4 link to each other, row 5 is linked from them and
+        // links back to row 0: 17 gathered edges. Row 4 has 100 in-edges
+        // and no out-links. The edge count would cut row 4; the gather
+        // cost puts every cut outside it and gives each worker its share
+        // of the 17 edges' cost.
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        for y in 0..4u32 {
+            edges.extend((0..4).filter(|&x| x != y).map(|x| (x, y)));
+        }
+        edges.extend((0..4u32).map(|x| (x, 5)));
+        edges.push((5, 0));
+        edges.extend((6..106u32).map(|x| (x, 4)));
+        let g = GraphBuilder::from_edges(106, &edges);
+        assert_eq!((g.out_degree(NodeId(4)), g.in_degree(NodeId(4))), (0, 100));
+        // A cut inside row 4 would make it a boundary row, which the
+        // audit refuses.
+        for parts in [2usize, 3, 4] {
+            assert_edge_partition_sound(&EdgePartition::balanced(&g, parts), &g);
+        }
+        // Nothing to gather: one worker holds every row, the rest none.
+        let spokes: Vec<(u32, u32)> = (1..50u32).map(|x| (x, 0)).collect();
+        let star_hub = GraphBuilder::from_edges(50, &spokes);
+        let p = EdgePartition::balanced(&star_hub, 4);
+        assert_edge_partition_sound(&p, &star_hub);
+        assert_eq!(p.chunk_edges(), vec![0; 4]);
+        assert_eq!(p.interior(3), 0..50);
+    }
+
+    #[test]
+    fn a_source_that_opens_a_line_costs_two_units() {
+        // Rows 0 and 1 link to each other. Row 0 also gathers from 24
+        // sources eight ids apart, each opening a line; row 1 from the
+        // 24 neighbours 104..128, four to a line. Equal edge counts,
+        // unequal cost: the cut hands row 0's worker fewer edges.
+        let mut edges: Vec<(u32, u32)> = vec![(0, 1), (1, 0)];
+        edges.extend((1..=24u32).map(|i| (8 * i, 0)));
+        edges.extend((104..128u32).map(|x| (x, 1)));
+        let g = GraphBuilder::from_edges(128, &edges);
+        let p = EdgePartition::balanced(&g, 2);
+        assert_edge_partition_sound(&p, &g);
+        let gathered = p.chunk_edges();
+        assert_eq!(gathered.iter().sum::<usize>(), 50);
+        assert!(gathered[0] < gathered[1], "{gathered:?}");
     }
 
     #[test]

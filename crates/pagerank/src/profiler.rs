@@ -21,8 +21,9 @@
 //!   chunks (the edge-parallel design's only serial section);
 //! * `pagerank.partition.imbalance` / `pagerank.partition.chunks` —
 //!   gauges describing the edge-range partition itself;
-//! * `pagerank.pool.sweeps` — counter whose windowed rate is the live
-//!   sweeps/s of the solve.
+//! * `pagerank.pool.sweeps` — counter of pool rounds (a streamed solve
+//!   adds one before its sweeps and one after them) whose windowed rate
+//!   is the live sweeps/s of the solve.
 //!
 //! Construction is gated on [`spammass_obs::registry::live`]: without
 //! `--serve-metrics` (or another caller enabling the global registry)
@@ -59,13 +60,18 @@ pub(crate) struct PoolProfiler {
 
 impl PoolProfiler {
     /// Builds a profiler for a pool whose worker `w` traverses
-    /// `chunk_edges[w]` edges per round — or `None` when the global
+    /// `chunk_edges[w]` edges per round and was handed `chunk_weights[w]`
+    /// of the weight its partition balances — or `None` when the global
     /// registry is off, so the solvers pay nothing by default.
     /// `columns` is the number of jump vectors a single round traverses.
-    pub(crate) fn from_live(chunk_edges: &[usize], columns: usize) -> Option<PoolProfiler> {
+    pub(crate) fn from_live(
+        chunk_edges: &[usize],
+        chunk_weights: &[usize],
+        columns: usize,
+    ) -> Option<PoolProfiler> {
         let registry = registry::live()?;
         let workers = chunk_edges.len();
-        let imbalance = partition_imbalance(chunk_edges);
+        let imbalance = partition_imbalance(chunk_weights);
         let chunk_edges: Vec<f64> =
             chunk_edges.iter().map(|&e| (e * columns.max(1)) as f64).collect();
         Some(PoolProfiler {
@@ -128,18 +134,18 @@ impl PoolProfiler {
     }
 }
 
-/// Heaviest chunk's edge count relative to a perfect split (1.0 =
-/// balanced). The resident edge-range cuts are balanced to within one
-/// edge by construction, so values above ~1.0 only appear when there are
-/// more workers than edges; the streamed block ranges are balanced to
-/// within a block.
-pub(crate) fn partition_imbalance(edges: &[usize]) -> f64 {
-    let total: usize = edges.iter().sum();
-    let max = edges.iter().copied().max().unwrap_or(0);
+/// Heaviest chunk's weight relative to a perfect split (1.0 =
+/// balanced). The resident edge-range cuts balance gather cost to within
+/// a unit by construction, so values above ~1.0 only appear when there
+/// are more workers than cost units; the streamed block ranges balance
+/// edges to within a block.
+pub(crate) fn partition_imbalance(weights: &[usize]) -> f64 {
+    let total: usize = weights.iter().sum();
+    let max = weights.iter().copied().max().unwrap_or(0);
     if total == 0 {
         return 1.0;
     }
-    max as f64 * edges.len() as f64 / total as f64
+    max as f64 * weights.len() as f64 / total as f64
 }
 
 #[cfg(test)]
@@ -148,9 +154,13 @@ mod tests {
     use crate::partition::EdgePartition;
     use spammass_graph::{Graph, GraphBuilder};
 
-    /// Star graph: all in-edges land on node 0.
+    /// Star graph: all in-edges but one land on node 0, which links back
+    /// to node 1 — so the sweep gathers every one of them.
     fn star(n: u32) -> Graph {
-        let edges: Vec<(u32, u32)> = (1..n).map(|x| (x, 0)).collect();
+        let mut edges: Vec<(u32, u32)> = (1..n).map(|x| (x, 0)).collect();
+        if n > 1 {
+            edges.push((0, 1));
+        }
         GraphBuilder::from_edges(n as usize, &edges)
     }
 
@@ -158,25 +168,26 @@ mod tests {
     fn imbalance_is_one_for_single_chunk() {
         let g = star(100);
         let p = EdgePartition::balanced(&g, 1);
-        assert_eq!(partition_imbalance(&p.chunk_edges()), 1.0);
+        assert_eq!(partition_imbalance(&p.chunk_costs()), 1.0);
     }
 
     #[test]
     fn edge_ranges_stay_balanced_even_on_hub_rows() {
         // The old node partition could not split the star's hub row, so
         // one chunk owned every edge. Edge ranges cut through the row:
-        // imbalance stays within one edge of perfect.
+        // imbalance stays within two cost units of perfect.
         let g = star(10_000);
-        let imb = partition_imbalance(&EdgePartition::balanced(&g, 4).chunk_edges());
-        let n_edges = g.edge_count() as f64;
-        assert!(imb <= (n_edges / 4.0).ceil() * 4.0 / n_edges, "imbalance {imb}");
+        let costs = EdgePartition::balanced(&g, 4).chunk_costs();
+        let imb = partition_imbalance(&costs);
+        let total = costs.iter().sum::<usize>() as f64;
+        assert!(imb <= ((total / 4.0).ceil() + 1.0) * 4.0 / total, "imbalance {imb}");
     }
 
     #[test]
     fn imbalance_handles_empty_graphs() {
         let g = GraphBuilder::from_edges(0, &[]);
         let p = EdgePartition::balanced(&g, 4);
-        assert_eq!(partition_imbalance(&p.chunk_edges()), 1.0);
+        assert_eq!(partition_imbalance(&p.chunk_costs()), 1.0);
     }
 
     #[test]
@@ -185,6 +196,6 @@ mod tests {
         // irreversible), so the gate must report None here.
         let g = star(50);
         let p = EdgePartition::balanced(&g, 2);
-        assert!(PoolProfiler::from_live(&p.chunk_edges(), 1).is_none());
+        assert!(PoolProfiler::from_live(&p.chunk_edges(), &p.chunk_costs(), 1).is_none());
     }
 }

@@ -14,7 +14,10 @@
 //! engine's row body ([`crate::engine`]); the engine's column controller
 //! owns the matrices, the pool handoff, the convergence decision and the
 //! result. Blocks hold whole rows, so there are no boundary pieces and
-//! no merge.
+//! no merge. Each worker decodes its blocks twice more per solve: once
+//! before the sweeps, to write the rows without in-edges, which no sweep
+//! relaxes, and once after them, to finish the rows without out-links,
+//! which no sweep relaxes either (`crate::engine`'s row kinds).
 //!
 //! ## Exactness
 //!
@@ -25,8 +28,9 @@
 //! `first..y`), so the streamed solver is not an approximation, just a
 //! different row source. **With one worker, scores, iteration counts and
 //! residuals are bit-identical to the one-worker resident solve** — both
-//! read every source below the row fresh. With more, where each worker's range
-//! starts decides which reads are fresh, and each column's residual is
+//! read every source below the row fresh, write the same fixed rows and
+//! finish the same terminal rows from the same final contributions. With
+//! more, where each worker's range starts decides which reads are fresh, and each column's residual is
 //! folded from the workers' partial sums in worker index order: a fixed
 //! `(image, workers)` is bit-reproducible, and across worker counts —
 //! and against any resident solve — scores agree to rounding (≤ 1e-12
@@ -49,15 +53,15 @@
 
 use crate::batch::{empty_results, MAX_FUSED_COLUMNS};
 use crate::config::PageRankConfig;
-use crate::engine::Columns;
+use crate::engine::{Columns, RowKinds, WholeRows};
 use crate::error::PageRankError;
 use crate::history::ResidualHistory;
 use crate::jump::{JumpSpec, JumpVector};
-use crate::kernel;
 use crate::parallel::PoolSizing;
 use crate::profiler::PoolProfiler;
 use crate::PageRankResult;
 use spammass_graph::compress::{BlockScratch, CompressedImage, Orientation};
+use spammass_graph::NodeId;
 use spammass_obs as obs;
 use std::ops::Range;
 use std::sync::Mutex;
@@ -196,20 +200,25 @@ pub fn solve_batch_streamed(
     }
 
     let mut results = Vec::with_capacity(k);
-    let mut sweeps = 0usize;
+    let mut passes = 0usize;
+    let mut kinds = RowKinds::default();
     for chunk in specs.chunks(MAX_FUSED_COLUMNS) {
-        let solved = match chunk.len() {
+        let (solved, chunk_kinds) = match chunk.len() {
             1 => sweep_blocks::<1>(&source, &coef, chunk, config)?,
             2 => sweep_blocks::<2>(&source, &coef, chunk, config)?,
             3 => sweep_blocks::<3>(&source, &coef, chunk, config)?,
             _ => sweep_blocks::<4>(&source, &coef, chunk, config)?,
         };
-        // A chunk sweeps until its last column freezes.
-        sweeps += solved.iter().map(|r| r.iterations).max().unwrap_or(0);
+        // Every chunk sorts the same rows the same way.
+        kinds = chunk_kinds;
+        // A chunk sweeps until its last column freezes, and decodes its
+        // blocks once more before the sweeps and once after them.
+        passes += solved.iter().map(|r| r.iterations).max().unwrap_or(0) + 2;
         results.extend(solved);
     }
 
-    let blocks_decoded = (sweeps * in_blocks) as u64;
+    kinds.record(&mut span);
+    let blocks_decoded = (passes * in_blocks) as u64;
     let decoded_bytes = image.encoded_bytes_read() - encoded_before;
     span.record("blocks_decoded", blocks_decoded as f64);
     span.record("decoded_bytes", decoded_bytes as f64);
@@ -303,52 +312,42 @@ impl<'a> BlockSource<'a> {
     }
 }
 
-/// One `K`-column streamed solve: the engine's sweep with each worker's
-/// rows delivered block-at-a-time from its own range of in-blocks.
+impl WholeRows for BlockSource<'_> {
+    /// Decodes worker `worker`'s blocks one at a time into its scratch
+    /// and hands every row of each to `visit`.
+    fn visit_rows(
+        &self,
+        worker: usize,
+        mut visit: impl FnMut(usize, &[NodeId]),
+    ) -> Result<(), PageRankError> {
+        let mut scratch = self.scratch(worker);
+        for idx in self.blocks[worker].clone() {
+            self.image.decode_block(Orientation::In, idx, &mut scratch).map_err(edge_source)?;
+            for i in 0..scratch.rows {
+                visit(scratch.first_row + i, scratch.row(i));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One `K`-column streamed solve: the engine's rounds with each worker's
+/// rows delivered block-at-a-time from its own range of in-blocks — a
+/// round to write the fixed rows, the sweeps, and the finish round.
 fn sweep_blocks<const K: usize>(
     source: &BlockSource<'_>,
     coef: &[f64],
     specs: &[JumpSpec],
     config: &PageRankConfig,
-) -> Result<Vec<PageRankResult>, PageRankError> {
+) -> Result<(Vec<PageRankResult>, RowKinds), PageRankError> {
     let mut cols = Columns::<K>::new(specs, coef, None, config);
-    let profiler = PoolProfiler::from_live(&source.edges, K);
-    cols.solve_whole_rows(
-        config,
-        &source.rows,
-        profiler.as_ref(),
-        |worker, body, stale, p, q, deltas| {
-            let mut scratch = source.scratch(worker);
-            let first = source.rows[worker].start;
-            for idx in source.blocks[worker].clone() {
-                source
-                    .image
-                    .decode_block(Orientation::In, idx, &mut scratch)
-                    .map_err(edge_source)?;
-                for i in 0..scratch.rows {
-                    let y = scratch.first_row + i;
-                    // In place: the rows of this worker's earlier blocks
-                    // and of this one up to `y` are read back fresh.
-                    let at = (y - first) * K;
-                    let (fresh, rest) = q.split_at_mut(at);
-                    body.relax(
-                        y,
-                        stale,
-                        |acc| kernel::gather_row(stale, fresh, first, scratch.row(i), acc),
-                        &mut p[at..at + K],
-                        &mut rest[..K],
-                        deltas,
-                    );
-                }
-            }
-            Ok(())
-        },
-    )?;
+    let profiler = PoolProfiler::from_live(&source.edges, &source.edges, K);
+    let kinds = cols.solve_whole_rows(config, &source.rows, profiler.as_ref(), source)?;
     // Free the contribution buffers before de-interleaving the iterate
     // into per-column vectors so that phase stays under the same budget
     // as the sweeps.
     cols.release_sweep_buffers();
-    Ok(cols.into_results())
+    Ok((cols.into_results(), kinds))
 }
 
 #[cfg(test)]
@@ -565,10 +564,26 @@ mod tests {
         let span = spans.iter().find(|s| s.name == "pagerank.solve.streamed").unwrap();
         let counter = |k: &str| span.counters.iter().find(|(name, _)| name == k).unwrap().1;
         assert_eq!(counter("workers"), 2.0);
-        // Every in-block exactly once per sweep, whoever decodes it.
-        let sweeps = counter("blocks_decoded") / image.block_count(Orientation::In) as f64;
-        assert_eq!(sweeps.fract(), 0.0);
-        assert!(sweeps >= 1.0);
+        // Every in-block exactly once per sweep, whoever decodes it, and
+        // once more before the sweeps and after them.
+        let passes = counter("blocks_decoded") / image.block_count(Orientation::In) as f64;
+        assert_eq!(passes.fract(), 0.0);
+        assert!(passes >= 3.0);
+        let kind_of = |y: NodeId| match (g.in_degree(y), g.out_degree(y)) {
+            (0, _) => 1,
+            (_, 0) => 2,
+            _ => 0,
+        };
+        let mut want = [0.0f64; 4];
+        for y in g.nodes() {
+            want[kind_of(y)] += 1.0;
+            if kind_of(y) == 0 {
+                want[3] += g.in_degree(y) as f64;
+            }
+        }
+        let got = ["live_rows", "fixed_rows", "terminal_rows", "gathered_edges"].map(counter);
+        assert_eq!(got, want);
+        assert!(got[1] > 0.0 && got[2] > 0.0, "{got:?}");
     }
 
     #[test]

@@ -183,6 +183,47 @@ fn solves_do_not_allocate_per_iteration() {
     }
 }
 
+/// A solve that converges runs the finish round over its rows without
+/// out-links after its last sweep. Two such solves of the same graph
+/// that stop after different numbers of sweeps must allocate the same
+/// number of times: neither the sweeps nor the finish round (nor, for the
+/// streamed solve, the round that writes the rows without in-edges)
+/// allocates.
+#[test]
+fn converging_solves_and_their_finish_round_do_not_allocate() {
+    let _counted = COUNTED.lock().unwrap_or_else(|e| e.into_inner());
+    let graph = test_graph();
+    let n = graph.node_count();
+    let terminal = graph.nodes().filter(|&y| graph.in_degree(y) > 0 && graph.out_degree(y) == 0);
+    assert!(terminal.count() > 100, "the finish round must have rows to finish");
+    let image = tiny_block_image(&graph);
+    let jumps = [JumpVector::Uniform, JumpVector::core((0..1000).map(NodeId).collect(), n)];
+    let iterations = |results: Vec<spammass_pagerank::PageRankResult>| results[0].iterations;
+    allocate_alike_whatever_the_sweeps("resident", |config| {
+        iterations(solve_batch(&graph, &jumps, config).unwrap())
+    });
+    allocate_alike_whatever_the_sweeps("streamed", |config| {
+        iterations(solve_batch_streamed(&image, &jumps, config, u64::MAX).unwrap())
+    });
+}
+
+/// Runs `solve` (returning its sweep count) to a loose and to a tight
+/// tolerance on two workers and asserts both allocate the same number
+/// of times.
+fn allocate_alike_whatever_the_sweeps(case: &str, solve: impl Fn(&PageRankConfig) -> usize) {
+    let config =
+        |tolerance| PageRankConfig::default().threads(2).edges_per_thread(1).tolerance(tolerance);
+    let _ = solve(&config(1e-3));
+    let (loose, loose_sweeps) = allocations_during(|| solve(&config(1e-4)));
+    let (tight, tight_sweeps) = allocations_during(|| solve(&config(1e-12)));
+    assert!(tight_sweeps > loose_sweeps + 10, "{case}: {loose_sweeps} vs {tight_sweeps}");
+    assert_eq!(
+        loose, tight,
+        "{case} solve: allocation count must not scale with iterations: {loose} for \
+         {loose_sweeps} sweeps vs {tight} for {tight_sweeps}"
+    );
+}
+
 /// A converging streamed solve on two workers holds no more heap than
 /// `resident_bytes_needed` counts for it: the iterate and its two
 /// contribution buffers, the coefficients, the jump specs (a bitset for

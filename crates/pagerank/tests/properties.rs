@@ -4,6 +4,7 @@ use proptest::prelude::*;
 use spammass_graph::{Graph, GraphBuilder, NodeId, NodeOrdering, Permutation};
 use spammass_pagerank::batch::{solve_batch, solve_batch_warm};
 use spammass_pagerank::contribution::{contribution_of_node, contribution_of_set};
+use spammass_pagerank::partition::GROUP_IDS;
 use spammass_pagerank::reference::jacobi::solve_jacobi_dense_warm;
 use spammass_pagerank::{solve_batch_streamed, EdgePartition, JumpVector, PageRankConfig};
 
@@ -218,25 +219,53 @@ proptest! {
         }
     }
 
-    /// Edge-range partitions cut `0..m` into contiguous equal ranges and
-    /// assign every destination row to exactly one worker interior **or**
-    /// one merge entry, whose pieces tile the row's in-edges in worker
-    /// order — for arbitrary graphs and part counts.
+    /// Edge-range partitions cut `0..m` into contiguous ranges of equal
+    /// gather cost — in-edges of rows with out-links, one unit each plus
+    /// one when the source opens a new group of `GROUP_IDS` ids — never
+    /// inside a row without out-links, and assign every destination row
+    /// to exactly one worker interior **or** one merge entry, whose
+    /// pieces tile the row's in-edges in worker order — for arbitrary
+    /// graphs and part counts.
     #[test]
     fn edge_partition_owns_every_row_exactly_once(g in arb_graph(), parts in 1usize..=9) {
         let n = g.node_count();
         let m = g.edge_count();
         let p = EdgePartition::balanced(&g, parts);
         prop_assert_eq!(p.len(), parts);
-        // Edge ranges: contiguous, disjoint, exhaustive, equal to ±1.
+        let offsets = g.in_offsets();
+        let cost_at: Vec<usize> = g
+            .nodes()
+            .flat_map(|y| {
+                let srcs = g.in_neighbors(y);
+                let gathers = g.out_degree(y) > 0;
+                (0..srcs.len()).map(move |i| {
+                    let opens = i == 0 || srcs[i].0 / GROUP_IDS != srcs[i - 1].0 / GROUP_IDS;
+                    if gathers { 1 + usize::from(opens) } else { 0 }
+                })
+            })
+            .collect();
+        let total: usize = cost_at.iter().sum();
+        // Edge ranges: contiguous, disjoint, exhaustive, each within one
+        // unit of its share of the cost, gathered edges and cost reported.
         let mut next = 0usize;
         for w in 0..parts {
             let r = p.edge_range(w);
             prop_assert_eq!(r.start, next);
             next = r.end;
-            let len = r.end - r.start;
-            prop_assert!(len == m / parts || len == m.div_ceil(parts),
-                "worker {} owns {} edges of {} over {} parts", w, len, m, parts);
+            let cost: usize = cost_at[r.clone()].iter().sum();
+            let share = total * (w + 1) / parts - total * w / parts;
+            prop_assert!(cost.abs_diff(share) <= 1,
+                "worker {} costs {} of {} over {} parts", w, cost, total, parts);
+            prop_assert_eq!(p.chunk_costs()[w], cost);
+            prop_assert_eq!(p.chunk_edges()[w], cost_at[r.clone()].iter().filter(|&&c| c > 0).count());
+            if w > 0 {
+                let inside = (0..n).find(|&y| (offsets[y] as usize) < r.start
+                    && r.start < offsets[y + 1] as usize);
+                if let Some(y) = inside {
+                    prop_assert!(g.out_degree(NodeId(y as u32)) > 0,
+                        "cut {} inside row {} without out-links", r.start, y);
+                }
+            }
         }
         prop_assert_eq!(next, m);
         // Row ownership: interior XOR merge entry, exactly once each.
@@ -246,7 +275,6 @@ proptest! {
                 owner[y] += 1;
             }
         }
-        let offsets = g.in_offsets();
         for e in p.merge_entries() {
             owner[e.node] += 1;
             // The entry's pieces tile the row's in-edge range in order.
@@ -451,6 +479,15 @@ fn forward_fraction(g: &Graph) -> f64 {
 /// nodes, one worker) is a cell of its own: resident and streamed are
 /// bit-identical there too, and both lie within `2·c·ε/(1−c)` in L1 of
 /// Algorithm 1 — each solution within `c·ε/(1−c)` of the fixed point.
+/// A graph built to hold every row kind the sweep tells apart — isolated
+/// rows, rows with out-links but no in-edges, rows with in-edges but no
+/// out-links, and one such row wide enough to straddle the middle of the
+/// edge array — is a cell of its own under the same bound, on 1, 2 and 4
+/// workers, cold and warm, with every cell's linear residual checked over
+/// all rows, every row without in-edges at `(1−c)·v[y]` bit for bit, and
+/// the one-worker streamed solve bit-identical to the resident one. At
+/// `c = 0` every row with in-edges is terminal and the answer is the jump
+/// vector itself, bit for bit, on every source.
 ///
 /// The reversed graph is what makes the in-place sweep visible: in the
 /// original every link points to an older id, so no in-edge is ever read
@@ -471,6 +508,8 @@ fn engine_parity_table() {
         parity_cells(name, g);
     }
     small_graph_cell();
+    row_kinds_cell();
+    no_damping_cell();
 }
 
 /// The small-graph cell of [`engine_parity_table`]: 2k nodes on one
@@ -503,6 +542,166 @@ fn small_graph_cell() {
         let oracle = solve_jacobi_dense_warm(&g, &v, None, &config).unwrap().scores;
         let l1: f64 = r.scores.iter().zip(&oracle).map(|(a, b)| (a - b).abs()).sum();
         assert!(l1 <= bound, "{cell}: {l1:e} in L1 from Algorithm 1 (bound {bound:e})");
+    }
+}
+
+/// 66k nodes of four kinds by id: `y % 10 == 0` isolated, `1` linking
+/// out to four random rows but linked from nowhere, `2` linked to but
+/// linking nowhere, the rest linking out four times. Row `n/2 + 2`, of
+/// the third kind, also takes an in-edge from every third node of the
+/// fourth kind, so its edges hold the middle of the in-CSR edge array;
+/// row `n/2 + 3`, of the fourth kind, takes one from every fifth, so its
+/// edges hold the middle of the edges a sweep gathers, where a cut in
+/// two or four falls.
+fn row_kinds_graph() -> Graph {
+    let n = 66_000u32;
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = |bound: u32| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % u64::from(bound)) as u32
+    };
+    let hub = n / 2 + 2;
+    let mut edges = Vec::new();
+    for x in 0..n {
+        if x % 10 == 0 || x % 10 == 2 {
+            continue;
+        }
+        for _ in 0..4 {
+            // Any row but an isolated one or one linked from nowhere.
+            let t = loop {
+                let t = next(n);
+                if t % 10 != 0 && t % 10 != 1 && t != x {
+                    break t;
+                }
+            };
+            edges.push((x, t));
+        }
+        if x % 10 > 2 && x % 3 == 0 {
+            edges.push((x, hub));
+        }
+        if x % 10 > 2 && x % 5 == 0 && x != hub + 1 {
+            edges.push((x, hub + 1));
+        }
+    }
+    GraphBuilder::from_edges(n as usize, &edges)
+}
+
+/// The row-kinds cell of [`engine_parity_table`].
+fn row_kinds_cell() {
+    use spammass_graph::{graph_to_bytes_v4_with, CompressedImage, V4Config};
+
+    let g = row_kinds_graph();
+    let n = g.node_count();
+    let hub = NodeId(n as u32 / 2 + 2);
+    let (m, offsets) = (g.edge_count(), g.in_offsets());
+    // The hub has no out-links and holds the middle edge: an equal
+    // all-edge cut at 2 or 4 workers would fall inside its row.
+    assert_eq!(g.out_degree(hub), 0);
+    let hub_edges = offsets[hub.index()] as usize..offsets[hub.index() + 1] as usize;
+    assert!(hub_edges.start < m / 2 && m / 2 < hub_edges.end, "{hub_edges:?} of {m}");
+    let kinds = |y: NodeId| (g.in_degree(y) == 0, g.out_degree(y) == 0);
+    for kind in [(true, true), (true, false), (false, true), (false, false)] {
+        assert!(g.nodes().filter(|&y| kinds(y) == kind).count() >= 1_000, "{kind:?}");
+    }
+
+    let jumps =
+        [JumpVector::Uniform, JumpVector::core((0..n as u32).step_by(7).map(NodeId).collect(), n)];
+    let vs: Vec<Vec<f64>> = jumps.iter().map(|j| j.materialize(n).unwrap()).collect();
+    let seeds: Vec<Vec<f64>> = vs
+        .iter()
+        .map(|v| v.iter().enumerate().map(|(y, x)| x * (0.5 + (y % 7) as f64 / 7.0)).collect())
+        .collect();
+    let config = pooled_cfg();
+    let c = config.damping;
+    let bound = 2.0 * c * config.tolerance / (1.0 - c);
+    let oracle: Vec<Vec<f64>> =
+        vs.iter().map(|v| solve_jacobi_dense_warm(&g, v, None, &config).unwrap().scores).collect();
+    let blocks = V4Config { rows_per_block: 512, edges_per_block: 2048 };
+    let image = CompressedImage::from_store(std::sync::Arc::new(
+        graph_to_bytes_v4_with(&g, blocks).unwrap(),
+    ))
+    .unwrap();
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let fixed: Vec<usize> = g.nodes().filter(|&y| g.in_degree(y) == 0).map(|y| y.index()).collect();
+    for warm in [false, true] {
+        for threads in [1usize, 2, 4] {
+            let cfg_t = config.threads(threads);
+            let seed = warm.then_some(&seeds[..]);
+            let resident = solve_batch_warm(&g, &jumps, seed, &cfg_t).unwrap();
+            let streamed =
+                (!warm).then(|| solve_batch_streamed(&image, &jumps, &cfg_t, u64::MAX).unwrap());
+            for j in 0..2 {
+                let mut cells = vec![("resident", &resident[j])];
+                if let Some(s) = &streamed {
+                    cells.push(("streamed", &s[j]));
+                }
+                for (source, r) in cells {
+                    let cell =
+                        format!("row kinds {source} warm={warm} threads={threads} column={j}");
+                    // Written once before the first sweep, with the bits
+                    // a relaxation gives a row without in-edges.
+                    for &y in &fixed {
+                        let want = (vs[j][y] * (1.0 - c)).to_bits();
+                        assert_eq!(r.scores[y].to_bits(), want, "{cell}: fixed row {y}");
+                    }
+                    let l1: f64 = r.scores.iter().zip(&oracle[j]).map(|(a, b)| (a - b).abs()).sum();
+                    assert!(l1 <= bound, "{cell}: {l1:e} in L1 from Algorithm 1 (bound {bound:e})");
+                    let recomputed = linear_residual(&g, &vs[j], &r.scores, c);
+                    assert!(
+                        recomputed <= c * r.residual + 1e-15,
+                        "{cell}: linear residual {recomputed:e} over c × reported {:e}",
+                        r.residual
+                    );
+                }
+                if let (Some(s), 1) = (&streamed, threads) {
+                    let cell = format!("row kinds threads=1 column={j}");
+                    assert_eq!(bits(&s[j].scores), bits(&resident[j].scores), "{cell}");
+                    assert_eq!(s[j].iterations, resident[j].iterations, "{cell}");
+                    assert_eq!(s[j].residual.to_bits(), resident[j].residual.to_bits(), "{cell}");
+                }
+            }
+        }
+    }
+}
+
+/// The `c = 0` cell of [`engine_parity_table`]: `p = v` exactly. No row
+/// has a contribution, so every row with in-edges is terminal — at 2 and
+/// 4 workers some of them straddle a cut, and the finish round gathers
+/// them whole — and the solve stops after its first sweep.
+fn no_damping_cell() {
+    use spammass_graph::{graph_to_bytes_v4_with, CompressedImage, V4Config};
+
+    let g = row_kinds_graph();
+    let n = g.node_count();
+    let jumps =
+        [JumpVector::Uniform, JumpVector::core((0..n as u32).step_by(7).map(NodeId).collect(), n)];
+    let config = pooled_cfg();
+    let undamped = PageRankConfig { damping: 0.0, ..config };
+    let image = CompressedImage::from_store(std::sync::Arc::new(
+        graph_to_bytes_v4_with(&g, V4Config { rows_per_block: 512, edges_per_block: 2048 })
+            .unwrap(),
+    ))
+    .unwrap();
+    for threads in [1usize, 2, 4] {
+        if threads > 1 {
+            assert!(!EdgePartition::balanced(&g, threads).merge_entries().is_empty());
+        }
+        let cfg_t = undamped.threads(threads);
+        let resident = solve_batch(&g, &jumps, &cfg_t).unwrap();
+        let streamed = solve_batch_streamed(&image, &jumps, &cfg_t, u64::MAX).unwrap();
+        for (j, jump) in jumps.iter().enumerate() {
+            let v = jump.materialize(n).unwrap();
+            for (source, r) in [("resident", &resident[j]), ("streamed", &streamed[j])] {
+                let cell = format!("c = 0 {source} threads={threads} column={j}");
+                assert!(
+                    r.scores.iter().zip(&v).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{cell}: p is not v"
+                );
+                assert_eq!((r.iterations, r.residual), (1, 0.0), "{cell}");
+            }
+        }
     }
 }
 

@@ -7,9 +7,13 @@
 //! columns × cold and warm starts, and streamed from a tiny-block v4 image
 //! at 1 and 2 workers. Each column's scores are hashed bit for bit
 //! (FNV-1a over the little-endian bytes of every `f64`) and compared, with
-//! its sweep count, against constants recorded before the sweep gathered
-//! pre-scaled contributions. A change to the sweep's arithmetic that
-//! moves any score by one ulp, in any cell, fails here first.
+//! its sweep count, against constants recorded when the sweep began
+//! skipping rows without in-edges (written once) and rows without
+//! out-links (finished once, after the last sweep); the resident
+//! multi-worker cells were re-recorded when the edge-range cut began
+//! weighing each gathered edge by whether its source opens a new line.
+//! A change to the sweep's arithmetic, or to where a worker's rows
+//! start, that moves any score by one ulp, in any cell, fails here first.
 
 use spammass_graph::{graph_to_bytes_v4_with, CompressedImage, Graph, GraphBuilder, V4Config};
 use spammass_pagerank::stream::streamed_workers;
@@ -20,20 +24,20 @@ const NODES: u32 = 66_000;
 /// `(cell, [(score hash, iterations)] per column)`, in the order
 /// [`cells`] produces them.
 const GOLDEN: &[(&str, &[(u64, usize)])] = &[
-    ("resident cold threads=1 K=1", &[(0x4F96F669044B5C16, 56)]),
-    ("resident cold threads=1 K=2", &[(0x4F96F669044B5C16, 56), (0x2A120D643DBCC676, 55)]),
-    ("resident cold threads=2 K=1", &[(0xC771913B3FBCCADC, 81)]),
-    ("resident cold threads=2 K=2", &[(0xC771913B3FBCCADC, 81), (0xC76AED262DCB4B57, 80)]),
-    ("resident cold threads=4 K=1", &[(0x3DC00D25A14093AD, 92)]),
-    ("resident cold threads=4 K=2", &[(0x3DC00D25A14093AD, 92), (0xD3C23E00CACFA0C9, 92)]),
-    ("resident warm threads=1 K=1", &[(0xBCF8C8ED03F9F6E8, 55)]),
-    ("resident warm threads=1 K=2", &[(0xBCF8C8ED03F9F6E8, 55), (0x51561D5D048816D1, 55)]),
-    ("resident warm threads=2 K=1", &[(0xD5027F99E5C15917, 80)]),
-    ("resident warm threads=2 K=2", &[(0xD5027F99E5C15917, 80), (0x4163FCCDE16E81B5, 80)]),
-    ("resident warm threads=4 K=1", &[(0x56E4780EF0F0E99D, 91)]),
-    ("resident warm threads=4 K=2", &[(0x56E4780EF0F0E99D, 91), (0xD72385199F34DD13, 91)]),
-    ("streamed workers=1 K=2", &[(0x4F96F669044B5C16, 56), (0x2A120D643DBCC676, 55)]),
-    ("streamed workers=2 K=2", &[(0x17E71370328F1D43, 81), (0xFD70FAE75F438C2F, 80)]),
+    ("resident cold threads=1 K=1", &[(0x21BF9399722DDBF7, 55)]),
+    ("resident cold threads=1 K=2", &[(0x21BF9399722DDBF7, 55), (0x1576253BE346C2D8, 55)]),
+    ("resident cold threads=2 K=1", &[(0x43D8FD5D64986D36, 80)]),
+    ("resident cold threads=2 K=2", &[(0x43D8FD5D64986D36, 80), (0xA5E6FB1A156AE608, 80)]),
+    ("resident cold threads=4 K=1", &[(0x4DD1343D477812FE, 92)]),
+    ("resident cold threads=4 K=2", &[(0x4DD1343D477812FE, 92), (0x97C3E7194C6FAD10, 91)]),
+    ("resident warm threads=1 K=1", &[(0xB1CBA3F54D1EF3B4, 55)]),
+    ("resident warm threads=1 K=2", &[(0xB1CBA3F54D1EF3B4, 55), (0x7C9123A09C24F1D0, 54)]),
+    ("resident warm threads=2 K=1", &[(0xB1341FF83E536478, 80)]),
+    ("resident warm threads=2 K=2", &[(0xB1341FF83E536478, 80), (0x58584BA37CD19218, 79)]),
+    ("resident warm threads=4 K=1", &[(0x80FCC1A1110EF317, 91)]),
+    ("resident warm threads=4 K=2", &[(0x80FCC1A1110EF317, 91), (0x4916375D88659B47, 90)]),
+    ("streamed workers=1 K=2", &[(0x21BF9399722DDBF7, 55), (0x1576253BE346C2D8, 55)]),
+    ("streamed workers=2 K=2", &[(0x52CB6AFBC4B6356C, 80), (0xEB5A0146F9D27306, 80)]),
 ];
 
 fn golden_graph() -> Graph {

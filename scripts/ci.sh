@@ -246,6 +246,29 @@ done
 rm -rf "$SMOKE_DIR/stream" "$SMOKE_DIR/stream.v4" "$SMOKE_DIR/stream-ooc.tsv" \
   "$SMOKE_DIR/stream-ooc-pool.tsv" "$SMOKE_DIR/stream-mem.tsv"
 
+echo "== row kinds smoke: scenario web, one worker, streamed = resident bytes =="
+# The stream web sends under 1 % of its edges into rows without
+# out-links, so the smoke above barely runs the finish round that relaxes
+# those rows once after the last sweep. The paper-shaped scenario web
+# sends about a third of them there (and has many rows without in-links,
+# written once before the first sweep): on one worker the streamed and
+# the in-memory solve must still print the same bytes.
+./target/release/spammass generate --hosts 20000 --seed 23 \
+  --out "$SMOKE_DIR/kinds.graph" --core "$SMOKE_DIR/kinds-core.txt" > /dev/null
+./target/release/spammass convert --in "$SMOKE_DIR/kinds.graph" --format v4 \
+  --out "$SMOKE_DIR/kinds.v4" > /dev/null
+./target/release/spammass estimate --graph "$SMOKE_DIR/kinds.v4" \
+  --core "$SMOKE_DIR/kinds-core.txt" --threads 1 --max-resident-mb 64 \
+  --out "$SMOKE_DIR/kinds-ooc.tsv" > "$SMOKE_DIR/kinds-ooc.out" 2>&1
+grep -q 'streamed solve:' "$SMOKE_DIR/kinds-ooc.out" \
+  || { echo "estimate --max-resident-mb did not stream"; cat "$SMOKE_DIR/kinds-ooc.out"; exit 1; }
+./target/release/spammass estimate --graph "$SMOKE_DIR/kinds.v4" \
+  --core "$SMOKE_DIR/kinds-core.txt" --threads 1 \
+  --out "$SMOKE_DIR/kinds-mem.tsv" > /dev/null
+diff -q "$SMOKE_DIR/kinds-ooc.tsv" "$SMOKE_DIR/kinds-mem.tsv" \
+  || { echo "scenario web: streamed scores diverge from the in-memory run"; exit 1; }
+rm -f "$SMOKE_DIR"/kinds*
+
 echo "== serve smoke: daemon answers queries and folds a journal reload =="
 # End to end through the real binary: estimate publishes generation 1,
 # the daemon serves it on an ephemeral port (advertised on stderr), and
