@@ -10,8 +10,8 @@
 //! worker and on two. A worker reads the rows it relaxed earlier in a
 //! sweep fresh, so the worker count moves scores by rounding (≤ 1e-12),
 //! never the flagged set, and a fixed `(image, workers)` repeats bit for
-//! bit. (Bit-exactness against the one-worker resident solve is pinned at
-//! the solver layer, in `crates/pagerank/tests/properties.rs`.)
+//! bit. On one worker each, the streamed estimate is the resident one bit
+//! for bit, which a comparison of printed scores cannot show.
 
 use spammass_core::detector::{detect, DetectorConfig};
 use spammass_core::estimate::{EstimatorConfig, MassEstimator};
@@ -19,6 +19,7 @@ use spammass_graph::{
     graph_to_bytes_v4_with, CompressedImage, Graph, GraphBuilder, NodeId, V4Config,
 };
 use spammass_pagerank::PageRankConfig;
+use spammass_synth::scenario::{Scenario, ScenarioConfig};
 use std::sync::Arc;
 
 /// Deterministic 120k-host web: preferential-attachment body, a sprinkle
@@ -121,6 +122,35 @@ fn streamed_flags_the_same_hosts_as_the_default_in_memory_estimator() {
     let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
     assert_eq!(bits(&again.pagerank), bits(&two.pagerank), "two workers, run twice: p");
     assert_eq!(bits(&again.core_pagerank), bits(&two.core_pagerank), "two workers, run twice: p'");
+}
+
+#[test]
+fn one_worker_streamed_estimate_is_the_resident_one_bit_for_bit() {
+    // A 20k-host scenario web: rows without in-edges, rows without
+    // out-links and rows with both, all in number. A six-decimal print
+    // of the scores cannot see a divergence below ≈ 1e-7; the bits can.
+    let scenario = Scenario::generate(&ScenarioConfig::sized(20_000), 7);
+    let graph = &scenario.graph;
+    let core = scenario.section_4_2_core();
+    let fixed = graph.nodes().filter(|&y| graph.in_degree(y) == 0).count();
+    let terminal =
+        graph.nodes().filter(|&y| graph.in_degree(y) > 0 && graph.out_degree(y) == 0).count();
+    let live = graph.node_count() - fixed - terminal;
+    assert!(fixed > 1_000 && terminal > 1_000 && live > 1_000, "{fixed} / {terminal} / {live}");
+    let image = tiny_block_image(graph);
+    let config = EstimatorConfig::default().with_pagerank(PageRankConfig::default().threads(1));
+    let estimator = MassEstimator::new(config);
+    assert_eq!(estimator.streamed_workers(&image, &core, u64::MAX).unwrap(), 1);
+    let resident = estimator.estimate(graph, &core).unwrap();
+    let streamed = estimator.estimate_streamed(&image, &core, u64::MAX).unwrap();
+    for (name, a, b) in [
+        ("p", &resident.pagerank, &streamed.pagerank),
+        ("p'", &resident.core_pagerank, &streamed.core_pagerank),
+    ] {
+        assert_eq!(a.len(), b.len());
+        let differ = a.iter().zip(b.iter()).filter(|(x, y)| x.to_bits() != y.to_bits()).count();
+        assert_eq!(differ, 0, "{name}: {differ} of {} entries differ in their bits", a.len());
+    }
 }
 
 #[test]

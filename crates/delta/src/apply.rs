@@ -1,18 +1,20 @@
 //! Applying a delta to a loaded [`Graph`].
 //!
-//! The CSR graph is immutable, so "mutating" it means building a
-//! replacement edge set and reconstructing: a single merge-join over the
-//! old sorted edge stream and the (sorted, normalized) add/remove sets,
-//! feeding [`Graph::from_sorted_unique_edges`] directly — `O(m + d)` with
-//! no sort, whatever the size of the delta.
+//! The CSR graph is immutable, so "mutating" it means building its
+//! replacement. [`Graph::patched`] does that row by row, at the cost of
+//! what changed: runs of rows the delta does not touch are copied in
+//! bulk, each row it touches is merged with its sorted adds and removes,
+//! and the out-rows and the in-rows (from the transposed delta) are
+//! patched on two threads. No edge list is materialized and nothing is
+//! counted or sorted again; the result is the CSR a from-scratch build of
+//! the patched edge set gives.
 //!
-//! Dangling-set maintenance goes through [`recompute_out_degrees`] — the
-//! same helper CSR construction and `Graph::filter_edges` use — so every
-//! path agrees on which nodes are dangling (the paper's Section 2.2
-//! treatment of leaked mass depends on this set being exact).
+//! The dangling set is read off the patched out-offsets, so it is the
+//! one every CSR build agrees on (the paper's Section 2.2 treatment of
+//! leaked mass depends on this set being exact).
 
 use crate::record::DeltaRecord;
-use spammass_graph::{recompute_out_degrees, Graph, NodeId, Permutation};
+use spammass_graph::{Graph, NodeId, Permutation};
 use spammass_obs as obs;
 use std::collections::BTreeSet;
 
@@ -161,13 +163,11 @@ impl GraphDelta {
         let mut span = obs::span("delta.apply");
         let nodes_before = graph.node_count();
         let nodes_after = self.node_count_after(graph);
-        let (edges, edges_added, edges_removed) = self.patch_edges(graph);
+        let (patched, edges_added, edges_removed) =
+            graph.patched(nodes_after, &self.add_edges, &self.remove_edges);
 
-        // Dangling bookkeeping through the shared helper: a node is newly
-        // dangling iff its recomputed out-degree hit zero (or it is a new
-        // node with no out-edges) while it previously had out-links or
-        // did not exist.
-        let degrees = recompute_out_degrees(nodes_after, &edges);
+        // A node is newly dangling iff its patched out-degree is zero
+        // while it previously had out-links or did not exist.
         // Removes may reference ids the graph never had (no-ops); clamp
         // the affected set to nodes that exist after the apply.
         let mut affected: Vec<NodeId> = self
@@ -184,11 +184,11 @@ impl GraphDelta {
             .iter()
             .copied()
             .filter(|&x| {
-                degrees[x.index()] == 0 && (x.index() >= nodes_before || !graph.is_dangling(x))
+                patched.is_dangling(x) && (x.index() >= nodes_before || !graph.is_dangling(x))
             })
             .collect();
 
-        *graph = Graph::from_sorted_unique_edges(nodes_after, &edges);
+        *graph = patched;
 
         span.record("ops", self.op_count() as f64);
         span.record("edges_added", edges_added as f64);
@@ -202,50 +202,6 @@ impl GraphDelta {
             affected,
             new_dangling,
         }
-    }
-
-    /// Merge-join of the old sorted edge stream with the sorted add and
-    /// remove sets. Returns the new sorted unique edge list plus the
-    /// counts of adds and removes that actually took effect.
-    fn patch_edges(&self, graph: &Graph) -> (Vec<(u32, u32)>, usize, usize) {
-        let mut out = Vec::with_capacity(graph.edge_count() + self.add_edges.len());
-        let mut adds = self.add_edges.iter().copied().peekable();
-        let mut removes = self.remove_edges.iter().copied().peekable();
-        let mut added = 0usize;
-        let mut removed = 0usize;
-        for (f, t) in graph.edges() {
-            let e = (f.0, t.0);
-            while let Some(&a) = adds.peek() {
-                if a < e {
-                    adds.next();
-                    out.push(a);
-                    added += 1;
-                } else {
-                    break;
-                }
-            }
-            if adds.peek() == Some(&e) {
-                adds.next(); // already present: the add is a no-op
-            }
-            while let Some(&r) = removes.peek() {
-                if r < e {
-                    removes.next(); // absent edge: the remove is a no-op
-                } else {
-                    break;
-                }
-            }
-            if removes.peek() == Some(&e) {
-                removes.next();
-                removed += 1;
-                continue; // drop the edge
-            }
-            out.push(e);
-        }
-        for a in adds {
-            out.push(a);
-            added += 1;
-        }
-        (out, added, removed)
     }
 
     /// Applies the core membership changes to a sorted core node list.
@@ -293,6 +249,7 @@ pub struct ApplyReport {
 mod tests {
     use super::*;
     use crate::journal::{journal_to_bytes, read_journal};
+    use proptest::prelude::*;
     use spammass_graph::GraphBuilder;
 
     fn add(f: u32, t: u32) -> DeltaRecord {
@@ -374,7 +331,7 @@ mod tests {
     fn patch_and_rebuild_agree() {
         // A mid-sized pseudo-random graph and deltas straddling present,
         // absent, and out-of-range edges — one a fraction of the graph,
-        // one several times its size: the merge-join must produce the
+        // one several times its size: the row-wise patch must produce the
         // graph a from-scratch build of the final edge set produces, and
         // count exactly the operations that took effect.
         let n = 60u32;
@@ -418,6 +375,105 @@ mod tests {
             let report = d.apply(&mut patched);
             assert_eq!((report.edges_added, report.edges_removed), (added, removed));
             assert_same_graph(&patched, &oracle);
+        }
+    }
+
+    /// A base graph of up to 200 nodes and a record stream over it: `(op,
+    /// a, b)` is an add (op 0) or remove (1) of `(a, b)` with ids up to 12
+    /// past the graph, an add (2) or remove (3) of the base's edge number
+    /// `b`, a self-loop add (4) or an `AddNode` (5).
+    fn arb_base_and_records() -> impl Strategy<Value = (Graph, Vec<DeltaRecord>)> {
+        (1usize..=200).prop_flat_map(|n| {
+            let edges = proptest::collection::vec((0..n as u32, 0..n as u32), 0..900);
+            let ops =
+                proptest::collection::vec((0..6u32, 0..n as u32 + 12, 0..n as u32 + 12), 0..160);
+            (edges, ops).prop_map(move |(edges, ops)| {
+                let edges: Vec<(u32, u32)> = edges.into_iter().filter(|(f, t)| f != t).collect();
+                let base = GraphBuilder::from_edges(n, &edges);
+                let present: Vec<(NodeId, NodeId)> = base.edges().collect();
+                let records = ops
+                    .into_iter()
+                    .map(|(op, a, b)| match op {
+                        0 => add(a, b),
+                        1 => remove(a, b),
+                        2 | 3 if !present.is_empty() => {
+                            let (f, t) = present[b as usize % present.len()];
+                            if op == 2 {
+                                add(f.0, t.0)
+                            } else {
+                                remove(f.0, t.0)
+                            }
+                        }
+                        4 => add(a, a),
+                        _ => DeltaRecord::AddNode { node: NodeId(a) },
+                    })
+                    .collect();
+                (base, records)
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The row-wise patch is the rebuild of the patched edge set, and
+        /// its report is the one the pair-list computation gave: the edge
+        /// set from a `BTreeSet`, out-degrees counted from its pairs.
+        #[test]
+        fn the_row_wise_patch_is_the_rebuild_of_the_patched_edge_set(
+            (base, records) in arb_base_and_records(),
+        ) {
+            let d = GraphDelta::from_records(&records);
+            let mut expected: BTreeSet<(u32, u32)> =
+                base.edges().map(|(f, t)| (f.0, t.0)).collect();
+            let removed = d.edges_to_remove().iter().filter(|e| expected.remove(e)).count();
+            let added = d.edges_to_add().iter().filter(|&&e| expected.insert(e)).count();
+            let nodes_before = base.node_count();
+            let nodes_after = d.node_count_after(&base);
+            let final_edges: Vec<(u32, u32)> = expected.into_iter().collect();
+            let oracle = Graph::from_sorted_unique_edges(nodes_after, &final_edges);
+            let mut degrees = vec![0usize; nodes_after];
+            for &(f, _) in &final_edges {
+                degrees[f as usize] += 1;
+            }
+            let mut affected: Vec<NodeId> = d
+                .edges_to_add()
+                .iter()
+                .chain(d.edges_to_remove())
+                .flat_map(|&(f, t)| [NodeId(f), NodeId(t)])
+                .chain((nodes_before..nodes_after).map(NodeId::from_index))
+                .filter(|x| x.index() < nodes_after)
+                .collect();
+            affected.sort_unstable();
+            affected.dedup();
+            let new_dangling: Vec<NodeId> = affected
+                .iter()
+                .copied()
+                .filter(|&x| {
+                    degrees[x.index()] == 0
+                        && (x.index() >= nodes_before || !base.is_dangling(x))
+                })
+                .collect();
+
+            let mut patched = base.clone();
+            let report = d.apply(&mut patched);
+            prop_assert_eq!(
+                report,
+                ApplyReport {
+                    nodes_before,
+                    nodes_after,
+                    edges_added: added,
+                    edges_removed: removed,
+                    affected,
+                    new_dangling,
+                }
+            );
+            prop_assert_eq!(patched.node_count(), oracle.node_count());
+            prop_assert_eq!(patched.edge_count(), oracle.edge_count());
+            prop_assert_eq!(patched.out_offsets(), oracle.out_offsets());
+            prop_assert_eq!(patched.out_targets(), oracle.out_targets());
+            prop_assert_eq!(patched.in_offsets(), oracle.in_offsets());
+            prop_assert_eq!(patched.in_sources(), oracle.in_sources());
         }
     }
 

@@ -15,7 +15,7 @@
 //!   CRC-framed per batch so a torn tail never poisons the intact prefix.
 //! * [`apply`] — [`GraphDelta`], which normalizes an ordered record
 //!   stream and patches a loaded CSR [`Graph`](spammass_graph::Graph)
-//!   (one merge-join over the sorted edge stream), reporting affected
+//!   (row by row, copying the rows it does not touch), reporting affected
 //!   nodes and dangling-set changes.
 //! * [`state`] — [`StateDir`], the saved warm-start state (graph image,
 //!   checksummed **`SPAMSCRS`** score vectors, core list) published as

@@ -4,24 +4,6 @@ use crate::error::GraphError;
 use crate::node::NodeId;
 use crate::storage::{NodeStore, U32Store};
 
-/// Recomputes per-node out-degrees from an edge list.
-///
-/// The incremental delta applier (`spammass-delta`) maintains the
-/// dangling set across edge insertions and removals with this function.
-/// It counts an edge under its source exactly as the out-orientation
-/// pass of CSR construction does, so a node whose last out-edge is
-/// removed is classified as dangling identically on every path.
-///
-/// # Panics
-/// Panics when an edge references a node id `>= node_count`.
-pub fn recompute_out_degrees(node_count: usize, edges: &[(u32, u32)]) -> Vec<u32> {
-    let mut degrees = vec![0u32; node_count];
-    for &(f, _) in edges {
-        degrees[f as usize] += 1;
-    }
-    degrees
-}
-
 /// Runs `out` on the calling thread and `inn` on one scoped thread, and
 /// returns both results. The out-CSR and the in-CSR are independent
 /// halves of equal size, so every whole-graph pass (build, image encode,
@@ -114,6 +96,100 @@ fn csr_orientation(
     (offsets, entries)
 }
 
+/// Patches one CSR orientation row by row: list `r` of the result is old
+/// list `r` (empty at or beyond the old list count) with the entry `v` of
+/// every `(r, v)` in `add` inserted and of every `(r, v)` in `remove`
+/// dropped. A run of lists that no edit names is copied in bulk, its
+/// offsets shifted by what the edits so far added or dropped; a list an
+/// edit names is merged with its sorted adds and removes. Returns the new
+/// offsets and entries, plus how many adds and removes took effect.
+///
+/// `add` and `remove` are sorted by `(list, entry)`, free of repeats and
+/// disjoint; `add` names only ids below `node_count`, `remove` may name
+/// anything — a remove of an absent entry is a no-op, like an add of a
+/// present one.
+///
+/// # Panics
+/// Panics when the result holds more than `u32::MAX` entries.
+fn patch_orientation(
+    node_count: usize,
+    old_offsets: &[u32],
+    old_entries: &[u32],
+    add: &[(u32, u32)],
+    remove: &[(u32, u32)],
+) -> (Vec<u32>, Vec<u32>, usize, usize) {
+    let old_lists = old_offsets.len() - 1;
+    let remove = &remove[..remove.partition_point(|&(r, _)| (r as usize) < node_count)];
+    let mut offsets = Vec::with_capacity(node_count + 1);
+    let mut entries = Vec::with_capacity(old_entries.len() + add.len());
+    offsets.push(0u32);
+    let (mut a, mut d, mut added, mut removed) = (0usize, 0usize, 0usize, 0usize);
+    // `offsets` holds the start of every list below `r`, and of `r`.
+    let mut r = 0usize;
+    while r < node_count {
+        let next_edit = |edits: &[(u32, u32)], at: usize| edits.get(at).map(|e| e.0 as usize);
+        let next = match (next_edit(add, a), next_edit(remove, d)) {
+            (Some(x), Some(y)) => x.min(y),
+            (x, y) => x.or(y).unwrap_or(node_count),
+        };
+        if next > r {
+            // Lists `r..next` are unchanged: copy the old ones whole and
+            // leave the rest empty.
+            let copied = next.min(old_lists).max(r);
+            if copied > r {
+                let (lo, hi) = (old_offsets[r], old_offsets[copied]);
+                let shift = (entries.len() as u32).wrapping_sub(lo);
+                entries.extend_from_slice(&old_entries[lo as usize..hi as usize]);
+                offsets.extend(old_offsets[r + 1..=copied].iter().map(|&o| o.wrapping_add(shift)));
+            }
+            offsets.resize(next + 1, entries.len() as u32);
+            r = next;
+            continue;
+        }
+        let old: &[u32] = if r < old_lists {
+            &old_entries[old_offsets[r] as usize..old_offsets[r + 1] as usize]
+        } else {
+            &[]
+        };
+        let a_end = a + add[a..].partition_point(|e| e.0 as usize == r);
+        let d_end = d + remove[d..].partition_point(|e| e.0 as usize == r);
+        let (mut adds, mut removes) = (add[a..a_end].iter().peekable(), remove[d..d_end].iter());
+        let mut pending_remove = removes.next();
+        for &v in old {
+            while let Some(&&(_, x)) = adds.peek() {
+                if x > v {
+                    break;
+                }
+                adds.next();
+                if x < v {
+                    entries.push(x);
+                    added += 1;
+                }
+                // `x == v`: already present, the add is a no-op.
+            }
+            while pending_remove.is_some_and(|&(_, x)| x < v) {
+                pending_remove = removes.next(); // absent: a no-op
+            }
+            if pending_remove.is_some_and(|&(_, x)| x == v) {
+                pending_remove = removes.next();
+                removed += 1;
+                continue;
+            }
+            entries.push(v);
+        }
+        for &(_, x) in adds {
+            entries.push(x);
+            added += 1;
+        }
+        offsets.push(entries.len() as u32);
+        (a, d, r) = (a_end, d_end, r + 1);
+    }
+    if entries.len() > u32::MAX as usize {
+        panic!("{}", GraphError::TooManyEdges { count: entries.len() });
+    }
+    (offsets, entries, added, removed)
+}
+
 /// An immutable directed graph in compressed-sparse-row form.
 ///
 /// Both orientations are materialized:
@@ -171,9 +247,8 @@ impl Graph {
     }
 
     /// Builds a graph from an edge list that is already sorted by
-    /// `(from, to)` and free of duplicates and self-loops — what the
-    /// incremental delta applier (which splices already-sorted runs) and
-    /// [`filter_edges`](Graph::filter_edges) hold.
+    /// `(from, to)` and free of duplicates and self-loops — what
+    /// [`filter_edges`](Graph::filter_edges) holds.
     ///
     /// # Preconditions
     /// `edges` must be sorted by `(from, to)`, free of duplicates and
@@ -193,6 +268,66 @@ impl Graph {
             "edges must be sorted by (from, to) and duplicate-free"
         );
         Graph::from_edge_list(node_count, edges)
+    }
+
+    /// This graph on `node_count` nodes with the edges `add` inserted and
+    /// `remove` deleted, patched row by row in both orientations (the
+    /// out-lists on the calling thread, the in-lists from the transposed
+    /// edits on one scoped thread, see [`per_orientation`]): the rows no
+    /// edit touches are copied in bulk. The result is the graph
+    /// [`from_sorted_unique_edges`](Graph::from_sorted_unique_edges)
+    /// builds from the patched edge set. Also returns how many adds and
+    /// removes took effect: an add of a present edge and a remove of an
+    /// absent one — including one naming a node that does not exist —
+    /// are no-ops.
+    ///
+    /// # Preconditions
+    /// `add` and `remove` are sorted by `(from, to)`, free of repeats and
+    /// disjoint; `add` holds no self-loops and only ids below
+    /// `node_count`, which is at least [`node_count`](Graph::node_count).
+    ///
+    /// # Panics
+    /// Panics when `node_count` is below the current node count, an added
+    /// edge names an id `>= node_count`, or the result holds more than
+    /// `u32::MAX` edges.
+    pub fn patched(
+        &self,
+        node_count: usize,
+        add: &[(u32, u32)],
+        remove: &[(u32, u32)],
+    ) -> (Graph, usize, usize) {
+        assert!(node_count >= self.node_count, "a patch never drops nodes");
+        if let Some(&(f, t)) = add.iter().find(|&&(f, t)| f.max(t) as usize >= node_count) {
+            panic!("{}", GraphError::NodeOutOfRange { node: f.max(t), node_count });
+        }
+        debug_assert!(
+            add.windows(2).all(|w| w[0] < w[1]) && remove.windows(2).all(|w| w[0] < w[1])
+        );
+        let transposed = |edits: &[(u32, u32)]| {
+            let mut flipped: Vec<(u32, u32)> = edits.iter().map(|&(f, t)| (t, f)).collect();
+            flipped.sort_unstable();
+            flipped
+        };
+        let (
+            (out_offsets, out_targets, added, removed),
+            (in_offsets, in_sources, in_added, in_removed),
+        ) = per_orientation(
+            || patch_orientation(node_count, &self.out_offsets, &self.out_targets.0, add, remove),
+            || {
+                let (add, remove) = (transposed(add), transposed(remove));
+                patch_orientation(node_count, &self.in_offsets, &self.in_sources.0, &add, &remove)
+            },
+        );
+        debug_assert_eq!((added, removed), (in_added, in_removed));
+        let graph = Graph {
+            node_count,
+            edge_count: out_targets.len(),
+            out_offsets: out_offsets.into(),
+            out_targets: out_targets.into(),
+            in_offsets: in_offsets.into(),
+            in_sources: in_sources.into(),
+        };
+        (graph, added, removed)
     }
 
     /// Fallible [`from_sorted_unique_edges`](Graph::from_sorted_unique_edges):
@@ -589,25 +724,39 @@ mod tests {
     }
 
     #[test]
-    fn recompute_out_degrees_matches_csr() {
+    fn a_patch_is_the_build_of_the_patched_edges() {
+        // Adds before, between and after a row's entries, into a new
+        // node's row and an old row that had none; removes of present,
+        // absent, self-loop and out-of-range edges; an add of a present
+        // edge.
         let g = diamond();
-        let edges: Vec<(u32, u32)> = g.edges().map(|(f, t)| (f.0, t.0)).collect();
-        let degrees = recompute_out_degrees(g.node_count(), &edges);
-        for x in g.nodes() {
-            assert_eq!(degrees[x.index()] as usize, g.out_degree(x));
-        }
+        let add = [(0, 3), (1, 0), (2, 3), (3, 1), (4, 0), (5, 4)];
+        let remove = [(0, 1), (1, 2), (2, 2), (3, 0), (9, 1)];
+        let (patched, added, removed) = g.patched(6, &add, &remove);
+        let kept = [(0, 2), (0, 3), (1, 0), (1, 3), (2, 3), (3, 1), (4, 0), (5, 4)];
+        let built = Graph::from_sorted_unique_edges(6, &kept);
+        assert_eq!((added, removed), (5, 1));
+        assert_eq!(patched.edge_count(), built.edge_count());
+        assert_eq!(patched.out_offsets(), built.out_offsets());
+        assert_eq!(patched.out_targets(), built.out_targets());
+        assert_eq!(patched.in_offsets(), built.in_offsets());
+        assert_eq!(patched.in_sources(), built.in_sources());
+        // No edits: the same graph.
+        let (same, ..) = g.patched(4, &[], &[]);
+        assert_eq!(same.in_sources(), g.in_sources());
+        assert_eq!(same.out_offsets(), g.out_offsets());
     }
 
     #[test]
     fn removing_last_out_edge_makes_node_dangling_on_every_path() {
-        // Node 1's only out-edge is (1, 3). After removing it, both the
-        // shared degree helper and the rebuilt CSR must agree that node 1
-        // is dangling — the bookkeeping the delta applier relies on.
+        // Node 1's only out-edge is (1, 3). After removing it, the
+        // row-wise patch the delta applier uses and the rebuilt CSR must
+        // agree that node 1 is dangling.
         let g = diamond();
         let kept: Vec<(u32, u32)> =
             g.edges().map(|(f, t)| (f.0, t.0)).filter(|&e| e != (1, 3)).collect();
-        let degrees = recompute_out_degrees(g.node_count(), &kept);
-        assert_eq!(degrees[1], 0, "helper sees node 1 as dangling");
+        let (patched, ..) = g.patched(g.node_count(), &[], &[(1, 3)]);
+        assert!(patched.is_dangling(NodeId(1)), "the patch sees node 1 as dangling");
         let filtered = g.filter_edges(|f, t| (f.0, t.0) != (1, 3));
         assert!(filtered.is_dangling(NodeId(1)), "filter_edges agrees");
         let rebuilt = Graph::from_sorted_unique_edges(g.node_count(), &kept);

@@ -78,7 +78,7 @@ pub use compress::{
     V4Config, V4Summary, V4Writer,
 };
 pub use error::GraphError;
-pub use graph::{recompute_out_degrees, Graph};
+pub use graph::Graph;
 pub use labels::{HostName, NodeLabels};
 #[cfg(unix)]
 pub use mmap::MappedFile;

@@ -444,6 +444,47 @@ mod tests {
     }
 
     #[test]
+    fn the_resident_solve_reports_its_rounds_and_row_kinds() {
+        use std::sync::Arc;
+        // Every row kind, on one to three workers: the pool runs the
+        // sweeps plus a set-up round and a finish round, and the span
+        // counts each kind's rows and the live rows' in-edges.
+        let g = random_graph(40_000, 120_000, 59);
+        let kind_of = |y: spammass_graph::NodeId| match (g.in_degree(y), g.out_degree(y)) {
+            (0, _) => 1,
+            (_, 0) => 2,
+            _ => 0,
+        };
+        let mut want = [0.0f64; 4];
+        for y in g.nodes() {
+            want[kind_of(y)] += 1.0;
+            if kind_of(y) == 0 {
+                want[3] += g.in_degree(y) as f64;
+            }
+        }
+        assert!(want[1] > 0.0 && want[2] > 0.0, "{want:?}");
+        let jumps = [
+            JumpVector::Uniform,
+            JumpVector::core((0..4_000).map(spammass_graph::NodeId).collect(), g.node_count()),
+        ];
+        for threads in [1usize, 2, 3] {
+            let recorder = Arc::new(obs::Recorder::new());
+            let collector = obs::Collector::builder().sink(recorder.clone()).build();
+            {
+                let _guard = collector.install();
+                solve_batch(&g, &jumps, &cfg().threads(threads)).unwrap();
+            }
+            let spans = recorder.spans();
+            let span = spans.iter().find(|s| s.name == "pagerank.solve.batch").unwrap();
+            let counter = |k: &str| span.counters.iter().find(|(name, _)| name == k).unwrap().1;
+            assert_eq!(counter("threads"), threads as f64);
+            assert_eq!(counter("rounds"), counter("iterations") + 2.0, "{threads} workers");
+            let got = ["live_rows", "fixed_rows", "terminal_rows", "gathered_edges"].map(counter);
+            assert_eq!(got, want, "{threads} workers");
+        }
+    }
+
+    #[test]
     fn pool_size_gauge_is_recorded() {
         use std::sync::Arc;
         let recorder = Arc::new(obs::Recorder::new());

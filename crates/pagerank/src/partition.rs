@@ -26,6 +26,13 @@
 //! inside the edges of a row without out-links: every boundary row has
 //! out-links.
 //!
+//! Weighing reads every in-source once, on two threads: the rows are
+//! split at half the edges between the calling thread and one scoped
+//! thread, each keeping the cost and gathered edges of every block of
+//! [`WEIGH_ROWS`] rows. The cut search then steps over whole blocks and
+//! weighs row by row only inside the block where a cut falls, so it puts
+//! every cut where a serial walk over the running cost would.
+//!
 //! The partition is a pure function of `(graph, parts)`, so the
 //! fixed-partition determinism guarantee of the engine reduces to
 //! reusing one partition per solve.
@@ -37,6 +44,11 @@ use std::ops::Range;
 /// model: a two-column solve — `[p, p′]`, the estimator's pair — stores
 /// 16 bytes a node.
 pub const GROUP_IDS: u32 = 4;
+
+/// Rows per block of the weighing pass: the cut search steps over a
+/// whole block whose cost keeps it below the next target and weighs row
+/// by row only inside the block where a cut falls.
+const WEIGH_ROWS: usize = 1024;
 
 /// A piece of a destination row whose in-edges straddle an edge-range
 /// cut: worker-local gathers over `edges` produce a partial sum the
@@ -118,22 +130,41 @@ impl EdgePartition {
             }
             2 * row.len() - row.windows(2).filter(|w| !opens(w[0], w[1])).count()
         };
-        let (mut total, mut total_gathered) = (0usize, 0usize);
-        for y in 0..n {
-            let cost = row_cost(y);
-            total += cost;
-            if cost > 0 {
-                total_gathered += off(y + 1) - off(y);
-            }
-        }
+        // Gathered edges of a row that costs `cost`.
+        let row_gathered = |y: usize, cost: usize| if cost > 0 { off(y + 1) - off(y) } else { 0 };
+        // The weighing pass: the cost and gathered edges of every block of
+        // `WEIGH_ROWS` rows, the blocks split at half the edges between
+        // this thread and one scoped thread.
+        let weigh = |blocks: Range<usize>| -> Vec<(usize, usize)> {
+            blocks
+                .map(|b| {
+                    let rows = b * WEIGH_ROWS..((b + 1) * WEIGH_ROWS).min(n);
+                    rows.fold((0, 0), |(cost, gathered), y| {
+                        let c = row_cost(y);
+                        (cost + c, gathered + row_gathered(y, c))
+                    })
+                })
+                .collect()
+        };
+        let block_count = n.div_ceil(WEIGH_ROWS);
+        let half = offsets[..n].partition_point(|&o| (o as usize) < m / 2) / WEIGH_ROWS;
+        let blocks: Vec<(usize, usize)> = std::thread::scope(|scope| {
+            let upper = scope.spawn(|| weigh(half..block_count));
+            let mut blocks = weigh(0..half);
+            blocks.extend(upper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+            blocks
+        });
+        let total: usize = blocks.iter().map(|b| b.0).sum();
+        let total_gathered: usize = blocks.iter().map(|b| b.1).sum();
         let targets: Vec<usize> = (0..=parts).map(|w| total * w / parts).collect();
         // Cut `w` sits right after the edge at which the running cost
         // first reaches `targets[w]` — inside or at the end of a row that
         // gathers — or at the start of row `y` when the rows below it
         // already hold exactly that much. `y`, `before` (the cost of the
         // rows below `y`) and `below` (their gathered edges) only move
-        // forward. `cost_at` and `gathered_at` are the running cost and
-        // gathered edges at each cut.
+        // forward, a whole block at a time while the block stays below
+        // the target. `cost_at` and `gathered_at` are the running cost
+        // and gathered edges at each cut.
         let mut cuts = Vec::with_capacity(parts + 1);
         let mut cost_at = Vec::with_capacity(parts + 1);
         let mut gathered_at = Vec::with_capacity(parts + 1);
@@ -143,14 +174,21 @@ impl EdgePartition {
         let (mut y, mut before, mut below) = (0usize, 0usize, 0usize);
         for &target in &targets[1..parts] {
             while y < n {
+                if y % WEIGH_ROWS == 0 {
+                    let (cost, gathered) = blocks[y / WEIGH_ROWS];
+                    if before + cost < target {
+                        before += cost;
+                        below += gathered;
+                        y = (y + WEIGH_ROWS).min(n);
+                        continue;
+                    }
+                }
                 let cost = row_cost(y);
                 if before + cost >= target {
                     break;
                 }
                 before += cost;
-                if cost > 0 {
-                    below += off(y + 1) - off(y);
-                }
+                below += row_gathered(y, cost);
                 y += 1;
             }
             let (mut e, mut cost) = (off(y), before);
@@ -197,8 +235,10 @@ impl EdgePartition {
                 node += 1;
             }
             let start = node;
-            while node < n && off(node + 1) <= hi {
-                node += 1;
+            if node < n {
+                // The rows whose edges all end by `hi`: a prefix, since
+                // the offsets ascend.
+                node += offsets[node + 1..].partition_point(|&o| o as usize <= hi);
             }
             interiors.push(start..node);
             if node < n && off(node) < hi {

@@ -193,7 +193,7 @@ where
     })
 }
 
-/// An unchecked shared view of a mutable `f64` buffer, for kernels whose
+/// An unchecked shared view of a mutable buffer, for kernels whose
 /// workers write provably disjoint ranges.
 ///
 /// Rust's borrow checker cannot express "each worker mutates its own
@@ -202,22 +202,22 @@ where
 /// the proof obligation to the call sites inside this crate (every use
 /// documents why its access is disjoint); the round handoff in
 /// [`run_rounds`] provides the cross-round happens-before edges.
-pub(crate) struct SharedSlice {
-    ptr: *mut f64,
+pub(crate) struct SharedSlice<T = f64> {
+    ptr: *mut T,
     len: usize,
 }
 
 // SAFETY: access discipline is enforced by the kernels (disjoint write
 // ranges within a round) and run_rounds' phase handoff (ordering across
 // rounds); the raw pointer itself is freely sendable.
-unsafe impl Send for SharedSlice {}
-unsafe impl Sync for SharedSlice {}
+unsafe impl<T: Send> Send for SharedSlice<T> {}
+unsafe impl<T: Send + Sync> Sync for SharedSlice<T> {}
 
-impl SharedSlice {
+impl<T> SharedSlice<T> {
     /// Wraps `data`. The caller must keep the backing storage alive and
     /// unmoved for the wrapper's whole lifetime (guaranteed by scoping
     /// the wrapper inside the borrow in the solvers).
-    pub(crate) fn new(data: &mut [f64]) -> SharedSlice {
+    pub(crate) fn new(data: &mut [T]) -> SharedSlice<T> {
         SharedSlice { ptr: data.as_mut_ptr(), len: data.len() }
     }
 
@@ -227,7 +227,7 @@ impl SharedSlice {
     /// No concurrent writer may overlap the returned view during reads;
     /// the solvers guarantee this by only reading the round's read
     /// buffer, which no kernel writes that round.
-    pub(crate) unsafe fn as_slice(&self) -> &[f64] {
+    pub(crate) unsafe fn as_slice(&self) -> &[T] {
         std::slice::from_raw_parts(self.ptr, self.len)
     }
 
@@ -238,7 +238,7 @@ impl SharedSlice {
     /// and nothing may read the written range until after the round's
     /// handoff.
     #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn range_mut(&self, lo: usize, hi: usize) -> &mut [f64] {
+    pub(crate) unsafe fn range_mut(&self, lo: usize, hi: usize) -> &mut [T] {
         debug_assert!(lo <= hi && hi <= self.len);
         std::slice::from_raw_parts_mut(self.ptr.add(lo), hi - lo)
     }

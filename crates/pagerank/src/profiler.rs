@@ -21,9 +21,9 @@
 //!   chunks (the edge-parallel design's only serial section);
 //! * `pagerank.partition.imbalance` / `pagerank.partition.chunks` —
 //!   gauges describing the edge-range partition itself;
-//! * `pagerank.pool.sweeps` — counter of pool rounds (a streamed solve
-//!   adds one before its sweeps and one after them) whose windowed rate
-//!   is the live sweeps/s of the solve.
+//! * `pagerank.pool.sweeps` — counter of pool rounds (every solve adds
+//!   a set-up round before its sweeps and a finish round after them)
+//!   whose windowed rate is the live sweeps/s of the solve.
 //!
 //! Construction is gated on [`spammass_obs::registry::live`]: without
 //! `--serve-metrics` (or another caller enabling the global registry)

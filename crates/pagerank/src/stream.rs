@@ -15,9 +15,10 @@
 //! owns the matrices, the pool handoff, the convergence decision and the
 //! result. Blocks hold whole rows, so there are no boundary pieces and
 //! no merge. Each worker decodes its blocks twice more per solve: once
-//! before the sweeps, to write the rows without in-edges, which no sweep
-//! relaxes, and once after them, to finish the rows without out-links,
-//! which no sweep relaxes either (`crate::engine`'s row kinds).
+//! before the sweeps, to seed its rows and write the rows without
+//! in-edges, which no sweep relaxes, and once after them, to finish the
+//! rows without out-links, which no sweep relaxes either
+//! (`crate::engine`'s row kinds).
 //!
 //! ## Exactness
 //!
@@ -340,9 +341,9 @@ fn sweep_blocks<const K: usize>(
     specs: &[JumpSpec],
     config: &PageRankConfig,
 ) -> Result<(Vec<PageRankResult>, RowKinds), PageRankError> {
-    let mut cols = Columns::<K>::new(specs, coef, None, config);
+    let mut cols = Columns::<K>::new(specs, coef.len(), config);
     let profiler = PoolProfiler::from_live(&source.edges, &source.edges, K);
-    let kinds = cols.solve_whole_rows(config, &source.rows, profiler.as_ref(), source)?;
+    let kinds = cols.solve_whole_rows(coef, config, &source.rows, profiler.as_ref(), source)?;
     // Free the contribution buffers before de-interleaving the iterate
     // into per-column vectors so that phase stays under the same budget
     // as the sweeps.

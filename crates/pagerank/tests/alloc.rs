@@ -260,3 +260,30 @@ fn a_streamed_solve_stays_within_its_resident_bytes() {
         );
     }
 }
+
+/// A converging resident solve holds, at its peak, the buffers it always
+/// held — the iterate, both contribution buffers, the coefficients and
+/// the result columns — plus its row lists, at most 4 bytes a row, and
+/// the few KiB of bookkeeping beside them (residual histories, the
+/// partition, the pool: 14 KiB here before the lists came).
+#[test]
+fn a_resident_solve_holds_its_buffers_plus_four_bytes_a_row() {
+    let _counted = COUNTED.lock().unwrap_or_else(|e| e.into_inner());
+    let graph = test_graph();
+    let n = graph.node_count();
+    let jumps = [JumpVector::Uniform, JumpVector::core((0..1000).map(NodeId).collect(), n)];
+    let k = jumps.len();
+    // p, q twice and coef: 8n(3K + 1); the result columns: 8nK.
+    let buffers = 8 * n * (3 * k + 1) + 8 * n * k;
+    for threads in [1usize, 2] {
+        let config = PageRankConfig::default().threads(threads).edges_per_thread(1);
+        let (peak, result) = peak_bytes_during(|| solve_batch(&graph, &jumps, &config));
+        assert!(result.unwrap().iter().all(|r| r.converged));
+        assert!(
+            peak <= buffers + 4 * n + 16 * 1024,
+            "{threads} workers: the solve held {peak} bytes at its peak, {} over its \
+             {buffers} bytes of buffers",
+            peak - buffers
+        );
+    }
+}

@@ -22,6 +22,54 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// Graphs wider than the partition's weighing blocks, so the cut search
+/// steps over whole blocks and the weighing splits across two threads.
+fn arb_wide_graph() -> impl Strategy<Value = Graph> {
+    (1_000usize..=4_000).prop_flat_map(|n| {
+        let edge = (0..n as u32, 0..n as u32, 0..4u32);
+        proptest::collection::vec(edge, 0..12_000).prop_map(move |edges| {
+            // One edge in four points at one of a few hubs.
+            let edges: Vec<(u32, u32)> = edges
+                .into_iter()
+                .map(|(f, t, hub)| if hub == 0 { (f, t % 20) } else { (f, t) })
+                .filter(|(f, t)| f != t)
+                .collect();
+            GraphBuilder::from_edges(n, &edges)
+        })
+    })
+}
+
+/// Where the resident cut falls, worked out serially edge by edge: with
+/// `t` the total gather cost, cut `w` sits right after the first edge at
+/// which the running cost reaches `⌊t·w/parts⌋` (at 0 when that is 0).
+/// Also returns each range's cost and gathered edges.
+fn serial_cut(g: &Graph, parts: usize) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
+    let mut costs = Vec::with_capacity(g.edge_count());
+    for y in g.nodes() {
+        let srcs = g.in_neighbors(y);
+        for i in 0..srcs.len() {
+            let opens = i == 0 || srcs[i].0 / GROUP_IDS != srcs[i - 1].0 / GROUP_IDS;
+            costs.push(if g.out_degree(y) > 0 { 1 + usize::from(opens) } else { 0 });
+        }
+    }
+    let mut running = Vec::with_capacity(costs.len());
+    let mut sum = 0usize;
+    for &c in &costs {
+        sum += c;
+        running.push(sum);
+    }
+    let mut cuts = vec![0usize];
+    for w in 1..parts {
+        let target = sum * w / parts;
+        cuts.push(if target == 0 { 0 } else { running.partition_point(|&r| r < target) + 1 });
+    }
+    cuts.push(g.edge_count());
+    let ranges = cuts.windows(2).map(|c| &costs[c[0]..c[1]]);
+    let range_costs = ranges.clone().map(|r| r.iter().sum()).collect();
+    let gathered = ranges.map(|r| r.iter().filter(|&&c| c > 0).count()).collect();
+    (cuts, range_costs, gathered)
+}
+
 fn cfg() -> PageRankConfig {
     PageRankConfig::default().tolerance(1e-14).max_iterations(20_000)
 }
@@ -293,6 +341,28 @@ proptest! {
         }
         for (y, &count) in owner.iter().enumerate() {
             prop_assert_eq!(count, 1u32, "row {} owned {} times", y, count);
+        }
+    }
+
+    /// The cut is the serial one: the weighing pass on two threads and the
+    /// block-at-a-time search put every cut, and report every range's
+    /// cost and gathered edges, exactly where a serial walk over the
+    /// edges' running cost does — on small graphs and on graphs many
+    /// weighing blocks wide.
+    #[test]
+    fn the_cut_is_the_serial_running_sum_cut(
+        small in arb_graph(),
+        wide in arb_wide_graph(),
+    ) {
+        for g in [&small, &wide] {
+            for parts in 1usize..=4 {
+                let p = EdgePartition::balanced(g, parts);
+                let (cuts, costs, gathered) = serial_cut(g, parts);
+                let got: Vec<usize> = (0..parts).map(|w| p.edge_range(w).start).chain([g.edge_count()]).collect();
+                prop_assert_eq!(&got, &cuts, "{} parts", parts);
+                prop_assert_eq!(p.chunk_costs(), costs);
+                prop_assert_eq!(p.chunk_edges(), gathered);
+            }
         }
     }
 
