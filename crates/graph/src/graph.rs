@@ -518,8 +518,6 @@ impl Graph {
     }
 
     /// Returns a new graph with every edge reversed.
-    ///
-    /// For a cheap, non-copying view use [`ReverseView`](crate::ReverseView).
     pub fn reversed(&self) -> Graph {
         Graph {
             node_count: self.node_count,
@@ -544,13 +542,6 @@ impl Graph {
         }
         // `edges()` yields in sorted unique order already.
         Graph::from_sorted_unique_edges(self.node_count, &edges)
-    }
-
-    /// Builds the subgraph induced by `keep_node`, preserving node ids
-    /// (nodes outside the set become isolated).
-    pub fn induced_subgraph<F: FnMut(NodeId) -> bool>(&self, keep_node: F) -> Graph {
-        let keep: Vec<bool> = self.nodes().map(keep_node).collect();
-        self.filter_edges(|f, t| keep[f.index()] && keep[t.index()])
     }
 
     /// Approximate heap footprint in bytes (CSR arrays only).
@@ -707,12 +698,17 @@ mod tests {
     }
 
     #[test]
-    fn induced_subgraph_keeps_ids() {
-        let g = diamond().induced_subgraph(|x| x != NodeId(1));
-        assert_eq!(g.node_count(), 4);
-        assert_eq!(g.edge_count(), 2); // 0->2, 2->3
-        assert!(g.has_edge(NodeId(0), NodeId(2)));
-        assert!(!g.has_edge(NodeId(0), NodeId(1)));
+    fn filter_edges_keeps_ids_and_isolated_nodes() {
+        // Keep only the edges into node 3: nodes 0..3 keep their ids,
+        // node 0 is left with no edges at all, and the in-CSR is rebuilt
+        // for the kept edges.
+        let g = diamond().filter_edges(|_, t| t == NodeId(3));
+        assert_eq!((g.node_count(), g.edge_count()), (4, 2));
+        assert!(g.has_edge(NodeId(1), NodeId(3)) && g.has_edge(NodeId(2), NodeId(3)));
+        assert_eq!((g.out_degree(NodeId(0)), g.in_degree(NodeId(0))), (0, 0));
+        assert_eq!(g.in_neighbors(NodeId(3)), &[NodeId(1), NodeId(2)]);
+        assert_eq!(g.in_degree(NodeId(1)), 0);
+        assert_eq!(g.dangling_nodes().collect::<Vec<_>>(), vec![NodeId(0), NodeId(3)]);
     }
 
     #[test]

@@ -21,7 +21,6 @@
 //!   distributions).
 //! * [`powerlaw`] — discrete power-law fitting (Hill / MLE estimator) and
 //!   log-binned histograms for Figure 6.
-//! * [`traversal`] — BFS/DFS reachability and hop-bounded neighbourhoods.
 //! * [`io`] — text edge-list and binary round-trip formats.
 //!
 //! ## Quick example
@@ -56,10 +55,7 @@ pub mod powerlaw;
 pub mod retry;
 pub mod stats;
 pub mod storage;
-pub mod subgraph;
-pub mod traversal;
 pub mod varint;
-mod view;
 
 /// A fresh scratch directory for one test. `test` must be unique among
 /// the crate's tests (use the test's name): tests run on parallel
@@ -85,4 +81,3 @@ pub use mmap::MappedFile;
 pub use node::NodeId;
 pub use order::{NodeOrdering, Permutation};
 pub use storage::{AlignedBytes, ByteStore, NodeStore, U32Store};
-pub use view::ReverseView;

@@ -1,9 +1,7 @@
 //! Property-based invariants of the graph substrate.
 
 use proptest::prelude::*;
-use spammass_graph::{
-    io, subgraph, traversal, Graph, GraphBuilder, NodeId, NodeOrdering, Permutation,
-};
+use spammass_graph::{io, Graph, GraphBuilder, NodeId, NodeOrdering, Permutation};
 use std::sync::Arc;
 
 /// Arbitrary graph: up to 30 nodes, up to 120 raw edges (duplicates and
@@ -87,6 +85,73 @@ proptest! {
         }
     }
 
+    /// The reversed graph is the transpose: every edge `f → t` becomes
+    /// `t → f` and nothing else, and its in-lists are the original's
+    /// out-lists.
+    #[test]
+    fn reversed_is_the_transpose((g, _) in arb_graph()) {
+        let r = g.reversed();
+        prop_assert_eq!(r.node_count(), g.node_count());
+        prop_assert_eq!(r.edge_count(), g.edge_count());
+        let mut flipped: Vec<(u32, u32)> = g.edges().map(|(f, t)| (t.0, f.0)).collect();
+        flipped.sort_unstable();
+        let got: Vec<(u32, u32)> = r.edges().map(|(f, t)| (f.0, t.0)).collect();
+        prop_assert_eq!(&got, &flipped);
+        for x in g.nodes() {
+            prop_assert_eq!(r.in_neighbors(x), g.out_neighbors(x));
+            prop_assert_eq!(r.out_neighbors(x), g.in_neighbors(x));
+        }
+    }
+
+    /// Filtering keeps every node id and exactly the edges the predicate
+    /// keeps — here those inside a random node set — in both
+    /// orientations.
+    #[test]
+    fn filter_edges_keeps_exactly_the_kept_edges(
+        (g, _) in arb_graph(),
+        mask in proptest::collection::vec(any::<bool>(), 30),
+    ) {
+        let inside = |f: NodeId, t: NodeId| mask[f.index()] && mask[t.index()];
+        let kept = g.filter_edges(inside);
+        prop_assert_eq!(kept.node_count(), g.node_count());
+        let expected: Vec<(NodeId, NodeId)> = g.edges().filter(|&(f, t)| inside(f, t)).collect();
+        prop_assert_eq!(kept.edges().collect::<Vec<_>>(), expected.clone());
+        let mut transposed: Vec<(NodeId, NodeId)> = Vec::new();
+        for y in kept.nodes() {
+            transposed.extend(kept.in_neighbors(y).iter().map(|&x| (x, y)));
+        }
+        transposed.sort_unstable();
+        prop_assert_eq!(transposed, expected);
+    }
+
+    /// Keeping every edge rebuilds the same graph.
+    #[test]
+    fn filter_edges_keeping_every_edge_is_identity((g, _) in arb_graph()) {
+        let same = g.filter_edges(|_, _| true);
+        prop_assert_eq!(same.node_count(), g.node_count());
+        prop_assert_eq!(same.edge_count(), g.edge_count());
+        for x in g.nodes() {
+            prop_assert_eq!(same.out_neighbors(x), g.out_neighbors(x));
+            prop_assert_eq!(same.in_neighbors(x), g.in_neighbors(x));
+        }
+    }
+
+    /// Filtering and reversing commute, with the predicate's arguments
+    /// swapped: dropping `f → t` before reversing drops `t → f` after.
+    #[test]
+    fn filter_edges_commutes_with_reversal(
+        (g, _) in arb_graph(),
+        mask in proptest::collection::vec(any::<bool>(), 30),
+    ) {
+        let keep = |f: NodeId, t: NodeId| mask[f.index()] || t.index().is_multiple_of(3);
+        let before = g.filter_edges(keep).reversed();
+        let after = g.reversed().filter_edges(|t, f| keep(f, t));
+        prop_assert_eq!(before.edges().collect::<Vec<_>>(), after.edges().collect::<Vec<_>>());
+        for x in g.nodes() {
+            prop_assert_eq!(before.in_neighbors(x), after.in_neighbors(x));
+        }
+    }
+
     /// Permuting node-indexed values and node lists into degree order and
     /// restoring them is the identity, and the permutation is a bijection.
     #[test]
@@ -128,47 +193,5 @@ proptest! {
             prop_assert_eq!(pg.out_neighbors(perm.to_new(x)), &mapped[..]);
             prop_assert_eq!(pg.in_degree(perm.to_new(x)), g.in_degree(x));
         }
-    }
-
-    /// BFS distances satisfy the edge relaxation property.
-    #[test]
-    fn bfs_distances_are_consistent((g, _) in arb_graph()) {
-        let dist = traversal::bfs_distances(&g, &[NodeId(0)], traversal::Direction::Forward);
-        prop_assert_eq!(dist[0], Some(0));
-        for (f, t) in g.edges() {
-            if let Some(df) = dist[f.index()] {
-                let dt = dist[t.index()].expect("successor of reachable node is reachable");
-                prop_assert!(dt <= df + 1, "edge ({f},{t}): {dt} > {df}+1");
-            }
-        }
-    }
-
-    /// Extracting the full node set reproduces the graph; extracts always
-    /// map ids consistently.
-    #[test]
-    fn extract_full_set_is_identity((g, _) in arb_graph()) {
-        let all: Vec<NodeId> = g.nodes().collect();
-        let e = subgraph::extract(&g, &all);
-        prop_assert_eq!(e.graph.node_count(), g.node_count());
-        prop_assert_eq!(e.graph.edge_count(), g.edge_count());
-        for x in g.nodes() {
-            let ex = e.extract_of(x).unwrap();
-            prop_assert_eq!(e.original_of(ex), x);
-        }
-    }
-
-    /// A random extract contains exactly the induced internal edges.
-    #[test]
-    fn extract_keeps_only_internal_edges((g, _) in arb_graph(), mask in proptest::collection::vec(any::<bool>(), 30)) {
-        let keep: Vec<NodeId> = g
-            .nodes()
-            .filter(|x| mask[x.index()])
-            .collect();
-        let e = subgraph::extract(&g, &keep);
-        let expected = g
-            .edges()
-            .filter(|(f, t)| mask[f.index()] && mask[t.index()])
-            .count();
-        prop_assert_eq!(e.graph.edge_count(), expected);
     }
 }

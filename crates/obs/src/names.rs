@@ -64,8 +64,8 @@ pub const PAGERANK_POOL_THREADS: &str = "pagerank.pool.threads";
 /// Message event, emitted once per solve.
 pub const PAGERANK_POOL_SIZING: &str = "pagerank.pool.sizing";
 
-/// Completed rounds of the worker pool — a sweep each, plus, in a
-/// streamed solve, one round before the sweeps and one after them.
+/// Completed rounds of the worker pool — a sweep each, plus one round
+/// before the sweeps and one after them.
 /// Counter; its windowed rate is the live sweeps/s of a running solve.
 pub const PAGERANK_POOL_SWEEPS: &str = "pagerank.pool.sweeps";
 
@@ -76,12 +76,6 @@ pub const PAGERANK_PARTITION_IMBALANCE: &str = "pagerank.partition.imbalance";
 
 /// Number of chunks the node partition was cut into. Gauge.
 pub const PAGERANK_PARTITION_CHUNKS: &str = "pagerank.partition.chunks";
-
-/// Nanoseconds the control thread spent combining per-worker partial
-/// accumulators for rows split across edge-range chunks. Windowed
-/// histogram; one observation per sweep (zero when no row straddles a
-/// cut).
-pub const PAGERANK_MERGE_NS: &str = "pagerank.merge_ns";
 
 /// Scrapes answered by the metrics exposition server. Counter.
 pub const EXPORT_SCRAPES: &str = "obs.export.scrapes";
@@ -163,7 +157,6 @@ pub const ALL: &[&str] = &[
     PAGERANK_POOL_SWEEPS,
     PAGERANK_PARTITION_IMBALANCE,
     PAGERANK_PARTITION_CHUNKS,
-    PAGERANK_MERGE_NS,
     GRAPH_LOAD_ZERO_COPY_BYTES,
     GRAPH_LOAD_COPIED_BYTES,
     ESTIMATE_IO_BLOCKS_DECODED,

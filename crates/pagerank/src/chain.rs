@@ -30,7 +30,7 @@
 //! when `‖Δ‖₁ < ε`. Split `cTᵀ = L + U`, where `L` holds the in-edges a
 //! sweep reads *fresh* — from a row its own worker relaxed earlier in the
 //! same sweep — and `U` the rest. Order the rows as they are relaxed:
-//! worker 0's, then worker 1's, …, then the boundary rows. In that order
+//! worker 0's, then worker 1's, and so on. In that order
 //! `L` is strictly lower triangular, `L, U ≥ 0`, and every column sum of
 //! `L + U` is at most `c` (`T` is substochastic). A sweep computes
 //! `p_k = (1−c)v + L·p_k + U·p_{k−1}`.

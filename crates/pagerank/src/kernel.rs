@@ -10,7 +10,7 @@
 //! source from the previous sweep's contributions (*stale*).
 //! [`gather_row`] decides per edge, with one unsigned compare, which
 //! buffer a source's row comes from; an empty window makes it a plain
-//! Jacobi gather (the resident source's boundary pieces).
+//! Jacobi gather (the finish of a row without out-links).
 //!
 //! A strictly sequential accumulation chains every add through one
 //! register, so the ~4-cycle FP-add latency — not memory bandwidth —

@@ -34,15 +34,15 @@
 //! | Algorithm 1, Gauss–Seidel, power iteration | [`reference`] | the paper's solvers as written: Section 2.2 experiment, test and bench oracles, and the engine's own route for graphs too small to be worth a gather |
 //!
 //! The engine (private module `engine`) is one per-row relaxation body
-//! and one `K`-column controller, fed by two row sources: the resident
-//! in-CSR cut into edge ranges of equal gather cost ([`partition`]) on
-//! persistent workers with one handoff per sweep (`pool`), and a compressed
-//! image's in-blocks cut into one contiguous range per worker of the
-//! same pool. Results are bit-for-bit deterministic for a fixed worker
-//! count, identical across batch widths; streamed scores do not depend
-//! on the worker count, and the one-worker streamed solve is
-//! bit-identical to the one-worker resident solve. [`parallel`] sizes
-//! the pool and routes sub-threshold graphs to Algorithm 1.
+//! and one `K`-column loop on persistent workers with one handoff per
+//! round (`pool`), fed by two row sources that both hand each worker a
+//! contiguous range of whole rows: the resident in-CSR, cut into ranges
+//! of about equal gather cost (`partition`), and a compressed image's
+//! in-blocks, cut into one range per worker. Results are bit-for-bit
+//! deterministic for a fixed worker count and identical across batch
+//! widths; across worker counts scores agree to rounding, and the
+//! one-worker streamed solve is bit-identical to the one-worker resident
+//! solve. [`parallel`] sizes the pool.
 //!
 //! Every solve is **fallible**: `Err` with a typed [`PageRankError`] on
 //! invalid input, on a hit iteration cap
@@ -89,7 +89,7 @@ mod history;
 mod jump;
 mod kernel;
 pub mod parallel;
-pub mod partition;
+mod partition;
 mod pool;
 mod profiler;
 pub mod reference;
@@ -102,7 +102,6 @@ pub use config::PageRankConfig;
 pub use error::PageRankError;
 pub use history::ResidualHistory;
 pub use jump::JumpVector;
-pub use partition::EdgePartition;
 pub use scores::PageRankScores;
 pub use stream::solve_batch_streamed;
 

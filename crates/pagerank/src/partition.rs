@@ -1,37 +1,35 @@
 //! Work partitioning for the engine's resident sweep.
 //!
-//! [`EdgePartition`] cuts the in-CSR edge array into `parts` contiguous
-//! ranges of **equal gather cost**. Only the in-edges of rows whose node
-//! has out-links cost anything — the only ones a sweep reads (see
-//! [`crate::engine`]: a row without out-links is relaxed once, after the
-//! last sweep, and a row without in-edges has none to gather). Such an
-//! edge costs one unit for reading its source, plus one more when the
-//! source opens a new cache line of the contribution buffer: when it is
-//! the row's first, or does not share a group of [`GROUP_IDS`] ids with
-//! the source before it (a row's sources ascend). Edge counts alone
-//! leave a worker whose rows gather from all over the graph up to 1.8×
-//! slower than one whose rows gather from runs of neighbouring ids — a
-//! spam farm's target reading its boosters — and which of the two a
-//! worker gets depends on the graph; the line term evens that out.
+//! [`RowPartition`] cuts the destination rows `0..n` into `parts`
+//! contiguous ranges of about **equal gather cost**, one per pool worker.
+//! Only the in-edges of rows whose node has out-links cost anything — the
+//! only ones a sweep reads (see [`crate::engine`]: a row without
+//! out-links is relaxed once, after the last sweep, and a row without
+//! in-edges has none to gather). Such an edge costs one unit for reading
+//! its source, plus one more when the source opens a new cache line of
+//! the contribution buffer: when it is the row's first, or does not share
+//! a group of [`GROUP_IDS`] ids with the source before it (a row's
+//! sources ascend). Edge counts alone leave a worker whose rows gather
+//! from all over the graph up to 1.8× slower than one whose rows gather
+//! from runs of neighbouring ids — a spam farm's target reading its
+//! boosters — and which of the two a worker gets depends on the graph;
+//! the line term evens that out.
 //!
-//! A worker owns every row fully contained in its range (its
-//! *interior*, written directly) plus up to two *partial rows* whose
-//! edges straddle a cut. Partial sums land in per-worker scratch slots
-//! and the control thread combines them in worker order — at most
-//! `parts − 1` boundary rows per sweep. Unlike node cuts weighted by
-//! in-degree, an edge cut cannot be skewed by hubs: a row wider than a
-//! whole worker quota is simply shared by several workers.
-//!
-//! A cut sits right after a gathered edge, so it never falls strictly
-//! inside the edges of a row without out-links: every boundary row has
-//! out-links.
+//! A cut falls on a row boundary, so every worker relaxes whole rows and
+//! nothing is combined across workers. With `t` the total cost, cut `w`
+//! aims at `⌊t·w/parts⌋`: the *target row* is the first row whose end
+//! brings the running cost to that target, and the cut sits at whichever
+//! of its two boundaries is nearer the target, the lower one on a tie —
+//! within half the target row's cost of it. A row heavier than a worker's
+//! share is not split; on the benchmark webs the heaviest row is under
+//! 1 % of the total and the cut's imbalance under 1.5 % (EXPERIMENTS.md).
 //!
 //! Weighing reads every in-source once, on two threads: the rows are
 //! split at half the edges between the calling thread and one scoped
 //! thread, each keeping the cost and gathered edges of every block of
 //! [`WEIGH_ROWS`] rows. The cut search then steps over whole blocks and
-//! weighs row by row only inside the block where a cut falls, so it puts
-//! every cut where a serial walk over the running cost would.
+//! weighs row by row only inside the block where a target falls, so it
+//! puts every cut where a serial walk over the running cost would.
 //!
 //! The partition is a pure function of `(graph, parts)`, so the
 //! fixed-partition determinism guarantee of the engine reduces to
@@ -43,89 +41,44 @@ use std::ops::Range;
 /// Ids whose contributions share one 64-byte line in the gather-cost
 /// model: a two-column solve — `[p, p′]`, the estimator's pair — stores
 /// 16 bytes a node.
-pub const GROUP_IDS: u32 = 4;
+pub(crate) const GROUP_IDS: u32 = 4;
 
 /// Rows per block of the weighing pass: the cut search steps over a
 /// whole block whose cost keeps it below the next target and weighs row
-/// by row only inside the block where a cut falls.
+/// by row only inside the block where a target falls.
 const WEIGH_ROWS: usize = 1024;
 
-/// A piece of a destination row whose in-edges straddle an edge-range
-/// cut: worker-local gathers over `edges` produce a partial sum the
-/// merge phase combines with the row's other pieces.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartialRow {
-    /// The destination node the piece belongs to.
-    pub node: usize,
-    /// The sub-range of the in-CSR edge array this piece covers.
-    pub edges: Range<usize>,
-}
-
-/// One boundary row's merge recipe: the scratch slots holding its
-/// partial sums, in worker (= edge) order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MergeEntry {
-    /// The boundary destination node.
-    pub node: usize,
-    /// `(worker, slot)` pairs in ascending worker order; `slot` is 0 for
-    /// the worker's head piece, 1 for its tail piece (see
-    /// [`EdgePartition::pieces`]).
-    pub parts: Vec<(usize, usize)>,
-}
-
-/// A partition of the in-CSR edge array `0..m` into `parts` contiguous
-/// ranges of equal gather cost, with the induced row ownership: per
-/// worker an interior node range (rows fully inside its edge range,
-/// written directly) and up to two [`PartialRow`] pieces, plus the
-/// [`MergeEntry`] plan that reassembles the boundary rows.
+/// A partition of the destination rows `0..n` into `parts` contiguous
+/// ranges of about equal gather cost, with each range's cost and
+/// gathered edges.
 ///
-/// Invariants (pinned by unit and property tests):
-///
-/// * edge ranges are contiguous, disjoint and cover `0..m`; of the total
-///   gather cost `t`, ranges `0..=w` hold between `⌊t·(w+1)/parts⌋` and
-///   one unit more, and range `w` ends right after a gathered edge (the
-///   last range ends at `m`);
-/// * every node lands in exactly one worker's interior **or** exactly
-///   one merge entry (never both, never neither);
-/// * a merge entry's pieces tile its row's edge range exactly, in edge
-///   order.
+/// Invariants (pinned by unit and property tests): the ranges tile `0..n`
+/// in ascending order, and each cut lies within half its target row's
+/// cost of its target.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EdgePartition {
-    /// Edge-range boundaries: worker `w` owns edges `cuts[w]..cuts[w+1]`.
+pub(crate) struct RowPartition {
+    /// Row boundaries: worker `w` owns rows `cuts[w]..cuts[w+1]`.
     cuts: Vec<usize>,
     /// Gathered edges per worker.
     gathered: Vec<usize>,
     /// Gather cost per worker.
     costs: Vec<usize>,
-    /// Per-worker fully-owned destination rows.
-    interiors: Vec<Range<usize>>,
-    /// Per-worker partial pieces: `[head, tail]`. The head piece belongs
-    /// to a row that began in an earlier worker's range; the tail piece
-    /// to a row that begins here and spills into a later range. A worker
-    /// buried inside one huge row has only a head piece.
-    pieces: Vec<[Option<PartialRow>; 2]>,
-    /// Boundary rows in ascending node order.
-    merge: Vec<MergeEntry>,
 }
 
-impl EdgePartition {
-    /// Cuts the graph's in-CSR edge array into `parts` ranges of equal
-    /// gather cost and derives row ownership. Pure in `(graph, parts)`.
-    pub fn balanced(graph: &Graph, parts: usize) -> EdgePartition {
+impl RowPartition {
+    /// Cuts the graph's rows into `parts` ranges of about equal gather
+    /// cost. Pure in `(graph, parts)`.
+    pub(crate) fn balanced(graph: &Graph, parts: usize) -> RowPartition {
         let n = graph.node_count();
         let m = graph.edge_count();
         let parts = parts.max(1);
         let offsets = graph.in_offsets();
         let srcs = graph.in_sources();
         let off = |y: usize| offsets[y] as usize;
-        let gathers = |y: usize| graph.out_degree(NodeId(y as u32)) > 0;
         let opens = |a: NodeId, b: NodeId| a.0 / GROUP_IDS != b.0 / GROUP_IDS;
-        // Edge `e` of a row `y` that gathers.
-        let edge_cost =
-            |y: usize, e: usize| 1 + usize::from(e == off(y) || opens(srcs[e - 1], srcs[e]));
         let row_cost = |y: usize| -> usize {
             let row = &srcs[off(y)..off(y + 1)];
-            if row.is_empty() || !gathers(y) {
+            if row.is_empty() || graph.out_degree(NodeId(y as u32)) == 0 {
                 return 0;
             }
             2 * row.len() - row.windows(2).filter(|w| !opens(w[0], w[1])).count()
@@ -156,23 +109,17 @@ impl EdgePartition {
         });
         let total: usize = blocks.iter().map(|b| b.0).sum();
         let total_gathered: usize = blocks.iter().map(|b| b.1).sum();
-        let targets: Vec<usize> = (0..=parts).map(|w| total * w / parts).collect();
-        // Cut `w` sits right after the edge at which the running cost
-        // first reaches `targets[w]` — inside or at the end of a row that
-        // gathers — or at the start of row `y` when the rows below it
-        // already hold exactly that much. `y`, `before` (the cost of the
-        // rows below `y`) and `below` (their gathered edges) only move
-        // forward, a whole block at a time while the block stays below
-        // the target. `cost_at` and `gathered_at` are the running cost
-        // and gathered edges at each cut.
-        let mut cuts = Vec::with_capacity(parts + 1);
-        let mut cost_at = Vec::with_capacity(parts + 1);
-        let mut gathered_at = Vec::with_capacity(parts + 1);
-        cuts.push(0);
-        cost_at.push(0);
-        gathered_at.push(0);
+        // `y` is the target row of the latest target, `before` the cost of
+        // the rows below it and `below` their gathered edges; all three
+        // only move forward, a whole block at a time while the block stays
+        // below the target. `cost_at` and `gathered_at` are the running
+        // cost and gathered edges at each cut.
+        let mut cuts = vec![0];
+        let mut cost_at = vec![0];
+        let mut gathered_at = vec![0];
         let (mut y, mut before, mut below) = (0usize, 0usize, 0usize);
-        for &target in &targets[1..parts] {
+        for w in 1..parts {
+            let target = total * w / parts;
             while y < n {
                 if y % WEIGH_ROWS == 0 {
                     let (cost, gathered) = blocks[y / WEIGH_ROWS];
@@ -191,125 +138,48 @@ impl EdgePartition {
                 below += row_gathered(y, cost);
                 y += 1;
             }
-            let (mut e, mut cost) = (off(y), before);
-            while cost < target {
-                cost += edge_cost(y, e);
-                e += 1;
+            // `before ≤ target ≤ before + cost`: the nearer boundary of
+            // row `y`, the lower one on a tie.
+            let cost = if y < n { row_cost(y) } else { 0 };
+            if before + cost - target < target - before {
+                cuts.push(y + 1);
+                cost_at.push(before + cost);
+                gathered_at.push(below + row_gathered(y, cost));
+            } else {
+                cuts.push(y);
+                cost_at.push(before);
+                gathered_at.push(below);
             }
-            cuts.push(e);
-            cost_at.push(cost);
-            gathered_at.push(below + (e - off(y)));
         }
-        cuts.push(m);
+        cuts.push(n);
         cost_at.push(total);
         gathered_at.push(total_gathered);
-        let gathered: Vec<usize> = gathered_at.windows(2).map(|g| g[1] - g[0]).collect();
-        let costs: Vec<usize> = cost_at.windows(2).map(|c| c[1] - c[0]).collect();
-        let mut interiors = Vec::with_capacity(parts);
-        let mut pieces: Vec<[Option<PartialRow>; 2]> = vec![[None, None]; parts];
-        // (node, worker, slot) in construction order, which is ascending
-        // by node and, within a node, by worker — see the cursor
-        // argument below.
-        let mut triples: Vec<(usize, usize, usize)> = Vec::new();
-        // `node` is the first row not yet fully assigned; every edge
-        // below the current worker's `lo` already belongs to an earlier
-        // worker, so the cursor only moves forward.
-        let mut node = 0usize;
-        for w in 0..parts {
-            let (lo, hi) = (cuts[w], cuts[w + 1]);
-            if node < n && off(node) < lo {
-                // Row `node` began in an earlier range: this worker owns
-                // a head piece of it (empty when lo == hi).
-                let row_end = off(node + 1);
-                let piece_end = row_end.min(hi);
-                if piece_end > lo {
-                    pieces[w][0] = Some(PartialRow { node, edges: lo..piece_end });
-                    triples.push((node, w, 0));
-                }
-                if row_end > hi {
-                    // The row swallows this worker's whole range; the
-                    // next worker continues it.
-                    interiors.push(node..node);
-                    continue;
-                }
-                node += 1;
-            }
-            let start = node;
-            if node < n {
-                // The rows whose edges all end by `hi`: a prefix, since
-                // the offsets ascend.
-                node += offsets[node + 1..].partition_point(|&o| o as usize <= hi);
-            }
-            interiors.push(start..node);
-            if node < n && off(node) < hi {
-                // Row `node` begins here and spills past `hi`.
-                pieces[w][1] = Some(PartialRow { node, edges: off(node)..hi });
-                triples.push((node, w, 1));
-            }
-        }
-        debug_assert_eq!(node, n, "row cursor must consume every node");
-        let mut merge: Vec<MergeEntry> = Vec::new();
-        for (node, w, slot) in triples {
-            match merge.last_mut() {
-                Some(e) if e.node == node => e.parts.push((w, slot)),
-                _ => merge.push(MergeEntry { node, parts: vec![(w, slot)] }),
-            }
-        }
-        EdgePartition { cuts, gathered, costs, interiors, pieces, merge }
+        let gathered = gathered_at.windows(2).map(|g| g[1] - g[0]).collect();
+        let costs = cost_at.windows(2).map(|c| c[1] - c[0]).collect();
+        RowPartition { cuts, gathered, costs }
     }
 
-    /// Number of workers.
-    pub fn len(&self) -> usize {
-        self.cuts.len() - 1
-    }
-
-    /// Whether the partition has no workers (never true for constructed
-    /// partitions; present for API completeness).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Worker `w`'s edge range.
-    #[inline]
-    pub fn edge_range(&self, w: usize) -> Range<usize> {
-        self.cuts[w]..self.cuts[w + 1]
-    }
-
-    /// Worker `w`'s fully-owned destination rows.
-    #[inline]
-    pub fn interior(&self, w: usize) -> Range<usize> {
-        self.interiors[w].clone()
-    }
-
-    /// Worker `w`'s partial pieces, `[head, tail]`.
-    #[inline]
-    pub fn pieces(&self, w: usize) -> &[Option<PartialRow>; 2] {
-        &self.pieces[w]
-    }
-
-    /// The merge plan: boundary rows in ascending node order.
-    #[inline]
-    pub fn merge_entries(&self) -> &[MergeEntry] {
-        &self.merge
+    /// Every worker's rows, in worker order.
+    pub(crate) fn rows(&self) -> Vec<Range<usize>> {
+        self.cuts.windows(2).map(|c| c[0]..c[1]).collect()
     }
 
     /// Gathered edges per worker — the in-edges a sweep reads there
     /// (diagnostic).
-    pub fn chunk_edges(&self) -> Vec<usize> {
-        self.gathered.clone()
+    pub(crate) fn chunk_edges(&self) -> &[usize] {
+        &self.gathered
     }
 
-    /// Gather cost per worker — what the cuts balance (diagnostic; by
-    /// construction within one unit of the worker's share
-    /// `⌊t·(w+1)/parts⌋ − ⌊t·w/parts⌋` of the total cost `t`).
-    pub fn chunk_costs(&self) -> Vec<usize> {
-        self.costs.clone()
+    /// Gather cost per worker — what the cuts balance (diagnostic).
+    pub(crate) fn chunk_costs(&self) -> &[usize] {
+        &self.costs
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use spammass_graph::{Graph, GraphBuilder};
 
     /// A star graph: every node 1..n points at node 0, so node 0 holds
@@ -323,77 +193,100 @@ mod tests {
         GraphBuilder::from_edges(n as usize, &edges)
     }
 
-    /// The gather cost of every in-CSR edge position, worked out edge by
-    /// edge: 0 into a row without out-links, else 1, plus 1 when the
-    /// source is the row's first or leaves the previous source's group.
-    fn edge_costs(g: &Graph) -> Vec<usize> {
-        let mut costs = Vec::with_capacity(g.edge_count());
-        for y in g.nodes() {
-            let mut prev: Option<u32> = None;
-            for x in g.in_neighbors(y) {
-                let opens = prev.is_none_or(|p| p / GROUP_IDS != x.0 / GROUP_IDS);
-                costs.push(if g.out_degree(y) == 0 { 0 } else { 1 + usize::from(opens) });
-                prev = Some(x.0);
-            }
-        }
-        costs
+    /// Every row's gather cost, worked out edge by edge: 0 for a row
+    /// without out-links, else per in-edge 1, plus 1 when the source is
+    /// the row's first or leaves the previous source's group.
+    fn row_costs(g: &Graph) -> Vec<usize> {
+        g.nodes()
+            .map(|y| {
+                if g.out_degree(y) == 0 {
+                    return 0;
+                }
+                let srcs = g.in_neighbors(y);
+                (0..srcs.len())
+                    .map(|i| {
+                        1 + usize::from(
+                            i == 0 || srcs[i].0 / GROUP_IDS != srcs[i - 1].0 / GROUP_IDS,
+                        )
+                    })
+                    .sum()
+            })
+            .collect()
     }
 
-    /// Full structural audit of an [`EdgePartition`]: edge ranges tile
-    /// `0..m`, each holding its share of the gather cost to within one
-    /// unit, with its gathered edges and cost reported; every node is
-    /// owned exactly once (interior xor merge), and each merge entry's
-    /// pieces tile the row of a node with out-links in edge order.
-    fn assert_edge_partition_sound(p: &EdgePartition, g: &Graph) {
+    /// Where the cut falls, worked out serially row by row from the
+    /// running cost `running[y]` of the rows below `y`: cut `w`'s target
+    /// row is the first whose end reaches `⌊t·w/parts⌋`, and the cut is
+    /// the nearer of that row's boundaries, the lower on a tie. Returns
+    /// the cuts (`parts + 1` of them), each range's cost and its gathered
+    /// edges.
+    fn serial_cut(g: &Graph, parts: usize) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
         let n = g.node_count();
-        let m = g.edge_count();
-        let offs = g.in_offsets();
-        let costs = edge_costs(g);
+        let costs = row_costs(g);
+        let mut running = vec![0usize];
+        for &c in &costs {
+            running.push(running.last().unwrap() + c);
+        }
+        let total = running[n];
+        let mut cuts = vec![0usize];
+        for w in 1..parts {
+            let target = total * w / parts;
+            let row = running[1..].partition_point(|&c| c < target);
+            let upper = running.get(row + 1).map_or(usize::MAX, |&c| c - target);
+            cuts.push(if upper < target - running[row] { row + 1 } else { row });
+        }
+        cuts.push(n);
+        let ranges = cuts.windows(2).map(|c| c[0]..c[1]);
+        let range_costs = ranges.clone().map(|r| costs[r].iter().sum()).collect();
+        let gathered = ranges
+            .map(|r| r.filter(|&y| costs[y] > 0).map(|y| g.in_degree(NodeId(y as u32))).sum())
+            .collect();
+        (cuts, range_costs, gathered)
+    }
+
+    /// Structural audit: the ranges tile `0..n` in order, each cut lies
+    /// within half its target row's cost of its target, and each range's
+    /// cost and gathered edges are reported.
+    fn assert_sound(p: &RowPartition, g: &Graph, parts: usize) {
+        let n = g.node_count();
+        let costs = row_costs(g);
         let total: usize = costs.iter().sum();
-        let mut next_edge = 0usize;
-        for w in 0..p.len() {
-            let r = p.edge_range(w);
-            assert_eq!(r.start, next_edge, "edge ranges must be contiguous");
-            next_edge = r.end;
+        let rows = p.rows();
+        assert_eq!(rows.len(), parts);
+        let mut next = 0usize;
+        let mut running = 0usize;
+        for (w, r) in rows.iter().enumerate() {
+            assert_eq!(r.start, next, "ranges must tile 0..{n} in order: {rows:?}");
+            assert!(r.start <= r.end, "{rows:?}");
+            next = r.end;
+            if w > 0 {
+                let target = total * w / parts;
+                // The target row: the first whose end reaches the target.
+                let (mut row, mut sum) = (0usize, 0usize);
+                while row < n && sum + costs[row] < target {
+                    sum += costs[row];
+                    row += 1;
+                }
+                let half = costs.get(row).copied().unwrap_or(0);
+                assert!(
+                    2 * running.abs_diff(target) <= half,
+                    "cut {w} at row {} costs {running}, target {target}, target row {row} \
+                     costs {half}",
+                    r.start
+                );
+            }
             let cost: usize = costs[r.clone()].iter().sum();
-            let share = total * (w + 1) / p.len() - total * w / p.len();
-            assert!(cost.abs_diff(share) <= 1, "worker {w} costs {cost}, its share is {share}");
             assert_eq!(p.chunk_costs()[w], cost);
-            assert_eq!(p.chunk_edges()[w], costs[r].iter().filter(|&&c| c > 0).count());
+            let gathered: usize =
+                r.clone().filter(|&y| costs[y] > 0).map(|y| g.in_degree(NodeId(y as u32))).sum();
+            assert_eq!(p.chunk_edges()[w], gathered);
+            running += cost;
         }
-        assert_eq!(next_edge, m, "edge ranges must cover 0..m");
-        let mut owner = vec![0u32; n];
-        for w in 0..p.len() {
-            for y in p.interior(w) {
-                owner[y] += 1;
-                // An interior row's edges sit inside the worker's range.
-                let r = p.edge_range(w);
-                assert!(offs[y] as usize >= r.start && offs[y + 1] as usize <= r.end);
-            }
-        }
-        for e in p.merge_entries() {
-            owner[e.node] += 1;
-            assert!(g.out_degree(NodeId(e.node as u32)) > 0, "boundary row {} is terminal", e.node);
-            assert!(e.parts.len() >= 2, "boundary row {} has {} piece(s)", e.node, e.parts.len());
-            let mut cursor = offs[e.node] as usize;
-            let mut last_worker = None;
-            for &(w, slot) in &e.parts {
-                assert!(last_worker.is_none_or(|lw| w > lw), "pieces in worker order");
-                last_worker = Some(w);
-                let piece = p.pieces(w)[slot].as_ref().expect("piece slot populated");
-                assert_eq!(piece.node, e.node);
-                assert_eq!(piece.edges.start, cursor, "pieces must tile the row");
-                cursor = piece.edges.end;
-            }
-            assert_eq!(cursor, offs[e.node + 1] as usize, "pieces must end the row");
-        }
-        for (y, &count) in owner.iter().enumerate() {
-            assert_eq!(count, 1, "node {y} owned {count} times");
-        }
+        assert_eq!(next, n, "ranges must cover 0..{n}");
     }
 
     #[test]
-    fn edge_partition_is_sound_on_varied_shapes() {
+    fn row_partition_is_sound_on_varied_shapes() {
         for (graph, parts) in [
             (star(50), 4),
             (star(1), 3),
@@ -402,42 +295,38 @@ mod tests {
             (GraphBuilder::from_edges(10, &[(0, 1), (1, 2), (9, 0)]), 16),
             (GraphBuilder::from_edges(6, &[(0, 5), (1, 5), (2, 5), (3, 5), (4, 5)]), 2),
         ] {
-            let p = EdgePartition::balanced(&graph, parts);
-            assert_eq!(p.len(), parts);
-            assert_edge_partition_sound(&p, &graph);
+            let p = RowPartition::balanced(&graph, parts);
+            assert_sound(&p, &graph, parts);
         }
     }
 
     #[test]
-    fn edge_partition_shares_a_hub_row_across_workers() {
-        // The star's hub holds 999 of the 1000 in-edges; node cuts would
-        // give one worker the whole row, the edge cut splits it across
-        // all four.
+    fn a_hub_row_goes_whole_to_one_worker() {
+        // The star's hub holds 999 of the 1000 in-edges: whole rows give
+        // it to one worker, and the cut does not split it.
         let g = star(1000);
-        let p = EdgePartition::balanced(&g, 4);
-        assert_edge_partition_sound(&p, &g);
-        assert_eq!(p.merge_entries().len(), 1, "only the hub row straddles cuts");
-        assert_eq!(p.merge_entries()[0].node, 0);
-        assert_eq!(p.merge_entries()[0].parts.len(), 4, "all four workers contribute");
+        let p = RowPartition::balanced(&g, 4);
+        assert_sound(&p, &g, 4);
+        let owner: Vec<usize> = (0..4).filter(|&w| p.rows()[w].contains(&0)).collect();
+        assert_eq!(owner.len(), 1);
+        assert_eq!(p.chunk_edges()[owner[0]], 999);
     }
 
     #[test]
-    fn edge_partition_single_worker_has_no_boundaries() {
+    fn a_single_worker_owns_every_row() {
         let g = star(100);
-        let p = EdgePartition::balanced(&g, 1);
-        assert_edge_partition_sound(&p, &g);
-        assert_eq!(p.interior(0), 0..100);
-        assert!(p.merge_entries().is_empty());
-        assert_eq!(p.pieces(0), &[None, None]);
+        let p = RowPartition::balanced(&g, 1);
+        assert_sound(&p, &g, 1);
+        assert_eq!(p.rows(), vec![0..100]);
     }
 
     #[test]
-    fn a_row_without_out_links_weighs_nothing_and_is_never_cut() {
+    fn a_row_without_out_links_weighs_nothing() {
         // Rows 0..4 link to each other, row 5 is linked from them and
         // links back to row 0: 17 gathered edges. Row 4 has 100 in-edges
-        // and no out-links. The edge count would cut row 4; the gather
-        // cost puts every cut outside it and gives each worker its share
-        // of the 17 edges' cost.
+        // and no out-links. The edge count would give its worker most of
+        // the work; the gather cost gives each worker its share of the
+        // 17 edges' cost.
         let mut edges: Vec<(u32, u32)> = Vec::new();
         for y in 0..4u32 {
             edges.extend((0..4).filter(|&x| x != y).map(|x| (x, y)));
@@ -447,18 +336,19 @@ mod tests {
         edges.extend((6..106u32).map(|x| (x, 4)));
         let g = GraphBuilder::from_edges(106, &edges);
         assert_eq!((g.out_degree(NodeId(4)), g.in_degree(NodeId(4))), (0, 100));
-        // A cut inside row 4 would make it a boundary row, which the
-        // audit refuses.
         for parts in [2usize, 3, 4] {
-            assert_edge_partition_sound(&EdgePartition::balanced(&g, parts), &g);
+            let p = RowPartition::balanced(&g, parts);
+            assert_sound(&p, &g, parts);
+            assert_eq!(p.chunk_edges().iter().sum::<usize>(), 17);
         }
-        // Nothing to gather: one worker holds every row, the rest none.
+        // Nothing to gather: every target is 0, so one worker holds every
+        // row and the rest none.
         let spokes: Vec<(u32, u32)> = (1..50u32).map(|x| (x, 0)).collect();
         let star_hub = GraphBuilder::from_edges(50, &spokes);
-        let p = EdgePartition::balanced(&star_hub, 4);
-        assert_edge_partition_sound(&p, &star_hub);
-        assert_eq!(p.chunk_edges(), vec![0; 4]);
-        assert_eq!(p.interior(3), 0..50);
+        let p = RowPartition::balanced(&star_hub, 4);
+        assert_sound(&p, &star_hub, 4);
+        assert_eq!(p.chunk_edges(), &[0; 4]);
+        assert_eq!(p.rows()[3], 0..50);
     }
 
     #[test]
@@ -466,21 +356,100 @@ mod tests {
         // Rows 0 and 1 link to each other. Row 0 also gathers from 24
         // sources eight ids apart, each opening a line; row 1 from the
         // 24 neighbours 104..128, four to a line. Equal edge counts,
-        // unequal cost: the cut hands row 0's worker fewer edges.
+        // unequal cost: 50 units against 32, so the cut gives row 0 a
+        // worker of its own.
         let mut edges: Vec<(u32, u32)> = vec![(0, 1), (1, 0)];
         edges.extend((1..=24u32).map(|i| (8 * i, 0)));
         edges.extend((104..128u32).map(|x| (x, 1)));
         let g = GraphBuilder::from_edges(128, &edges);
-        let p = EdgePartition::balanced(&g, 2);
-        assert_edge_partition_sound(&p, &g);
-        let gathered = p.chunk_edges();
-        assert_eq!(gathered.iter().sum::<usize>(), 50);
-        assert!(gathered[0] < gathered[1], "{gathered:?}");
+        let p = RowPartition::balanced(&g, 2);
+        assert_sound(&p, &g, 2);
+        assert_eq!(p.rows(), vec![0..1, 1..g.node_count()]);
+        assert_eq!(p.chunk_costs(), &[50, 32]);
     }
 
     #[test]
-    fn edge_partition_is_deterministic() {
+    fn row_partition_is_deterministic() {
         let g = star(256);
-        assert_eq!(EdgePartition::balanced(&g, 5), EdgePartition::balanced(&g, 5));
+        assert_eq!(RowPartition::balanced(&g, 5), RowPartition::balanced(&g, 5));
+    }
+
+    fn arb_graph() -> impl Strategy<Value = Graph> {
+        (2usize..=25).prop_flat_map(|n| {
+            proptest::collection::vec((0..n as u32, 0..n as u32), 0..80)
+                .prop_map(move |edges| GraphBuilder::from_edges(n, &edges_without_loops(edges)))
+        })
+    }
+
+    /// Graphs wider than the weighing blocks, so the cut search steps
+    /// over whole blocks and the weighing splits across two threads.
+    fn arb_wide_graph() -> impl Strategy<Value = Graph> {
+        (1_000usize..=4_000).prop_flat_map(|n| {
+            let edge = (0..n as u32, 0..n as u32, 0..4u32);
+            proptest::collection::vec(edge, 0..12_000).prop_map(move |edges| {
+                // One edge in four points at one of a few hubs.
+                let edges = edges
+                    .into_iter()
+                    .map(|(f, t, hub)| if hub == 0 { (f, t % 20) } else { (f, t) })
+                    .collect();
+                GraphBuilder::from_edges(n, &edges_without_loops(edges))
+            })
+        })
+    }
+
+    fn edges_without_loops(edges: Vec<(u32, u32)>) -> Vec<(u32, u32)> {
+        edges.into_iter().filter(|(f, t)| f != t).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The ranges tile `0..n` in order, every cut lies within half its
+        /// target row's cost of its target, and the two-thread weighing
+        /// with its block-at-a-time search puts every cut, and reports
+        /// every range's cost and gathered edges, exactly where a serial
+        /// walk over the rows' running cost does — on small graphs and on
+        /// graphs many weighing blocks wide.
+        #[test]
+        fn the_cut_is_the_serial_running_sum_cut(
+            small in arb_graph(),
+            wide in arb_wide_graph(),
+            parts in 1usize..=9,
+        ) {
+            for g in [&small, &wide] {
+                let p = RowPartition::balanced(g, parts);
+                assert_sound(&p, g, parts);
+                let (cuts, costs, gathered) = serial_cut(g, parts);
+                prop_assert_eq!(&p.cuts, &cuts, "{} parts", parts);
+                prop_assert_eq!(p.chunk_costs(), &costs[..]);
+                prop_assert_eq!(p.chunk_edges(), &gathered[..]);
+            }
+        }
+
+        /// The balance a whole-row cut can promise: each cut lies within
+        /// half a row of its target, so every worker's cost is its equal
+        /// share to within the heaviest row's cost, and no worker carries
+        /// more than a share plus that row.
+        #[test]
+        fn every_range_is_within_a_heaviest_row_of_its_share(
+            small in arb_graph(),
+            wide in arb_wide_graph(),
+            parts in 1usize..=9,
+        ) {
+            for g in [&small, &wide] {
+                let costs = row_costs(g);
+                let total: usize = costs.iter().sum();
+                let heaviest = costs.iter().copied().max().unwrap_or(0);
+                let p = RowPartition::balanced(g, parts);
+                for (w, &cost) in p.chunk_costs().iter().enumerate() {
+                    let share = total * (w + 1) / parts - total * w / parts;
+                    prop_assert!(
+                        cost.abs_diff(share) <= heaviest,
+                        "worker {} of {} costs {}, share {}, heaviest row {}",
+                        w, parts, cost, share, heaviest
+                    );
+                }
+            }
+        }
     }
 }

@@ -62,10 +62,9 @@ fn spin_wait(spins: &mut u32) {
 ///
 /// With a [`PoolProfiler`], every worker times its kernel and its wait
 /// at the round handoff, and the control thread flushes the accumulated
-/// nanoseconds into the live registry once per round (after the control
-/// closure, so merge-phase timing recorded inside `control` lands in the
-/// same round's flush). With `None` the timestamps are skipped entirely,
-/// so the unprofiled path costs nothing extra.
+/// nanoseconds into the live registry once per round, after the control
+/// closure. With `None` the timestamps are skipped entirely, so the
+/// unprofiled path costs nothing extra.
 pub(crate) fn run_rounds<R, K, C>(
     threads: usize,
     profiler: Option<&PoolProfiler>,
@@ -170,17 +169,15 @@ where
             arrived.store(0, Ordering::Relaxed);
             let decision = control(round);
             if let Some(p) = profiler {
-                // After control so merge timing recorded inside the
-                // control closure lands in this round's flush; workers'
-                // handoff waits may land in the next round's, which
-                // windowed series tolerate.
+                // Workers' handoff waits may land in the next round's
+                // flush, which windowed series tolerate.
                 p.flush_round();
             }
             match decision {
                 ControlFlow::Continue(()) => {
                     phase_val += 2;
                     // Release publishes the control closure's writes
-                    // (convergence flags, merged rows) to every worker.
+                    // (convergence flags) to every worker.
                     phase.store(phase_val, Ordering::Release);
                     round += 1;
                 }

@@ -1,6 +1,5 @@
-//! Worker-pool profiler: per-worker gather / barrier-wait timing and the
-//! control thread's merge-phase timing, fed into the live metrics
-//! registry.
+//! Worker-pool profiler: per-worker gather / barrier-wait timing, fed
+//! into the live metrics registry.
 //!
 //! The pooled solvers are barrier-synchronized, so one slow chunk stalls
 //! every worker — but from the outside a solve is just "slow", with no
@@ -16,11 +15,9 @@
 //!   time (high values on one worker mean *the others* are slow);
 //! * `pagerank.worker.<w>.edges_per_s` — gauge of the worker's gather
 //!   throughput over its chunk's edges;
-//! * `pagerank.merge_ns` — histogram of the control thread's per-sweep
-//!   cost combining partial accumulators for rows split across edge
-//!   chunks (the edge-parallel design's only serial section);
 //! * `pagerank.partition.imbalance` / `pagerank.partition.chunks` —
-//!   gauges describing the edge-range partition itself;
+//!   gauges describing the worker partition itself (the resident rows'
+//!   gather cost, the streamed blocks' edges);
 //! * `pagerank.pool.sweeps` — counter of pool rounds (every solve adds
 //!   a set-up round before its sweeps and a finish round after them)
 //!   whose windowed rate is the live sweeps/s of the solve.
@@ -45,15 +42,11 @@ pub(crate) struct PoolProfiler {
     /// Nanoseconds each worker spent blocked at the round handoff since
     /// the last flush.
     barrier_ns: Vec<AtomicU64>,
-    /// Nanoseconds the control thread spent merging boundary rows since
-    /// the last flush. Written only by the control thread, but kept
-    /// atomic so `flush_round` can drain all slots uniformly.
-    merge_ns: AtomicU64,
     gather_names: Vec<String>,
     barrier_names: Vec<String>,
     eps_names: Vec<String>,
-    /// Edges each worker's chunk traverses per round (edge-range length
-    /// × solve columns).
+    /// Edges each worker's chunk gathers per sweep (gathered edges ×
+    /// solve columns).
     chunk_edges: Vec<f64>,
     imbalance: f64,
 }
@@ -78,7 +71,6 @@ impl PoolProfiler {
             registry,
             gather_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             barrier_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            merge_ns: AtomicU64::new(0),
             gather_names: (0..workers).map(|w| names::worker_series(w, "gather_ns")).collect(),
             barrier_names: (0..workers)
                 .map(|w| names::worker_series(w, "barrier_wait_ns"))
@@ -103,14 +95,6 @@ impl PoolProfiler {
         self.barrier_ns[worker].fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Adds `ns` of merge-phase time (control thread only, inside the
-    /// control closure — the pool flushes after it so the observation
-    /// lands in the same round).
-    #[inline]
-    pub(crate) fn record_merge(&self, ns: u64) {
-        self.merge_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
     /// Drains every slot into the registry. Called by the control thread
     /// once per round; a worker's end-of-round wait may land after the
     /// flush and be attributed to the next round, which is fine for
@@ -126,8 +110,6 @@ impl PoolProfiler {
                 self.registry.gauge_set(&self.eps_names[w], eps);
             }
         }
-        let merge = self.merge_ns.swap(0, Ordering::Relaxed);
-        self.registry.observe(names::PAGERANK_MERGE_NS, merge as f64);
         self.registry.counter_add(names::PAGERANK_POOL_SWEEPS, 1.0);
         self.registry.gauge_set(names::PAGERANK_PARTITION_IMBALANCE, self.imbalance);
         self.registry.gauge_set(names::PAGERANK_PARTITION_CHUNKS, self.gather_ns.len() as f64);
@@ -135,10 +117,9 @@ impl PoolProfiler {
 }
 
 /// Heaviest chunk's weight relative to a perfect split (1.0 =
-/// balanced). The resident edge-range cuts balance gather cost to within
-/// a unit by construction, so values above ~1.0 only appear when there
-/// are more workers than cost units; the streamed block ranges balance
-/// edges to within a block.
+/// balanced). The resident row cuts balance gather cost to within half a
+/// row at each end, so a row heavier than a worker's share shows here;
+/// the streamed block ranges balance edges to within a block.
 pub(crate) fn partition_imbalance(weights: &[usize]) -> f64 {
     let total: usize = weights.iter().sum();
     let max = weights.iter().copied().max().unwrap_or(0);
@@ -151,7 +132,7 @@ pub(crate) fn partition_imbalance(weights: &[usize]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::EdgePartition;
+    use crate::partition::RowPartition;
     use spammass_graph::{Graph, GraphBuilder};
 
     /// Star graph: all in-edges but one land on node 0, which links back
@@ -167,27 +148,26 @@ mod tests {
     #[test]
     fn imbalance_is_one_for_single_chunk() {
         let g = star(100);
-        let p = EdgePartition::balanced(&g, 1);
-        assert_eq!(partition_imbalance(&p.chunk_costs()), 1.0);
+        let p = RowPartition::balanced(&g, 1);
+        assert_eq!(partition_imbalance(p.chunk_costs()), 1.0);
     }
 
     #[test]
-    fn edge_ranges_stay_balanced_even_on_hub_rows() {
-        // The old node partition could not split the star's hub row, so
-        // one chunk owned every edge. Edge ranges cut through the row:
-        // imbalance stays within two cost units of perfect.
+    fn a_hub_row_shows_as_imbalance() {
+        // Whole rows: the star's hub row, all but one unit of the cost,
+        // goes to one of four workers, and the gauge says so.
         let g = star(10_000);
-        let costs = EdgePartition::balanced(&g, 4).chunk_costs();
-        let imb = partition_imbalance(&costs);
+        let costs = RowPartition::balanced(&g, 4).chunk_costs().to_vec();
         let total = costs.iter().sum::<usize>() as f64;
-        assert!(imb <= ((total / 4.0).ceil() + 1.0) * 4.0 / total, "imbalance {imb}");
+        let hub = total - 2.0;
+        assert_eq!(partition_imbalance(&costs), hub * 4.0 / total);
     }
 
     #[test]
     fn imbalance_handles_empty_graphs() {
         let g = GraphBuilder::from_edges(0, &[]);
-        let p = EdgePartition::balanced(&g, 4);
-        assert_eq!(partition_imbalance(&p.chunk_costs()), 1.0);
+        let p = RowPartition::balanced(&g, 4);
+        assert_eq!(partition_imbalance(p.chunk_costs()), 1.0);
     }
 
     #[test]
@@ -195,7 +175,7 @@ mod tests {
         // Unit tests never enable the process-global registry (that is
         // irreversible), so the gate must report None here.
         let g = star(50);
-        let p = EdgePartition::balanced(&g, 2);
-        assert!(PoolProfiler::from_live(&p.chunk_edges(), &p.chunk_costs(), 1).is_none());
+        let p = RowPartition::balanced(&g, 2);
+        assert!(PoolProfiler::from_live(p.chunk_edges(), p.chunk_costs(), 1).is_none());
     }
 }

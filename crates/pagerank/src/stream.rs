@@ -10,15 +10,14 @@
 //! materializes — the image's in-blocks are cut into one contiguous,
 //! cost-balanced range per pool worker, and each sweep every worker
 //! streams its own blocks, decoding block-at-a-time into its own
-//! reusable [`BlockScratch`] and handing every decoded row to the
-//! engine's row body ([`crate::engine`]); the engine's column controller
-//! owns the matrices, the pool handoff, the convergence decision and the
-//! result. Blocks hold whole rows, so there are no boundary pieces and
-//! no merge. Each worker decodes its blocks twice more per solve: once
-//! before the sweeps, to seed its rows and write the rows without
-//! in-edges, which no sweep relaxes, and once after them, to finish the
-//! rows without out-links, which no sweep relaxes either
-//! (`crate::engine`'s row kinds).
+//! reusable [`BlockScratch`] and handing the decoded rows to the
+//! engine's one loop ([`crate::engine`]), which owns the matrices, the
+//! pool handoff, the convergence decision and the result — the loop the
+//! resident source runs too. Blocks hold whole rows. Each worker decodes
+//! its blocks twice more per solve: once before the sweeps, to seed its
+//! rows and write the rows without in-edges, which no sweep relaxes, and
+//! once after them, to finish the rows without out-links, which no sweep
+//! relaxes either (`crate::engine`'s row kinds).
 //!
 //! ## Exactness
 //!
@@ -31,11 +30,13 @@
 //! residuals are bit-identical to the one-worker resident solve** — both
 //! read every source below the row fresh, write the same fixed rows and
 //! finish the same terminal rows from the same final contributions. With
-//! more, where each worker's range starts decides which reads are fresh, and each column's residual is
-//! folded from the workers' partial sums in worker index order: a fixed
-//! `(image, workers)` is bit-reproducible, and across worker counts —
-//! and against any resident solve — scores agree to rounding (≤ 1e-12
-//! per node at the default tolerance) with an identical flagged set.
+//! more, where each worker's range starts decides which reads are fresh,
+//! and each column's residual is folded from the workers' partial sums
+//! in worker index order: a fixed `(image, workers)` is bit-reproducible
+//! — and so is the resident source handed the same row ranges — and
+//! across worker counts, and against a resident solve cut elsewhere,
+//! scores agree to rounding (≤ 1e-12 per node at the default tolerance)
+//! with an identical flagged set.
 //! `tests/properties.rs` and `crates/core/tests/stream_parity.rs` pin the
 //! claims.
 //!
@@ -54,7 +55,7 @@
 
 use crate::batch::{empty_results, MAX_FUSED_COLUMNS};
 use crate::config::PageRankConfig;
-use crate::engine::{Columns, RowKinds, WholeRows};
+use crate::engine::{Columns, RowKind, RowKinds, WholeRows};
 use crate::error::PageRankError;
 use crate::history::ResidualHistory;
 use crate::jump::{JumpSpec, JumpVector};
@@ -205,10 +206,10 @@ pub fn solve_batch_streamed(
     let mut kinds = RowKinds::default();
     for chunk in specs.chunks(MAX_FUSED_COLUMNS) {
         let (solved, chunk_kinds) = match chunk.len() {
-            1 => sweep_blocks::<1>(&source, &coef, chunk, config)?,
-            2 => sweep_blocks::<2>(&source, &coef, chunk, config)?,
-            3 => sweep_blocks::<3>(&source, &coef, chunk, config)?,
-            _ => sweep_blocks::<4>(&source, &coef, chunk, config)?,
+            1 => sweep_blocks::<1>(&source, &mut coef, chunk, config)?,
+            2 => sweep_blocks::<2>(&source, &mut coef, chunk, config)?,
+            3 => sweep_blocks::<3>(&source, &mut coef, chunk, config)?,
+            _ => sweep_blocks::<4>(&source, &mut coef, chunk, config)?,
         };
         // Every chunk sorts the same rows the same way.
         kinds = chunk_kinds;
@@ -313,10 +314,10 @@ impl<'a> BlockSource<'a> {
     }
 }
 
-impl WholeRows for BlockSource<'_> {
+impl BlockSource<'_> {
     /// Decodes worker `worker`'s blocks one at a time into its scratch
     /// and hands every row of each to `visit`.
-    fn visit_rows(
+    fn decode_rows(
         &self,
         worker: usize,
         mut visit: impl FnMut(usize, &[NodeId]),
@@ -332,28 +333,62 @@ impl WholeRows for BlockSource<'_> {
     }
 }
 
+impl WholeRows for BlockSource<'_> {
+    fn rows(&self) -> &[Range<usize>] {
+        &self.rows
+    }
+
+    /// Decodes the worker's blocks and visits every row with the
+    /// coefficient the caller worked out beforehand.
+    fn set_up(
+        &self,
+        worker: usize,
+        coef: &mut [f64],
+        mut visit: impl FnMut(usize, &[NodeId], f64) -> RowKind,
+    ) -> Result<(), PageRankError> {
+        let first = self.rows[worker].start;
+        self.decode_rows(worker, |y, srcs| {
+            visit(y, srcs, coef[y - first]);
+        })
+    }
+
+    /// Decodes the worker's blocks and visits the rows of `kind`.
+    fn rows_of_kind(
+        &self,
+        worker: usize,
+        kind: RowKind,
+        coef: &[f64],
+        mut visit: impl FnMut(usize, &[NodeId]),
+    ) -> Result<(), PageRankError> {
+        self.decode_rows(worker, |y, srcs| {
+            if RowKind::of(srcs.len(), coef[y]) == kind {
+                visit(y, srcs);
+            }
+        })
+    }
+}
+
 /// One `K`-column streamed solve: the engine's rounds with each worker's
-/// rows delivered block-at-a-time from its own range of in-blocks — a
-/// round to write the fixed rows, the sweeps, and the finish round.
+/// rows delivered block-at-a-time from its own range of in-blocks — the
+/// set-up round, the sweeps, and the finish round.
 fn sweep_blocks<const K: usize>(
     source: &BlockSource<'_>,
-    coef: &[f64],
+    coef: &mut [f64],
     specs: &[JumpSpec],
     config: &PageRankConfig,
 ) -> Result<(Vec<PageRankResult>, RowKinds), PageRankError> {
     let mut cols = Columns::<K>::new(specs, coef.len(), config);
     let profiler = PoolProfiler::from_live(&source.edges, &source.edges, K);
-    let kinds = cols.solve_whole_rows(coef, config, &source.rows, profiler.as_ref(), source)?;
-    // Free the contribution buffers before de-interleaving the iterate
-    // into per-column vectors so that phase stays under the same budget
-    // as the sweeps.
-    cols.release_sweep_buffers();
+    cols.solve(coef, None, config, profiler.as_ref(), source)?;
+    let kinds = cols.kinds();
     Ok((cols.into_results(), kinds))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::CsrRows;
+    use crate::engine::solve_cold;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use spammass_graph::compress::{graph_to_bytes_v4_with, V4Config};
@@ -501,6 +536,76 @@ mod tests {
                     assert_eq!((required, budget), (footprint(1), footprint(1) - 1));
                 }
                 other => panic!("expected ResidentBudget, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn the_resident_source_on_the_streamed_rows_gives_the_streamed_bits() {
+        // One loop, two sources: handed the rows the streamed workers
+        // own, the resident source reads the same sources fresh, folds
+        // the same residuals and finishes the same rows, so every bit,
+        // sweep count and residual agrees.
+        let g = random_graph(POOLED_NODES, 260_000, 97);
+        let image = open(tiny_block_bytes(&g));
+        let n = g.node_count();
+        let jumps = jumps(n);
+        let specs: Vec<JumpSpec> = jumps.iter().map(|jump| jump.spec(n).unwrap()).collect();
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for workers in [2usize, 4] {
+            let config = pooled(workers);
+            assert_eq!(streamed_workers(&image, &jumps, &config, u64::MAX).unwrap(), workers);
+            let rows = BlockSource::new(&image, workers).rows;
+            let source = CsrRows::new(&g, config.damping, rows);
+            for k in [1usize, 2] {
+                let streamed =
+                    solve_batch_streamed(&image, &jumps[..k], &config, u64::MAX).unwrap();
+                let resident = match k {
+                    1 => solve_cold::<1>(&specs[..1], &config, &source).unwrap(),
+                    _ => solve_cold::<2>(&specs, &config, &source).unwrap(),
+                };
+                for (j, (r, s)) in resident.iter().zip(&streamed).enumerate() {
+                    let cell = format!("workers={workers} K={k} column={j}");
+                    assert_eq!(bits(&r.scores), bits(&s.scores), "{cell}");
+                    assert_eq!(r.iterations, s.iterations, "{cell}");
+                    assert_eq!(r.residual.to_bits(), s.residual.to_bits(), "{cell}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The claim behind one loop for two sources, on arbitrary graphs
+        /// and worker counts: the streamed source's own sweep and the
+        /// resident source handed its row ranges agree bit for bit, in
+        /// every column, sweep count and residual.
+        #[test]
+        fn both_sources_give_the_same_bits_on_any_graph(
+            n in 10usize..600,
+            per_node in 1usize..6,
+            seed in 0u64..1 << 20,
+            workers in 1usize..=4,
+        ) {
+            let g = random_graph(n, n * per_node, seed);
+            let blocks = V4Config { rows_per_block: 16, edges_per_block: 64 };
+            let image = open(graph_to_bytes_v4_with(&g, blocks).unwrap());
+            let workers = workers.min(image.block_count(Orientation::In));
+            let config = PageRankConfig::default();
+            let specs: Vec<JumpSpec> = jumps(n).iter().map(|jump| jump.spec(n).unwrap()).collect();
+            let source = BlockSource::new(&image, workers);
+            let out = |x| g.out_degree(x) as f64;
+            let mut coef: Vec<f64> =
+                g.nodes().map(|x| if out(x) > 0.0 { config.damping / out(x) } else { 0.0 }).collect();
+            let (streamed, _) = sweep_blocks::<2>(&source, &mut coef, &specs, &config).unwrap();
+            let resident = CsrRows::new(&g, config.damping, source.rows.clone());
+            let resident = solve_cold::<2>(&specs, &config, &resident).unwrap();
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            for (j, (r, s)) in resident.iter().zip(&streamed).enumerate() {
+                proptest::prop_assert_eq!(bits(&r.scores), bits(&s.scores), "column {}", j);
+                proptest::prop_assert_eq!(r.iterations, s.iterations, "column {}", j);
+                proptest::prop_assert_eq!(r.residual.to_bits(), s.residual.to_bits());
             }
         }
     }

@@ -4,9 +4,8 @@ use proptest::prelude::*;
 use spammass_graph::{Graph, GraphBuilder, NodeId, NodeOrdering, Permutation};
 use spammass_pagerank::batch::{solve_batch, solve_batch_warm};
 use spammass_pagerank::contribution::{contribution_of_node, contribution_of_set};
-use spammass_pagerank::partition::GROUP_IDS;
 use spammass_pagerank::reference::jacobi::solve_jacobi_dense_warm;
-use spammass_pagerank::{solve_batch_streamed, EdgePartition, JumpVector, PageRankConfig};
+use spammass_pagerank::{solve_batch_streamed, JumpVector, PageRankConfig};
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (2usize..=25).prop_flat_map(|n| {
@@ -20,54 +19,6 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
             b.build()
         })
     })
-}
-
-/// Graphs wider than the partition's weighing blocks, so the cut search
-/// steps over whole blocks and the weighing splits across two threads.
-fn arb_wide_graph() -> impl Strategy<Value = Graph> {
-    (1_000usize..=4_000).prop_flat_map(|n| {
-        let edge = (0..n as u32, 0..n as u32, 0..4u32);
-        proptest::collection::vec(edge, 0..12_000).prop_map(move |edges| {
-            // One edge in four points at one of a few hubs.
-            let edges: Vec<(u32, u32)> = edges
-                .into_iter()
-                .map(|(f, t, hub)| if hub == 0 { (f, t % 20) } else { (f, t) })
-                .filter(|(f, t)| f != t)
-                .collect();
-            GraphBuilder::from_edges(n, &edges)
-        })
-    })
-}
-
-/// Where the resident cut falls, worked out serially edge by edge: with
-/// `t` the total gather cost, cut `w` sits right after the first edge at
-/// which the running cost reaches `⌊t·w/parts⌋` (at 0 when that is 0).
-/// Also returns each range's cost and gathered edges.
-fn serial_cut(g: &Graph, parts: usize) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
-    let mut costs = Vec::with_capacity(g.edge_count());
-    for y in g.nodes() {
-        let srcs = g.in_neighbors(y);
-        for i in 0..srcs.len() {
-            let opens = i == 0 || srcs[i].0 / GROUP_IDS != srcs[i - 1].0 / GROUP_IDS;
-            costs.push(if g.out_degree(y) > 0 { 1 + usize::from(opens) } else { 0 });
-        }
-    }
-    let mut running = Vec::with_capacity(costs.len());
-    let mut sum = 0usize;
-    for &c in &costs {
-        sum += c;
-        running.push(sum);
-    }
-    let mut cuts = vec![0usize];
-    for w in 1..parts {
-        let target = sum * w / parts;
-        cuts.push(if target == 0 { 0 } else { running.partition_point(|&r| r < target) + 1 });
-    }
-    cuts.push(g.edge_count());
-    let ranges = cuts.windows(2).map(|c| &costs[c[0]..c[1]]);
-    let range_costs = ranges.clone().map(|r| r.iter().sum()).collect();
-    let gathered = ranges.map(|r| r.iter().filter(|&&c| c > 0).count()).collect();
-    (cuts, range_costs, gathered)
 }
 
 fn cfg() -> PageRankConfig {
@@ -267,105 +218,6 @@ proptest! {
         }
     }
 
-    /// Edge-range partitions cut `0..m` into contiguous ranges of equal
-    /// gather cost — in-edges of rows with out-links, one unit each plus
-    /// one when the source opens a new group of `GROUP_IDS` ids — never
-    /// inside a row without out-links, and assign every destination row
-    /// to exactly one worker interior **or** one merge entry, whose
-    /// pieces tile the row's in-edges in worker order — for arbitrary
-    /// graphs and part counts.
-    #[test]
-    fn edge_partition_owns_every_row_exactly_once(g in arb_graph(), parts in 1usize..=9) {
-        let n = g.node_count();
-        let m = g.edge_count();
-        let p = EdgePartition::balanced(&g, parts);
-        prop_assert_eq!(p.len(), parts);
-        let offsets = g.in_offsets();
-        let cost_at: Vec<usize> = g
-            .nodes()
-            .flat_map(|y| {
-                let srcs = g.in_neighbors(y);
-                let gathers = g.out_degree(y) > 0;
-                (0..srcs.len()).map(move |i| {
-                    let opens = i == 0 || srcs[i].0 / GROUP_IDS != srcs[i - 1].0 / GROUP_IDS;
-                    if gathers { 1 + usize::from(opens) } else { 0 }
-                })
-            })
-            .collect();
-        let total: usize = cost_at.iter().sum();
-        // Edge ranges: contiguous, disjoint, exhaustive, each within one
-        // unit of its share of the cost, gathered edges and cost reported.
-        let mut next = 0usize;
-        for w in 0..parts {
-            let r = p.edge_range(w);
-            prop_assert_eq!(r.start, next);
-            next = r.end;
-            let cost: usize = cost_at[r.clone()].iter().sum();
-            let share = total * (w + 1) / parts - total * w / parts;
-            prop_assert!(cost.abs_diff(share) <= 1,
-                "worker {} costs {} of {} over {} parts", w, cost, total, parts);
-            prop_assert_eq!(p.chunk_costs()[w], cost);
-            prop_assert_eq!(p.chunk_edges()[w], cost_at[r.clone()].iter().filter(|&&c| c > 0).count());
-            if w > 0 {
-                let inside = (0..n).find(|&y| (offsets[y] as usize) < r.start
-                    && r.start < offsets[y + 1] as usize);
-                if let Some(y) = inside {
-                    prop_assert!(g.out_degree(NodeId(y as u32)) > 0,
-                        "cut {} inside row {} without out-links", r.start, y);
-                }
-            }
-        }
-        prop_assert_eq!(next, m);
-        // Row ownership: interior XOR merge entry, exactly once each.
-        let mut owner = vec![0u32; n];
-        for w in 0..parts {
-            for y in p.interior(w) {
-                owner[y] += 1;
-            }
-        }
-        for e in p.merge_entries() {
-            owner[e.node] += 1;
-            // The entry's pieces tile the row's in-edge range in order.
-            let mut cursor = offsets[e.node] as usize;
-            let mut last_w: Option<usize> = None;
-            for &(w, slot) in &e.parts {
-                prop_assert!(last_w.is_none_or(|lw| w > lw), "parts out of worker order");
-                last_w = Some(w);
-                let piece = p.pieces(w)[slot].as_ref().expect("merge entry names a live piece");
-                prop_assert_eq!(piece.node, e.node);
-                prop_assert_eq!(piece.edges.start, cursor);
-                cursor = piece.edges.end;
-            }
-            prop_assert_eq!(cursor, offsets[e.node + 1] as usize,
-                "pieces do not tile row {}", e.node);
-        }
-        for (y, &count) in owner.iter().enumerate() {
-            prop_assert_eq!(count, 1u32, "row {} owned {} times", y, count);
-        }
-    }
-
-    /// The cut is the serial one: the weighing pass on two threads and the
-    /// block-at-a-time search put every cut, and report every range's
-    /// cost and gathered edges, exactly where a serial walk over the
-    /// edges' running cost does — on small graphs and on graphs many
-    /// weighing blocks wide.
-    #[test]
-    fn the_cut_is_the_serial_running_sum_cut(
-        small in arb_graph(),
-        wide in arb_wide_graph(),
-    ) {
-        for g in [&small, &wide] {
-            for parts in 1usize..=4 {
-                let p = EdgePartition::balanced(g, parts);
-                let (cuts, costs, gathered) = serial_cut(g, parts);
-                let got: Vec<usize> = (0..parts).map(|w| p.edge_range(w).start).chain([g.edge_count()]).collect();
-                prop_assert_eq!(&got, &cuts, "{} parts", parts);
-                prop_assert_eq!(p.chunk_costs(), costs);
-                prop_assert_eq!(p.chunk_edges(), gathered);
-            }
-        }
-    }
-
     /// Solves are bit-for-bit deterministic across repeated runs.
     #[test]
     fn solves_are_deterministic(g in arb_graph()) {
@@ -406,12 +258,12 @@ proptest! {
     // Each case runs several 40k-node pooled solves; keep the count low.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The merge phase is deterministic: a fixed thread count reproduces
+    /// Pooled solves are deterministic: a fixed thread count reproduces
     /// scores bit-for-bit across runs, and different thread counts agree
-    /// to ≤ 1e-12 (the cut moves the partial-sum association, not the
-    /// fixed point).
+    /// to ≤ 1e-12 (the cut moves which reads are fresh, not the fixed
+    /// point).
     #[test]
-    fn merge_is_deterministic_and_thread_count_invariant(
+    fn pooled_solves_are_deterministic_and_thread_count_invariant(
         seed in 0u64..1 << 20, t1 in 2usize..=4, t2 in 2usize..=4
     ) {
         let g = pooled_random_graph(seed);
@@ -737,9 +589,8 @@ fn row_kinds_cell() {
 }
 
 /// The `c = 0` cell of [`engine_parity_table`]: `p = v` exactly. No row
-/// has a contribution, so every row with in-edges is terminal — at 2 and
-/// 4 workers some of them straddle a cut, and the finish round gathers
-/// them whole — and the solve stops after its first sweep.
+/// has a contribution, so every row with in-edges is terminal and the
+/// finish round gathers it, and the solve stops after its first sweep.
 fn no_damping_cell() {
     use spammass_graph::{graph_to_bytes_v4_with, CompressedImage, V4Config};
 
@@ -755,9 +606,6 @@ fn no_damping_cell() {
     ))
     .unwrap();
     for threads in [1usize, 2, 4] {
-        if threads > 1 {
-            assert!(!EdgePartition::balanced(&g, threads).merge_entries().is_empty());
-        }
         let cfg_t = undamped.threads(threads);
         let resident = solve_batch(&g, &jumps, &cfg_t).unwrap();
         let streamed = solve_batch_streamed(&image, &jumps, &cfg_t, u64::MAX).unwrap();

@@ -93,7 +93,8 @@ impl Shared {
 }
 
 /// A running query daemon. Dropping it stops the accept threads and the
-/// background reload pass.
+/// background reload pass: a keep-alive connection ends after its next
+/// response, or once it has been idle for the 10 s read timeout.
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
@@ -237,7 +238,10 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
         if !status.starts_with("200") {
             obs::counter(obs::names::SERVE_ERRORS, 1.0);
         }
-        let keep_alive = request.keep_alive;
+        // Once the daemon is stopping, answer and close: a client that
+        // keeps sending on one connection must not hold its accept
+        // thread, and so `Server::drop`, past its next response.
+        let keep_alive = request.keep_alive && !shared.stop.load(Ordering::Acquire);
         write_response(reader.get_mut(), status, content_type, &body, keep_alive)?;
         if !keep_alive {
             return Ok(());

@@ -6,7 +6,10 @@
 //! alternates with `/topk?k=1`, whose answer comes from the rank index
 //! built with the snapshot: its top host must be the generation's own.
 //!
-//! The second case pins what keeps an *old* reader safe through those
+//! The second case pins that the daemon stops: dropping the server ends
+//! a keep-alive connection whose client never pauses, within seconds.
+//!
+//! The third case pins what keeps an *old* reader safe through those
 //! swaps: a snapshot serves its graph out of a mapping of
 //! `gen-N/graph.bin`, and retention prunes `gen-N/` two publishes later.
 //! Unlink-while-mapped must leave the mapping fully readable.
@@ -20,9 +23,9 @@ use spammass_serve::{Reloader, ServeOptions, Server, Snapshot};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 const DAMPING: f64 = 0.85;
 const NODES: usize = 4;
@@ -58,25 +61,66 @@ fn publish(state: &StateDir, row: usize) -> u64 {
 
 /// One keep-alive HTTP GET; returns (status, body).
 fn get(reader: &mut BufReader<TcpStream>, path: &str) -> (u16, String) {
+    try_get(reader, path).unwrap()
+}
+
+/// [`get`], with a closed or broken connection as an error.
+fn try_get(reader: &mut BufReader<TcpStream>, path: &str) -> std::io::Result<(u16, String)> {
+    let broken =
+        |what: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, what.to_string());
     let request = format!("GET {path} HTTP/1.1\r\nHost: swap-test\r\n\r\n");
-    reader.get_mut().write_all(request.as_bytes()).unwrap();
+    reader.get_mut().write_all(request.as_bytes())?;
     let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    let status: u16 = line.split_whitespace().nth(1).expect("status line").parse().unwrap();
+    reader.read_line(&mut line)?;
+    let status: u16 = line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| broken("no status line"))?;
     let mut content_length = 0usize;
     loop {
         let mut header = String::new();
-        reader.read_line(&mut header).unwrap();
+        if reader.read_line(&mut header)? == 0 {
+            return Err(broken("headers cut short"));
+        }
         if header == "\r\n" || header == "\n" {
             break;
         }
         if let Some(v) = header.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().unwrap();
+            content_length = v.trim().parse().map_err(|_| broken("bad content-length"))?;
         }
     }
     let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).unwrap();
-    (status, String::from_utf8(body).unwrap())
+    reader.read_exact(&mut body)?;
+    String::from_utf8(body).map(|body| (status, body)).map_err(|_| broken("body not UTF-8"))
+}
+
+/// Held by every test that starts a daemon: the process has one
+/// [`spammass_serve::serving_addr`].
+static DAEMON: Mutex<()> = Mutex::new(());
+
+/// Sets its flag when dropped. Declared after the server, it stops the
+/// test's clients before the server's drop waits for their connections,
+/// so a failed assertion reports instead of hanging.
+struct StopOnDrop(Arc<AtomicBool>);
+
+impl Drop for StopOnDrop {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
+fn start_server(state: &StateDir) -> Server {
+    let detector = DetectorConfig { rho: 1.0, tau: 0.5 };
+    let reloader = Reloader::new(state.clone(), None, detector, 0.85, DAMPING, 1);
+    // Long poll: every swap in these tests is driven by GET /reload, so
+    // the sequence of generations is deterministic.
+    let options = ServeOptions {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 4,
+        poll: Duration::from_secs(600),
+    };
+    Server::start(options, reloader).expect("server starts")
 }
 
 fn connect(addr: std::net::SocketAddr) -> BufReader<TcpStream> {
@@ -87,25 +131,18 @@ fn connect(addr: std::net::SocketAddr) -> BufReader<TcpStream> {
 
 #[test]
 fn responses_stay_consistent_across_repeated_swaps() {
+    let _daemon = DAEMON.lock().unwrap_or_else(|e| e.into_inner());
     let dir = tmpdir("hammer");
     let state = StateDir::new(&dir);
     assert_eq!(publish(&state, 0), 1);
 
-    let detector = DetectorConfig { rho: 1.0, tau: 0.5 };
-    let reloader = Reloader::new(state.clone(), None, detector, 0.85, DAMPING, 1);
-    // Long poll: every swap in this test is driven by GET /reload, so
-    // the sequence of generations is deterministic.
-    let options = ServeOptions {
-        addr: "127.0.0.1:0".to_string(),
-        threads: 4,
-        poll: Duration::from_secs(600),
-    };
-    let server = Server::start(options, reloader).expect("server starts");
+    let server = start_server(&state);
     let addr = server.local_addr();
     assert_eq!(server.current_generation(), 1);
 
     let scale = NODES as f64 / (1.0 - DAMPING);
     let stop = Arc::new(AtomicBool::new(false));
+    let _stop_readers = StopOnDrop(stop.clone());
     let readers: Vec<_> = (0..3)
         .map(|id| {
             let stop = stop.clone();
@@ -200,6 +237,55 @@ fn responses_stay_consistent_across_repeated_swaps() {
     // idle timeout.
     drop(control);
     drop(server);
+    assert!(spammass_serve::serving_addr().is_none());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn dropping_the_server_ends_a_busy_keep_alive_connection() {
+    let _daemon = DAEMON.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = tmpdir("busy");
+    let state = StateDir::new(&dir);
+    assert_eq!(publish(&state, 0), 1);
+    let server = start_server(&state);
+    let addr = server.local_addr();
+
+    // A client that never pauses: request after request on one
+    // keep-alive connection, until it is told to stop or the server
+    // closes the connection.
+    let stop = Arc::new(AtomicBool::new(false));
+    let answered = Arc::new(AtomicUsize::new(0));
+    let client = {
+        let (stop, answered) = (stop.clone(), answered.clone());
+        std::thread::spawn(move || {
+            let mut reader = connect(addr);
+            while !stop.load(Ordering::Acquire) {
+                match try_get(&mut reader, "/score?node=0") {
+                    Ok((200, _)) => answered.fetch_add(1, Ordering::Relaxed),
+                    _ => break,
+                };
+            }
+        })
+    };
+    let busy = Instant::now();
+    while answered.load(Ordering::Relaxed) < 20 {
+        assert!(busy.elapsed() < Duration::from_secs(10), "the client is not being served");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // Drop on a helper thread, so a drop that never ends fails the test
+    // instead of hanging it; then stop the client whatever happened,
+    // which lets such a drop end too.
+    let (dropped_tx, dropped_rx) = std::sync::mpsc::channel();
+    let dropper = std::thread::spawn(move || {
+        drop(server);
+        let _ = dropped_tx.send(());
+    });
+    let dropped = dropped_rx.recv_timeout(Duration::from_secs(5));
+    stop.store(true, Ordering::Release);
+    client.join().expect("the client does not panic");
+    dropper.join().expect("the drop does not panic");
+    assert!(dropped.is_ok(), "dropping the server took over 5 s with a busy keep-alive client");
     assert!(spammass_serve::serving_addr().is_none());
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -187,6 +187,25 @@ for key in 'delta applied' 'warm solve' 'newly flagged' 'newly cleared' \
     || { echo "update report missing '$key'"; cat "$SMOKE_DIR/update.out"; exit 1; }
 done
 
+# same_verdicts LABEL A B: two `estimate --out` TSVs of one graph agree
+# to rounding — no flag flips (scaled p >= 10 and relative mass >= 0.98)
+# and every score within 1e-9 (the columns print p * n / (1 - c); they
+# must agree within 1e-9 * n). Columns 3-5 are scores scaled by n;
+# relative mass (6) is a ratio printed to six decimals, so one
+# last-digit flip is all it can show.
+same_verdicts() {
+  paste "$2" "$3" | awk -F'\t' -v label="$1" '
+    /^#/ { next }
+    { n++
+      for (c = 3; c <= 6; c++) { d = $c - $(c + 6); if (d < 0) d = -d; if (d > m[c]) m[c] = d }
+      if (($3 >= 10 && $6 >= 0.98) != ($9 >= 10 && $12 >= 0.98)) flips++ }
+    END {
+      bad = flips > 0 || m[6] > 1.5e-6
+      for (c = 3; c <= 5; c++) if (m[c] > 1e-9 * n) bad = 1
+      printf "%s: %d flag flips, max |d| %g %g %g %g\n", label, flips, m[3], m[4], m[5], m[6]
+      exit bad }'
+}
+
 echo "== out-of-core pipeline smoke: stream 1M hosts -> v4 -> budgeted estimate =="
 # Million-host scale end to end through the real binary: stream a
 # 1M-host scenario to edge shards (never materializing the graph in
@@ -225,18 +244,7 @@ diff -q "$SMOKE_DIR/stream-ooc.tsv" "$SMOKE_DIR/stream-mem.tsv" \
   --out "$SMOKE_DIR/stream-ooc-pool.tsv" > "$SMOKE_DIR/ooc-pool.out" 2>&1
 grep -q 'streamed solve:.* on [0-9]* worker' "$SMOKE_DIR/ooc-pool.out" \
   || { echo "pooled estimate --max-resident-mb did not name its workers"; cat "$SMOKE_DIR/ooc-pool.out"; exit 1; }
-paste "$SMOKE_DIR/stream-ooc-pool.tsv" "$SMOKE_DIR/stream-ooc.tsv" | awk -F'\t' '
-  /^#/ { next }
-  { n++
-    for (c = 3; c <= 6; c++) { d = $c - $(c + 6); if (d < 0) d = -d; if (d > m[c]) m[c] = d }
-    if (($3 >= 10 && $6 >= 0.98) != ($9 >= 10 && $12 >= 0.98)) flips++ }
-  END {
-    # Columns 3-5 are scores scaled by n; relative mass (6) is a ratio
-    # printed to six decimals, so one last-digit flip is all it can show.
-    bad = flips > 0 || m[6] > 1.5e-6
-    for (c = 3; c <= 5; c++) if (m[c] > 1e-9 * n) bad = 1
-    printf "worker count: %d flag flips, max |d| %g %g %g %g\n", flips, m[3], m[4], m[5], m[6]
-    exit bad }' \
+same_verdicts "worker count" "$SMOKE_DIR/stream-ooc-pool.tsv" "$SMOKE_DIR/stream-ooc.tsv" \
   || { echo "streamed verdicts or scores depend on the worker count"; exit 1; }
 for out in ooc ooc-pool; do
   SWEEPS="$(sed -n 's/^pagerank solve: .* \([0-9]*\) iterations.*/\1/p' "$SMOKE_DIR/$out.out")"
@@ -246,7 +254,7 @@ done
 rm -rf "$SMOKE_DIR/stream" "$SMOKE_DIR/stream.v4" "$SMOKE_DIR/stream-ooc.tsv" \
   "$SMOKE_DIR/stream-ooc-pool.tsv" "$SMOKE_DIR/stream-mem.tsv"
 
-echo "== row kinds smoke: scenario web, one worker, streamed = resident bytes =="
+echo "== row kinds smoke: scenario web, streamed = resident (bytes on one worker) =="
 # The stream web sends under 1 % of its edges into rows without
 # out-links, so the smoke above barely runs the finish round that relaxes
 # those rows once after the last sweep. The paper-shaped scenario web
@@ -267,6 +275,20 @@ grep -q 'streamed solve:' "$SMOKE_DIR/kinds-ooc.out" \
   --out "$SMOKE_DIR/kinds-mem.tsv" > /dev/null
 diff -q "$SMOKE_DIR/kinds-ooc.tsv" "$SMOKE_DIR/kinds-mem.tsv" \
   || { echo "scenario web: streamed scores diverge from the in-memory run"; exit 1; }
+# The same settings with --threads 2 --edges-per-thread 1: the resident
+# solve cuts the rows in two by gather cost; the streamed one hands each
+# worker whole blocks, and this web is one in-block, so it stays on one
+# worker. The second worker starts its fresh reads at another row, so
+# the two agree to rounding, not in bytes.
+./target/release/spammass estimate --graph "$SMOKE_DIR/kinds.v4" \
+  --core "$SMOKE_DIR/kinds-core.txt" --threads 2 --edges-per-thread 1 \
+  --out "$SMOKE_DIR/kinds-mem-2t.tsv" > /dev/null
+./target/release/spammass estimate --graph "$SMOKE_DIR/kinds.v4" \
+  --core "$SMOKE_DIR/kinds-core.txt" --threads 2 --edges-per-thread 1 \
+  --max-resident-mb 64 --out "$SMOKE_DIR/kinds-ooc-2t.tsv" > /dev/null
+same_verdicts "resident vs streamed, two workers" \
+  "$SMOKE_DIR/kinds-mem-2t.tsv" "$SMOKE_DIR/kinds-ooc-2t.tsv" \
+  || { echo "scenario web: two-worker resident and streamed verdicts diverge"; exit 1; }
 rm -f "$SMOKE_DIR"/kinds*
 
 echo "== serve smoke: daemon answers queries and folds a journal reload =="
@@ -405,7 +427,6 @@ done
 for key in spammass_pagerank_worker_0_gather_ns \
     spammass_pagerank_worker_1_gather_ns \
     spammass_pagerank_worker_0_barrier_wait_ns \
-    spammass_pagerank_merge_ns \
     spammass_pagerank_pool_sweeps spammass_pagerank_partition_imbalance \
     spammass_obs_export_scrapes; do
   printf '%s' "$METRICS" | grep -q "$key" \
