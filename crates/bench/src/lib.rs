@@ -1,16 +1,13 @@
 //! # spammass-bench
 //!
-//! Criterion benchmarks for the spam-mass reproduction. The crate's
-//! library part provides shared fixtures; the benches live in `benches/`:
+//! Criterion benchmarks for what the whole-system benchmark (`benchmark/`)
+//! cannot show. The crate's library part provides shared fixtures; the
+//! benches live in `benches/`:
 //!
-//! * `pagerank` — Jacobi vs Gauss–Seidel vs power iteration vs parallel
-//!   Jacobi (validates the paper's "linear solvers are regularly faster"
-//!   remark).
-//! * `contribution` — single-node and node-set PageRank contributions.
-//! * `mass_pipeline` — the two-PageRank mass estimation end to end.
-//! * `detection` — Algorithm 2 threshold sweeps.
-//! * `graph_build` — edge-list ingestion and CSR layout, plus I/O.
-//! * `synth_generation` — synthetic web generation.
+//! * `pagerank` — the engine against Algorithm 1 (Jacobi), and the engine
+//!   at one and four threads on a ≥1M-edge web.
+//! * `layout` — natural against degree node order, one and four threads,
+//!   and the zero-copy load of a v3 image.
 //! * `fig4_pipeline`, `fig5_cores`, `fig6_distribution` — regeneration
 //!   cost of the corresponding paper figures.
 

@@ -1,7 +1,6 @@
 //! Subcommand implementations. Each returns the text it would print, so
 //! the commands are unit-testable without spawning processes.
 
-pub mod bench_diff;
 pub mod convert;
 pub mod detect;
 pub mod estimate;
@@ -61,7 +60,6 @@ fn dispatch_inner(args: &ParsedArgs) -> Result<String, CliError> {
         "update" => update::run(args),
         "serve" => serve::run(args),
         "fsck" => fsck::run(args),
-        "bench-diff" => bench_diff::run(args),
         other => Err(CliError::Usage(format!("unknown subcommand {other:?}"))),
     }
 }

@@ -129,7 +129,6 @@ USAGE:
   spammass update   --journal FILE --state DIR [--labels FILE] [--gamma G] [--rho R] [--tau T] [--top K] [--threads T] [--lenient N]
   spammass serve    --state DIR [--addr A] [--journal FILE] [--poll-ms MS] [--gamma G] [--rho R] [--tau T] [--damping C] [--threads T] [--max-seconds S]
   spammass fsck     --state DIR [--journal FILE] [--repair true]
-  spammass bench-diff --old FILE --new FILE [--threshold PCT] [--report-only true]
 
   --evolve K        also emit K incremental farm-growth steps as a SPAMDLT
                     delta journal (requires --journal)
@@ -161,10 +160,6 @@ USAGE:
                     beside the image as OUT.core.txt and OUT.labels.txt
                     (the labels file must name every node). A journal for
                     such an image must name its new ids
-
-  --threshold PCT   bench-diff: fail when a bench's median regressed by more
-                    than PCT percent (default 10); --report-only true prints
-                    the table but never fails
 
   solves: pagerank, estimate, detect, update and serve all run the one
   engine. A solve that hits its iteration cap is run once more — same

@@ -28,16 +28,6 @@ impl GoodCore {
         GoodCore { nodes: nodes.into_iter().collect() }
     }
 
-    /// Core selected by host-name suffixes — the Section 4.2 recipe.
-    /// `suffixes` like `["gov", "edu"]` pull in all matching hosts.
-    pub fn from_suffixes(labels: &NodeLabels, suffixes: &[&str]) -> Self {
-        let mut core = GoodCore::new();
-        for s in suffixes {
-            core.extend(labels.ids_with_suffix(s));
-        }
-        core
-    }
-
     /// Number of core members `|Ṽ⁺|`.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -164,16 +154,6 @@ mod tests {
         l.push("nasa.gov"); // 4
         l.push("politecnico.it"); // 5
         l
-    }
-
-    #[test]
-    fn suffix_assembly() {
-        let core = GoodCore::from_suffixes(&labels(), &["gov", "edu"]);
-        assert_eq!(core.len(), 3);
-        assert!(core.contains(NodeId(0)));
-        assert!(core.contains(NodeId(1)));
-        assert!(core.contains(NodeId(4)));
-        assert!(!core.contains(NodeId(2)));
     }
 
     #[test]

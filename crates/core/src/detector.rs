@@ -262,6 +262,32 @@ mod tests {
     }
 
     #[test]
+    fn detect_raw_maps_rho_through_the_scale() {
+        let pagerank = [0.1, 0.2, 0.3, 0.4];
+        let relative = [0.99, 0.5, 0.99, -2.0];
+        let at = |rho: f64, scale: f64| {
+            detect_raw(&pagerank, &relative, scale, &DetectorConfig { rho, tau: 0.98 })
+        };
+        // ρ = 2.5 on scale 10 is a raw cutoff of 0.25: nodes 2 and 3.
+        let narrow = at(2.5, 10.0);
+        assert_eq!((narrow.considered, narrow.candidates.clone()), (2, vec![NodeId(2)]));
+        // ρ = 1.5 is a raw cutoff of 0.15: node 1 joins the pool, not the
+        // flagged set.
+        let wide = at(1.5, 10.0);
+        assert_eq!((wide.considered, wide.candidates.clone()), (3, vec![NodeId(2)]));
+        assert_eq!(at(1.5, 5.0).considered, 2);
+        // No scale, or no scores: nothing is considered.
+        assert_eq!(at(1.5, 0.0).considered, 0);
+        let none = detect_raw(&[], &[], 10.0, &DetectorConfig::default());
+        assert!(none.is_empty() && none.considered == 0);
+
+        let est = fig2_estimate();
+        let config = DetectorConfig { rho: 1.5, tau: 0.5 };
+        let raw = detect_raw(&est.pagerank, &est.relative, est.scale(), &config);
+        assert_eq!(raw.candidates, detect(&est, &config).candidates);
+    }
+
+    #[test]
     fn default_config_is_paper_setting() {
         let d = DetectorConfig::default();
         assert_eq!(d.rho, 10.0);

@@ -196,6 +196,23 @@ mod tests {
     }
 
     #[test]
+    fn fast_contribution_is_exact_on_both_paper_figures() {
+        // Neither figure has a path from x back to an in-neighbour, so the
+        // one-step flow c·p_y/out(y) is the whole contribution.
+        let config = cfg();
+        let f1 = figure1(5);
+        let f2 = figure2();
+        for (graph, x) in [(&f1.graph, f1.x), (&f2.graph, f2.x)] {
+            let p = solve_uniform(graph, &config).unwrap();
+            for &y in graph.in_neighbors(x) {
+                let exact = link_contribution_exact(graph, y, x, &config).unwrap();
+                let fast = link_contribution_fast(graph, &p, config.damping, y, x);
+                assert!((exact - fast).abs() < 1e-12, "link ({y}, {x}): {exact} vs {fast}");
+            }
+        }
+    }
+
+    #[test]
     fn zero_indegree_is_good_under_both_schemes() {
         let f = figure2();
         let p = f.partition();

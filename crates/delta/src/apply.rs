@@ -95,16 +95,6 @@ impl GraphDelta {
         &self.remove_edges
     }
 
-    /// Nodes this delta adds to the good core (sorted).
-    pub fn core_additions(&self) -> &[NodeId] {
-        &self.core_add
-    }
-
-    /// Nodes this delta drops from the good core (sorted).
-    pub fn core_removals(&self) -> &[NodeId] {
-        &self.core_remove
-    }
-
     /// Net edge operations (adds + removes) in the normalized delta.
     pub fn op_count(&self) -> usize {
         self.add_edges.len() + self.remove_edges.len()
@@ -277,8 +267,9 @@ mod tests {
         ]);
         assert_eq!(d.edges_to_add(), &[(2, 3)]);
         assert_eq!(d.edges_to_remove(), &[(0, 1)]);
-        assert_eq!(d.core_additions(), &[] as &[NodeId]);
-        assert_eq!(d.core_removals(), &[NodeId(7)]);
+        let mut core = vec![NodeId(7)];
+        assert_eq!(d.apply_to_core(&mut core), (0, 1));
+        assert!(core.is_empty());
         assert!(!d.is_empty());
         assert!(GraphDelta::from_records(&[]).is_empty());
     }

@@ -353,6 +353,43 @@ mod tests {
     }
 
     #[test]
+    fn the_manifest_is_consistent_only_with_a_valid_target() {
+        let check = |generation: u64, error: Option<&str>, rebuilt_sections: usize| {
+            GenerationCheck { generation, error: error.map(String::from), rebuilt_sections }
+        };
+        let report = |manifest: Option<ManifestStatus>, generations: Vec<GenerationCheck>| {
+            StateFsck { manifest, generations, ..StateFsck::default() }
+        };
+        let two = || vec![check(1, None, 0), check(2, Some("bad crc"), 0)];
+
+        assert!(report(Some(ManifestStatus::Absent), vec![]).manifest_consistent());
+        assert!(!report(Some(ManifestStatus::Absent), two()).manifest_consistent());
+        assert!(report(Some(ManifestStatus::Ok(1)), two()).manifest_consistent());
+        assert!(!report(Some(ManifestStatus::Ok(2)), two()).manifest_consistent());
+        assert!(!report(Some(ManifestStatus::Ok(3)), two()).manifest_consistent());
+        assert!(!report(Some(ManifestStatus::Damaged("crc".into())), two()).manifest_consistent());
+        assert!(!report(None, vec![]).manifest_consistent());
+        // A rebuilt section still loads: consistent, but not healthy.
+        let rebuilt = report(Some(ManifestStatus::Ok(1)), vec![check(1, None, 2)]);
+        assert!(rebuilt.manifest_consistent());
+        assert!(!rebuilt.is_healthy());
+    }
+
+    #[test]
+    fn intact_means_valid_with_no_rebuilt_section() {
+        let check = |error: Option<&str>, rebuilt_sections: usize| GenerationCheck {
+            generation: 1,
+            error: error.map(String::from),
+            rebuilt_sections,
+        };
+        assert!(check(None, 0).is_intact());
+        let rebuilt = check(None, 1);
+        assert!(rebuilt.is_valid() && !rebuilt.is_intact());
+        let broken = check(Some("truncated"), 0);
+        assert!(!broken.is_valid() && !broken.is_intact());
+    }
+
+    #[test]
     fn clean_directory_is_healthy() {
         let (state, _) = populated("clean", 2);
         let report = check_state(&state, None).unwrap();

@@ -120,11 +120,6 @@ impl JournalWriter {
         self.records += records.len();
     }
 
-    /// Batches appended so far.
-    pub fn batch_count(&self) -> usize {
-        self.batches
-    }
-
     /// Records appended so far.
     pub fn record_count(&self) -> usize {
         self.records
@@ -639,9 +634,21 @@ mod tests {
         w.append_batch(&[]);
         w.append_batch(&[DeltaRecord::AddNode { node: NodeId(1) }]);
         w.append_batch(&[]);
-        assert_eq!(w.batch_count(), 1);
         let back = read_journal(&w.into_bytes()).unwrap();
         assert_eq!(back.len(), 1);
+    }
+
+    #[test]
+    fn record_count_tallies_every_appended_record() {
+        let mut w = JournalWriter::new();
+        assert_eq!(w.record_count(), 0);
+        for batch in sample_batches() {
+            w.append_batch(&batch);
+        }
+        w.append_batch(&[]);
+        assert_eq!(w.record_count(), 5);
+        let back = read_journal(&w.into_bytes()).unwrap();
+        assert_eq!(back.iter().map(Vec::len).sum::<usize>(), 5);
     }
 
     #[test]

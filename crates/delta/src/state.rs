@@ -793,6 +793,19 @@ mod tests {
     }
 
     #[test]
+    fn generation_names_parse_back_to_their_numbers() {
+        let state = StateDir::new(tmpdir("names"));
+        for g in [1u64, 42, 9_999, 12_345] {
+            let path = state.generation_path(g);
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap();
+            assert_eq!(StateDir::parse_generation_name(name), Some(g), "{name}");
+        }
+        for name in ["gen-", "gen-x1", "gen--1", "generation-1", "gen-1.tmp", "MANIFEST"] {
+            assert_eq!(StateDir::parse_generation_name(name), None, "{name}");
+        }
+    }
+
+    #[test]
     fn state_dir_round_trips_through_generations() {
         let dir = tmpdir("roundtrip");
         let (g, core, p, pc) = sample();

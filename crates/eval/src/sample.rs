@@ -235,6 +235,22 @@ mod tests {
     }
 
     #[test]
+    fn only_unknown_and_nonexistent_hosts_are_unjudgeable() {
+        let cfg = SampleConfig { unknown_rate: 0.3, nonexistent_rate: 0.2, seed: 3, fraction: 1.0 };
+        let s = judge_simple(&cfg);
+        let mut kinds = std::collections::BTreeSet::new();
+        for h in &s.hosts {
+            let excluded = matches!(h.judgement, Judgement::Unknown | Judgement::Nonexistent);
+            assert_eq!(h.is_judgeable(), !excluded, "{h:?}");
+            kinds.insert(format!("{:?}", h.judgement));
+        }
+        assert_eq!(kinds.len(), 4, "good, spam, unknown and non-existent all drawn: {kinds:?}");
+        let judged = s.judgeable();
+        assert!(judged.iter().all(|h| h.is_judgeable()));
+        assert_eq!(judged.len(), s.hosts.iter().filter(|h| h.is_judgeable()).count());
+    }
+
+    #[test]
     fn anomalous_classification_applies_to_good_only() {
         let s = JudgedSample::judge(
             &pool(10),

@@ -45,11 +45,6 @@ impl GraphBuilder {
         self.node_count
     }
 
-    /// Number of edges currently staged (before dedup).
-    pub fn staged_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Grows the node range to at least `node_count` nodes.
     pub fn grow_to(&mut self, node_count: usize) {
         if node_count > self.node_count {
@@ -201,7 +196,6 @@ mod tests {
     fn extend_edges_bulk() {
         let mut b = GraphBuilder::new(4);
         b.extend_edges((0..3u32).map(|i| (NodeId(i), NodeId(i + 1))));
-        assert_eq!(b.staged_edge_count(), 3);
         assert_eq!(b.build().edge_count(), 3);
     }
 }

@@ -860,4 +860,116 @@ mod tests {
         let summary_bits = (bytes.len() * 8) as f64 / (2 * g.edge_count()) as f64;
         assert!(summary_bits < 16.0, "{summary_bits} bits/edge");
     }
+
+    #[test]
+    fn the_writer_summary_describes_the_image_it_wrote() {
+        let g = sample_graph();
+        let config = V4Config { rows_per_block: 2, edges_per_block: 3 };
+        let mut writer =
+            V4Writer::new(std::io::Cursor::new(Vec::new()), g.node_count(), config).unwrap();
+        for y in g.nodes() {
+            writer.push_row(g.out_neighbors(y)).unwrap();
+        }
+        writer.finish_out().unwrap();
+        for y in g.nodes() {
+            writer.push_row(g.in_neighbors(y)).unwrap();
+        }
+        let (summary, sink) = writer.finish_into_inner().unwrap();
+        let bytes = sink.into_inner();
+        assert_eq!(bytes, graph_to_bytes_v4_with(&g, config).unwrap());
+
+        let image = CompressedImage::from_store(Arc::new(bytes)).unwrap();
+        assert_eq!(summary.file_bytes, image.file_bytes());
+        assert_eq!((summary.node_count, summary.edge_count), (6, 9));
+        let blocks = image.block_count(Orientation::Out) + image.block_count(Orientation::In);
+        assert_eq!(summary.blocks, blocks);
+        let bits = summary.bits_per_edge();
+        assert!((bits - (summary.file_bytes * 8) as f64 / 18.0).abs() < 1e-12, "{bits}");
+        let empty = V4Summary { file_bytes: 80, edge_count: 0, node_count: 3, blocks: 0 };
+        assert_eq!(empty.bits_per_edge(), 0.0);
+    }
+
+    #[test]
+    fn the_writer_refuses_rows_out_of_order() {
+        let sink = || std::io::Cursor::new(Vec::new());
+        let config = V4Config::default();
+        let row: &[NodeId] = &[NodeId(1)];
+
+        // A third row on a two-node image.
+        let mut w = V4Writer::new(sink(), 2, config).unwrap();
+        w.push_row(row).unwrap();
+        w.push_row(&[]).unwrap();
+        assert!(w.push_row(&[]).is_err());
+
+        // The out side closed before every row arrived, then twice.
+        let mut w = V4Writer::new(sink(), 2, config).unwrap();
+        w.push_row(row).unwrap();
+        assert!(w.finish_out().is_err());
+        w.push_row(&[]).unwrap();
+        w.finish_out().unwrap();
+        assert!(w.finish_out().is_err());
+
+        // The in side short of rows, then disagreeing on the edge count.
+        w.push_row(&[]).unwrap();
+        assert!(w.finish().is_err());
+        let mut w = V4Writer::new(sink(), 2, config).unwrap();
+        w.push_row(row).unwrap();
+        w.push_row(&[]).unwrap();
+        w.finish_out().unwrap();
+        w.push_row(&[]).unwrap();
+        w.push_row(&[]).unwrap();
+        assert!(w.finish().is_err());
+
+        assert!(
+            V4Writer::new(sink(), 2, V4Config { rows_per_block: 0, edges_per_block: 1 }).is_err()
+        );
+    }
+
+    #[test]
+    fn the_block_index_tiles_every_row_and_edge() {
+        let g = sample_graph();
+        let config = V4Config { rows_per_block: 2, edges_per_block: 3 };
+        let image =
+            CompressedImage::from_store(Arc::new(graph_to_bytes_v4_with(&g, config).unwrap()))
+                .unwrap();
+        let mut widest = (0, 0);
+        for orientation in [Orientation::Out, Orientation::In] {
+            let (mut next_row, mut edges) = (0, 0);
+            for idx in 0..image.block_count(orientation) {
+                let rows = image.block_rows(orientation, idx);
+                let (row_count, edge_count, len) = image.block_dims(orientation, idx);
+                assert_eq!(rows.start, next_row, "{orientation:?} block {idx}");
+                assert_eq!(rows.len(), row_count, "{orientation:?} block {idx}");
+                assert!(len > 0 && (len as u64) < image.file_bytes());
+                next_row = rows.end;
+                edges += edge_count;
+                widest = (widest.0.max(row_count), widest.1.max(edge_count));
+            }
+            assert_eq!(next_row, g.node_count(), "{orientation:?}");
+            assert_eq!(edges, g.edge_count(), "{orientation:?}");
+        }
+        assert_eq!(image.max_block_dims(), widest);
+    }
+
+    #[test]
+    fn decoding_counts_the_encoded_bytes_it_reads() {
+        let g = sample_graph();
+        let config = V4Config { rows_per_block: 2, edges_per_block: 3 };
+        let image =
+            CompressedImage::from_store(Arc::new(graph_to_bytes_v4_with(&g, config).unwrap()))
+                .unwrap();
+        assert_eq!(image.encoded_bytes_read(), 0);
+        let mut scratch = BlockScratch::default();
+        image.decode_block(Orientation::In, 1, &mut scratch).unwrap();
+        let one = image.block_dims(Orientation::In, 1).2 as u64;
+        assert_eq!(image.encoded_bytes_read(), one);
+
+        let payload: u64 = [Orientation::Out, Orientation::In]
+            .into_iter()
+            .flat_map(|o| (0..image.block_count(o)).map(move |idx| (o, idx)))
+            .map(|(o, idx)| image.block_dims(o, idx).2 as u64)
+            .sum();
+        image.decode_graph().unwrap();
+        assert_eq!(image.encoded_bytes_read(), one + payload);
+    }
 }

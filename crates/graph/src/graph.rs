@@ -543,12 +543,6 @@ impl Graph {
         // `edges()` yields in sorted unique order already.
         Graph::from_sorted_unique_edges(self.node_count, &edges)
     }
-
-    /// Approximate heap footprint in bytes (CSR arrays only).
-    pub fn heap_size_bytes(&self) -> usize {
-        (self.out_offsets.len() + self.in_offsets.len()) * std::mem::size_of::<u32>()
-            + (self.out_targets.len() + self.in_sources.len()) * std::mem::size_of::<NodeId>()
-    }
 }
 
 /// Pre-counting validation of the fallible CSR constructor: edge count
@@ -761,13 +755,6 @@ mod tests {
             filtered.dangling_nodes().collect::<Vec<_>>(),
             rebuilt.dangling_nodes().collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn heap_size_reasonable() {
-        let g = diamond();
-        // 2*(5 offsets)*4 bytes + 2*(4 edges)*4 bytes
-        assert_eq!(g.heap_size_bytes(), 2 * 5 * 4 + 2 * 4 * 4);
     }
 
     #[test]

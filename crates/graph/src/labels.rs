@@ -129,18 +129,6 @@ impl NodeLabels {
         self.index.get(&host.trim().to_ascii_lowercase()).copied()
     }
 
-    /// All node ids whose host has the given suffix (e.g. `"gov"`, `"edu"`,
-    /// `"alibaba.com"`). This is the Section 4.2 core-selection primitive.
-    pub fn ids_with_suffix(&self, suffix: &str) -> Vec<NodeId> {
-        let suffix = suffix.trim().to_ascii_lowercase();
-        self.names
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| h.has_suffix(&suffix))
-            .map(|(i, _)| NodeId::from_index(i))
-            .collect()
-    }
-
     /// Iterator over `(id, host)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &HostName)> {
         self.names.iter().enumerate().map(|(i, h)| (NodeId::from_index(i), h))
@@ -210,18 +198,6 @@ mod tests {
         let again = l.push("X.COM");
         assert_eq!(a, again);
         assert_eq!(l.len(), 1);
-    }
-
-    #[test]
-    fn suffix_query_selects_core_hosts() {
-        let mut l = NodeLabels::new();
-        l.push("www.irs.gov");
-        l.push("cs.stanford.edu");
-        l.push("spam.biz");
-        l.push("nasa.gov");
-        let gov = l.ids_with_suffix("gov");
-        assert_eq!(gov, vec![NodeId(0), NodeId(3)]);
-        assert_eq!(l.ids_with_suffix("edu"), vec![NodeId(1)]);
     }
 
     #[test]

@@ -219,6 +219,18 @@ mod tests {
     }
 
     #[test]
+    fn bin_center_is_the_geometric_middle_of_its_bin() {
+        let h = LogBinnedHistogram::build(vec![1.0, 30.0].into_iter(), 0.5, 4.0);
+        for k in 0..h.counts.len() {
+            let (lo, hi) = (h.bin_lower(k), h.bin_lower(k + 1));
+            let center = h.bin_center(k);
+            assert!(lo < center && center < hi, "bin {k}: {center} outside [{lo}, {hi})");
+            assert!((center * center - lo * hi).abs() < 1e-9 * hi * hi, "bin {k}");
+        }
+        assert!((h.bin_center(0) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
     fn density_is_width_normalized() {
         let h = LogBinnedHistogram::build(vec![1.0, 2.0].into_iter(), 1.0, 2.0);
         // bin0 width 1, bin1 width 2, each holds half the samples.

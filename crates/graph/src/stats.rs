@@ -91,34 +91,10 @@ fn ratio(num: usize, den: usize) -> f64 {
     }
 }
 
-/// Histogram of a degree sequence: `histogram[d]` = number of nodes with
-/// degree `d`.
-pub fn degree_histogram(degrees: impl Iterator<Item = usize>) -> Vec<usize> {
-    let mut hist = Vec::new();
-    for d in degrees {
-        if d >= hist.len() {
-            hist.resize(d + 1, 0);
-        }
-        hist[d] += 1;
-    }
-    hist
-}
-
-/// In-degree histogram of `g`.
-pub fn in_degree_histogram(g: &Graph) -> Vec<usize> {
-    degree_histogram(g.nodes().map(|x| g.in_degree(x)))
-}
-
-/// Out-degree histogram of `g`.
-pub fn out_degree_histogram(g: &Graph) -> Vec<usize> {
-    degree_histogram(g.nodes().map(|x| g.out_degree(x)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
-    use crate::node::NodeId;
 
     #[test]
     fn stats_on_small_graph() {
@@ -151,18 +127,5 @@ mod tests {
         assert_eq!(s.nodes, 0);
         assert_eq!(s.mean_degree, 0.0);
         assert_eq!(s.isolated_fraction(), 0.0);
-    }
-
-    #[test]
-    fn histograms() {
-        let g = GraphBuilder::from_edges(4, &[(0, 1), (0, 2), (1, 2)]);
-        assert_eq!(out_degree_histogram(&g), vec![2, 1, 1]); // deg0:{2,3} deg1:{1} deg2:{0}
-        assert_eq!(in_degree_histogram(&g), vec![2, 1, 1]); // deg0:{0,3} deg1:{1} deg2:{2}
-        let _ = NodeId(0); // silence unused import on some cfgs
-    }
-
-    #[test]
-    fn histogram_empty_input() {
-        assert!(degree_histogram(std::iter::empty()).is_empty());
     }
 }

@@ -151,16 +151,6 @@ impl Histogram {
         }
     }
 
-    /// Samples below the bucket range (including zero and negatives).
-    pub fn below_range(&self) -> u64 {
-        self.below
-    }
-
-    /// Samples at or above the top of the bucket range.
-    pub fn above_range(&self) -> u64 {
-        self.above
-    }
-
     /// NaN/∞ samples (excluded from every other statistic).
     pub fn non_finite(&self) -> u64 {
         self.non_finite
@@ -286,8 +276,9 @@ mod tests {
         h.record(1e12);
         h.record(f64::NAN);
         h.record(f64::INFINITY);
-        assert_eq!(h.below_range(), 3);
-        assert_eq!(h.above_range(), 1);
+        let j = h.to_json();
+        assert_eq!(j.get("below").unwrap().as_f64(), Some(3.0));
+        assert_eq!(j.get("above").unwrap().as_f64(), Some(1.0));
         assert_eq!(h.non_finite(), 2);
         // Finite samples still contribute to the summary stats.
         assert_eq!(h.count(), 4);

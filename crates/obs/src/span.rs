@@ -123,12 +123,6 @@ pub fn span(name: &str) -> Span {
 }
 
 impl Span {
-    /// Whether this span is actually measuring (a collector was
-    /// installed, or the flight recorder was on, when it opened).
-    pub fn is_active(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// Records (or accumulates into) a counter scoped to this span.
     pub fn record(&mut self, key: &str, value: f64) {
         if let Some(active) = &mut self.0 {
@@ -191,7 +185,6 @@ mod tests {
     #[test]
     fn inert_without_collector() {
         let mut s = span("nobody-listening");
-        assert!(!s.is_active());
         s.record("k", 1.0);
         drop(s);
         STACK.with(|st| assert!(st.borrow().is_empty()));

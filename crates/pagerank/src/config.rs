@@ -79,12 +79,6 @@ impl PageRankConfig {
         }
         Ok(())
     }
-
-    /// The scaling constant `n/(1−c)` that maps raw scores to the paper's
-    /// human-readable scale where a node without inlinks scores 1.
-    pub fn scale_factor(&self, node_count: usize) -> f64 {
-        node_count as f64 / (1.0 - self.damping)
-    }
 }
 
 #[cfg(test)]
@@ -114,12 +108,5 @@ mod tests {
         assert!(PageRankConfig::default().tolerance(0.0).validate().is_err());
         assert!(PageRankConfig::default().tolerance(f64::NAN).validate().is_err());
         assert!(PageRankConfig::default().max_iterations(0).validate().is_err());
-    }
-
-    #[test]
-    fn scale_factor_formula() {
-        let c = PageRankConfig::default();
-        // n / (1 - c) with n = 12, c = 0.85 -> 80.
-        assert!((c.scale_factor(12) - 80.0).abs() < 1e-9);
     }
 }

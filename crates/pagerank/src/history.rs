@@ -102,11 +102,6 @@ impl ResidualHistory {
         self.stride
     }
 
-    /// Whether thinning has occurred (the series is no longer exhaustive).
-    pub fn is_decimated(&self) -> bool {
-        self.stride > 1
-    }
-
     /// The most recent residual.
     pub fn last(&self) -> Option<f64> {
         self.last.map(|(_, r)| r)
@@ -162,7 +157,7 @@ mod tests {
         for i in 1..=10 {
             h.push(1.0 / i as f64);
         }
-        assert!(!h.is_decimated());
+        assert_eq!(h.stride(), 1);
         assert_eq!(h.observed(), 10);
         assert_eq!(h.samples().len(), 10);
         assert_eq!(h.samples()[0], (1, 1.0));
@@ -176,7 +171,6 @@ mod tests {
         for i in 1..=1000 {
             h.push(1000.0 - i as f64);
         }
-        assert!(h.is_decimated());
         assert_eq!(h.observed(), 1000);
         assert!(h.samples().len() < 8, "{}", h.samples().len());
         // Stride is a power of two and samples sit on the lattice.

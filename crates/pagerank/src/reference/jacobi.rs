@@ -183,7 +183,7 @@ mod tests {
         // Paper convention: scaled score of a node without inlinks is 1.
         let g = GraphBuilder::from_edges(2, &[(0, 1)]);
         let r = solve_jacobi(&g, &JumpVector::Uniform, &cfg()).unwrap();
-        let scale = cfg().scale_factor(2);
+        let scale = 2.0 / (1.0 - cfg().damping);
         assert!((r.scores[0] * scale - 1.0).abs() < 1e-9);
         // Node 1 receives c * p0 / 1: scaled 1 + c.
         assert!((r.scores[1] * scale - 1.85).abs() < 1e-9);

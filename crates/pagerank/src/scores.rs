@@ -51,17 +51,6 @@ impl<'a> PageRankScores<'a> {
         self.raw[x.index()] * self.scale()
     }
 
-    /// All scores scaled by `n/(1−c)`.
-    pub fn scaled_vec(&self) -> Vec<f64> {
-        let s = self.scale();
-        self.raw.iter().map(|&p| p * s).collect()
-    }
-
-    /// L1 norm `‖p‖` of the raw scores.
-    pub fn norm_l1(&self) -> f64 {
-        self.raw.iter().map(|p| p.abs()).sum()
-    }
-
     /// The `k` highest-scoring nodes, descending (ties by ascending id).
     ///
     /// Uses [`f64::total_cmp`], so the ordering is total even if NaN scores
@@ -72,13 +61,6 @@ impl<'a> PageRankScores<'a> {
         let mut idx: Vec<usize> = (0..self.raw.len()).collect();
         idx.sort_by(|&a, &b| self.raw[b].total_cmp(&self.raw[a]).then(a.cmp(&b)));
         idx.into_iter().take(k).map(|i| (NodeId::from_index(i), self.raw[i])).collect()
-    }
-
-    /// Count of nodes whose **scaled** score is at least `threshold` — the
-    /// size of the paper's candidate pool `T` for a given ρ.
-    pub fn count_scaled_at_least(&self, threshold: f64) -> usize {
-        let cutoff = threshold / self.scale();
-        self.raw.iter().filter(|&&p| p >= cutoff).count()
     }
 }
 
@@ -92,7 +74,6 @@ mod tests {
         let s = PageRankScores::new(&raw, 0.85);
         assert!((s.scale() - 80.0).abs() < 1e-12);
         assert!((s.scaled(NodeId(0)) - raw[0] * 80.0).abs() < 1e-12);
-        assert_eq!(s.scaled_vec().len(), 12);
     }
 
     #[test]
@@ -119,19 +100,9 @@ mod tests {
     }
 
     #[test]
-    fn count_above_threshold() {
-        // n = 4, c = 0.85 -> scale ~26.67; raw 0.5 -> scaled 13.3.
-        let raw = vec![0.5, 0.1, 0.4, 0.01];
-        let s = PageRankScores::new(&raw, 0.85);
-        let n_big = s.count_scaled_at_least(10.0);
-        assert_eq!(n_big, 2); // 0.5 and 0.4 scale above 10
-    }
-
-    #[test]
-    fn norms_and_emptiness() {
+    fn length_and_emptiness() {
         let raw = vec![0.25, 0.25];
         let s = PageRankScores::new(&raw, 0.85);
-        assert!((s.norm_l1() - 0.5).abs() < 1e-12);
         assert!(!s.is_empty());
         assert_eq!(s.len(), 2);
         let empty = PageRankScores::new(&[], 0.85);

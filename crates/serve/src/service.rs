@@ -312,6 +312,19 @@ mod tests {
     }
 
     #[test]
+    fn batch_rows_are_the_score_rows() {
+        let snap = snapshot();
+        let reparse = |doc: Json| Json::parse(&doc.render()).unwrap();
+        let batched = reparse(batch(&snap, &request("/batch?nodes=0,1,2,3")).unwrap());
+        let rows = batched.get("results").and_then(Json::as_arr).unwrap();
+        for (node, row) in rows.iter().enumerate() {
+            let single = reparse(score(&snap, &request(&format!("/score?node={node}"))).unwrap());
+            assert_eq!(single.get("generation"), batched.get("generation"));
+            assert_eq!(single.get("score"), Some(row), "node {node}");
+        }
+    }
+
+    #[test]
     fn topk_ranks_and_validates() {
         let snap = snapshot();
         let doc = topk(&snap, &request("/topk?k=2")).unwrap();

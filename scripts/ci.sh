@@ -16,63 +16,27 @@ cargo fmt --check
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== bench smoke: cargo bench -- --test =="
-# One iteration per benchmark; catches bench-target bitrot without the
-# cost of a timed run (scripts/bench.sh does the real measurements).
-cargo bench -p spammass-bench --bench pagerank --bench mass_pipeline -- --test
-
-echo "== bench smoke: incremental warm-vs-cold agreement =="
-# The incremental bench asserts warm/cold detection identity and the
-# iteration saving before timing anything; a small scenario keeps the
-# gate fast while still exercising the full journal -> update path.
-INCR_HOSTS=10000 cargo bench -p spammass-bench --bench incremental -- --test
-
-echo "== bench smoke: layout reorder/zero-copy verification =="
-# The layout bench asserts degree-ordered score agreement and zero-copy
-# mmap loading before timing anything; timing thresholds only apply to
-# real `scripts/bench.sh` runs. The BENCH_LAYOUT line must carry every
-# key the bench report schema promises.
-LAYOUT_SMOKE="$(mktemp)"
-LAYOUT_HOSTS=20000 cargo bench -p spammass-bench --bench layout -- --test \
-  | tee "$LAYOUT_SMOKE"
+echo "== bench smoke: every kept bench, one iteration each =="
+# One iteration per benchmark catches bench-target bitrot without the
+# cost of a timed run (scripts/bench.sh does the real measurements). The
+# layout bench asserts degree-ordered score agreement and zero-copy mmap
+# loading before timing anything, and its BENCH_LAYOUT line must carry
+# every key BENCH_layout.json promises.
+BENCH_SMOKE="$(mktemp)"
+LAYOUT_HOSTS=20000 cargo bench -p spammass-bench --benches -- --test | tee "$BENCH_SMOKE"
 for key in '"natural_ms"' '"degree_ms"' '"best_speedup_pct"' \
     '"fused_1t_ms"' '"fused_4t_ms"' '"pool_threads_4t"' \
     '"mmap_load_ms"' '"zero_copy": true'; do
-  grep '^BENCH_LAYOUT ' "$LAYOUT_SMOKE" | grep -q "$key" \
-    || { echo "BENCH_LAYOUT line missing $key"; rm -f "$LAYOUT_SMOKE"; exit 1; }
+  grep '^BENCH_LAYOUT ' "$BENCH_SMOKE" | grep -q "$key" \
+    || { echo "BENCH_LAYOUT line missing $key"; rm -f "$BENCH_SMOKE"; exit 1; }
 done
-rm -f "$LAYOUT_SMOKE"
-
-echo "== bench smoke: serve daemon QPS/latency line =="
-# The serve bench verifies schema tags, generation, and score/batch
-# agreement against a live server before timing; the BENCH_SERVE line
-# must carry QPS and p50/p99 at one and N client threads.
-SERVE_SMOKE="$(mktemp)"
-SERVE_HOSTS=2000 SERVE_REQS=300 \
-  cargo bench -p spammass-bench --bench serve -- --test | tee "$SERVE_SMOKE"
-for key in '"qps_1t"' '"p50_ns_1t"' '"p99_ns_1t"' \
-    '"qps_nt"' '"p50_ns_nt"' '"p99_ns_nt"'; do
-  grep '^BENCH_SERVE ' "$SERVE_SMOKE" | grep -q "$key" \
-    || { echo "BENCH_SERVE line missing $key"; rm -f "$SERVE_SMOKE"; exit 1; }
+rm -f "$BENCH_SMOKE"
+# The checked-in ledgers: the engine's 1- and 4-thread scaling rows and
+# the layout record.
+for key in 'pagerank_scaling/fused_1t' 'pagerank_scaling/fused_4t'; do
+  grep -q "$key" BENCH_pagerank.json || { echo "BENCH_pagerank.json missing $key"; exit 1; }
 done
-rm -f "$SERVE_SMOKE"
-
-echo "== bench smoke: scale compression / out-of-core verification =="
-# The scale bench asserts streamed-vs-resident score parity before
-# timing anything (the ≤8 bits/edge encoding gate applies to timed
-# runs); smoke mode checks the BENCH_SCALE record carries every key
-# BENCH_scale.json promises.
-SCALE_SMOKE="$(mktemp)"
-SCALE_HOSTS=20000 cargo bench -p spammass-bench --bench scale -- --test \
-  | tee "$SCALE_SMOKE"
-for key in '"bits_per_edge"' '"compression_ratio"' '"v3_bytes"' '"v4_bytes"' \
-    '"budget_bytes"' '"csr_bytes"' '"resident_solve_ms"' \
-    '"streamed_solve_ms"' '"streamed_default_ms"' \
-    '"streamed_over_resident_1t"' '"peak_rss_mb"'; do
-  grep '^BENCH_SCALE ' "$SCALE_SMOKE" | grep -q "$key" \
-    || { echo "BENCH_SCALE line missing $key"; rm -f "$SCALE_SMOKE"; exit 1; }
-done
-rm -f "$SCALE_SMOKE"
+grep -q '"layout": {' BENCH_layout.json || { echo "BENCH_layout.json has no layout record"; exit 1; }
 
 echo "== unsafe hygiene: every unsafe block in mmap/storage carries a SAFETY comment =="
 # The zero-copy loader is the only part of the workspace allowed to use
@@ -103,11 +67,11 @@ echo "== jumps are specs: a dense jump vector only where one is needed =="
 # The engine reads each column's jump through its spec (JumpVector::spec:
 # a constant, a bitset or, for a custom jump, a dense vector). A dense
 # n-long copy (`materialize(`) may be built in jump.rs itself, by the
-# reference solvers, by update.rs's warm-start seeding, in benches and in
-# test code - nowhere else.
+# reference solvers, by update.rs's warm-start seeding and in test code -
+# nowhere else.
 DENSE="$(find crates src examples -name '*.rs' \
     ! -path 'crates/pagerank/src/jump.rs' ! -path 'crates/pagerank/src/reference/*' \
-    ! -path 'crates/core/src/update.rs' ! -path 'crates/bench/*' \
+    ! -path 'crates/core/src/update.rs' \
     ! -path '*/tests/*' -exec awk '/^#\[cfg\(test\)\]/ { nextfile }
       /materialize\(/ { print FILENAME ":" FNR ": " $0 }' {} +)"
 [ -z "$DENSE" ] || { echo "dense jump vectors built outside their allowed homes:"; echo "$DENSE"; exit 1; }
@@ -229,6 +193,16 @@ grep -q 'streamed 1000000 hosts' "$SMOKE_DIR/stream.out" \
   --out "$SMOKE_DIR/stream.v4" > "$SMOKE_DIR/convert.out"
 grep -q 'bits/edge' "$SMOKE_DIR/convert.out" \
   || { echo "convert reported no bits/edge"; cat "$SMOKE_DIR/convert.out"; exit 1; }
+# The same web renumbered into degree order must still encode at no more
+# than 8 bits/edge over both orientations (6.6 at seed 17; 4.8 in the
+# natural order above).
+./target/release/spammass convert --in "$SMOKE_DIR/stream.v4" --order degree --format v4 \
+  --out "$SMOKE_DIR/stream-degree.v4" > "$SMOKE_DIR/convert-degree.out"
+BITS="$(sed -n 's/.*(\([0-9.]*\) bits\/edge.*/\1/p' "$SMOKE_DIR/convert-degree.out")"
+[ -n "$BITS" ] && awk -v bits="$BITS" 'BEGIN { exit !(bits <= 8) }' \
+  || { echo "the degree-ordered v4 image costs ${BITS:-no} bits/edge (gate 8)"; \
+       cat "$SMOKE_DIR/convert-degree.out"; exit 1; }
+rm -f "$SMOKE_DIR/stream-degree.v4"
 ./target/release/spammass estimate --graph "$SMOKE_DIR/stream.v4" \
   --core "$SMOKE_DIR/stream/core.txt" --threads 1 --max-resident-mb 64 \
   --out "$SMOKE_DIR/stream-ooc.tsv" > "$SMOKE_DIR/ooc.out" 2>&1
@@ -264,7 +238,7 @@ echo "== row kinds smoke: scenario web, streamed = resident (bytes on one worker
 ./target/release/spammass generate --hosts 20000 --seed 23 \
   --out "$SMOKE_DIR/kinds.graph" --core "$SMOKE_DIR/kinds-core.txt" > /dev/null
 ./target/release/spammass convert --in "$SMOKE_DIR/kinds.graph" --format v4 \
-  --out "$SMOKE_DIR/kinds.v4" > /dev/null
+  --block-rows 4096 --out "$SMOKE_DIR/kinds.v4" > /dev/null
 ./target/release/spammass estimate --graph "$SMOKE_DIR/kinds.v4" \
   --core "$SMOKE_DIR/kinds-core.txt" --threads 1 --max-resident-mb 64 \
   --out "$SMOKE_DIR/kinds-ooc.tsv" > "$SMOKE_DIR/kinds-ooc.out" 2>&1
@@ -277,15 +251,17 @@ diff -q "$SMOKE_DIR/kinds-ooc.tsv" "$SMOKE_DIR/kinds-mem.tsv" \
   || { echo "scenario web: streamed scores diverge from the in-memory run"; exit 1; }
 # The same settings with --threads 2 --edges-per-thread 1: the resident
 # solve cuts the rows in two by gather cost; the streamed one hands each
-# worker whole blocks, and this web is one in-block, so it stays on one
-# worker. The second worker starts its fresh reads at another row, so
-# the two agree to rounding, not in bytes.
+# worker whole blocks, which the 4096-row blocks above make plural, so it
+# runs on two workers too. The second worker starts its fresh reads at
+# another row, so the two agree to rounding, not in bytes.
 ./target/release/spammass estimate --graph "$SMOKE_DIR/kinds.v4" \
   --core "$SMOKE_DIR/kinds-core.txt" --threads 2 --edges-per-thread 1 \
   --out "$SMOKE_DIR/kinds-mem-2t.tsv" > /dev/null
 ./target/release/spammass estimate --graph "$SMOKE_DIR/kinds.v4" \
   --core "$SMOKE_DIR/kinds-core.txt" --threads 2 --edges-per-thread 1 \
-  --max-resident-mb 64 --out "$SMOKE_DIR/kinds-ooc-2t.tsv" > /dev/null
+  --max-resident-mb 64 --out "$SMOKE_DIR/kinds-ooc-2t.tsv" > "$SMOKE_DIR/kinds-ooc-2t.out" 2>&1
+grep -q 'streamed solve:.* on 2 workers' "$SMOKE_DIR/kinds-ooc-2t.out" \
+  || { echo "the two-worker streamed solve did not run on two workers"; cat "$SMOKE_DIR/kinds-ooc-2t.out"; exit 1; }
 same_verdicts "resident vs streamed, two workers" \
   "$SMOKE_DIR/kinds-mem-2t.tsv" "$SMOKE_DIR/kinds-ooc-2t.tsv" \
   || { echo "scenario web: two-worker resident and streamed verdicts diverge"; exit 1; }
@@ -438,30 +414,6 @@ scrape /flight | grep -q 'spammass.flight/v1' \
   || { echo "/flight missing its schema tag"; exit 1; }
 wait "$LIVE_PID" \
   || { echo "estimate --serve-metrics failed"; cat "$SMOKE_DIR/live.err"; exit 1; }
-
-echo "== bench-diff (report-only) against the checked-in baselines =="
-# A self-diff exercises parsing of every checked-in BENCH file and the
-# zero-regression path; report-only keeps the gate decoupled from the
-# noise floor of whatever machine reran the benches last.
-for f in BENCH_pagerank.json BENCH_incremental.json BENCH_layout.json \
-    BENCH_serve.json; do
-  [ -f "$f" ] || { echo "missing checked-in $f"; exit 1; }
-done
-# The checked-in pagerank baseline must carry the scaling workload so
-# bench-diff can gate future engine regressions against it.
-for key in 'pagerank_scaling/fused_1t' 'pagerank_scaling/fused_4t'; do
-  grep -q "$key" BENCH_pagerank.json \
-    || { echo "BENCH_pagerank.json missing $key"; exit 1; }
-done
-for f in BENCH_pagerank.json BENCH_incremental.json BENCH_layout.json \
-    BENCH_serve.json; do
-  ./target/release/spammass bench-diff --old "$f" --new "$f" \
-    --report-only true > "$SMOKE_DIR/bench-diff.out" \
-    || { echo "bench-diff failed on $f"; cat "$SMOKE_DIR/bench-diff.out"; exit 1; }
-  grep -q 'no regressions' "$SMOKE_DIR/bench-diff.out" \
-    || { echo "bench-diff self-diff on $f reported regressions"; \
-         cat "$SMOKE_DIR/bench-diff.out"; exit 1; }
-done
 
 echo "== durability: crash-torture suite =="
 # Records every failpoint in the save/append pipelines and replays each
