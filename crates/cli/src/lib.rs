@@ -191,6 +191,7 @@ Long-running subcommands (pagerank, estimate, update) also accept:
                     flight-recorder ring
   --serve-linger MS keep the metrics server up MS milliseconds after the
                     command finishes, so scripted scrapes cannot race it
+                    (needs --serve-metrics)
   --crash-dump F    on panic, write the flight-recorder ring + final metrics
                     snapshot to F (schema spammass.flight/v1; default
                     metrics-crash.json when the live plane is on)

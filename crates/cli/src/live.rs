@@ -2,16 +2,17 @@
 //! plane shared by the long-running subcommands.
 //!
 //! Unlike `--trace` / `--metrics-out` (post-mortem, per-run), the live
-//! plane answers questions **while the command runs**: it enables the
-//! process-global [`spammass_obs::registry`] and flight recorder,
-//! installs the panic crash hook, and (with `--serve-metrics ADDR`)
-//! starts the HTTP exposition server so `curl ADDR/metrics` works
-//! mid-solve. Enabling the globals is irreversible for the process,
-//! which is fine for a CLI run that exits when the command does.
+//! plane answers questions **while the command runs**: it turns on
+//! [`spammass_obs::enable_live`] (the process-global registry and flight
+//! recorder), installs the panic crash hook, and (with `--serve-metrics
+//! ADDR`) starts the HTTP exposition server so `curl ADDR/metrics` works
+//! mid-solve. The switch is irreversible for the process, which is fine
+//! for a CLI run that exits when the command does.
 //!
 //! `--serve-linger MS` keeps the server (and process) alive for `MS`
 //! milliseconds after the command finishes, so scripted scrapes never
-//! race a fast solve to the socket.
+//! race a fast solve to the socket; without `--serve-metrics` there is
+//! no server to keep, and the flag is a usage error.
 
 use crate::args::ParsedArgs;
 use crate::CliError;
@@ -38,15 +39,13 @@ impl LivePlane {
         let serve = args.optional("serve-metrics");
         let crash_dump = args.optional("crash-dump");
         let linger_ms: u64 = args.parsed_or("serve-linger", 0)?;
+        if serve.is_none() && args.optional("serve-linger").is_some() {
+            return Err(CliError::Usage("--serve-linger needs --serve-metrics".into()));
+        }
         if serve.is_none() && crash_dump.is_none() {
-            if args.optional("serve-linger").is_some() {
-                return Err(CliError::Usage(
-                    "--serve-linger needs --serve-metrics or --crash-dump".into(),
-                ));
-            }
             return Ok(None);
         }
-        obs::registry::enable_global();
+        obs::enable_live();
         let dump_path = crash_dump.map_or_else(|| PathBuf::from(DEFAULT_CRASH_DUMP), PathBuf::from);
         obs::flight::install_crash_hook(dump_path);
         let server = match serve {
@@ -66,7 +65,7 @@ impl LivePlane {
     /// Lingers if asked to, then shuts the server down. Call after the
     /// command finishes (on success or failure).
     pub fn finish(self) {
-        if self.server.is_some() && self.linger_ms > 0 {
+        if self.linger_ms > 0 {
             std::thread::sleep(std::time::Duration::from_millis(self.linger_ms));
         }
         drop(self.server);
@@ -87,15 +86,23 @@ mod tests {
         // Must not enable the irreversible process globals.
         let args = parse(&["stats", "--graph", "g.bin"]);
         assert!(LivePlane::from_args(&args).unwrap().is_none());
-        assert!(!obs::registry::is_live());
-        assert!(!obs::flight::is_enabled());
+        assert!(!obs::is_live());
     }
 
     #[test]
     fn linger_without_a_target_is_a_usage_error() {
         let args = parse(&["stats", "--graph", "g.bin", "--serve-linger", "50"]);
         assert!(matches!(LivePlane::from_args(&args), Err(CliError::Usage(_))));
-        assert!(!obs::registry::is_live());
+        assert!(!obs::is_live());
+        // A crash dump starts no server, so there is nothing to linger.
+        let args =
+            parse(&["stats", "--graph", "g.bin", "--crash-dump", "d.json", "--serve-linger", "50"]);
+        match LivePlane::from_args(&args) {
+            Err(CliError::Usage(why)) => assert!(why.contains("needs --serve-metrics"), "{why}"),
+            Err(other) => panic!("expected a usage error, got {other}"),
+            Ok(_) => panic!("--serve-linger without --serve-metrics was accepted"),
+        }
+        assert!(!obs::is_live(), "checked before the live plane is switched on");
     }
 
     #[test]
@@ -104,7 +111,6 @@ mod tests {
         assert!(matches!(LivePlane::from_args(&args), Err(CliError::Usage(_))));
     }
 
-    // Paths that enable the global registry / flight recorder live in
-    // tests/live_metrics.rs and tests/flight_crash.rs, which run as
-    // separate processes.
+    // Paths that switch the live plane on live in tests/live_metrics.rs
+    // and tests/flight_crash.rs, which run as separate processes.
 }

@@ -3,8 +3,8 @@
 //! Telemetry is strictly opt-in: when neither flag is given no collector
 //! is installed, every `span!`/counter call in the libraries stays a
 //! no-op, and the command output is byte-identical to a build without
-//! this module. With either flag present, one in-memory [`Recorder`]
-//! captures the run and is rendered two ways at the end:
+//! this module. With either flag present, one [`Collector`] records the
+//! run and is rendered two ways at the end:
 //!
 //! * `--trace pretty` appends the indented span timing tree to the
 //!   command's output; `--trace json` appends one JSON object per
@@ -12,14 +12,13 @@
 //! * `--metrics-out FILE` writes the full [`RunReport`] document
 //!   (schema `spammass.run_report/v1`) to `FILE`.
 //!
-//! [`Recorder`]: spammass_obs::Recorder
+//! [`Collector`]: spammass_obs::Collector
 //! [`RunReport`]: spammass_obs::RunReport
 
 use crate::args::ParsedArgs;
 use crate::CliError;
 use spammass_obs as obs;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 /// How `--trace` renders the captured run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,12 +29,10 @@ pub enum TraceMode {
     Json,
 }
 
-/// Telemetry for one CLI invocation: an installed collector feeding an
-/// in-memory recorder, plus the output destinations chosen on the
-/// command line.
+/// Telemetry for one CLI invocation: the collector recording the run,
+/// plus the output destinations chosen on the command line.
 pub struct RunTelemetry {
     collector: obs::Collector,
-    recorder: Arc<obs::Recorder>,
     trace: Option<TraceMode>,
     metrics_out: Option<PathBuf>,
 }
@@ -56,9 +53,8 @@ impl RunTelemetry {
         if trace.is_none() && metrics_out.is_none() {
             return Ok(None);
         }
-        let recorder = Arc::new(obs::Recorder::new());
-        let collector = obs::Collector::builder().sink(recorder.clone()).build();
-        Ok(Some(RunTelemetry { collector, recorder, trace, metrics_out }))
+        let collector = obs::Collector::builder().build();
+        Ok(Some(RunTelemetry { collector, trace, metrics_out }))
     }
 
     /// Installs the collector on this thread; telemetry is captured
@@ -71,7 +67,7 @@ impl RunTelemetry {
     /// Builds the run report. Call after the install guard has dropped,
     /// so every span has closed.
     pub fn report(&self, args: &ParsedArgs) -> obs::RunReport {
-        let mut report = obs::RunReport::build(&args.command, &self.collector, &self.recorder);
+        let mut report = obs::RunReport::build(&args.command, &self.collector);
         for (key, value) in args.flags() {
             report = report.param(key, obs::Json::str(value));
         }
@@ -97,10 +93,10 @@ impl RunTelemetry {
         match self.trace {
             None => {}
             Some(TraceMode::Pretty) => {
-                text.push_str(&self.recorder.render_tree());
+                text.push_str(&self.collector.render_tree());
             }
             Some(TraceMode::Json) => {
-                for event in self.recorder.events() {
+                for event in self.collector.events() {
                     text.push_str(&event.to_json().render());
                     text.push('\n');
                 }

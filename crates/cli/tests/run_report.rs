@@ -1,7 +1,7 @@
 //! End-to-end telemetry: a full `estimate` run under `--trace json
 //! --metrics-out` must produce a run report that round-trips through the
 //! JSON layer, carries the documented sections, and agrees with an
-//! independent in-memory recorder of the same pipeline.
+//! independent collector of the same pipeline.
 
 use spammass_cli::args::ParsedArgs;
 use spammass_cli::commands::dispatch;
@@ -126,14 +126,13 @@ fn recorder_agrees_and_span_totals_cover_their_children() {
             .collect();
     let args = parse(&argv);
 
-    // Run the same pipeline under a recorder we control.
-    let recorder = std::sync::Arc::new(obs::Recorder::new());
-    let collector = obs::Collector::builder().sink(recorder.clone()).build();
+    // Run the same pipeline under a collector we control.
+    let collector = obs::Collector::builder().build();
     {
         let _guard = collector.install();
         dispatch(&args).unwrap();
     }
-    let report = RunReport::build("estimate", &collector, &recorder);
+    let report = RunReport::build("estimate", &collector);
 
     // A parent span's wall clock must cover the sum of its children.
     let mut checked = 0;
@@ -151,13 +150,13 @@ fn recorder_agrees_and_span_totals_cover_their_children() {
     });
     assert!(checked >= 2, "expected nested stages, got {checked} parents");
 
-    // The report's stage forest is exactly the recorder's span tree.
-    let tree = recorder.span_tree();
+    // The report's stage forest is exactly the collector's span tree.
+    let tree = collector.span_tree();
     assert_eq!(report.stages.len(), tree.len());
-    let (mut report_paths, mut recorder_paths) = (Vec::new(), Vec::new());
+    let (mut report_paths, mut collector_paths) = (Vec::new(), Vec::new());
     walk(&report.stages, &mut |n| report_paths.push(n.record.path.clone()));
-    walk(&tree, &mut |n| recorder_paths.push(n.record.path.clone()));
-    assert_eq!(report_paths, recorder_paths);
+    walk(&tree, &mut |n| collector_paths.push(n.record.path.clone()));
+    assert_eq!(report_paths, collector_paths);
 
     // And the report's metrics are the collector's registry, verbatim.
     assert_eq!(report.metrics.len(), collector.metrics_snapshot().len());

@@ -942,9 +942,7 @@ mod tests {
 
     #[test]
     fn estimate_emits_nested_spans_and_metrics() {
-        use std::sync::Arc;
-        let recorder = Arc::new(obs::Recorder::new());
-        let collector = obs::Collector::builder().sink(recorder.clone()).build();
+        let collector = obs::Collector::builder().build();
         let f = figure2();
         {
             let _guard = collector.install();
@@ -953,7 +951,7 @@ mod tests {
                 .unwrap();
         }
         // The batched PageRank run is a child of the estimate span.
-        let tree = recorder.span_tree();
+        let tree = collector.span_tree();
         let root = tree.iter().find(|n| n.record.name == "estimate").unwrap();
         let child_paths: Vec<&str> = root.children.iter().map(|c| c.record.path.as_str()).collect();
         assert!(child_paths.contains(&"estimate.pagerank_batch"), "{child_paths:?}");

@@ -21,9 +21,9 @@
 //!
 //! A triggered point normally returns an injected [`io::Error`]; armed
 //! in **panic mode** it panics instead, modeling a hard process death
-//! rather than a failed syscall. Either way the trip is recorded on the
-//! global flight recorder (when enabled) immediately before it fires, so
-//! a crash dump's last events name the site that killed the run.
+//! rather than a failed syscall. Either way the trip is emitted as an
+//! `obs` failpoint event immediately before it fires, so (with the live
+//! plane on) a crash dump's last events name the site that killed the run.
 //!
 //! The registry also supports **recording**: while enabled, every name
 //! passed to [`hit`] is appended (in order, with repeats) to a trace the
@@ -168,9 +168,9 @@ pub fn arm_from_env() -> Result<usize, String> {
 /// When the point is armed and its countdown has reached zero it trips:
 /// error mode returns `Err` with an [`INJECTED_KIND`] error, panic mode
 /// panics. The point disarms itself on trigger (one crash per arming),
-/// and the trip is noted on the flight recorder — outside the registry
-/// lock, so the panic hook can use the registry freely. Records the hit
-/// when recording.
+/// and the trip is emitted as an `obs` failpoint event — outside the
+/// registry lock, so the panic hook can use the registry freely.
+/// Records the hit when recording.
 pub fn hit(name: &str) -> io::Result<()> {
     if !ACTIVE.load(Ordering::Acquire) {
         return Ok(());
@@ -199,7 +199,7 @@ pub fn hit(name: &str) -> io::Result<()> {
                 Action::Error => "error",
                 Action::Panic => "panic",
             };
-            obs::flight::note("failpoint", name, &[("action".to_string(), obs::Json::str(label))]);
+            obs::failpoint(name, label);
             match action {
                 Action::Error => Err(io::Error::other(format!("{INJECTED_MARK} at {name}"))),
                 Action::Panic => panic!("{INJECTED_MARK} panic at {name}"),

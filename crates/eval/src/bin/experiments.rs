@@ -27,11 +27,12 @@ fn main() -> ExitCode {
     match parse(&args) {
         Ok((opts, names, trace)) => {
             if trace {
-                let collector = obs::Collector::builder()
-                    .sink(std::sync::Arc::new(obs::TreeSink::new(std::io::stderr())))
-                    .build();
-                let _guard = collector.install();
-                run_all(opts, &names);
+                let collector = obs::Collector::builder().build();
+                {
+                    let _guard = collector.install();
+                    run_all(opts, &names);
+                }
+                eprint!("{}", collector.render_tree());
             } else {
                 run_all(opts, &names);
             }

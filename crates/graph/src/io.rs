@@ -580,7 +580,7 @@ impl V3Layout {
     /// the in-orientation from there to the length sentinel; each writes
     /// the zero pads in its range too. The header and the sentinel are
     /// the caller's.
-    fn encode(&self, g: &Graph, out: Sink, inn: Sink) -> std::io::Result<[u32; V3_SECTION_COUNT]> {
+    fn encode(&self, g: &Graph, out: Dest, inn: Dest) -> std::io::Result<[u32; V3_SECTION_COUNT]> {
         let [(s0, _), (s1, _), (s2, _), (s3, _)] = self.sections;
         let end = self.total - 8;
         let (out, inn) = crate::graph::per_orientation(
@@ -596,7 +596,7 @@ impl V3Layout {
 const V3_CHUNK_BYTES: usize = 1 << 20;
 
 /// Where a v3 encoder thread puts its bytes.
-enum Sink<'a> {
+enum Dest<'a> {
     /// Straight into the image buffer: `buf` holds the image's bytes
     /// from offset `base` on.
     Buffer { buf: &'a mut [u8], base: usize },
@@ -605,23 +605,23 @@ enum Sink<'a> {
     File { file: &'a std::fs::File, chunk: Vec<u8> },
 }
 
-impl Sink<'_> {
+impl Dest<'_> {
     /// The buffer the image bytes `[pos, pos + len)` are encoded into.
     fn chunk(&mut self, pos: usize, len: usize) -> &mut [u8] {
         match self {
-            Sink::Buffer { buf, base } => &mut buf[pos - *base..pos - *base + len],
+            Dest::Buffer { buf, base } => &mut buf[pos - *base..pos - *base + len],
             #[cfg(unix)]
-            Sink::File { chunk, .. } => &mut chunk[..len],
+            Dest::File { chunk, .. } => &mut chunk[..len],
         }
     }
 
-    /// The bytes `[pos, pos + len)` handed out by [`Sink::chunk`] are
+    /// The bytes `[pos, pos + len)` handed out by [`Dest::chunk`] are
     /// final.
     fn commit(&mut self, pos: usize, len: usize) -> std::io::Result<()> {
         match self {
-            Sink::Buffer { .. } => Ok(()),
+            Dest::Buffer { .. } => Ok(()),
             #[cfg(unix)]
-            Sink::File { file, chunk } => {
+            Dest::File { file, chunk } => {
                 std::os::unix::fs::FileExt::write_all_at(*file, &chunk[..len], pos as u64)
             }
         }
@@ -636,7 +636,7 @@ fn encode_orientation(
     offsets: &[u32],
     adjacency: &[NodeId],
     bounds: [usize; 3],
-    mut sink: Sink,
+    mut sink: Dest,
 ) -> std::io::Result<[u32; 2]> {
     let [off_start, adj_start, end] = bounds;
     let off_crc = encode_section(offsets, |v| v, off_start, adj_start, &mut sink)?;
@@ -652,7 +652,7 @@ fn encode_section<T: Copy>(
     word: impl Fn(T) -> u32,
     start: usize,
     end: usize,
-    sink: &mut Sink,
+    sink: &mut Dest,
 ) -> std::io::Result<u32> {
     let mut crc = 0;
     let mut pos = start;
@@ -682,7 +682,7 @@ pub fn graph_to_bytes_v3(g: &Graph) -> Vec<u8> {
     let split = layout.sections[2].0;
     let (out, inn) = buf.split_at_mut(split);
     let crcs = layout
-        .encode(g, Sink::Buffer { buf: out, base: 0 }, Sink::Buffer { buf: inn, base: split })
+        .encode(g, Dest::Buffer { buf: out, base: 0 }, Dest::Buffer { buf: inn, base: split })
         .expect("encoding into memory cannot fail");
     buf[..V3_SECTIONS_OFFSET].copy_from_slice(&layout.header(crcs));
     buf[layout.total - 8..].copy_from_slice(&(layout.total as u64).to_le_bytes());
@@ -705,7 +705,7 @@ pub fn write_graph_v3(g: &Graph, file: &std::fs::File) -> std::io::Result<u64> {
     {
         use std::os::unix::fs::FileExt;
         let layout = V3Layout::of(g);
-        let sink = || Sink::File { file, chunk: vec![0; V3_CHUNK_BYTES] };
+        let sink = || Dest::File { file, chunk: vec![0; V3_CHUNK_BYTES] };
         let crcs = layout.encode(g, sink(), sink())?;
         file.write_all_at(&layout.header(crcs), 0)?;
         file.write_all_at(&(layout.total as u64).to_le_bytes(), (layout.total - 8) as u64)?;
@@ -1220,15 +1220,13 @@ mod tests {
 
     #[test]
     fn ingest_emits_telemetry() {
-        use std::sync::Arc;
-        let recorder = Arc::new(obs::Recorder::new());
-        let collector = obs::Collector::builder().sink(recorder.clone()).build();
+        let collector = obs::Collector::builder().build();
         {
             let _guard = collector.install();
             read_edge_list("# nodes: 3\n0 1\n1 2\n".as_bytes()).unwrap();
             load(&graph_to_bytes_v3(&sample())).unwrap();
         }
-        let spans = recorder.spans();
+        let spans = collector.spans();
         let text = spans.iter().find(|s| s.name == "graph.ingest.text").unwrap();
         assert!(text.counters.contains(&("lines".to_string(), 3.0)));
         assert!(text.counters.contains(&("edges".to_string(), 2.0)));

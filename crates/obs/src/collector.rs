@@ -1,13 +1,15 @@
-//! The collector: sink fan-out plus the metrics registry, installed
+//! The collector: one run's record — every event it heard, in order,
+//! plus the metric totals those events add up to — installed
 //! per-thread with RAII scoping.
 //!
 //! Telemetry is **opt-in and thread-scoped**: library code calls the
 //! facade functions ([`crate::counter`], [`crate::span`], …)
 //! unconditionally, and they no-op — a thread-local lookup and a branch —
-//! unless a [`Collector`] is installed on the current thread. This keeps
-//! instrumented hot paths free of configuration plumbing, keeps default
-//! CLI output byte-stable, and keeps parallel test runs isolated (each
-//! test installs its own collector on its own thread).
+//! unless a [`Collector`] is installed on the current thread (or the
+//! live plane is on). This keeps instrumented hot paths free of
+//! configuration plumbing, keeps default CLI output byte-stable, and
+//! keeps parallel test runs isolated (each test installs its own
+//! collector on its own thread).
 //!
 //! Scoping is a stack: nested installs shadow the outer collector and
 //! restore it when the inner [`ScopeGuard`] drops. Worker threads spawned
@@ -15,17 +17,19 @@
 //! metrics are emitted from the orchestrating thread, which is where the
 //! pipeline stages of this system run.
 
+use crate::event::Event;
+use crate::json::Json;
 use crate::metrics::{Histogram, Metric};
-use crate::sink::{Event, Sink};
+use crate::span::{build_span_tree, render_span_tree, SpanNode, SpanRecord};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// A telemetry collector: an epoch for relative timestamps, a set of
-/// sinks receiving every event, and the metrics registry. Cheap to clone
-/// (shared interior).
+/// A telemetry collector: an epoch for relative timestamps, the log of
+/// every event it heard, and the metrics those events registered. Cheap
+/// to clone (shared interior).
 #[derive(Clone)]
 pub struct Collector {
     inner: Arc<Inner>,
@@ -33,47 +37,36 @@ pub struct Collector {
 
 struct Inner {
     epoch: Instant,
-    sinks: Vec<Arc<dyn Sink>>,
-    metrics: Mutex<BTreeMap<String, Metric>>,
+    record: Mutex<Record>,
+}
+
+#[derive(Default)]
+struct Record {
+    metrics: BTreeMap<String, Metric>,
+    events: Vec<Event>,
 }
 
 impl std::fmt::Debug for Collector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Collector").field("sinks", &self.inner.sinks.len()).finish()
+        f.debug_struct("Collector").field("events", &self.lock().events.len()).finish()
     }
 }
 
 /// Builder for a [`Collector`].
 #[derive(Default)]
-pub struct CollectorBuilder {
-    sinks: Vec<Arc<dyn Sink>>,
-}
+pub struct CollectorBuilder;
 
 impl CollectorBuilder {
-    /// Attaches a sink; every event is delivered to every sink in
-    /// attachment order.
-    #[must_use]
-    pub fn sink(mut self, sink: Arc<dyn Sink>) -> Self {
-        self.sinks.push(sink);
-        self
-    }
-
     /// Finishes the collector; its epoch (timestamp zero) is now.
     pub fn build(self) -> Collector {
-        Collector {
-            inner: Arc::new(Inner {
-                epoch: Instant::now(),
-                sinks: self.sinks,
-                metrics: Mutex::new(BTreeMap::new()),
-            }),
-        }
+        Collector { inner: Arc::new(Inner { epoch: Instant::now(), record: Mutex::default() }) }
     }
 }
 
 impl Collector {
     /// Starts building a collector.
     pub fn builder() -> CollectorBuilder {
-        CollectorBuilder::default()
+        CollectorBuilder
     }
 
     /// Installs this collector on the current thread until the returned
@@ -93,51 +86,95 @@ impl Collector {
         self.inner.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Fans an event out to every sink.
-    pub(crate) fn emit(&self, event: &Event) {
-        for sink in &self.inner.sinks {
-            sink.on_event(event);
-        }
+    fn lock(&self) -> MutexGuard<'_, Record> {
+        self.inner.record.lock().expect("collector lock")
     }
 
-    /// Adds to a counter, creating it at zero first; returns the new
-    /// total. Updates against a different metric kind are ignored (the
-    /// first registration wins) and return NaN.
-    pub(crate) fn counter_add(&self, name: &str, delta: f64) -> f64 {
-        let mut metrics = self.inner.metrics.lock().expect("metrics lock");
-        match metrics.entry(name.to_string()).or_insert(Metric::Counter(0.0)) {
-            Metric::Counter(total) => {
-                *total += delta;
-                *total
+    /// Applies an event to the metric totals and appends it to the log.
+    /// A counter event leaves with the counter's running total filled
+    /// in. Updates against a different metric kind are ignored (the
+    /// first registration wins); a counter's total then reads NaN.
+    pub(crate) fn record(&self, mut event: Event) {
+        let mut record = self.lock();
+        let metrics = &mut record.metrics;
+        match &mut event {
+            Event::Counter { name, delta, total } => {
+                *total = match metric(metrics, name, || Metric::Counter(0.0)) {
+                    Metric::Counter(sum) => {
+                        *sum += *delta;
+                        *sum
+                    }
+                    _ => f64::NAN,
+                }
             }
-            _ => f64::NAN,
+            Event::Gauge { name, value } => {
+                if let Metric::Gauge(slot) = metric(metrics, name, || Metric::Gauge(*value)) {
+                    *slot = *value;
+                }
+            }
+            Event::Observe { name, value } => {
+                if let Metric::Histogram(h) =
+                    metric(metrics, name, || Metric::Histogram(Histogram::new()))
+                {
+                    h.record(*value);
+                }
+            }
+            _ => {}
         }
-    }
-
-    /// Sets a gauge. Kind mismatches are ignored.
-    pub(crate) fn gauge_set(&self, name: &str, value: f64) {
-        let mut metrics = self.inner.metrics.lock().expect("metrics lock");
-        if let Metric::Gauge(slot) = metrics.entry(name.to_string()).or_insert(Metric::Gauge(value))
-        {
-            *slot = value;
-        }
-    }
-
-    /// Records a histogram sample. Kind mismatches are ignored.
-    pub(crate) fn histogram_record(&self, name: &str, value: f64) {
-        let mut metrics = self.inner.metrics.lock().expect("metrics lock");
-        if let Metric::Histogram(h) =
-            metrics.entry(name.to_string()).or_insert_with(|| Metric::Histogram(Histogram::new()))
-        {
-            h.record(value);
-        }
+        record.events.push(event);
     }
 
     /// A snapshot of every registered metric, sorted by name.
     pub fn metrics_snapshot(&self) -> Vec<(String, Metric)> {
-        let metrics = self.inner.metrics.lock().expect("metrics lock");
-        metrics.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+        self.lock().metrics.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
     }
+
+    /// All events, in emission order.
+    pub fn events(&self) -> Vec<Event> {
+        self.lock().events.clone()
+    }
+
+    /// The closed spans, in close (emission) order.
+    pub fn spans(&self) -> Vec<SpanRecord> {
+        let record = self.lock();
+        let spans = record.events.iter().filter_map(|e| match e {
+            Event::SpanEnd(span) => Some(span.clone()),
+            _ => None,
+        });
+        spans.collect()
+    }
+
+    /// The structured messages, in emission order.
+    pub fn messages(&self) -> Vec<(String, Vec<(String, Json)>)> {
+        let record = self.lock();
+        let messages = record.events.iter().filter_map(|e| match e {
+            Event::Message { name, fields } => Some((name.clone(), fields.clone())),
+            _ => None,
+        });
+        messages.collect()
+    }
+
+    /// The closed spans assembled into a forest by nesting.
+    pub fn span_tree(&self) -> Vec<SpanNode> {
+        build_span_tree(&self.spans())
+    }
+
+    /// Human-readable indented timing tree of [`Collector::span_tree`].
+    pub fn render_tree(&self) -> String {
+        render_span_tree(&self.span_tree())
+    }
+}
+
+/// The metric named `name`, registered by `make` on first use.
+fn metric<'a>(
+    metrics: &'a mut BTreeMap<String, Metric>,
+    name: &str,
+    make: impl FnOnce() -> Metric,
+) -> &'a mut Metric {
+    if !metrics.contains_key(name) {
+        metrics.insert(name.to_string(), make());
+    }
+    metrics.get_mut(name).expect("registered above")
 }
 
 thread_local! {
@@ -157,14 +194,14 @@ impl Drop for ScopeGuard {
     }
 }
 
-/// Runs `f` against the innermost installed collector, if any.
-pub(crate) fn with_current<R>(f: impl FnOnce(&Collector) -> R) -> Option<R> {
-    CURRENT.with(|c| c.borrow().last().cloned()).map(|collector| f(&collector))
+/// The innermost collector installed on this thread, if any.
+pub(crate) fn current() -> Option<Collector> {
+    CURRENT.with(|c| c.borrow().last().cloned())
 }
 
 /// Whether a collector is installed on the current thread. Use to skip
 /// building expensive telemetry payloads (e.g. per-node histogram loops)
-/// when nobody is listening.
+/// when no run is being recorded.
 pub fn is_enabled() -> bool {
     CURRENT.with(|c| !c.borrow().is_empty())
 }
@@ -172,12 +209,11 @@ pub fn is_enabled() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::Recorder;
 
     #[test]
     fn disabled_by_default() {
         assert!(!is_enabled());
-        assert!(with_current(|_| ()).is_none());
+        assert!(current().is_none());
     }
 
     #[test]
@@ -187,13 +223,13 @@ mod tests {
         {
             let _g1 = outer.install();
             assert!(is_enabled());
-            outer.counter_add("outer", 1.0);
+            crate::counter("outer", 1.0);
             {
                 let _g2 = inner.install();
-                with_current(|c| c.counter_add("x", 1.0)).unwrap();
+                crate::counter("x", 1.0);
             }
             // Inner popped; updates land on outer again.
-            with_current(|c| c.counter_add("outer", 1.0)).unwrap();
+            crate::counter("outer", 1.0);
         }
         assert!(!is_enabled());
         assert_eq!(inner.metrics_snapshot().len(), 1);
@@ -205,19 +241,55 @@ mod tests {
     #[test]
     fn kind_mismatch_is_ignored() {
         let c = Collector::builder().build();
-        c.gauge_set("m", 5.0);
-        assert!(c.counter_add("m", 1.0).is_nan());
-        c.histogram_record("m", 1.0);
+        c.record(Event::Gauge { name: "m".into(), value: 5.0 });
+        c.record(Event::Counter { name: "m".into(), delta: 1.0, total: 0.0 });
+        c.record(Event::Observe { name: "m".into(), value: 1.0 });
         assert_eq!(c.metrics_snapshot()[0].1, Metric::Gauge(5.0));
+        match &c.events()[1] {
+            Event::Counter { total, .. } => assert!(total.is_nan()),
+            other => panic!("expected the counter event, got {other:?}"),
+        }
+    }
+
+    fn span_end(name: &str, elapsed_ns: u64) -> Event {
+        Event::SpanEnd(SpanRecord {
+            name: name.into(),
+            path: name.into(),
+            depth: 0,
+            start_ns: 0,
+            elapsed_ns,
+            counters: Vec::new(),
+        })
     }
 
     #[test]
-    fn emit_reaches_all_sinks() {
-        let r1 = Arc::new(Recorder::default());
-        let r2 = Arc::new(Recorder::default());
-        let c = Collector::builder().sink(r1.clone()).sink(r2.clone()).build();
-        c.emit(&Event::Gauge { name: "g".into(), value: 1.0 });
-        assert_eq!(r1.events().len(), 1);
-        assert_eq!(r2.events().len(), 1);
+    fn events_render_as_one_json_line_each() {
+        // `--trace json` writes one rendered event per line, in log order.
+        let c = Collector::builder().build();
+        {
+            let _g = c.install();
+            crate::counter("lines", 1.0);
+            crate::gauge("ratio", 0.5);
+        }
+        let lines: Vec<String> = c.events().iter().map(|e| e.to_json().render()).collect();
+        assert_eq!(lines.len(), 2);
+        assert!(lines.iter().all(|l| !l.contains('\n')), "{lines:?}");
+        let first = Json::parse(&lines[0]).unwrap();
+        assert_eq!(first.get("event").and_then(Json::as_str), Some("counter"));
+        assert_eq!(first.get("total").and_then(Json::as_f64), Some(1.0));
+        let second = Json::parse(&lines[1]).unwrap();
+        assert_eq!(second.get("event").and_then(Json::as_str), Some("gauge"));
+    }
+
+    #[test]
+    fn render_tree_draws_closed_spans_only_and_repeats() {
+        // Non-span events stay out of the tree, and rendering reads the
+        // log without consuming it: a second render is the same text.
+        let c = Collector::builder().build();
+        c.record(span_end("stage", 1_000));
+        c.record(Event::Gauge { name: "ignored".into(), value: 1.0 });
+        assert_eq!(c.render_tree(), "stage 1.0us\n");
+        assert_eq!(c.render_tree(), "stage 1.0us\n");
+        assert_eq!(c.events().len(), 2);
     }
 }

@@ -85,8 +85,8 @@ pub fn render_prometheus(snap: &RegistrySnapshot) -> String {
                     let v = h.percentile(q).unwrap_or(f64::NAN);
                     let _ = writeln!(out, "{p}{{quantile=\"{label}\"}} {}", prom_num(v));
                 }
-                let _ = writeln!(out, "{p}_sum {}", prom_num(h.sum));
-                let _ = writeln!(out, "{p}_count {}", h.count);
+                let _ = writeln!(out, "{p}_sum {}", prom_num(h.histogram().sum()));
+                let _ = writeln!(out, "{p}_count {}", h.histogram().count());
                 let _ = writeln!(out, "{p}_exact {}", u8::from(h.is_exact()));
             }
         }
@@ -219,7 +219,7 @@ fn handle_connection(stream: TcpStream) -> io::Result<()> {
     } else {
         match request.path.as_str() {
             "/metrics" => {
-                registry::global().counter_add(crate::names::EXPORT_SCRAPES, 1.0);
+                crate::counter(crate::names::EXPORT_SCRAPES, 1.0);
                 (
                     "200 OK",
                     "text/plain; version=0.0.4; charset=utf-8",
@@ -227,13 +227,13 @@ fn handle_connection(stream: TcpStream) -> io::Result<()> {
                 )
             }
             "/snapshot" => {
-                registry::global().counter_add(crate::names::EXPORT_SCRAPES, 1.0);
+                crate::counter(crate::names::EXPORT_SCRAPES, 1.0);
                 let mut body = snapshot_json(&registry::global().snapshot()).render();
                 body.push('\n');
                 ("200 OK", "application/json", body)
             }
             "/flight" => {
-                registry::global().counter_add(crate::names::EXPORT_SCRAPES, 1.0);
+                crate::counter(crate::names::EXPORT_SCRAPES, 1.0);
                 let mut body = crate::flight::global().to_json().render();
                 body.push('\n');
                 ("200 OK", "application/json", body)

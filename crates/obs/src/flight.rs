@@ -10,14 +10,14 @@
 //! (plus a registry snapshot, if the live plane is on) to a JSON crash
 //! dump, and the exposition server serves the same ring at `/flight`.
 //!
-//! Like the registry, the recorder is process-global behind an atomic
-//! enable flag: off by default, one relaxed load per facade call.
+//! Like the registry, the recorder is process-global and hears events
+//! only while the live plane is on ([`crate::enable_live`]).
 
+use crate::event::Event;
 use crate::json::Json;
 use std::collections::VecDeque;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, Once, OnceLock};
 use std::time::Instant;
 
@@ -77,21 +77,37 @@ pub struct FlightRecorder {
 
 impl FlightRecorder {
     /// A recorder retaining at most `cap` events.
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         FlightRecorder {
             epoch: Instant::now(),
             ring: Mutex::new(Ring { cap: cap.max(1), seq: 0, dropped: 0, events: VecDeque::new() }),
         }
     }
 
-    /// Nanoseconds since the recorder's epoch.
-    pub fn elapsed_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
+    /// Appends a span open or close, a message or a failpoint trip;
+    /// metric updates are the registry's and are ignored here.
+    pub(crate) fn record(&self, event: &Event) {
+        let uint = |key: &str, v: u64| (key.to_string(), Json::uint(v));
+        match event {
+            Event::SpanStart { path, depth, .. } => {
+                self.push("span_start", path, vec![uint("depth", *depth as u64)]);
+            }
+            Event::SpanEnd(span) => self.push(
+                "span_end",
+                &span.path,
+                vec![uint("elapsed_ns", span.elapsed_ns), uint("depth", span.depth as u64)],
+            ),
+            Event::Message { name, fields } => self.push("message", name, fields.clone()),
+            Event::Failpoint { name, action } => {
+                self.push("failpoint", name, vec![("action".to_string(), Json::str(*action))]);
+            }
+            Event::Counter { .. } | Event::Gauge { .. } | Event::Observe { .. } => {}
+        }
     }
 
-    /// Appends one event, evicting the oldest past capacity.
-    pub fn record(&self, kind: &'static str, name: &str, fields: Vec<(String, Json)>) {
-        let t_ns = self.elapsed_ns();
+    /// Appends one entry, evicting the oldest past capacity.
+    fn push(&self, kind: &'static str, name: &str, fields: Vec<(String, Json)>) {
+        let t_ns = self.epoch.elapsed().as_nanos() as u64;
         let mut ring = lock_unpoisoned(&self.ring);
         let seq = ring.seq;
         ring.seq += 1;
@@ -127,37 +143,11 @@ impl FlightRecorder {
 // Process-global instance
 // ---------------------------------------------------------------------
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
 static GLOBAL: OnceLock<FlightRecorder> = OnceLock::new();
 
 /// The process-global recorder (created on first use).
 pub fn global() -> &'static FlightRecorder {
     GLOBAL.get_or_init(|| FlightRecorder::new(DEFAULT_CAPACITY))
-}
-
-/// Turns the recorder on: facade events and span open/close start
-/// landing in the ring. Irreversible for the life of the process.
-pub fn enable_global() {
-    global();
-    ENABLED.store(true, Ordering::Release);
-}
-
-/// Whether the global recorder is receiving events.
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Nanoseconds since the global recorder's epoch (0 if never created).
-pub fn elapsed_ns() -> u64 {
-    GLOBAL.get().map(FlightRecorder::elapsed_ns).unwrap_or(0)
-}
-
-/// Records an event on the global recorder iff it is enabled. The
-/// payload is only cloned on the enabled path.
-pub fn note(kind: &'static str, name: &str, fields: &[(String, Json)]) {
-    if is_enabled() {
-        global().record(kind, name, fields.to_vec());
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -167,12 +157,11 @@ pub fn note(kind: &'static str, name: &str, fields: &[(String, Json)]) {
 static DUMP_PATH: Mutex<Option<PathBuf>> = Mutex::new(None);
 static HOOK: Once = Once::new();
 
-/// Enables the global recorder and installs (once) a panic hook that
-/// writes a crash dump to `path`. Later calls retarget the path. The
-/// previous hook still runs afterwards, so default panic output is
-/// preserved.
+/// Installs (once) a panic hook that writes a crash dump to `path`.
+/// Later calls retarget the path. The previous hook still runs
+/// afterwards, so default panic output is preserved. The ring holds
+/// what happened before the panic only if the live plane is on.
 pub fn install_crash_hook(path: impl Into<PathBuf>) {
-    enable_global();
     *lock_unpoisoned(&DUMP_PATH) = Some(path.into());
     HOOK.call_once(|| {
         let prev = std::panic::take_hook();
@@ -194,7 +183,7 @@ fn dump_on_panic(info: &std::panic::PanicHookInfo<'_>) {
     let location = info.location().map(|l| format!("{}:{}:{}", l.file(), l.line(), l.column()));
     // The panic itself becomes the ring's final event, so the dump's
     // tail reads: …, the thing that tripped, the panic it caused.
-    global().record(
+    global().push(
         "panic",
         "panic",
         vec![
@@ -229,9 +218,10 @@ pub fn write_crash_dump(path: &Path, panic: Option<(&str, Option<&str>)>) -> io:
     fields.push(("events".to_string(), ring.get("events").cloned().unwrap_or(Json::Arr(vec![]))));
     fields.push((
         "metrics".to_string(),
-        match crate::registry::live() {
-            Some(reg) => crate::export::snapshot_json(&reg.snapshot()),
-            None => Json::Null,
+        if crate::is_live() {
+            crate::export::snapshot_json(&crate::registry::global().snapshot())
+        } else {
+            Json::Null
         },
     ));
     let mut doc = Json::Obj(fields).render();
@@ -247,7 +237,7 @@ mod tests {
     fn ring_evicts_oldest_and_counts_drops() {
         let r = FlightRecorder::new(3);
         for i in 0..5 {
-            r.record("message", &format!("e{i}"), vec![]);
+            r.push("message", &format!("e{i}"), vec![]);
         }
         let events = r.events();
         assert_eq!(events.len(), 3);
@@ -261,8 +251,8 @@ mod tests {
     #[test]
     fn timestamps_are_monotone() {
         let r = FlightRecorder::new(8);
-        r.record("message", "a", vec![]);
-        r.record("message", "b", vec![]);
+        r.push("message", "a", vec![]);
+        r.push("message", "b", vec![]);
         let events = r.events();
         assert!(events[0].t_ns <= events[1].t_ns);
     }
@@ -270,11 +260,8 @@ mod tests {
     #[test]
     fn ring_json_shape() {
         let r = FlightRecorder::new(8);
-        r.record(
-            "failpoint",
-            "state.manifest.rename",
-            vec![("action".to_string(), Json::str("panic"))],
-        );
+        r.record(&Event::Failpoint { name: "state.manifest.rename".into(), action: "panic" });
+        r.record(&Event::Gauge { name: "not.a.flight.event".into(), value: 1.0 });
         let j = r.to_json();
         assert_eq!(j.get("schema").and_then(Json::as_str), Some(SCHEMA));
         let events = j.get("events").and_then(Json::as_arr).unwrap();
@@ -284,7 +271,7 @@ mod tests {
         assert_eq!(events[0].get("action").and_then(Json::as_str), Some("panic"));
     }
 
-    // Global enable/crash-hook behavior is pinned in tests/live_plane.rs
+    // The live switch and the crash hook are pinned in tests/live_plane.rs
     // (integration tests run in their own process, so flipping the
-    // process-global switches cannot leak into unit tests).
+    // process-global switch cannot leak into unit tests).
 }

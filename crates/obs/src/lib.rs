@@ -1,35 +1,37 @@
 //! # spammass-obs
 //!
-//! Zero-dependency telemetry facade for the spam-mass pipeline:
-//! hierarchical timed spans, typed metrics, pluggable sinks, and
-//! machine-readable run reports.
+//! Zero-dependency telemetry for the spam-mass pipeline: hierarchical
+//! timed spans, typed metrics, machine-readable run reports, and a live
+//! plane of windowed metrics and a flight ring served over HTTP.
 //!
 //! ## Design
 //!
-//! The crate splits telemetry into three layers:
+//! Instrumented code calls the facade unconditionally: [`span`],
+//! [`counter`], [`gauge`], [`observe`], [`event`] and [`failpoint`].
+//! Each call becomes one [`Event`] on one path, the crate's private
+//! dispatch, which is the only code that decides who hears it:
 //!
-//! 1. **Facade** — free functions ([`span`], [`counter`], [`gauge`],
-//!    [`observe`], [`event`]) that instrumented code calls
-//!    unconditionally. With no collector installed they no-op at the cost
-//!    of one thread-local read, which keeps hot paths clean and default
-//!    CLI output byte-stable.
-//! 2. **Collector** — installed per-thread with an RAII guard
-//!    ([`Collector::install`]); owns the metrics registry and fans every
-//!    [`Event`] out to its sinks. Thread-scoping (rather than a global
-//!    like the `log` crate) gives parallel test runs isolation for free.
-//! 3. **Sinks** — [`TreeSink`] renders a human timing tree,
-//!    [`JsonLinesSink`] streams one JSON object per event, [`Recorder`]
-//!    keeps everything in memory for tests and for assembling a
-//!    [`RunReport`].
+//! * the thread's [`Collector`], if one is installed
+//!   ([`Collector::install`]): it adds the event to its metric totals and
+//!   appends it to its log, from which the CLI renders `--trace` and
+//!   builds the [`RunReport`];
+//! * while the live plane is on ([`enable_live`]), the process-global
+//!   windowed [`registry`] (counters, gauges, samples) and the
+//!   [`flight`] ring (span open/close, messages, failpoint trips), both
+//!   served by [`MetricsServer`].
+//!
+//! With neither, a facade call costs one thread-local read and one
+//! relaxed atomic load, builds no event and allocates nothing, which
+//! keeps hot paths clean and default CLI output byte-stable.
+//! Thread-scoping the collector (rather than a global like the `log`
+//! crate) gives parallel test runs isolation for free.
 //!
 //! ## Example
 //!
 //! ```
-//! use std::sync::Arc;
-//! use spammass_obs::{Collector, Recorder, RunReport};
+//! use spammass_obs::{Collector, RunReport};
 //!
-//! let recorder = Arc::new(Recorder::new());
-//! let collector = Collector::builder().sink(recorder.clone()).build();
+//! let collector = Collector::builder().build();
 //! {
 //!     let _guard = collector.install();
 //!     let mut stage = spammass_obs::span("ingest");
@@ -37,7 +39,7 @@
 //!     spammass_obs::counter("graph.ingest.edges", 640.0);
 //!     spammass_obs::observe("pagerank.residual", 3.2e-11);
 //! }
-//! let report = RunReport::build("demo", &collector, &recorder);
+//! let report = RunReport::build("demo", &collector);
 //! assert_eq!(report.stages[0].record.name, "ingest");
 //! ```
 //!
@@ -51,6 +53,7 @@
 #![warn(clippy::all)]
 
 mod collector;
+mod event;
 pub mod export;
 pub mod flight;
 pub mod http;
@@ -59,78 +62,94 @@ pub mod metrics;
 pub mod names;
 pub mod registry;
 pub mod report;
-pub mod sink;
 mod span;
-pub mod window;
+mod window;
 
 pub use collector::{is_enabled, Collector, CollectorBuilder, ScopeGuard};
+pub use event::Event;
 pub use export::MetricsServer;
-pub use flight::{FlightEvent, FlightRecorder};
 pub use json::Json;
-pub use metrics::{Bucket, Histogram, Metric};
-pub use registry::{MetricSnapshot, MetricsRegistry, RegistrySnapshot};
+pub use metrics::{Histogram, Metric};
+pub use registry::MetricSnapshot;
 pub use report::RunReport;
-pub use sink::{
-    build_span_tree, format_ns, render_span_tree, Event, JsonLinesSink, Recorder, SharedBuf, Sink,
-    SpanNode, TreeSink,
-};
-pub use span::{span, Span, SpanRecord};
-pub use window::{HistWindowSnapshot, WindowHistogram, WindowSpec, WindowedCounter, WindowedGauge};
+pub use span::{span, Span, SpanNode};
 
-/// Adds `delta` to the counter `name` on the installed collector and the
-/// live [`registry`] (no-op when neither is active) and emits a
-/// [`Event::Counter`].
+use std::sync::atomic::{AtomicBool, Ordering};
+
+static LIVE: AtomicBool = AtomicBool::new(false);
+
+/// Turns the live plane on: from here on every event also reaches the
+/// global [`registry`] and the [`flight`] ring, from any thread, with or
+/// without a collector. Irreversible for the life of the process (the
+/// exposition server and crash dumps rely on it staying on).
+pub fn enable_live() {
+    LIVE.store(true, Ordering::Release);
+}
+
+/// Whether the live plane is on.
+pub fn is_live() -> bool {
+    LIVE.load(Ordering::Relaxed)
+}
+
+/// Whether an event would reach anyone: `collector` (the thread's, or a
+/// span's) or the live plane.
+fn anyone_listening(collector: Option<&Collector>) -> bool {
+    collector.is_some() || is_live()
+}
+
+/// The one event path. Builds the event only if someone listens, hands
+/// it to the live registry and flight ring when the plane is on (each
+/// takes what is its kind), then to `collector`, which keeps it.
+fn dispatch(collector: Option<&Collector>, event: impl FnOnce() -> Event) {
+    if !anyone_listening(collector) {
+        return;
+    }
+    let event = event();
+    if is_live() {
+        registry::global().record(&event);
+        flight::global().record(&event);
+    }
+    if let Some(collector) = collector {
+        collector.record(event);
+    }
+}
+
+/// Adds `delta` to the counter `name` and emits an [`Event::Counter`]
+/// carrying the collector's running total.
 pub fn counter(name: &str, delta: f64) {
-    if let Some(reg) = registry::live() {
-        reg.counter_add(name, delta);
-    }
-    collector::with_current(|c| {
-        let total = c.counter_add(name, delta);
-        c.emit(&Event::Counter { name: name.to_string(), delta, total });
+    dispatch(collector::current().as_ref(), || {
+        // The collector fills in its running total.
+        Event::Counter { name: name.to_string(), delta, total: f64::NAN }
     });
 }
 
-/// Sets the gauge `name` on the installed collector and the live
-/// [`registry`] (no-op when neither is active) and emits a
-/// [`Event::Gauge`].
+/// Sets the gauge `name` and emits an [`Event::Gauge`].
 pub fn gauge(name: &str, value: f64) {
-    if let Some(reg) = registry::live() {
-        reg.gauge_set(name, value);
-    }
-    collector::with_current(|c| {
-        c.gauge_set(name, value);
-        c.emit(&Event::Gauge { name: name.to_string(), value });
-    });
+    dispatch(collector::current().as_ref(), || Event::Gauge { name: name.to_string(), value });
 }
 
-/// Records `value` into the histogram `name` on the installed collector
-/// and the live [`registry`] (no-op when neither is active) and emits a
+/// Records `value` into the histogram `name` and emits an
 /// [`Event::Observe`].
 pub fn observe(name: &str, value: f64) {
-    if let Some(reg) = registry::live() {
-        reg.observe(name, value);
-    }
-    collector::with_current(|c| {
-        c.histogram_record(name, value);
-        c.emit(&Event::Observe { name: name.to_string(), value });
-    });
+    dispatch(collector::current().as_ref(), || Event::Observe { name: name.to_string(), value });
 }
 
-/// Emits a structured one-off [`Event::Message`] (no-op with no
-/// collector installed and the [`flight`] recorder off). Use for rare,
-/// rich events like solver-chain attempts; use metrics for anything
+/// Emits a structured one-off [`Event::Message`]. Use for rare, rich
+/// events like solver-chain attempts; use metrics for anything
 /// aggregate.
 pub fn event(name: &str, fields: Vec<(String, Json)>) {
-    flight::note("message", name, &fields);
-    collector::with_current(|c| {
-        c.emit(&Event::Message { name: name.to_string(), fields: fields.clone() });
-    });
+    dispatch(collector::current().as_ref(), || Event::Message { name: name.to_string(), fields });
+}
+
+/// Emits an [`Event::Failpoint`]: the armed failpoint `name` tripped
+/// and injects `action` (`error` or `panic`).
+pub fn failpoint(name: &str, action: &'static str) {
+    dispatch(collector::current().as_ref(), || Event::Failpoint { name: name.to_string(), action });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn facade_is_noop_without_collector() {
@@ -139,13 +158,14 @@ mod tests {
         gauge("b", 1.0);
         observe("c", 1.0);
         event("d", vec![]);
+        failpoint("e", "error");
         assert!(!is_enabled());
+        assert!(!is_live());
     }
 
     #[test]
     fn facade_routes_to_installed_collector() {
-        let recorder = Arc::new(Recorder::new());
-        let collector = Collector::builder().sink(recorder.clone()).build();
+        let collector = Collector::builder().build();
         {
             let _g = collector.install();
             counter("hits", 2.0);
@@ -153,6 +173,7 @@ mod tests {
             gauge("ratio", 0.5);
             observe("residual", 1e-8);
             event("attempt", vec![("n".to_string(), Json::uint(1))]);
+            failpoint("state.manifest.rename", "error");
         }
         let metrics = collector.metrics_snapshot();
         assert_eq!(metrics.len(), 3);
@@ -162,8 +183,11 @@ mod tests {
             Metric::Histogram(h) => assert_eq!(h.count(), 1),
             other => panic!("expected histogram, got {}", other.kind()),
         }
-        // 5 events: 2 counters, 1 gauge, 1 observe, 1 message.
-        assert_eq!(recorder.events().len(), 5);
-        assert_eq!(recorder.messages().len(), 1);
+        // 6 events: 2 counters, 1 gauge, 1 observe, 1 message, 1 trip;
+        // each counter event carries the running total.
+        let events = collector.events();
+        assert_eq!(events.len(), 6);
+        assert!(matches!(events[1], Event::Counter { total, .. } if total == 5.0));
+        assert_eq!(collector.messages().len(), 1);
     }
 }

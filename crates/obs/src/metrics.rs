@@ -18,9 +18,8 @@ const MIN_DECADE: i32 = -16;
 const MAX_DECADE: i32 = 8;
 /// Buckets per decade (half-decade resolution).
 const PER_DECADE: i32 = 2;
-/// Total bucket count. Shared with the sliding-window histograms so both
-/// views of a metric have identical, diffable bucket boundaries.
-pub(crate) const BUCKETS: usize = ((MAX_DECADE - MIN_DECADE) * PER_DECADE) as usize;
+/// Total bucket count.
+const BUCKETS: usize = ((MAX_DECADE - MIN_DECADE) * PER_DECADE) as usize;
 
 /// A fixed-bucket log-scale histogram with summary statistics.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,7 +51,7 @@ impl Default for Histogram {
 
 /// One populated histogram bucket: counts of samples in `[lo, hi)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bucket {
+pub(crate) struct Bucket {
     /// Inclusive lower bound.
     pub lo: f64,
     /// Exclusive upper bound.
@@ -62,32 +61,8 @@ pub struct Bucket {
 }
 
 /// The inclusive lower bound of bucket `i`.
-pub(crate) fn bucket_lo(i: usize) -> f64 {
+fn bucket_lo(i: usize) -> f64 {
     10f64.powf(MIN_DECADE as f64 + i as f64 / PER_DECADE as f64)
-}
-
-/// Where a finite sample lands on the shared bucket grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BucketPos {
-    /// Below the grid (zero, negative, or sub-range positive).
-    Below,
-    /// Inside bucket `i`.
-    In(usize),
-    /// At or above the top of the grid.
-    Above,
-}
-
-/// Classifies a finite sample against the bucket grid.
-pub(crate) fn bucket_pos(v: f64) -> BucketPos {
-    if v < bucket_lo(0) {
-        return BucketPos::Below;
-    }
-    let idx = (PER_DECADE as f64 * (v.log10() - MIN_DECADE as f64)).floor() as isize;
-    if idx >= BUCKETS as isize {
-        BucketPos::Above
-    } else {
-        BucketPos::In(idx.max(0) as usize)
-    }
 }
 
 impl Histogram {
@@ -106,12 +81,49 @@ impl Histogram {
         self.sum += v;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-        match bucket_pos(v) {
+        if v < bucket_lo(0) {
             // Zero, negative, and sub-range positives.
-            BucketPos::Below => self.below += 1,
-            BucketPos::Above => self.above += 1,
-            BucketPos::In(idx) => self.buckets[idx] += 1,
+            self.below += 1;
+            return;
         }
+        let idx = (PER_DECADE as f64 * (v.log10() - MIN_DECADE as f64)).floor() as isize;
+        match self.buckets.get_mut(idx.max(0) as usize) {
+            Some(n) => *n += 1,
+            None => self.above += 1,
+        }
+    }
+
+    /// Folds `other` into this histogram, as if its samples had been
+    /// recorded here.
+    pub(crate) fn merge(&mut self, other: &Histogram) {
+        self.count += other.count;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+        self.below += other.below;
+        self.above += other.above;
+        self.non_finite += other.non_finite;
+        for (acc, n) in self.buckets.iter_mut().zip(&other.buckets) {
+            *acc += n;
+        }
+    }
+
+    /// The sample at nearest rank `rank` (1-based, at most
+    /// [`Self::count`]) estimated from the buckets: the geometric
+    /// midpoint of the covering bucket, clamped to the observed min/max;
+    /// ranks below or above the grid resolve to min/max exactly.
+    pub(crate) fn rank_estimate(&self, rank: u64) -> f64 {
+        let mut acc = self.below;
+        if rank <= acc {
+            return self.min;
+        }
+        for (i, &n) in self.buckets.iter().enumerate() {
+            acc += n;
+            if rank <= acc {
+                return (bucket_lo(i) * bucket_lo(i + 1)).sqrt().clamp(self.min, self.max);
+            }
+        }
+        self.max
     }
 
     /// Finite samples recorded.
@@ -157,7 +169,7 @@ impl Histogram {
     }
 
     /// The populated buckets, ascending by bound.
-    pub fn populated(&self) -> Vec<Bucket> {
+    pub(crate) fn populated(&self) -> Vec<Bucket> {
         self.buckets
             .iter()
             .enumerate()

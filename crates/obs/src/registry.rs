@@ -5,9 +5,9 @@
 //! serve: worker threads must be able to record without any collector
 //! plumbing, and an HTTP handler on a foreign thread must be able to
 //! read a consistent view without pausing a solve. The registry answers
-//! both: one `OnceLock`'d instance per process, guarded by an atomic
-//! fast path so the facade stays a single relaxed load when live
-//! metrics are off.
+//! both: one `OnceLock`'d instance per process, which hears the
+//! facade's counters, gauges and samples while the live plane is on
+//! ([`crate::enable_live`]).
 //!
 //! Concurrency model: the name → metric map is behind an `RwLock` taken
 //! for writing only on first registration of a name; every update after
@@ -18,11 +18,12 @@
 //! epoch-consistent, and never blocking a writer for longer than one
 //! metric's lock.
 
+use crate::event::Event;
 use crate::window::{
     HistWindowSnapshot, WindowHistogram, WindowSpec, WindowedCounter, WindowedGauge,
 };
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::Instant;
 
@@ -50,21 +51,14 @@ pub struct MetricsRegistry {
     metrics: RwLock<BTreeMap<String, Arc<LiveMetric>>>,
 }
 
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl MetricsRegistry {
     /// A registry with the default window (15 × 1s slots).
-    pub fn new() -> Self {
-        Self::with_spec(WindowSpec::default())
-    }
-
-    /// A registry with an explicit window shape.
-    pub fn with_spec(spec: WindowSpec) -> Self {
-        MetricsRegistry { epoch: Instant::now(), spec, metrics: RwLock::new(BTreeMap::new()) }
+    pub(crate) fn new() -> Self {
+        MetricsRegistry {
+            epoch: Instant::now(),
+            spec: WindowSpec::default(),
+            metrics: RwLock::new(BTreeMap::new()),
+        }
     }
 
     /// Nanoseconds since this registry was created.
@@ -88,9 +82,20 @@ impl MetricsRegistry {
         map.entry(name.to_string()).or_insert_with(|| Arc::new(make())).clone()
     }
 
+    /// Applies a counter, gauge or sample event; other kinds are not
+    /// metrics and are ignored.
+    pub(crate) fn record(&self, event: &Event) {
+        match event {
+            Event::Counter { name, delta, .. } => self.counter_add(name, *delta),
+            Event::Gauge { name, value } => self.gauge_set(name, *value),
+            Event::Observe { name, value } => self.observe(name, *value),
+            _ => {}
+        }
+    }
+
     /// Adds `delta` to the windowed counter `name`. Kind mismatches are
     /// ignored, like the collector: first registration wins.
-    pub fn counter_add(&self, name: &str, delta: f64) {
+    pub(crate) fn counter_add(&self, name: &str, delta: f64) {
         let now = self.now_ns();
         let metric =
             self.metric(name, || LiveMetric::Counter(Mutex::new(WindowedCounter::new(self.spec))));
@@ -100,7 +105,7 @@ impl MetricsRegistry {
     }
 
     /// Sets the windowed gauge `name`.
-    pub fn gauge_set(&self, name: &str, value: f64) {
+    pub(crate) fn gauge_set(&self, name: &str, value: f64) {
         let now = self.now_ns();
         let metric = self.metric(name, || LiveMetric::Gauge(Mutex::new(WindowedGauge::new())));
         if let LiveMetric::Gauge(g) = &*metric {
@@ -110,7 +115,7 @@ impl MetricsRegistry {
 
     /// Records a sample into the windowed histogram `name` via this
     /// thread's shard.
-    pub fn observe(&self, name: &str, value: f64) {
+    pub(crate) fn observe(&self, name: &str, value: f64) {
         let now = self.now_ns();
         let metric = self.metric(name, || {
             LiveMetric::Histogram(
@@ -218,36 +223,12 @@ fn shard_index() -> usize {
 // Process-global instance
 // ---------------------------------------------------------------------
 
-static LIVE: AtomicBool = AtomicBool::new(false);
-static GLOBAL: OnceLock<Arc<MetricsRegistry>> = OnceLock::new();
+static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
 
-/// The process-global registry (created on first use; recording into it
-/// does nothing user-visible until [`enable_global`] flips the facade).
-pub fn global() -> &'static Arc<MetricsRegistry> {
-    GLOBAL.get_or_init(|| Arc::new(MetricsRegistry::new()))
-}
-
-/// Turns the live plane on: after this, every facade `counter` /
-/// `gauge` / `observe` call also lands in the global registry.
-/// Irreversible for the life of the process (the exposition server and
-/// crash dumps rely on it staying on).
-pub fn enable_global() {
-    global();
-    LIVE.store(true, Ordering::Release);
-}
-
-/// Whether the global registry is receiving facade traffic.
-pub fn is_live() -> bool {
-    LIVE.load(Ordering::Relaxed)
-}
-
-/// The global registry, only if enabled — the facade's fast path.
-pub fn live() -> Option<&'static Arc<MetricsRegistry>> {
-    if is_live() {
-        Some(global())
-    } else {
-        None
-    }
+/// The process-global registry (created on first use; it hears the
+/// facade only while the live plane is on).
+pub fn global() -> &'static MetricsRegistry {
+    GLOBAL.get_or_init(MetricsRegistry::new)
 }
 
 #[cfg(test)]
@@ -279,7 +260,7 @@ mod tests {
         }
         match snap.get("a.latency").unwrap() {
             MetricSnapshot::Histogram(h) => {
-                assert_eq!(h.count, 100);
+                assert_eq!(h.histogram().count(), 100);
                 assert!(h.is_exact());
                 assert_eq!(h.percentile(0.5), Some(50.0));
             }
@@ -317,10 +298,10 @@ mod tests {
         }
         match r.snapshot().get("x.dist").unwrap() {
             MetricSnapshot::Histogram(h) => {
-                assert_eq!(h.count, 100);
+                assert_eq!(h.histogram().count(), 100);
                 assert!(h.is_exact());
                 assert_eq!(h.percentile(0.5), Some(50.0));
-                assert_eq!(h.max(), Some(100.0));
+                assert_eq!(h.histogram().max(), Some(100.0));
             }
             _ => panic!("expected histogram"),
         }

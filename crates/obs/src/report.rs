@@ -11,7 +11,7 @@
 use crate::collector::Collector;
 use crate::json::Json;
 use crate::metrics::Metric;
-use crate::sink::{Recorder, SpanNode};
+use crate::span::SpanNode;
 
 /// A complete description of one pipeline run.
 #[derive(Debug, Clone)]
@@ -38,17 +38,17 @@ impl RunReport {
     pub const REQUIRED_KEYS: [&'static str; 7] =
         ["schema", "command", "params", "stages", "metrics", "events", "results"];
 
-    /// Builds a report from a collector's metrics registry and a
-    /// recorder's event log. Call after all spans have closed (drop the
-    /// install guard first), then attach params and results.
-    pub fn build(command: &str, collector: &Collector, recorder: &Recorder) -> RunReport {
+    /// Builds a report from a collector's metrics and event log. Call
+    /// after all spans have closed (drop the install guard first), then
+    /// attach params and results.
+    pub fn build(command: &str, collector: &Collector) -> RunReport {
         RunReport {
             command: command.to_string(),
             params: Vec::new(),
             results: Vec::new(),
-            stages: recorder.span_tree(),
+            stages: collector.span_tree(),
             metrics: collector.metrics_snapshot(),
-            events: recorder.messages(),
+            events: collector.messages(),
         }
     }
 
@@ -138,11 +138,9 @@ impl RunReport {
 mod tests {
     use super::*;
     use crate::span;
-    use std::sync::Arc;
 
     fn sample_report() -> RunReport {
-        let recorder = Arc::new(Recorder::new());
-        let collector = Collector::builder().sink(recorder.clone()).build();
+        let collector = Collector::builder().build();
         {
             let _g = collector.install();
             {
@@ -153,7 +151,7 @@ mod tests {
             crate::observe("pagerank.residual", 1e-9);
             crate::event("pagerank.chain.attempt", vec![("solver".into(), Json::str("jacobi"))]);
         }
-        RunReport::build("estimate", &collector, &recorder)
+        RunReport::build("estimate", &collector)
             .param("damping", Json::num(0.85))
             .result("flagged", Json::uint(3))
     }

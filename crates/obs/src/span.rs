@@ -4,11 +4,12 @@
 //! the thread keeps a stack of open span names, and a new span's dotted
 //! `path` is the concatenation of everything currently open. Dropping the
 //! guard closes the span and emits a [`SpanRecord`] carrying wall-clock
-//! duration and any counters recorded on the span.
+//! duration and any counters recorded on the span. [`SpanNode`] and
+//! [`build_span_tree`] reassemble the closed records into the nesting.
 //!
-//! With no collector installed (and the global flight recorder off),
-//! [`span`] returns an inert guard and the whole mechanism costs one
-//! thread-local read plus one relaxed atomic load.
+//! With no collector installed and the live plane off, [`span`] returns
+//! an inert guard and the whole mechanism costs one thread-local read
+//! plus one relaxed atomic load.
 //!
 //! Spans are **panic-safe**: closing happens in `Drop`, which also runs
 //! during unwinding, so a panic mid-span still finalizes timing and
@@ -17,9 +18,9 @@
 //! at the panic has its `span_start` in the ring, and every span the
 //! unwind closes lands as a `span_end` before the process dies.
 
-use crate::collector::{with_current, Collector};
+use crate::collector::{self, Collector};
+use crate::event::Event;
 use crate::json::Json;
-use crate::sink::Event;
 use std::cell::RefCell;
 use std::time::Instant;
 
@@ -46,7 +47,7 @@ pub struct SpanRecord {
 }
 
 impl SpanRecord {
-    /// JSON form (without children; see [`crate::sink::SpanNode`]).
+    /// JSON form (without children; see [`SpanNode`]).
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("name", Json::str(&self.name)),
@@ -67,8 +68,8 @@ impl SpanRecord {
 pub struct Span(Option<ActiveSpan>);
 
 struct ActiveSpan {
-    /// `None` when the span is live only because the flight recorder is
-    /// on (no collector installed on this thread).
+    /// The collector installed when the span opened; `None` when the
+    /// span is open only because the live plane is on.
     collector: Option<Collector>,
     name: String,
     path: String,
@@ -80,11 +81,10 @@ struct ActiveSpan {
 
 /// Opens a span named `name` under the innermost open span on this
 /// thread. Inert (and allocation-free) when no collector is installed
-/// and the global flight recorder is off.
+/// and the live plane is off.
 pub fn span(name: &str) -> Span {
-    let collector = with_current(Collector::clone);
-    let flight_on = crate::flight::is_enabled();
-    if collector.is_none() && !flight_on {
+    let collector = collector::current();
+    if !crate::anyone_listening(collector.as_ref()) {
         return Span(None);
     }
     let (path, depth) = STACK.with(|s| {
@@ -95,22 +95,14 @@ pub fn span(name: &str) -> Span {
         stack.push(name.to_string());
         (path, depth)
     });
-    // Timestamps are relative to the collector's epoch when one is
-    // installed, else to the flight recorder's.
-    let start_ns = match &collector {
-        Some(c) => c.elapsed_ns(),
-        None => crate::flight::elapsed_ns(),
-    };
-    if let Some(c) = &collector {
-        c.emit(&Event::SpanStart { path: path.clone(), depth, start_ns });
-    }
-    if flight_on {
-        crate::flight::note(
-            "span_start",
-            &path,
-            &[("depth".to_string(), Json::uint(depth as u64))],
-        );
-    }
+    // Timestamps are relative to the collector's epoch; the flight ring
+    // stamps its entries itself.
+    let start_ns = collector.as_ref().map_or(0, Collector::elapsed_ns);
+    crate::dispatch(collector.as_ref(), || Event::SpanStart {
+        path: path.clone(),
+        depth,
+        start_ns,
+    });
     Span(Some(ActiveSpan {
         collector,
         name: name.to_string(),
@@ -151,19 +143,7 @@ impl Drop for Span {
                 elapsed_ns: active.start.elapsed().as_nanos() as u64,
                 counters: active.counters,
             };
-            if crate::flight::is_enabled() {
-                crate::flight::note(
-                    "span_end",
-                    &record.path,
-                    &[
-                        ("elapsed_ns".to_string(), Json::uint(record.elapsed_ns)),
-                        ("depth".to_string(), Json::uint(record.depth as u64)),
-                    ],
-                );
-            }
-            if let Some(collector) = active.collector {
-                collector.emit(&Event::SpanEnd(record));
-            }
+            crate::dispatch(active.collector.as_ref(), || Event::SpanEnd(record));
         }
     }
 }
@@ -176,11 +156,122 @@ macro_rules! span {
     };
 }
 
+/// A span with its child spans.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SpanNode {
+    /// The span itself.
+    pub record: SpanRecord,
+    /// Spans opened while this one was open, in start order.
+    pub children: Vec<SpanNode>,
+}
+
+impl SpanNode {
+    /// Sum of the children's wall-clock durations.
+    pub fn children_elapsed_ns(&self) -> u64 {
+        self.children.iter().map(|c| c.record.elapsed_ns).sum()
+    }
+
+    /// JSON form including nested children.
+    pub fn to_json(&self) -> Json {
+        let mut fields = match self.record.to_json() {
+            Json::Obj(fields) => fields,
+            _ => unreachable!("SpanRecord::to_json returns an object"),
+        };
+        fields.push((
+            "children".to_string(),
+            Json::Arr(self.children.iter().map(SpanNode::to_json).collect()),
+        ));
+        Json::Obj(fields)
+    }
+}
+
+/// Assembles closed-span records into a forest. Spans are emitted on a
+/// single thread, so siblings at a given depth never overlap in time;
+/// sorting by start offset and threading on depth reconstructs the
+/// nesting exactly.
+pub(crate) fn build_span_tree(records: &[SpanRecord]) -> Vec<SpanNode> {
+    let mut sorted: Vec<SpanRecord> = records.to_vec();
+    sorted.sort_by_key(|a| (a.start_ns, a.depth));
+
+    let mut roots: Vec<SpanNode> = Vec::new();
+    // Chain of currently-open ancestors, outermost first.
+    let mut open: Vec<SpanNode> = Vec::new();
+
+    fn close_one(open: &mut Vec<SpanNode>, roots: &mut Vec<SpanNode>) {
+        let done = open.pop().expect("close_one on empty stack");
+        match open.last_mut() {
+            Some(parent) => parent.children.push(done),
+            None => roots.push(done),
+        }
+    }
+
+    for record in sorted {
+        while open.len() > record.depth {
+            close_one(&mut open, &mut roots);
+        }
+        open.push(SpanNode { record, children: Vec::new() });
+    }
+    while !open.is_empty() {
+        close_one(&mut open, &mut roots);
+    }
+    roots
+}
+
+/// Formats a duration in nanoseconds with an adaptive unit.
+pub(crate) fn format_ns(ns: u64) -> String {
+    if ns < 1_000 {
+        format!("{ns}ns")
+    } else if ns < 1_000_000 {
+        format!("{:.1}us", ns as f64 / 1_000.0)
+    } else if ns < 1_000_000_000 {
+        format!("{:.1}ms", ns as f64 / 1_000_000.0)
+    } else {
+        format!("{:.2}s", ns as f64 / 1_000_000_000.0)
+    }
+}
+
+/// Renders a span forest as an indented timing tree.
+pub(crate) fn render_span_tree(nodes: &[SpanNode]) -> String {
+    fn walk(node: &SpanNode, out: &mut String) {
+        out.push_str(&"  ".repeat(node.record.depth));
+        out.push_str(&node.record.name);
+        out.push(' ');
+        out.push_str(&format_ns(node.record.elapsed_ns));
+        for (key, value) in &node.record.counters {
+            // Counters are typically integral (lines, edges, iterations);
+            // print them without a trailing ".0" when they are.
+            if value.fract() == 0.0 && value.abs() < 1e15 {
+                out.push_str(&format!(" {key}={value:.0}"));
+            } else {
+                out.push_str(&format!(" {key}={value}"));
+            }
+        }
+        out.push('\n');
+        for child in &node.children {
+            walk(child, out);
+        }
+    }
+    let mut out = String::new();
+    for node in nodes {
+        walk(node, &mut out);
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::Recorder;
-    use std::sync::Arc;
+
+    fn record(name: &str, depth: usize, start_ns: u64, elapsed_ns: u64) -> SpanRecord {
+        SpanRecord {
+            name: name.to_string(),
+            path: name.to_string(),
+            depth,
+            start_ns,
+            elapsed_ns,
+            counters: Vec::new(),
+        }
+    }
 
     #[test]
     fn inert_without_collector() {
@@ -192,8 +283,7 @@ mod tests {
 
     #[test]
     fn paths_and_depths_nest() {
-        let recorder = Arc::new(Recorder::default());
-        let collector = Collector::builder().sink(recorder.clone()).build();
+        let collector = Collector::builder().build();
         let _g = collector.install();
         {
             let _a = span("a");
@@ -204,7 +294,7 @@ mod tests {
             let _d = span("d");
         }
         // Records arrive innermost-first (drop order).
-        let spans = recorder.spans();
+        let spans = collector.spans();
         let paths: Vec<&str> = spans.iter().map(|r| r.path.as_str()).collect();
         assert_eq!(paths, ["a.b.c", "a.b", "a.d", "a"]);
         let depths: Vec<usize> = spans.iter().map(|r| r.depth).collect();
@@ -214,15 +304,14 @@ mod tests {
 
     #[test]
     fn timing_is_monotone_and_contains_children() {
-        let recorder = Arc::new(Recorder::default());
-        let collector = Collector::builder().sink(recorder.clone()).build();
+        let collector = Collector::builder().build();
         let _g = collector.install();
         {
             let _outer = span("outer");
             let _inner = span("inner");
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        let spans = recorder.spans();
+        let spans = collector.spans();
         let inner = spans.iter().find(|r| r.name == "inner").unwrap();
         let outer = spans.iter().find(|r| r.name == "outer").unwrap();
         assert!(inner.elapsed_ns >= 2_000_000, "slept 2ms: {}", inner.elapsed_ns);
@@ -235,8 +324,7 @@ mod tests {
 
     #[test]
     fn record_accumulates_per_key() {
-        let recorder = Arc::new(Recorder::default());
-        let collector = Collector::builder().sink(recorder.clone()).build();
+        let collector = Collector::builder().build();
         let _g = collector.install();
         {
             let mut s = span("s");
@@ -244,14 +332,13 @@ mod tests {
             s.record("edges", 4.0);
             s.record("lines", 1.0);
         }
-        let spans = recorder.spans();
+        let spans = collector.spans();
         assert_eq!(spans[0].counters, vec![("edges".into(), 7.0), ("lines".into(), 1.0)]);
     }
 
     #[test]
     fn spans_flush_during_panic_unwind() {
-        let recorder = Arc::new(Recorder::default());
-        let collector = Collector::builder().sink(recorder.clone()).build();
+        let collector = Collector::builder().build();
         let _g = collector.install();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut outer = span("solve");
@@ -263,7 +350,7 @@ mod tests {
         assert!(result.is_err());
         // Both spans finalized during unwind, innermost first, with
         // timing and per-span counters intact.
-        let spans = recorder.spans();
+        let spans = collector.spans();
         let paths: Vec<&str> = spans.iter().map(|r| r.path.as_str()).collect();
         assert_eq!(paths, ["solve.gather", "solve"]);
         assert!(spans[0].elapsed_ns >= 1_000_000, "timed through the unwind");
@@ -278,12 +365,49 @@ mod tests {
 
     #[test]
     fn macro_form_works() {
-        let recorder = Arc::new(Recorder::default());
-        let collector = Collector::builder().sink(recorder.clone()).build();
+        let collector = Collector::builder().build();
         let _g = collector.install();
         {
             let _s = crate::span!("via-macro");
         }
-        assert_eq!(recorder.spans()[0].name, "via-macro");
+        assert_eq!(collector.spans()[0].name, "via-macro");
+    }
+
+    #[test]
+    fn tree_building_nests_by_depth_and_start() {
+        // estimate { pagerank, pagerank_core } then detect, handed over
+        // in drop (close) order.
+        let records = vec![
+            record("pagerank", 1, 10, 50),
+            record("pagerank_core", 1, 70, 40),
+            record("estimate", 0, 0, 120),
+            record("detect", 0, 130, 10),
+        ];
+        let tree = build_span_tree(&records);
+        assert_eq!(tree.len(), 2);
+        assert_eq!(tree[0].record.name, "estimate");
+        let kids: Vec<&str> = tree[0].children.iter().map(|c| c.record.name.as_str()).collect();
+        assert_eq!(kids, ["pagerank", "pagerank_core"]);
+        assert_eq!(tree[0].children_elapsed_ns(), 90);
+        assert_eq!(tree[1].record.name, "detect");
+        assert!(tree[1].children.is_empty());
+    }
+
+    #[test]
+    fn render_indents_and_formats_counters() {
+        let mut parent = record("outer", 0, 0, 2_500_000);
+        parent.counters.push(("edges".to_string(), 12.0));
+        let child = record("inner", 1, 5, 1_000);
+        let tree = build_span_tree(&[child, parent]);
+        let rendered = render_span_tree(&tree);
+        assert_eq!(rendered, "outer 2.5ms edges=12\n  inner 1.0us\n");
+    }
+
+    #[test]
+    fn format_ns_units() {
+        assert_eq!(format_ns(999), "999ns");
+        assert_eq!(format_ns(1_500), "1.5us");
+        assert_eq!(format_ns(2_000_000), "2.0ms");
+        assert_eq!(format_ns(3_210_000_000), "3.21s");
     }
 }

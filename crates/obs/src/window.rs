@@ -21,11 +21,11 @@
 //! [`HistWindowSnapshot::is_exact`].
 
 use crate::json::Json;
-use crate::metrics::{bucket_lo, bucket_pos, BucketPos, BUCKETS};
+use crate::metrics::Histogram;
 
 /// Shape of a sliding window: `slots` ring slots of `slot_ns` each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WindowSpec {
+pub(crate) struct WindowSpec {
     /// Duration of one ring slot in nanoseconds.
     pub slot_ns: u64,
     /// Number of ring slots; the window covers `slots * slot_ns`.
@@ -74,7 +74,7 @@ struct CounterSlot {
 
 /// A counter carrying both a lifetime total and a windowed sum.
 #[derive(Debug, Clone)]
-pub struct WindowedCounter {
+pub(crate) struct WindowedCounter {
     spec: WindowSpec,
     total: f64,
     ring: Vec<CounterSlot>,
@@ -131,7 +131,7 @@ impl WindowedCounter {
 
 /// A last-write-wins gauge that remembers when it was last set.
 #[derive(Debug, Clone, Copy)]
-pub struct WindowedGauge {
+pub(crate) struct WindowedGauge {
     value: f64,
     updated_ns: u64,
     set: bool,
@@ -182,61 +182,36 @@ impl Default for WindowedGauge {
 /// Raw samples kept per slot before percentile extraction degrades to a
 /// bucket estimate. 512 × 15 slots × 8 shards ≈ 60k f64 worst case —
 /// bounded regardless of sample rate.
-pub const SLOT_SAMPLE_CAP: usize = 512;
+const SLOT_SAMPLE_CAP: usize = 512;
 
 #[derive(Debug, Clone)]
 struct HistSlot {
     abs: u64,
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-    below: u64,
-    above: u64,
-    non_finite: u64,
-    buckets: Vec<u64>,
+    hist: Histogram,
     samples: Vec<f64>,
     overflowed: bool,
 }
 
 impl HistSlot {
     fn fresh(abs: u64) -> Self {
-        HistSlot {
-            abs,
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            below: 0,
-            above: 0,
-            non_finite: 0,
-            buckets: vec![0; BUCKETS],
-            samples: Vec::new(),
-            overflowed: false,
-        }
+        HistSlot { abs, hist: Histogram::new(), samples: Vec::new(), overflowed: false }
     }
 }
 
 /// A sliding-window log-bucket histogram with bounded exact samples.
 #[derive(Debug, Clone)]
-pub struct WindowHistogram {
+pub(crate) struct WindowHistogram {
     spec: WindowSpec,
     sample_cap: usize,
     slots: Vec<HistSlot>,
 }
 
 impl WindowHistogram {
-    /// An empty histogram over `spec` with the default sample cap.
+    /// An empty histogram over `spec`.
     pub fn new(spec: WindowSpec) -> Self {
-        Self::with_sample_cap(spec, SLOT_SAMPLE_CAP)
-    }
-
-    /// An empty histogram with an explicit per-slot sample cap (tests
-    /// force the bucket-estimate path with a tiny cap).
-    pub fn with_sample_cap(spec: WindowSpec, sample_cap: usize) -> Self {
         WindowHistogram {
             spec,
-            sample_cap,
+            sample_cap: SLOT_SAMPLE_CAP,
             slots: (0..spec.slots.max(1)).map(|_| HistSlot::fresh(u64::MAX)).collect(),
         }
     }
@@ -249,18 +224,9 @@ impl WindowHistogram {
         if slot.abs != abs {
             *slot = HistSlot::fresh(abs);
         }
+        slot.hist.record(v);
         if !v.is_finite() {
-            slot.non_finite += 1;
             return;
-        }
-        slot.count += 1;
-        slot.sum += v;
-        slot.min = slot.min.min(v);
-        slot.max = slot.max.max(v);
-        match bucket_pos(v) {
-            BucketPos::Below => slot.below += 1,
-            BucketPos::Above => slot.above += 1,
-            BucketPos::In(i) => slot.buckets[i] += 1,
         }
         if slot.samples.len() < self.sample_cap {
             slot.samples.push(v);
@@ -272,21 +238,13 @@ impl WindowHistogram {
     /// Summarizes the window ending at `now_ns`. Read-only: expired slots
     /// are skipped, not cleared.
     pub fn snapshot(&self, now_ns: u64) -> HistWindowSnapshot {
-        let mut snap = HistWindowSnapshot::empty();
+        let mut snap =
+            HistWindowSnapshot { hist: Histogram::new(), samples: Vec::new(), exact: true };
         for slot in &self.slots {
             if slot.abs == u64::MAX || !self.spec.in_window(slot.abs, now_ns) {
                 continue;
             }
-            snap.count += slot.count;
-            snap.sum += slot.sum;
-            snap.min = snap.min.min(slot.min);
-            snap.max = snap.max.max(slot.max);
-            snap.below += slot.below;
-            snap.above += slot.above;
-            snap.non_finite += slot.non_finite;
-            for (acc, n) in snap.buckets.iter_mut().zip(&slot.buckets) {
-                *acc += n;
-            }
+            snap.hist.merge(&slot.hist);
             snap.samples.extend_from_slice(&slot.samples);
             snap.exact &= !slot.overflowed;
         }
@@ -296,87 +254,30 @@ impl WindowHistogram {
 }
 
 /// The merged window view of one histogram (or of several per-thread
-/// shards of the same histogram).
+/// shards of the same histogram): its statistics, plus the raw samples
+/// that make its percentiles exact.
 #[derive(Debug, Clone)]
 pub struct HistWindowSnapshot {
-    /// Finite samples in the window.
-    pub count: u64,
-    /// Sum of finite samples in the window.
-    pub sum: f64,
-    /// Samples below the bucket range (zero/negative included).
-    pub below: u64,
-    /// Samples at or above the top of the bucket range.
-    pub above: u64,
-    /// NaN/∞ samples (excluded from every other statistic).
-    pub non_finite: u64,
-    /// Whether percentiles are exact (no slot overflowed its buffer).
-    pub exact: bool,
-    min: f64,
-    max: f64,
-    buckets: Vec<u64>,
+    hist: Histogram,
     samples: Vec<f64>,
+    exact: bool,
 }
 
 impl HistWindowSnapshot {
-    fn empty() -> Self {
-        HistWindowSnapshot {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            below: 0,
-            above: 0,
-            non_finite: 0,
-            buckets: vec![0; BUCKETS],
-            samples: Vec::new(),
-            exact: true,
-        }
+    /// Count, sum, min/max/mean and buckets of the window.
+    pub fn histogram(&self) -> &Histogram {
+        &self.hist
     }
 
-    /// Smallest finite sample in the window (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        if self.count > 0 {
-            Some(self.min)
-        } else {
-            None
-        }
-    }
-
-    /// Largest finite sample in the window (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        if self.count > 0 {
-            Some(self.max)
-        } else {
-            None
-        }
-    }
-
-    /// Mean of the window (`None` when empty).
-    pub fn mean(&self) -> Option<f64> {
-        if self.count > 0 {
-            Some(self.sum / self.count as f64)
-        } else {
-            None
-        }
-    }
-
-    /// Whether percentiles come from raw samples rather than buckets.
+    /// Whether percentiles come from raw samples rather than buckets
+    /// (no slot overflowed its buffer).
     pub fn is_exact(&self) -> bool {
         self.exact
     }
 
     /// Folds another shard of the same metric into this snapshot.
-    pub fn merge(mut self, other: HistWindowSnapshot) -> HistWindowSnapshot {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.below += other.below;
-        self.above += other.above;
-        self.non_finite += other.non_finite;
-        for (acc, n) in self.buckets.iter_mut().zip(&other.buckets) {
-            *acc += n;
-        }
+    pub(crate) fn merge(mut self, other: HistWindowSnapshot) -> HistWindowSnapshot {
+        self.hist.merge(&other.hist);
         self.samples.extend_from_slice(&other.samples);
         self.samples.sort_by(f64::total_cmp);
         self.exact &= other.exact;
@@ -384,62 +285,38 @@ impl HistWindowSnapshot {
     }
 
     /// The `q`-quantile (`0 < q <= 1`), nearest-rank. Exact over the raw
-    /// samples while [`Self::is_exact`]; otherwise estimated as the
-    /// geometric midpoint of the covering log bucket, clamped to the
-    /// observed min/max (out-of-range ranks resolve to min/max exactly).
+    /// samples while [`Self::is_exact`]; otherwise a bucket estimate.
     pub fn percentile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 || !(0.0..=1.0).contains(&q) {
+        let count = self.hist.count();
+        if count == 0 || !(0.0..=1.0).contains(&q) {
             return None;
         }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
         if self.exact {
             return Some(self.samples[(rank - 1) as usize]);
         }
-        let mut acc = self.below;
-        if rank <= acc {
-            return Some(self.min);
-        }
-        for (i, &n) in self.buckets.iter().enumerate() {
-            acc += n;
-            if rank <= acc {
-                let mid = (bucket_lo(i) * bucket_lo(i + 1)).sqrt();
-                return Some(mid.clamp(self.min, self.max));
-            }
-        }
-        Some(self.max)
+        Some(self.hist.rank_estimate(rank))
     }
 
-    /// JSON form: summary stats, the standard quantiles, and the
-    /// populated buckets.
+    /// JSON form: the histogram's, with the standard quantiles and the
+    /// `exact` flag after its mean.
     pub fn to_json(&self) -> Json {
-        let buckets: Vec<Json> = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| {
-                Json::obj([
-                    ("lo", Json::num(bucket_lo(i))),
-                    ("hi", Json::num(bucket_lo(i + 1))),
-                    ("count", Json::uint(n)),
-                ])
-            })
-            .collect();
-        Json::obj([
-            ("count", Json::uint(self.count)),
-            ("sum", Json::num(self.sum)),
-            ("min", self.min().map(Json::num).unwrap_or(Json::Null)),
-            ("max", self.max().map(Json::num).unwrap_or(Json::Null)),
-            ("mean", self.mean().map(Json::num).unwrap_or(Json::Null)),
-            ("p50", self.percentile(0.50).map(Json::num).unwrap_or(Json::Null)),
-            ("p90", self.percentile(0.90).map(Json::num).unwrap_or(Json::Null)),
-            ("p99", self.percentile(0.99).map(Json::num).unwrap_or(Json::Null)),
-            ("exact", Json::Bool(self.exact)),
-            ("below", Json::uint(self.below)),
-            ("above", Json::uint(self.above)),
-            ("non_finite", Json::uint(self.non_finite)),
-            ("buckets", Json::Arr(buckets)),
-        ])
+        let Json::Obj(mut fields) = self.hist.to_json() else {
+            unreachable!("Histogram::to_json returns an object")
+        };
+        let quantile = |q| self.percentile(q).map(Json::num).unwrap_or(Json::Null);
+        let after_mean =
+            fields.iter().position(|(k, _)| k == "mean").map_or(fields.len(), |i| i + 1);
+        fields.splice(
+            after_mean..after_mean,
+            [
+                ("p50".to_string(), quantile(0.50)),
+                ("p90".to_string(), quantile(0.90)),
+                ("p99".to_string(), quantile(0.99)),
+                ("exact".to_string(), Json::Bool(self.exact)),
+            ],
+        );
+        Json::Obj(fields)
     }
 }
 
@@ -510,14 +387,14 @@ mod tests {
         }
         let snap = h.snapshot(s(2));
         assert!(snap.is_exact());
-        assert_eq!(snap.count, 100);
+        assert_eq!(snap.hist.count(), 100);
         assert_eq!(snap.percentile(0.50), Some(50.0));
         assert_eq!(snap.percentile(0.90), Some(90.0));
         assert_eq!(snap.percentile(0.99), Some(99.0));
         assert_eq!(snap.percentile(1.0), Some(100.0));
-        assert_eq!(snap.min(), Some(1.0));
-        assert_eq!(snap.max(), Some(100.0));
-        assert_eq!(snap.mean(), Some(50.5));
+        assert_eq!(snap.hist.min(), Some(1.0));
+        assert_eq!(snap.hist.max(), Some(100.0));
+        assert_eq!(snap.hist.mean(), Some(50.5));
     }
 
     #[test]
@@ -526,13 +403,13 @@ mod tests {
         h.record(s(0), 10.0);
         h.record(s(5), 20.0);
         // Both visible inside the window…
-        assert_eq!(h.snapshot(s(5)).count, 2);
+        assert_eq!(h.snapshot(s(5)).hist.count(), 2);
         // …at 10s the slot-0 sample has aged out (10 slots of 1s)…
         let later = h.snapshot(s(10));
-        assert_eq!(later.count, 1);
+        assert_eq!(later.hist.count(), 1);
         assert_eq!(later.percentile(0.5), Some(20.0));
         // …and far past the window everything is gone.
-        assert_eq!(h.snapshot(s(30)).count, 0);
+        assert_eq!(h.snapshot(s(30)).hist.count(), 0);
         assert_eq!(h.snapshot(s(30)).percentile(0.5), None);
     }
 
@@ -542,8 +419,8 @@ mod tests {
         h.record(s(1), 100.0);
         h.record(s(11), 1.0); // same ring index, new epoch
         let snap = h.snapshot(s(11));
-        assert_eq!(snap.count, 1);
-        assert_eq!(snap.max(), Some(1.0));
+        assert_eq!(snap.hist.count(), 1);
+        assert_eq!(snap.hist.max(), Some(1.0));
     }
 
     #[test]
@@ -558,16 +435,17 @@ mod tests {
         }
         let merged = a.snapshot(s(1)).merge(b.snapshot(s(1)));
         assert!(merged.is_exact());
-        assert_eq!(merged.count, 100);
+        assert_eq!(merged.hist.count(), 100);
         assert_eq!(merged.percentile(0.50), Some(50.0));
         assert_eq!(merged.percentile(0.99), Some(99.0));
-        assert_eq!(merged.min(), Some(1.0));
-        assert_eq!(merged.max(), Some(100.0));
+        assert_eq!(merged.hist.min(), Some(1.0));
+        assert_eq!(merged.hist.max(), Some(100.0));
     }
 
     #[test]
     fn histogram_sample_overflow_degrades_to_bucket_estimate() {
-        let mut h = WindowHistogram::with_sample_cap(spec(), 8);
+        let mut h = WindowHistogram::new(spec());
+        h.sample_cap = 8;
         // 1000 samples in one slot, all in [100, 316) — one half-decade
         // bucket — so the estimate must land inside that bucket.
         for i in 0..1000 {
@@ -575,12 +453,12 @@ mod tests {
         }
         let snap = h.snapshot(s(1));
         assert!(!snap.is_exact());
-        assert_eq!(snap.count, 1000);
+        assert_eq!(snap.hist.count(), 1000);
         let p50 = snap.percentile(0.50).unwrap();
         assert!((100.0..316.3).contains(&p50), "bucket estimate {p50}");
         // Summary stats stay exact even when percentiles degrade.
-        assert_eq!(snap.min(), Some(100.0));
-        assert_eq!(snap.max(), Some(299.0));
+        assert_eq!(snap.hist.min(), Some(100.0));
+        assert_eq!(snap.hist.max(), Some(299.0));
         // Merging an exact shard with an overflowed one is not exact.
         let exact_shard = WindowHistogram::new(spec()).snapshot(s(1));
         assert!(exact_shard.is_exact());
@@ -589,7 +467,8 @@ mod tests {
 
     #[test]
     fn histogram_out_of_range_saturates_overflow_buckets() {
-        let mut h = WindowHistogram::with_sample_cap(spec(), 2);
+        let mut h = WindowHistogram::new(spec());
+        h.sample_cap = 2;
         // Saturate the sample buffer so extraction uses buckets, with the
         // population split across below-range / in-range / above-range.
         for _ in 0..10 {
@@ -604,10 +483,11 @@ mod tests {
         h.record(s(1), f64::NAN);
         let snap = h.snapshot(s(1));
         assert!(!snap.is_exact());
-        assert_eq!(snap.below, 10);
-        assert_eq!(snap.above, 10);
-        assert_eq!(snap.non_finite, 1);
-        assert_eq!(snap.count, 30);
+        let j = snap.to_json();
+        assert_eq!(j.get("below").and_then(Json::as_f64), Some(10.0));
+        assert_eq!(j.get("above").and_then(Json::as_f64), Some(10.0));
+        assert_eq!(snap.hist.non_finite(), 1);
+        assert_eq!(snap.hist.count(), 30);
         // Ranks inside the below population resolve to the observed min,
         // ranks past every bucket to the observed max.
         assert_eq!(snap.percentile(0.10), Some(-5.0));

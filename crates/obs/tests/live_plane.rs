@@ -3,8 +3,8 @@
 //! crash dumps.
 //!
 //! These live in an integration test (their own process) on purpose:
-//! enabling the global registry and flight recorder is irreversible, so
-//! unit tests — which share a process — must never flip the switches.
+//! switching the live plane on is irreversible, so unit tests — which
+//! share a process — must never flip the switch.
 //! Everything here runs inside ONE #[test] so the enable order and the
 //! server lifecycle stay deterministic.
 
@@ -29,13 +29,10 @@ fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
 
 #[test]
 fn live_plane_round_trips() {
-    // ---- enable the globals (irreversible; done once, up front) ----
-    assert!(!obs::registry::is_live());
-    assert!(!obs::flight::is_enabled());
-    obs::registry::enable_global();
-    obs::flight::enable_global();
-    assert!(obs::registry::is_live());
-    assert!(obs::flight::is_enabled());
+    // ---- switch the live plane on (irreversible; done once, up front) ----
+    assert!(!obs::is_live());
+    obs::enable_live();
+    assert!(obs::is_live());
 
     // The facade now tees into the registry and ring with NO collector
     // installed — the live plane must not depend on --trace.
@@ -46,8 +43,7 @@ fn live_plane_round_trips() {
     }
     obs::event("lp.note", vec![("k".to_string(), Json::str("v"))]);
 
-    let reg = obs::registry::live().expect("registry is live");
-    let snap = reg.snapshot();
+    let snap = obs::registry::global().snapshot();
     match snap.get("lp.hits") {
         Some(obs::MetricSnapshot::Counter { total, .. }) => assert_eq!(*total, 3.0),
         other => panic!("lp.hits: {other:?}"),
@@ -63,9 +59,14 @@ fn live_plane_round_trips() {
         let mut s = obs::span("lp.stage");
         s.record("items", 7.0);
     }
+    // A failpoint trip keeps its own kind; metric updates stay out of
+    // the ring (they are the registry's).
+    obs::failpoint("lp.site", "error");
     let events = obs::flight::global().events();
     assert!(events.iter().any(|e| e.kind == "span_start" && e.name == "lp.stage"), "{events:?}");
     assert!(events.iter().any(|e| e.kind == "span_end" && e.name == "lp.stage"), "{events:?}");
+    assert!(events.iter().any(|e| e.kind == "failpoint" && e.name == "lp.site"), "{events:?}");
+    assert!(!events.iter().any(|e| e.name.starts_with("lp.hits")), "{events:?}");
 
     // ---- server: bind ephemeral, advertise, serve all routes ----
     let server = obs::MetricsServer::start("127.0.0.1:0").expect("bind ephemeral");

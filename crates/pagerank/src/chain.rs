@@ -391,16 +391,14 @@ mod tests {
 
     #[test]
     fn attempts_reach_telemetry() {
-        use std::sync::Arc;
-        let recorder = Arc::new(obs::Recorder::new());
-        let collector = obs::Collector::builder().sink(recorder.clone()).build();
+        let collector = obs::Collector::builder().build();
         let tight = cfg().max_iterations(60).tolerance(1e-12);
         // Long enough that the second attempt alone sweeps 100 times.
         {
             let _guard = collector.install();
             solve_columns(&chain_of(110), &[JumpVector::Uniform], None, &tight).unwrap();
         }
-        let messages: Vec<_> = recorder
+        let messages: Vec<_> = collector
             .messages()
             .into_iter()
             .filter(|(name, _)| name == "pagerank.chain.attempt")
@@ -411,7 +409,7 @@ mod tests {
         assert_eq!(outcome(0), obs::Json::str("failed"));
         assert_eq!(outcome(1), obs::Json::str("converged"));
         // Both attempts' solver spans nest under the one chain span.
-        let spans = recorder.spans();
+        let spans = collector.spans();
         let nested = spans.iter().filter(|s| s.path == "pagerank.chain.pagerank.solve.batch");
         assert_eq!(nested.count(), 2);
         // The guard fed every sweep's residual of both attempts into the

@@ -350,14 +350,12 @@ mod tests {
         config: &PageRankConfig,
         g: &spammass_graph::Graph,
     ) -> Vec<(String, obs::Json)> {
-        use std::sync::Arc;
-        let recorder = Arc::new(obs::Recorder::new());
-        let collector = obs::Collector::builder().sink(recorder.clone()).build();
+        let collector = obs::Collector::builder().build();
         {
             let _guard = collector.install();
             solve_uniform(g, config).unwrap();
         }
-        let msgs = recorder.messages();
+        let msgs = collector.messages();
         let (_, fields) =
             msgs.iter().find(|(n, _)| n == obs::names::PAGERANK_POOL_SIZING).unwrap().clone();
         fields
@@ -402,19 +400,17 @@ mod tests {
 
     #[test]
     fn a_tiny_graph_is_solved_by_the_engine() {
-        use std::sync::Arc;
         // Four nodes, one worker: the engine's span and no reference
         // solver's, and Algorithm 1's answer within two fixed-point
         // bounds `c·ε/(1−c)`.
         let g = GraphBuilder::from_edges(4, &[(0, 1), (0, 2), (1, 2), (2, 0), (3, 2)]);
         let config = PageRankConfig::default();
-        let recorder = Arc::new(obs::Recorder::new());
-        let collector = obs::Collector::builder().sink(recorder.clone()).build();
+        let collector = obs::Collector::builder().build();
         let r = {
             let _guard = collector.install();
             solve_uniform(&g, &config).unwrap()
         };
-        let spans = recorder.spans();
+        let spans = collector.spans();
         assert!(spans.iter().any(|s| s.name == "pagerank.solve.batch"));
         assert!(!spans.iter().any(|s| s.name == "pagerank.solve.jacobi"));
         let a = solve_jacobi(&g, &JumpVector::Uniform, &config).unwrap();
@@ -426,17 +422,15 @@ mod tests {
 
     #[test]
     fn the_solve_span_counts_rows_by_kind() {
-        use std::sync::Arc;
         // 0, 1 and 2 link on (live), 3 has no in-edges (fixed), 4 no
         // out-links (terminal); the live rows hold 5 in-edges.
         let g = GraphBuilder::from_edges(5, &[(0, 1), (0, 2), (1, 2), (2, 0), (3, 2), (2, 4)]);
-        let recorder = Arc::new(obs::Recorder::new());
-        let collector = obs::Collector::builder().sink(recorder.clone()).build();
+        let collector = obs::Collector::builder().build();
         {
             let _guard = collector.install();
             solve_uniform(&g, &PageRankConfig::default()).unwrap();
         }
-        let spans = recorder.spans();
+        let spans = collector.spans();
         let span = spans.iter().find(|s| s.name == "pagerank.solve.batch").unwrap();
         let counter = |k: &str| span.counters.iter().find(|(name, _)| name == k).unwrap().1;
         let counts = ["live_rows", "fixed_rows", "terminal_rows", "gathered_edges"].map(counter);
@@ -445,7 +439,6 @@ mod tests {
 
     #[test]
     fn the_resident_solve_reports_its_rounds_and_row_kinds() {
-        use std::sync::Arc;
         // Every row kind, on one to three workers: the pool runs the
         // sweeps plus a set-up round and a finish round, and the span
         // counts each kind's rows and the live rows' in-edges.
@@ -468,13 +461,12 @@ mod tests {
             JumpVector::core((0..4_000).map(spammass_graph::NodeId).collect(), g.node_count()),
         ];
         for threads in [1usize, 2, 3] {
-            let recorder = Arc::new(obs::Recorder::new());
-            let collector = obs::Collector::builder().sink(recorder.clone()).build();
+            let collector = obs::Collector::builder().build();
             {
                 let _guard = collector.install();
                 solve_batch(&g, &jumps, &cfg().threads(threads)).unwrap();
             }
-            let spans = recorder.spans();
+            let spans = collector.spans();
             let span = spans.iter().find(|s| s.name == "pagerank.solve.batch").unwrap();
             let counter = |k: &str| span.counters.iter().find(|(name, _)| name == k).unwrap().1;
             assert_eq!(counter("threads"), threads as f64);
@@ -486,9 +478,7 @@ mod tests {
 
     #[test]
     fn pool_size_gauge_is_recorded() {
-        use std::sync::Arc;
-        let recorder = Arc::new(obs::Recorder::new());
-        let collector = obs::Collector::builder().sink(recorder.clone()).build();
+        let collector = obs::Collector::builder().build();
         let g = random_graph(40_000, 120_000, 37);
         {
             let _guard = collector.install();

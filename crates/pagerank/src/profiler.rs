@@ -1,5 +1,5 @@
 //! Worker-pool profiler: per-worker gather / barrier-wait timing, fed
-//! into the live metrics registry.
+//! into the live metrics plane.
 //!
 //! The pooled solvers are barrier-synchronized, so one slow chunk stalls
 //! every worker — but from the outside a solve is just "slow", with no
@@ -7,8 +7,9 @@
 //! The profiler makes the distinction observable while the solve runs:
 //! each worker accumulates the nanoseconds it spent in the gather kernel
 //! and at the round handoff into relaxed atomics, and once per round the
-//! control thread flushes those into per-worker windowed series on the
-//! process-global [`spammass_obs::registry`]:
+//! control thread flushes those through the `obs` facade into per-worker
+//! windowed series on the process-global [`spammass_obs::registry`]
+//! (and into the thread's collector, if one is recording the run):
 //!
 //! * `pagerank.worker.<w>.gather_ns` — histogram of per-round kernel time;
 //! * `pagerank.worker.<w>.barrier_wait_ns` — histogram of per-round wait
@@ -22,21 +23,19 @@
 //!   a set-up round before its sweeps and a finish round after them)
 //!   whose windowed rate is the live sweeps/s of the solve.
 //!
-//! Construction is gated on [`spammass_obs::registry::live`]: without
-//! `--serve-metrics` (or another caller enabling the global registry)
-//! [`PoolProfiler::from_live`] returns `None` and the pool runs the
-//! exact unprofiled code path — no timestamps, no atomics, no overhead.
+//! Construction is gated on [`spammass_obs::is_live`]: without the live
+//! plane (`--serve-metrics` / `--crash-dump`) [`PoolProfiler::from_live`]
+//! returns `None` and the pool runs the exact unprofiled code path — no
+//! timestamps, no atomics, no overhead.
 
+use spammass_obs as obs;
 use spammass_obs::names;
-use spammass_obs::registry::{self, MetricsRegistry};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Per-worker timing accumulators plus the prebuilt series names they
 /// flush into. One instance per solve; shared by reference with the
 /// pool's workers.
 pub(crate) struct PoolProfiler {
-    registry: &'static Arc<MetricsRegistry>,
     /// Nanoseconds each worker spent in the kernel since the last flush.
     gather_ns: Vec<AtomicU64>,
     /// Nanoseconds each worker spent blocked at the round handoff since
@@ -54,21 +53,22 @@ pub(crate) struct PoolProfiler {
 impl PoolProfiler {
     /// Builds a profiler for a pool whose worker `w` traverses
     /// `chunk_edges[w]` edges per round and was handed `chunk_weights[w]`
-    /// of the weight its partition balances — or `None` when the global
-    /// registry is off, so the solvers pay nothing by default.
+    /// of the weight its partition balances — or `None` when the live
+    /// plane is off, so the solvers pay nothing by default.
     /// `columns` is the number of jump vectors a single round traverses.
     pub(crate) fn from_live(
         chunk_edges: &[usize],
         chunk_weights: &[usize],
         columns: usize,
     ) -> Option<PoolProfiler> {
-        let registry = registry::live()?;
+        if !obs::is_live() {
+            return None;
+        }
         let workers = chunk_edges.len();
         let imbalance = partition_imbalance(chunk_weights);
         let chunk_edges: Vec<f64> =
             chunk_edges.iter().map(|&e| (e * columns.max(1)) as f64).collect();
         Some(PoolProfiler {
-            registry,
             gather_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             barrier_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             gather_names: (0..workers).map(|w| names::worker_series(w, "gather_ns")).collect(),
@@ -95,7 +95,7 @@ impl PoolProfiler {
         self.barrier_ns[worker].fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Drains every slot into the registry. Called by the control thread
+    /// Drains every slot into the live series. Called by the control thread
     /// once per round; a worker's end-of-round wait may land after the
     /// flush and be attributed to the next round, which is fine for
     /// windowed series.
@@ -103,16 +103,16 @@ impl PoolProfiler {
         for w in 0..self.gather_ns.len() {
             let gather = self.gather_ns[w].swap(0, Ordering::Relaxed);
             let barrier = self.barrier_ns[w].swap(0, Ordering::Relaxed);
-            self.registry.observe(&self.gather_names[w], gather as f64);
-            self.registry.observe(&self.barrier_names[w], barrier as f64);
+            obs::observe(&self.gather_names[w], gather as f64);
+            obs::observe(&self.barrier_names[w], barrier as f64);
             if gather > 0 {
                 let eps = self.chunk_edges[w] / (gather as f64 / 1e9);
-                self.registry.gauge_set(&self.eps_names[w], eps);
+                obs::gauge(&self.eps_names[w], eps);
             }
         }
-        self.registry.counter_add(names::PAGERANK_POOL_SWEEPS, 1.0);
-        self.registry.gauge_set(names::PAGERANK_PARTITION_IMBALANCE, self.imbalance);
-        self.registry.gauge_set(names::PAGERANK_PARTITION_CHUNKS, self.gather_ns.len() as f64);
+        obs::counter(names::PAGERANK_POOL_SWEEPS, 1.0);
+        obs::gauge(names::PAGERANK_PARTITION_IMBALANCE, self.imbalance);
+        obs::gauge(names::PAGERANK_PARTITION_CHUNKS, self.gather_ns.len() as f64);
     }
 }
 
@@ -172,7 +172,7 @@ mod tests {
 
     #[test]
     fn from_live_is_none_without_a_registry() {
-        // Unit tests never enable the process-global registry (that is
+        // Unit tests never switch the live plane on (that is
         // irreversible), so the gate must report None here.
         let g = star(50);
         let p = RowPartition::balanced(&g, 2);

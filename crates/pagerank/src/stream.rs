@@ -642,15 +642,14 @@ mod tests {
 
     #[test]
     fn the_streamed_solve_reports_its_pool() {
-        let recorder = Arc::new(obs::Recorder::new());
-        let collector = obs::Collector::builder().sink(recorder.clone()).build();
+        let collector = obs::Collector::builder().build();
         let g = random_graph(POOLED_NODES, 260_000, 89);
         let image = open(tiny_block_bytes(&g));
         {
             let _guard = collector.install();
             solve_batch_streamed(&image, &jumps(g.node_count()), &pooled(2), u64::MAX).unwrap();
         }
-        let messages = recorder.messages();
+        let messages = collector.messages();
         let (_, fields) =
             messages.iter().find(|(name, _)| name == obs::names::PAGERANK_POOL_SIZING).unwrap();
         let get = |k: &str| {
@@ -666,7 +665,7 @@ mod tests {
         let metrics = collector.metrics_snapshot();
         let gauge = metrics.iter().find(|(k, _)| k == obs::names::PAGERANK_POOL_THREADS).unwrap();
         assert_eq!(gauge.1, obs::Metric::Gauge(2.0));
-        let spans = recorder.spans();
+        let spans = collector.spans();
         let span = spans.iter().find(|s| s.name == "pagerank.solve.streamed").unwrap();
         let counter = |k: &str| span.counters.iter().find(|(name, _)| name == k).unwrap().1;
         assert_eq!(counter("workers"), 2.0);

@@ -1,14 +1,13 @@
 //! Worker-pool profiler against the live process-global registry.
 //!
-//! Enabling the global registry is irreversible for the process, so this
+//! Switching the live plane on is irreversible for the process, so this
 //! lives in its own integration-test binary (cargo runs each `tests/`
 //! file as a separate process) rather than in the crate's unit tests.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spammass_graph::{graph_to_bytes_v4_with, CompressedImage, GraphBuilder, V4Config};
-use spammass_obs::registry;
-use spammass_obs::{names, MetricSnapshot};
+use spammass_obs::{self as obs, names, registry, MetricSnapshot};
 use spammass_pagerank::{solve_batch, solve_batch_streamed, JumpVector, PageRankConfig};
 
 fn random_graph(n: usize, m: usize, seed: u64) -> spammass_graph::Graph {
@@ -26,7 +25,7 @@ fn random_graph(n: usize, m: usize, seed: u64) -> spammass_graph::Graph {
 
 #[test]
 fn profiled_solve_populates_per_worker_series() {
-    registry::enable_global();
+    obs::enable_live();
     let g = random_graph(40_000, 120_000, 97);
     // Drop the edge quota so two real workers run, and solve two columns
     // so the batched kernel is the one profiled.
@@ -40,7 +39,7 @@ fn profiled_solve_populates_per_worker_series() {
             let name = names::worker_series(worker, kind);
             match snap.get(&name) {
                 Some(MetricSnapshot::Histogram(h)) => {
-                    assert!(h.count > 0, "{name} has no samples");
+                    assert!(h.histogram().count() > 0, "{name} has no samples");
                 }
                 other => panic!("{name}: expected histogram, got {other:?}"),
             }
@@ -86,7 +85,9 @@ fn profiled_solve_populates_per_worker_series() {
     for kind in ["gather_ns", "barrier_wait_ns"] {
         let name = names::worker_series(2, kind);
         match snap.get(&name) {
-            Some(MetricSnapshot::Histogram(h)) => assert!(h.count > 0, "{name} has no samples"),
+            Some(MetricSnapshot::Histogram(h)) => {
+                assert!(h.histogram().count() > 0, "{name} has no samples")
+            }
             other => panic!("{name}: expected histogram, got {other:?}"),
         }
     }

@@ -238,7 +238,6 @@ mod tests {
     #[test]
     fn an_unchanged_journal_is_not_read_again() {
         use spammass_obs as obs;
-        use std::sync::Arc;
         let dir = tmpdir("journal-len");
         let state = seed_state(&dir);
         let journal = dir.join("delta.dlt");
@@ -248,10 +247,9 @@ mod tests {
         fs::write(&journal, journal_to_bytes(&[vec![DeltaRecord::AddNode { node: NodeId(5) }]]))
             .unwrap();
 
-        let recorder = Arc::new(obs::Recorder::new());
-        let collector = obs::Collector::builder().sink(recorder.clone()).build();
+        let collector = obs::Collector::builder().build();
         let guard = collector.install();
-        let reads = || recorder.spans().iter().filter(|s| s.name == "delta.journal.read").count();
+        let reads = || collector.spans().iter().filter(|s| s.name == "delta.journal.read").count();
 
         let next = r.check(snap.generation).unwrap().expect("journal records consumed");
         assert_eq!(reads(), 1);

@@ -94,6 +94,18 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
   --metrics-out "$SMOKE_DIR/metrics.json" > "$SMOKE_DIR/estimate.out"
 grep -q '"event":"span_end"' "$SMOKE_DIR/estimate.out" \
   || { echo "no span events in --trace json output"; exit 1; }
+# The collector's log renders the timing tree: `--trace pretty` appends
+# it to the report (the root span, its solve nested one level down), and
+# `experiments --trace` prints it to stderr when the run ends.
+./target/release/spammass estimate --graph "$SMOKE_DIR/web.graph" \
+  --core "$SMOKE_DIR/core.txt" --trace pretty > "$SMOKE_DIR/estimate.pretty"
+grep -q '^estimate [0-9.]*[mun]*s' "$SMOKE_DIR/estimate.pretty" \
+  && grep -q '^  pagerank_batch ' "$SMOKE_DIR/estimate.pretty" \
+  || { echo "no span tree in --trace pretty output"; exit 1; }
+cargo build --release -q -p spammass-eval --bin experiments
+./target/release/experiments --hosts 2000 --trace table1 > /dev/null 2> "$SMOKE_DIR/experiments.err"
+grep -q '^eval\.experiment\.table1 ' "$SMOKE_DIR/experiments.err" \
+  || { echo "experiments --trace printed no eval.experiment. span"; exit 1; }
 for key in '"schema":"spammass.run_report/v1"' '"command":"estimate"' \
     '"params"' '"stages"' '"metrics"' '"events"' '"results"' \
     '"graph.ingest.edges"' '"pagerank.residual"' '"estimate.relative_mass"'; do
