@@ -64,16 +64,15 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
 
     let detector = DetectorConfig { rho, tau };
     let reloader = Reloader::new(state, journal, detector, gamma, damping, threads);
-    let options = ServeOptions { addr, threads, poll: Duration::from_millis(poll_ms.max(1)) };
+    let options = ServeOptions { addr, poll: Duration::from_millis(poll_ms.max(1)) };
     let server = Server::start(options, reloader).map_err(serve_error)?;
     // The address line goes to stderr immediately (stdout is the
     // end-of-run report), so scripts can extract an ephemeral port
     // while the daemon is still running.
     eprintln!(
-        "serving spam-mass queries on http://{}/ (generation {}, {} accept threads)",
+        "serving spam-mass queries on http://{}/ (generation {})",
         server.local_addr(),
-        server.current_generation(),
-        server.accept_threads()
+        server.current_generation()
     );
 
     let started = Instant::now();

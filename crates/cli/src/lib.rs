@@ -174,8 +174,9 @@ USAGE:
   in-process update and published as a fresh generation; externally
   published generations are picked up too — either way the snapshot is
   swapped atomically under in-flight readers (checked every --poll-ms,
-  default 1000, and on GET /reload). --threads sets the accept threads
-  (0 = all cores); --max-seconds S exits after S seconds (0 = forever)
+  default 1000, and on GET /reload). --threads sets the reload solve's
+  workers (0 = all cores); each connection is served on a thread of its
+  own. --max-seconds S exits after S seconds (0 = forever)
 
 Every subcommand also accepts:
   --trace MODE      append run telemetry to the output: `pretty` prints the

@@ -1,12 +1,7 @@
-//! Metrics exposition: Prometheus text + JSON rendering and a
-//! zero-dependency HTTP server.
-//!
-//! The build environment is offline, so the server is hand-rolled on
-//! `std::net` via the shared [`crate::http`] plumbing: one listener
-//! thread, blocking accepts, one short-lived connection per scrape
-//! (`Connection: close`). That is exactly the traffic shape of a
-//! Prometheus scrape loop, and it keeps the whole exposition path free
-//! of async machinery.
+//! Metrics exposition: Prometheus text + JSON rendering, and the route
+//! table [`MetricsServer`] serves on the shared [`crate::http`] server
+//! (a thread per connection, keep-alive unless the client closes, so a
+//! silent connection never delays a scrape).
 //!
 //! Read path: every request takes an epoch-consistent
 //! [`crate::registry::RegistrySnapshot`] (one timestamp, short
@@ -17,16 +12,13 @@
 //! (JSON, schema [`SNAPSHOT_SCHEMA`]), `/flight` (the flight-recorder
 //! ring, schema [`crate::flight::SCHEMA`]).
 
-use crate::http::{read_request, write_response};
+use crate::http::{self, Request, Response, Routes, TEXT};
 use crate::json::Json;
 use crate::registry::{self, MetricSnapshot, RegistrySnapshot};
 use std::fmt::Write as _;
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Schema tag on `/snapshot` responses.
 pub const SNAPSHOT_SCHEMA: &str = "spammass.metrics_snapshot/v1";
@@ -131,10 +123,6 @@ pub fn snapshot_json(snap: &RegistrySnapshot) -> Json {
     ])
 }
 
-// ---------------------------------------------------------------------
-// HTTP server
-// ---------------------------------------------------------------------
-
 static SERVING: Mutex<Option<SocketAddr>> = Mutex::new(None);
 
 /// The address the process's metrics server is bound to, if one is
@@ -143,111 +131,59 @@ pub fn serving_addr() -> Option<SocketAddr> {
     *SERVING.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// A running metrics exposition server. Dropping it shuts the listener
-/// down (a self-connection unblocks the blocking accept).
+/// A running metrics exposition server. Dropping it stops the server
+/// and clears [`serving_addr`].
 pub struct MetricsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    http: http::Server,
 }
 
 impl MetricsServer {
     /// Binds `addr` (e.g. `127.0.0.1:9184`, `:0` for ephemeral) and
     /// serves the global registry and flight recorder until dropped.
     pub fn start(addr: &str) -> io::Result<MetricsServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = stop.clone();
-        let handle =
-            std::thread::Builder::new().name("spammass-metrics".to_string()).spawn(move || {
-                for stream in listener.incoming() {
-                    if stop_flag.load(Ordering::Acquire) {
-                        break;
-                    }
-                    if let Ok(stream) = stream {
-                        // Serve inline: scrapes are tiny and rare, and a
-                        // single handler thread bounds resource use.
-                        let _ = handle_connection(stream);
-                    }
-                }
-            })?;
-        *SERVING.lock().unwrap_or_else(|e| e.into_inner()) = Some(local);
-        Ok(MetricsServer { addr: local, stop, handle: Some(handle) })
+        let http = http::start(addr, Arc::new(Exposition))?;
+        *SERVING.lock().unwrap_or_else(|e| e.into_inner()) = Some(http.local_addr());
+        Ok(MetricsServer { http })
     }
 
     /// The bound address (resolves `:0` to the real port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.http.local_addr()
     }
 }
 
 impl Drop for MetricsServer {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        // Unblock the accept loop so the thread can observe the flag.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
         let mut serving = SERVING.lock().unwrap_or_else(|e| e.into_inner());
-        if *serving == Some(self.addr) {
+        if *serving == Some(self.local_addr()) {
             *serving = None;
         }
     }
 }
 
-fn handle_connection(stream: TcpStream) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    let mut reader = BufReader::new(stream);
-    let request = match read_request(&mut reader) {
-        Ok(request) => request,
-        Err(e) => {
-            // Malformed or oversized requests get a typed error page;
-            // clean closes and transport failures get nothing.
-            if let Some((status, message)) = e.response() {
-                let out = reader.get_mut();
-                write_response(out, status, "text/plain; charset=utf-8", &message, false)?;
-            }
-            return Ok(());
-        }
-    };
+/// The exporter's route table.
+struct Exposition;
 
-    let (status, content_type, body) = if request.method != "GET" {
-        ("405 Method Not Allowed", "text/plain; charset=utf-8", "only GET is served\n".to_string())
-    } else {
-        match request.path.as_str() {
-            "/metrics" => {
-                crate::counter(crate::names::EXPORT_SCRAPES, 1.0);
-                (
-                    "200 OK",
-                    "text/plain; version=0.0.4; charset=utf-8",
-                    render_prometheus(&registry::global().snapshot()),
-                )
-            }
-            "/snapshot" => {
-                crate::counter(crate::names::EXPORT_SCRAPES, 1.0);
-                let mut body = snapshot_json(&registry::global().snapshot()).render();
-                body.push('\n');
-                ("200 OK", "application/json", body)
-            }
-            "/flight" => {
-                crate::counter(crate::names::EXPORT_SCRAPES, 1.0);
-                let mut body = crate::flight::global().to_json().render();
-                body.push('\n');
-                ("200 OK", "application/json", body)
-            }
-            _ => (
-                "404 Not Found",
-                "text/plain; charset=utf-8",
-                "routes: /metrics /snapshot /flight\n".to_string(),
-            ),
+impl Routes for Exposition {
+    fn route(&self, request: &Request) -> Response {
+        if request.method != "GET" {
+            return ("405 Method Not Allowed", TEXT, "only GET is served\n".to_string());
         }
-    };
-    // Scrapes are one-shot: always close, whatever the client asked.
-    let mut out = reader.into_inner();
-    write_response(&mut out, status, content_type, &body, false)
+        if !matches!(request.path.as_str(), "/metrics" | "/snapshot" | "/flight") {
+            return ("404 Not Found", TEXT, "routes: /metrics /snapshot /flight\n".to_string());
+        }
+        // Counted before rendering: a scrape sees itself.
+        crate::counter(crate::names::EXPORT_SCRAPES, 1.0);
+        match request.path.as_str() {
+            "/metrics" => (
+                "200 OK",
+                "text/plain; version=0.0.4; charset=utf-8",
+                render_prometheus(&registry::global().snapshot()),
+            ),
+            "/snapshot" => http::json(&snapshot_json(&registry::global().snapshot())),
+            _ => http::json(&crate::flight::global().to_json()),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,27 +1,31 @@
-//! Minimal HTTP/1.1 plumbing shared by the metrics exporter and the
-//! query daemon (`spammass-serve`).
-//!
-//! The build environment is offline, so everything network-facing in
-//! this workspace is hand-rolled on `std::net`. Two servers need the
-//! same sliver of HTTP — parse a request line, drain headers, decide
-//! keep-alive vs close, write a framed response — and that sliver lives
-//! here so it is written, limited, and tested exactly once.
+//! The workspace's one HTTP/1.1 server, hand-rolled on `std::net` (the
+//! build is offline). The query daemon (`spammass-serve`) and the metrics
+//! exporter are two [`Routes`] tables [`start`]ed on it: one accept
+//! thread hands each connection to a thread of its own, which serves it
+//! keep-alive, so an idle client holds up no other client and no
+//! shutdown.
 //!
 //! Deliberately *not* implemented: request bodies, chunked transfer,
 //! percent-decoding, multi-line headers. Every endpoint in this
 //! workspace is a GET with a short query string; anything outside that
-//! envelope is rejected with a typed error the caller can map onto a
-//! `400`/`431` response.
+//! envelope is rejected with a typed error the server maps onto a
+//! `400`/`414`/`431` response.
 
+use crate::json::Json;
 use std::fmt;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, BufReader, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Longest accepted request line, in bytes. Longer lines are rejected
-/// as [`RequestError::TooLarge`] (HTTP 414 territory).
+/// as [`RequestError::UriTooLong`] (HTTP 414).
 pub const MAX_REQUEST_LINE: usize = 8 * 1024;
 
 /// Cap on the total header section, in bytes. Past it the request is
-/// rejected as [`RequestError::TooLarge`] (HTTP 431 territory).
+/// rejected as [`RequestError::TooLarge`] (HTTP 431).
 pub const MAX_HEADER_BYTES: usize = 16 * 1024;
 
 /// A parsed request: method, split target, and connection semantics.
@@ -55,7 +59,9 @@ pub enum RequestError {
     Closed,
     /// The request violates the expected `METHOD PATH HTTP/x.y` shape.
     Malformed(String),
-    /// Request line or header section exceeded the fixed limits.
+    /// The request line exceeded [`MAX_REQUEST_LINE`].
+    UriTooLong(String),
+    /// The header section exceeded [`MAX_HEADER_BYTES`].
     TooLarge(String),
     /// Transport failure (including read timeouts).
     Io(io::Error),
@@ -66,7 +72,9 @@ impl fmt::Display for RequestError {
         match self {
             RequestError::Closed => write!(f, "connection closed before a request"),
             RequestError::Malformed(m) => write!(f, "malformed request: {m}"),
-            RequestError::TooLarge(m) => write!(f, "request too large: {m}"),
+            RequestError::UriTooLong(m) | RequestError::TooLarge(m) => {
+                write!(f, "request too large: {m}")
+            }
             RequestError::Io(e) => write!(f, "i/o error: {e}"),
         }
     }
@@ -82,6 +90,7 @@ impl RequestError {
         match self {
             RequestError::Closed | RequestError::Io(_) => None,
             RequestError::Malformed(m) => Some(("400 Bad Request", format!("{m}\n"))),
+            RequestError::UriTooLong(m) => Some(("414 URI Too Long", format!("{m}\n"))),
             RequestError::TooLarge(m) => {
                 Some(("431 Request Header Fields Too Large", format!("{m}\n")))
             }
@@ -144,9 +153,11 @@ fn parse_query(raw: &str) -> Vec<(String, String)> {
 /// callers that accept only GET can treat any body as the next (broken)
 /// request and close.
 pub fn read_request(reader: &mut impl BufRead) -> Result<Request, RequestError> {
-    let request_line = match read_line_limited(reader, MAX_REQUEST_LINE, "request line")? {
-        None => return Err(RequestError::Closed),
-        Some(line) => line,
+    let request_line = match read_line_limited(reader, MAX_REQUEST_LINE, "request line") {
+        Ok(Some(line)) => line,
+        Ok(None) => return Err(RequestError::Closed),
+        Err(RequestError::TooLarge(m)) => return Err(RequestError::UriTooLong(m)),
+        Err(e) => return Err(e),
     };
     let mut parts = request_line.split_whitespace();
     let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
@@ -208,8 +219,9 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, RequestError> 
 }
 
 /// Writes a complete `HTTP/1.1` response with `Content-Length` framing
-/// and the matching `Connection:` header, then flushes.
-pub fn write_response(
+/// and the matching `Connection:` header, then flushes. A `503` says when
+/// to retry.
+fn write_response(
     writer: &mut impl Write,
     status: &str,
     content_type: &str,
@@ -217,13 +229,152 @@ pub fn write_response(
     keep_alive: bool,
 ) -> io::Result<()> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
+    let retry = if status.starts_with("503") { "Retry-After: 1\r\n" } else { "" };
     let head = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n{retry}Connection: {connection}\r\n\r\n",
         body.len(),
     );
     writer.write_all(head.as_bytes())?;
     writer.write_all(body.as_bytes())?;
     writer.flush()
+}
+
+/// Connections one server holds open at once, each on its own thread
+/// for as long as its client keeps it, busy or idle. The daemon's and
+/// the exporter's clients open one to a handful; 64 leaves them room
+/// while a flood of idle clients costs 64 threads, not the host. Past
+/// it a new connection is answered `503` unread, not queued.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// Read and write timeout of every connection.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Content type of every plain-text answer.
+pub const TEXT: &str = "text/plain; charset=utf-8";
+
+/// One answer: status line (`200 OK`), content type, body.
+pub type Response = (&'static str, &'static str, String);
+
+/// A `200 OK` carrying `doc` as one line of JSON.
+pub fn json(doc: &Json) -> Response {
+    let mut body = doc.render();
+    body.push('\n');
+    ("200 OK", "application/json", body)
+}
+
+/// A server's route table.
+pub trait Routes: Send + Sync + 'static {
+    /// The answer to one parsed request.
+    fn route(&self, request: &Request) -> Response;
+
+    /// Called for each request answered unrouted: malformed or oversized.
+    fn refused(&self) {}
+}
+
+/// A running server. Dropping it shuts every open connection down (a
+/// request in flight loses its answer) and joins every thread.
+pub struct Server {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    accept: Option<JoinHandle<()>>,
+}
+
+/// Binds `addr` (`127.0.0.1:0` for an ephemeral port) and serves
+/// `routes` until the returned [`Server`] is dropped.
+pub fn start<R: Routes>(addr: &str, routes: Arc<R>) -> io::Result<Server> {
+    let listener = TcpListener::bind(addr)?;
+    let addr = listener.local_addr()?;
+    let stop = Arc::new(AtomicBool::new(false));
+    let stopping = stop.clone();
+    let accept = std::thread::Builder::new()
+        .name("spammass-http".to_string())
+        .spawn(move || accept_loop(&listener, &stopping, &routes))?;
+    Ok(Server { addr, stop, accept: Some(accept) })
+}
+
+impl Server {
+    /// The bound address (resolves `:0` to the real port).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.addr
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Release);
+        // Wake the blocking accept() so its thread sees the flag.
+        let _ = TcpStream::connect(self.addr);
+        if let Some(accept) = self.accept.take() {
+            let _ = accept.join();
+        }
+    }
+}
+
+fn accept_loop<R: Routes>(listener: &TcpListener, stop: &AtomicBool, routes: &Arc<R>) {
+    // Each connection thread not yet seen to finish, with a second handle
+    // on its socket so that a stopping server can end it.
+    let mut open: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
+    for stream in listener.incoming() {
+        if stop.load(Ordering::Acquire) {
+            break;
+        }
+        let Ok(stream) = stream else { continue };
+        for (thread, _) in open.extract_if(.., |(thread, _)| thread.is_finished()) {
+            // A panic has already been reported by the panic hook.
+            let _ = thread.join();
+        }
+        if open.len() >= MAX_CONNECTIONS {
+            crate::counter(crate::names::SERVE_SHED, 1.0);
+            let busy = "too many open connections\n";
+            let _ = write_response(&mut &stream, "503 Service Unavailable", TEXT, busy, false);
+            continue;
+        }
+        let Ok(handle) = stream.try_clone() else { continue };
+        let routes = routes.clone();
+        let spawned =
+            std::thread::Builder::new().name("spammass-http-conn".into()).spawn(move || {
+                let _ = serve_connection(&*routes, &stream);
+                // The accept loop's handle keeps the socket open: end it.
+                let _ = stream.shutdown(Shutdown::Both);
+            });
+        if let Ok(thread) = spawned {
+            open.push((thread, handle));
+        }
+    }
+    for (_, stream) in &open {
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+    for (thread, _) in open {
+        let _ = thread.join();
+    }
+}
+
+fn serve_connection(routes: &impl Routes, stream: &TcpStream) -> io::Result<()> {
+    stream.set_read_timeout(Some(IDLE_TIMEOUT))?;
+    stream.set_write_timeout(Some(IDLE_TIMEOUT))?;
+    // Small request/response pairs on a keep-alive connection are the
+    // worst case for Nagle + delayed ACK; latency is the product here.
+    stream.set_nodelay(true)?;
+    let mut reader = BufReader::new(stream);
+    loop {
+        let request = match read_request(&mut reader) {
+            Ok(request) => request,
+            Err(e) => {
+                // Malformed/oversized requests get a typed error; clean
+                // closes and transport failures end the connection.
+                if let Some((status, message)) = e.response() {
+                    routes.refused();
+                    write_response(reader.get_mut(), status, TEXT, &message, false)?;
+                }
+                return Ok(());
+            }
+        };
+        let (status, content_type, body) = routes.route(&request);
+        write_response(reader.get_mut(), status, content_type, &body, request.keep_alive)?;
+        if !request.keep_alive {
+            return Ok(());
+        }
+    }
 }
 
 #[cfg(test)]
@@ -278,7 +429,9 @@ mod tests {
     fn oversized_request_line_and_headers_are_rejected() {
         let long_path = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_REQUEST_LINE));
         let err = parse(&long_path).unwrap_err();
-        assert!(matches!(err, RequestError::TooLarge(_)), "{err}");
+        assert!(matches!(err, RequestError::UriTooLong(_)), "{err}");
+        let (status, _) = err.response().unwrap();
+        assert_eq!(status, "414 URI Too Long");
 
         let mut many_headers = String::from("GET /x HTTP/1.1\r\n");
         for i in 0..2048 {
@@ -345,10 +498,16 @@ mod tests {
         assert!(text.contains("Content-Length: 8\r\n"), "{text}");
         assert!(text.contains("Connection: keep-alive\r\n"), "{text}");
         assert!(text.ends_with("\r\n\r\n{\"a\":1}\n"), "{text}");
+        assert!(!text.contains("Retry-After"), "{text}");
 
         let mut out = Vec::new();
         write_response(&mut out, "404 Not Found", "text/plain", "nope\n", false).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Connection: close\r\n"), "{text}");
+
+        let mut out = Vec::new();
+        write_response(&mut out, "503 Service Unavailable", "text/plain", "busy\n", false).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.contains("Retry-After: 1\r\nConnection: close\r\n"), "{text}");
     }
 }

@@ -88,6 +88,11 @@ pub const SERVE_REQUESTS: &str = "serve.requests";
 /// malformed or oversized request, bad parameters). Counter.
 pub const SERVE_ERRORS: &str = "serve.errors";
 
+/// Connections an HTTP server (the query daemon or the metrics
+/// exporter) answered `503` and closed unread because it already held
+/// [`crate::http::MAX_CONNECTIONS`] open. Counter.
+pub const SERVE_SHED: &str = "serve.shed";
+
 /// Snapshot swaps published to the daemon's readers (journal-driven
 /// updates and externally published generations alike). Counter.
 pub const SERVE_SWAPS: &str = "serve.swaps";
@@ -164,6 +169,7 @@ pub const ALL: &[&str] = &[
     EXPORT_SCRAPES,
     SERVE_REQUESTS,
     SERVE_ERRORS,
+    SERVE_SHED,
     SERVE_SWAPS,
     SERVE_RELOAD_NS,
     SERVE_SCORE_NS,

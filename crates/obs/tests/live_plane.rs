@@ -10,9 +10,9 @@
 
 use spammass_obs as obs;
 use spammass_obs::Json;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Minimal HTTP/1.1 GET over a raw socket; returns (status line, body).
 fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
@@ -25,6 +25,27 @@ fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
     let (head, body) = raw.split_once("\r\n\r\n").expect("header/body split");
     let status = head.lines().next().unwrap_or("").to_string();
     (status, body.to_string())
+}
+
+/// Reads one response off an open connection: (status line and
+/// headers, body framed by `Content-Length`).
+fn read_response(reader: &mut BufReader<TcpStream>) -> (String, String) {
+    let mut head = String::new();
+    let mut content_length = 0usize;
+    loop {
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).expect("read response head") > 0, "{head}");
+        if line == "\r\n" {
+            break;
+        }
+        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
+            content_length = v.trim().parse().expect("content-length");
+        }
+        head.push_str(&line);
+    }
+    let mut body = vec![0u8; content_length];
+    reader.read_exact(&mut body).expect("read response body");
+    (head, String::from_utf8(body).expect("utf-8 body"))
 }
 
 #[test]
@@ -122,6 +143,56 @@ fn live_plane_round_trips() {
         .and_then(|v| v.parse::<f64>().ok())
         .expect("scrape counter exported");
     assert!(scrapes >= 4.0, "scrapes = {scrapes}");
+
+    // ---- a silent open connection delays no scrape ----
+    let silent = TcpStream::connect(addr).unwrap();
+    let asked = Instant::now();
+    let (status, _) = http_get(addr, "/metrics");
+    let waited = asked.elapsed();
+    assert!(status.contains("200"), "{status}");
+    assert!(waited < Duration::from_secs(1), "a scrape behind a silent connection took {waited:?}");
+    drop(silent);
+
+    // ---- past the connection cap: 503 + Retry-After, counted ----
+    // Hold the cap's worth of keep-alive connections, each answered once
+    // so the server is known to have taken it.
+    let held: Vec<BufReader<TcpStream>> = (0..obs::http::MAX_CONNECTIONS)
+        .map(|_| {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let mut reader = BufReader::new(stream);
+            write!(reader.get_mut(), "GET /nope HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+            let (head, _) = read_response(&mut reader);
+            assert!(head.starts_with("HTTP/1.1 404"), "{head}");
+            assert!(head.contains("Connection: keep-alive\r\n"), "{head}");
+            reader
+        })
+        .collect();
+    let extra = TcpStream::connect(addr).unwrap();
+    extra.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let (head, body) = read_response(&mut BufReader::new(extra));
+    assert!(head.starts_with("HTTP/1.1 503 Service Unavailable\r\n"), "{head}");
+    assert!(head.contains("Retry-After: 1\r\n"), "{head}");
+    assert!(head.contains("Connection: close\r\n"), "{head}");
+    assert!(!body.is_empty());
+    match obs::registry::global().snapshot().get(obs::names::SERVE_SHED) {
+        Some(obs::MetricSnapshot::Counter { total, .. }) => assert_eq!(*total, 1.0),
+        other => panic!("{}: {other:?}", obs::names::SERVE_SHED),
+    }
+    // Closing them frees the slots.
+    drop(held);
+    let freed = Instant::now();
+    loop {
+        let (status, _) = http_get(addr, "/metrics");
+        if status.contains("200") {
+            break;
+        }
+        assert!(
+            freed.elapsed() < Duration::from_secs(5),
+            "still shed after the cap freed: {status}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
 
     // ---- shutdown: drop stops the thread and clears the advert ----
     drop(server);

@@ -34,8 +34,8 @@
 //! drops and (for mmapped graphs) the mapping unmaps.
 //!
 //! The HTTP plumbing is the shared zero-dependency
-//! [`spammass_obs::http`] module, served keep-alive by a thread-per-core
-//! accept loop ([`server::Server`]).
+//! [`spammass_obs::http`] server, one thread per keep-alive connection;
+//! [`server::Server`] is the daemon's route table on it.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -1,11 +1,10 @@
-//! The thread-per-core accept loop and the epoch snapshot slot.
+//! The daemon's route table, its epoch snapshot slot, and the reload
+//! pass.
 //!
-//! One `TcpListener` is shared by N blocking accept threads (N =
-//! available parallelism by default); each accepted connection is
-//! served keep-alive on the thread that accepted it via the shared
-//! [`spammass_obs::http`] plumbing. There is no async machinery and no
-//! cross-thread handoff: a request's whole life is one thread, one
-//! snapshot `Arc` clone, one response write.
+//! Transport is the workspace's one HTTP server, [`spammass_obs::http`]:
+//! each connection is served keep-alive on a thread of its own. There is
+//! no async machinery and no cross-thread handoff: a request's whole life
+//! is one thread, one snapshot `Arc` clone, one response write.
 //!
 //! The **swap protocol**: the current [`Snapshot`] lives behind a
 //! mutex-guarded `Arc` slot. Readers lock only long enough to clone the
@@ -20,16 +19,12 @@ use crate::service::{self, QueryError};
 use crate::snapshot::Snapshot;
 use crate::ServeError;
 use spammass_obs as obs;
-use spammass_obs::http::{read_request, write_response, Request};
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use spammass_obs::http::{self, Request, Response, TEXT};
+use std::net::SocketAddr;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-const TEXT: &str = "text/plain; charset=utf-8";
-const JSON: &str = "application/json";
 
 static SERVING: Mutex<Option<SocketAddr>> = Mutex::new(None);
 
@@ -43,22 +38,19 @@ pub fn serving_addr() -> Option<SocketAddr> {
 pub struct ServeOptions {
     /// Bind address (`127.0.0.1:0` for an ephemeral port).
     pub addr: String,
-    /// Accept threads; `0` = available parallelism.
-    pub threads: usize,
     /// How often the background pass checks for staleness.
     pub poll: Duration,
 }
 
 impl Default for ServeOptions {
     fn default() -> Self {
-        ServeOptions { addr: "127.0.0.1:0".to_string(), threads: 0, poll: Duration::from_secs(1) }
+        ServeOptions { addr: "127.0.0.1:0".to_string(), poll: Duration::from_secs(1) }
     }
 }
 
 pub(crate) struct Shared {
     slot: Mutex<Arc<Snapshot>>,
     reloader: Mutex<Reloader>,
-    stop: AtomicBool,
 }
 
 impl Shared {
@@ -92,14 +84,29 @@ impl Shared {
     }
 }
 
-/// A running query daemon. Dropping it stops the accept threads and the
-/// background reload pass: a keep-alive connection ends after its next
-/// response, or once it has been idle for the 10 s read timeout.
+impl http::Routes for Shared {
+    fn route(&self, request: &Request) -> Response {
+        obs::counter(obs::names::SERVE_REQUESTS, 1.0);
+        let response = route(self, request, Instant::now());
+        if !response.0.starts_with("200") {
+            obs::counter(obs::names::SERVE_ERRORS, 1.0);
+        }
+        response
+    }
+
+    fn refused(&self) {
+        obs::counter(obs::names::SERVE_REQUESTS, 1.0);
+        obs::counter(obs::names::SERVE_ERRORS, 1.0);
+    }
+}
+
+/// A running query daemon. Dropping it ends the reload pass at once and
+/// stops the HTTP server, which shuts every open connection down.
 pub struct Server {
-    addr: SocketAddr,
     shared: Arc<Shared>,
-    handles: Vec<JoinHandle<()>>,
-    accept_threads: usize,
+    /// Never sent on: dropping it wakes and ends the reload pass.
+    reload: Option<(mpsc::Sender<()>, JoinHandle<()>)>,
+    http: http::Server,
 }
 
 impl Server {
@@ -107,76 +114,31 @@ impl Server {
     /// serving.
     pub fn start(options: ServeOptions, reloader: Reloader) -> Result<Server, ServeError> {
         let initial = Arc::new(reloader.initial_snapshot()?);
-        let listener = TcpListener::bind(&options.addr)?;
-        let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            slot: Mutex::new(initial),
-            reloader: Mutex::new(reloader),
-            stop: AtomicBool::new(false),
-        });
-        let accept_threads = if options.threads == 0 {
-            std::thread::available_parallelism().map_or(2, |n| n.get())
-        } else {
-            options.threads
-        };
-
-        let listener = Arc::new(listener);
-        let mut handles = Vec::with_capacity(accept_threads + 1);
-        for worker in 0..accept_threads {
-            let listener = listener.clone();
+        let shared = Arc::new(Shared { slot: Mutex::new(initial), reloader: Mutex::new(reloader) });
+        let http = http::start(&options.addr, shared.clone())?;
+        let (wake, asleep) = mpsc::channel::<()>();
+        let reload = {
             let shared = shared.clone();
-            handles.push(
-                std::thread::Builder::new().name(format!("spammass-serve-{worker}")).spawn(
-                    move || loop {
-                        let Ok((stream, _peer)) = listener.accept() else { continue };
-                        if shared.stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let _ = handle_connection(&shared, stream);
-                    },
-                )?,
-            );
-        }
-        {
-            let shared = shared.clone();
-            let poll = options.poll;
-            handles.push(
-                std::thread::Builder::new().name("spammass-serve-reload".to_string()).spawn(
-                    move || loop {
-                        // Sleep in short slices so shutdown is prompt even
-                        // under long poll intervals.
-                        let wake = Instant::now() + poll;
-                        while Instant::now() < wake {
-                            if shared.stop.load(Ordering::Acquire) {
-                                return;
-                            }
-                            std::thread::sleep(Duration::from_millis(25).min(poll));
-                        }
-                        if shared.stop.load(Ordering::Acquire) {
-                            return;
-                        }
+            std::thread::Builder::new().name("spammass-serve-reload".to_string()).spawn(
+                move || {
+                    while let Err(RecvTimeoutError::Timeout) = asleep.recv_timeout(options.poll) {
                         if let Err(e) = shared.reload_now() {
                             obs::event(
                                 "serve.reload.error",
                                 vec![("message".to_string(), obs::json::Json::str(e.to_string()))],
                             );
                         }
-                    },
-                )?,
-            );
-        }
-        *SERVING.lock().unwrap_or_else(|e| e.into_inner()) = Some(addr);
-        Ok(Server { addr, shared, handles, accept_threads })
+                    }
+                },
+            )?
+        };
+        *SERVING.lock().unwrap_or_else(|e| e.into_inner()) = Some(http.local_addr());
+        Ok(Server { shared, reload: Some((wake, reload)), http })
     }
 
     /// The bound address (resolves `:0` to the real port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Accept threads actually started.
-    pub fn accept_threads(&self) -> usize {
-        self.accept_threads
+        self.http.local_addr()
     }
 
     /// Generation currently serving.
@@ -192,110 +154,50 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        // One nudge per accept thread so every blocking accept() returns
-        // and observes the flag; the reload thread wakes on its own.
-        for _ in 0..self.accept_threads {
-            let _ = TcpStream::connect(self.addr);
-        }
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
+        if let Some((wake, reload)) = self.reload.take() {
+            drop(wake);
+            let _ = reload.join();
         }
         let mut serving = SERVING.lock().unwrap_or_else(|e| e.into_inner());
-        if *serving == Some(self.addr) {
+        if *serving == Some(self.local_addr()) {
             *serving = None;
         }
     }
 }
 
-fn handle_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(10)))?;
-    // Small request/response pairs on a keep-alive connection are the
-    // worst case for Nagle + delayed ACK; latency is the product here.
-    stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream);
-    loop {
-        let request = match read_request(&mut reader) {
-            Ok(request) => request,
-            Err(e) => {
-                // Malformed/oversized requests get a typed error; clean
-                // closes and transport failures end the connection.
-                if let Some((status, message)) = e.response() {
-                    obs::counter(obs::names::SERVE_REQUESTS, 1.0);
-                    obs::counter(obs::names::SERVE_ERRORS, 1.0);
-                    write_response(reader.get_mut(), status, TEXT, &message, false)?;
-                }
-                return Ok(());
-            }
-        };
-        obs::counter(obs::names::SERVE_REQUESTS, 1.0);
-        let started = Instant::now();
-        let (status, content_type, body, latency_metric) = route(shared, &request);
-        if let Some(name) = latency_metric {
-            obs::observe(name, started.elapsed().as_nanos() as f64);
-        }
-        if !status.starts_with("200") {
-            obs::counter(obs::names::SERVE_ERRORS, 1.0);
-        }
-        // Once the daemon is stopping, answer and close: a client that
-        // keeps sending on one connection must not hold its accept
-        // thread, and so `Server::drop`, past its next response.
-        let keep_alive = request.keep_alive && !shared.stop.load(Ordering::Acquire);
-        write_response(reader.get_mut(), status, content_type, &body, keep_alive)?;
-        if !keep_alive {
-            return Ok(());
-        }
-    }
-}
-
-type Routed = (&'static str, &'static str, String, Option<&'static str>);
-
-fn respond(result: Result<spammass_obs::json::Json, QueryError>, metric: &'static str) -> Routed {
-    match result {
-        Ok(doc) => {
-            let mut body = doc.render();
-            body.push('\n');
-            ("200 OK", JSON, body, Some(metric))
-        }
-        Err(e) => (e.status(), TEXT, e.message(), Some(metric)),
-    }
-}
-
-fn route(shared: &Shared, request: &Request) -> Routed {
+fn route(shared: &Shared, request: &Request, started: Instant) -> Response {
     if request.method != "GET" {
-        return ("405 Method Not Allowed", TEXT, "only GET is served\n".to_string(), None);
+        return ("405 Method Not Allowed", TEXT, "only GET is served\n".to_string());
     }
+    // A query's latency histogram covers its routing and rendering.
+    let timed = |result: Result<obs::json::Json, QueryError>, metric: &str| {
+        let response = match result {
+            Ok(doc) => http::json(&doc),
+            Err(e) => (e.status(), TEXT, e.message()),
+        };
+        obs::observe(metric, started.elapsed().as_nanos() as f64);
+        response
+    };
     // One snapshot pin per request: every number in the response comes
     // from the same generation, whatever the reload pass does meanwhile.
     let snapshot = shared.snapshot();
     match request.path.as_str() {
-        "/score" => respond(service::score(&snapshot, request), obs::names::SERVE_SCORE_NS),
-        "/batch" => respond(service::batch(&snapshot, request), obs::names::SERVE_BATCH_NS),
-        "/topk" => respond(service::topk(&snapshot, request), obs::names::SERVE_TOPK_NS),
-        "/explain" => respond(service::explain(&snapshot, request), obs::names::SERVE_EXPLAIN_NS),
-        "/stats" => {
-            let mut body = service::stats(&snapshot).render();
-            body.push('\n');
-            ("200 OK", JSON, body, None)
-        }
+        "/score" => timed(service::score(&snapshot, request), obs::names::SERVE_SCORE_NS),
+        "/batch" => timed(service::batch(&snapshot, request), obs::names::SERVE_BATCH_NS),
+        "/topk" => timed(service::topk(&snapshot, request), obs::names::SERVE_TOPK_NS),
+        "/explain" => timed(service::explain(&snapshot, request), obs::names::SERVE_EXPLAIN_NS),
+        "/stats" => http::json(&service::stats(&snapshot)),
         "/reload" => match shared.reload_now() {
             Ok(swapped) => {
-                let generation = match swapped {
-                    Some(g) => g,
-                    None => snapshot.generation,
-                };
-                let mut body = service::reload_response(swapped.is_some(), generation).render();
-                body.push('\n');
-                ("200 OK", JSON, body, None)
+                let generation = swapped.unwrap_or(snapshot.generation);
+                http::json(&service::reload_response(swapped.is_some(), generation))
             }
-            Err(e) => ("500 Internal Server Error", TEXT, format!("reload failed: {e}\n"), None),
+            Err(e) => ("500 Internal Server Error", TEXT, format!("reload failed: {e}\n")),
         },
         _ => (
             "404 Not Found",
             TEXT,
             "routes: /score /batch /topk /explain /stats /reload\n".to_string(),
-            None,
         ),
     }
 }

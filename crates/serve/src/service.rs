@@ -5,7 +5,8 @@
 //! snapshot it was answered from, so clients can pin formats and detect
 //! swaps. The functions here are pure — snapshot plus parsed request in,
 //! `Json` out — which keeps them unit-testable without sockets; the
-//! accept loop in [`crate::server`] owns transport concerns.
+//! route table in [`crate::server`] and [`spammass_obs::http`] own
+//! transport concerns.
 
 use crate::snapshot::{NodeScore, RankBy, Snapshot};
 use spammass_obs::http::Request;

@@ -7,7 +7,9 @@
 //! built with the snapshot: its top host must be the generation's own.
 //!
 //! The second case pins that the daemon stops: dropping the server ends
-//! a keep-alive connection whose client never pauses, within seconds.
+//! a keep-alive connection whose client never pauses and one whose
+//! client sits idle, within a second. The next pins that idle keep-alive
+//! clients delay no one: each connection has a thread of its own.
 //!
 //! The third case pins what keeps an *old* reader safe through those
 //! swaps: a snapshot serves its graph out of a mapping of
@@ -115,11 +117,7 @@ fn start_server(state: &StateDir) -> Server {
     let reloader = Reloader::new(state.clone(), None, detector, 0.85, DAMPING, 1);
     // Long poll: every swap in these tests is driven by GET /reload, so
     // the sequence of generations is deterministic.
-    let options = ServeOptions {
-        addr: "127.0.0.1:0".to_string(),
-        threads: 4,
-        poll: Duration::from_secs(600),
-    };
+    let options = ServeOptions { addr: "127.0.0.1:0".to_string(), poll: Duration::from_secs(600) };
     Server::start(options, reloader).expect("server starts")
 }
 
@@ -232,9 +230,6 @@ fn responses_stay_consistent_across_repeated_swaps() {
     let doc = Json::parse(&body).unwrap();
     assert_eq!(doc.get("generation").and_then(Json::as_f64), Some(TABLE.len() as f64));
 
-    // Close the keep-alive control connection before stopping: an open
-    // connection would hold its accept thread in read_request until the
-    // idle timeout.
     drop(control);
     drop(server);
     assert!(spammass_serve::serving_addr().is_none());
@@ -249,6 +244,11 @@ fn dropping_the_server_ends_a_busy_keep_alive_connection() {
     assert_eq!(publish(&state, 0), 1);
     let server = start_server(&state);
     let addr = server.local_addr();
+
+    // A client that asks once and then sits on its keep-alive connection.
+    let mut idle = connect(addr);
+    assert_eq!(get(&mut idle, "/stats").0, 200);
+    idle.get_ref().set_read_timeout(Some(Duration::from_secs(5))).unwrap();
 
     // A client that never pauses: request after request on one
     // keep-alive connection, until it is told to stop or the server
@@ -274,19 +274,57 @@ fn dropping_the_server_ends_a_busy_keep_alive_connection() {
     }
 
     // Drop on a helper thread, so a drop that never ends fails the test
-    // instead of hanging it; then stop the client whatever happened,
+    // instead of hanging it; then stop both clients whatever happened,
     // which lets such a drop end too.
     let (dropped_tx, dropped_rx) = std::sync::mpsc::channel();
     let dropper = std::thread::spawn(move || {
         drop(server);
         let _ = dropped_tx.send(());
     });
-    let dropped = dropped_rx.recv_timeout(Duration::from_secs(5));
+    let dropped = dropped_rx.recv_timeout(Duration::from_secs(1));
     stop.store(true, Ordering::Release);
+    // The drop shut the idle connection down: its client reads the end.
+    let idle_ended = dropped.is_ok() && matches!(idle.read(&mut [0u8; 1]), Ok(0));
+    drop(idle);
     client.join().expect("the client does not panic");
     dropper.join().expect("the drop does not panic");
-    assert!(dropped.is_ok(), "dropping the server took over 5 s with a busy keep-alive client");
+    assert!(
+        dropped.is_ok(),
+        "dropping the server took over 1 s with a busy and an idle keep-alive client"
+    );
+    assert!(idle_ended, "the idle connection was left open");
     assert!(spammass_serve::serving_addr().is_none());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn idle_keep_alive_clients_do_not_delay_a_new_one() {
+    let _daemon = DAEMON.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = tmpdir("idle");
+    let state = StateDir::new(&dir);
+    assert_eq!(publish(&state, 0), 1);
+    let server = start_server(&state);
+    let addr = server.local_addr();
+
+    // Four clients ask once, then hold their keep-alive connections open
+    // without a word.
+    let idle: Vec<_> = (0..4)
+        .map(|_| {
+            let mut client = connect(addr);
+            assert_eq!(get(&mut client, "/stats").0, 200);
+            client
+        })
+        .collect();
+
+    let mut fresh = connect(addr);
+    fresh.get_ref().set_read_timeout(Some(Duration::from_secs(15))).unwrap();
+    let asked = Instant::now();
+    let (status, body) = get(&mut fresh, "/score?node=0");
+    let waited = asked.elapsed();
+    assert_eq!(status, 200, "{body}");
+    assert!(waited < Duration::from_secs(1), "a new client waited {waited:?} behind idle ones");
+
+    drop((fresh, idle, server));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

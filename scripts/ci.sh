@@ -374,6 +374,27 @@ fi
   || { echo "warm reload published no gen-0002 snapshot"; exit 1; }
 kill "$SERVE_PID" 2> /dev/null || true
 wait "$SERVE_PID" 2> /dev/null || true
+# An idle keep-alive client does not hold up shutdown: the daemon shuts
+# its connections down when it stops instead of waiting out their 10 s
+# read timeout.
+./target/release/spammass serve --state "$SMOKE_DIR/srv-state" --max-seconds 2 \
+  > "$SMOKE_DIR/serve-idle.out" 2> "$SMOKE_DIR/serve-idle.err" &
+IDLE_PID=$!
+IPORT=""
+for _ in $(seq 1 100); do
+  IPORT="$(sed -n 's|.*http://127\.0\.0\.1:\([0-9]*\)/.*|\1|p' "$SMOKE_DIR/serve-idle.err")"
+  [ -n "$IPORT" ] && break
+  sleep 0.1
+done
+[ -n "$IPORT" ] || { echo "serve advertised no port"; cat "$SMOKE_DIR/serve-idle.err"; exit 1; }
+exec 5<>"/dev/tcp/127.0.0.1/$IPORT"
+printf 'GET /stats HTTP/1.1\r\nHost: ci\r\n\r\n' >&5
+wait "$IDLE_PID" || { echo "serve --max-seconds 2 failed"; cat "$SMOKE_DIR/serve-idle.err"; exit 1; }
+exec 5<&-
+STOPPED="$(sed -n 's/^serve: shut down after \([0-9.]*\)s.*/\1/p' "$SMOKE_DIR/serve-idle.out")"
+awk -v s="$STOPPED" 'BEGIN { exit !(s != "" && s <= 3) }' \
+  || { echo "serve --max-seconds 2 with an idle client shut down after ${STOPPED:-?}s (gate 3)"; \
+       cat "$SMOKE_DIR/serve-idle.out"; exit 1; }
 
 echo "== live metrics smoke: estimate --serve-metrics scraped while up =="
 # Start a solve with the exposition server on an ephemeral port (the
